@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet lint vet-json allow-prune bench bench-smoke check trace-demo par-demo stat-demo series-demo causal-demo perfdiff baselines profiles snapshot-demo crash-sim
+.PHONY: build test race vet lint vet-json allow-prune bench bench-smoke bench-module check trace-demo par-demo stat-demo series-demo causal-demo perfdiff baselines profiles snapshot-demo crash-sim
 
 build:
 	$(GO) build ./...
@@ -44,6 +44,13 @@ bench:
 bench-smoke:
 	$(GO) test -bench=. -benchmem -benchtime=1x -run=^$$ ./...
 
+# bench-module: benchmark/ is a module of its own (it imports this one's
+# internal packages for its layer rungs), so `go test ./...` from the root
+# never enters it and an internal rename can break it silently. Vet and
+# test it from inside.
+bench-module:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
+
 # trace-demo: run the quickstart with tracing, emit the fig10 metrics
 # sidecar, and validate both artifacts against their schemas.
 trace-demo:
@@ -52,15 +59,13 @@ trace-demo:
 	$(GO) run ./cmd/mmt-tracecheck trace.json BENCH_fig10.json
 
 # par-demo: the parallel runner's determinism contract, end to end — the
-# fig11 sidecar must be byte-identical at any worker count, and the
-# wallclock sidecar must validate against its schema.
+# fig11 sidecar must be byte-identical at any worker count.
 par-demo:
 	mkdir -p .bench/serial .bench/par
 	$(GO) run ./cmd/mmt-bench -fig 11 -accesses 20000 -out .bench/serial
 	$(GO) run ./cmd/mmt-bench -fig 11 -accesses 20000 -parallel 8 -out .bench/par
 	cmp .bench/serial/BENCH_fig11.json .bench/par/BENCH_fig11.json
-	$(GO) run ./cmd/mmt-bench -wallclock -parallel 8 -accesses 20000 -out .bench
-	$(GO) run ./cmd/mmt-tracecheck .bench/serial/BENCH_fig11.json .bench/BENCH_wallclock.json
+	$(GO) run ./cmd/mmt-tracecheck .bench/serial/BENCH_fig11.json
 
 # stat-demo: the observability pipeline end to end — export the latency
 # histograms and security-event ledger from a quickstart run, validate
@@ -108,29 +113,25 @@ causal-demo:
 perfdiff:
 	mkdir -p .bench/current
 	$(GO) run ./cmd/mmt-bench -fig 10,11 -accesses 2000 -out .bench/current
-	$(GO) run ./cmd/mmt-bench -wallclock -parallel 8 -accesses 20000 -out .bench/current
 	$(GO) run ./cmd/mmt-perfdiff -warn -out .bench/perfdiff_fig10.json testdata/baselines/BENCH_fig10.json .bench/current/BENCH_fig10.json
 	$(GO) run ./cmd/mmt-perfdiff -warn -out .bench/perfdiff_fig11.json testdata/baselines/BENCH_fig11.json .bench/current/BENCH_fig11.json
-	$(GO) run ./cmd/mmt-perfdiff -warn -threshold 0.25 -out .bench/perfdiff_wallclock.json testdata/baselines/BENCH_wallclock.json .bench/current/BENCH_wallclock.json
 
 # baselines: regenerate every committed benchmark baseline in one step.
 # The figure sidecars are cycle-domain and deterministic — on an unchanged
-# tree the refresh is byte-identical — while the wallclock sidecar records
-# the generating machine's host speed and is expected to drift. Every file
-# is promoted through mmt-perfdiff -update, which runs it through the same
-# extractor that later diffs it, so a malformed sidecar can never become
-# the committed baseline.
+# tree the refresh is byte-identical. Every file is promoted through
+# mmt-perfdiff -update, which runs it through the same extractor that
+# later diffs it, so a malformed sidecar can never become the committed
+# baseline. (Host time is measured by benchmark/, not by a sidecar.)
 baselines:
 	mkdir -p .bench/current
 	$(GO) run ./cmd/mmt-bench -fig 10,11 -accesses 2000 -out .bench/current
-	$(GO) run ./cmd/mmt-bench -wallclock -parallel 8 -accesses 20000 -out .bench/current
-	$(GO) run ./cmd/mmt-perfdiff -update testdata/baselines .bench/current/BENCH_fig10.json .bench/current/BENCH_fig11.json .bench/current/BENCH_wallclock.json
+	$(GO) run ./cmd/mmt-perfdiff -update testdata/baselines .bench/current/BENCH_fig10.json .bench/current/BENCH_fig11.json
 
 # profiles: capture CPU and heap pprof profiles of the fig11 sweep — the
 # same workload the perfdiff gate regenerates. CI runs this once at the
-# PR head and once at the merge base and uploads both, so any wallclock
-# movement perfdiff flags ships with the before/after profiles needed to
-# explain it (`go tool pprof -diff_base before/cpu.pprof after/cpu.pprof`).
+# PR head and once at the merge base and uploads both, so any host-time
+# movement the benchmark shows ships with the before/after profiles needed
+# to explain it (`go tool pprof -diff_base before/cpu.pprof after/cpu.pprof`).
 profiles:
 	mkdir -p .bench/prof
 	$(GO) run ./cmd/mmt-bench -fig 11 -accesses 20000 -parallel 8 -cpuprofile cpu.pprof -memprofile mem.pprof -out .bench/prof
@@ -151,4 +152,4 @@ snapshot-demo:
 crash-sim:
 	$(GO) test -run 'TestCheckpointCrashConsistency|TestCrossProcessMigration|TestCrash' -v . ./internal/store
 
-check: build vet lint test race
+check: build vet lint test race bench-module

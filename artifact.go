@@ -16,6 +16,8 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+
+	"mmt/internal/cursor"
 )
 
 // artifactMagic tags the serialized artifact framing.
@@ -47,17 +49,9 @@ func (a *Artifact) Mode() TransferMode { return a.mode }
 // accepts it. With OwnershipCopy the local buffer stays live and
 // writable, and the artifact carries a read-only snapshot.
 func (l *Link) Export(b *Buffer, mode TransferMode) (*Artifact, error) {
-	var from *Enclave
-	switch b.machine {
-	case l.a.machine:
-		from = l.a
-	case l.b.machine:
-		from = l.b
-	default:
-		return nil, ErrNotOnLink
-	}
-	if b.owner != from.id {
-		return nil, ErrNotOnLink
+	from, _, err := l.ends(b)
+	if err != nil {
+		return nil, err
 	}
 	wire, err := from.machine.mon.ExportPMO(from.id, b.cap, l.id, mode)
 	if err != nil {
@@ -88,20 +82,24 @@ func (l *Link) Import(a *Artifact, e *Enclave) (*Buffer, error) {
 	return &Buffer{machine: e.machine, owner: p.Owner, cap: p.Cap}, nil
 }
 
-// WriteTo serializes the artifact: magic, mode, link id, sealed closure,
-// CRC-32 over everything before it. (The checksum catches file-level
-// corruption early with a clear error; security does not rest on it —
-// the closure's own MACs do that at Import.)
+// layout is the mmt-artifact/v1 body, in both directions: magic, mode,
+// link id, sealed closure.
+func (a *Artifact) layout(c *cursor.Codec) {
+	c.Magic(artifactMagic)
+	cursor.U8(c, &a.mode)
+	c.String(&a.linkID)
+	c.Bytes(&a.wire)
+}
+
+// WriteTo serializes the artifact: the body, then CRC-32 over it. (The
+// checksum catches file-level corruption early with a clear error;
+// security does not rest on it — the closure's own MACs do that at
+// Import.)
 func (a *Artifact) WriteTo(w io.Writer) (int64, error) {
-	buf := make([]byte, 0, len(artifactMagic)+1+8+len(a.linkID)+len(a.wire)+4)
-	buf = append(buf, artifactMagic...)
-	buf = append(buf, byte(a.mode))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(a.linkID)))
-	buf = append(buf, a.linkID...)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(a.wire)))
-	buf = append(buf, a.wire...)
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
-	n, err := w.Write(buf)
+	c := cursor.Encoder(len(artifactMagic) + 1 + 4 + len(a.linkID) + 4 + len(a.wire) + 4)
+	a.layout(c)
+	c.W.U32(crc32.ChecksumIEEE(c.W.Buf))
+	n, err := w.Write(c.W.Buf)
 	return int64(n), err
 }
 
@@ -111,56 +109,18 @@ func ReadArtifact(r io.Reader) (*Artifact, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(data) < len(artifactMagic)+1+4+4+4 {
-		return nil, fmt.Errorf("%w: %d bytes is shorter than the fixed framing", ErrBadArtifact, len(data))
-	}
-	if string(data[:len(artifactMagic)]) != artifactMagic {
-		return nil, fmt.Errorf("%w: bad magic", ErrBadArtifact)
+	if len(data) < 4 {
+		return nil, fmt.Errorf("%w: %d bytes is shorter than the checksum", ErrBadArtifact, len(data))
 	}
 	body, sum := data[:len(data)-4], binary.LittleEndian.Uint32(data[len(data)-4:])
 	if got := crc32.ChecksumIEEE(body); got != sum {
 		return nil, fmt.Errorf("%w: checksum mismatch (%08x != %08x)", ErrBadArtifact, got, sum)
 	}
-	off := len(artifactMagic)
-	mode := TransferMode(body[off])
-	off++
-	take := func(n int) ([]byte, error) {
-		if n < 0 || off+n > len(body) {
-			return nil, fmt.Errorf("%w: truncated field at offset %d", ErrBadArtifact, off)
-		}
-		b := body[off : off+n]
-		off += n
-		return b, nil
-	}
-	lenField := func() (int, error) {
-		b, err := take(4)
-		if err != nil {
-			return 0, err
-		}
-		return int(binary.LittleEndian.Uint32(b)), nil
-	}
-	n, err := lenField()
-	if err != nil {
+	a := &Artifact{}
+	c := cursor.Decoder(body, ErrBadArtifact)
+	a.layout(c)
+	if err := c.R.Done(); err != nil {
 		return nil, err
 	}
-	linkID, err := take(n)
-	if err != nil {
-		return nil, err
-	}
-	n, err = lenField()
-	if err != nil {
-		return nil, err
-	}
-	wire, err := take(n)
-	if err != nil {
-		return nil, err
-	}
-	if off != len(body) {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadArtifact, len(body)-off)
-	}
-	return &Artifact{
-		linkID: string(linkID),
-		mode:   mode,
-		wire:   append([]byte(nil), wire...),
-	}, nil
+	return a, nil
 }

@@ -10,14 +10,15 @@ package main
 
 import (
 	"crypto/sha256"
-	"encoding/binary"
+	"errors"
 	"fmt"
 
+	"mmt/internal/cursor"
 	"mmt/internal/store"
 )
 
 // recExperiment is the record type for one completed experiment (the
-// snapshot record types 1-5 are reserved by the mmt package).
+// snapshot record types 1-5 are reserved by internal/snap).
 const recExperiment store.RecordType = 16
 
 // benchStore accumulates completed experiments over an mmt-store/v1 log.
@@ -102,36 +103,23 @@ func (b *benchStore) hash() [32]byte {
 	return out
 }
 
+var errBadExperimentRec = errors.New("malformed experiment record")
+
+// experimentLayout is a recExperiment payload in both directions: the
+// experiment's name, then its rendered output.
+func experimentLayout(c *cursor.Codec, name, output *string) {
+	c.String(name)
+	c.String(output)
+}
+
 func encodeExperimentRec(name, output string) []byte {
-	buf := binary.LittleEndian.AppendUint32(nil, uint32(len(name)))
-	buf = append(buf, name...)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(output)))
-	buf = append(buf, output...)
-	return buf
+	c := cursor.Encoder(8 + len(name) + len(output))
+	experimentLayout(c, &name, &output)
+	return c.W.Buf
 }
 
 func decodeExperimentRec(p []byte) (name, output string, err error) {
-	take := func(what string) (string, error) {
-		if len(p) < 4 {
-			return "", fmt.Errorf("truncated %s length", what)
-		}
-		n := int(binary.LittleEndian.Uint32(p))
-		p = p[4:]
-		if n < 0 || n > len(p) {
-			return "", fmt.Errorf("%s length %d exceeds %d payload bytes", what, n, len(p))
-		}
-		s := string(p[:n])
-		p = p[n:]
-		return s, nil
-	}
-	if name, err = take("name"); err != nil {
-		return "", "", err
-	}
-	if output, err = take("output"); err != nil {
-		return "", "", err
-	}
-	if len(p) != 0 {
-		return "", "", fmt.Errorf("%d trailing bytes", len(p))
-	}
-	return name, output, nil
+	c := cursor.Decoder(p, errBadExperimentRec)
+	experimentLayout(c, &name, &output)
+	return name, output, c.R.Done()
 }

@@ -13,7 +13,6 @@
 //	mmt-bench -fig 10           # write the BENCH_fig10.json metrics sidecar
 //	mmt-bench -fig 10,11 -out . # several sidecars into a directory
 //	mmt-bench -fig 11 -parallel 8   # same bytes, less wall-clock
-//	mmt-bench -wallclock -parallel 8 # write the BENCH_wallclock.json host-speed sidecar
 //	mmt-bench -exp all -checkpoint ck        # commit each result durably as it lands
 //	mmt-bench -exp all -checkpoint ck -resume # after a crash: reprint done, run the rest
 //
@@ -138,7 +137,6 @@ func main() {
 	series := flag.Bool("series", false, "with -fig: also write BENCH_fig<N>.series.json (mmt-series/v1) for figures that sample (fig 11)")
 	out := flag.String("out", ".", "output directory for -fig sidecars")
 	parallel := flag.Int("parallel", 1, "worker goroutines for figure sweeps (results are byte-identical at any setting)")
-	wallclock := flag.Bool("wallclock", false, "write the BENCH_wallclock.json host-speed sidecar and exit")
 	checkpoint := flag.String("checkpoint", "", "directory for the crash-consistent experiment checkpoint store")
 	resume := flag.Bool("resume", false, "with -checkpoint: skip experiments already committed there and reprint their stored output")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile to FILE (relative paths land next to the sidecars in -out)")
@@ -183,14 +181,6 @@ func main() {
 	if *list {
 		for _, e := range experiments {
 			fmt.Printf("%-13s %s\n", e.name, e.desc)
-		}
-		return
-	}
-
-	if *wallclock {
-		if err := writeWallclock(*out, *parallel, *accesses); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
 		}
 		return
 	}

@@ -16,8 +16,8 @@ import (
 const ReportSchema = "mmt-perfdiff/v1"
 
 // metric is one comparable number extracted from a sidecar. Every
-// extracted metric is lower-is-better (cycles, seconds, ns/op), so a
-// relative increase beyond the threshold is a regression.
+// extracted metric is lower-is-better (cycles, seconds), so a relative
+// increase beyond the threshold is a regression.
 type metric struct {
 	Name  string
 	Value float64
@@ -26,8 +26,7 @@ type metric struct {
 
 // perfDoc is the extracted, comparable view of one BENCH_*.json file.
 type perfDoc struct {
-	// Kind identifies the document shape: "fig<N>" for figure sidecars,
-	// the schema string for schema-tagged sidecars. Two documents compare
+	// Kind identifies the document shape: "fig<N>". Two documents compare
 	// only when their kinds match.
 	Kind    string
 	Metrics []metric // extraction order: deterministic, baseline-driven
@@ -59,11 +58,6 @@ type sidecarDoc struct {
 		P99  sim.Cycles `json:"p99_cycles"`
 		Mean sim.Cycles `json:"mean_cycles"`
 	} `json:"hists"`
-	Metrics []struct {
-		Name  string  `json:"name"`
-		Value float64 `json:"value"`
-		Unit  string  `json:"unit"`
-	} `json:"metrics"` // wallclock sidecar shape
 	Series json.RawMessage `json:"series"` // presence gates as shape
 }
 
@@ -71,45 +65,34 @@ type sidecarDoc struct {
 // diffable. Ratios ("x") and counts are shape, not speed, and byte sizes
 // are workload parameters — none of them gate.
 func comparableUnit(u string) bool {
-	return u == "cycles" || u == "seconds" || u == "ns/op"
+	return u == "cycles" || u == "seconds"
 }
 
-// extract parses one BENCH_*.json / BENCH_wallclock.json document into
-// its comparable metrics.
+// extract parses one BENCH_fig*.json document into its comparable
+// metrics.
 func extract(data []byte) (*perfDoc, error) {
 	var d sidecarDoc
 	if err := json.Unmarshal(data, &d); err != nil {
 		return nil, fmt.Errorf("not a JSON sidecar: %w", err)
 	}
-	doc := &perfDoc{}
-	switch {
-	case d.Schema == "mmt-wallclock/v1":
-		doc.Kind = d.Schema
-		for _, m := range d.Metrics {
-			if comparableUnit(m.Unit) {
-				doc.Metrics = append(doc.Metrics, metric{Name: "wallclock/" + m.Name, Value: m.Value, Unit: m.Unit})
-			}
+	if d.Schema != "" || d.Figure == "" {
+		return nil, fmt.Errorf("unsupported document (schema %q, figure %q): mmt-perfdiff reads BENCH_fig*.json", d.Schema, d.Figure)
+	}
+	doc := &perfDoc{Kind: "fig" + d.Figure, HasSeries: len(d.Series) > 0 && string(d.Series) != "null"}
+	for _, t := range d.Totals {
+		if comparableUnit(t.Unit) {
+			doc.Metrics = append(doc.Metrics, metric{Name: "total/" + t.Name, Value: t.Value, Unit: t.Unit})
 		}
-	case d.Schema == "" && d.Figure != "":
-		doc.Kind = "fig" + d.Figure
-		doc.HasSeries = len(d.Series) > 0 && string(d.Series) != "null"
-		for _, t := range d.Totals {
-			if comparableUnit(t.Unit) {
-				doc.Metrics = append(doc.Metrics, metric{Name: "total/" + t.Name, Value: t.Value, Unit: t.Unit})
-			}
-		}
-		for _, p := range d.PhaseCycles {
-			doc.Metrics = append(doc.Metrics, metric{Name: "phase/" + p.Phase, Value: float64(p.Cycles), Unit: "cycles"})
-		}
-		for _, h := range d.Hists {
-			base := "hist/" + h.Proc + "/" + h.Op + "/"
-			doc.Metrics = append(doc.Metrics,
-				metric{Name: base + "p50", Value: float64(h.P50), Unit: "cycles"},
-				metric{Name: base + "p99", Value: float64(h.P99), Unit: "cycles"},
-				metric{Name: base + "mean", Value: float64(h.Mean), Unit: "cycles"})
-		}
-	default:
-		return nil, fmt.Errorf("unsupported document (schema %q, figure %q): mmt-perfdiff reads BENCH_fig*.json and BENCH_wallclock.json", d.Schema, d.Figure)
+	}
+	for _, p := range d.PhaseCycles {
+		doc.Metrics = append(doc.Metrics, metric{Name: "phase/" + p.Phase, Value: float64(p.Cycles), Unit: "cycles"})
+	}
+	for _, h := range d.Hists {
+		base := "hist/" + h.Proc + "/" + h.Op + "/"
+		doc.Metrics = append(doc.Metrics,
+			metric{Name: base + "p50", Value: float64(h.P50), Unit: "cycles"},
+			metric{Name: base + "p99", Value: float64(h.P99), Unit: "cycles"},
+			metric{Name: base + "mean", Value: float64(h.Mean), Unit: "cycles"})
 	}
 	return doc, nil
 }

@@ -1,6 +1,5 @@
-// Command mmt-perfdiff diffs two or more mmt-bench sidecars — the
-// BENCH_fig*.json figure sidecars and the BENCH_wallclock.json host-speed
-// sidecar — against configurable regression thresholds, producing a
+// Command mmt-perfdiff diffs two or more mmt-bench BENCH_fig*.json
+// figure sidecars against configurable regression thresholds, producing a
 // machine-readable mmt-perfdiff/v1 report. It is the perf-regression
 // gate: CI regenerates the sidecars and diffs them against the committed
 // baselines under testdata/baselines/, so the bench trajectory is
@@ -20,7 +19,7 @@
 // diff it, so a malformed file can never become the committed baseline.
 //
 // The first file is the baseline and defines the metric set: every
-// lower-is-better number it carries (per-op ns/op, per-phase cycles,
+// lower-is-better number it carries (per-phase cycles,
 // per-histogram p50/p99/mean quantiles, cycle/second totals) must be
 // present in each candidate and must not exceed the baseline by more
 // than the relative threshold.

@@ -8,9 +8,6 @@
 //     headline totals plus the per-phase cycle breakdown, including the
 //     phase-sum invariant (phase_sum_cycles accounts for
 //     check_total_cycles when the figure reports a cycle total).
-//   - BENCH_wallclock.json host-speed sidecars (from `mmt-bench
-//     -wallclock`): schema "mmt-wallclock/v1", ns-per-operation and
-//     sweep-speedup metrics measured on the host clock.
 //   - Latency-histogram exports (from TraceSink.WriteHistJSON or
 //     `quickstart -stats`): schema "mmt-hist/v1", per-process
 //     per-operation fixed-bucket histograms with power-of-two bounds.
@@ -109,7 +106,7 @@ func checkFile(path string) error {
 			case "":
 				return checkSidecar(data)
 			default:
-				return checkWallclock(data, probe.Schema)
+				return fmt.Errorf("unknown schema %q", probe.Schema)
 			}
 		default:
 			return fmt.Errorf("neither a JSON array (Chrome trace) nor object (sidecar)")
@@ -859,52 +856,6 @@ func checkEvents(data []byte) error {
 	}
 	if n != *hdr.Events {
 		return fmt.Errorf("header says %d events, file has %d", *hdr.Events, n)
-	}
-	return nil
-}
-
-// wallclock mirrors cmd/mmt-bench's wallclockReport.
-type wallclock struct {
-	Schema     string `json:"schema"`
-	GOMAXPROCS int    `json:"gomaxprocs"`
-	Workers    int    `json:"workers"`
-	Profile    string `json:"profile"`
-	Metrics    []struct {
-		Name  string   `json:"name"`
-		Value *float64 `json:"value"`
-		Unit  string   `json:"unit"`
-	} `json:"metrics"`
-}
-
-func checkWallclock(data []byte, schema string) error {
-	if schema != "mmt-wallclock/v1" {
-		return fmt.Errorf("unknown schema %q (want mmt-wallclock/v1)", schema)
-	}
-	var wc wallclock
-	if err := json.Unmarshal(data, &wc); err != nil {
-		return fmt.Errorf("not a wallclock sidecar: %w", err)
-	}
-	if wc.GOMAXPROCS < 1 || wc.Workers < 1 {
-		return fmt.Errorf("gomaxprocs and workers must be >= 1, got %d/%d", wc.GOMAXPROCS, wc.Workers)
-	}
-	if wc.Profile == "" {
-		return fmt.Errorf("profile is required")
-	}
-	if len(wc.Metrics) == 0 {
-		return fmt.Errorf("no metrics")
-	}
-	for i, m := range wc.Metrics {
-		if m.Name == "" || m.Value == nil || m.Unit == "" {
-			return fmt.Errorf("metric %d: name, value and unit are required", i)
-		}
-		switch m.Unit {
-		case "ns/op", "seconds", "x":
-		default:
-			return fmt.Errorf("metric %q: unknown unit %q", m.Name, m.Unit)
-		}
-		if *m.Value < 0 || math.IsNaN(*m.Value) || math.IsInf(*m.Value, 0) {
-			return fmt.Errorf("metric %q: value %v out of range", m.Name, *m.Value)
-		}
 	}
 	return nil
 }

@@ -309,10 +309,12 @@ func (c *Delegation) Recv() (*Received, error) {
 	c.probe.Count(trace.CtrClosureDecodeBytes, uint64(len(m.Payload)))
 	region, err := c.popRegion()
 	if err != nil {
+		sp.End(c.ep.Clock().Now())
 		return nil, err
 	}
 	mmt, err := c.node.Expect(region, c.conn)
 	if err != nil {
+		sp.End(c.ep.Clock().Now())
 		return nil, err
 	}
 	// The controller records the functional install (tree + line-MAC
@@ -322,34 +324,14 @@ func (c *Delegation) Recv() (*Received, error) {
 	err = mmt.Accept(c.conn, m.Payload)
 	ctl.SetCausal(trace.Context{})
 	if err != nil {
-		c.probe.Count(trace.CtrClosuresRejected, 1)
-		// Ledger verdict. The kind argument must be a compile-time constant
-		// (mmt-vet eventkind), hence the explicit classification branches.
-		now := c.ep.Clock().Now()
-		var hint uint64
-		decoded, derr := core.DecodeClosure(m.Payload)
-		if derr == nil {
-			hint = decoded.GUAddrHint
-		}
-		switch {
-		case errors.Is(err, core.ErrReplay):
-			c.probe.Event(trace.EvReplayReject, now, hint, "delegation: counter not fresh")
-		case errors.Is(err, core.ErrReorder):
-			c.probe.Event(trace.EvReorderReject, now, hint, "delegation: address not monotonic")
-		case errors.Is(err, core.ErrAuth):
-			c.probe.Event(trace.EvAuthFail, now, hint, "delegation: sealed root unauthentic")
-		case errors.Is(err, core.ErrIntegrity):
-			c.probe.Event(trace.EvIntegrityFail, now, hint, "delegation: closure contents tampered")
-		default:
-			c.probe.Event(trace.EvMigrationReject, now, hint, "delegation: malformed closure")
-		}
-		// Free the waiting buffer and nack the specific delegation (its
-		// cleartext address hint survives even when verification fails).
+		hint, named := core.RecordReject(c.probe, c.ep.Clock().Now(), err, m.Payload, "delegation: ", "closure")
+		// Free the waiting buffer and nack the specific delegation.
 		if cerr := mmt.Cancel(); cerr != nil {
+			sp.End(c.ep.Clock().Now())
 			return nil, cerr
 		}
 		c.pool = append(c.pool, region)
-		if derr == nil {
+		if named {
 			// The nack rides the migration's root context so its wire flight
 			// lands in the same trace as the failed transfer.
 			c.ep.SendTraced(c.peer, netsim.KindControl, encodeAck(false, hint), ctx)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 
 	"mmt/internal/crypt"
+	"mmt/internal/cursor"
 )
 
 // TransferMode selects the delegation semantics of §V-B2.
@@ -72,98 +73,63 @@ func (c *Closure) MetadataSize() int { return c.WireSize() - len(c.Data) }
 
 // header encodes the authenticated header.
 func (c *Closure) header() []byte {
-	h := make([]byte, headerSize)
-	copy(h, closureMagic)
-	h[4] = closureVersion
-	h[5] = byte(c.Mode)
-	binary.LittleEndian.PutUint64(h[6:], c.GUAddrHint)
-	binary.LittleEndian.PutUint64(h[14:], c.CounterHint)
-	return h
+	w := cursor.Writer{Buf: make([]byte, 0, headerSize)}
+	w.Raw([]byte(closureMagic))
+	w.U8(closureVersion)
+	w.U8(uint8(c.Mode))
+	w.U64(c.GUAddrHint)
+	w.U64(c.CounterHint)
+	return w.Buf
 }
 
-// Encode serializes the closure for the wire.
+// Encode serializes the closure for the wire: the header, then four
+// length-prefixed chunks — sealed root, tree nodes, line MACs, data.
 func (c *Closure) Encode() []byte {
-	out := make([]byte, 0, c.WireSize())
-	out = append(out, c.header()...)
-	out = appendChunk(out, c.SealedRoot)
-	out = appendChunk(out, c.TreeNodes)
-	macs := make([]byte, 8*len(c.LineMACs))
-	for i, m := range c.LineMACs {
-		binary.LittleEndian.PutUint64(macs[i*8:], m)
+	w := cursor.Writer{Buf: make([]byte, 0, c.WireSize())}
+	w.Raw(c.header())
+	w.Bytes(c.SealedRoot)
+	w.Bytes(c.TreeNodes)
+	w.U32(uint32(8 * len(c.LineMACs)))
+	for _, m := range c.LineMACs {
+		w.U64(m)
 	}
-	out = appendChunk(out, macs)
-	out = appendChunk(out, c.Data)
-	return out
-}
-
-func appendChunk(dst, chunk []byte) []byte {
-	var n [4]byte
-	binary.LittleEndian.PutUint32(n[:], uint32(len(chunk)))
-	dst = append(dst, n[:]...)
-	return append(dst, chunk...)
+	w.Bytes(c.Data)
+	return w.Buf
 }
 
 // ErrBadClosure reports a structurally invalid wire closure.
 var ErrBadClosure = errors.New("core: malformed MMT closure")
 
 // DecodeClosure parses a wire closure. Structural validation only — the
-// cryptographic checks happen in Accept.
+// cryptographic checks happen in Accept. The closure's byte fields are
+// views into wire.
 func DecodeClosure(wire []byte) (*Closure, error) {
-	if len(wire) < headerSize {
-		return nil, fmt.Errorf("%w: %d bytes", ErrBadClosure, len(wire))
+	r := cursor.NewReader(wire, ErrBadClosure)
+	if string(r.Raw(len(closureMagic))) != closureMagic {
+		r.Fail("bad magic")
 	}
-	if string(wire[:4]) != closureMagic {
-		return nil, fmt.Errorf("%w: bad magic", ErrBadClosure)
+	if v := r.U8(); v != closureVersion {
+		r.Fail("version %d", v)
 	}
-	if wire[4] != closureVersion {
-		return nil, fmt.Errorf("%w: version %d", ErrBadClosure, wire[4])
-	}
-	c := &Closure{
-		Mode:        TransferMode(wire[5]),
-		GUAddrHint:  binary.LittleEndian.Uint64(wire[6:]),
-		CounterHint: binary.LittleEndian.Uint64(wire[14:]),
-	}
+	c := &Closure{Mode: TransferMode(r.U8()), GUAddrHint: r.U64(), CounterHint: r.U64()}
 	if c.Mode != OwnershipTransfer && c.Mode != OwnershipCopy {
-		return nil, fmt.Errorf("%w: mode %d", ErrBadClosure, wire[5])
+		r.Fail("mode %d", uint8(c.Mode))
 	}
-	rest := wire[headerSize:]
-	var err error
-	if c.SealedRoot, rest, err = readChunk(rest); err != nil {
-		return nil, err
-	}
-	var macs []byte
-	if c.TreeNodes, rest, err = readChunk(rest); err != nil {
-		return nil, err
-	}
-	if macs, rest, err = readChunk(rest); err != nil {
-		return nil, err
-	}
+	c.SealedRoot = r.Bytes()
+	c.TreeNodes = r.Bytes()
+	macs := r.Bytes()
 	if len(macs)%8 != 0 {
-		return nil, fmt.Errorf("%w: MAC chunk %d bytes", ErrBadClosure, len(macs))
+		r.Fail("MAC chunk %d bytes", len(macs))
+	}
+	c.Data = r.Bytes()
+	if err := r.Done(); err != nil {
+		return nil, err
 	}
 	c.LineMACs = make([]uint64, len(macs)/8)
 	for i := range c.LineMACs {
 		c.LineMACs[i] = binary.LittleEndian.Uint64(macs[i*8:])
 	}
-	if c.Data, rest, err = readChunk(rest); err != nil {
-		return nil, err
-	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadClosure, len(rest))
-	}
 	return c, nil
-}
-
-func readChunk(b []byte) (chunk, rest []byte, err error) {
-	if len(b) < 4 {
-		return nil, nil, fmt.Errorf("%w: truncated length", ErrBadClosure)
-	}
-	n := int(binary.LittleEndian.Uint32(b))
-	b = b[4:]
-	if n < 0 || n > len(b) {
-		return nil, nil, fmt.Errorf("%w: chunk length %d exceeds %d", ErrBadClosure, n, len(b))
-	}
-	return b[:n], b[n:], nil
 }
 
 // rootPlain is the sealed root payload: the fields of the extended MMT
@@ -174,25 +140,18 @@ type rootPlain struct {
 	Mode    TransferMode
 }
 
-const rootPlainSize = 8 + 8 + 1
-
 func (r rootPlain) encode() []byte {
-	out := make([]byte, rootPlainSize)
-	binary.LittleEndian.PutUint64(out[0:], r.GUAddr)
-	binary.LittleEndian.PutUint64(out[8:], r.Counter)
-	out[16] = byte(r.Mode)
-	return out
+	var w cursor.Writer
+	w.U64(r.GUAddr)
+	w.U64(r.Counter)
+	w.U8(uint8(r.Mode))
+	return w.Buf
 }
 
 func decodeRootPlain(b []byte) (rootPlain, error) {
-	if len(b) != rootPlainSize {
-		return rootPlain{}, fmt.Errorf("%w: root payload %d bytes", ErrBadClosure, len(b))
-	}
-	return rootPlain{
-		GUAddr:  binary.LittleEndian.Uint64(b[0:]),
-		Counter: binary.LittleEndian.Uint64(b[8:]),
-		Mode:    TransferMode(b[16]),
-	}, nil
+	rd := cursor.NewReader(b, ErrBadClosure)
+	r := rootPlain{GUAddr: rd.U64(), Counter: rd.U64(), Mode: TransferMode(rd.U8())}
+	return r, rd.Done()
 }
 
 // sealRoot seals the root fields under the MMT key, binding the cleartext

@@ -2,6 +2,9 @@ package core
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"errors"
 	"testing"
 	"testing/quick"
 
@@ -109,6 +112,45 @@ func TestDecodeNeverPanics(t *testing.T) {
 	}
 	if err := quick.Check(g, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestClosureWireForm pins the closure wire form to the bytes the
+// hand-written encoder produced (digest computed at the commit before the
+// shared cursor) and runs the table over DecodeClosure: every truncation
+// is ErrBadClosure; a byte flip at every 97th offset is ErrBadClosure or —
+// decoding being structural only — a closure that re-encodes to exactly
+// the flipped bytes.
+func TestClosureWireForm(t *testing.T) {
+	fill := func(n int, seed byte) []byte {
+		b := make([]byte, n)
+		for i := range b {
+			b[i] = seed + byte(i)*7
+		}
+		return b
+	}
+	c := &Closure{Mode: OwnershipTransfer, GUAddrHint: 0x1000, CounterHint: 7,
+		SealedRoot: fill(33, 0x71), TreeNodes: fill(120, 0x72), LineMACs: []uint64{5, 6, 0xFFFFFFFFFFFFFFFF}, Data: fill(192, 0x73)}
+	wire := c.Encode()
+	sum := sha256.Sum256(wire)
+	if got := hex.EncodeToString(sum[:]); len(wire) != 407 || got != "1b386dc058c87a6d709a4c9ec48223002b7f0dc4f770cc55c926bd811778f0c9" {
+		t.Fatalf("closure wire form drifted: %d bytes hashing to %s", len(wire), got)
+	}
+	for n := 0; n < len(wire); n++ {
+		if got, err := DecodeClosure(wire[:n]); !errors.Is(err, ErrBadClosure) || got != nil {
+			t.Fatalf("truncated to %d bytes: closure %v, err %v", n, got != nil, err)
+		}
+	}
+	for off := 0; off < len(wire); off += 97 {
+		mut := append([]byte(nil), wire...)
+		mut[off] ^= 0x40
+		got, err := DecodeClosure(mut)
+		switch {
+		case err != nil && (!errors.Is(err, ErrBadClosure) || got != nil):
+			t.Fatalf("flip at %d: closure %v, err %v", off, got != nil, err)
+		case err == nil && !bytes.Equal(got.Encode(), mut):
+			t.Fatalf("flip at %d: accepted but re-encodes differently", off)
+		}
 	}
 }
 

@@ -11,18 +11,20 @@ func benchEngine(b *testing.B) *Engine {
 	return NewEngine(KeyFromBytes([]byte("bench")))
 }
 
-// BenchmarkPadLine: one-shot 4-block OTP generation for a 64-byte line.
+// BenchmarkPadLine: tweak base plus 4-block OTP generation for a 64-byte
+// line.
 func BenchmarkPadLine(b *testing.B) {
 	e := benchEngine(b)
 	var s Scratch
+	var base [MaskBaseSize]byte
 	tw := Tweak{GUAddr: 0x1000, Line: 7, Counter: 42}
-	e.PadLine(tw, &s)
+	padLine(e, tw, base[:], &s)
 	b.SetBytes(LineSize)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tw.Counter = uint64(i)
-		e.PadLine(tw, &s)
+		padLine(e, tw, base[:], &s)
 	}
 }
 
@@ -31,13 +33,14 @@ func BenchmarkEncryptLineInto(b *testing.B) {
 	e := benchEngine(b)
 	var s Scratch
 	var line, dst [LineSize]byte
+	var base [MaskBaseSize]byte
 	tw := Tweak{GUAddr: 0x1000, Line: 7, Counter: 42}
 	b.SetBytes(LineSize)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tw.Counter = uint64(i)
-		e.EncryptLineInto(tw, line[:], dst[:], &s)
+		encryptLineInto(e, tw, line[:], dst[:], base[:], &s)
 	}
 }
 
@@ -67,20 +70,6 @@ func packedWords(n int) []uint64 {
 		p[1+s/4] |= uint64(s&0xFFFF) << uint(16*(s%4))
 	}
 	return p
-}
-
-// BenchmarkNodeMACBuf: one 32-ary interior node MAC through the scratch
-// path.
-func BenchmarkNodeMACBuf(b *testing.B) {
-	e := benchEngine(b)
-	var s Scratch
-	packed := packedWords(32)
-	e.NodeMACBuf(0x1000, 1<<24|3, 9, 32, packed, &s)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = e.NodeMACBuf(0x1000, 1<<24|3, uint64(i), 32, packed, &s)
-	}
 }
 
 // BenchmarkNodeMACBatch: a full 3-level path (16/32/64-ary) verified in

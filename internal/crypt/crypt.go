@@ -79,7 +79,6 @@ func (k Key) String() string { return fmt.Sprintf("mmtkey:%x…", k[:4]) }
 // pad cipher, the secret GF evaluation point and the sealing AEAD. Engines
 // are cheap to construct and safe for concurrent use.
 type Engine struct {
-	key   Key
 	block cipher.Block // AES-128 for OTP/MAC masks
 	seal  cipher.AEAD  // AES-GCM for root sealing
 	point uint64       // secret GF(2^64) evaluation point for CW MACs
@@ -110,11 +109,8 @@ func NewEngine(key Key) *Engine {
 	if point == 0 {
 		point = 1 // the zero point would collapse the polynomial hash
 	}
-	return &Engine{key: key, block: block, seal: aead, point: point, mulx: gf.NewMulx(point)}
+	return &Engine{block: block, seal: aead, point: point, mulx: gf.NewMulx(point)}
 }
-
-// Key reports the MMT key this engine was derived from.
-func (e *Engine) Key() Key { return e.key }
 
 func deriveKey(key Key, label string) Key {
 	mac := hmac.New(sha256.New, key[:])
@@ -134,134 +130,19 @@ type Tweak struct {
 	Counter uint64 // per-line counter from the integrity tree
 }
 
-// tweakBase encrypts the location half of a tweak: (address, line index,
-// domain). The full tweak space (address, line, counter, lane) exceeds one
-// AES block, so the pad PRF chains two AES calls, CBC-MAC style — a PRF
-// for fixed two-block inputs.
-func (e *Engine) tweakBase(guaddr uint64, line uint32, domain byte) [aes.BlockSize]byte {
-	var in, out [aes.BlockSize]byte
-	binary.LittleEndian.PutUint64(in[0:8], guaddr)
-	binary.LittleEndian.PutUint32(in[8:12], line)
-	in[12] = domain
-	e.block.Encrypt(out[:], in[:])
-	return out
-}
-
-// prf finishes the two-block PRF: AES(base XOR (counter, lane)).
-func (e *Engine) prf(base [aes.BlockSize]byte, counter uint64, lane uint32) [aes.BlockSize]byte {
-	var in, out [aes.BlockSize]byte
-	binary.LittleEndian.PutUint64(in[0:8], counter)
-	binary.LittleEndian.PutUint32(in[8:12], lane)
-	for i := range in {
-		in[i] ^= base[i]
-	}
-	e.block.Encrypt(out[:], in[:])
-	return out
-}
-
-// pad fills dst (up to LineSize bytes) with the OTP keystream for tw.
-func (e *Engine) pad(tw Tweak, dst []byte) {
-	base := e.tweakBase(tw.GUAddr, tw.Line, DomainPad)
-	for off := 0; off < len(dst); off += aes.BlockSize {
-		out := e.prf(base, tw.Counter, uint32(off/aes.BlockSize))
-		copy(dst[off:], out[:])
-	}
-}
-
-// EncryptLine XORs line with the OTP for tw, in place over a copy, and
-// returns the ciphertext. len(line) must be LineSize.
-func (e *Engine) EncryptLine(tw Tweak, line []byte) []byte {
-	if len(line) != LineSize {
-		//mmt:allow nopanic: caller bug, equivalent to built-in bounds check
-		panic(fmt.Sprintf("crypt: EncryptLine with %d bytes, want %d", len(line), LineSize))
-	}
-	var pad [LineSize]byte
-	e.pad(tw, pad[:])
-	out := make([]byte, LineSize)
-	for i := range out {
-		out[i] = line[i] ^ pad[i]
-	}
-	return out
-}
-
-// DecryptLine is the inverse of EncryptLine (XOR is symmetric).
-func (e *Engine) DecryptLine(tw Tweak, ct []byte) []byte { return e.EncryptLine(tw, ct) }
-
-// XORPad applies the OTP for tw to buf in place: encrypt and decrypt
-// without allocating. The bulk region paths (enable, release) use it.
-func (e *Engine) XORPad(tw Tweak, buf []byte) {
-	if len(buf) != LineSize {
-		//mmt:allow nopanic: caller bug, equivalent to built-in bounds check
-		panic(fmt.Sprintf("crypt: XORPad with %d bytes, want %d", len(buf), LineSize))
-	}
-	var pad [LineSize]byte
-	e.pad(tw, pad[:])
-	for i := range buf {
-		buf[i] ^= pad[i]
-	}
-}
-
-// LineMAC authenticates one encrypted line at version tw. The MAC is the
-// GF(2^64) polynomial hash of the ciphertext words evaluated at the secret
-// point, masked with an AES-derived pad bound to the tweak — a classic
-// Carter–Wegman construction, replay-sensitive because the counter is in
-// the mask.
-func (e *Engine) LineMAC(tw Tweak, ct []byte) uint64 {
-	words := make([]uint64, 0, LineSize/8+1)
-	for off := 0; off+8 <= len(ct); off += 8 {
-		words = append(words, binary.LittleEndian.Uint64(ct[off:]))
-	}
-	words = append(words, uint64(len(ct))) // length binding
-	h := e.mulx.Eval(words)
-	return h ^ e.macMask(tw, DomainLineMAC)
-}
-
-// NodeMAC authenticates one integrity-tree node: its stored counter words
-// hashed together with the parent counter that covers it (§II-A: "the
-// hash value is calculated with the counter in the parent node and all
-// counters in the current node").
-//
-// packed is the node's counter plane exactly as the tree stores it — the
-// global counter word followed by the 16-bit local fields packed four per
-// uint64 — so the hardware-faithful hash input is the compact on-chip
-// representation, not the widened effective counters (a 64-ary leaf
-// hashes 17 words, not 66). arity binds the declared slot count, which
-// keeps the encoding injective: two nodes of different arity can share a
-// packed image (trailing zero locals), but never an (arity, packed) pair.
-func (e *Engine) NodeMAC(guaddr uint64, nodeID uint32, parentCounter, arity uint64, packed []uint64) uint64 {
-	h := e.nodeHash(parentCounter, arity, packed)
-	return h ^ e.macMask(Tweak{GUAddr: guaddr, Line: nodeID, Counter: parentCounter}, DomainNodeMAC)
-}
-
-// NodeHash is the GF(2^64) half of NodeMAC, exported for callers that
-// cache per-node masks (the tree's mask planes) and compose the MAC
-// themselves: NodeMAC == NodeHash ^ mask(guaddr, nodeID, parentCounter).
-//
-//mmt:hotpath
-func (e *Engine) NodeHash(parentCounter, arity uint64, packed []uint64) uint64 {
-	return e.nodeHash(parentCounter, arity, packed)
-}
-
-// nodeHash is the GF(2^64) half of NodeMAC: the polynomial with
+// NodeHash is the GF(2^64) half of NodeMAC: the polynomial with
 // coefficients (parentCounter, arity, packed...) — constant term first —
 // evaluated at the secret point. Horner runs highest-coefficient-first,
 // so the packed slice is evaluated as-is (zero copy) and the two header
-// words fold in afterwards.
+// words fold in afterwards. Callers that cache per-node masks (the
+// tree's mask planes) compose the MAC themselves:
+// NodeMAC == NodeHash ^ mask(guaddr, nodeID, parentCounter).
 //
 //mmt:hotpath
-func (e *Engine) nodeHash(parentCounter, arity uint64, packed []uint64) uint64 {
+func (e *Engine) NodeHash(parentCounter, arity uint64, packed []uint64) uint64 {
 	acc := e.mulx.Eval(packed)
 	acc = e.mulx.Mul(acc) ^ arity
 	return e.mulx.Mul(acc) ^ parentCounter
-}
-
-// macMask derives the one-time MAC mask for a tweak. domain separates data
-// line MACs from tree node MACs; the lane constant separates masks from
-// pad keystream blocks.
-func (e *Engine) macMask(tw Tweak, domain byte) uint64 {
-	base := e.tweakBase(tw.GUAddr, tw.Line, domain)
-	out := e.prf(base, tw.Counter, 0xFFFFFFFF)
-	return binary.LittleEndian.Uint64(out[:8])
 }
 
 // TagEqual compares two 64-bit authentication tags in constant time.
@@ -309,6 +190,3 @@ func (e *Engine) Unseal(unique uint64, aad, box []byte) ([]byte, error) {
 	}
 	return pt, nil
 }
-
-// SealOverhead is the ciphertext expansion of Seal in bytes (GCM tag).
-const SealOverhead = 16

@@ -8,6 +8,14 @@ import (
 
 func testEngine() *Engine { return NewEngine(KeyFromBytes([]byte("test-key"))) }
 
+// encryptLine is the reference line cipher: the oracle's XORPad over a
+// copy. XOR is symmetric, so it decrypts too.
+func encryptLine(e *Engine, tw Tweak, pt []byte) []byte {
+	out := append([]byte(nil), pt...)
+	e.XORPad(tw, out)
+	return out
+}
+
 func line(fill byte) []byte {
 	b := make([]byte, LineSize)
 	for i := range b {
@@ -20,11 +28,11 @@ func TestEncryptDecryptRoundTrip(t *testing.T) {
 	e := testEngine()
 	tw := Tweak{GUAddr: 0x1234, Line: 7, Counter: 42}
 	pt := line(3)
-	ct := e.EncryptLine(tw, pt)
+	ct := encryptLine(e, tw, pt)
 	if bytes.Equal(ct, pt) {
 		t.Fatal("ciphertext equals plaintext")
 	}
-	back := e.DecryptLine(tw, ct)
+	back := encryptLine(e, tw, ct)
 	if !bytes.Equal(back, pt) {
 		t.Fatal("round trip failed")
 	}
@@ -35,7 +43,7 @@ func TestEncryptRoundTripProperty(t *testing.T) {
 	f := func(guaddr, counter uint64, lineIdx uint32, seed byte) bool {
 		tw := Tweak{GUAddr: guaddr, Line: lineIdx, Counter: counter}
 		pt := line(seed)
-		return bytes.Equal(e.DecryptLine(tw, e.EncryptLine(tw, pt)), pt)
+		return bytes.Equal(encryptLine(e, tw, encryptLine(e, tw, pt)), pt)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -55,7 +63,7 @@ func TestDistinctTweaksGiveDistinctPads(t *testing.T) {
 		{GUAddr: 10, Line: 2, Counter: 5 | 1<<40},
 	}
 	for _, tw := range variants {
-		p := string(e.EncryptLine(tw, zero))
+		p := string(encryptLine(e, tw, zero))
 		if prev, dup := pads[p]; dup {
 			t.Fatalf("tweaks %+v and %+v produced the same pad", prev, tw)
 		}
@@ -68,7 +76,7 @@ func TestDifferentKeysDifferentCiphertext(t *testing.T) {
 	b := NewEngine(KeyFromBytes([]byte("b")))
 	tw := Tweak{GUAddr: 1, Line: 1, Counter: 1}
 	pt := line(9)
-	if bytes.Equal(a.EncryptLine(tw, pt), b.EncryptLine(tw, pt)) {
+	if bytes.Equal(encryptLine(a, tw, pt), encryptLine(b, tw, pt)) {
 		t.Fatal("two keys produced identical ciphertext")
 	}
 }
@@ -77,8 +85,8 @@ func TestSameKeySameEngineDeterministic(t *testing.T) {
 	k := NewRandomKey()
 	tw := Tweak{GUAddr: 77, Line: 3, Counter: 9}
 	pt := line(1)
-	c1 := NewEngine(k).EncryptLine(tw, pt)
-	c2 := NewEngine(k).EncryptLine(tw, pt)
+	c1 := encryptLine(NewEngine(k), tw, pt)
+	c2 := encryptLine(NewEngine(k), tw, pt)
 	if !bytes.Equal(c1, c2) {
 		t.Fatal("same key+tweak not deterministic — remote node could not decrypt")
 	}
@@ -90,13 +98,13 @@ func TestEncryptLinePanicsOnWrongSize(t *testing.T) {
 			t.Fatal("expected panic for short line")
 		}
 	}()
-	testEngine().EncryptLine(Tweak{}, make([]byte, 10))
+	testEngine().XORPad(Tweak{}, make([]byte, 10))
 }
 
 func TestLineMACDetectsTampering(t *testing.T) {
 	e := testEngine()
 	tw := Tweak{GUAddr: 5, Line: 1, Counter: 3}
-	ct := e.EncryptLine(tw, line(0))
+	ct := encryptLine(e, tw, line(0))
 	mac := e.LineMAC(tw, ct)
 	for _, bit := range []int{0, 7, 63, 255, 511} {
 		mut := make([]byte, len(ct))
@@ -112,7 +120,7 @@ func TestLineMACBindsCounter(t *testing.T) {
 	// The replay defence: the same ciphertext at an older counter must not
 	// verify under the new counter's MAC.
 	e := testEngine()
-	ct := e.EncryptLine(Tweak{GUAddr: 5, Counter: 3}, line(0))
+	ct := encryptLine(e, Tweak{GUAddr: 5, Counter: 3}, line(0))
 	if e.LineMAC(Tweak{GUAddr: 5, Counter: 3}, ct) == e.LineMAC(Tweak{GUAddr: 5, Counter: 4}, ct) {
 		t.Fatal("LineMAC does not depend on the counter — replayable")
 	}
@@ -121,7 +129,7 @@ func TestLineMACBindsCounter(t *testing.T) {
 func TestLineMACBindsAddress(t *testing.T) {
 	// The splicing defence: moving a line to another address must not verify.
 	e := testEngine()
-	ct := e.EncryptLine(Tweak{GUAddr: 5, Counter: 3}, line(0))
+	ct := encryptLine(e, Tweak{GUAddr: 5, Counter: 3}, line(0))
 	if e.LineMAC(Tweak{GUAddr: 5, Counter: 3}, ct) == e.LineMAC(Tweak{GUAddr: 6, Counter: 3}, ct) {
 		t.Fatal("LineMAC does not depend on the address — spliceable")
 	}
@@ -182,7 +190,7 @@ func TestNodeMACKAT(t *testing.T) {
 	if got != want {
 		t.Fatalf("NodeMAC KAT drifted: got %#x, want %#x", got, want)
 	}
-	ct := e.EncryptLine(Tweak{GUAddr: 0x1000, Line: 2, Counter: 7}, line(1))
+	ct := encryptLine(e, Tweak{GUAddr: 0x1000, Line: 2, Counter: 7}, line(1))
 	gotLine := e.LineMAC(Tweak{GUAddr: 0x1000, Line: 2, Counter: 7}, ct)
 	const wantLine = uint64(0x950d829ba287c6f1)
 	if gotLine != wantLine {
@@ -195,8 +203,8 @@ func TestSealUnsealRoundTrip(t *testing.T) {
 	aad := []byte("root-metadata")
 	pt := []byte("the MMT root value")
 	box := e.Seal(7, aad, pt)
-	if len(box) != len(pt)+SealOverhead {
-		t.Fatalf("sealed size %d, want %d", len(box), len(pt)+SealOverhead)
+	if len(box) != len(pt)+e.seal.Overhead() {
+		t.Fatalf("sealed size %d, want %d", len(box), len(pt)+e.seal.Overhead())
 	}
 	got, err := e.Unseal(7, aad, box)
 	if err != nil {
@@ -266,13 +274,13 @@ func BenchmarkEncryptLine(b *testing.B) {
 	b.SetBytes(LineSize)
 	for i := 0; i < b.N; i++ {
 		tw.Counter++
-		e.EncryptLine(tw, pt)
+		e.XORPad(tw, pt)
 	}
 }
 
 func BenchmarkLineMAC(b *testing.B) {
 	e := testEngine()
-	ct := e.EncryptLine(Tweak{GUAddr: 1, Counter: 1}, line(0))
+	ct := encryptLine(e, Tweak{GUAddr: 1, Counter: 1}, line(0))
 	b.SetBytes(LineSize)
 	for i := 0; i < b.N; i++ {
 		e.LineMAC(Tweak{GUAddr: 1, Counter: uint64(i)}, ct)

@@ -9,9 +9,10 @@ import (
 // Scratch holds caller-owned working buffers for the allocation-free line
 // and node paths. The steady-state protected read/write path (engine
 // Read/Write per 64 B line) must not allocate — the hardware it models
-// certainly does not — and the Into/Buf variants below achieve that by
-// staging through Scratch instead of fresh slices (asserted by
-// TestScratchPathsAllocFree, in the spirit of trace_alloc_test.go).
+// certainly does not — and the kernels below achieve that by staging
+// through Scratch instead of fresh slices (asserted by
+// TestScratchPathsAllocFree, in the spirit of trace_alloc_test.go). Each
+// computes exactly what its slow counterpart in oracle.go computes.
 //
 // The staging buffers exist because cipher.Block is an interface: escape
 // analysis cannot see through Encrypt, so any local array passed to it is
@@ -21,41 +22,12 @@ import (
 // A Scratch belongs to exactly one goroutine; parallel work units (see
 // internal/par) each own their own.
 type Scratch struct {
-	pad       [LineSize]byte      // OTP keystream for the line in flight
-	stage     [LineSize]byte      // PRF input blocks for PadLine
-	aesIn     [aes.BlockSize]byte // single-block AES staging
-	aesOut    [aes.BlockSize]byte //
-	base      [aes.BlockSize]byte // tweakBase output
-	lineWords [LineSize/8 + 1]uint64
-	polys     [][]uint64
-}
-
-// tweakBaseInto is tweakBase staged through s; the result lands in s.base.
-func (e *Engine) tweakBaseInto(guaddr uint64, line uint32, domain byte, s *Scratch) {
-	in := s.aesIn[:]
-	for i := range in {
-		in[i] = 0
-	}
-	binary.LittleEndian.PutUint64(in[0:8], guaddr)
-	binary.LittleEndian.PutUint32(in[8:12], line)
-	in[12] = domain
-	e.block.Encrypt(s.base[:], in)
-}
-
-// macMaskBuf is macMask staged through s. Identical output to macMask.
-func (e *Engine) macMaskBuf(tw Tweak, domain byte, s *Scratch) uint64 {
-	e.tweakBaseInto(tw.GUAddr, tw.Line, domain, s)
-	in := s.aesIn[:]
-	for i := range in {
-		in[i] = 0
-	}
-	binary.LittleEndian.PutUint64(in[0:8], tw.Counter)
-	binary.LittleEndian.PutUint32(in[8:12], 0xFFFFFFFF)
-	for i := range in {
-		in[i] ^= s.base[i]
-	}
-	e.block.Encrypt(s.aesOut[:], in)
-	return binary.LittleEndian.Uint64(s.aesOut[:8])
+	pad           [LineSize]byte      // OTP keystream for the line in flight
+	stage         [LineSize]byte      // PRF input blocks for PadLineFromBase
+	aesIn, aesOut [aes.BlockSize]byte // single-block AES staging
+	base          [aes.BlockSize]byte // tweakBase output
+	lineWords     [LineSize/8 + 1]uint64
+	polys         [][]uint64
 }
 
 // MaskBaseSize is the byte size of one cached tweak base (one AES block).
@@ -75,9 +47,7 @@ const MaskBaseSize = aes.BlockSize
 //mmt:hotpath
 func (e *Engine) MaskBaseInto(guaddr uint64, id uint32, domain byte, dst []byte, s *Scratch) {
 	in := s.aesIn[:]
-	for i := range in {
-		in[i] = 0
-	}
+	clear(in)
 	binary.LittleEndian.PutUint64(in[0:8], guaddr)
 	binary.LittleEndian.PutUint32(in[8:12], id)
 	in[12] = domain
@@ -85,7 +55,7 @@ func (e *Engine) MaskBaseInto(guaddr uint64, id uint32, domain byte, dst []byte,
 }
 
 // MaskFromBase finishes the MAC-mask PRF from a precomputed base:
-// AES(base XOR (counter, mask lane)). Identical to the mask macMaskBuf
+// AES(base XOR (counter, mask lane)). Identical to the mask macMask
 // derives for the (guaddr, id, domain) the base was built from.
 //
 //mmt:hotpath
@@ -102,8 +72,8 @@ func (e *Engine) MaskFromBase(base []byte, counter uint64, s *Scratch) uint64 {
 }
 
 // PadLineFromBase fills s.pad with the 64-byte OTP keystream for the line
-// whose DomainPad base is base, at version counter. Identical keystream
-// to PadLine for the matching tweak, minus the per-call tweakBase AES.
+// whose DomainPad base is base, at version counter: the keystream XORPad
+// applies for the matching tweak, minus the per-call tweakBase AES.
 //
 //mmt:hotpath
 func (e *Engine) PadLineFromBase(base []byte, counter uint64, s *Scratch) *[LineSize]byte {
@@ -126,20 +96,10 @@ func (e *Engine) PadLineFromBase(base []byte, counter uint64, s *Scratch) *[Line
 	return &s.pad
 }
 
-// PadLine fills s.pad with the full 64-byte OTP keystream for tw in one
-// shot: all four PRF input blocks are staged first, then encrypted block
-// by block straight into s.pad — no per-block output copies, unlike the
-// incremental pad() path. Identical keystream to pad().
-//mmt:hotpath
-func (e *Engine) PadLine(tw Tweak, s *Scratch) *[LineSize]byte {
-	e.tweakBaseInto(tw.GUAddr, tw.Line, DomainPad, s)
-	return e.PadLineFromBase(s.base[:], tw.Counter, s)
-}
-
 // XORLine XORs a LineSize line with a LineSize pad into dst, eight bytes
-// at a time. Callers holding a memoised pad (the engine's per-line pad
-// plane) use this directly; Encrypt/DecryptLineFromBase compose it with
-// the pad derivation for everyone else. line and dst may alias.
+// at a time: with the pad from PadLineFromBase (or the engine's memoised
+// per-line pad plane) it both encrypts and decrypts. line and dst may
+// alias.
 //
 //mmt:hotpath
 func XORLine(dst, line, pad []byte) {
@@ -151,52 +111,6 @@ func XORLine(dst, line, pad []byte) {
 		binary.LittleEndian.PutUint64(dst[i:],
 			binary.LittleEndian.Uint64(line[i:])^binary.LittleEndian.Uint64(pad[i:]))
 	}
-}
-
-// EncryptLineFromBase XORs line with the keystream derived from a cached
-// DomainPad base into dst. line and dst must be LineSize bytes and may
-// alias. Identical output to EncryptLineInto for the matching tweak.
-//
-//mmt:hotpath
-func (e *Engine) EncryptLineFromBase(base []byte, counter uint64, line, dst []byte, s *Scratch) {
-	if len(line) != LineSize || len(dst) != LineSize {
-		//mmt:allow nopanic: caller bug, equivalent to built-in bounds check
-		panic(fmt.Sprintf("crypt: EncryptLineFromBase with %d -> %d bytes, want %d", len(line), len(dst), LineSize))
-	}
-	pad := e.PadLineFromBase(base, counter, s)
-	for i := 0; i < LineSize; i += 8 {
-		binary.LittleEndian.PutUint64(dst[i:],
-			binary.LittleEndian.Uint64(line[i:])^binary.LittleEndian.Uint64(pad[i:]))
-	}
-}
-
-// DecryptLineFromBase is the inverse of EncryptLineFromBase.
-//
-//mmt:hotpath
-func (e *Engine) DecryptLineFromBase(base []byte, counter uint64, ct, dst []byte, s *Scratch) {
-	e.EncryptLineFromBase(base, counter, ct, dst, s)
-}
-
-// EncryptLineInto is EncryptLine without the allocation: it XORs line
-// with the OTP for tw into dst. line and dst must be LineSize bytes and
-// may alias (in-place re-encryption).
-//mmt:hotpath
-func (e *Engine) EncryptLineInto(tw Tweak, line, dst []byte, s *Scratch) {
-	if len(line) != LineSize || len(dst) != LineSize {
-		//mmt:allow nopanic: caller bug, equivalent to built-in bounds check
-		panic(fmt.Sprintf("crypt: EncryptLineInto with %d -> %d bytes, want %d", len(line), len(dst), LineSize))
-	}
-	pad := e.PadLine(tw, s)
-	for i := 0; i < LineSize; i += 8 {
-		binary.LittleEndian.PutUint64(dst[i:],
-			binary.LittleEndian.Uint64(line[i:])^binary.LittleEndian.Uint64(pad[i:]))
-	}
-}
-
-// DecryptLineInto is the inverse of EncryptLineInto (XOR is symmetric).
-//mmt:hotpath
-func (e *Engine) DecryptLineInto(tw Tweak, ct, dst []byte, s *Scratch) {
-	e.EncryptLineInto(tw, ct, dst, s)
 }
 
 // LineHash is the GF(2^64) half of LineMAC: the ciphertext words plus
@@ -231,18 +145,13 @@ func (e *Engine) LineHash(ct []byte, s *Scratch) uint64 {
 }
 
 // LineMACBuf is LineMAC computed through the caller's scratch buffers
-// instead of fresh slices. Identical output to LineMAC.
+// instead of fresh slices: hash, then base and mask back to back through
+// s for a tweak nobody caches a base for. Identical output to LineMAC.
+//
 //mmt:hotpath
 func (e *Engine) LineMACBuf(tw Tweak, ct []byte, s *Scratch) uint64 {
-	return e.LineHash(ct, s) ^ e.macMaskBuf(tw, DomainLineMAC, s)
-}
-
-// NodeMACBuf is NodeMAC computed through the caller's scratch buffers.
-// Identical output to NodeMAC.
-//mmt:hotpath
-func (e *Engine) NodeMACBuf(guaddr uint64, nodeID uint32, parentCounter, arity uint64, packed []uint64, s *Scratch) uint64 {
-	h := e.nodeHash(parentCounter, arity, packed)
-	return h ^ e.macMaskBuf(Tweak{GUAddr: guaddr, Line: nodeID, Counter: parentCounter}, DomainNodeMAC, s)
+	e.MaskBaseInto(tw.GUAddr, tw.Line, DomainLineMAC, s.base[:], s)
+	return e.LineHash(ct, s) ^ e.MaskFromBase(s.base[:], tw.Counter, s)
 }
 
 // NodeMACJob describes one node MAC of a batch: the inputs NodeMAC takes,
@@ -267,6 +176,7 @@ type NodeMACJob struct {
 // composes hash and mask for everyone else.
 //
 // len(out) must be >= len(jobs).
+//
 //mmt:hotpath
 func (e *Engine) NodeHashBatch(jobs []NodeMACJob, out []uint64, s *Scratch) {
 	if cap(s.polys) < len(jobs) {
@@ -292,11 +202,12 @@ func (e *Engine) NodeHashBatch(jobs []NodeMACJob, out []uint64, s *Scratch) {
 // serves region scrubs and tests.
 //
 // len(out) must be >= len(jobs).
+//
 //mmt:hotpath
 func (e *Engine) NodeMACBatch(guaddr uint64, jobs []NodeMACJob, out []uint64, s *Scratch) {
 	e.NodeHashBatch(jobs, out, s)
 	for i := range jobs {
-		j := &jobs[i]
-		out[i] ^= e.macMaskBuf(Tweak{GUAddr: guaddr, Line: j.NodeID, Counter: j.ParentCounter}, DomainNodeMAC, s)
+		e.MaskBaseInto(guaddr, jobs[i].NodeID, DomainNodeMAC, s.base[:], s)
+		out[i] ^= e.MaskFromBase(s.base[:], jobs[i].ParentCounter, s)
 	}
 }

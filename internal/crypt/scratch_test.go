@@ -6,48 +6,63 @@ import (
 	"testing/quick"
 )
 
-// TestPadLineMatchesEncryptZero: the one-shot OTP keystream equals the
-// incremental pad path (ciphertext of a zero line IS the pad).
+// padLine is the fast pad as the engine composes it: the tweak base into
+// base, then the keystream replayed from it, all through s.
+func padLine(e *Engine, tw Tweak, base []byte, s *Scratch) *[LineSize]byte {
+	e.MaskBaseInto(tw.GUAddr, tw.Line, DomainPad, base, s)
+	return e.PadLineFromBase(base, tw.Counter, s)
+}
+
+// encryptLineInto is the fast line cipher: padLine, then XORLine.
+func encryptLineInto(e *Engine, tw Tweak, line, dst, base []byte, s *Scratch) {
+	XORLine(dst, line, padLine(e, tw, base, s)[:])
+}
+
+// TestPadLineMatchesEncryptZero: the keystream replayed from a cached
+// DomainPad base equals the oracle's (ciphertext of a zero line IS the
+// pad).
 func TestPadLineMatchesEncryptZero(t *testing.T) {
 	e := testEngine()
 	zero := make([]byte, LineSize)
 	var s Scratch
+	var base [MaskBaseSize]byte
 	f := func(guaddr, counter uint64, lineIdx uint32) bool {
 		tw := Tweak{GUAddr: guaddr, Line: lineIdx, Counter: counter}
-		got := e.PadLine(tw, &s)
-		return bytes.Equal(got[:], e.EncryptLine(tw, zero))
+		got := padLine(e, tw, base[:], &s)
+		return bytes.Equal(got[:], encryptLine(e, tw, zero))
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestEncryptLineIntoMatchesEncryptLine: the zero-alloc variant is
-// byte-identical to the allocating one, including in-place (aliased) use.
+// TestEncryptLineIntoMatchesEncryptLine: the zero-alloc kernel is
+// byte-identical to the oracle, including in-place (aliased) use.
 func TestEncryptLineIntoMatchesEncryptLine(t *testing.T) {
 	e := testEngine()
 	var s Scratch
+	var base [MaskBaseSize]byte
 	tw := Tweak{GUAddr: 0xABC, Line: 9, Counter: 1234}
 	pt := line(5)
 
-	want := e.EncryptLine(tw, pt)
+	want := encryptLine(e, tw, pt)
 	dst := make([]byte, LineSize)
-	e.EncryptLineInto(tw, pt, dst, &s)
+	encryptLineInto(e, tw, pt, dst, base[:], &s)
 	if !bytes.Equal(dst, want) {
-		t.Fatal("EncryptLineInto differs from EncryptLine")
+		t.Fatal("base→pad→XORLine differs from XORPad")
 	}
 
 	back := make([]byte, LineSize)
-	e.DecryptLineInto(tw, dst, back, &s)
+	encryptLineInto(e, tw, dst, back, base[:], &s)
 	if !bytes.Equal(back, pt) {
-		t.Fatal("DecryptLineInto round trip failed")
+		t.Fatal("decrypt round trip failed")
 	}
 
 	// In-place: src and dst alias.
 	buf := append([]byte(nil), pt...)
-	e.EncryptLineInto(tw, buf, buf, &s)
+	encryptLineInto(e, tw, buf, buf, base[:], &s)
 	if !bytes.Equal(buf, want) {
-		t.Fatal("aliased EncryptLineInto differs from EncryptLine")
+		t.Fatal("aliased XORLine differs from XORPad")
 	}
 }
 
@@ -58,7 +73,8 @@ func TestEncryptLineIntoPanicsOnWrongSize(t *testing.T) {
 		}
 	}()
 	var s Scratch
-	testEngine().EncryptLineInto(Tweak{}, make([]byte, 10), make([]byte, LineSize), &s)
+	var base [MaskBaseSize]byte
+	encryptLineInto(testEngine(), Tweak{}, make([]byte, 10), make([]byte, LineSize), base[:], &s)
 }
 
 // TestLineMACBufMatchesLineMAC: scratch-buffer MAC equals the allocating one.
@@ -67,23 +83,10 @@ func TestLineMACBufMatchesLineMAC(t *testing.T) {
 	var s Scratch
 	f := func(guaddr, counter uint64, lineIdx uint32, seed byte) bool {
 		tw := Tweak{GUAddr: guaddr, Line: lineIdx, Counter: counter}
-		ct := e.EncryptLine(tw, line(seed))
+		ct := encryptLine(e, tw, line(seed))
 		return e.LineMACBuf(tw, ct, &s) == e.LineMAC(tw, ct)
 	}
 	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestNodeMACBufMatchesNodeMAC: scratch-buffer node MAC equals NodeMAC.
-func TestNodeMACBufMatchesNodeMAC(t *testing.T) {
-	e := testEngine()
-	var s Scratch
-	f := func(guaddr, parent uint64, nodeID uint32, arity uint8, packed []uint64) bool {
-		return e.NodeMACBuf(guaddr, nodeID, parent, uint64(arity), packed, &s) ==
-			e.NodeMAC(guaddr, nodeID, parent, uint64(arity), packed)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -113,6 +116,16 @@ func TestNodeMACBatchMatchesNodeMAC(t *testing.T) {
 	}
 	// Empty batch is a no-op.
 	e.NodeMACBatch(guaddr, nil, nil, &s)
+
+	// Any single job, any inputs.
+	f := func(guaddr, parent uint64, nodeID uint32, arity uint8, packed []uint64) bool {
+		job := []NodeMACJob{{NodeID: nodeID, ParentCounter: parent, Arity: uint64(arity), Packed: packed}}
+		e.NodeMACBatch(guaddr, job, out, &s)
+		return out[0] == e.NodeMAC(guaddr, nodeID, parent, uint64(arity), packed)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestNodeHashBatchMatchesNodeMAC: the unmasked hash batch plus a
@@ -147,7 +160,7 @@ func TestMaskFromBaseMatchesLineMAC(t *testing.T) {
 	var s Scratch
 	f := func(guaddr, counter uint64, lineIdx uint32, seed byte) bool {
 		tw := Tweak{GUAddr: guaddr, Line: lineIdx, Counter: counter}
-		ct := e.EncryptLine(tw, line(seed))
+		ct := encryptLine(e, tw, line(seed))
 		var base [16]byte
 		e.MaskBaseInto(guaddr, lineIdx, DomainLineMAC, base[:], &s)
 		got := e.LineHash(ct, &s) ^ e.MaskFromBase(base[:], counter, &s)
@@ -158,41 +171,7 @@ func TestMaskFromBaseMatchesLineMAC(t *testing.T) {
 	}
 }
 
-// TestPadLineFromBaseMatchesPadLine: keystream replayed from a cached
-// DomainPad base is byte-identical to the full PadLine derivation, and
-// the FromBase encrypt/decrypt wrappers round-trip.
-func TestPadLineFromBaseMatchesPadLine(t *testing.T) {
-	e := testEngine()
-	var s, s2 Scratch
-	f := func(guaddr, counter uint64, lineIdx uint32) bool {
-		tw := Tweak{GUAddr: guaddr, Line: lineIdx, Counter: counter}
-		want := e.PadLine(tw, &s)
-		var base [16]byte
-		e.MaskBaseInto(guaddr, lineIdx, DomainPad, base[:], &s2)
-		got := e.PadLineFromBase(base[:], counter, &s2)
-		return bytes.Equal(got[:], want[:])
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-
-	tw := Tweak{GUAddr: 0xABC, Line: 9, Counter: 77}
-	var base [16]byte
-	e.MaskBaseInto(tw.GUAddr, tw.Line, DomainPad, base[:], &s)
-	pt := line(3)
-	ct := make([]byte, LineSize)
-	e.EncryptLineFromBase(base[:], tw.Counter, pt, ct, &s)
-	if !bytes.Equal(ct, e.EncryptLine(tw, pt)) {
-		t.Fatal("EncryptLineFromBase differs from EncryptLine")
-	}
-	back := make([]byte, LineSize)
-	e.DecryptLineFromBase(base[:], tw.Counter, ct, back, &s)
-	if !bytes.Equal(back, pt) {
-		t.Fatal("DecryptLineFromBase round trip failed")
-	}
-}
-
-// TestScratchPathsAllocFree: the Into/Buf variants are allocation-free
+// TestScratchPathsAllocFree: the scratch kernels are allocation-free
 // once the scratch is warm — the hardware data path they model does not
 // call malloc per memory access.
 func TestScratchPathsAllocFree(t *testing.T) {
@@ -210,17 +189,14 @@ func TestScratchPathsAllocFree(t *testing.T) {
 
 	var macSink uint64
 	allocs := testing.AllocsPerRun(100, func() {
-		e.EncryptLineInto(tw, buf, buf, &s)
+		encryptLineInto(e, tw, buf, buf, base[:], &s)
 		macSink ^= e.LineMACBuf(tw, buf, &s)
-		macSink ^= e.NodeMACBuf(1, 0, 9, 4, jobs[0].Packed, &s)
 		e.NodeMACBatch(1, jobs, out, &s)
 		e.NodeHashBatch(jobs, out, &s)
 		e.MaskBaseInto(1, 2, DomainLineMAC, base[:], &s)
 		macSink ^= e.MaskFromBase(base[:], 3, &s)
 		macSink ^= e.LineHash(buf, &s)
-		e.EncryptLineFromBase(base[:], 3, buf, buf, &s)
-		e.DecryptLineFromBase(base[:], 3, buf, buf, &s)
-		e.DecryptLineInto(tw, buf, buf, &s)
+		macSink ^= e.NodeHash(9, 4, jobs[0].Packed)
 	})
 	if allocs != 0 {
 		t.Fatalf("scratch paths allocated %.1f times per op, want 0", allocs)

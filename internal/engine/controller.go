@@ -203,7 +203,7 @@ type Controller struct {
 	// causal is the causal context the channel/monitor layer installs
 	// around a closure accept, so the functional Install lands as a child
 	// span of the accept (zero when no migration is in progress).
-	causal trace.Context
+	causal  trace.Context
 	scr     crypt.Scratch
 	lineBuf [mem.LineSize]byte // ciphertext staging for the write path
 }
@@ -335,18 +335,18 @@ func (c *Controller) Enable(r int, key crypt.Key, guaddr, rootCounter uint64) er
 	tr.SetTrace(c.probe)
 	tr.SetRootCounter(rootCounter)
 	tr.RehashAll(eng, guaddr)
-	macs := make([]uint64, c.geo.Lines())
-	data := c.mem.RegionData(r)
-	for line := 0; line < c.geo.Lines(); line++ {
-		buf := data[line*mem.LineSize : (line+1)*mem.LineSize]
-		tw := crypt.Tweak{GUAddr: guaddr, Line: uint32(line), Counter: tr.LeafCounter(line)}
-		eng.XORPad(tw, buf)
-		macs[line] = eng.LineMACBuf(tw, buf, &c.scr)
-	}
-	*st = regionState{mode: ModeReadWrite, eng: eng, tr: tr, guaddr: guaddr, lineMACs: macs,
+	*st = regionState{mode: ModeReadWrite, eng: eng, tr: tr, guaddr: guaddr, lineMACs: make([]uint64, c.geo.Lines()),
 		dirtyLines: make([]uint64, (c.geo.Lines()+63)/64)}
 	st.initPlanes(c.geo.Lines())
+	// The write path's kernel, line by line: cached tweak bases, pad and
+	// mask derived from them, no allocation.
+	data := c.mem.RegionData(r)
 	for line := range c.geo.Lines() {
+		buf := data[line*mem.LineSize : (line+1)*mem.LineSize]
+		ctr := tr.LeafCounter(line)
+		padBase, macBase := st.lineBases(line, &c.scr)
+		crypt.XORLine(buf, buf, st.linePadFor(line, padBase, ctr, &c.scr))
+		st.lineMACs[line] = eng.LineHash(buf, &c.scr) ^ st.lineMaskFor(line, macBase, ctr, &c.scr)
 		st.markLine(line) // freshly encrypted contents have never been checkpointed
 	}
 	c.mem.SetRegionKind(r, mem.KindSecure)
@@ -373,9 +373,10 @@ func (c *Controller) Release(r int) error {
 		return ErrDisabled
 	}
 	data := c.mem.RegionData(r)
-	for line := 0; line < c.geo.Lines(); line++ {
-		tw := crypt.Tweak{GUAddr: st.guaddr, Line: uint32(line), Counter: st.tr.LeafCounter(line)}
-		st.eng.XORPad(tw, data[line*mem.LineSize:(line+1)*mem.LineSize])
+	for line := range c.geo.Lines() {
+		buf := data[line*mem.LineSize : (line+1)*mem.LineSize]
+		padBase, _ := st.lineBases(line, &c.scr)
+		crypt.XORLine(buf, buf, st.linePadFor(line, padBase, st.tr.LeafCounter(line), &c.scr))
 	}
 	c.Invalidate(r)
 	return nil
@@ -511,6 +512,7 @@ func (c *Controller) Read(r, line int) ([]byte, error) {
 // verification, line MAC check, OTP decryption — runs through the
 // controller's scratch buffers and performs zero heap allocations
 // (TestReadWriteZeroAlloc), matching the hardware data path it models.
+//
 //mmt:hotpath
 func (c *Controller) ReadInto(r, line int, dst []byte) error {
 	st := c.region(r)
@@ -540,6 +542,7 @@ func (c *Controller) ReadInto(r, line int, dst []byte) error {
 // Write verifies the path, advances the counters and stores the encrypted
 // line. Counter overflow triggers the re-encryption of sibling lines
 // (§V-A2's global-counter exhaustion procedure).
+//
 //mmt:hotpath
 func (c *Controller) Write(r, line int, plaintext []byte) error {
 	st := c.region(r)
@@ -586,6 +589,7 @@ func (c *Controller) Write(r, line int, plaintext []byte) error {
 //
 // This is the rare cold path (once per 2^LocalBits writes per line at
 // worst); its copies are charged to PhaseReencrypt.
+//
 //mmt:coldpath
 func (c *Controller) reencryptLine(st *regionState, r, ln int) error {
 	a := c.lineAddr(r, ln)
@@ -609,7 +613,7 @@ func (c *Controller) reencryptLine(st *regionState, r, ln int) error {
 		// Constant-time compare even in this recovery search: each probe
 		// tests an attacker-influenceable stored MAC.
 		if crypt.TagEqual(h^st.eng.MaskFromBase(macBase, old, &c.scr), st.lineMACs[ln]) {
-			st.eng.DecryptLineFromBase(padBase, old, ct, pt[:], &c.scr)
+			crypt.XORLine(pt[:], ct, st.eng.PadLineFromBase(padBase, old, &c.scr)[:])
 			found = true
 			break
 		}
@@ -621,7 +625,7 @@ func (c *Controller) reencryptLine(st *regionState, r, ln int) error {
 		return fmt.Errorf("%w: sibling line %d unrecoverable during overflow re-encryption", ErrIntegrity, ln)
 	}
 	nct := c.lineBuf[:] // Write's own ciphertext already hit memory; safe to reuse
-	st.eng.EncryptLineFromBase(padBase, newCtr, pt[:], nct, &c.scr)
+	crypt.XORLine(nct, pt[:], st.linePadFor(ln, padBase, newCtr, &c.scr))
 	c.mem.WriteLine(a, nct)
 	st.lineMACs[ln] = st.eng.LineHash(nct, &c.scr) ^ st.lineMaskFor(ln, macBase, newCtr, &c.scr)
 	st.markLine(ln)
@@ -643,6 +647,7 @@ func (c *Controller) reencryptLine(st *regionState, r, ln int) error {
 // increments a counter and recomputes a MAC at every level and enqueues
 // the dirty nodes for write-back (§V-A2), so deeper trees spend more
 // write-queue occupancy per store.
+//
 //mmt:hotpath
 func (c *Controller) Access(r, line int, write bool) {
 	if write {

@@ -6,7 +6,11 @@ import (
 	"fmt"
 	"testing"
 
+	"mmt/internal/crypt"
+	"mmt/internal/mem"
+	"mmt/internal/sim"
 	"mmt/internal/trace"
+	"mmt/internal/tree"
 )
 
 // TestReadWriteZeroAlloc pins the full protected line path — batched tree
@@ -236,5 +240,60 @@ func BenchmarkCacheInvalidateRegionContended(b *testing.B) {
 		for n := 0; n < nodesPer; n++ { // repopulate for the next round
 			c.touch(nodeKey{region: victim, index: n}, 16)
 		}
+	}
+}
+
+// TestEnableReleaseSweeps pins the whole-region sweeps of Enable and
+// Release to the slow reference (every ciphertext line is XORPad of the
+// plaintext, every line MAC is LineMAC) and to zero allocations per line:
+// a region 32 times larger costs the same number of allocations.
+func TestEnableReleaseSweeps(t *testing.T) {
+	setup := func(arities ...int) *Controller {
+		geo := tree.Geometry{Arities: arities}
+		m := mem.New(mem.Config{Size: geo.DataSize(), RegionSize: geo.DataSize(), MetaPerRegion: geo.MetaSize()})
+		c, err := New(m, geo, nil, sim.Gem5Profile())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	cycle := func(c *Controller) func() {
+		return func() {
+			if err := c.Enable(0, testKey, 0x11, 0); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.Release(0); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	c := setup(2, 3, 4)
+	fill(c, 0, 5)
+	plain := append([]byte(nil), c.Memory().RegionData(0)...)
+	if err := c.Enable(0, testKey, 0x11, 0); err != nil {
+		t.Fatal(err)
+	}
+	ref := crypt.NewEngine(testKey)
+	for line := range c.geo.Lines() {
+		tw := crypt.Tweak{GUAddr: 0x11, Line: uint32(line), Counter: c.Tree(0).LeafCounter(line)}
+		want := append([]byte(nil), plain[line*LineSize:(line+1)*LineSize]...)
+		ref.XORPad(tw, want)
+		ct, mac := c.LineState(0, line)
+		if !bytes.Equal(ct, want) || mac != ref.LineMAC(tw, ct) {
+			t.Fatalf("line %d: Enable disagrees with XORPad/LineMAC", line)
+		}
+	}
+	if err := c.Release(0); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(c.Memory().RegionData(0), plain) {
+		t.Fatal("Release did not restore the plaintext")
+	}
+
+	small := testing.AllocsPerRun(5, cycle(c))
+	big := testing.AllocsPerRun(5, cycle(setup(4, 8, 24))) // 768 lines against 24
+	if big != small {
+		t.Fatalf("Enable+Release allocates %.0f objects over 24 lines but %.0f over 768, want the same", small, big)
 	}
 }

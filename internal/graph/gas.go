@@ -11,13 +11,14 @@
 package graph
 
 import (
-	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 
 	"mmt/internal/channel"
 	"mmt/internal/core"
 	"mmt/internal/crypt"
+	"mmt/internal/cursor"
 	"mmt/internal/engine"
 	"mmt/internal/forest"
 	"mmt/internal/mem"
@@ -111,33 +112,29 @@ type vertexMsg struct {
 	Mass float64
 }
 
+var errBadMsgs = errors.New("graph: malformed message block")
+
+// msgLayout is a scatter block in both directions: a message count, then
+// 12 bytes a message.
+func msgLayout(c *cursor.Codec, msgs *[]vertexMsg) {
+	cursor.List(c, msgs, 12, func(m *vertexMsg) {
+		cursor.U32(c, &m.Dst)
+		cursor.F64(c, &m.Mass)
+	})
+}
+
 func encodeMsgs(msgs []vertexMsg) []byte {
-	out := make([]byte, 4+12*len(msgs))
-	binary.LittleEndian.PutUint32(out, uint32(len(msgs)))
-	off := 4
-	for _, m := range msgs {
-		binary.LittleEndian.PutUint32(out[off:], uint32(m.Dst))
-		binary.LittleEndian.PutUint64(out[off+4:], math.Float64bits(m.Mass))
-		off += 12
-	}
-	return out
+	c := cursor.Encoder(4 + 12*len(msgs))
+	msgLayout(c, &msgs)
+	return c.W.Buf
 }
 
 func decodeMsgs(b []byte) ([]vertexMsg, error) {
-	if len(b) < 4 {
-		return nil, fmt.Errorf("graph: short message block")
-	}
-	n := int(binary.LittleEndian.Uint32(b))
-	if len(b) != 4+12*n {
-		return nil, fmt.Errorf("graph: message block %d bytes for %d messages", len(b), n)
-	}
-	msgs := make([]vertexMsg, n)
-	for i := range msgs {
-		off := 4 + 12*i
-		msgs[i] = vertexMsg{
-			Dst:  int32(binary.LittleEndian.Uint32(b[off:])),
-			Mass: math.Float64frombits(binary.LittleEndian.Uint64(b[off+4:])),
-		}
+	c := cursor.Decoder(b, errBadMsgs)
+	var msgs []vertexMsg
+	msgLayout(c, &msgs)
+	if err := c.R.Done(); err != nil {
+		return nil, err
 	}
 	return msgs, nil
 }

@@ -11,11 +11,12 @@
 package mapreduce
 
 import (
-	"encoding/binary"
-	"fmt"
+	"errors"
 	"hash/fnv"
 	"sort"
 	"strings"
+
+	"mmt/internal/cursor"
 )
 
 // KV is one intermediate or final key-value pair.
@@ -83,56 +84,37 @@ func partitionOf(key string, reducers int) int {
 	return int(h.Sum32()) % reducers
 }
 
+var errBadPartition = errors.New("mapreduce: malformed partition")
+
+// kvLayout is a shuffle partition in both directions: a pair count, then
+// per pair a length-prefixed key and a 64-bit value. A count the payload
+// cannot hold (12 bytes a pair at least) is rejected before it sizes
+// anything.
+func kvLayout(c *cursor.Codec, kvs *[]KV) {
+	cursor.List(c, kvs, 12, func(kv *KV) {
+		c.String(&kv.Key)
+		cursor.U64(c, &kv.Value)
+	})
+}
+
 // encodeKVs serializes a partition for the shuffle.
 func encodeKVs(kvs []KV) []byte {
 	size := 4
 	for _, kv := range kvs {
 		size += 4 + len(kv.Key) + 8
 	}
-	out := make([]byte, 0, size)
-	var buf [8]byte
-	binary.LittleEndian.PutUint32(buf[:4], uint32(len(kvs)))
-	out = append(out, buf[:4]...)
-	for _, kv := range kvs {
-		binary.LittleEndian.PutUint32(buf[:4], uint32(len(kv.Key)))
-		out = append(out, buf[:4]...)
-		out = append(out, kv.Key...)
-		binary.LittleEndian.PutUint64(buf[:], uint64(kv.Value))
-		out = append(out, buf[:8]...)
-	}
-	return out
+	c := cursor.Encoder(size)
+	kvLayout(c, &kvs)
+	return c.W.Buf
 }
 
 // decodeKVs reverses encodeKVs.
 func decodeKVs(b []byte) ([]KV, error) {
-	if len(b) < 4 {
-		return nil, fmt.Errorf("mapreduce: short partition (%d bytes)", len(b))
-	}
-	n := int(binary.LittleEndian.Uint32(b))
-	b = b[4:]
-	// Each pair needs at least 12 bytes; a count beyond that is corrupt,
-	// and pre-allocating from it would let a malformed message exhaust
-	// memory.
-	if n > len(b)/12 {
-		return nil, fmt.Errorf("mapreduce: pair count %d exceeds payload", n)
-	}
-	kvs := make([]KV, 0, n)
-	for i := 0; i < n; i++ {
-		if len(b) < 4 {
-			return nil, fmt.Errorf("mapreduce: truncated key length")
-		}
-		kl := int(binary.LittleEndian.Uint32(b))
-		b = b[4:]
-		if kl < 0 || len(b) < kl+8 {
-			return nil, fmt.Errorf("mapreduce: truncated pair")
-		}
-		key := string(b[:kl])
-		val := int64(binary.LittleEndian.Uint64(b[kl:]))
-		b = b[kl+8:]
-		kvs = append(kvs, KV{Key: key, Value: val})
-	}
-	if len(b) != 0 {
-		return nil, fmt.Errorf("mapreduce: %d trailing bytes", len(b))
+	c := cursor.Decoder(b, errBadPartition)
+	var kvs []KV
+	kvLayout(c, &kvs)
+	if err := c.R.Done(); err != nil {
+		return nil, err
 	}
 	return kvs, nil
 }

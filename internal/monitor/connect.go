@@ -12,6 +12,7 @@ import (
 	"mmt/internal/attest"
 	"mmt/internal/core"
 	"mmt/internal/crypt"
+	"mmt/internal/cursor"
 	"mmt/internal/netsim"
 	"mmt/internal/sim"
 	"mmt/internal/trace"
@@ -104,23 +105,20 @@ type ackMsg struct {
 // would make unrelated framing bytes (not covered by any MAC) able to
 // swallow the whole message. Layout: 2-byte conn-id length, conn id, wire.
 func encodeClosureFrame(connID string, wire []byte) []byte {
-	out := make([]byte, 2+len(connID)+len(wire))
-	out[0] = byte(len(connID))
-	out[1] = byte(len(connID) >> 8)
-	copy(out[2:], connID)
-	copy(out[2+len(connID):], wire)
-	return out
+	w := cursor.Writer{Buf: make([]byte, 0, 2+len(connID)+len(wire))}
+	w.U16(uint16(len(connID)))
+	w.Raw([]byte(connID))
+	w.Raw(wire)
+	return w.Buf
 }
 
+var errBadFrame = errors.New("monitor: malformed closure frame")
+
 func decodeClosureFrame(b []byte) (connID string, wire []byte, err error) {
-	if len(b) < 2 {
-		return "", nil, fmt.Errorf("monitor: short closure frame")
-	}
-	n := int(b[0]) | int(b[1])<<8
-	if len(b) < 2+n {
-		return "", nil, fmt.Errorf("monitor: truncated closure frame")
-	}
-	return string(b[2 : 2+n]), b[2+n:], nil
+	r := cursor.NewReader(b, errBadFrame)
+	connID = string(r.Raw(int(r.U16())))
+	wire = r.Rest()
+	return connID, wire, r.Done()
 }
 
 // Connect establishes a delegation connection between a local enclave on
@@ -294,27 +292,36 @@ func (m *Monitor) Connection(id string) (*Connection, bool) {
 	return c, ok
 }
 
+// beginSend is the shared front of SendPMO and ExportPMO: resolve the
+// connection and the caller's PMO, then seal its MMT into a closure. A
+// send the connection's counter floor has overtaken is ledgered under
+// the caller's detail string.
+func (m *Monitor) beginSend(caller EnclaveID, cap CapID, connID string, mode core.TransferMode, staleDetail string) (*Connection, *PMO, *core.Closure, error) {
+	c, ok := m.conns[connID]
+	if !ok {
+		return nil, nil, nil, ErrNoConn
+	}
+	p, err := m.checkOwner(caller, cap)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	if p.mmt == nil {
+		return nil, nil, nil, fmt.Errorf("monitor: PMO %d has no MMT", cap)
+	}
+	closure, err := p.mmt.BeginSend(c.conn, mode)
+	if errors.Is(err, core.ErrStaleCounter) {
+		m.ctl.Trace().Event(trace.EvStaleCounter, m.ctl.Clock().Now(), p.mmt.GUAddr(), staleDetail)
+	}
+	return c, p, closure, err
+}
+
 // SendPMO delegates the PMO's MMT closure to the connection's peer
 // (Figure 6 step 3). Owner only; the MMT must be valid. The closure goes
 // onto the untrusted network; the sender's region is read-only until the
 // peer's ack arrives (Pump processes it).
 func (m *Monitor) SendPMO(caller EnclaveID, cap CapID, connID string, mode core.TransferMode) error {
-	c, ok := m.conns[connID]
-	if !ok {
-		return ErrNoConn
-	}
-	p, err := m.checkOwner(caller, cap)
+	c, p, closure, err := m.beginSend(caller, cap, connID, mode, "monitor: delegation aborted before seal")
 	if err != nil {
-		return err
-	}
-	if p.mmt == nil {
-		return fmt.Errorf("monitor: PMO %d has no MMT", cap)
-	}
-	closure, err := p.mmt.BeginSend(c.conn, mode)
-	if err != nil {
-		if errors.Is(err, core.ErrStaleCounter) {
-			m.ctl.Trace().Event(trace.EvStaleCounter, m.ctl.Clock().Now(), p.mmt.GUAddr(), "monitor: delegation aborted before seal")
-		}
 		return err
 	}
 	c.pending[p.mmt.GUAddr()] = p
@@ -372,40 +379,21 @@ func (m *Monitor) Pump() (bool, error) {
 		probe.Count(trace.CtrClosureDecodeBytes, uint64(len(msg.Payload)))
 		c, ok := m.conns[connID]
 		if !ok {
+			sp.End(m.ctl.Clock().Now())
 			return true, ErrNoConn
 		}
 		if c.recv == nil || c.recv.mmt == nil {
+			sp.End(m.ctl.Clock().Now())
 			return true, fmt.Errorf("monitor: no armed receive buffer on %s", connID)
 		}
 		// The controller records the functional install as a child of sp.
 		m.ctl.SetCausal(sp.Context())
-		acceptErr := c.recv.mmt.Accept(c.conn, wire)
+		err = c.recv.mmt.Accept(c.conn, wire)
 		m.ctl.SetCausal(trace.Context{})
-		if err := acceptErr; err != nil {
-			// Rejected: nack the specific delegation (its cleartext address
-			// hint is readable even when verification fails) and keep the
-			// buffer armed. Ledger verdicts take constant kinds (mmt-vet
-			// eventkind), hence the explicit classification branches.
-			probe.Count(trace.CtrClosuresRejected, 1)
-			now := m.ctl.Clock().Now()
-			var hint uint64
-			decoded, derr := core.DecodeClosure(wire)
-			if derr == nil {
-				hint = decoded.GUAddrHint
-			}
-			switch {
-			case errors.Is(err, core.ErrReplay):
-				probe.Event(trace.EvReplayReject, now, hint, "monitor: counter not fresh")
-			case errors.Is(err, core.ErrReorder):
-				probe.Event(trace.EvReorderReject, now, hint, "monitor: address not monotonic")
-			case errors.Is(err, core.ErrAuth):
-				probe.Event(trace.EvAuthFail, now, hint, "monitor: sealed root unauthentic")
-			case errors.Is(err, core.ErrIntegrity):
-				probe.Event(trace.EvIntegrityFail, now, hint, "monitor: closure contents tampered")
-			default:
-				probe.Event(trace.EvMigrationReject, now, hint, "monitor: malformed closure")
-			}
-			if derr == nil {
+		if err != nil {
+			// Rejected: nack the specific delegation and keep the buffer
+			// armed.
+			if hint, named := core.RecordReject(probe, m.ctl.Clock().Now(), err, wire, "monitor: ", "closure"); named {
 				m.sendAck(c, false, hint, ctx)
 			}
 			sp.End(m.ctl.Clock().Now())
@@ -457,17 +445,23 @@ func (m *Monitor) Pump() (bool, error) {
 		}
 		if am.OK {
 			c.Acked++
-			if !p.mmt.ReadOnly() && p.mmt.State() == core.StateInvalid {
-				// Ownership moved to the peer: free the local region.
-				delete(m.enclaves[p.Owner].caps, p.Cap)
-				delete(m.pmos, p.Cap)
-				m.pool = append(m.pool, p.Region)
-			}
+			m.releaseMoved(p)
 		}
 		return true, nil
 
 	default:
 		return true, fmt.Errorf("monitor: unexpected message kind %v", msg.Kind)
+	}
+}
+
+// releaseMoved frees the local region of a PMO whose MMT an ownership
+// transfer just invalidated: ownership left the machine, by ack or by
+// export. An ownership copy keeps its (valid again) MMT and its region.
+func (m *Monitor) releaseMoved(p *PMO) {
+	if !p.mmt.ReadOnly() && p.mmt.State() == core.StateInvalid {
+		delete(m.enclaves[p.Owner].caps, p.Cap)
+		delete(m.pmos, p.Cap)
+		m.pool = append(m.pool, p.Region)
 	}
 }
 

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"crypto/ecdh"
 	"crypto/rand"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"testing"
@@ -446,5 +448,28 @@ func TestConnectRejectsShareSubstitution(t *testing.T) {
 	w.net.SetInterposer(nil)
 	if _, err := Connect(w.a, ea.ID, w.b, eb.ID, 0); err != nil {
 		t.Fatalf("clean connect after attack: %v", err)
+	}
+}
+
+// TestClosureFrame pins the monitor's closure frame to the bytes the
+// hand-written framing produced (digest computed at the commit before the
+// shared cursor), and checks that no truncation of it decodes to the
+// original conn id and wire.
+func TestClosureFrame(t *testing.T) {
+	const connID = "a/1<->b/1#0"
+	wire := []byte("closure-bytes")
+	frame := encodeClosureFrame(connID, wire)
+	sum := sha256.Sum256(frame)
+	if got := hex.EncodeToString(sum[:]); len(frame) != 26 || got != "445021e70016fdbf522753b23b603c35055373130451a1df5d469adb60b766b2" {
+		t.Fatalf("closure frame drifted: %d bytes hashing to %s", len(frame), got)
+	}
+	id, back, err := decodeClosureFrame(frame)
+	if err != nil || id != connID || !bytes.Equal(back, wire) {
+		t.Fatalf("round trip: %q %q %v", id, back, err)
+	}
+	for n := 0; n < 2+len(connID); n++ {
+		if _, _, err := decodeClosureFrame(frame[:n]); !errors.Is(err, errBadFrame) {
+			t.Fatalf("frame cut to %d bytes, inside its conn id: err %v", n, err)
+		}
 	}
 }

@@ -13,8 +13,8 @@ import (
 )
 
 // This file is the monitor's persistence surface: a plain-struct Snapshot
-// of the enclave and PMO managers that the root package's snapshot codec
-// serializes, plus Restore, which rebuilds a monitor around an already-
+// of the enclave and PMO managers that internal/snap's codec serializes,
+// plus Restore, which rebuilds a monitor around an already-
 // verified controller state. Attestation reports are persisted verbatim
 // and re-verified (never re-signed — ECDSA is randomized and byte
 // stability matters); MMT keys are persisted because they are the only
@@ -285,22 +285,8 @@ func (m *Monitor) CapsOf(owner EnclaveID) []CapID {
 // floors keep replayed or re-ordered artifacts rejected just like wire
 // delegations.
 func (m *Monitor) ExportPMO(caller EnclaveID, cap CapID, connID string, mode core.TransferMode) ([]byte, error) {
-	c, ok := m.conns[connID]
-	if !ok {
-		return nil, ErrNoConn
-	}
-	p, err := m.checkOwner(caller, cap)
+	_, p, closure, err := m.beginSend(caller, cap, connID, mode, "monitor: export aborted before seal")
 	if err != nil {
-		return nil, err
-	}
-	if p.mmt == nil {
-		return nil, fmt.Errorf("monitor: PMO %d has no MMT", cap)
-	}
-	closure, err := p.mmt.BeginSend(c.conn, mode)
-	if err != nil {
-		if errors.Is(err, core.ErrStaleCounter) {
-			m.ctl.Trace().Event(trace.EvStaleCounter, m.ctl.Clock().Now(), p.mmt.GUAddr(), "monitor: export aborted before seal")
-		}
 		return nil, err
 	}
 	guaddr := p.mmt.GUAddr()
@@ -312,12 +298,7 @@ func (m *Monitor) ExportPMO(caller EnclaveID, cap CapID, connID string, mode cor
 	probe.Count(trace.CtrClosuresSent, 1)
 	probe.Count(trace.CtrClosureEncodeBytes, uint64(len(wire)))
 	probe.Event(trace.EvMigrationSend, m.ctl.Clock().Now(), guaddr, "monitor: closure exported to artifact")
-	if !p.mmt.ReadOnly() && p.mmt.State() == core.StateInvalid {
-		// Ownership left the machine: free the local region.
-		delete(m.enclaves[p.Owner].caps, p.Cap)
-		delete(m.pmos, p.Cap)
-		m.pool = append(m.pool, p.Region)
-	}
+	m.releaseMoved(p)
 	return wire, nil
 }
 
@@ -336,24 +317,7 @@ func (m *Monitor) ImportClosure(connID string, wire []byte) (*PMO, error) {
 	probe := m.ctl.Trace()
 	probe.Count(trace.CtrClosureDecodeBytes, uint64(len(wire)))
 	if err := c.recv.mmt.Accept(c.conn, wire); err != nil {
-		probe.Count(trace.CtrClosuresRejected, 1)
-		now := m.ctl.Clock().Now()
-		var hint uint64
-		if decoded, derr := core.DecodeClosure(wire); derr == nil {
-			hint = decoded.GUAddrHint
-		}
-		switch {
-		case errors.Is(err, core.ErrReplay):
-			probe.Event(trace.EvReplayReject, now, hint, "monitor: artifact counter not fresh")
-		case errors.Is(err, core.ErrReorder):
-			probe.Event(trace.EvReorderReject, now, hint, "monitor: artifact address not monotonic")
-		case errors.Is(err, core.ErrAuth):
-			probe.Event(trace.EvAuthFail, now, hint, "monitor: artifact sealed root unauthentic")
-		case errors.Is(err, core.ErrIntegrity):
-			probe.Event(trace.EvIntegrityFail, now, hint, "monitor: artifact contents tampered")
-		default:
-			probe.Event(trace.EvMigrationReject, now, hint, "monitor: malformed artifact")
-		}
+		core.RecordReject(probe, m.ctl.Clock().Now(), err, wire, "monitor: ", "artifact")
 		return nil, err
 	}
 	p := c.recv

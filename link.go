@@ -94,6 +94,17 @@ func (l *Link) endpointOf(e *Enclave) (*monitor.Connection, error) {
 	return conn, nil
 }
 
+// ends resolves the endpoint that owns b and the endpoint across the link.
+func (l *Link) ends(b *Buffer) (from, to *Enclave, err error) {
+	switch {
+	case b.machine == l.a.machine && b.owner == l.a.id:
+		return l.a, l.b, nil
+	case b.machine == l.b.machine && b.owner == l.b.id:
+		return l.b, l.a, nil
+	}
+	return nil, nil, ErrNotOnLink
+}
+
 // NewBuffer allocates a secure buffer owned by e, keyed to this link so it
 // can later be delegated across it. The buffer covers one MMT granule
 // (Cluster.Geometry().DataSize() bytes).
@@ -245,17 +256,9 @@ func (b *Buffer) Free() error {
 // remains valid and writable after the ack. The received buffer waits on
 // the peer until Receive collects it.
 func (l *Link) Delegate(b *Buffer, mode TransferMode) error {
-	var from, to *Enclave
-	switch b.machine {
-	case l.a.machine:
-		from, to = l.a, l.b
-	case l.b.machine:
-		from, to = l.b, l.a
-	default:
-		return ErrNotOnLink
-	}
-	if b.owner != from.id {
-		return ErrNotOnLink
+	from, to, err := l.ends(b)
+	if err != nil {
+		return err
 	}
 	if err := from.machine.mon.SendPMO(from.id, b.cap, l.id, mode); err != nil {
 		return err

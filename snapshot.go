@@ -1,10 +1,11 @@
 package mmt
 
-// This file is the tentpole of the persistence surface: a canonical
-// binary model of a quiescent cluster ("mmt-snap/v1"), Save/Load over
-// any io.Writer/io.Reader, and the mmt-store/v1 checkpoint path
+// This file is the persistence surface: Save/Load of a quiescent cluster
+// over any io.Writer/io.Reader, and the mmt-store/v1 checkpoint path
 // (WithStore + Checkpoint + Open) that streams dirty deltas between full
-// base snapshots under the two-file crash-consistency protocol.
+// base snapshots under the two-file crash-consistency protocol. The
+// model and its mmt-snap/v1 codec live in internal/snap; this file
+// captures a cluster into a model and rebuilds one from it.
 //
 // The integrity design: the snapshot hash is SHA-256 over the full
 // canonical encoding of the model. Save appends it as a trailer; the
@@ -17,29 +18,23 @@ package mmt
 
 import (
 	"crypto/sha256"
-	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
-	"math"
 
 	"mmt/internal/attest"
 	"mmt/internal/core"
 	"mmt/internal/enclave"
 	"mmt/internal/engine"
-	"mmt/internal/forest"
 	"mmt/internal/mem"
 	"mmt/internal/monitor"
 	"mmt/internal/netsim"
-	"mmt/internal/sim"
+	"mmt/internal/snap"
 	"mmt/internal/store"
 	"mmt/internal/tree"
 )
-
-// snapMagic tags the canonical snapshot encoding.
-const snapMagic = "mmt-snap/v1\x00"
 
 // Persistence errors.
 var (
@@ -51,78 +46,13 @@ var (
 	// ErrNoSnapshot: Open on a store directory with no committed state.
 	ErrNoSnapshot = errors.New("mmt: store holds no committed snapshot")
 	// ErrBadSnapshot: the snapshot bytes are malformed or fail their hash.
-	ErrBadSnapshot = errors.New("mmt: malformed snapshot")
+	ErrBadSnapshot = snap.ErrBadSnapshot
 )
-
-// Checkpoint record types inside an mmt-store/v1 data file.
-const (
-	recBase    store.RecordType = 1 // full canonical model blob
-	recMachine store.RecordType = 2 // clock + stats patch for one machine
-	recRoot    store.RecordType = 3 // root-counter patch for one region
-	recNode    store.RecordType = 4 // one serialized tree node
-	recLine    store.RecordType = 5 // one data line (ciphertext + MAC)
-)
-
-// ---------------------------------------------------------------------------
-// The model: a plain-struct image of everything a cluster persists.
-
-type snapModel struct {
-	treeLevels int
-	regions    int
-	netLatency sim.Time
-	profile    *sim.Profile
-	mfrKey     []byte
-	authority  *attest.AuthorityState
-	machines   []*machineModel
-	links      []linkModel
-}
-
-type machineModel struct {
-	name     string
-	keyDER   []byte
-	cert     attest.Certificate
-	clockNow sim.Time
-	stats    engine.Stats
-	mon      *monitor.Snapshot
-	regions  []*regionModel
-}
-
-type regionModel struct {
-	region      int
-	rootCounter uint64
-	tree        []byte
-	data        []byte
-	lineMACs    []uint64
-}
-
-type linkModel struct {
-	id                 string
-	machineA, machineB string
-	enclaveA, enclaveB monitor.EnclaveID
-}
-
-func (m *snapModel) machine(name string) *machineModel {
-	for _, mm := range m.machines {
-		if mm.name == name {
-			return mm
-		}
-	}
-	return nil
-}
-
-func (m *machineModel) regionModel(r int) *regionModel {
-	for _, rm := range m.regions {
-		if rm.region == r {
-			return rm
-		}
-	}
-	return nil
-}
 
 // buildModel captures the cluster into a model. It requires quiescence:
 // nothing in flight on the interconnect and every monitor at a settled
 // delegation state.
-func (c *Cluster) buildModel() (*snapModel, error) {
+func (c *Cluster) buildModel() (*snap.Model, error) {
 	if n := c.net.PendingTotal(); n != 0 {
 		return nil, fmt.Errorf("%w (%d messages on the interconnect)", ErrNotQuiescent, n)
 	}
@@ -134,13 +64,13 @@ func (c *Cluster) buildModel() (*snapModel, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := &snapModel{
-		treeLevels: c.set.treeLevels,
-		regions:    c.set.regions,
-		netLatency: c.set.netLatency,
-		profile:    c.set.profile,
-		mfrKey:     mfrKey,
-		authority:  auth,
+	m := &snap.Model{
+		TreeLevels: c.set.treeLevels,
+		Regions:    c.set.regions,
+		NetLatency: c.set.netLatency,
+		Profile:    c.set.profile,
+		MfrKey:     mfrKey,
+		Authority:  auth,
 	}
 	for _, name := range c.machineOrder {
 		mach := c.machines[name]
@@ -148,18 +78,18 @@ func (c *Cluster) buildModel() (*snapModel, error) {
 		if err != nil {
 			return nil, err
 		}
-		snap, err := mach.mon.Snapshot()
+		mon, err := mach.mon.Snapshot()
 		if err != nil {
 			return nil, err
 		}
 		ctl := mach.mon.Node().Controller()
-		mm := &machineModel{
-			name:     name,
-			keyDER:   keyDER,
-			cert:     mach.ident.Cert,
-			clockNow: mach.Clock().Now(),
-			stats:    ctl.Stats(),
-			mon:      snap,
+		mm := snap.Machine{
+			Name:   name,
+			KeyDER: keyDER,
+			Cert:   mach.ident.Cert,
+			Clock:  mach.Clock().Now(),
+			Stats:  ctl.Stats(),
+			Mon:    mon,
 		}
 		for r := 0; r < c.set.regions; r++ {
 			if ctl.Mode(r) == engine.ModeDisabled {
@@ -169,419 +99,22 @@ func (c *Cluster) buildModel() (*snapModel, error) {
 			if err != nil {
 				return nil, err
 			}
-			mm.regions = append(mm.regions, &regionModel{
-				region: r, rootCounter: rootCounter,
-				tree: treeBytes, data: data, lineMACs: lineMACs,
+			mm.Regions = append(mm.Regions, snap.Region{
+				Index: r, RootCounter: rootCounter,
+				Tree: treeBytes, Data: data, LineMACs: lineMACs,
 			})
 		}
-		m.machines = append(m.machines, mm)
+		m.Machines = append(m.Machines, mm)
 	}
 	for _, id := range c.linkOrder {
 		l := c.links[id]
-		m.links = append(m.links, linkModel{
-			id:       l.id,
-			machineA: l.a.machine.name, enclaveA: l.a.id,
-			machineB: l.b.machine.name, enclaveB: l.b.id,
+		m.Links = append(m.Links, snap.Link{
+			ID:       l.id,
+			MachineA: l.a.machine.name, EnclaveA: l.a.id,
+			MachineB: l.b.machine.name, EnclaveB: l.b.id,
 		})
 	}
 	return m, nil
-}
-
-// ---------------------------------------------------------------------------
-// Canonical encoding. Every integer is little-endian and fixed-width,
-// every float is its IEEE-754 bit pattern, every slice is length-prefixed
-// and emitted in a deterministic order — so save→load→save is
-// byte-identical and the SHA-256 over the blob is a faithful state hash.
-
-type snapWriter struct{ buf []byte }
-
-func (w *snapWriter) u8(v uint8)   { w.buf = append(w.buf, v) }
-func (w *snapWriter) u32(v uint32) { w.buf = binary.LittleEndian.AppendUint32(w.buf, v) }
-func (w *snapWriter) u64(v uint64) { w.buf = binary.LittleEndian.AppendUint64(w.buf, v) }
-func (w *snapWriter) f64(v float64) {
-	w.buf = binary.LittleEndian.AppendUint64(w.buf, math.Float64bits(v))
-}
-func (w *snapWriter) boolean(v bool) {
-	if v {
-		w.u8(1)
-	} else {
-		w.u8(0)
-	}
-}
-func (w *snapWriter) bytes(b []byte) {
-	w.u32(uint32(len(b)))
-	w.buf = append(w.buf, b...)
-}
-func (w *snapWriter) str(s string) { w.bytes([]byte(s)) }
-
-type snapReader struct {
-	buf []byte
-	off int
-	err error
-}
-
-func (r *snapReader) fail(format string, args ...any) {
-	if r.err == nil {
-		r.err = fmt.Errorf("%w: %s", ErrBadSnapshot, fmt.Sprintf(format, args...))
-	}
-}
-
-func (r *snapReader) take(n int) []byte {
-	if r.err != nil {
-		return nil
-	}
-	if n < 0 || r.off+n > len(r.buf) {
-		r.fail("truncated at offset %d (need %d bytes)", r.off, n)
-		return nil
-	}
-	b := r.buf[r.off : r.off+n]
-	r.off += n
-	return b
-}
-
-func (r *snapReader) u8() uint8 {
-	b := r.take(1)
-	if b == nil {
-		return 0
-	}
-	return b[0]
-}
-func (r *snapReader) u32() uint32 {
-	b := r.take(4)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(b)
-}
-func (r *snapReader) u64() uint64 {
-	b := r.take(8)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(b)
-}
-func (r *snapReader) f64() float64 { return math.Float64frombits(r.u64()) }
-func (r *snapReader) boolean() bool {
-	switch r.u8() {
-	case 0:
-		return false
-	case 1:
-		return true
-	default:
-		r.fail("bad bool at offset %d", r.off-1)
-		return false
-	}
-}
-func (r *snapReader) bytes() []byte {
-	n := int(r.u32())
-	b := r.take(n)
-	if b == nil {
-		return nil
-	}
-	return append([]byte(nil), b...)
-}
-func (r *snapReader) str() string { return string(r.bytes()) }
-
-// count reads a length prefix and bounds it: no field of a well-formed
-// snapshot has more elements than remaining bytes.
-func (r *snapReader) count() int {
-	n := int(r.u32())
-	if r.err == nil && n > len(r.buf)-r.off {
-		r.fail("implausible count %d at offset %d", n, r.off-4)
-		return 0
-	}
-	return n
-}
-
-func encodeModel(m *snapModel) []byte {
-	w := &snapWriter{}
-	w.buf = append(w.buf, snapMagic...)
-	w.u32(uint32(m.treeLevels))
-	w.u32(uint32(m.regions))
-	w.f64(float64(m.netLatency))
-	encodeProfile(w, m.profile)
-	w.bytes(m.mfrKey)
-	w.bytes(m.authority.KeyDER)
-	w.u32(uint32(len(m.authority.Policy)))
-	for _, p := range m.authority.Policy {
-		w.buf = append(w.buf, p[:]...)
-	}
-	w.u32(uint32(m.authority.NextID))
-	w.u32(uint32(len(m.machines)))
-	for _, mm := range m.machines {
-		encodeMachine(w, mm)
-	}
-	w.u32(uint32(len(m.links)))
-	for _, l := range m.links {
-		w.str(l.id)
-		w.str(l.machineA)
-		w.u32(uint32(l.enclaveA))
-		w.str(l.machineB)
-		w.u32(uint32(l.enclaveB))
-	}
-	return w.buf
-}
-
-func decodeModel(blob []byte) (*snapModel, error) {
-	if len(blob) < len(snapMagic) || string(blob[:len(snapMagic)]) != snapMagic {
-		return nil, fmt.Errorf("%w: bad magic (want %q)", ErrBadSnapshot, snapMagic)
-	}
-	r := &snapReader{buf: blob, off: len(snapMagic)}
-	m := &snapModel{
-		treeLevels: int(r.u32()),
-		regions:    int(r.u32()),
-		netLatency: sim.Time(r.f64()),
-	}
-	m.profile = decodeProfile(r)
-	m.mfrKey = r.bytes()
-	auth := &attest.AuthorityState{KeyDER: r.bytes()}
-	for range r.count() {
-		var meas attest.Measurement
-		copy(meas[:], r.take(len(meas)))
-		auth.Policy = append(auth.Policy, meas)
-	}
-	auth.NextID = forest.NodeID(r.u32())
-	m.authority = auth
-	for range r.count() {
-		m.machines = append(m.machines, decodeMachine(r))
-	}
-	for range r.count() {
-		m.links = append(m.links, linkModel{
-			id:       r.str(),
-			machineA: r.str(), enclaveA: monitor.EnclaveID(r.u32()),
-			machineB: r.str(), enclaveB: monitor.EnclaveID(r.u32()),
-		})
-	}
-	if r.err != nil {
-		return nil, r.err
-	}
-	if r.off != len(r.buf) {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadSnapshot, len(r.buf)-r.off)
-	}
-	return m, nil
-}
-
-func encodeProfile(w *snapWriter, p *sim.Profile) {
-	w.str(p.Name)
-	w.f64(p.FreqHz)
-	w.f64(float64(p.EncryptSetup))
-	w.f64(p.EncryptPerByte)
-	w.f64(float64(p.DecryptSetup))
-	w.f64(p.DecryptPerByte)
-	pts := p.Memcpy.Points()
-	w.u32(uint32(len(pts)))
-	for _, pt := range pts {
-		w.u64(uint64(pt.Size))
-		w.f64(pt.PerByte)
-	}
-	w.f64(float64(p.MemcpySetup))
-	w.f64(float64(p.RemoteWriteSetup))
-	w.f64(p.RemoteWritePerByte)
-	w.f64(float64(p.DelegationFixed))
-	w.f64(float64(p.NetLatency))
-	w.f64(float64(p.DRAMAccess))
-	w.f64(float64(p.AESLatency))
-	w.f64(float64(p.MACLatency))
-	w.u64(uint64(p.MMTCacheBytes))
-	w.u64(uint64(p.RootTableSoC))
-	w.u64(uint64(p.SecureMemory))
-}
-
-func decodeProfile(r *snapReader) *sim.Profile {
-	p := &sim.Profile{Name: r.str(), FreqHz: r.f64()}
-	p.EncryptSetup = sim.Cycles(r.f64())
-	p.EncryptPerByte = r.f64()
-	p.DecryptSetup = sim.Cycles(r.f64())
-	p.DecryptPerByte = r.f64()
-	n := r.count()
-	pts := make([]sim.CurvePoint, 0, n)
-	for range n {
-		pts = append(pts, sim.CurvePoint{Size: int(r.u64()), PerByte: r.f64()})
-	}
-	p.MemcpySetup = sim.Cycles(r.f64())
-	p.RemoteWriteSetup = sim.Cycles(r.f64())
-	p.RemoteWritePerByte = r.f64()
-	p.DelegationFixed = sim.Cycles(r.f64())
-	p.NetLatency = sim.Time(r.f64())
-	p.DRAMAccess = sim.Cycles(r.f64())
-	p.AESLatency = sim.Cycles(r.f64())
-	p.MACLatency = sim.Cycles(r.f64())
-	p.MMTCacheBytes = int(r.u64())
-	p.RootTableSoC = int(r.u64())
-	p.SecureMemory = int(r.u64())
-	if r.err != nil {
-		return p
-	}
-	if len(pts) == 0 {
-		r.fail("profile has no memcpy curve points")
-		return p
-	}
-	p.Memcpy = sim.NewCurve(pts...)
-	return p
-}
-
-func encodeMachine(w *snapWriter, m *machineModel) {
-	w.str(m.name)
-	w.bytes(m.keyDER)
-	w.str(m.cert.Subject)
-	w.bytes(m.cert.PublicKey)
-	w.bytes(m.cert.Signature)
-	w.f64(float64(m.clockNow))
-	encodeStats(w, m.stats)
-	encodeMonitor(w, m.mon)
-	w.u32(uint32(len(m.regions)))
-	for _, rm := range m.regions {
-		w.u32(uint32(rm.region))
-		w.u64(rm.rootCounter)
-		w.bytes(rm.tree)
-		w.bytes(rm.data)
-		w.u32(uint32(len(rm.lineMACs)))
-		for _, mac := range rm.lineMACs {
-			w.u64(mac)
-		}
-	}
-}
-
-func decodeMachine(r *snapReader) *machineModel {
-	m := &machineModel{name: r.str(), keyDER: r.bytes()}
-	m.cert = attest.Certificate{Subject: r.str(), PublicKey: r.bytes(), Signature: r.bytes()}
-	m.clockNow = sim.Time(r.f64())
-	m.stats = decodeStats(r)
-	m.mon = decodeMonitor(r)
-	for range r.count() {
-		rm := &regionModel{region: int(r.u32()), rootCounter: r.u64(), tree: r.bytes(), data: r.bytes()}
-		for range r.count() {
-			rm.lineMACs = append(rm.lineMACs, r.u64())
-		}
-		m.regions = append(m.regions, rm)
-	}
-	return m
-}
-
-func encodeStats(w *snapWriter, s engine.Stats) {
-	w.u64(s.Reads)
-	w.u64(s.Writes)
-	w.u64(s.NodeHits)
-	w.u64(s.NodeMisses)
-	w.u64(s.RootMounts)
-	w.u64(s.DataAccesses)
-	w.u64(s.ReencryptedLines)
-	w.f64(float64(s.Cycles))
-}
-
-func decodeStats(r *snapReader) engine.Stats {
-	return engine.Stats{
-		Reads: r.u64(), Writes: r.u64(),
-		NodeHits: r.u64(), NodeMisses: r.u64(),
-		RootMounts: r.u64(), DataAccesses: r.u64(),
-		ReencryptedLines: r.u64(), Cycles: sim.Cycles(r.f64()),
-	}
-}
-
-func encodeMonitor(w *snapWriter, s *monitor.Snapshot) {
-	w.u32(uint32(s.NodeID))
-	w.u32(uint32(s.Report.NodeID))
-	w.str(s.Report.Subject)
-	w.buf = append(w.buf, s.Report.Measurement[:]...)
-	w.bytes(s.Report.MachinePublicKey)
-	w.bytes(s.Report.Signature)
-	w.u32(uint32(s.NextEnclave))
-	w.u64(uint64(s.NextCap))
-	w.u64(s.AllocNext)
-	w.u32(uint32(len(s.Pool)))
-	for _, r := range s.Pool {
-		w.u32(uint32(r))
-	}
-	w.u32(uint32(len(s.Enclaves)))
-	for _, e := range s.Enclaves {
-		w.u32(uint32(e.ID))
-		w.str(e.Name)
-		w.buf = append(w.buf, e.Measurement[:]...)
-		w.u32(uint32(len(e.Caps)))
-		for _, c := range e.Caps {
-			w.u64(uint64(c))
-		}
-	}
-	w.u32(uint32(len(s.PMOs)))
-	for _, p := range s.PMOs {
-		w.u64(uint64(p.Cap))
-		w.u32(uint32(p.Region))
-		w.u32(uint32(p.Owner))
-	}
-	w.u32(uint32(len(s.MMTs)))
-	for _, m := range s.MMTs {
-		w.u32(uint32(m.Region))
-		w.u8(uint8(m.State))
-		w.buf = append(w.buf, m.Key[:]...)
-		w.u64(m.GUAddr)
-		w.u8(uint8(m.Mode))
-		w.boolean(m.ReadOnly)
-	}
-	w.u32(uint32(len(s.Conns)))
-	for _, c := range s.Conns {
-		w.str(c.ID)
-		w.u32(uint32(c.Local))
-		w.str(c.PeerMonitor)
-		w.u32(uint32(c.PeerEnclave))
-		w.buf = append(w.buf, c.Key[:]...)
-		w.u64(c.LastCounter)
-		w.u64(c.LastGUAddr)
-		w.u64(uint64(c.RecvCap))
-		w.u32(uint32(len(c.Received)))
-		for _, cap := range c.Received {
-			w.u64(uint64(cap))
-		}
-		w.u64(uint64(c.Acked))
-	}
-}
-
-func decodeMonitor(r *snapReader) *monitor.Snapshot {
-	s := &monitor.Snapshot{NodeID: forest.NodeID(r.u32())}
-	rep := &attest.Report{NodeID: forest.NodeID(r.u32()), Subject: r.str()}
-	copy(rep.Measurement[:], r.take(len(rep.Measurement)))
-	rep.MachinePublicKey = r.bytes()
-	rep.Signature = r.bytes()
-	s.Report = rep
-	s.NextEnclave = monitor.EnclaveID(r.u32())
-	s.NextCap = monitor.CapID(r.u64())
-	s.AllocNext = r.u64()
-	for range r.count() {
-		s.Pool = append(s.Pool, int(r.u32()))
-	}
-	for range r.count() {
-		e := monitor.EnclaveRec{ID: monitor.EnclaveID(r.u32()), Name: r.str()}
-		copy(e.Measurement[:], r.take(len(e.Measurement)))
-		for range r.count() {
-			e.Caps = append(e.Caps, monitor.CapID(r.u64()))
-		}
-		s.Enclaves = append(s.Enclaves, e)
-	}
-	for range r.count() {
-		s.PMOs = append(s.PMOs, monitor.PMORec{
-			Cap: monitor.CapID(r.u64()), Region: int(r.u32()), Owner: monitor.EnclaveID(r.u32()),
-		})
-	}
-	for range r.count() {
-		m := monitor.MMTRec{Region: int(r.u32()), State: core.State(r.u8())}
-		copy(m.Key[:], r.take(len(m.Key)))
-		m.GUAddr = r.u64()
-		m.Mode = core.TransferMode(r.u8())
-		m.ReadOnly = r.boolean()
-		s.MMTs = append(s.MMTs, m)
-	}
-	for range r.count() {
-		c := monitor.ConnRec{ID: r.str(), Local: monitor.EnclaveID(r.u32()), PeerMonitor: r.str(), PeerEnclave: monitor.EnclaveID(r.u32())}
-		copy(c.Key[:], r.take(len(c.Key)))
-		c.LastCounter = r.u64()
-		c.LastGUAddr = r.u64()
-		c.RecvCap = monitor.CapID(r.u64())
-		for range r.count() {
-			c.Received = append(c.Received, monitor.CapID(r.u64()))
-		}
-		c.Acked = int(r.u64())
-		s.Conns = append(s.Conns, c)
-	}
-	return s
 }
 
 // ---------------------------------------------------------------------------
@@ -591,26 +124,22 @@ func decodeMonitor(r *snapReader) *monitor.Snapshot {
 // result and requires its hash to equal wantHash — the verified-reload
 // contract. Structural options in s were already rejected by the caller;
 // trace/debug settings apply to the restored cluster.
-func restoreCluster(m *snapModel, s settings, wantHash [32]byte) (*Cluster, error) {
-	s.profile = m.profile
-	s.treeLevels = m.treeLevels
-	s.regions = m.regions
-	s.netLatency = m.netLatency
-	geo := tree.ForLevels(s.treeLevels)
-	if err := geo.Validate(); err != nil {
-		return nil, err
-	}
-	mfr, err := attest.RestoreManufacturer(m.mfrKey)
+func restoreCluster(m *snap.Model, s settings, wantHash [32]byte) (*Cluster, error) {
+	s.profile = m.Profile
+	s.treeLevels = m.TreeLevels
+	s.regions = m.Regions
+	s.netLatency = m.NetLatency
+	mfr, err := attest.RestoreManufacturer(m.MfrKey)
 	if err != nil {
 		return nil, err
 	}
-	authority, err := attest.RestoreAuthority(mfr.PublicKey(), m.authority)
+	authority, err := attest.RestoreAuthority(mfr.PublicKey(), m.Authority)
 	if err != nil {
 		return nil, err
 	}
 	c := &Cluster{
 		set:         s,
-		geometry:    geo,
+		geometry:    tree.ForLevels(s.treeLevels), // snap.Decode admits only 2-4 levels
 		mfr:         mfr,
 		authority:   authority,
 		measurement: attest.MeasureSoftware([]byte("mmt-monitor-v1")),
@@ -630,26 +159,26 @@ func restoreCluster(m *snapModel, s settings, wantHash [32]byte) (*Cluster, erro
 		c.closeDebug()
 		return nil, err
 	}
-	for _, mm := range m.machines {
+	for i := range m.Machines {
+		mm := &m.Machines[i]
 		mach, err := c.restoreMachine(mm)
 		if err != nil {
-			return fail(fmt.Errorf("mmt: restoring machine %q: %w", mm.name, err))
+			return fail(fmt.Errorf("mmt: restoring machine %q: %w", mm.Name, err))
 		}
-		c.machines[mm.name] = mach
-		c.machineOrder = append(c.machineOrder, mm.name)
+		c.machines[mm.Name] = mach
+		c.machineOrder = append(c.machineOrder, mm.Name)
 	}
-	for _, lm := range m.links {
-		a, err := c.restoredEnclave(lm.machineA, lm.enclaveA)
+	for _, lm := range m.Links {
+		a, err := c.restoredEnclave(lm.MachineA, lm.EnclaveA)
 		if err != nil {
-			return fail(fmt.Errorf("mmt: restoring link %s: %w", lm.id, err))
+			return fail(fmt.Errorf("mmt: restoring link %s: %w", lm.ID, err))
 		}
-		b, err := c.restoredEnclave(lm.machineB, lm.enclaveB)
+		b, err := c.restoredEnclave(lm.MachineB, lm.EnclaveB)
 		if err != nil {
-			return fail(fmt.Errorf("mmt: restoring link %s: %w", lm.id, err))
+			return fail(fmt.Errorf("mmt: restoring link %s: %w", lm.ID, err))
 		}
-		l := &Link{cluster: c, id: lm.id, a: a, b: b}
-		c.links[lm.id] = l
-		c.linkOrder = append(c.linkOrder, lm.id)
+		c.links[lm.ID] = &Link{cluster: c, id: lm.ID, a: a, b: b}
+		c.linkOrder = append(c.linkOrder, lm.ID)
 	}
 
 	// The verified-reload check: the restored cluster must re-encode to
@@ -659,7 +188,7 @@ func restoreCluster(m *snapModel, s settings, wantHash [32]byte) (*Cluster, erro
 	if err != nil {
 		return fail(fmt.Errorf("mmt: re-snapshotting restored cluster: %w", err))
 	}
-	if got := sha256.Sum256(encodeModel(again)); got != wantHash {
+	if got := sha256.Sum256(snap.Encode(again)); got != wantHash {
 		return fail(fmt.Errorf("%w: restored state hashes to %x, snapshot pinned %x",
 			ErrBadSnapshot, got, wantHash))
 	}
@@ -669,8 +198,8 @@ func restoreCluster(m *snapModel, s settings, wantHash [32]byte) (*Cluster, erro
 // restoreMachine rebuilds one machine: identity re-verified, every live
 // region cryptographically re-installed, monitor bookkeeping reattached,
 // enclave handles adopted in id order.
-func (c *Cluster) restoreMachine(mm *machineModel) (*Machine, error) {
-	ident, err := attest.RestoreMachine(c.mfr.PublicKey(), mm.name, mm.keyDER, mm.cert)
+func (c *Cluster) restoreMachine(mm *snap.Machine) (*Machine, error) {
+	ident, err := attest.RestoreMachine(c.mfr.PublicKey(), mm.Name, mm.KeyDER, mm.Cert)
 	if err != nil {
 		return nil, err
 	}
@@ -683,39 +212,39 @@ func (c *Cluster) restoreMachine(mm *machineModel) (*Machine, error) {
 	if err != nil {
 		return nil, err
 	}
-	ctl.SetTrace(c.set.trace.Probe(mm.name))
+	ctl.SetTrace(c.set.trace.Probe(mm.Name))
 
 	// Region state first (Controller.Install verifies every node and line
 	// MAC under the persisted key before enabling anything), so the
 	// monitor's RestoreMMT finds live regions where its records say.
-	for _, rm := range mm.regions {
-		rec, ok := mmtRecFor(mm.mon, rm.region)
+	for _, rm := range mm.Regions {
+		rec, ok := mmtRecFor(mm.Mon, rm.Index)
 		if !ok {
-			return nil, fmt.Errorf("region %d has controller state but no MMT record", rm.region)
+			return nil, fmt.Errorf("region %d has controller state but no MMT record", rm.Index)
 		}
 		if rec.State != core.StateValid {
-			return nil, fmt.Errorf("region %d: controller state with MMT in state %v", rm.region, rec.State)
+			return nil, fmt.Errorf("region %d: controller state with MMT in state %v", rm.Index, rec.State)
 		}
 		mode := engine.ModeReadWrite
 		if rec.ReadOnly {
 			mode = engine.ModeReadOnly
 		}
-		if err := ctl.Install(rm.region, rec.Key, rec.GUAddr, rm.rootCounter, rm.tree, rm.data, rm.lineMACs, mode); err != nil {
-			return nil, fmt.Errorf("region %d: %w", rm.region, err)
+		if err := ctl.Install(rm.Index, rec.Key, rec.GUAddr, rm.RootCounter, rm.Tree, rm.Data, rm.LineMACs, mode); err != nil {
+			return nil, fmt.Errorf("region %d: %w", rm.Index, err)
 		}
 	}
-	ctl.Clock().SetNow(mm.clockNow)
-	ctl.RestoreStats(mm.stats)
+	ctl.Clock().SetNow(mm.Clock)
+	ctl.RestoreStats(mm.Stats)
 
 	mon := monitor.New(ident, c.measurement, c.authority.PublicKey(), ctl)
-	if err := mon.Restore(mm.mon); err != nil {
+	if err := mon.Restore(mm.Mon); err != nil {
 		return nil, err
 	}
-	if err := mon.AttachNetwork(c.net, mm.name); err != nil {
+	if err := mon.AttachNetwork(c.net, mm.Name); err != nil {
 		return nil, err
 	}
-	m := &Machine{name: mm.name, cluster: c, ident: ident, mon: mon, rt: enclave.NewRuntime(mon)}
-	for _, rec := range mm.mon.Enclaves {
+	m := &Machine{name: mm.Name, cluster: c, ident: ident, mon: mon, rt: enclave.NewRuntime(mon)}
+	for _, rec := range mm.Mon.Enclaves {
 		m.enclaves = append(m.enclaves, &Enclave{machine: m, name: rec.Name, id: rec.ID, rt: m.rt.Adopt(rec.ID)})
 	}
 	return m, nil
@@ -755,7 +284,7 @@ func (c *Cluster) Save(w io.Writer) (*Manifest, error) {
 	if err != nil {
 		return nil, err
 	}
-	blob := encodeModel(m)
+	blob := snap.Encode(m)
 	hash := sha256.Sum256(blob)
 	if _, err := w.Write(blob); err != nil {
 		return nil, err
@@ -785,7 +314,7 @@ func Load(r io.Reader, opts ...Option) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(data) < len(snapMagic)+sha256.Size {
+	if len(data) < len(snap.Magic)+sha256.Size {
 		return nil, fmt.Errorf("%w: %d bytes is shorter than magic + hash", ErrBadSnapshot, len(data))
 	}
 	blob, trailer := data[:len(data)-sha256.Size], data[len(data)-sha256.Size:]
@@ -794,7 +323,7 @@ func Load(r io.Reader, opts ...Option) (*Cluster, error) {
 	if got := sha256.Sum256(blob); got != want {
 		return nil, fmt.Errorf("%w: blob hashes to %x, trailer says %x", ErrBadSnapshot, got, want)
 	}
-	m, err := decodeModel(blob)
+	m, err := snap.Decode(blob)
 	if err != nil {
 		return nil, err
 	}
@@ -811,8 +340,7 @@ func Load(r io.Reader, opts ...Option) (*Cluster, error) {
 			return nil, err
 		}
 		c.set.storePath = storePath
-		c.ckpt = st
-		c.needBase = true
+		c.ckpt = st // restoreCluster left needBase set: the first commit is a base
 	}
 	return c, nil
 }
@@ -837,10 +365,10 @@ func (c *Cluster) Checkpoint() error {
 	if err != nil {
 		return err
 	}
-	blob := encodeModel(m)
+	blob := snap.Encode(m)
 	hash := sha256.Sum256(blob)
 	if c.needBase {
-		if err := c.ckpt.Append(store.Record{Type: recBase, Payload: blob}); err != nil {
+		if err := c.ckpt.Append(store.Record{Type: snap.RecBase, Payload: blob}); err != nil {
 			return err
 		}
 	} else if err := c.appendDeltas(m); err != nil {
@@ -865,185 +393,36 @@ func (c *Cluster) Checkpoint() error {
 // (membership, links, capability tables) are covered by the base the
 // deltas patch: every structural mutation sets needBase, so a delta
 // commit only ever carries clock/stats movement and data-path writes.
-func (c *Cluster) appendDeltas(m *snapModel) error {
-	for _, name := range c.machineOrder {
-		mach := c.machines[name]
-		ctl := mach.mon.Node().Controller()
-		mm := m.machine(name)
-		w := &snapWriter{}
-		w.str(name)
-		w.f64(float64(mm.clockNow))
-		encodeStats(w, mm.stats)
-		if err := c.ckpt.Append(store.Record{Type: recMachine, Payload: w.buf}); err != nil {
-			return err
+func (c *Cluster) appendDeltas(m *snap.Model) error {
+	var err error
+	put := func(p snap.Patch) {
+		if err == nil {
+			err = c.ckpt.Append(p.Record())
 		}
-		for r := 0; r < c.set.regions; r++ {
-			if ctl.Mode(r) == engine.ModeDisabled {
-				continue
-			}
-			rm := mm.regionModel(r)
-			rw := &snapWriter{}
-			rw.str(name)
-			rw.u32(uint32(r))
-			rw.u64(rm.rootCounter)
-			if err := c.ckpt.Append(store.Record{Type: recRoot, Payload: rw.buf}); err != nil {
-				return err
-			}
+	}
+	for i := range m.Machines { // buildModel emits machines in machineOrder
+		mm := &m.Machines[i]
+		ctl := c.machines[mm.Name].mon.Node().Controller()
+		put(snap.Patch{Type: snap.RecMachine, Machine: mm.Name, Clock: mm.Clock, Stats: mm.Stats})
+		for _, rm := range mm.Regions {
+			r := rm.Index
+			put(snap.Patch{Type: snap.RecRoot, Machine: mm.Name, Region: r, Counter: rm.RootCounter})
 			if !ctl.RegionDirty(r) {
 				continue
 			}
 			tr := ctl.Tree(r)
-			var nodeErr error
-			var nodeBuf []byte // scratch: nw.bytes copies, so one buffer serves every dirty node
+			var node []byte // scratch: Record copies, so one buffer serves every dirty node
 			tr.DirtyNodes(func(level, index int) {
-				if nodeErr != nil {
-					return
-				}
-				nw := &snapWriter{}
-				nw.str(name)
-				nw.u32(uint32(r))
-				nw.u32(uint32(level))
-				nw.u32(uint32(index))
-				nodeBuf = tr.AppendNode(nodeBuf[:0], level, index)
-				nw.bytes(nodeBuf)
-				nodeErr = c.ckpt.Append(store.Record{Type: recNode, Payload: nw.buf})
+				node = tr.AppendNode(node[:0], level, index)
+				put(snap.Patch{Type: snap.RecNode, Machine: mm.Name, Region: r, Level: level, Index: index, Bytes: node})
 			})
-			if nodeErr != nil {
-				return nodeErr
-			}
-			var lineErr error
 			ctl.DirtyLines(r, func(line int) {
-				if lineErr != nil {
-					return
-				}
 				ct, mac := ctl.LineState(r, line)
-				lw := &snapWriter{}
-				lw.str(name)
-				lw.u32(uint32(r))
-				lw.u32(uint32(line))
-				lw.bytes(ct)
-				lw.u64(mac)
-				lineErr = c.ckpt.Append(store.Record{Type: recLine, Payload: lw.buf})
+				put(snap.Patch{Type: snap.RecLine, Machine: mm.Name, Region: r, Index: line, Bytes: ct, MAC: mac})
 			})
-			if lineErr != nil {
-				return lineErr
-			}
 		}
 	}
-	return nil
-}
-
-// replayRecords folds a committed record log into the model it encodes:
-// the latest base, patched by every delta after it. Patches are absolute
-// state (idempotent), so replaying a log twice gives the same model.
-func replayRecords(recs []store.Record, geo tree.Geometry) (*snapModel, error) {
-	var m *snapModel
-	machineOf := func(r *snapReader) (*machineModel, error) {
-		if m == nil {
-			return nil, fmt.Errorf("%w: delta record before any base snapshot", ErrBadSnapshot)
-		}
-		name := r.str()
-		mm := m.machine(name)
-		if mm == nil {
-			return nil, fmt.Errorf("%w: delta for unknown machine %q", ErrBadSnapshot, name)
-		}
-		return mm, nil
-	}
-	regionOf := func(mm *machineModel, r *snapReader) (*regionModel, error) {
-		region := int(r.u32())
-		rm := mm.regionModel(region)
-		if rm == nil {
-			return nil, fmt.Errorf("%w: delta for region %d outside the base snapshot of %q", ErrBadSnapshot, region, mm.name)
-		}
-		return rm, nil
-	}
-	for i, rec := range recs {
-		switch rec.Type {
-		case recBase:
-			base, err := decodeModel(rec.Payload)
-			if err != nil {
-				return nil, fmt.Errorf("record %d: %w", i, err)
-			}
-			m = base
-		case recMachine:
-			r := &snapReader{buf: rec.Payload}
-			mm, err := machineOf(r)
-			if err != nil {
-				return nil, fmt.Errorf("record %d: %w", i, err)
-			}
-			mm.clockNow = sim.Time(r.f64())
-			mm.stats = decodeStats(r)
-			if r.err != nil {
-				return nil, fmt.Errorf("record %d: %w", i, r.err)
-			}
-		case recRoot:
-			r := &snapReader{buf: rec.Payload}
-			mm, err := machineOf(r)
-			if err != nil {
-				return nil, fmt.Errorf("record %d: %w", i, err)
-			}
-			rm, err := regionOf(mm, r)
-			if err != nil {
-				return nil, fmt.Errorf("record %d: %w", i, err)
-			}
-			rm.rootCounter = r.u64()
-			if r.err != nil {
-				return nil, fmt.Errorf("record %d: %w", i, r.err)
-			}
-		case recNode:
-			r := &snapReader{buf: rec.Payload}
-			mm, err := machineOf(r)
-			if err != nil {
-				return nil, fmt.Errorf("record %d: %w", i, err)
-			}
-			rm, err := regionOf(mm, r)
-			if err != nil {
-				return nil, fmt.Errorf("record %d: %w", i, err)
-			}
-			level, index := int(r.u32()), int(r.u32())
-			node := r.bytes()
-			if r.err != nil {
-				return nil, fmt.Errorf("record %d: %w", i, r.err)
-			}
-			if level < 0 || level >= geo.Levels() || index < 0 || index >= geo.NodesAtLevel(level) ||
-				len(node) != geo.NodeSize(level) {
-				return nil, fmt.Errorf("%w: record %d patches node (%d,%d) with %d bytes", ErrBadSnapshot, i, level, index, len(node))
-			}
-			off := geo.NodeOffset(level, index)
-			if off+len(node) > len(rm.tree) {
-				return nil, fmt.Errorf("%w: record %d node patch outside serialized tree", ErrBadSnapshot, i)
-			}
-			copy(rm.tree[off:], node)
-		case recLine:
-			r := &snapReader{buf: rec.Payload}
-			mm, err := machineOf(r)
-			if err != nil {
-				return nil, fmt.Errorf("record %d: %w", i, err)
-			}
-			rm, err := regionOf(mm, r)
-			if err != nil {
-				return nil, fmt.Errorf("record %d: %w", i, err)
-			}
-			line := int(r.u32())
-			ct := r.bytes()
-			mac := r.u64()
-			if r.err != nil {
-				return nil, fmt.Errorf("record %d: %w", i, r.err)
-			}
-			if line < 0 || line >= len(rm.lineMACs) || len(ct) != engine.LineSize ||
-				(line+1)*engine.LineSize > len(rm.data) {
-				return nil, fmt.Errorf("%w: record %d patches line %d with %d bytes", ErrBadSnapshot, i, line, len(ct))
-			}
-			copy(rm.data[line*engine.LineSize:], ct)
-			rm.lineMACs[line] = mac
-		default:
-			return nil, fmt.Errorf("%w: record %d has unknown type %d", ErrBadSnapshot, i, rec.Type)
-		}
-	}
-	if m == nil {
-		return nil, fmt.Errorf("%w: log holds no base snapshot", ErrBadSnapshot)
-	}
-	return m, nil
+	return err
 }
 
 // Open resumes a cluster from the last committed state of a WithStore
@@ -1089,26 +468,7 @@ func openFromStore(st *store.Store, s settings) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The geometry needed to interpret node patches comes from the base
-	// record inside the log itself.
-	var geoLevels int
-	for _, rec := range recs {
-		if rec.Type == recBase {
-			base, err := decodeModel(rec.Payload)
-			if err != nil {
-				return nil, err
-			}
-			geoLevels = base.treeLevels
-		}
-	}
-	if geoLevels == 0 {
-		return nil, fmt.Errorf("%w: log holds no base snapshot", ErrBadSnapshot)
-	}
-	geo := tree.ForLevels(geoLevels)
-	if err := geo.Validate(); err != nil {
-		return nil, err
-	}
-	m, err := replayRecords(recs, geo)
+	m, err := snap.Replay(recs)
 	if err != nil {
 		return nil, err
 	}
@@ -1116,8 +476,7 @@ func openFromStore(st *store.Store, s settings) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	c.ckpt = st
-	c.needBase = true // the first commit after resume re-bases the log
+	c.ckpt = st // restoreCluster left needBase set: the first commit after resume re-bases the log
 	return c, nil
 }
 
@@ -1135,10 +494,10 @@ type Manifest struct {
 	RootHash string `json:"root_hash"`
 	// SnapshotBytes is the encoded size (blob + hash trailer for Save;
 	// base blob size for store commits).
-	SnapshotBytes int    `json:"snapshot_bytes"`
-	TreeLevels    int    `json:"tree_levels"`
-	Regions       int    `json:"regions"`
-	Profile       string `json:"profile"`
+	SnapshotBytes int               `json:"snapshot_bytes"`
+	TreeLevels    int               `json:"tree_levels"`
+	Regions       int               `json:"regions"`
+	Profile       string            `json:"profile"`
 	Machines      []ManifestMachine `json:"machines"`
 	Links         []string          `json:"links"`
 }
@@ -1151,28 +510,28 @@ type ManifestMachine struct {
 	LiveRegions int     `json:"live_regions"`
 }
 
-func manifestFor(m *snapModel, epoch uint64, hash [32]byte, size int) *Manifest {
+func manifestFor(m *snap.Model, epoch uint64, hash [32]byte, size int) *Manifest {
 	mf := &Manifest{
 		Schema:        "mmt-manifest/v1",
 		Epoch:         epoch,
 		RootHash:      hex.EncodeToString(hash[:]),
 		SnapshotBytes: size,
-		TreeLevels:    m.treeLevels,
-		Regions:       m.regions,
-		Profile:       m.profile.Name,
+		TreeLevels:    m.TreeLevels,
+		Regions:       m.Regions,
+		Profile:       m.Profile.Name,
 		Machines:      []ManifestMachine{},
 		Links:         []string{},
 	}
-	for _, mm := range m.machines {
+	for _, mm := range m.Machines {
 		mf.Machines = append(mf.Machines, ManifestMachine{
-			Name:        mm.name,
-			NodeID:      uint16(mm.mon.NodeID),
-			Clock:       float64(mm.clockNow),
-			LiveRegions: len(mm.regions),
+			Name:        mm.Name,
+			NodeID:      uint16(mm.Mon.NodeID),
+			Clock:       float64(mm.Clock),
+			LiveRegions: len(mm.Regions),
 		})
 	}
-	for _, l := range m.links {
-		mf.Links = append(mf.Links, l.id)
+	for _, l := range m.Links {
+		mf.Links = append(mf.Links, l.ID)
 	}
 	return mf
 }
@@ -1185,7 +544,7 @@ func (c *Cluster) Manifest() (*Manifest, error) {
 	if err != nil {
 		return nil, err
 	}
-	blob := encodeModel(m)
+	blob := snap.Encode(m)
 	hash := sha256.Sum256(blob)
 	var epoch uint64
 	if c.ckpt != nil {

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"mmt/internal/sim"
+	"mmt/internal/snap"
 	"mmt/internal/store"
 )
 
@@ -185,7 +186,7 @@ func TestLoadVerifiesHash(t *testing.T) {
 	if _, err := c.Save(&snap); err != nil {
 		t.Fatal(err)
 	}
-	for _, off := range []int{len(snapMagic) + 3, snap.Len() / 2, snap.Len() - 1} {
+	for _, off := range []int{len("mmt-snap/v1\x00") + 3, snap.Len() / 2, snap.Len() - 1} {
 		tampered := append([]byte(nil), snap.Bytes()...)
 		tampered[off] ^= 1
 		if _, err := Load(bytes.NewReader(tampered)); !errors.Is(err, ErrBadSnapshot) {
@@ -403,7 +404,7 @@ func TestCheckpointCrashConsistency(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := sha256.Sum256(encodeModel(m))
+		want := sha256.Sum256(snap.Encode(m))
 		if err := c.Checkpoint(); err != nil {
 			t.Fatal(err)
 		}
