@@ -246,7 +246,7 @@ func (c *Delegation) sendChunk(chunk []byte, idx, total int) error {
 		c.prof.RemoteWriteCost(len(wire))+c.prof.DelegationFixed)
 	root.AddCycles(c.prof.RemoteWriteCost(len(wire)) + c.prof.DelegationFixed)
 	c.inflight = append(c.inflight, inflightDeleg{mmt: mmt, sp: root})
-	c.ep.SendTraced(c.peer, netsim.KindClosure, wire, root.Context())
+	c.ep.SendOwned(c.peer, netsim.KindClosure, wire, root.Context())
 	c.probe.Event(trace.EvMigrationSend, c.ep.Clock().Now(), mmt.GUAddr(), "delegation: closure on wire")
 	return nil
 }
@@ -334,7 +334,7 @@ func (c *Delegation) Recv() (*Received, error) {
 		if named {
 			// The nack rides the migration's root context so its wire flight
 			// lands in the same trace as the failed transfer.
-			c.ep.SendTraced(c.peer, netsim.KindControl, encodeAck(false, hint), ctx)
+			c.ep.SendOwned(c.peer, netsim.KindControl, encodeAck(false, hint), ctx)
 		}
 		sp.End(c.ep.Clock().Now())
 		return nil, err
@@ -344,7 +344,7 @@ func (c *Delegation) Recv() (*Received, error) {
 	c.charge(&c.stats.Delegation, trace.PhaseDelegation, c.prof.RemoteWriteCost(9))
 	c.probe.RecordOp(trace.OpMigrationRecv, c.prof.RemoteWriteCost(9))
 	sp.AddCycles(c.prof.RemoteWriteCost(9))
-	c.ep.SendTraced(c.peer, netsim.KindControl, encodeAck(true, mmt.GUAddr()), ctx)
+	c.ep.SendOwned(c.peer, netsim.KindControl, encodeAck(true, mmt.GUAddr()), ctx)
 	c.probe.Event(trace.EvMigrationAccept, c.ep.Clock().Now(), mmt.GUAddr(), "delegation: closure installed")
 	sp.End(c.ep.Clock().Now())
 

@@ -65,7 +65,8 @@ func (c *Secure) Send(payload []byte) error {
 		c.prof.EncryptCost(n)+c.prof.MemcpyCost(n)+c.prof.RemoteWriteCost(len(wire)))
 	c.stats.Messages++
 	c.stats.Bytes += n
-	c.ep.Send(c.peer, netsim.KindData, wire)
+	// wire was built for this message, so it is handed over, not copied.
+	c.ep.SendOwned(c.peer, netsim.KindData, wire, trace.Context{})
 	return nil
 }
 

@@ -39,6 +39,11 @@ func (m TransferMode) String() string {
 // The root travels sealed under the MMT key; tree nodes and ciphertext
 // travel in the clear ("there is no need to encrypt intermediate tree
 // nodes, as they are stored in memory as plaintext").
+//
+// A closure owns none of its bulk fields. One built by BeginSend borrows
+// LineMACs and Data from the sending region (valid until CompleteSend);
+// one parsed by DecodeClosure holds views into the wire bytes, except for
+// LineMACs, which it decoded into a slice Accept hands to the engine.
 type Closure struct {
 	Mode TransferMode
 	// GUAddrHint and CounterHint are cleartext copies of the sealed root
@@ -55,10 +60,11 @@ type Closure struct {
 }
 
 const (
-	closureMagic   = "MMTC"
 	closureVersion = 1
 	headerSize     = 4 + 1 + 1 + 8 + 8 // magic, version, mode, guaddr, counter
 )
+
+var closureMagic = [4]byte{'M', 'M', 'T', 'C'}
 
 // WireSize reports the encoded size in bytes — what actually crosses the
 // interconnect, and therefore what the cost model charges for.
@@ -74,19 +80,36 @@ func (c *Closure) MetadataSize() int { return c.WireSize() - len(c.Data) }
 // header encodes the authenticated header.
 func (c *Closure) header() []byte {
 	w := cursor.Writer{Buf: make([]byte, 0, headerSize)}
-	w.Raw([]byte(closureMagic))
+	c.appendHeader(&w)
+	return w.Buf
+}
+
+// appendHeader appends the headerSize-byte authenticated header.
+func (c *Closure) appendHeader(w *cursor.Writer) {
+	w.Raw(closureMagic[:])
 	w.U8(closureVersion)
 	w.U8(uint8(c.Mode))
 	w.U64(c.GUAddrHint)
 	w.U64(c.CounterHint)
+}
+
+// Encode serializes the closure for the wire into a fresh buffer of
+// exactly WireSize bytes.
+func (c *Closure) Encode() []byte {
+	w := cursor.Writer{Buf: make([]byte, 0, c.WireSize())}
+	c.AppendTo(&w)
 	return w.Buf
 }
 
-// Encode serializes the closure for the wire: the header, then four
-// length-prefixed chunks — sealed root, tree nodes, line MACs, data.
-func (c *Closure) Encode() []byte {
-	w := cursor.Writer{Buf: make([]byte, 0, c.WireSize())}
-	w.Raw(c.header())
+// AppendTo appends the wire form — the header, then four length-prefixed
+// chunks: sealed root, tree nodes, line MACs, data — to w. This is the one
+// copy a send makes of the region: a caller that frames the closure (a
+// conn-id prefix) reserves room for frame and closure (WireSize) in one
+// Writer, and the appends fill that capacity without growing it.
+//
+//mmt:hotpath
+func (c *Closure) AppendTo(w *cursor.Writer) {
+	c.appendHeader(w)
 	w.Bytes(c.SealedRoot)
 	w.Bytes(c.TreeNodes)
 	w.U32(uint32(8 * len(c.LineMACs)))
@@ -94,7 +117,6 @@ func (c *Closure) Encode() []byte {
 		w.U64(m)
 	}
 	w.Bytes(c.Data)
-	return w.Buf
 }
 
 // ErrBadClosure reports a structurally invalid wire closure.
@@ -105,7 +127,7 @@ var ErrBadClosure = errors.New("core: malformed MMT closure")
 // views into wire.
 func DecodeClosure(wire []byte) (*Closure, error) {
 	r := cursor.NewReader(wire, ErrBadClosure)
-	if string(r.Raw(len(closureMagic))) != closureMagic {
+	if string(r.Raw(len(closureMagic))) != string(closureMagic[:]) {
 		r.Fail("bad magic")
 	}
 	if v := r.U8(); v != closureVersion {

@@ -161,32 +161,64 @@ func (m *MMT) Write(line int, plaintext []byte) error {
 	return m.node.ctl.Write(m.region, line, plaintext)
 }
 
+// ReadInto decrypts one line of the MMT's region (verifying the path)
+// into dst, which must be engine.LineSize bytes. It is Read without the
+// per-line allocation.
+func (m *MMT) ReadInto(line int, dst []byte) error {
+	if m.state != StateValid && m.state != StateSending {
+		return fmt.Errorf("%w: read in state %v", ErrState, m.state)
+	}
+	return m.node.ctl.ReadInto(m.region, line, dst)
+}
+
 // WriteBytes writes a byte span starting at a line boundary, padding the
 // final line with zeros. Convenience for message-passing payloads.
 func (m *MMT) WriteBytes(startLine int, p []byte) error {
-	lines := (len(p) + engine.LineSize - 1) / engine.LineSize
-	for i := 0; i < lines; i++ {
-		line := make([]byte, engine.LineSize)
-		copy(line, p[i*engine.LineSize:])
-		if err := m.Write(startLine+i, line); err != nil {
+	line := startLine
+	for ; len(p) >= engine.LineSize; line, p = line+1, p[engine.LineSize:] {
+		if err := m.Write(line, p[:engine.LineSize]); err != nil {
 			return err
 		}
+	}
+	if len(p) == 0 {
+		return nil
+	}
+	var last [engine.LineSize]byte
+	copy(last[:], p)
+	return m.Write(line, last[:])
+}
+
+// ReadAt fills dst with the bytes at byte offset off of the MMT's region.
+// Whole lines are decrypted straight into dst; a partial first or last
+// line is staged through one line buffer.
+func (m *MMT) ReadAt(off int, dst []byte) error {
+	var stage [engine.LineSize]byte
+	for len(dst) > 0 {
+		line, lo := off/engine.LineSize, off%engine.LineSize
+		take := min(engine.LineSize-lo, len(dst))
+		if take == engine.LineSize {
+			if err := m.ReadInto(line, dst[:take]); err != nil {
+				return err
+			}
+		} else {
+			if err := m.ReadInto(line, stage[:]); err != nil {
+				return err
+			}
+			copy(dst, stage[lo:lo+take])
+		}
+		off += take
+		dst = dst[take:]
 	}
 	return nil
 }
 
 // ReadBytes reads n bytes starting at a line boundary.
 func (m *MMT) ReadBytes(startLine, n int) ([]byte, error) {
-	out := make([]byte, 0, n)
-	lines := (n + engine.LineSize - 1) / engine.LineSize
-	for i := 0; i < lines; i++ {
-		line, err := m.Read(startLine + i)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, line...)
+	out := make([]byte, n)
+	if err := m.ReadAt(startLine*engine.LineSize, out); err != nil {
+		return nil, err
 	}
-	return out[:n], nil
+	return out, nil
 }
 
 // Reclaim invalidates a valid MMT (valid -> invalid), dropping the key.
@@ -240,6 +272,11 @@ func (c *Conn) NextCounter() uint64 { return c.lastCounter + 1 }
 // moves valid -> sending, the region becomes read-only, the root counter
 // is bumped, and the closure — sealed root, tree nodes, line MACs and raw
 // ciphertext — is built. The caller puts the encoded closure on the wire.
+//
+// The closure borrows the region's ciphertext and line MACs instead of
+// copying them (the region stays read-only while the MMT is sending, so
+// they cannot change underneath it): encode it before CompleteSend, and
+// never write through it.
 func (m *MMT) BeginSend(conn *Conn, mode TransferMode) (*Closure, error) {
 	if m.key != conn.key {
 		return nil, fmt.Errorf("core: MMT key differs from connection key")

@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"mmt/internal/crypt"
 	"mmt/internal/mem"
@@ -83,16 +84,25 @@ type regionState struct {
 	// drives the mmt-store/v1 delta stream. Marked on the hot write path
 	// (pure bit arithmetic, no allocation).
 	dirtyLines []uint64
-	// Per-line AES plane caches. The two-block tweak PRF's first block (the
-	// "base") depends only on (guaddr, line, domain), so Enable/Install
-	// precompute it once per line per domain; the hot read/write path then
-	// derives each OTP pad and MAC mask from the cached base, saving one
-	// AES block per pad and halving the MAC-mask AES work. lineMask
-	// additionally memoises the finished DomainLineMAC mask keyed by the
-	// line's counter (lineMaskCtr + lineMaskOK bitset), so re-reads of an
-	// unwritten line skip the mask AES entirely. All caches are pure
-	// functions of (engine, guaddr, line[, counter]) — replaying them is
-	// bit-identical to recomputation, so tamper detection is unaffected.
+	linePlanes
+}
+
+// linePlanes are a region's per-line AES caches. The two-block tweak PRF's
+// first block (the "base") depends only on (guaddr, line, domain), so it is
+// computed once per line per domain on the line's first touch; the hot
+// read/write path then derives each OTP pad and MAC mask from the cached
+// base, saving one AES block per pad and halving the MAC-mask AES work.
+// lineMask additionally memoises the finished DomainLineMAC mask keyed by
+// the line's counter (lineMaskCtr + lineMaskOK bitset), so re-reads of an
+// unwritten line skip the mask AES entirely. All caches are pure functions
+// of (engine, guaddr, line[, counter]) — replaying them is bit-identical to
+// recomputation, so tamper detection is unaffected.
+//
+// Every read of a byte or word plane is gated by the line's bit in the
+// matching *OK bitset, which is what makes a plane set recyclable across
+// regions, keys and addresses (Controller.bindRegion): with the three
+// bitsets cleared, whatever the planes still hold is unreachable.
+type linePlanes struct {
 	padBase     []byte   // crypt.MaskBaseSize bytes per line, DomainPad
 	macBase     []byte   // crypt.MaskBaseSize bytes per line, DomainLineMAC
 	lineBaseOK  []uint64 // bitset: both base entries for the line computed
@@ -114,21 +124,22 @@ func (st *regionState) markLine(line int) {
 	st.dirtyLines[line>>6] |= uint64(1) << (uint(line) & 63)
 }
 
-// initPlanes sizes the per-line AES base planes and the (empty) mask
-// cache for a freshly enabled or installed region. The bases themselves
+// newLinePlanes sizes the per-line planes with nothing valid. The bases
 // fill lazily (lineBases) on first touch of each line, so a migration
 // install — which verifies every line but may never read most of them
 // again — does not pay two AES blocks per line up front.
-func (st *regionState) initPlanes(lines int) {
-	st.padBase = make([]byte, lines*crypt.MaskBaseSize)
-	st.macBase = make([]byte, lines*crypt.MaskBaseSize)
-	st.lineBaseOK = make([]uint64, (lines+63)/64)
-	st.lineMask = make([]uint64, lines)
-	st.lineMaskCtr = make([]uint64, lines)
-	st.lineMaskOK = make([]uint64, (lines+63)/64)
-	st.linePad = make([]byte, lines*mem.LineSize)
-	st.linePadCtr = make([]uint64, lines)
-	st.linePadOK = make([]uint64, (lines+63)/64)
+func newLinePlanes(lines int) linePlanes {
+	return linePlanes{
+		padBase:     make([]byte, lines*crypt.MaskBaseSize),
+		macBase:     make([]byte, lines*crypt.MaskBaseSize),
+		lineBaseOK:  make([]uint64, (lines+63)/64),
+		lineMask:    make([]uint64, lines),
+		lineMaskCtr: make([]uint64, lines),
+		lineMaskOK:  make([]uint64, (lines+63)/64),
+		linePad:     make([]byte, lines*mem.LineSize),
+		linePadCtr:  make([]uint64, lines),
+		linePadOK:   make([]uint64, (lines+63)/64),
+	}
 }
 
 // lineBases returns the cached DomainPad and DomainLineMAC tweak bases
@@ -206,6 +217,13 @@ type Controller struct {
 	causal  trace.Context
 	scr     crypt.Scratch
 	lineBuf [mem.LineSize]byte // ciphertext staging for the write path
+	// planePool keeps the line planes of invalidated regions for the next
+	// Enable or Install, which would otherwise allocate and zero ~3.8 MB
+	// per 2 MB region. Per controller, not package-level: controllers of
+	// different clusters run concurrently. A set is only ever made when
+	// the pool is empty, so live and pooled sets together never outnumber
+	// the regions.
+	planePool []linePlanes
 }
 
 // New builds a controller over m with the given tree geometry. The
@@ -335,9 +353,7 @@ func (c *Controller) Enable(r int, key crypt.Key, guaddr, rootCounter uint64) er
 	tr.SetTrace(c.probe)
 	tr.SetRootCounter(rootCounter)
 	tr.RehashAll(eng, guaddr)
-	*st = regionState{mode: ModeReadWrite, eng: eng, tr: tr, guaddr: guaddr, lineMACs: make([]uint64, c.geo.Lines()),
-		dirtyLines: make([]uint64, (c.geo.Lines()+63)/64)}
-	st.initPlanes(c.geo.Lines())
+	c.bindRegion(r, regionState{mode: ModeReadWrite, eng: eng, tr: tr, guaddr: guaddr, lineMACs: make([]uint64, c.geo.Lines())})
 	// The write path's kernel, line by line: cached tweak bases, pad and
 	// mask derived from them, no allocation.
 	data := c.mem.RegionData(r)
@@ -347,18 +363,47 @@ func (c *Controller) Enable(r int, key crypt.Key, guaddr, rootCounter uint64) er
 		padBase, macBase := st.lineBases(line, &c.scr)
 		crypt.XORLine(buf, buf, st.linePadFor(line, padBase, ctr, &c.scr))
 		st.lineMACs[line] = eng.LineHash(buf, &c.scr) ^ st.lineMaskFor(line, macBase, ctr, &c.scr)
-		st.markLine(line) // freshly encrypted contents have never been checkpointed
 	}
+	return nil
+}
+
+// bindRegion makes st the live state of the disabled region r: it adds
+// line planes with nothing valid (recycled from planePool when an
+// invalidated region left a set, so only the three validity bitsets are
+// reset) and an all-dirty line bitset — neither freshly encrypted nor
+// transferred contents have been checkpointed here — then marks the
+// region secure.
+func (c *Controller) bindRegion(r int, st regionState) {
+	lines := c.geo.Lines()
+	if n := len(c.planePool); n > 0 {
+		st.linePlanes = c.planePool[n-1]
+		c.planePool[n-1] = linePlanes{}
+		c.planePool = c.planePool[:n-1]
+		clear(st.lineBaseOK)
+		clear(st.lineMaskOK)
+		clear(st.linePadOK)
+	} else {
+		st.linePlanes = newLinePlanes(lines)
+	}
+	st.dirtyLines = make([]uint64, (lines+63)/64)
+	for line := range lines {
+		st.markLine(line)
+	}
+	c.regions[r] = st
 	c.mem.SetRegionKind(r, mem.KindSecure)
 	c.cache.invalidateRegion(r)
-	return nil
 }
 
 // Invalidate drops region r's MMT without decrypting: the memory reverts
 // to normal but holds ciphertext garbage. This is the sender-side
 // transition sending -> invalid after an ownership-transfer delegation.
+// The region's line planes go to planePool; its line MACs do not, because
+// a closure built by Export may still be reading them.
 func (c *Controller) Invalidate(r int) {
 	st := c.region(r)
+	if st.mode != ModeDisabled {
+		c.planePool = append(c.planePool, st.linePlanes)
+	}
 	*st = regionState{}
 	c.mem.SetRegionKind(r, mem.KindNormal)
 	c.cache.invalidateRegion(r)
@@ -698,16 +743,22 @@ func (c *Controller) Crypto(r int) (*crypt.Engine, error) {
 	return st.eng, nil
 }
 
-// Export captures region r's transferable state: the serialized tree
+// Export exposes region r's transferable state: the serialized tree
 // nodes, the raw ciphertext, the line MACs and the root counter. Package
 // core wraps this into an MMT closure. Export requires a live MMT.
+//
+// treeBytes is a fresh serialization. data and lineMACs are borrowed,
+// not copied: they are the region's own memory and line-MAC plane, so
+// the caller must not write them, and they describe the exported state
+// only until the region is next written, released or re-enabled. (Core
+// holds the region read-only for exactly that span; Invalidate leaves
+// both intact.)
 func (c *Controller) Export(r int) (treeBytes, data []byte, lineMACs []uint64, rootCounter, guaddr uint64, err error) {
 	st := c.region(r)
 	if st.mode == ModeDisabled {
 		return nil, nil, nil, 0, 0, ErrDisabled
 	}
-	data = append([]byte(nil), c.mem.RegionData(r)...)
-	return st.tr.Serialize(), data, append([]uint64(nil), st.lineMACs...), st.tr.RootCounter(), st.guaddr, nil
+	return st.tr.Serialize(), c.mem.RegionData(r), st.lineMACs, st.tr.RootCounter(), st.guaddr, nil
 }
 
 // Install adopts a transferred MMT into region r: deserializes the tree,
@@ -715,6 +766,12 @@ func (c *Controller) Export(r int) (treeBytes, data []byte, lineMACs []uint64, r
 // under key/guaddr, and only then enables the region. Any integrity
 // failure leaves the region disabled. mode is the resulting enforcement
 // mode (read-write for ownership transfer, read-only for ownership copy).
+//
+// treeBytes and data are only read. On success lineMACs becomes the
+// region's line-MAC plane — the caller hands the slice over and must not
+// touch it again; on failure nothing is retained. The one slice Install
+// will not adopt is a plane Export lent from a region still live on this
+// controller: that one is copied, so two regions never share MACs.
 func (c *Controller) Install(r int, key crypt.Key, guaddr, rootCounter uint64, treeBytes, data []byte, lineMACs []uint64, mode Mode) error {
 	st := c.region(r)
 	if st.mode != ModeDisabled {
@@ -739,25 +796,18 @@ func (c *Controller) Install(r int, key crypt.Key, guaddr, rootCounter uint64, t
 	if err := tr.VerifyAll(eng, guaddr); err != nil {
 		return err
 	}
-	for line := 0; line < c.geo.Lines(); line++ {
-		ct := data[line*mem.LineSize : (line+1)*mem.LineSize]
-		tw := crypt.Tweak{GUAddr: guaddr, Line: uint32(line), Counter: tr.LeafCounter(line)}
-		// Constant-time compare: closure MACs arrive from the network.
-		// The Buf variant keeps this whole-region sweep allocation-free.
-		if !crypt.TagEqual(eng.LineMACBuf(tw, ct, &c.scr), lineMACs[line]) {
-			return fmt.Errorf("%w: transferred data line %d", ErrIntegrity, line)
-		}
+	if err := c.verifyLineMACs(eng, tr, guaddr, data, lineMACs); err != nil {
+		return err
 	}
 	c.mem.Write(c.mem.RegionBase(r), data)
-	*st = regionState{mode: mode, eng: eng, tr: tr, guaddr: guaddr, lineMACs: append([]uint64(nil), lineMACs...),
-		dirtyLines: make([]uint64, (c.geo.Lines()+63)/64)}
-	st.initPlanes(c.geo.Lines())
-	tr.MarkAllDirty()
-	for line := range c.geo.Lines() {
-		st.markLine(line) // transferred contents have never been checkpointed here
+	for i := range c.regions {
+		if live := c.regions[i].lineMACs; len(live) > 0 && &live[0] == &lineMACs[0] {
+			lineMACs = slices.Clone(lineMACs)
+			break
+		}
 	}
-	c.mem.SetRegionKind(r, mem.KindSecure)
-	c.cache.invalidateRegion(r)
+	c.bindRegion(r, regionState{mode: mode, eng: eng, tr: tr, guaddr: guaddr, lineMACs: lineMACs})
+	tr.MarkAllDirty()
 	// Install is functional verification (tree + line MACs) and advances
 	// no clock, so its causal span is a zero-duration, zero-cycle marker
 	// under the accept span — it pins *where* the install happened, not a

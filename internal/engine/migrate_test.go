@@ -1,0 +1,191 @@
+package engine
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"runtime"
+	"slices"
+	"testing"
+
+	"mmt/internal/crypt"
+	"mmt/internal/mem"
+)
+
+// TestPlaneRecycling: a region enabled on planes another tenant left
+// behind — every plane and every validity bitset deliberately poisoned —
+// under a different key and address behaves exactly like one enabled on
+// fresh planes, and the pool never holds more sets than there are regions.
+func TestPlaneRecycling(t *testing.T) {
+	c := testSetup(t)
+	lines := c.Geometry().Lines()
+	keyB := crypt.KeyFromBytes([]byte("second tenant"))
+
+	fill(c, 0, 3)
+	if err := c.Enable(0, testKey, 0x11, 0); err != nil {
+		t.Fatal(err)
+	}
+	for line := 0; line < lines; line++ { // fill every plane with tenant A's pads and masks
+		if err := c.Write(0, line, bytes.Repeat([]byte{byte(line)}, mem.LineSize)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.Invalidate(0)
+	if len(c.planePool) != 1 {
+		t.Fatalf("pool holds %d sets after one Invalidate, want 1", len(c.planePool))
+	}
+	p := &c.planePool[0]
+	for _, b := range [][]byte{p.padBase, p.macBase, p.linePad} {
+		for i := range b {
+			b[i] = 0xA5
+		}
+	}
+	for _, w := range [][]uint64{p.lineBaseOK, p.lineMask, p.lineMaskCtr, p.lineMaskOK, p.linePadCtr, p.linePadOK} {
+		for i := range w {
+			w[i] = ^uint64(0)
+		}
+	}
+
+	fresh := testSetup(t)
+	fill(c, 1, 9)
+	fill(fresh, 1, 9)
+	plain := slices.Clone(c.Memory().RegionData(1))
+	if err := errors.Join(c.Enable(1, keyB, 0x22, 5), fresh.Enable(1, keyB, 0x22, 5)); err != nil {
+		t.Fatal(err)
+	}
+	if len(c.planePool) != 0 {
+		t.Fatalf("Enable left %d sets in the pool, want the recycled one taken", len(c.planePool))
+	}
+	if !bytes.Equal(c.Memory().RegionData(1), fresh.Memory().RegionData(1)) || !slices.Equal(c.regions[1].lineMACs, fresh.regions[1].lineMACs) {
+		t.Fatal("ciphertext or line MACs on recycled planes differ from fresh planes")
+	}
+	for line := 0; line < lines; line++ {
+		got, err := c.Read(1, line)
+		if err != nil || !bytes.Equal(got, plain[line*mem.LineSize:(line+1)*mem.LineSize]) {
+			t.Fatalf("line %d on recycled planes: %x, %v", line, got, err)
+		}
+	}
+	// An install recycles too.
+	tb, data, macs, rootCtr, guaddr, err := c.Export(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Invalidate(1)
+	if err := c.Install(2, keyB, guaddr, rootCtr, tb, data, macs, ModeReadWrite); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := c.Read(2, 7); err != nil || !bytes.Equal(got, plain[7*mem.LineSize:8*mem.LineSize]) {
+		t.Fatalf("line 7 after install on recycled planes: %x, %v", got, err)
+	}
+	c.Invalidate(2)
+
+	// Churn: however regions come and go, live plus pooled sets never
+	// outnumber the regions.
+	regions := c.Memory().Regions()
+	for round := 0; round < 3; round++ {
+		for r := 0; r < regions; r++ {
+			if err := c.Enable(r, testKey, uint64(0x100*round+r+1), 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if len(c.planePool) != 0 {
+			t.Fatalf("round %d: %d sets pooled with every region live", round, len(c.planePool))
+		}
+		for r := 0; r < regions; r++ {
+			if r%2 == 0 {
+				c.Invalidate(r)
+			} else if err := c.Release(r); err != nil {
+				t.Fatal(err)
+			}
+			c.Invalidate(r) // a second Invalidate of a dead region must not pool anything
+			if len(c.planePool) > regions {
+				t.Fatalf("pool grew to %d sets over %d regions", len(c.planePool), regions)
+			}
+		}
+		if len(c.planePool) != regions {
+			t.Fatalf("round %d: pool holds %d sets, want %d", round, len(c.planePool), regions)
+		}
+	}
+}
+
+// TestInstallSweepDeterminism: with two lines tampered in different chunks
+// of the sweep, Install names the lower one and leaves the region disabled
+// at every processor count — what the serial loop reports.
+func TestInstallSweepDeterminism(t *testing.T) {
+	c := testSetup(t)
+	lines := c.Geometry().Lines()
+	fill(c, 0, 5)
+	if err := c.Enable(0, testKey, 0x11, 0); err != nil {
+		t.Fatal(err)
+	}
+	tb, data, macs, rootCtr, guaddr, err := c.Export(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// With 4 workers the chunks are quarters: i sits in the second, j in
+	// the last; with 2 workers they sit in different halves.
+	i, j := lines/4+1, lines-2
+	bad := slices.Clone(data)
+	bad[i*mem.LineSize] ^= 1
+	bad[j*mem.LineSize+9] ^= 0x80
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		err := c.Install(1, testKey, guaddr, rootCtr, tb, bad, macs, ModeReadWrite)
+		want := fmt.Sprintf("transferred data line %d", i)
+		if !errors.Is(err, ErrIntegrity) || err.Error() != fmt.Sprintf("%v: %s", ErrIntegrity, want) {
+			t.Fatalf("GOMAXPROCS=%d: err %v, want ErrIntegrity naming %q", procs, err, want)
+		}
+		if c.Mode(1) != ModeDisabled || c.Memory().RegionKind(1) != mem.KindNormal {
+			t.Fatalf("GOMAXPROCS=%d: rejected install left region 1 %v/%v", procs, c.Mode(1), c.Memory().RegionKind(1))
+		}
+		if err := c.Install(1, testKey, guaddr, rootCtr, tb, data, macs, ModeReadOnly); err != nil {
+			t.Fatalf("GOMAXPROCS=%d: clean closure rejected: %v", procs, err)
+		}
+		c.Invalidate(1)
+	}
+}
+
+// TestInstallDoesNotShareLivePlane: Export lends region 0's MAC plane and
+// Install adopts the slice it is given — piping one into the other on the
+// same controller must still leave two regions with a plane each.
+func TestInstallDoesNotShareLivePlane(t *testing.T) {
+	c := testSetup(t)
+	fill(c, 0, 7)
+	if err := c.Enable(0, testKey, 0x11, 0); err != nil {
+		t.Fatal(err)
+	}
+	tb, data, macs, rootCtr, guaddr, err := c.Export(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Install(1, testKey, guaddr, rootCtr, tb, data, macs, ModeReadWrite); err != nil {
+		t.Fatal(err)
+	}
+	if &c.regions[0].lineMACs[0] == &c.regions[1].lineMACs[0] {
+		t.Fatal("regions 0 and 1 share one line-MAC plane")
+	}
+	// A write to either region re-MACs its line; the other still verifies.
+	line := make([]byte, mem.LineSize)
+	line[0] = 0xAB
+	if err := c.Write(0, 3, line); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Read(1, 3); err != nil {
+		t.Fatalf("region 1 line 3 after a write to region 0: %v", err)
+	}
+	// Once the lender is gone the loan is the only reference, and Install
+	// adopts it without a copy.
+	tb, data, macs, rootCtr, guaddr, err = c.Export(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Invalidate(1)
+	c.Invalidate(0)
+	if err := c.Install(1, testKey, guaddr, rootCtr, tb, data, macs, ModeReadWrite); err != nil {
+		t.Fatal(err)
+	}
+	if &c.regions[1].lineMACs[0] != &macs[0] {
+		t.Fatal("Install copied a plane no live region holds")
+	}
+}

@@ -2,11 +2,13 @@ package engine
 
 import (
 	"fmt"
+	"runtime"
 
 	"mmt/internal/crypt"
 	"mmt/internal/mem"
 	"mmt/internal/par"
 	"mmt/internal/trace"
+	"mmt/internal/tree"
 )
 
 // VerifyRegions re-verifies the complete integrity state of the listed
@@ -62,14 +64,8 @@ func (c *Controller) VerifyRegions(regions []int, workers int) error {
 		}
 		nodes := uint64(c.geo.TotalNodes())
 		var s crypt.Scratch
-		data := c.mem.RegionData(r)
-		for line := 0; line < c.geo.Lines(); line++ {
-			ct := data[line*mem.LineSize : (line+1)*mem.LineSize]
-			tw := crypt.Tweak{GUAddr: st.guaddr, Line: uint32(line), Counter: st.tr.LeafCounter(line)}
-			// Constant-time compare: meta-zone MACs are untrusted.
-			if !crypt.TagEqual(st.eng.LineMACBuf(tw, ct, &s), st.lineMACs[line]) {
-				return fmt.Errorf("region %d: %w: data line %d", r, ErrIntegrity, line)
-			}
+		if bad := sweepLineMACs(st.eng, st.tr, st.guaddr, c.mem.RegionData(r), st.lineMACs, 0, c.geo.Lines(), &s); bad >= 0 {
+			return fmt.Errorf("region %d: %w: data line %d", r, ErrIntegrity, bad)
 		}
 		verifies[i] = nodes
 		return nil
@@ -83,4 +79,41 @@ func (c *Controller) VerifyRegions(regions []int, workers int) error {
 		c.probe.Count(trace.CtrMACVerifies, uint64(c.geo.Lines()))
 	}
 	return nil
+}
+
+// verifyLineMACs checks every transferred line's MAC at the counter the
+// (already verified) tree holds for it. The sweep is split into
+// contiguous chunks, one per available processor; chunks share only
+// read-only inputs and each has its own scratch. The reported failure is
+// the lowest failing line whatever the processor count, because a chunk
+// stops at its first bad line and par.ForEach returns the lowest failing
+// chunk's error; with one processor it is the plain loop, no goroutine.
+func (c *Controller) verifyLineMACs(eng *crypt.Engine, tr *tree.Tree, guaddr uint64, data []byte, lineMACs []uint64) error {
+	lines := c.geo.Lines()
+	workers := min(runtime.GOMAXPROCS(0), lines)
+	scratch := make([]crypt.Scratch, workers)
+	return par.ForEach(workers, scratch, func(i int, _ crypt.Scratch) error {
+		lo, hi := i*lines/workers, (i+1)*lines/workers
+		if bad := sweepLineMACs(eng, tr, guaddr, data, lineMACs, lo, hi, &scratch[i]); bad >= 0 {
+			return fmt.Errorf("%w: transferred data line %d", ErrIntegrity, bad)
+		}
+		return nil
+	})
+}
+
+// sweepLineMACs verifies lines [lo, hi) of a region's ciphertext against
+// lineMACs and returns the first line that does not match, or -1. It only
+// reads its inputs, so several sweeps over disjoint ranges may run at once.
+//
+//mmt:hotpath
+func sweepLineMACs(eng *crypt.Engine, tr *tree.Tree, guaddr uint64, data []byte, lineMACs []uint64, lo, hi int, scr *crypt.Scratch) int {
+	for line := lo; line < hi; line++ {
+		ct := data[line*mem.LineSize : (line+1)*mem.LineSize]
+		tw := crypt.Tweak{GUAddr: guaddr, Line: uint32(line), Counter: tr.LeafCounter(line)}
+		// Constant-time compare: the MACs are untrusted (wire or meta-zone).
+		if !crypt.TagEqual(eng.LineMACBuf(tw, ct, scr), lineMACs[line]) {
+			return line
+		}
+	}
+	return -1
 }

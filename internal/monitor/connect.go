@@ -104,11 +104,13 @@ type ackMsg struct {
 // the delegation protocol itself authenticates, and wrapping it in JSON
 // would make unrelated framing bytes (not covered by any MAC) able to
 // swallow the whole message. Layout: 2-byte conn-id length, conn id, wire.
-func encodeClosureFrame(connID string, wire []byte) []byte {
-	w := cursor.Writer{Buf: make([]byte, 0, 2+len(connID)+len(wire))}
+// The closure is encoded straight into the frame, so the region's bytes
+// are copied once on their way to the network.
+func encodeClosureFrame(connID string, closure *core.Closure) []byte {
+	w := cursor.Writer{Buf: make([]byte, 0, 2+len(connID)+closure.WireSize())}
 	w.U16(uint16(len(connID)))
 	w.Raw([]byte(connID))
-	w.Raw(wire)
+	closure.AppendTo(&w)
 	return w.Buf
 }
 
@@ -174,7 +176,7 @@ func Connect(a *Monitor, aEnc EnclaveID, b *Monitor, bEnc EnclaveID, initCounter
 	// initiator, carried alongside both control messages, closed once a
 	// verifies b's response.
 	connectRoot := a.ctl.Trace().BeginSpan(a.ctl.Trace().NewTrace(), trace.PhaseConnect, a.ctl.Clock().Now())
-	a.endpoint.SendTraced(b.endpoint.Name(), netsim.KindControl, reqBytes, connectRoot.Context())
+	a.endpoint.SendOwned(b.endpoint.Name(), netsim.KindControl, reqBytes, connectRoot.Context())
 	inbound, ok := b.endpoint.Recv()
 	if !ok {
 		return "", fmt.Errorf("monitor: connect request lost on the network")
@@ -204,7 +206,7 @@ func Connect(a *Monitor, aEnc EnclaveID, b *Monitor, bEnc EnclaveID, initCounter
 	if err != nil {
 		return "", err
 	}
-	b.endpoint.SendTraced(inbound.From, netsim.KindControl, respBytes, inbound.Trace)
+	b.endpoint.SendOwned(inbound.From, netsim.KindControl, respBytes, inbound.Trace)
 	back, ok := a.endpoint.Recv()
 	if !ok {
 		return "", fmt.Errorf("monitor: connect response lost on the network")
@@ -325,7 +327,7 @@ func (m *Monitor) SendPMO(caller EnclaveID, cap CapID, connID string, mode core.
 		return err
 	}
 	c.pending[p.mmt.GUAddr()] = p
-	frame := encodeClosureFrame(connID, closure.Encode())
+	frame := encodeClosureFrame(connID, closure)
 	// Charge the NIC/DMA serialization and the fixed delegation cost to
 	// this machine's clock, exactly as the channel layer does. The send is
 	// the root of this migration's causal trace; the root span stays open
@@ -340,7 +342,7 @@ func (m *Monitor) SendPMO(caller EnclaveID, cap CapID, connID string, mode core.
 	probe.RecordOp(trace.OpMigrationSend, prof.RemoteWriteCost(len(frame))+prof.DelegationFixed)
 	root.AddCycles(prof.RemoteWriteCost(len(frame)) + prof.DelegationFixed)
 	m.ctl.Clock().AdvanceCycles(prof.RemoteWriteCost(len(frame)) + prof.DelegationFixed)
-	m.endpoint.SendTraced(c.PeerMonitor, netsim.KindClosure, frame, root.Context())
+	m.endpoint.SendOwned(c.PeerMonitor, netsim.KindClosure, frame, root.Context())
 	probe.Event(trace.EvMigrationSend, m.ctl.Clock().Now(), p.mmt.GUAddr(), "monitor: closure on wire")
 	if root != nil {
 		if c.pendingSpan == nil {
@@ -477,7 +479,7 @@ func (m *Monitor) sendAck(c *Connection, ok bool, guaddr uint64, ctx trace.Conte
 	cost := m.ctl.Profile().RemoteWriteCost(len(body))
 	m.ctl.Trace().AddCycles(trace.PhaseDelegation, cost)
 	m.ctl.Clock().AdvanceCycles(cost)
-	m.endpoint.SendTraced(c.PeerMonitor, netsim.KindControl, body, ctx)
+	m.endpoint.SendOwned(c.PeerMonitor, netsim.KindControl, body, ctx)
 	return cost
 }
 

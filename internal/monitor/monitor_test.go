@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"crypto/ecdh"
 	"crypto/rand"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"testing"
@@ -451,17 +449,18 @@ func TestConnectRejectsShareSubstitution(t *testing.T) {
 	}
 }
 
-// TestClosureFrame pins the monitor's closure frame to the bytes the
-// hand-written framing produced (digest computed at the commit before the
-// shared cursor), and checks that no truncation of it decodes to the
-// original conn id and wire.
+// TestClosureFrame pins the monitor's closure frame — 2-byte little-endian
+// conn-id length, conn id, then the closure's wire form encoded in place —
+// and checks that no truncation of it decodes to the original conn id and
+// wire.
 func TestClosureFrame(t *testing.T) {
 	const connID = "a/1<->b/1#0"
-	wire := []byte("closure-bytes")
-	frame := encodeClosureFrame(connID, wire)
-	sum := sha256.Sum256(frame)
-	if got := hex.EncodeToString(sum[:]); len(frame) != 26 || got != "445021e70016fdbf522753b23b603c35055373130451a1df5d469adb60b766b2" {
-		t.Fatalf("closure frame drifted: %d bytes hashing to %s", len(frame), got)
+	closure := &core.Closure{Mode: core.OwnershipCopy, GUAddrHint: 7, CounterHint: 9,
+		SealedRoot: []byte("root"), TreeNodes: []byte("nodes"), LineMACs: []uint64{1, 2}, Data: []byte("closure-bytes")}
+	wire := closure.Encode()
+	frame := encodeClosureFrame(connID, closure)
+	if want := append(append([]byte{11, 0}, connID...), wire...); !bytes.Equal(frame, want) {
+		t.Fatalf("closure frame drifted: %d bytes %x, want %x", len(frame), frame, want)
 	}
 	id, back, err := decodeClosureFrame(frame)
 	if err != nil || id != connID || !bytes.Equal(back, wire) {

@@ -47,7 +47,13 @@ func (k Kind) String() string {
 type Message struct {
 	From, To string
 	Kind     Kind
-	Payload  []byte
+	// Payload belongs to the message: in flight it never aliases memory
+	// its sender can still write. The network, interposers and the
+	// receiver may therefore keep and read it for as long as they like —
+	// and an adversary may scribble on it — without reaching into the
+	// sender's state. Send meets the rule by copying the caller's buffer,
+	// SendOwned by taking the buffer over.
+	Payload []byte
 	// ArriveAt is the simulated instant the message becomes visible at the
 	// destination.
 	ArriveAt sim.Time
@@ -155,18 +161,20 @@ func (e *Endpoint) Name() string { return e.name }
 // Clock reports the endpoint's clock.
 func (e *Endpoint) Clock() *sim.Clock { return e.clock }
 
-// Send puts a message on the wire. The payload is copied, the interposer
-// transforms the delivery, and each resulting message lands in its
-// destination inbox stamped with sender-time + propagation latency.
-// Unknown destinations are silently dropped, as on a real fabric.
+// Send puts a message on the wire, copying payload first: the caller
+// keeps its buffer and may reuse it at once. The interposer transforms
+// the delivery, and each resulting message lands in its destination inbox
+// stamped with sender-time + propagation latency. Unknown destinations
+// are silently dropped, as on a real fabric.
 func (e *Endpoint) Send(to string, kind Kind, payload []byte) {
-	e.SendTraced(to, kind, payload, trace.Context{})
+	e.SendOwned(to, kind, append([]byte(nil), payload...), trace.Context{})
 }
 
-// SendTraced is Send with a causal trace context attached as metadata
-// beside the payload (see Message.Trace). A zero context is an untraced
-// send.
-func (e *Endpoint) SendTraced(to string, kind Kind, payload []byte, ctx trace.Context) {
+// SendOwned is Send without the copy, for a payload the caller built for
+// this message and hands over: the caller must not touch payload again.
+// ctx is a causal trace context attached as metadata beside the payload
+// (see Message.Trace); a zero context is an untraced send.
+func (e *Endpoint) SendOwned(to string, kind Kind, payload []byte, ctx trace.Context) {
 	if msgs, bytes, ok := wireCounters(kind); ok {
 		e.probe.Count(msgs, 1)
 		e.probe.Count(bytes, uint64(len(payload)))
@@ -175,7 +183,7 @@ func (e *Endpoint) SendTraced(to string, kind Kind, payload []byte, ctx trace.Co
 		From:     e.name,
 		To:       to,
 		Kind:     kind,
-		Payload:  append([]byte(nil), payload...),
+		Payload:  payload,
 		SentAt:   e.clock.Now(),
 		Trace:    ctx,
 		ArriveAt: e.clock.Now() + e.net.Latency,

@@ -173,26 +173,21 @@ func (b *Buffer) Write(off int, p []byte) error {
 	if off < 0 || off+len(p) > b.Size() {
 		return fmt.Errorf("mmt: write [%d,+%d) outside buffer of %d bytes", off, len(p), b.Size())
 	}
+	var stage [engine.LineSize]byte // partial lines are read-modify-written here
 	for len(p) > 0 {
 		line := off / engine.LineSize
 		lo := off % engine.LineSize
-		take := engine.LineSize - lo
-		if take > len(p) {
-			take = len(p)
+		take := min(engine.LineSize-lo, len(p))
+		src := p[:take]
+		if take < engine.LineSize {
+			if err := m.ReadInto(line, stage[:]); err != nil {
+				return err
+			}
+			copy(stage[lo:], src)
+			src = stage[:]
 		}
-		if lo == 0 && take == engine.LineSize {
-			if err := m.Write(line, p[:take]); err != nil {
-				return err
-			}
-		} else {
-			cur, err := m.Read(line)
-			if err != nil {
-				return err
-			}
-			copy(cur[lo:], p[:take])
-			if err := m.Write(line, cur); err != nil {
-				return err
-			}
+		if err := m.Write(line, src); err != nil {
+			return err
 		}
 		off += take
 		p = p[take:]
@@ -213,21 +208,9 @@ func (b *Buffer) Read(off, n int) ([]byte, error) {
 	if off < 0 || n < 0 || off+n > b.Size() {
 		return nil, fmt.Errorf("mmt: read [%d,+%d) outside buffer of %d bytes", off, n, b.Size())
 	}
-	out := make([]byte, 0, n)
-	for n > 0 {
-		line := off / engine.LineSize
-		lo := off % engine.LineSize
-		data, err := m.Read(line)
-		if err != nil {
-			return nil, err
-		}
-		take := engine.LineSize - lo
-		if take > n {
-			take = n
-		}
-		out = append(out, data[lo:lo+take]...)
-		off += take
-		n -= take
+	out := make([]byte, n)
+	if err := m.ReadAt(off, out); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
