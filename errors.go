@@ -25,6 +25,11 @@ import (
 //   - ErrReorder comes out of Link.Delegate when the closure's
 //     global-unique address is not greater than the last accepted one —
 //     in-flight delegations were delivered out of order.
+//   - ErrBadClosure comes out of Link.Delegate when what arrived does
+//     not parse as a closure at all: the wire encoding is truncated or
+//     inconsistent, or (on the message-passing channel) the framing
+//     header inside an otherwise authentic closure names a chunk no
+//     sender builds.
 //   - ErrStaleCounter comes out of Link.Delegate on the *sender* side,
 //     before anything is sealed or sent: the buffer was acquired before
 //     a later delegation moved the connection's counter floor past it,
@@ -32,12 +37,13 @@ import (
 //     stays valid; copy its contents into a fresh buffer to delegate.
 //
 // After a rejected delegation (any of ErrAuth, ErrReplay, ErrReorder,
-// ErrIntegrity from Link.Delegate), the receiver keeps waiting and the
+// ErrIntegrity, ErrBadClosure from Link.Delegate), the receiver keeps waiting and the
 // sender's buffer returns to the valid state for retry.
 var (
 	ErrIntegrity    = tree.ErrIntegrity
 	ErrAuth         = crypt.ErrAuth
 	ErrReplay       = core.ErrReplay
 	ErrReorder      = core.ErrReorder
+	ErrBadClosure   = core.ErrBadClosure
 	ErrStaleCounter = core.ErrStaleCounter
 )

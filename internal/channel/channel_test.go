@@ -2,6 +2,7 @@ package channel
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"testing"
 
@@ -12,6 +13,7 @@ import (
 	"mmt/internal/mem"
 	"mmt/internal/netsim"
 	"mmt/internal/sim"
+	"mmt/internal/trace"
 	"mmt/internal/tree"
 )
 
@@ -384,5 +386,96 @@ func TestStatsResetAndClock(t *testing.T) {
 	r.nsA.ResetStats()
 	if r.nsA.Stats().Total() != 0 || r.nsA.Stats().Messages != 0 {
 		t.Fatal("ResetStats incomplete")
+	}
+}
+
+// sendCrafted is sendChunk with the framing header under the caller's
+// control: what a peer that holds the connection key, but does not run
+// this code, can put on the wire. The closure around it is authentic.
+func sendCrafted(t *testing.T, d *Delegation, magic, index, total, length uint32) {
+	t.Helper()
+	region, err := d.popRegion()
+	if err != nil {
+		t.Fatal(err)
+	}
+	hdr := make([]byte, msgHeaderSize)
+	for i, v := range []uint32{magic, index, total, length} {
+		binary.LittleEndian.PutUint32(hdr[4*i:], v)
+	}
+	mem := d.node.Controller().Memory()
+	mem.Write(mem.RegionBase(region), hdr)
+	m, err := d.node.Acquire(region, d.conn.Key(), d.conn.NextCounter())
+	if err != nil {
+		t.Fatal(err)
+	}
+	closure, err := m.BeginSend(d.conn, core.OwnershipTransfer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.inflight = append(d.inflight, inflightDeleg{mmt: m})
+	d.ep.SendOwned(d.peer, netsim.KindClosure, closure.Encode(), trace.Context{})
+}
+
+// TestDelegationRejectsCraftedHeader: the framing header inside an
+// authentic closure is still the peer's word. A Length beyond what one
+// closure carries (it sizes Payload's read: up to 4 GiB allocated, then a
+// line index past the region), an Index outside Total, or a wrong magic
+// is refused before the ack — ErrBadClosure, a ledger verdict, the buffer
+// back in the pool, the sender nacked — and the channel carries on.
+func TestDelegationRejectsCraftedHeader(t *testing.T) {
+	capacity := uint32(testGeo.DataSize() - msgHeaderSize)
+	for _, tc := range []struct {
+		name                        string
+		magic, index, total, length uint32
+		ok                          bool
+	}{
+		{"full chunk", msgMagic, 0, 1, capacity, true},
+		{"last of three", msgMagic, 2, 3, 5, true},
+		{"length one past capacity", msgMagic, 0, 1, capacity + 1, false},
+		{"length 4 GiB", msgMagic, 0, 1, 0xFFFFFFFF, false},
+		{"index equals total", msgMagic, 1, 1, 5, false},
+		{"no chunks at all", msgMagic, 0, 0, 5, false},
+		{"wrong magic", msgMagic + 1, 0, 1, 5, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newRig(t, 0)
+			sink := trace.NewSink()
+			r.dgB.SetTrace(sink.Probe("b"))
+			free := r.dgB.PoolFree()
+			sendCrafted(t, r.dgA, tc.magic, tc.index, tc.total, tc.length)
+			got, err := r.dgB.Recv()
+			if tc.ok {
+				if err != nil || got.Index != int(tc.index) || got.Total != int(tc.total) || got.Length != int(tc.length) {
+					t.Fatalf("Recv = %+v, %v", got, err)
+				}
+				if p, err := got.Payload(); err != nil || len(p) != int(tc.length) {
+					t.Fatalf("Payload = %d bytes, %v", len(p), err)
+				}
+				return
+			}
+			if !errors.Is(err, core.ErrBadClosure) || got != nil {
+				t.Fatalf("Recv = %+v, %v, want ErrBadClosure", got, err)
+			}
+			if r.dgB.PoolFree() != free {
+				t.Fatalf("receiver pool %d regions after the reject, want %d", r.dgB.PoolFree(), free)
+			}
+			if n := sink.Snapshot().Counter(trace.CtrClosuresRejected); n != 1 {
+				t.Fatalf("%d rejections counted, want 1", n)
+			}
+			evs := sink.SecEvents()
+			if len(evs) != 1 || evs[0].Kind != trace.EvMigrationReject || evs[0].Detail != "delegation: malformed closure" {
+				t.Fatalf("ledger after the reject: %+v", evs)
+			}
+			if err := r.dgA.DrainAcks(); !errors.Is(err, ErrClosed) || r.dgA.InFlight() != 0 {
+				t.Fatalf("sender after the nack: %v, %d in flight", err, r.dgA.InFlight())
+			}
+			msg := []byte("the channel still works")
+			if err := r.dgA.Send(msg); err != nil {
+				t.Fatal(err)
+			}
+			if back, err := r.dgB.RecvMessage(); err != nil || !bytes.Equal(back, msg) {
+				t.Fatalf("round trip after the reject: %q, %v", back, err)
+			}
+		})
 	}
 }

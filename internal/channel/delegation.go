@@ -290,9 +290,10 @@ func (r *Received) Release() error {
 }
 
 // Recv accepts the next inbound closure: unseal, freshness and order
-// checks, full verification, install — then acks the sender. A rejected
-// closure (tampered, replayed, re-ordered) returns the protocol error and
-// nacks the sender, whose buffer returns to valid for retry.
+// checks, full verification, install, framing-header check — then acks
+// the sender. A rejected closure (tampered, replayed, re-ordered, or
+// framed with an impossible header) returns the protocol error and nacks
+// the sender, whose buffer returns to valid for retry.
 func (c *Delegation) Recv() (*Received, error) {
 	m, ok := c.popKind(netsim.KindClosure)
 	if !ok {
@@ -323,12 +324,19 @@ func (c *Delegation) Recv() (*Received, error) {
 	ctl.SetCausal(sp.Context())
 	err = mmt.Accept(c.conn, m.Payload)
 	ctl.SetCausal(trace.Context{})
+	// A refused closure leaves the buffer waiting; one installed under a
+	// framing header that fails its checks is reclaimed.
+	got, free := (*Received)(nil), mmt.Cancel
+	if err == nil {
+		got, free = &Received{ch: c, mmt: mmt}, mmt.Reclaim
+		err = got.readHeader()
+	}
 	if err != nil {
 		hint, named := core.RecordReject(c.probe, c.ep.Clock().Now(), err, m.Payload, "delegation: ", "closure")
-		// Free the waiting buffer and nack the specific delegation.
-		if cerr := mmt.Cancel(); cerr != nil {
+		// Free the buffer and nack the specific delegation.
+		if ferr := free(); ferr != nil {
 			sp.End(c.ep.Clock().Now())
-			return nil, cerr
+			return nil, ferr
 		}
 		c.pool = append(c.pool, region)
 		if named {
@@ -347,23 +355,35 @@ func (c *Delegation) Recv() (*Received, error) {
 	c.ep.SendOwned(c.peer, netsim.KindControl, encodeAck(true, mmt.GUAddr()), ctx)
 	c.probe.Event(trace.EvMigrationAccept, c.ep.Clock().Now(), mmt.GUAddr(), "delegation: closure installed")
 	sp.End(c.ep.Clock().Now())
+	return got, nil
+}
 
-	c.node.Controller().SetQuiet(true)
-	hdr, err := mmt.ReadBytes(0, msgHeaderSize)
-	c.node.Controller().SetQuiet(false)
+// readHeader fills Index, Total and Length from the framing header at the
+// start of the installed region, and refuses a header no sender builds.
+// The fields are the word of a peer that merely holds the connection key:
+// Length sizes Payload's read, so it is bounded by what one closure
+// carries before the transfer is acknowledged. Like Payload, the read is
+// not charged.
+func (r *Received) readHeader() error {
+	ctl := r.ch.node.Controller()
+	ctl.SetQuiet(true)
+	hdr, err := r.mmt.ReadBytes(0, msgHeaderSize)
+	ctl.SetQuiet(false)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if binary.LittleEndian.Uint32(hdr) != msgMagic {
-		return nil, fmt.Errorf("channel: received closure is not a framed message")
+		return fmt.Errorf("%w: not a framed message", core.ErrBadClosure)
 	}
-	return &Received{
-		ch:     c,
-		mmt:    mmt,
-		Index:  int(binary.LittleEndian.Uint32(hdr[4:])),
-		Total:  int(binary.LittleEndian.Uint32(hdr[8:])),
-		Length: int(binary.LittleEndian.Uint32(hdr[12:])),
-	}, nil
+	index, total, length := binary.LittleEndian.Uint32(hdr[4:]), binary.LittleEndian.Uint32(hdr[8:]), binary.LittleEndian.Uint32(hdr[12:])
+	if index >= total {
+		return fmt.Errorf("%w: chunk %d of %d", core.ErrBadClosure, index, total)
+	}
+	if uint64(length) > uint64(r.ch.Capacity()) {
+		return fmt.Errorf("%w: chunk of %d bytes, a closure carries %d", core.ErrBadClosure, length, r.ch.Capacity())
+	}
+	r.Index, r.Total, r.Length = int(index), int(total), int(length)
+	return nil
 }
 
 // RecvMessage assembles a whole multi-chunk message, releasing the buffer

@@ -142,21 +142,39 @@ func (n *Node) RestoreMMT(region int, st State, key crypt.Key, guaddr uint64, mo
 	return m, nil
 }
 
-// Read decrypts one line of the MMT's region (verifying the path).
-func (m *MMT) Read(line int) ([]byte, error) {
+// readable reports whether the MMT's state admits reads.
+func (m *MMT) readable() error {
 	if m.state != StateValid && m.state != StateSending {
-		return nil, fmt.Errorf("%w: read in state %v", ErrState, m.state)
+		return fmt.Errorf("%w: read in state %v", ErrState, m.state)
 	}
-	return m.node.ctl.Read(m.region, line)
+	return nil
 }
 
-// Write encrypts one line into the MMT's region (updating the tree).
-func (m *MMT) Write(line int, plaintext []byte) error {
+// writable reports whether the MMT's state admits writes.
+func (m *MMT) writable() error {
 	if m.state != StateValid {
 		return fmt.Errorf("%w: write in state %v", ErrState, m.state)
 	}
 	if m.readOnly {
 		return engine.ErrReadOnly
+	}
+	return nil
+}
+
+// Read decrypts one line of the MMT's region (verifying the path) into a
+// fresh buffer.
+func (m *MMT) Read(line int) ([]byte, error) {
+	out := make([]byte, engine.LineSize)
+	if err := m.ReadInto(line, out); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// Write encrypts one line into the MMT's region (updating the tree).
+func (m *MMT) Write(line int, plaintext []byte) error {
+	if err := m.writable(); err != nil {
+		return err
 	}
 	return m.node.ctl.Write(m.region, line, plaintext)
 }
@@ -165,55 +183,122 @@ func (m *MMT) Write(line int, plaintext []byte) error {
 // into dst, which must be engine.LineSize bytes. It is Read without the
 // per-line allocation.
 func (m *MMT) ReadInto(line int, dst []byte) error {
-	if m.state != StateValid && m.state != StateSending {
-		return fmt.Errorf("%w: read in state %v", ErrState, m.state)
+	if err := m.readable(); err != nil {
+		return err
 	}
 	return m.node.ctl.ReadInto(m.region, line, dst)
+}
+
+// checkSpan rejects a byte span that does not lie inside the region.
+func (m *MMT) checkSpan(op string, off, n int) error {
+	if size := m.node.ctl.Geometry().DataSize(); off < 0 || n < 0 || n > size-off {
+		return fmt.Errorf("core: %s [%d,+%d) outside region of %d bytes", op, off, n, size)
+	}
+	return nil
+}
+
+// ReadAt fills dst with the bytes at byte offset off of the MMT's region.
+// It is the one place a byte span is cut into lines: a partial first or
+// last line is staged through one line buffer, and the whole lines
+// between go to the controller's range kernel in one call, decrypted
+// straight into dst. A span outside the region is refused before any
+// line is touched.
+func (m *MMT) ReadAt(off int, dst []byte) error {
+	if err := m.checkSpan("read", off, len(dst)); err != nil {
+		return err
+	}
+	var stage [engine.LineSize]byte
+	line := off / engine.LineSize
+	if lo := off % engine.LineSize; lo != 0 && len(dst) > 0 {
+		if err := m.ReadInto(line, stage[:]); err != nil {
+			return err
+		}
+		dst = dst[copy(dst, stage[lo:]):]
+		line++
+	}
+	if whole := len(dst) / engine.LineSize * engine.LineSize; whole > 0 {
+		if err := m.readable(); err != nil {
+			return err
+		}
+		if err := m.node.ctl.ReadRange(m.region, line, dst[:whole]); err != nil {
+			return err
+		}
+		dst = dst[whole:]
+		line += whole / engine.LineSize
+	}
+	if len(dst) > 0 {
+		if err := m.ReadInto(line, stage[:]); err != nil {
+			return err
+		}
+		copy(dst, stage[:])
+	}
+	return nil
+}
+
+// WriteAt stores p at byte offset off of the MMT's region, cutting the
+// span exactly as ReadAt does: a partial first or last line is
+// read-modify-written through one line buffer, the whole lines between
+// go to the controller's range kernel in one call. A span outside the
+// region is refused before any line is written.
+func (m *MMT) WriteAt(off int, p []byte) error {
+	if err := m.checkSpan("write", off, len(p)); err != nil {
+		return err
+	}
+	var stage [engine.LineSize]byte
+	partial := func(line, lo int) error {
+		if err := m.ReadInto(line, stage[:]); err != nil {
+			return err
+		}
+		p = p[copy(stage[lo:], p):]
+		return m.Write(line, stage[:])
+	}
+	line := off / engine.LineSize
+	if lo := off % engine.LineSize; lo != 0 && len(p) > 0 {
+		if err := partial(line, lo); err != nil {
+			return err
+		}
+		line++
+	}
+	if whole := len(p) / engine.LineSize * engine.LineSize; whole > 0 {
+		if err := m.writable(); err != nil {
+			return err
+		}
+		if err := m.node.ctl.WriteRange(m.region, line, p[:whole]); err != nil {
+			return err
+		}
+		p = p[whole:]
+		line += whole / engine.LineSize
+	}
+	if len(p) > 0 {
+		return partial(line, 0)
+	}
+	return nil
 }
 
 // WriteBytes writes a byte span starting at a line boundary, padding the
 // final line with zeros. Convenience for message-passing payloads.
 func (m *MMT) WriteBytes(startLine int, p []byte) error {
-	line := startLine
-	for ; len(p) >= engine.LineSize; line, p = line+1, p[engine.LineSize:] {
-		if err := m.Write(line, p[:engine.LineSize]); err != nil {
-			return err
-		}
+	off, whole := startLine*engine.LineSize, len(p)/engine.LineSize*engine.LineSize
+	if whole == len(p) {
+		return m.WriteAt(off, p)
 	}
-	if len(p) == 0 {
-		return nil
+	// Refuse a padded last line outside the region before writing any.
+	if err := m.checkSpan("write", off, whole+engine.LineSize); err != nil {
+		return err
+	}
+	if err := m.WriteAt(off, p[:whole]); err != nil {
+		return err
 	}
 	var last [engine.LineSize]byte
-	copy(last[:], p)
-	return m.Write(line, last[:])
-}
-
-// ReadAt fills dst with the bytes at byte offset off of the MMT's region.
-// Whole lines are decrypted straight into dst; a partial first or last
-// line is staged through one line buffer.
-func (m *MMT) ReadAt(off int, dst []byte) error {
-	var stage [engine.LineSize]byte
-	for len(dst) > 0 {
-		line, lo := off/engine.LineSize, off%engine.LineSize
-		take := min(engine.LineSize-lo, len(dst))
-		if take == engine.LineSize {
-			if err := m.ReadInto(line, dst[:take]); err != nil {
-				return err
-			}
-		} else {
-			if err := m.ReadInto(line, stage[:]); err != nil {
-				return err
-			}
-			copy(dst, stage[lo:lo+take])
-		}
-		off += take
-		dst = dst[take:]
-	}
-	return nil
+	copy(last[:], p[whole:])
+	return m.WriteAt(off+whole, last[:])
 }
 
 // ReadBytes reads n bytes starting at a line boundary.
 func (m *MMT) ReadBytes(startLine, n int) ([]byte, error) {
+	if err := m.checkSpan("read", startLine*engine.LineSize, n); err != nil {
+		return nil, err
+	}
 	out := make([]byte, n)
 	if err := m.ReadAt(startLine*engine.LineSize, out); err != nil {
 		return nil, err

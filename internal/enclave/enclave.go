@@ -15,8 +15,8 @@ import (
 	"sort"
 
 	"mmt/internal/attest"
+	"mmt/internal/core"
 	"mmt/internal/crypt"
-	"mmt/internal/engine"
 	"mmt/internal/monitor"
 )
 
@@ -127,74 +127,42 @@ func (e *Enclave) resolve(va uint64, n int) (*mapping, error) {
 	return &e.maps[i], nil
 }
 
-// Read loads n bytes from the enclave's virtual address space, verifying
-// and decrypting through the MMT controller line by line.
-func (e *Enclave) Read(va uint64, n int) ([]byte, error) {
+// mmtAt resolves [va, va+n) to the MMT backing it and the span's byte
+// offset within that MMT's region.
+func (e *Enclave) mmtAt(va uint64, n int) (*core.MMT, int, error) {
 	m, err := e.resolve(va, n)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	mmt := m.pmo.MMT()
 	if mmt == nil {
-		return nil, fmt.Errorf("enclave: PMO %d has no MMT", m.pmo.Cap)
+		return nil, 0, fmt.Errorf("enclave: PMO %d has no MMT", m.pmo.Cap)
 	}
-	off := int(va - m.va)
-	out := make([]byte, 0, n)
-	for n > 0 {
-		line := off / engine.LineSize
-		lo := off % engine.LineSize
-		data, err := mmt.Read(line)
-		if err != nil {
-			return nil, err
-		}
-		take := engine.LineSize - lo
-		if take > n {
-			take = n
-		}
-		out = append(out, data[lo:lo+take]...)
-		off += take
-		n -= take
+	return mmt, int(va - m.va), nil
+}
+
+// Read loads n bytes from the enclave's virtual address space, verifying
+// and decrypting through the MMT controller.
+func (e *Enclave) Read(va uint64, n int) ([]byte, error) {
+	mmt, off, err := e.mmtAt(va, n)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]byte, n)
+	if err := mmt.ReadAt(off, out); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
 
-// Write stores p at va, splitting into line-granular read-modify-write
-// operations as a TEEOS data path would.
+// Write stores p at va; partial lines are read-modify-written, as a TEEOS
+// data path would.
 func (e *Enclave) Write(va uint64, p []byte) error {
-	m, err := e.resolve(va, len(p))
+	mmt, off, err := e.mmtAt(va, len(p))
 	if err != nil {
 		return err
 	}
-	mmt := m.pmo.MMT()
-	if mmt == nil {
-		return fmt.Errorf("enclave: PMO %d has no MMT", m.pmo.Cap)
-	}
-	off := int(va - m.va)
-	for len(p) > 0 {
-		line := off / engine.LineSize
-		lo := off % engine.LineSize
-		take := engine.LineSize - lo
-		if take > len(p) {
-			take = len(p)
-		}
-		var buf []byte
-		if lo == 0 && take == engine.LineSize {
-			buf = p[:take]
-		} else {
-			cur, err := mmt.Read(line)
-			if err != nil {
-				return err
-			}
-			copy(cur[lo:], p[:take])
-			buf = cur
-		}
-		if err := mmt.Write(line, buf); err != nil {
-			return err
-		}
-		off += take
-		p = p[take:]
-	}
-	return nil
+	return mmt.WriteAt(off, p)
 }
 
 // CapAt reports the capability mapped at va (for delegation calls).

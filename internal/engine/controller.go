@@ -357,14 +357,16 @@ func (c *Controller) Enable(r int, key crypt.Key, guaddr, rootCounter uint64) er
 	// The write path's kernel, line by line: cached tweak bases, pad and
 	// mask derived from them, no allocation.
 	data := c.mem.RegionData(r)
-	for line := range c.geo.Lines() {
-		buf := data[line*mem.LineSize : (line+1)*mem.LineSize]
-		ctr := tr.LeafCounter(line)
-		padBase, macBase := st.lineBases(line, &c.scr)
-		crypt.XORLine(buf, buf, st.linePadFor(line, padBase, ctr, &c.scr))
-		st.lineMACs[line] = eng.LineHash(buf, &c.scr) ^ st.lineMaskFor(line, macBase, ctr, &c.scr)
-	}
-	return nil
+	return c.sweepLines(func(lo, hi int, scr *crypt.Scratch) error {
+		for line := lo; line < hi; line++ {
+			buf := data[line*mem.LineSize : (line+1)*mem.LineSize]
+			ctr := tr.LeafCounter(line)
+			padBase, macBase := st.lineBases(line, scr)
+			crypt.XORLine(buf, buf, st.linePadFor(line, padBase, ctr, scr))
+			st.lineMACs[line] = eng.LineHash(buf, scr) ^ st.lineMaskFor(line, macBase, ctr, scr)
+		}
+		return nil
+	})
 }
 
 // bindRegion makes st the live state of the disabled region r: it adds
@@ -418,10 +420,15 @@ func (c *Controller) Release(r int) error {
 		return ErrDisabled
 	}
 	data := c.mem.RegionData(r)
-	for line := range c.geo.Lines() {
-		buf := data[line*mem.LineSize : (line+1)*mem.LineSize]
-		padBase, _ := st.lineBases(line, &c.scr)
-		crypt.XORLine(buf, buf, st.linePadFor(line, padBase, st.tr.LeafCounter(line), &c.scr))
+	if err := c.sweepLines(func(lo, hi int, scr *crypt.Scratch) error {
+		for line := lo; line < hi; line++ {
+			buf := data[line*mem.LineSize : (line+1)*mem.LineSize]
+			padBase, _ := st.lineBases(line, scr)
+			crypt.XORLine(buf, buf, st.linePadFor(line, padBase, st.tr.LeafCounter(line), scr))
+		}
+		return nil
+	}); err != nil {
+		return err
 	}
 	c.Invalidate(r)
 	return nil
@@ -542,54 +549,85 @@ func (c *Controller) nodeIndexAt(line, l int) int {
 	return line / c.levelDiv[l]
 }
 
-// Read verifies and decrypts the given line of secure region r into a
-// fresh buffer. The allocation-free variant is ReadInto.
-func (c *Controller) Read(r, line int) ([]byte, error) {
-	out := make([]byte, mem.LineSize)
-	if err := c.ReadInto(r, line, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // ReadInto verifies and decrypts the given line of secure region r into
-// dst (mem.LineSize bytes). The whole steady-state path — batched path
-// verification, line MAC check, OTP decryption — runs through the
-// controller's scratch buffers and performs zero heap allocations
-// (TestReadWriteZeroAlloc), matching the hardware data path it models.
+// dst (mem.LineSize bytes): ReadRange over one line.
 //
 //mmt:hotpath
 func (c *Controller) ReadInto(r, line int, dst []byte) error {
+	return c.ReadRange(r, line, dst[:mem.LineSize])
+}
+
+// ReadRange verifies and decrypts len(dst)/mem.LineSize consecutive lines
+// of secure region r, starting at line, into dst. Every line is counted,
+// charged, MAC-checked and decrypted on its own, in line order; the tree
+// path is verified once per leaf run — the lines of the span that share
+// one leaf node, hence one whole path — at the run's first line. Nothing
+// but this controller writes the tree arena inside one call and a read
+// moves no counter, so the verification a line-by-line loop would repeat
+// for each further line of the run is the same computation on the same
+// words. The whole steady-state path — batched path verification, line
+// MAC check, OTP decryption — runs through the controller's scratch
+// buffers and performs zero heap allocations (TestReadWriteZeroAlloc),
+// matching the hardware data path it models.
+//
+//mmt:hotpath
+func (c *Controller) ReadRange(r, line int, dst []byte) error {
 	st := c.region(r)
 	if st.mode == ModeDisabled {
 		return ErrDisabled
 	}
-	c.stats.Reads++
-	total, verify := c.chargePath(r, line, 0)
-	c.recordAccess(trace.OpLocalRead, total, verify)
-	if err := st.tr.VerifyPath(st.eng, st.guaddr, line); err != nil {
-		c.probe.Event(trace.EvIntegrityFail, c.clock.Now(), st.guaddr, "read: tree path")
-		return err
+	leafArity := c.levelDiv[len(c.levelDiv)-1]
+	for start := line; len(dst) > 0; line, dst = line+1, dst[mem.LineSize:] {
+		c.stats.Reads++
+		total, verify := c.chargePath(r, line, 0)
+		c.recordAccess(trace.OpLocalRead, total, verify)
+		if line == start || line%leafArity == 0 {
+			if err := st.tr.VerifyPath(st.eng, st.guaddr, line); err != nil {
+				c.probe.Event(trace.EvIntegrityFail, c.clock.Now(), st.guaddr, "read: tree path")
+				return err
+			}
+		}
+		ct := c.mem.LineView(c.lineAddr(r, line))
+		ctr := st.tr.LeafCounter(line)
+		padBase, macBase := st.lineBases(line, &c.scr)
+		// Constant-time compare: the stored line MAC is untrusted (meta-zone)
+		// and a variable-time == would leak matching tag bytes to a prober.
+		if !crypt.TagEqual(st.eng.LineHash(ct, &c.scr)^st.lineMaskFor(line, macBase, ctr, &c.scr), st.lineMACs[line]) {
+			c.probe.Event(trace.EvIntegrityFail, c.clock.Now(), st.guaddr, "read: data line MAC")
+			return fmt.Errorf("%w: data line %d", ErrIntegrity, line)
+		}
+		crypt.XORLine(dst[:mem.LineSize], ct, st.linePadFor(line, padBase, ctr, &c.scr))
 	}
-	ct := c.mem.LineView(c.lineAddr(r, line))
-	ctr := st.tr.LeafCounter(line)
-	padBase, macBase := st.lineBases(line, &c.scr)
-	// Constant-time compare: the stored line MAC is untrusted (meta-zone)
-	// and a variable-time == would leak matching tag bytes to a prober.
-	if !crypt.TagEqual(st.eng.LineHash(ct, &c.scr)^st.lineMaskFor(line, macBase, ctr, &c.scr), st.lineMACs[line]) {
-		c.probe.Event(trace.EvIntegrityFail, c.clock.Now(), st.guaddr, "read: data line MAC")
-		return fmt.Errorf("%w: data line %d", ErrIntegrity, line)
-	}
-	crypt.XORLine(dst, ct, st.linePadFor(line, padBase, ctr, &c.scr))
 	return nil
 }
 
 // Write verifies the path, advances the counters and stores the encrypted
-// line. Counter overflow triggers the re-encryption of sibling lines
-// (§V-A2's global-counter exhaustion procedure).
+// line: WriteRange over one line.
 //
 //mmt:hotpath
 func (c *Controller) Write(r, line int, plaintext []byte) error {
+	return c.WriteRange(r, line, plaintext[:mem.LineSize])
+}
+
+// WriteRange stores len(src)/mem.LineSize consecutive plaintext lines of
+// secure region r, starting at line. Every line is counted, charged,
+// encrypted, stored, MACed and marked dirty on its own, in line order;
+// the tree work is done once per leaf run. At a run's first line the path
+// is verified — the tree engine "checks data integrity before writing",
+// and here before any counter of the run moves — and tree.UpdateRun then
+// advances the counters for every line of the run and re-MACs each path
+// node once. A line-by-line loop would verify, between two lines of the
+// run, exactly the node MACs it had itself just written, and would re-MAC
+// the path after every line though only the last result survives; memory,
+// line MACs, the tree, Stats and the clock end bit-identical.
+//
+// When a counter on the path would overflow within the run, the run's
+// first line advances alone through tree.Update, whose overflow procedure
+// re-encrypts the sibling lines (§V-A2's global-counter exhaustion), and
+// the remaining lines start a new run.
+//
+//mmt:hotpath
+func (c *Controller) WriteRange(r, line int, src []byte) error {
 	st := c.region(r)
 	switch st.mode {
 	case ModeDisabled:
@@ -597,27 +635,40 @@ func (c *Controller) Write(r, line int, plaintext []byte) error {
 	case ModeReadOnly:
 		return ErrReadOnly
 	}
-	c.stats.Writes++
-	// Verify-before-write: the tree engine "checks data integrity before
-	// writing".
-	if err := st.tr.VerifyPath(st.eng, st.guaddr, line); err != nil {
-		c.probe.Event(trace.EvIntegrityFail, c.clock.Now(), st.guaddr, "write: tree path")
-		return err
-	}
-	res := st.tr.Update(st.eng, st.guaddr, line)
-	total, verify := c.chargePath(r, line, res.NodesTouched)
-	c.recordAccess(trace.OpLocalWrite, total, verify)
+	leafArity := c.levelDiv[len(c.levelDiv)-1]
+	// pending lines of the current run are already advanced in the tree;
+	// touched is the node re-MACs each of them is charged for.
+	for pending, touched := 0, 0; len(src) > 0; line, src = line+1, src[mem.LineSize:] {
+		c.stats.Writes++
+		var reencrypt []int
+		if pending == 0 {
+			if err := st.tr.VerifyPath(st.eng, st.guaddr, line); err != nil {
+				c.probe.Event(trace.EvIntegrityFail, c.clock.Now(), st.guaddr, "write: tree path")
+				return err
+			}
+			pending = min(leafArity-line%leafArity, len(src)/mem.LineSize)
+			touched = c.geo.Levels()
+			if !st.tr.UpdateRun(st.eng, st.guaddr, line, pending) {
+				res := st.tr.Update(st.eng, st.guaddr, line)
+				pending, touched, reencrypt = 1, res.NodesTouched, res.ReencryptLines
+			}
+		}
+		pending--
+		total, verify := c.chargePath(r, line, touched)
+		c.recordAccess(trace.OpLocalWrite, total, verify)
 
-	padBase, macBase := st.lineBases(line, &c.scr)
-	ct := c.lineBuf[:]
-	crypt.XORLine(ct, plaintext, st.linePadFor(line, padBase, res.LeafCounter, &c.scr))
-	c.mem.WriteLine(c.lineAddr(r, line), ct)
-	st.lineMACs[line] = st.eng.LineHash(ct, &c.scr) ^ st.lineMaskFor(line, macBase, res.LeafCounter, &c.scr)
-	st.markLine(line)
+		ctr := st.tr.LeafCounter(line)
+		padBase, macBase := st.lineBases(line, &c.scr)
+		ct := c.lineBuf[:]
+		crypt.XORLine(ct, src[:mem.LineSize], st.linePadFor(line, padBase, ctr, &c.scr))
+		c.mem.WriteLine(c.lineAddr(r, line), ct)
+		st.lineMACs[line] = st.eng.LineHash(ct, &c.scr) ^ st.lineMaskFor(line, macBase, ctr, &c.scr)
+		st.markLine(line)
 
-	for _, ln := range res.ReencryptLines {
-		if err := c.reencryptLine(st, r, ln); err != nil {
-			return err
+		for _, ln := range reencrypt {
+			if err := c.reencryptLine(st, r, ln); err != nil {
+				return err
+			}
 		}
 	}
 	return nil

@@ -38,6 +38,15 @@ func fill(c *Controller, r int, seed byte) {
 	}
 }
 
+// readLine is ReadInto into a fresh buffer.
+func readLine(c *Controller, r, line int) ([]byte, error) {
+	out := make([]byte, LineSize)
+	if err := c.ReadInto(r, line, out); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
 func TestNewValidatesGeometryAgainstMemory(t *testing.T) {
 	geo := tree.ForLevels(2) // 64 KB regions
 	m := mem.New(mem.Config{Size: 1 << 20, RegionSize: 128 << 10, MetaPerRegion: 16 << 10})
@@ -65,7 +74,7 @@ func TestEnableEncryptsInPlace(t *testing.T) {
 	}
 	// Reads decrypt back to the original plaintext.
 	for line := 0; line < c.Geometry().Lines(); line++ {
-		got, err := c.Read(0, line)
+		got, err := readLine(c, 0, line)
 		if err != nil {
 			t.Fatalf("read line %d: %v", line, err)
 		}
@@ -94,7 +103,7 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	if err := c.Write(0, 7, line); err != nil {
 		t.Fatal(err)
 	}
-	got, err := c.Read(0, 7)
+	got, err := readLine(c, 0, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +117,7 @@ func TestWriteReadRoundTrip(t *testing.T) {
 
 func TestDisabledRegionRejectsAccess(t *testing.T) {
 	c := testSetup(t)
-	if _, err := c.Read(0, 0); !errors.Is(err, ErrDisabled) {
+	if _, err := readLine(c, 0, 0); !errors.Is(err, ErrDisabled) {
 		t.Fatalf("Read on disabled region: %v", err)
 	}
 	if err := c.Write(0, 0, make([]byte, mem.LineSize)); !errors.Is(err, ErrDisabled) {
@@ -133,7 +142,7 @@ func TestReadOnlyModeRejectsWrites(t *testing.T) {
 	if err := c.Write(0, 0, make([]byte, mem.LineSize)); !errors.Is(err, ErrReadOnly) {
 		t.Fatalf("Write in read-only mode: %v, want ErrReadOnly", err)
 	}
-	if _, err := c.Read(0, 0); err != nil {
+	if _, err := readLine(c, 0, 0); err != nil {
 		t.Fatalf("Read in read-only mode failed: %v", err)
 	}
 }
@@ -146,7 +155,7 @@ func TestPhysicalTamperOnDataDetected(t *testing.T) {
 	}
 	// Off-chip attacker flips a bit in DRAM (raw write, no checks).
 	c.Memory().Write(5, []byte{c.Memory().Read(5, 1)[0] ^ 1})
-	if _, err := c.Read(0, 0); !errors.Is(err, ErrIntegrity) {
+	if _, err := readLine(c, 0, 0); !errors.Is(err, ErrIntegrity) {
 		t.Fatalf("tampered data read: %v, want integrity failure", err)
 	}
 }
@@ -164,7 +173,7 @@ func TestPhysicalReplayOnDataDetected(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Memory().WriteLine(0, stale)
-	if _, err := c.Read(0, 0); !errors.Is(err, ErrIntegrity) {
+	if _, err := readLine(c, 0, 0); !errors.Is(err, ErrIntegrity) {
 		t.Fatalf("replayed stale line read: %v, want integrity failure", err)
 	}
 }
@@ -185,7 +194,7 @@ func TestMetaZoneTamperDetected(t *testing.T) {
 	if err := c.LoadMeta(0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Read(0, 0); !errors.Is(err, ErrIntegrity) {
+	if _, err := readLine(c, 0, 0); !errors.Is(err, ErrIntegrity) {
 		t.Fatalf("tampered meta read: %v, want integrity failure", err)
 	}
 }
@@ -204,7 +213,7 @@ func TestMetaZoneRoundTripVerifies(t *testing.T) {
 		t.Fatal(err)
 	}
 	for line := 0; line < c.Geometry().Lines(); line++ {
-		if _, err := c.Read(0, line); err != nil {
+		if _, err := readLine(c, 0, line); err != nil {
 			t.Fatalf("read after meta round trip, line %d: %v", line, err)
 		}
 	}
@@ -218,7 +227,7 @@ func TestExportInstallRoundTrip(t *testing.T) {
 	if err := c.Enable(0, testKey, 0x11, 0); err != nil {
 		t.Fatal(err)
 	}
-	want0, err := c.Read(0, 0)
+	want0, err := readLine(c, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +238,7 @@ func TestExportInstallRoundTrip(t *testing.T) {
 	if err := c.Install(1, testKey, guaddr, rootCtr, tb, data, macs, ModeReadWrite); err != nil {
 		t.Fatal(err)
 	}
-	got, err := c.Read(1, 0)
+	got, err := readLine(c, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,7 +378,7 @@ func TestCounterOverflowEndToEnd(t *testing.T) {
 		t.Fatal("no overflow re-encryption happened; test is vacuous")
 	}
 	for line := 0; line < geo.Lines(); line++ {
-		got, err := c.Read(0, line)
+		got, err := readLine(c, 0, line)
 		if err != nil {
 			t.Fatalf("read line %d after overflow: %v", line, err)
 		}
@@ -387,7 +396,7 @@ func TestStatsAndCycleAccounting(t *testing.T) {
 	}
 	c.ResetStats()
 	before := c.Clock().Now()
-	if _, err := c.Read(0, 0); err != nil {
+	if _, err := readLine(c, 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	s := c.Stats()
@@ -402,7 +411,7 @@ func TestStatsAndCycleAccounting(t *testing.T) {
 	}
 	// Second read of the same line hits the cache and is cheaper.
 	costFirst := s.Cycles
-	if _, err := c.Read(0, 0); err != nil {
+	if _, err := readLine(c, 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	s2 := c.Stats()
@@ -489,7 +498,7 @@ func TestRandomOpSequenceProperty(t *testing.T) {
 				}
 				copy(shadow[line*mem.LineSize:], buf)
 			} else { // read
-				got, err := c.Read(0, line)
+				got, err := readLine(c, 0, line)
 				if err != nil {
 					return false
 				}
@@ -500,7 +509,7 @@ func TestRandomOpSequenceProperty(t *testing.T) {
 		}
 		// Full sweep at the end.
 		for line := 0; line < geo.Lines(); line++ {
-			got, err := c.Read(0, line)
+			got, err := readLine(c, 0, line)
 			if err != nil || !bytes.Equal(got, shadow[line*mem.LineSize:(line+1)*mem.LineSize]) {
 				return false
 			}
@@ -529,7 +538,7 @@ func TestExportInstallPreservesEveryLineProperty(t *testing.T) {
 		}
 		var want [][]byte
 		for line := 0; line < c.Geometry().Lines(); line++ {
-			got, err := c.Read(0, line)
+			got, err := readLine(c, 0, line)
 			if err != nil {
 				return false
 			}
@@ -543,7 +552,7 @@ func TestExportInstallPreservesEveryLineProperty(t *testing.T) {
 			return false
 		}
 		for line := 0; line < c.Geometry().Lines(); line++ {
-			got, err := c.Read(1, line)
+			got, err := readLine(c, 1, line)
 			if err != nil || !bytes.Equal(got, want[line]) {
 				return false
 			}

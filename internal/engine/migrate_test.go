@@ -10,6 +10,8 @@ import (
 
 	"mmt/internal/crypt"
 	"mmt/internal/mem"
+	"mmt/internal/sim"
+	"mmt/internal/tree"
 )
 
 // TestPlaneRecycling: a region enabled on planes another tenant left
@@ -60,7 +62,7 @@ func TestPlaneRecycling(t *testing.T) {
 		t.Fatal("ciphertext or line MACs on recycled planes differ from fresh planes")
 	}
 	for line := 0; line < lines; line++ {
-		got, err := c.Read(1, line)
+		got, err := readLine(c, 1, line)
 		if err != nil || !bytes.Equal(got, plain[line*mem.LineSize:(line+1)*mem.LineSize]) {
 			t.Fatalf("line %d on recycled planes: %x, %v", line, got, err)
 		}
@@ -74,7 +76,7 @@ func TestPlaneRecycling(t *testing.T) {
 	if err := c.Install(2, keyB, guaddr, rootCtr, tb, data, macs, ModeReadWrite); err != nil {
 		t.Fatal(err)
 	}
-	if got, err := c.Read(2, 7); err != nil || !bytes.Equal(got, plain[7*mem.LineSize:8*mem.LineSize]) {
+	if got, err := readLine(c, 2, 7); err != nil || !bytes.Equal(got, plain[7*mem.LineSize:8*mem.LineSize]) {
 		t.Fatalf("line 7 after install on recycled planes: %x, %v", got, err)
 	}
 	c.Invalidate(2)
@@ -112,7 +114,13 @@ func TestPlaneRecycling(t *testing.T) {
 // of the sweep, Install names the lower one and leaves the region disabled
 // at every processor count — what the serial loop reports.
 func TestInstallSweepDeterminism(t *testing.T) {
-	c := testSetup(t)
+	// 768 lines: twelve 64-line groups, so the sweep really is cut in two
+	// and in four.
+	geo := tree.Geometry{Arities: []int{4, 8, 24}}
+	c, err := New(mem.New(mem.Config{Size: 2 * geo.DataSize(), RegionSize: geo.DataSize(), MetaPerRegion: geo.MetaSize()}), geo, nil, sim.Gem5Profile())
+	if err != nil {
+		t.Fatal(err)
+	}
 	lines := c.Geometry().Lines()
 	fill(c, 0, 5)
 	if err := c.Enable(0, testKey, 0x11, 0); err != nil {
@@ -171,7 +179,7 @@ func TestInstallDoesNotShareLivePlane(t *testing.T) {
 	if err := c.Write(0, 3, line); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Read(1, 3); err != nil {
+	if _, err := readLine(c, 1, 3); err != nil {
 		t.Fatalf("region 1 line 3 after a write to region 0: %v", err)
 	}
 	// Once the lender is gone the loan is the only reference, and Install

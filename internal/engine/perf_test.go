@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"mmt/internal/crypt"
@@ -15,8 +16,8 @@ import (
 
 // TestReadWriteZeroAlloc pins the full protected line path — batched tree
 // verify, counter update, line MAC, OTP crypto, DRAM copy — at zero heap
-// allocations per access once warm, with tracing both disabled and
-// enabled. The modelled hardware pipeline has no allocator; neither may
+// allocations per access once warm, for a single line and for a span over
+// three leaf runs, with tracing both disabled and enabled. The modelled hardware pipeline has no allocator; neither may
 // the steady-state software path.
 func TestReadWriteZeroAlloc(t *testing.T) {
 	for _, traced := range []bool{false, true} {
@@ -40,6 +41,7 @@ func TestReadWriteZeroAlloc(t *testing.T) {
 				}
 			}
 			line := 0
+			span := make([]byte, 10*LineSize) // lines [2,12) of 4-line leaves: runs [2,4) [4,8) [8,12)
 			allocs := testing.AllocsPerRun(200, func() {
 				if err := c.ReadInto(0, line, buf); err != nil {
 					t.Fatal(err)
@@ -47,34 +49,38 @@ func TestReadWriteZeroAlloc(t *testing.T) {
 				if err := c.Write(0, line, buf); err != nil {
 					t.Fatal(err)
 				}
+				if err := c.ReadRange(0, 2, span); err != nil {
+					t.Fatal(err)
+				}
+				if err := c.WriteRange(0, 2, span); err != nil {
+					t.Fatal(err)
+				}
 				line = (line + 1) % c.geo.Lines()
 			})
 			if allocs != 0 {
-				t.Fatalf("Read+Write allocates %.1f objects/op, want 0", allocs)
+				t.Fatalf("Read+Write+ReadRange+WriteRange allocates %.1f objects/op, want 0", allocs)
 			}
 		})
 	}
 }
 
-// TestReadIntoMatchesRead: the zero-alloc read variant returns the same
-// plaintext and errors as Read.
+// TestReadIntoMatchesRead: ReadInto, the one single-line read (the
+// allocating Controller.Read it was once checked against is gone),
+// returns every line's plaintext and the region's mode error.
 func TestReadIntoMatchesRead(t *testing.T) {
 	c := testSetup(t)
 	fill(c, 0, 7)
+	plain := bytes.Clone(c.Memory().RegionData(0))
 	if err := c.Enable(0, testKey, 0x21, 0); err != nil {
 		t.Fatal(err)
 	}
 	buf := make([]byte, LineSize)
 	for line := 0; line < c.geo.Lines(); line++ {
-		want, err := c.Read(0, line)
-		if err != nil {
-			t.Fatal(err)
-		}
 		if err := c.ReadInto(0, line, buf); err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(buf, want) {
-			t.Fatalf("line %d: ReadInto differs from Read", line)
+		if !bytes.Equal(buf, plain[line*LineSize:(line+1)*LineSize]) {
+			t.Fatalf("line %d: ReadInto differs from the plaintext", line)
 		}
 	}
 	if err := c.ReadInto(1, 0, buf); !errors.Is(err, ErrDisabled) {
@@ -245,8 +251,10 @@ func BenchmarkCacheInvalidateRegionContended(b *testing.B) {
 
 // TestEnableReleaseSweeps pins the whole-region sweeps of Enable and
 // Release to the slow reference (every ciphertext line is XORPad of the
-// plaintext, every line MAC is LineMAC) and to zero allocations per line:
-// a region 32 times larger costs the same number of allocations.
+// plaintext, every line MAC is LineMAC) at 1, 2 and 4 processors — the
+// sweeps are cut into per-processor chunks, and 768 lines make twelve
+// 64-line groups to cut — and, on one processor, to zero allocations per
+// line: a region 32 times larger costs the same number of allocations.
 func TestEnableReleaseSweeps(t *testing.T) {
 	setup := func(arities ...int) *Controller {
 		geo := tree.Geometry{Arities: arities}
@@ -268,30 +276,43 @@ func TestEnableReleaseSweeps(t *testing.T) {
 		}
 	}
 
-	c := setup(2, 3, 4)
-	fill(c, 0, 5)
-	plain := append([]byte(nil), c.Memory().RegionData(0)...)
-	if err := c.Enable(0, testKey, 0x11, 0); err != nil {
-		t.Fatal(err)
-	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	ref := crypt.NewEngine(testKey)
-	for line := range c.geo.Lines() {
-		tw := crypt.Tweak{GUAddr: 0x11, Line: uint32(line), Counter: c.Tree(0).LeafCounter(line)}
-		want := append([]byte(nil), plain[line*LineSize:(line+1)*LineSize]...)
-		ref.XORPad(tw, want)
-		ct, mac := c.LineState(0, line)
-		if !bytes.Equal(ct, want) || mac != ref.LineMAC(tw, ct) {
-			t.Fatalf("line %d: Enable disagrees with XORPad/LineMAC", line)
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		for _, c := range []*Controller{setup(2, 3, 4), setup(4, 8, 24)} {
+			fill(c, 0, 5)
+			plain := append([]byte(nil), c.Memory().RegionData(0)...)
+			if err := c.Enable(0, testKey, 0x11, 0); err != nil {
+				t.Fatal(err)
+			}
+			for line := range c.geo.Lines() {
+				tw := crypt.Tweak{GUAddr: 0x11, Line: uint32(line), Counter: c.Tree(0).LeafCounter(line)}
+				want := append([]byte(nil), plain[line*LineSize:(line+1)*LineSize]...)
+				ref.XORPad(tw, want)
+				ct, mac := c.LineState(0, line)
+				if !bytes.Equal(ct, want) || mac != ref.LineMAC(tw, ct) {
+					t.Fatalf("GOMAXPROCS=%d, line %d of %d: Enable disagrees with XORPad/LineMAC", procs, line, c.geo.Lines())
+				}
+			}
+			// The planes the sweep filled serve the read path as they are.
+			buf := make([]byte, LineSize)
+			for line := range c.geo.Lines() {
+				if err := c.ReadInto(0, line, buf); err != nil || !bytes.Equal(buf, plain[line*LineSize:(line+1)*LineSize]) {
+					t.Fatalf("GOMAXPROCS=%d, line %d of %d: read after Enable: %v", procs, line, c.geo.Lines(), err)
+				}
+			}
+			if err := c.Release(0); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(c.Memory().RegionData(0), plain) {
+				t.Fatalf("GOMAXPROCS=%d, %d lines: Release did not restore the plaintext", procs, c.geo.Lines())
+			}
 		}
 	}
-	if err := c.Release(0); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(c.Memory().RegionData(0), plain) {
-		t.Fatal("Release did not restore the plaintext")
-	}
 
-	small := testing.AllocsPerRun(5, cycle(c))
+	runtime.GOMAXPROCS(1)
+	small := testing.AllocsPerRun(5, cycle(setup(2, 3, 4)))
 	big := testing.AllocsPerRun(5, cycle(setup(4, 8, 24))) // 768 lines against 24
 	if big != small {
 		t.Fatalf("Enable+Release allocates %.0f objects over 24 lines but %.0f over 768, want the same", small, big)

@@ -81,20 +81,34 @@ func (c *Controller) VerifyRegions(regions []int, workers int) error {
 	return nil
 }
 
-// verifyLineMACs checks every transferred line's MAC at the counter the
-// (already verified) tree holds for it. The sweep is split into
-// contiguous chunks, one per available processor; chunks share only
-// read-only inputs and each has its own scratch. The reported failure is
-// the lowest failing line whatever the processor count, because a chunk
-// stops at its first bad line and par.ForEach returns the lowest failing
-// chunk's error; with one processor it is the plain loop, no goroutine.
-func (c *Controller) verifyLineMACs(eng *crypt.Engine, tr *tree.Tree, guaddr uint64, data []byte, lineMACs []uint64) error {
+// sweepLines runs fn over every line of a region, cut into contiguous
+// chunks, one per available processor, each with its own scratch. A chunk
+// is a whole number of 64-line groups, because the sweeps that fill line
+// planes set bits in validity words (lineBaseOK, lineMaskOK, linePadOK)
+// that 64 lines share; beyond that fn must touch only state of its own
+// lines. The error is the lowest failing chunk's (par.ForEach), so a sweep
+// that stops at its first bad line reports the lowest bad line whatever
+// the processor count. With one processor it is the plain loop on the
+// controller's scratch: no goroutine, no allocation.
+func (c *Controller) sweepLines(fn func(lo, hi int, scr *crypt.Scratch) error) error {
 	lines := c.geo.Lines()
-	workers := min(runtime.GOMAXPROCS(0), lines)
+	groups := (lines + 63) / 64
+	workers := min(runtime.GOMAXPROCS(0), groups)
+	if workers == 1 {
+		return fn(0, lines, &c.scr)
+	}
 	scratch := make([]crypt.Scratch, workers)
 	return par.ForEach(workers, scratch, func(i int, _ crypt.Scratch) error {
-		lo, hi := i*lines/workers, (i+1)*lines/workers
-		if bad := sweepLineMACs(eng, tr, guaddr, data, lineMACs, lo, hi, &scratch[i]); bad >= 0 {
+		return fn(i*groups/workers*64, min((i+1)*groups/workers*64, lines), &scratch[i])
+	})
+}
+
+// verifyLineMACs checks every transferred line's MAC at the counter the
+// (already verified) tree holds for it, and names the lowest line that
+// fails. The chunks share only read-only inputs.
+func (c *Controller) verifyLineMACs(eng *crypt.Engine, tr *tree.Tree, guaddr uint64, data []byte, lineMACs []uint64) error {
+	return c.sweepLines(func(lo, hi int, scr *crypt.Scratch) error {
+		if bad := sweepLineMACs(eng, tr, guaddr, data, lineMACs, lo, hi, scr); bad >= 0 {
 			return fmt.Errorf("%w: transferred data line %d", ErrIntegrity, bad)
 		}
 		return nil

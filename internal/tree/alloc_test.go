@@ -8,7 +8,7 @@ import (
 
 // TestVerifyUpdateAllocFree pins the steady-state integrity-tree paths at
 // zero allocations per access: VerifyPath (read path), Update without
-// overflow (write path) and LeafCounter. The batched NodeMACBatch verify
+// overflow and UpdateRun over a whole leaf (write path) and LeafCounter. The batched NodeMACBatch verify
 // and the tree scratch exist for exactly this.
 func TestVerifyUpdateAllocFree(t *testing.T) {
 	e := crypt.NewEngine(crypt.KeyFromBytes([]byte("alloc")))
@@ -30,7 +30,7 @@ func TestVerifyUpdateAllocFree(t *testing.T) {
 			t.Fatal(err)
 		}
 		res := tr.Update(e, guaddr, line)
-		if res.Overflowed {
+		if res.Overflowed || !tr.UpdateRun(e, guaddr, 64, 64) {
 			t.Fatal("unexpected overflow in alloc test")
 		}
 		ctr ^= tr.LeafCounter(line)

@@ -217,6 +217,18 @@ func (t *Tree) ensureScratch() {
 	t.scr.macs = make([]uint64, batch)
 }
 
+// pathOf computes line's path — node index and slot per level — into the
+// tree's scratch and returns the two level-indexed slices, valid until
+// the next call.
+//
+//mmt:hotpath
+func (t *Tree) pathOf(line int) (nodeIdx, slot []int) {
+	//mmt:allow noalloc: scratch grows once per geometry change, then steady-state reuse
+	t.ensureScratch()
+	t.geo.pathInto(line, t.scr.nodeIdx, t.scr.slot)
+	return t.scr.nodeIdx, t.scr.slot
+}
+
 // SetTrace attaches a trace probe counting functional node MAC
 // verifications and recomputations. Nil disables tracing.
 func (t *Tree) SetTrace(p *trace.Probe) { t.probe = p }
@@ -415,11 +427,9 @@ var ErrIntegrity = errors.New("tree: integrity check failed")
 // the unbatched implementation in both success and failure.
 //mmt:hotpath
 func (t *Tree) VerifyPath(e *crypt.Engine, guaddr uint64, line int) error {
-	//mmt:allow noalloc: scratch grows once per geometry change, then steady-state reuse
-	t.ensureScratch()
+	t.pathOf(line)
 	t.bind(e, guaddr)
 	s := &t.scr
-	t.geo.pathInto(line, s.nodeIdx, s.slot)
 	L := t.geo.Levels()
 	jobs := s.jobs[:L]
 	for l := 0; l < L; l++ {
@@ -505,10 +515,7 @@ type UpdateResult struct {
 // integrity tree engine.
 //mmt:hotpath
 func (t *Tree) Update(e *crypt.Engine, guaddr uint64, line int) UpdateResult {
-	//mmt:allow noalloc: scratch grows once per geometry change, then steady-state reuse
-	t.ensureScratch()
-	nodeIdx, slot := t.scr.nodeIdx, t.scr.slot
-	t.geo.pathInto(line, nodeIdx, slot)
+	nodeIdx, slot := t.pathOf(line)
 	L := t.geo.Levels()
 	res := UpdateResult{}
 	maxLocal := uint64(1)<<t.geo.localBits() - 1
@@ -572,6 +579,53 @@ func (t *Tree) Update(e *crypt.Engine, guaddr uint64, line int) UpdateResult {
 	}
 	res.LeafCounter = t.counter(L-1, nodeIdx[L-1], slot[L-1])
 	return res
+}
+
+// UpdateRun is Update for the n consecutive lines starting at line, which
+// must share one leaf node and therefore one whole path: the n leaf locals
+// advance by one, every upper slot on the path and the root counter by n,
+// and each path node is re-MACed once, against the final counters. The
+// arena ends exactly as n Updates in line order would leave it — they
+// would re-MAC the same nodes n times and keep only the last result —
+// and each line's new counter is LeafCounter(line).
+//
+// It reports false, having changed nothing, when some counter on the path
+// would overflow within the run (or the n lines are not a run: they leave
+// the leaf node); the caller then advances with Update, which carries the
+// overflow procedure.
+//
+//mmt:hotpath
+func (t *Tree) UpdateRun(e *crypt.Engine, guaddr uint64, line, n int) bool {
+	nodeIdx, slot := t.pathOf(line)
+	leaf := t.geo.Levels() - 1
+	if n < 1 || slot[leaf]+n > t.geo.Arities[leaf] {
+		return false
+	}
+	maxLocal := uint64(1)<<t.geo.localBits() - 1
+	for s := slot[leaf]; s < slot[leaf]+n; s++ {
+		if t.local(leaf, nodeIdx[leaf], s) == maxLocal {
+			return false
+		}
+	}
+	for l := 0; l < leaf; l++ {
+		if t.local(l, nodeIdx[l], slot[l])+uint64(n) > maxLocal {
+			return false
+		}
+	}
+	// No field passes maxLocal <= 0xFFFF, so no add carries into the
+	// neighbouring packed field.
+	off := t.ctrOff(leaf, nodeIdx[leaf]) + 1
+	for s := slot[leaf]; s < slot[leaf]+n; s++ {
+		t.ctr[off+s>>2] += 1 << (uint(s&3) * 16)
+	}
+	for l := 0; l < leaf; l++ {
+		t.ctr[t.ctrOff(l, nodeIdx[l])+1+slot[l]>>2] += uint64(n) << (uint(slot[l]&3) * 16)
+	}
+	t.rootCtr += uint64(n)
+	for l := 0; l <= leaf; l++ {
+		t.rehashNode(e, guaddr, l, nodeIdx[l])
+	}
+	return true
 }
 
 // appendNode appends node (l, i)'s serialized record to dst: global u64,

@@ -1,7 +1,10 @@
 package tree
 
 import (
+	"bytes"
 	"errors"
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -364,4 +367,69 @@ func BenchmarkVerifyPath(b *testing.B) {
 	b.Run("h3", func(b *testing.B) { benchVerifyPath(b, ForLevels(3)) })
 	b.Run("h5", func(b *testing.B) { benchVerifyPath(b, Geometry{Arities: []int{4, 4, 4, 4, 64}}) })
 	b.Run("h7", func(b *testing.B) { benchVerifyPath(b, Geometry{Arities: []int{2, 2, 2, 2, 2, 2, 64}}) })
+}
+
+// TestUpdateRunMatchesUpdates pins UpdateRun to the procedure it batches:
+// over random runs, a twin tree advanced by n Updates in line order ends
+// with the same serialized nodes, root counter, leaf counters and dirty
+// set; and where any of those Updates would overflow — the narrow locals
+// make that common — UpdateRun reports false and changes nothing, leaving
+// the overflow procedure to Update.
+func TestUpdateRunMatchesUpdates(t *testing.T) {
+	e := testEngine()
+	for _, geo := range []Geometry{
+		{Arities: []int{2, 3, 4}},
+		{Arities: []int{2, 3, 4}, LocalBits: 3},
+		{Arities: []int{6}, LocalBits: 2},
+	} {
+		run, ref := mustNew(geo, e, guaddr), mustNew(geo, e, guaddr)
+		run.ClearDirty()
+		ref.ClearDirty()
+		leaf := geo.Arities[geo.Levels()-1]
+		rng := rand.New(rand.NewSource(int64(geo.LocalBits) + 1))
+		batched, refused := 0, 0
+		for i := 0; i < 400; i++ {
+			line := rng.Intn(geo.Lines())
+			n := 1 + rng.Intn(leaf-line%leaf)
+			before, beforeRoot := run.Serialize(), run.RootCounter()
+			fits := run.UpdateRun(e, guaddr, line, n)
+			if fits {
+				batched++
+			} else {
+				refused++
+				if !bytes.Equal(run.Serialize(), before) || run.RootCounter() != beforeRoot {
+					t.Fatalf("%v: refused UpdateRun(%d, %d) changed the tree", geo, line, n)
+				}
+				for k := 0; k < n; k++ {
+					run.Update(e, guaddr, line+k)
+				}
+			}
+			overflowed := false
+			for k := 0; k < n; k++ {
+				res := ref.Update(e, guaddr, line+k)
+				overflowed = overflowed || res.Overflowed
+				if fits && res.LeafCounter != run.LeafCounter(line+k) {
+					t.Fatalf("%v: line %d counter %d after the run, Update returned %d", geo, line+k, run.LeafCounter(line+k), res.LeafCounter)
+				}
+			}
+			if fits == overflowed {
+				t.Fatalf("%v: UpdateRun(%d, %d) = %v, but line by line overflowed = %v", geo, line, n, fits, overflowed)
+			}
+			if !bytes.Equal(run.Serialize(), ref.Serialize()) || run.RootCounter() != ref.RootCounter() {
+				t.Fatalf("%v: trees differ after run of %d lines at %d", geo, n, line)
+			}
+			var a, b [][2]int
+			run.DirtyNodes(func(l, i int) { a = append(a, [2]int{l, i}) })
+			ref.DirtyNodes(func(l, i int) { b = append(b, [2]int{l, i}) })
+			if !slices.Equal(a, b) {
+				t.Fatalf("%v: dirty nodes %v, line by line %v", geo, a, b)
+			}
+			if err := run.VerifyAll(e, guaddr); err != nil {
+				t.Fatalf("%v: tree invalid after run of %d lines at %d: %v", geo, n, line, err)
+			}
+		}
+		if batched == 0 || (geo.LocalBits != 0 && refused == 0) {
+			t.Fatalf("%v: %d runs batched, %d refused: the test did not reach both outcomes", geo, batched, refused)
+		}
+	}
 }

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"mmt/internal/engine"
 	"mmt/internal/monitor"
 )
 
@@ -173,26 +172,7 @@ func (b *Buffer) Write(off int, p []byte) error {
 	if off < 0 || off+len(p) > b.Size() {
 		return fmt.Errorf("mmt: write [%d,+%d) outside buffer of %d bytes", off, len(p), b.Size())
 	}
-	var stage [engine.LineSize]byte // partial lines are read-modify-written here
-	for len(p) > 0 {
-		line := off / engine.LineSize
-		lo := off % engine.LineSize
-		take := min(engine.LineSize-lo, len(p))
-		src := p[:take]
-		if take < engine.LineSize {
-			if err := m.ReadInto(line, stage[:]); err != nil {
-				return err
-			}
-			copy(stage[lo:], src)
-			src = stage[:]
-		}
-		if err := m.Write(line, src); err != nil {
-			return err
-		}
-		off += take
-		p = p[take:]
-	}
-	return nil
+	return m.WriteAt(off, p)
 }
 
 // Read loads n bytes at byte offset off.
