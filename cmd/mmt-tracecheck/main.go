@@ -864,7 +864,7 @@ func checkEvents(data []byte) error {
 type manifest struct {
 	Schema        string  `json:"schema"`
 	Epoch         *uint64 `json:"epoch"`
-	RootHash      string  `json:"root_hash"`
+	RootHash      string  `json:"root_hash"` // hex state hash of the snapshot (snap.Hash), as a Save trailer or commit record pins it
 	SnapshotBytes *int    `json:"snapshot_bytes"`
 	TreeLevels    int     `json:"tree_levels"`
 	Regions       int     `json:"regions"`

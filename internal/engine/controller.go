@@ -81,8 +81,16 @@ type regionState struct {
 	lineMACs []uint64
 	// dirtyLines is a preallocated bitset of data lines mutated since the
 	// last checkpoint commit; together with the tree's dirty-node bits it
-	// drives the mmt-store/v1 delta stream. Marked on the hot write path
-	// (pure bit arithmetic, no allocation).
+	// drives the mmt-store/v1 delta stream and tells the snapshot hasher
+	// which cached digests are stale. Marked on the hot write path (pure
+	// bit arithmetic, no allocation).
+	//
+	// The rule both consumers rest on: every mutation of the region's
+	// ciphertext or line MACs marks the line (markLine), every mutation of
+	// a tree node marks the node (tree.markDirty), a region bound by
+	// bindRegion starts with everything marked, and only ClearRegionDirty
+	// clears — so a clear bit means "unchanged since the last durable
+	// checkpoint".
 	dirtyLines []uint64
 	linePlanes
 }
@@ -884,7 +892,8 @@ func (c *Controller) FlushMeta(r int) {
 
 // LoadMeta re-reads region r's metadata from the meta-zone, replacing the
 // controller's in-core copies. A physical attacker who rewrote the
-// meta-zone is then caught by the next Read/Write verification.
+// meta-zone is then caught by the next Read/Write verification. Every
+// node and line MAC may have changed, so all of them are marked dirty.
 func (c *Controller) LoadMeta(r int) error {
 	st := c.region(r)
 	if st.mode == ModeDisabled {
@@ -897,10 +906,12 @@ func (c *Controller) LoadMeta(r int) error {
 	}
 	tr.SetTrace(c.probe)
 	tr.SetRootCounter(st.tr.RootCounter()) // root counter stays in SoC
+	tr.MarkAllDirty()
 	st.tr = tr
 	off := c.geo.NodesSize()
 	for i := range st.lineMACs {
 		st.lineMACs[i] = binary.LittleEndian.Uint64(meta[off+i*8:])
+		st.markLine(i)
 	}
 	c.cache.invalidateRegion(r)
 	return nil

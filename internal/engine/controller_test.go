@@ -219,6 +219,34 @@ func TestMetaZoneRoundTripVerifies(t *testing.T) {
 	}
 }
 
+// TestLoadMetaMarksEverythingDirty: LoadMeta replaces the tree and every
+// line MAC, so a checkpoint taken after it must stream (and re-hash) all
+// of them — not commit a state its own delta log cannot replay to.
+func TestLoadMetaMarksEverythingDirty(t *testing.T) {
+	c := testSetup(t)
+	if err := c.Enable(0, testKey, 0x11, 0); err != nil {
+		t.Fatal(err)
+	}
+	c.ClearRegionDirty(0)
+	if c.RegionDirty(0) {
+		t.Fatal("region dirty right after ClearRegionDirty")
+	}
+	c.FlushMeta(0)
+	if err := c.LoadMeta(0); err != nil {
+		t.Fatal(err)
+	}
+	if !c.RegionDirty(0) {
+		t.Fatal("LoadMeta left the region clean")
+	}
+	nodes, lines := 0, 0
+	c.Tree(0).DirtyNodes(func(int, int) { nodes++ })
+	c.DirtyLines(0, func(int) { lines++ })
+	if geo := c.Geometry(); nodes != geo.TotalNodes() || lines != geo.Lines() {
+		t.Fatalf("after LoadMeta %d of %d nodes and %d of %d lines are dirty; want all",
+			nodes, geo.TotalNodes(), lines, geo.Lines())
+	}
+}
+
 func TestExportInstallRoundTrip(t *testing.T) {
 	// Local migration: export region 0, install into region 1 of the same
 	// controller (the cross-node path goes through core/netsim).

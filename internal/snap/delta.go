@@ -57,11 +57,18 @@ func (c *codec) patch(p *Patch) {
 	}
 }
 
+// AppendTo appends the patch's record payload to w, so a caller framing
+// many patches can push them all through one buffer.
+func (p *Patch) AppendTo(w *cursor.Writer) {
+	c := codec{Codec: &cursor.Codec{W: w}}
+	c.patch(p)
+}
+
 // Record frames the patch for the store.
 func (p *Patch) Record() store.Record {
-	c := codec{Codec: cursor.Encoder(96 + len(p.Machine) + len(p.Bytes))} // the largest fixed part is RecMachine's 76 bytes
-	c.patch(p)
-	return store.Record{Type: p.Type, Payload: c.W.Buf}
+	w := cursor.Writer{Buf: make([]byte, 0, 96+len(p.Machine)+len(p.Bytes))} // the largest fixed part is RecMachine's 76 bytes
+	p.AppendTo(&w)
+	return store.Record{Type: p.Type, Payload: w.Buf}
 }
 
 // apply lands a decoded patch on the model. Patches only ever touch

@@ -8,8 +8,10 @@
 // disagree and every range check on untrusted input sits next to the
 // field it guards and fails with ErrBadSnapshot. Integers are fixed-width
 // little-endian, floats their IEEE-754 bits, slices length-prefixed in a
-// deterministic order: Encode(Decode(b)) == b for every accepted b, so
-// SHA-256 over the blob is a faithful state hash.
+// deterministic order: Encode(Decode(b)) == b for every accepted b, so a
+// hash of the model is a hash of the bytes. That hash (hash.go) is a
+// two-level SHA-256 tree over the model, which a Hasher recomputes only
+// where the cluster's dirty bits say it changed.
 package snap
 
 import (
@@ -85,11 +87,13 @@ func Decode(blob []byte) (*Model, error) {
 }
 
 // codec is the cursor.Codec the layouts below walk, plus the one piece of
-// decoded state their range checks need: the region count that bounds
-// every region index.
+// decoded state their range checks need — the region count that bounds
+// every region index — and the encoder's switch for the form the state
+// hash takes its field digest over (hash.go).
 type codec struct {
 	*cursor.Codec
 	regions int
+	elide   bool // encoding only: leave out every region's Tree, Data and LineMACs
 }
 
 func u8[T ~uint8](c *codec, v *T)                    { cursor.U8(c.Codec, v) }
@@ -197,6 +201,9 @@ func (c *codec) machine(m *Machine) {
 	list(c, &m.Regions, 24, func(r *Region) {
 		c.region(&r.Index)
 		u64(c, &r.RootCounter)
+		if c.elide {
+			return
+		}
 		c.Bytes(&r.Tree)
 		c.Bytes(&r.Data)
 		list(c, &r.LineMACs, 8, func(mac *uint64) { u64(c, mac) })

@@ -48,6 +48,7 @@ import (
 	"mmt/internal/monitor"
 	"mmt/internal/netsim"
 	"mmt/internal/sim"
+	"mmt/internal/snap"
 	"mmt/internal/store"
 	"mmt/internal/tree"
 )
@@ -85,6 +86,9 @@ type Cluster struct {
 	// enclaves, links, buffer allocation or delegation): the next
 	// Checkpoint then writes a full base snapshot instead of dirty deltas.
 	needBase bool
+	// hasher caches the snapshot hash tree's digests between Save,
+	// Manifest and Checkpoint calls (see snapshot.go).
+	hasher snap.Hasher
 }
 
 func newCluster(s settings) (*Cluster, error) {

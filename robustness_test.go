@@ -11,17 +11,17 @@ import (
 	"mmt/internal/store"
 )
 
-// sealed appends the (unkeyed) SHA-256 trailer Save writes, so a crafted
-// model reaches the decoder instead of failing the hash check.
+// sealed appends the (unkeyed) state-hash trailer Save writes, so a
+// crafted model gets past both the decoder's and the trailer's check and
+// reaches restore.
 func sealed(m *snap.Model) []byte {
-	blob := snap.Encode(m)
-	sum := sha256.Sum256(blob)
-	return append(blob, sum[:]...)
+	sum := snap.Hash(m)
+	return append(snap.Encode(m), sum[:]...)
 }
 
 // committed returns an in-memory store whose one commit holds recs, pinned
-// to the hash of blob — what Open finds on disk.
-func committed(t *testing.T, blob []byte, recs ...store.Record) *store.Store {
+// to the state hash of m — what Open finds on disk.
+func committed(t *testing.T, m *snap.Model, recs ...store.Record) *store.Store {
 	t.Helper()
 	st, err := store.Open(store.NewMemFS())
 	if err != nil {
@@ -32,7 +32,7 @@ func committed(t *testing.T, blob []byte, recs ...store.Record) *store.Store {
 			t.Fatal(err)
 		}
 	}
-	if _, err := st.Commit(sha256.Sum256(blob)); err != nil {
+	if _, err := st.Commit(snap.Hash(m)); err != nil {
 		t.Fatal(err)
 	}
 	return st
@@ -70,8 +70,7 @@ func TestCraftedSnapshotsFailClosed(t *testing.T) {
 		if got, err := Load(bytes.NewReader(sealed(m))); !errors.Is(err, ErrBadSnapshot) || got != nil {
 			t.Errorf("Load, %s: cluster %v, err %v; want ErrBadSnapshot", name, got != nil, err)
 		}
-		blob := snap.Encode(m)
-		st := committed(t, blob, store.Record{Type: snap.RecBase, Payload: blob})
+		st := committed(t, m, store.Record{Type: snap.RecBase, Payload: snap.Encode(m)})
 		if got, err := openFromStore(st, defaultSettings()); !errors.Is(err, ErrBadSnapshot) || got != nil {
 			t.Errorf("Open, %s: cluster %v, err %v; want ErrBadSnapshot", name, got != nil, err)
 		}
@@ -83,8 +82,7 @@ func TestCraftedSnapshotsFailClosed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blob := snap.Encode(m)
-	base := store.Record{Type: snap.RecBase, Payload: blob}
+	base := store.Record{Type: snap.RecBase, Payload: snap.Encode(m)}
 	deltas := map[string]snap.Patch{
 		"region 9999": {Type: snap.RecRoot, Machine: "bob", Region: 9999},
 		"node level":  {Type: snap.RecNode, Machine: "bob", Level: 7, Bytes: make([]byte, 48)},
@@ -92,7 +90,7 @@ func TestCraftedSnapshotsFailClosed(t *testing.T) {
 		"line number": {Type: snap.RecLine, Machine: "bob", Index: 1 << 30, Bytes: make([]byte, 64)},
 	}
 	for name, p := range deltas {
-		st := committed(t, blob, base, p.Record())
+		st := committed(t, m, base, p.Record())
 		if got, err := openFromStore(st, defaultSettings()); !errors.Is(err, ErrBadSnapshot) || got != nil {
 			t.Errorf("Open, delta %s: cluster %v, err %v; want ErrBadSnapshot", name, got != nil, err)
 		}

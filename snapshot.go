@@ -7,17 +7,26 @@ package mmt
 // model and its mmt-snap/v1 codec live in internal/snap; this file
 // captures a cluster into a model and rebuilds one from it.
 //
-// The integrity design: the snapshot hash is SHA-256 over the full
-// canonical encoding of the model. Save appends it as a trailer; the
-// store pins it in each commit record. Every reload rebuilds the model
-// (base + deltas), restores the cluster through the normal cryptographic
-// verification paths (certificates and reports re-verified, every tree
-// node and line MAC re-checked by Controller.Install), then re-encodes
-// the restored cluster and requires the hash to match — a reload is
-// byte-for-byte the state that was saved, or it is an error.
+// The integrity design: the snapshot hash is snap.Hash, a two-level
+// SHA-256 tree over the model that commits to every field and every
+// plane byte. Save appends it as a trailer; the store pins it in each
+// commit record. Every reload rebuilds the model (base + deltas),
+// restores the cluster through the normal cryptographic verification
+// paths (certificates and reports re-verified, every tree node and line
+// MAC re-checked by Controller.Install), then re-captures the restored
+// cluster and requires its hash to match — a reload is byte-for-byte the
+// state that was saved, or it is an error.
+//
+// A running cluster keeps the tree's leaf and region digests between
+// calls (Cluster.hasher) and re-hashes only the 8-line groups and trees
+// the engine's dirty bits name, so a checkpoint costs what changed. That
+// rests on the engine's rule that every plane mutation marks dirty
+// (engine.regionState.dirtyLines) and on the bits clearing in one place
+// only: Checkpoint, after the commit is durable and after the hash that
+// refreshed the digests. Save, Manifest and failed commits refresh
+// digests and clear nothing.
 
 import (
-	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
@@ -26,6 +35,7 @@ import (
 
 	"mmt/internal/attest"
 	"mmt/internal/core"
+	"mmt/internal/cursor"
 	"mmt/internal/enclave"
 	"mmt/internal/engine"
 	"mmt/internal/mem"
@@ -117,10 +127,20 @@ func (c *Cluster) buildModel() (*snap.Model, error) {
 	return m, nil
 }
 
+// stateHash is snap.Hash(m) for a model buildModel has just captured,
+// re-hashing only what the controllers' dirty bits name.
+func (c *Cluster) stateHash(m *snap.Model) [32]byte {
+	return c.hasher.Sum(m, func(machine string, region int, line func(int)) bool {
+		ctl := c.machines[machine].mon.Node().Controller()
+		ctl.DirtyLines(region, line)
+		return ctl.Tree(region).DirtyCount() > 0
+	})
+}
+
 // ---------------------------------------------------------------------------
 // Restore: model -> running cluster, through the verification paths.
 
-// restoreCluster rebuilds a cluster from a model, then re-encodes the
+// restoreCluster rebuilds a cluster from a model, then re-captures the
 // result and requires its hash to equal wantHash — the verified-reload
 // contract. Structural options in s were already rejected by the caller;
 // trace/debug settings apply to the restored cluster.
@@ -181,14 +201,14 @@ func restoreCluster(m *snap.Model, s settings, wantHash [32]byte) (*Cluster, err
 		c.linkOrder = append(c.linkOrder, lm.ID)
 	}
 
-	// The verified-reload check: the restored cluster must re-encode to
-	// exactly the hashed bytes. Any drift — a patch applied wrong, a
-	// record lost, nondeterminism in the encoding — fails the load.
+	// The verified-reload check: the restored cluster must capture to
+	// exactly the hashed state. Any drift — a patch applied wrong, a
+	// record lost, nondeterminism in the capture — fails the load.
 	again, err := c.buildModel()
 	if err != nil {
 		return fail(fmt.Errorf("mmt: re-snapshotting restored cluster: %w", err))
 	}
-	if got := sha256.Sum256(snap.Encode(again)); got != wantHash {
+	if got := snap.Hash(again); got != wantHash {
 		return fail(fmt.Errorf("%w: restored state hashes to %x, snapshot pinned %x",
 			ErrBadSnapshot, got, wantHash))
 	}
@@ -276,8 +296,9 @@ func (c *Cluster) restoredEnclave(machine string, id monitor.EnclaveID) (*Enclav
 // Save / Load: one-shot portable snapshots.
 
 // Save writes a verified snapshot of the quiescent cluster to w: the
-// canonical mmt-snap/v1 blob followed by its SHA-256. The cluster keeps
-// running; Save does not mutate simulated state. The returned Manifest
+// canonical mmt-snap/v1 blob followed by the 32-byte state hash of the
+// model it encodes. The cluster keeps running; Save does not mutate
+// simulated state and clears no dirty bit. The returned Manifest
 // describes what was saved (mmt-tracecheck validates its JSON form).
 func (c *Cluster) Save(w io.Writer) (*Manifest, error) {
 	m, err := c.buildModel()
@@ -285,7 +306,7 @@ func (c *Cluster) Save(w io.Writer) (*Manifest, error) {
 		return nil, err
 	}
 	blob := snap.Encode(m)
-	hash := sha256.Sum256(blob)
+	hash := c.stateHash(m)
 	if _, err := w.Write(blob); err != nil {
 		return nil, err
 	}
@@ -300,8 +321,10 @@ func (c *Cluster) Save(w io.Writer) (*Manifest, error) {
 // WithTreeLevels, WithRegions and WithNetLatency are rejected here;
 // WithTracing, WithDebugServer and WithStore apply to the restored
 // cluster. Every certificate, attestation report, tree node and line MAC
-// is re-verified, and the restored cluster must re-encode to the exact
-// hash the stream pinned.
+// is re-verified, and the restored cluster must hash to the exact value
+// the stream pinned. The blob is parsed before it is authenticated (the
+// hash is over the model), which the codec is built for: every length and
+// index is range-checked as it is read.
 func Load(r io.Reader, opts ...Option) (*Cluster, error) {
 	s, err := applySettings(opts)
 	if err != nil {
@@ -314,18 +337,18 @@ func Load(r io.Reader, opts ...Option) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(data) < len(snap.Magic)+sha256.Size {
+	var want [32]byte
+	if len(data) < len(snap.Magic)+len(want) {
 		return nil, fmt.Errorf("%w: %d bytes is shorter than magic + hash", ErrBadSnapshot, len(data))
 	}
-	blob, trailer := data[:len(data)-sha256.Size], data[len(data)-sha256.Size:]
-	var want [32]byte
-	copy(want[:], trailer)
-	if got := sha256.Sum256(blob); got != want {
-		return nil, fmt.Errorf("%w: blob hashes to %x, trailer says %x", ErrBadSnapshot, got, want)
-	}
+	blob := data[:len(data)-len(want)]
+	copy(want[:], data[len(blob):])
 	m, err := snap.Decode(blob)
 	if err != nil {
 		return nil, err
+	}
+	if got := snap.Hash(m); got != want {
+		return nil, fmt.Errorf("%w: snapshot hashes to %x, trailer says %x", ErrBadSnapshot, got, want)
 	}
 	storePath := s.storePath
 	s.storePath = "" // the store is attached below, after restore succeeds
@@ -359,16 +382,15 @@ func (c *Cluster) Checkpoint() error {
 	if c.ckpt == nil {
 		return ErrNoStore
 	}
-	// The full model is always built: deltas bound disk I/O, not hash
-	// computation — the commit record pins the hash of the whole state.
+	// The commit record pins the hash of the whole state, so the full
+	// model is always captured; only a base record needs it encoded.
 	m, err := c.buildModel()
 	if err != nil {
 		return err
 	}
-	blob := snap.Encode(m)
-	hash := sha256.Sum256(blob)
+	hash := c.stateHash(m)
 	if c.needBase {
-		if err := c.ckpt.Append(store.Record{Type: snap.RecBase, Payload: blob}); err != nil {
+		if err := c.ckpt.Append(store.Record{Type: snap.RecBase, Payload: snap.Encode(m)}); err != nil {
 			return err
 		}
 	} else if err := c.appendDeltas(m); err != nil {
@@ -378,7 +400,8 @@ func (c *Cluster) Checkpoint() error {
 		return err
 	}
 	// Only after the commit is durable do the dirty bits clear — a failed
-	// commit leaves them set, so the next attempt re-streams everything.
+	// commit leaves them set, so the next attempt re-streams and re-hashes
+	// everything they name.
 	c.needBase = false
 	for _, name := range c.machineOrder {
 		ctl := c.machines[name].mon.Node().Controller()
@@ -394,10 +417,15 @@ func (c *Cluster) Checkpoint() error {
 // deltas patch: every structural mutation sets needBase, so a delta
 // commit only ever carries clock/stats movement and data-path writes.
 func (c *Cluster) appendDeltas(m *snap.Model) error {
-	var err error
+	var (
+		err error
+		w   cursor.Writer // every patch is encoded here: Append copies it into the store's batch
+	)
 	put := func(p snap.Patch) {
 		if err == nil {
-			err = c.ckpt.Append(p.Record())
+			w.Buf = w.Buf[:0]
+			p.AppendTo(&w)
+			err = c.ckpt.Append(store.Record{Type: p.Type, Payload: w.Buf})
 		}
 	}
 	for i := range m.Machines { // buildModel emits machines in machineOrder
@@ -411,7 +439,7 @@ func (c *Cluster) appendDeltas(m *snap.Model) error {
 				continue
 			}
 			tr := ctl.Tree(r)
-			var node []byte // scratch: Record copies, so one buffer serves every dirty node
+			var node []byte // scratch: put copies, so one buffer serves every dirty node
 			tr.DirtyNodes(func(level, index int) {
 				node = tr.AppendNode(node[:0], level, index)
 				put(snap.Patch{Type: snap.RecNode, Machine: mm.Name, Region: r, Level: level, Index: index, Bytes: node})
@@ -490,7 +518,9 @@ type Manifest struct {
 	Schema string `json:"schema"`
 	// Epoch is the store commit epoch (0 for a direct Save).
 	Epoch uint64 `json:"epoch"`
-	// RootHash is the hex SHA-256 of the canonical snapshot blob.
+	// RootHash is the hex state hash of the snapshot (snap.Hash: a SHA-256
+	// tree over every field and plane byte of the model) — the value a
+	// Save trailer and a store commit record pin.
 	RootHash string `json:"root_hash"`
 	// SnapshotBytes is the encoded size (blob + hash trailer for Save;
 	// base blob size for store commits).
@@ -544,13 +574,12 @@ func (c *Cluster) Manifest() (*Manifest, error) {
 	if err != nil {
 		return nil, err
 	}
-	blob := snap.Encode(m)
-	hash := sha256.Sum256(blob)
+	hash := c.stateHash(m)
 	var epoch uint64
 	if c.ckpt != nil {
 		epoch = c.ckpt.Epoch()
 	}
-	return manifestFor(m, epoch, hash, len(blob)+sha256.Size), nil
+	return manifestFor(m, epoch, hash, len(snap.Encode(m))+len(hash)), nil
 }
 
 // WriteJSON renders the manifest as indented mmt-manifest/v1 JSON.
