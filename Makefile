@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet lint vet-json allow-prune bench bench-smoke bench-module bench-pairs check trace-demo par-demo stat-demo series-demo causal-demo perfdiff baselines profiles snapshot-demo crash-sim
+.PHONY: build test race vet lint vet-json allow-prune bench bench-smoke bench-module bench-pairs check smoke fuzz perfdiff baselines profiles crash-sim
 
 build:
 	$(GO) build ./...
@@ -24,8 +24,8 @@ vet:
 lint:
 	$(GO) run ./cmd/mmt-vet ./...
 
-# vet-json: same run, but also writes the machine-readable mmt-vet/v1
-# findings document (CI uploads it as an artifact).
+# vet-json: same run and exit status, but also writes the machine-readable
+# mmt-vet/v1 findings document (CI uploads it as an artifact).
 vet-json:
 	$(GO) run ./cmd/mmt-vet -json -out mmt-vet.json ./...
 
@@ -61,58 +61,43 @@ WORKLOAD ?= bulk
 bench-pairs:
 	$(GO) run ./cmd/mmt-benchpairs -workload $(WORKLOAD) $(if $(PARENT),-parent $(PARENT))
 
-# trace-demo: run the quickstart with tracing, emit the fig10 metrics
-# sidecar, and validate both artifacts against their schemas.
-trace-demo:
-	$(GO) run ./examples/quickstart -trace trace.json
-	$(GO) run ./cmd/mmt-bench -fig 10 -out .
-	$(GO) run ./cmd/mmt-tracecheck trace.json BENCH_fig10.json
+# smoke: the one end-to-end pipeline. Every artefact the repository
+# writes is emitted once — the quickstart's Chrome trace, histograms,
+# ledger and causal trees; the fig10 sidecar; the fig11 sidecar with its
+# mmt-series/v1 companion, and again at -parallel 8, which must be
+# byte-identical (the parallel runner's determinism contract); the
+# manifest of a store that one process checkpoints and a second resumes —
+# then all of them go through their strict parsers in one mmt-tracecheck
+# call and through the renderers in one mmt-stat call.
+S := .bench/smoke
+smoke:
+	rm -rf $(S)
+	mkdir -p $(S)/par
+	$(GO) run ./examples/quickstart -trace $(S)/trace.json -stats $(S)/hist.json -events $(S)/events.jsonl -causal $(S)/causal.json
+	$(GO) run ./cmd/mmt-bench -fig 10 -out $(S)
+	$(GO) run ./cmd/mmt-bench -fig 11 -accesses 20000 -series -out $(S)
+	$(GO) run ./cmd/mmt-bench -fig 11 -accesses 20000 -parallel 8 -out $(S)/par
+	cmp $(S)/BENCH_fig11.json $(S)/par/BENCH_fig11.json
+	$(GO) run ./examples/snapshot -store $(S)/snapstore -manifest $(S)/manifest.json
+	$(GO) run ./examples/snapshot -store $(S)/snapstore -manifest $(S)/manifest.json
+	$(GO) run ./cmd/mmt-tracecheck $(S)/trace.json $(S)/hist.json $(S)/events.jsonl $(S)/causal.json \
+		$(S)/BENCH_fig10.json $(S)/BENCH_fig11.json $(S)/BENCH_fig11.series.json $(S)/manifest.json
+	$(GO) run ./cmd/mmt-stat $(S)/hist.json $(S)/events.jsonl $(S)/causal.json \
+		$(S)/BENCH_fig10.json $(S)/BENCH_fig11.json $(S)/BENCH_fig11.series.json
 
-# par-demo: the parallel runner's determinism contract, end to end — the
-# fig11 sidecar must be byte-identical at any worker count.
-par-demo:
-	mkdir -p .bench/serial .bench/par
-	$(GO) run ./cmd/mmt-bench -fig 11 -accesses 20000 -out .bench/serial
-	$(GO) run ./cmd/mmt-bench -fig 11 -accesses 20000 -parallel 8 -out .bench/par
-	cmp .bench/serial/BENCH_fig11.json .bench/par/BENCH_fig11.json
-	$(GO) run ./cmd/mmt-tracecheck .bench/serial/BENCH_fig11.json
-
-# stat-demo: the observability pipeline end to end — export the latency
-# histograms and security-event ledger from a quickstart run, validate
-# both against their schemas, render them with mmt-stat, and render the
-# fig11 sidecar's embedded histogram summaries (which include the
-# read-latency-under-migration quantiles).
-stat-demo:
-	mkdir -p .bench
-	$(GO) run ./examples/quickstart -stats .bench/hist.json -events .bench/events.jsonl
-	$(GO) run ./cmd/mmt-tracecheck .bench/hist.json .bench/events.jsonl
-	$(GO) run ./cmd/mmt-stat .bench/hist.json .bench/events.jsonl
-	$(GO) run ./cmd/mmt-bench -fig 11 -accesses 2000 -out .bench
-	$(GO) run ./cmd/mmt-stat .bench/BENCH_fig11.json
-
-# series-demo: the time-series pipeline end to end — run the fig11 sweep
-# with windowed sampling on, validate both the sidecar (with its series
-# summary section) and the mmt-series/v1 artifact — including the exact
-# evicted+deltas==totals sum — with mmt-tracecheck, then render the
-# per-machine sparklines with mmt-stat.
-series-demo:
-	mkdir -p .bench
-	$(GO) run ./cmd/mmt-bench -fig 11 -accesses 2000 -series -out .bench
-	$(GO) run ./cmd/mmt-tracecheck .bench/BENCH_fig11.json .bench/BENCH_fig11.series.json
-	$(GO) run ./cmd/mmt-stat .bench/BENCH_fig11.series.json
-
-# causal-demo: the causal-tracing pipeline end to end — export the
-# causal span trees (mmt-causal/v1) from a quickstart run, validate the
-# causal invariants with mmt-tracecheck, render the trees with mmt-stat,
-# and cross-check the fig11 sidecar's per-migration causal accounting
-# (every migration one rooted tree, cycle totals re-adding to the run's
-# migration totals).
-causal-demo:
-	mkdir -p .bench
-	$(GO) run ./examples/quickstart -causal .bench/causal.json
-	$(GO) run ./cmd/mmt-bench -fig 11 -accesses 2000 -out .bench
-	$(GO) run ./cmd/mmt-tracecheck .bench/causal.json .bench/BENCH_fig11.json
-	$(GO) run ./cmd/mmt-stat .bench/causal.json
+# fuzz: every native fuzz target in the module, discovered with
+# `go test -list` (a new Fuzz* function needs no edit here or in CI), each
+# run on top of its committed corpus for an equal share of one 20 s budget.
+fuzz:
+	@set -e; \
+	targets=$$($(GO) test -list '^Fuzz' ./... | awk '/^Fuzz/ { names = names " " $$1 } \
+		/^ok/ { n = split(names, f, " "); for (i = 1; i <= n; i++) print $$2 ":" f[i]; names = "" }'); \
+	test -n "$$targets" || { echo "make fuzz: no fuzz targets found"; exit 1; }; \
+	each=$$(( 20 / $$(echo "$$targets" | wc -l) )); \
+	for t in $$targets; do \
+		echo "== $${t#*:} ($${t%%:*}) for $${each}s"; \
+		$(GO) test -run '^$$' -fuzz "^$${t#*:}\$$" -fuzztime $${each}s $${t%%:*}; \
+	done
 
 # perfdiff: regenerate the benchmark sidecars and diff them against the
 # committed baselines. Soft gate: -warn reports regressions without
@@ -146,20 +131,12 @@ profiles:
 	mkdir -p .bench/prof
 	$(GO) run ./cmd/mmt-bench -fig 11 -accesses 20000 -parallel 8 -cpuprofile cpu.pprof -memprofile mem.pprof -out .bench/prof
 
-# snapshot-demo: the persistence lifecycle end to end — run the scenario
-# with a store attached (checkpointing as it goes), resume the same
-# cluster from disk in a second process, and validate the exported
-# manifest against its schema.
-snapshot-demo:
-	rm -rf .bench/snapstore
-	$(GO) run ./examples/snapshot -store .bench/snapstore -manifest .bench/manifest.json
-	$(GO) run ./examples/snapshot -store .bench/snapstore -manifest .bench/manifest.json
-	$(GO) run ./cmd/mmt-tracecheck .bench/manifest.json
-
 # crash-sim: the crash simulator — every kill point of a checkpoint
 # sequence under every disk-replay model must recover to a committed,
 # hash-verified snapshot — plus the cross-process migration test.
 crash-sim:
 	$(GO) test -run 'TestCheckpointCrashConsistency|TestCrossProcessMigration|TestCrash' -v . ./internal/store
 
-check: build vet lint test race bench-module
+# check: what CI's first step runs. vet-json is the lint run that also
+# leaves the findings document CI uploads.
+check: build vet vet-json test race bench-module

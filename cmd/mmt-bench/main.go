@@ -238,9 +238,6 @@ func writeSidecars(figs, dir string, accesses int, series bool) error {
 		if err != nil {
 			return err
 		}
-		if err := sc.Check(); err != nil {
-			return err
-		}
 		data, err := sc.JSON()
 		if err != nil {
 			return fmt.Errorf("fig %s: %w", f, err)

@@ -1,11 +1,11 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 
-	"mmt/internal/sim"
+	"mmt/internal/bench"
+	"mmt/internal/trace"
 )
 
 // This file is the comparison core of mmt-perfdiff, kept free of CLI
@@ -38,29 +38,6 @@ type perfDoc struct {
 	HasSeries bool
 }
 
-// sidecarDoc mirrors the subset of internal/bench.Sidecar the diff reads.
-type sidecarDoc struct {
-	Schema string `json:"schema"`
-	Figure string `json:"figure"`
-	Totals []struct {
-		Name  string  `json:"name"`
-		Value float64 `json:"value"`
-		Unit  string  `json:"unit"`
-	} `json:"totals"`
-	PhaseCycles []struct {
-		Phase  string     `json:"phase"`
-		Cycles sim.Cycles `json:"cycles"`
-	} `json:"phase_cycles"`
-	Hists []struct {
-		Proc string     `json:"proc"`
-		Op   string     `json:"op"`
-		P50  sim.Cycles `json:"p50_cycles"`
-		P99  sim.Cycles `json:"p99_cycles"`
-		Mean sim.Cycles `json:"mean_cycles"`
-	} `json:"hists"`
-	Series json.RawMessage `json:"series"` // presence gates as shape
-}
-
 // comparableUnit reports whether a unit is lower-is-better and therefore
 // diffable. Ratios ("x") and counts are shape, not speed, and byte sizes
 // are workload parameters — none of them gate.
@@ -68,17 +45,21 @@ func comparableUnit(u string) bool {
 	return u == "cycles" || u == "seconds"
 }
 
-// extract parses one BENCH_fig*.json document into its comparable
-// metrics.
+// extract decodes one BENCH_fig*.json document — strictly, so a key
+// bench.Sidecar does not declare or lacks is a shape error like any
+// other — and pulls out its comparable metrics. It does not run
+// Sidecar.Check: the diff compares the numbers two files state, and
+// whether a file states consistent ones is mmt-bench's and
+// mmt-tracecheck's verdict.
 func extract(data []byte) (*perfDoc, error) {
-	var d sidecarDoc
-	if err := json.Unmarshal(data, &d); err != nil {
-		return nil, fmt.Errorf("not a JSON sidecar: %w", err)
+	var d bench.Sidecar
+	if err := trace.DecodeStrict("BENCH_fig*.json sidecar", data, &d); err != nil {
+		return nil, err
 	}
-	if d.Schema != "" || d.Figure == "" {
-		return nil, fmt.Errorf("unsupported document (schema %q, figure %q): mmt-perfdiff reads BENCH_fig*.json", d.Schema, d.Figure)
+	if d.Figure == "" {
+		return nil, fmt.Errorf("BENCH_fig*.json sidecar: no figure")
 	}
-	doc := &perfDoc{Kind: "fig" + d.Figure, HasSeries: len(d.Series) > 0 && string(d.Series) != "null"}
+	doc := &perfDoc{Kind: "fig" + d.Figure, HasSeries: d.Series != nil}
 	for _, t := range d.Totals {
 		if comparableUnit(t.Unit) {
 			doc.Metrics = append(doc.Metrics, metric{Name: "total/" + t.Name, Value: t.Value, Unit: t.Unit})

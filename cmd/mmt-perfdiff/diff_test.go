@@ -127,7 +127,7 @@ func TestSeriesSectionGate(t *testing.T) {
 // Sidecars of different figures must not cross-compare.
 func TestKindMismatch(t *testing.T) {
 	fig10 := filepath.Join(t.TempDir(), "fig10.json")
-	if err := os.WriteFile(fig10, []byte(`{"figure": "10", "totals": []}`), 0o644); err != nil {
+	if err := os.WriteFile(fig10, []byte(`{"figure": "10", "profile": "gem5", "description": "d", "totals": [], "phase_sum_cycles": 0}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	_, err := run(0.05, fixture("base_fig11.json"), []string{fig10})

@@ -30,6 +30,10 @@ import (
 	"net/http"
 	"os"
 	"strings"
+
+	"mmt/internal/bench"
+	"mmt/internal/sim"
+	"mmt/internal/trace"
 )
 
 func main() {
@@ -101,9 +105,11 @@ func fetch(url string) ([]byte, error) {
 	return io.ReadAll(resp.Body)
 }
 
-// render detects the export flavour by its schema field and prints the
+// render detects the export flavour by its schema field, reads it with
+// the strict parser that lives next to its writer (so a document
+// mmt-tracecheck would reject is not rendered either) and prints the
 // matching table. Sidecars (no schema, a "figure" field) render their
-// embedded histogram summaries and totals.
+// totals and embedded histogram summaries.
 func render(w io.Writer, data []byte, tail int) error {
 	var probe struct {
 		Schema string `json:"schema"`
@@ -113,146 +119,103 @@ func render(w io.Writer, data []byte, tail int) error {
 		return fmt.Errorf("not a JSON document: %w", err)
 	}
 	switch {
-	case probe.Schema == "mmt-hist/v1":
-		return renderHist(w, data)
-	case probe.Schema == "mmt-events/v1":
-		return renderEvents(w, data, tail)
-	case probe.Schema == "mmt-causal/v1":
-		return renderCausal(w, data)
-	case probe.Schema == "mmt-series/v1":
-		return renderSeries(w, data)
+	case probe.Schema == trace.HistSchema:
+		m, err := trace.ParseHist(data)
+		if err != nil {
+			return err
+		}
+		var rows [][]string
+		for i := range m.Procs {
+			p := &m.Procs[i]
+			for op := range p.Ops {
+				if h := &p.Ops[op]; h.Count != 0 {
+					rows = append(rows, histRow(p.Proc, trace.Op(op).String(), h.Count,
+						h.Quantile(0.50), h.Quantile(0.90), h.Quantile(0.99), h.Max, h.Mean()))
+				}
+			}
+		}
+		renderHists(w, rows)
+	case probe.Schema == trace.EventsSchema:
+		events, dropped, err := trace.ParseEvents(data)
+		if err != nil {
+			return err
+		}
+		renderEvents(w, events, dropped, tail)
+	case probe.Schema == trace.CausalSchema:
+		traces, err := trace.ParseCausal(data)
+		if err != nil {
+			return err
+		}
+		renderCausal(w, traces)
+	case probe.Schema == trace.SeriesSchema:
+		v, err := trace.ParseSeries(data)
+		if err != nil {
+			return err
+		}
+		renderSeries(w, &v)
 	case probe.Schema == "" && probe.Figure != "":
-		return renderSidecar(w, data)
+		sc, err := bench.ParseSidecar(data)
+		if err != nil {
+			return err
+		}
+		renderSidecar(w, sc)
 	default:
 		return fmt.Errorf("unsupported document (schema %q): want mmt-hist/v1, mmt-events/v1, mmt-causal/v1, mmt-series/v1 or a BENCH_fig sidecar", probe.Schema)
 	}
-}
-
-// histOp mirrors one operation object of trace.WriteHistJSON.
-type histOp struct {
-	Op    string  `json:"op"`
-	Count uint64  `json:"count"`
-	Min   float64 `json:"min_cycles"`
-	Max   float64 `json:"max_cycles"`
-	Mean  float64 `json:"mean_cycles"`
-	P50   float64 `json:"p50_cycles"`
-	P90   float64 `json:"p90_cycles"`
-	P99   float64 `json:"p99_cycles"`
-}
-
-func renderHist(w io.Writer, data []byte) error {
-	var he struct {
-		Procs []struct {
-			Proc string   `json:"proc"`
-			Ops  []histOp `json:"ops"`
-		} `json:"procs"`
-	}
-	if err := json.Unmarshal(data, &he); err != nil {
-		return fmt.Errorf("bad mmt-hist/v1 document: %w", err)
-	}
-	rows := [][]string{{"proc", "op", "count", "p50", "p90", "p99", "max", "mean"}}
-	for _, p := range he.Procs {
-		for _, op := range p.Ops {
-			rows = append(rows, []string{
-				p.Proc, op.Op, fmt.Sprintf("%d", op.Count),
-				cyc(op.P50), cyc(op.P90), cyc(op.P99), cyc(op.Max), cyc(op.Mean),
-			})
-		}
-	}
-	if len(rows) == 1 {
-		fmt.Fprintln(w, "latency histograms (cycles): no samples")
-		return nil
-	}
-	fmt.Fprintln(w, "latency histograms (cycles):")
-	table(w, rows)
 	return nil
 }
 
-func renderEvents(w io.Writer, data []byte, tail int) error {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	var hdr struct {
-		Events  int    `json:"events"`
-		Dropped uint64 `json:"dropped"`
+func histRow(proc, op string, count uint64, p50, p90, p99, max, mean sim.Cycles) []string {
+	return []string{proc, op, fmt.Sprintf("%d", count),
+		cyc(float64(p50)), cyc(float64(p90)), cyc(float64(p99)), cyc(float64(max)), cyc(float64(mean))}
+}
+
+func renderHists(w io.Writer, rows [][]string) {
+	if len(rows) == 0 {
+		fmt.Fprintln(w, "latency histograms (cycles): no samples")
+		return
 	}
-	if err := dec.Decode(&hdr); err != nil {
-		return fmt.Errorf("bad mmt-events/v1 header: %w", err)
-	}
-	type event struct {
-		Seq    uint64  `json:"seq"`
-		Proc   string  `json:"proc"`
-		Kind   string  `json:"kind"`
-		TimeUS float64 `json:"time_us"`
-		Addr   string  `json:"addr"`
-		Detail string  `json:"detail"`
-	}
-	var events []event
-	for dec.More() {
-		var ev event
-		if err := dec.Decode(&ev); err != nil {
-			return fmt.Errorf("bad mmt-events/v1 line: %w", err)
-		}
-		events = append(events, ev)
-	}
+	fmt.Fprintln(w, "latency histograms (cycles):")
+	table(w, append([][]string{{"proc", "op", "count", "p50", "p90", "p99", "max", "mean"}}, rows...))
+}
+
+func renderEvents(w io.Writer, events []trace.SecEvent, dropped uint64, tail int) {
 	shown := events
 	if tail > 0 && len(shown) > tail {
 		shown = shown[len(shown)-tail:]
 	}
 	fmt.Fprintf(w, "security-event ledger: %d events (%d dropped, showing %d):\n",
-		hdr.Events, hdr.Dropped, len(shown))
+		len(events), dropped, len(shown))
 	rows := [][]string{{"seq", "time_us", "proc", "kind", "addr", "detail"}}
 	for _, ev := range shown {
 		rows = append(rows, []string{
-			fmt.Sprintf("%d", ev.Seq), fmt.Sprintf("%.3f", ev.TimeUS),
-			ev.Proc, ev.Kind, ev.Addr, ev.Detail,
+			fmt.Sprintf("%d", ev.Seq), fmt.Sprintf("%.3f", ev.Time.Microseconds()),
+			ev.Proc, ev.Kind.String(), fmt.Sprintf("%#x", ev.Addr), ev.Detail,
 		})
 	}
 	if len(rows) > 1 {
 		table(w, rows)
 	}
-	return nil
-}
-
-// causalSpan mirrors one span object of trace.WriteCausalJSON.
-type causalSpan struct {
-	Span    uint64  `json:"span"`
-	Parent  uint64  `json:"parent"`
-	Proc    string  `json:"proc"`
-	Phase   string  `json:"phase"`
-	BeginUS float64 `json:"begin_us"`
-	EndUS   float64 `json:"end_us"`
-	Cycles  float64 `json:"cycles"`
 }
 
 // renderCausal draws each causal trace as an ASCII tree, one line per
 // span, children indented under their parent in span-ID order. Spans on
 // the critical path are marked with '*'.
-func renderCausal(w io.Writer, data []byte) error {
-	var ce struct {
-		Traces []struct {
-			ID           string       `json:"id"`
-			TotalCycles  float64      `json:"total_cycles"`
-			CriticalUS   float64      `json:"critical_elapsed_us"`
-			CriticalPath []uint64     `json:"critical_path"`
-			Spans        []causalSpan `json:"spans"`
-		} `json:"traces"`
-	}
-	if err := json.Unmarshal(data, &ce); err != nil {
-		return fmt.Errorf("bad mmt-causal/v1 document: %w", err)
-	}
-	fmt.Fprintf(w, "causal traces: %d\n", len(ce.Traces))
-	for _, tr := range ce.Traces {
+func renderCausal(w io.Writer, traces []trace.CausalTrace) {
+	fmt.Fprintf(w, "causal traces: %d\n", len(traces))
+	for _, tr := range traces {
 		fmt.Fprintf(w, "%s  (%s cycles, critical path %.3fus over %d spans)\n",
-			tr.ID, cyc(tr.TotalCycles), tr.CriticalUS, len(tr.CriticalPath))
-		critical := map[uint64]bool{}
+			tr.ID, cyc(float64(tr.TotalCycles)), tr.CriticalElapsed.Microseconds(), len(tr.CriticalPath))
+		critical := map[uint32]bool{}
 		for _, id := range tr.CriticalPath {
 			critical[id] = true
 		}
-		children := map[uint64][]causalSpan{}
+		children := map[uint32][]trace.CausalSpan{}
 		for _, sp := range tr.Spans {
 			children[sp.Parent] = append(children[sp.Parent], sp)
 		}
-		var draw func(parent uint64, indent string)
-		draw = func(parent uint64, indent string) {
+		var draw func(parent uint32, indent string)
+		draw = func(parent uint32, indent string) {
 			kids := children[parent]
 			for i, sp := range kids {
 				branch, next := "├─", "│ "
@@ -264,37 +227,15 @@ func renderCausal(w io.Writer, data []byte) error {
 					mark = "*"
 				}
 				fmt.Fprintf(w, "  %s%s%s %d %s/%s [%.3f..%.3fus] %s cycles\n",
-					indent, branch, mark, sp.Span, sp.Proc, sp.Phase, sp.BeginUS, sp.EndUS, cyc(sp.Cycles))
+					indent, branch, mark, sp.Span, sp.Proc, sp.Phase, sp.Begin.Microseconds(), sp.End.Microseconds(), cyc(float64(sp.Cycles)))
 				draw(sp.Span, indent+next)
 			}
 		}
 		draw(0, "")
 	}
-	return nil
 }
 
-func renderSidecar(w io.Writer, data []byte) error {
-	var sc struct {
-		Figure string `json:"figure"`
-		Totals []struct {
-			Name  string  `json:"name"`
-			Value float64 `json:"value"`
-			Unit  string  `json:"unit"`
-		} `json:"totals"`
-		Hists []struct {
-			Proc  string  `json:"proc"`
-			Op    string  `json:"op"`
-			Count uint64  `json:"count"`
-			P50   float64 `json:"p50_cycles"`
-			P90   float64 `json:"p90_cycles"`
-			P99   float64 `json:"p99_cycles"`
-			Max   float64 `json:"max_cycles"`
-			Mean  float64 `json:"mean_cycles"`
-		} `json:"hists"`
-	}
-	if err := json.Unmarshal(data, &sc); err != nil {
-		return fmt.Errorf("bad sidecar document: %w", err)
-	}
+func renderSidecar(w io.Writer, sc *bench.Sidecar) {
 	fmt.Fprintf(w, "figure %s totals:\n", sc.Figure)
 	rows := [][]string{{"name", "value", "unit"}}
 	for _, t := range sc.Totals {
@@ -302,18 +243,13 @@ func renderSidecar(w io.Writer, data []byte) error {
 	}
 	table(w, rows)
 	if len(sc.Hists) == 0 {
-		return nil
+		return
 	}
-	fmt.Fprintln(w, "latency histograms (cycles):")
-	rows = [][]string{{"proc", "op", "count", "p50", "p90", "p99", "max", "mean"}}
+	rows = nil
 	for _, h := range sc.Hists {
-		rows = append(rows, []string{
-			h.Proc, h.Op, fmt.Sprintf("%d", h.Count),
-			cyc(h.P50), cyc(h.P90), cyc(h.P99), cyc(h.Max), cyc(h.Mean),
-		})
+		rows = append(rows, histRow(h.Proc, h.Op, h.Count, h.P50, h.P90, h.P99, h.Max, h.Mean))
 	}
-	table(w, rows)
-	return nil
+	renderHists(w, rows)
 }
 
 // cyc formats a cycle count the way the exporters do: integers render

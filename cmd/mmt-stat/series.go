@@ -1,9 +1,10 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
+
+	"mmt/internal/trace"
 )
 
 // This file renders mmt-series/v1 documents (from TraceSink.WriteSeriesJSON
@@ -14,50 +15,24 @@ import (
 // sparks are the eight-level block glyphs, lowest to highest.
 var sparks = []rune("▁▂▃▄▅▆▇█")
 
-// seriesDoc mirrors the subset of trace.WriteSeriesJSON mmt-stat renders.
-type seriesDoc struct {
-	WindowCycles uint64 `json:"window_cycles"`
-	MaxSamples   int    `json:"max_samples"`
-	Procs        []struct {
-		Proc           string `json:"proc"`
-		EvictedWindows uint64 `json:"evicted_windows"`
-		EvictedThrough uint64 `json:"evicted_through"`
-		Samples        []struct {
-			Window uint64             `json:"window"`
-			Cycles map[string]float64 `json:"cycles"`
-			Ops    map[string]struct {
-				Count uint64 `json:"count"`
-			} `json:"ops"`
-		} `json:"samples"`
-		Totals struct {
-			Window uint64             `json:"window"`
-			Cycles map[string]float64 `json:"cycles"`
-		} `json:"totals"`
-	} `json:"procs"`
-}
-
 // renderSeries prints each process's busy-cycles-per-window sparkline
 // (retained samples oldest to newest, scaled to the process's own peak)
 // and a summary table. Idle windows produce no sample, so a glyph is one
 // *active* window; the window labels under the summary give the span.
-func renderSeries(w io.Writer, data []byte) error {
-	var sd seriesDoc
-	if err := json.Unmarshal(data, &sd); err != nil {
-		return fmt.Errorf("bad mmt-series/v1 document: %w", err)
-	}
+func renderSeries(w io.Writer, v *trace.SeriesView) {
 	fmt.Fprintf(w, "time series: %d procs, window %d cycles, ring %d samples\n",
-		len(sd.Procs), sd.WindowCycles, sd.MaxSamples)
+		len(v.Procs), v.WindowCycles, v.MaxSamples)
 	rows := [][]string{{"proc", "windows", "evicted", "span", "ops", "cycles", "activity"}}
-	for _, p := range sd.Procs {
+	for _, p := range v.Procs {
 		vals := make([]float64, len(p.Samples))
 		peak := 0.0
 		var ops uint64
 		for i, s := range p.Samples {
 			for _, c := range s.Cycles {
-				vals[i] += c
+				vals[i] += float64(c)
 			}
-			for _, op := range s.Ops {
-				ops += op.Count
+			for _, n := range s.OpCount {
+				ops += n
 			}
 			if vals[i] > peak {
 				peak = vals[i]
@@ -65,7 +40,7 @@ func renderSeries(w io.Writer, data []byte) error {
 		}
 		var total float64
 		for _, c := range p.Totals.Cycles {
-			total += c
+			total += float64(c)
 		}
 		span := "-"
 		if n := len(p.Samples); n > 0 {
@@ -82,7 +57,6 @@ func renderSeries(w io.Writer, data []byte) error {
 		})
 	}
 	table(w, rows)
-	return nil
 }
 
 // cycWide formats a cycle total without falling into %g's scientific

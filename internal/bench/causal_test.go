@@ -89,36 +89,19 @@ func TestFig11MigrationTreesMatchSidecar(t *testing.T) {
 	}
 }
 
-// TestCausalTreesAreWellFormed spot-checks the in-memory trace shape the
-// exporters rely on: parents precede children (acyclicity), children
-// nest inside their parent's interval, and exactly one root per trace.
+// TestCausalTreesAreWellFormed runs the one well-formedness check (the
+// same the mmt-causal/v1 reader applies to a file) over a live sink's
+// traces: parents precede children, children nest inside their parent's
+// interval, exactly one root per trace, a real critical path.
 func TestCausalTreesAreWellFormed(t *testing.T) {
 	_, sink := causalFig11(t, 1, 800)
 	traces := sink.CausalTraces()
 	if len(traces) == 0 {
 		t.Fatal("no causal traces")
 	}
-	for _, tr := range traces {
-		name := tr.ID.String()
-		byID := map[uint32]trace.CausalSpan{}
-		roots := 0
-		for _, sp := range tr.Spans {
-			if sp.Parent == 0 {
-				roots++
-			} else {
-				p, ok := byID[sp.Parent]
-				if !ok {
-					t.Fatalf("%s: span %d's parent %d does not precede it", name, sp.Span, sp.Parent)
-				}
-				if sp.Begin < p.Begin || sp.End > p.End {
-					t.Fatalf("%s: span %d [%v,%v] escapes parent %d [%v,%v]",
-						name, sp.Span, sp.Begin, sp.End, sp.Parent, p.Begin, p.End)
-				}
-			}
-			byID[sp.Span] = sp
-		}
-		if roots != 1 {
-			t.Fatalf("%s: %d roots, want 1", name, roots)
+	for i := range traces {
+		if err := traces[i].Check(); err != nil {
+			t.Fatal(err)
 		}
 	}
 }

@@ -24,7 +24,7 @@ import (
 type SidecarTotal struct {
 	Name  string  `json:"name"`
 	Value float64 `json:"value"`
-	Unit  string  `json:"unit"` // "cycles", "seconds", "x", "bytes"
+	Unit  string  `json:"unit"` // "cycles", "seconds", "x", "bytes", "count"
 }
 
 // SidecarPhase is one phase's cycle total.
@@ -67,7 +67,7 @@ type SidecarProc struct {
 // compact view of an mmt-causal/v1 span tree. TotalCycles sums the
 // attributed cycles of every span across sender and receiver, so the
 // sum over all migrations equals the run's migration-send-cycles plus
-// migration-recv-cycles totals (Check and mmt-tracecheck verify this).
+// migration-recv-cycles totals (Check verifies this).
 type SidecarMigration struct {
 	ID                string     `json:"id"`
 	RootProc          string     `json:"root_proc"`
@@ -130,51 +130,141 @@ type SidecarSeries struct {
 	Procs        []SidecarSeriesProc `json:"procs"`
 }
 
-// Check verifies the phase-sum invariant: when the figure reports a
-// cycle total, the per-phase cycles must account for it (relative
-// tolerance 1e-9, far below any real cost but above reassociation
-// noise). Figures without a cycle total always pass.
+// ParseSidecar is JSON's reader: a strict decode (an unknown key, or the
+// absence of one the encoder always writes, is an error) of a sidecar
+// that passes Check.
+func ParseSidecar(data []byte) (*Sidecar, error) {
+	sc := &Sidecar{}
+	if err := trace.DecodeStrict("BENCH_fig sidecar", data, sc); err != nil {
+		return nil, err
+	}
+	return sc, sc.Check()
+}
+
+// isCycles reports whether c can be a cycle figure: finite, not negative.
+func isCycles(c sim.Cycles) bool { return c >= 0 && !math.IsInf(float64(c), 0) }
+
+// Check verifies every invariant a sidecar carries. JSON runs it before
+// writing and ParseSidecar after reading, so no sidecar passes one and
+// fails the other. Header and totals are filled in, in known
+// units; phase_cycles sum to phase_sum_cycles, which accounts for
+// check_total_cycles when the figure reports one (every charged cycle is
+// mirrored into exactly one phase); the procs' phases re-add to
+// phase_cycles; phases, counters and operations carry names from the
+// trace package's tables; histogram quantiles are monotone; the
+// migrations' causal totals re-add to the run's migration totals (every
+// migration is one trace, every migration cycle in one span); the series
+// summary is well formed.
 func (sc *Sidecar) Check() error {
-	if sc.CheckTotalCycles == 0 {
+	bad := func(format string, args ...interface{}) error {
+		return fmt.Errorf("fig %s: %s", sc.Figure, fmt.Sprintf(format, args...))
+	}
+	if sc.Figure == "" || sc.Profile == "" || sc.Description == "" || len(sc.Totals) == 0 {
+		return bad("figure, profile, description and totals are required")
+	}
+	totals := map[string]float64{}
+	for _, t := range sc.Totals {
+		switch t.Unit {
+		case "cycles", "seconds", "x", "bytes", "count":
+		default:
+			return bad("total %q: unknown unit %q", t.Name, t.Unit)
+		}
+		if t.Name == "" || math.IsNaN(t.Value) || math.IsInf(t.Value, 0) {
+			return bad("totals need a name and a finite value, got %q = %v", t.Name, t.Value)
+		}
+		totals[t.Name] = t.Value
+	}
+	var cluster, procs [trace.NumPhases]sim.Cycles
+	addPhases := func(into *[trace.NumPhases]sim.Cycles, phases []SidecarPhase, where string) error {
+		for _, p := range phases {
+			ph, ok := trace.Lookup(p.Phase, trace.NumPhases)
+			if !ok || !isCycles(p.Cycles) {
+				return bad("%s: phase %q unknown, or its cycles %v negative or not finite", where, p.Phase, p.Cycles)
+			}
+			into[ph] += p.Cycles
+		}
 		return nil
 	}
-	a, b := float64(sc.PhaseSumCycles), float64(sc.CheckTotalCycles)
-	if diff := math.Abs(a - b); diff > 1e-9*math.Max(math.Abs(a), math.Abs(b)) {
-		return fmt.Errorf("fig %s: phase sum %.6f cycles != reported total %.6f cycles",
-			sc.Figure, a, b)
+	if err := addPhases(&cluster, sc.PhaseCycles, "phase_cycles"); err != nil {
+		return err
 	}
-	for _, h := range sc.Hists {
-		if h.Count == 0 {
-			return fmt.Errorf("fig %s: empty histogram %s/%s in sidecar", sc.Figure, h.Proc, h.Op)
-		}
-		if !(h.P50 <= h.P90 && h.P90 <= h.P99 && h.P99 <= h.Max) {
-			return fmt.Errorf("fig %s: %s/%s quantiles not monotone: p50=%v p90=%v p99=%v max=%v",
-				sc.Figure, h.Proc, h.Op, h.P50, h.P90, h.P99, h.Max)
-		}
+	var sum sim.Cycles
+	for _, c := range cluster {
+		sum += c
 	}
-	// Per-migration causal totals must re-add to the run's migration
-	// cycle totals: every migration appears as exactly one trace and
-	// every migration cycle is attributed to exactly one span.
-	if len(sc.Migrations) > 0 {
-		var sum, reported float64
-		for _, mg := range sc.Migrations {
-			sum += float64(mg.TotalCycles)
+	if !trace.SumsAgree(sum, sc.PhaseSumCycles) {
+		return bad("phase_cycles sum to %.6f, phase_sum_cycles says %.6f", sum, sc.PhaseSumCycles)
+	}
+	if sc.CheckTotalCycles != 0 && !trace.SumsAgree(sc.PhaseSumCycles, sc.CheckTotalCycles) {
+		return bad("phase_sum_cycles %.6f does not account for check_total_cycles %.6f", sc.PhaseSumCycles, sc.CheckTotalCycles)
+	}
+	for i, p := range sc.Procs {
+		if p.Proc == "" || i > 0 && p.Proc <= sc.Procs[i-1].Proc {
+			return bad("procs[%d]: proc %q empty or out of name order", i, p.Proc)
 		}
-		for _, t := range sc.Totals {
-			if t.Name == "migration-send-cycles" || t.Name == "migration-recv-cycles" {
-				reported += t.Value
+		if err := addPhases(&procs, p.Phases, "proc "+p.Proc+" phases"); err != nil {
+			return err
+		}
+		for _, c := range p.Counters {
+			if _, ok := trace.Lookup(c.Counter, trace.NumCounters); !ok || c.Value == 0 {
+				return bad("proc %s counters: counter %q unknown or zero", p.Proc, c.Counter)
 			}
 		}
-		if diff := math.Abs(sum - reported); diff > 1e-9*math.Max(math.Abs(sum), math.Abs(reported)) {
-			return fmt.Errorf("fig %s: per-migration causal cycles %.6f != migration totals %.6f",
-				sc.Figure, sum, reported)
+	}
+	for ph := range cluster {
+		if !trace.SumsAgree(procs[ph], cluster[ph]) {
+			return bad("procs' %q phases re-add to %.6f, phase_cycles says %.6f", trace.Phase(ph), procs[ph], cluster[ph])
+		}
+	}
+	for _, h := range sc.Hists {
+		if _, ok := trace.Lookup(h.Op, trace.Op(trace.NumOps)); !ok || h.Proc == "" || h.Count == 0 {
+			return bad("hists: %s/%s: unknown op, empty proc or empty histogram", h.Proc, h.Op)
+		}
+		if !(isCycles(h.P50) && h.P50 <= h.P90 && h.P90 <= h.P99 && h.P99 <= h.Max && isCycles(h.Max) && isCycles(h.Mean)) {
+			return bad("hists: %s/%s quantiles not monotone or not cycles: p50=%v p90=%v p99=%v max=%v mean=%v",
+				h.Proc, h.Op, h.P50, h.P90, h.P99, h.Max, h.Mean)
+		}
+	}
+	var traced sim.Cycles
+	for _, mg := range sc.Migrations {
+		if mg.ID == "" || mg.RootProc == "" || !isCycles(mg.TotalCycles) || mg.CriticalElapsedUs < 0 {
+			return bad("migration %q: id and root_proc are required, total_cycles and critical_elapsed_us not negative", mg.ID)
+		}
+		if mg.Spans < 1 || mg.CriticalPathLen < 1 || mg.CriticalPathLen > mg.Spans {
+			return bad("migration %q: critical_path_len %d outside [1, spans = %d]", mg.ID, mg.CriticalPathLen, mg.Spans)
+		}
+		traced += mg.TotalCycles
+	}
+	if n := len(sc.Migrations); n > 0 && totals["migrations"] != float64(n) {
+		return bad("total migrations = %v does not match %d migration entries", totals["migrations"], n)
+	}
+	if want := sim.Cycles(totals["migration-send-cycles"] + totals["migration-recv-cycles"]); len(sc.Migrations) > 0 && !trace.SumsAgree(traced, want) {
+		return bad("migrations' total_cycles sum to %.6f, migration-send-cycles + migration-recv-cycles say %.6f", traced, want)
+	}
+	if ss := sc.Series; ss != nil {
+		if w := ss.WindowCycles; ss.Schema != trace.SeriesSchema || w == 0 || w&(w-1) != 0 || ss.MaxSamples < 1 {
+			return bad("series: want schema %s, a power-of-two window_cycles and max_samples >= 1, got %q, %d, %d",
+				trace.SeriesSchema, ss.Schema, w, ss.MaxSamples)
+		}
+		for i, p := range ss.Procs {
+			if p.Proc == "" || i > 0 && p.Proc <= ss.Procs[i-1].Proc {
+				return bad("series procs[%d]: proc %q empty or out of name order", i, p.Proc)
+			}
+			if p.Windows < p.Evicted || !isCycles(p.Cycles) {
+				return bad("series proc %q: %d windows cannot include %d evicted_windows, or cycles %v out of range", p.Proc, p.Windows, p.Evicted, p.Cycles)
+			}
 		}
 	}
 	return nil
 }
 
-// JSON renders the sidecar as indented JSON with a trailing newline.
+// JSON renders the sidecar as indented JSON with a trailing newline. It
+// refuses a sidecar that fails Check, so nothing is written that
+// ParseSidecar would reject.
 func (sc *Sidecar) JSON() ([]byte, error) {
+	if err := sc.Check(); err != nil {
+		return nil, err
+	}
 	b, err := json.MarshalIndent(sc, "", "  ")
 	if err != nil {
 		return nil, err

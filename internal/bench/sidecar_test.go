@@ -32,7 +32,8 @@ func tracedTransfer(t *testing.T) (*trace.Sink, Table4Row) {
 func TestPhaseSumAccountsForFigureTotals(t *testing.T) {
 	sink, row := tracedTransfer(t)
 	sc := &Sidecar{
-		Figure:           "test",
+		Figure: "test", Profile: "gem5", Description: "8K transfer",
+		Totals:           []SidecarTotal{{Name: "secure-channel", Value: float64(row.SecureChannel), Unit: "cycles"}},
 		CheckTotalCycles: row.SecureChannel + row.MMT,
 	}
 	sc.fillFromMetrics(sink.Snapshot())
@@ -130,7 +131,8 @@ func TestSidecarJSONDeterministic(t *testing.T) {
 	var runs [2][]byte
 	for i := range runs {
 		sink, row := tracedTransfer(t)
-		sc := &Sidecar{Figure: "10", Profile: "gem5", CheckTotalCycles: row.SecureChannel + row.MMT}
+		sc := &Sidecar{Figure: "10", Profile: "gem5", Description: "8K transfer", CheckTotalCycles: row.SecureChannel + row.MMT,
+			Totals: []SidecarTotal{{Name: "mmt-delegation", Value: float64(row.MMT), Unit: "cycles"}}}
 		sc.fillFromMetrics(sink.Snapshot())
 		b, err := sc.JSON()
 		if err != nil {

@@ -1,6 +1,8 @@
 package trace
 
 import (
+	"fmt"
+	"math"
 	"sort"
 	"strconv"
 
@@ -190,6 +192,74 @@ type CausalTrace struct {
 	// the migration's end-to-end simulated latency.
 	CriticalPath    []uint32
 	CriticalElapsed sim.Time
+}
+
+// Check verifies the trace is the tree the recorder builds, whether it
+// came from a live sink or from ParseCausal: the first span is the only
+// root, span IDs strictly increase and every parent precedes its
+// children (so the graph is acyclic by construction), child intervals
+// nest inside their parent's, TotalCycles is the sum of span cycles, and
+// CriticalPath is a chain of parent-child edges from the root whose last
+// span ends CriticalElapsed after the root begins.
+func (t *CausalTrace) Check() error {
+	at := func(format string, args ...interface{}) error {
+		return fmt.Errorf("trace %q: %s", t.ID.String(), fmt.Sprintf(format, args...))
+	}
+	if !t.ID.Valid() || len(t.Spans) == 0 {
+		return at("no root process or no spans")
+	}
+	byID := make(map[uint32]*CausalSpan, len(t.Spans))
+	var sum sim.Cycles
+	for i := range t.Spans {
+		sp := &t.Spans[i]
+		if sp.Span == 0 || i > 0 && sp.Span <= t.Spans[i-1].Span {
+			return at("span ids not strictly increasing at span %d", sp.Span)
+		}
+		if sp.Proc == "" || sp.Phase >= NumPhases || sp.Cycles < 0 {
+			return at("span %d: empty proc, unknown phase or negative cycles", sp.Span)
+		}
+		if sp.Begin < 0 || sp.End < sp.Begin {
+			return at("span %d: interval [%v,%v] out of order", sp.Span, sp.Begin, sp.End)
+		}
+		if i == 0 {
+			if sp.Parent != 0 {
+				return at("first span %d is not the root", sp.Span)
+			}
+		} else if parent, ok := byID[sp.Parent]; !ok {
+			return at("span %d: parent %d does not precede it (the one root, parent 0, comes first)", sp.Span, sp.Parent)
+		} else if sp.Begin < parent.Begin || sp.End > parent.End {
+			return at("span %d: interval [%v,%v] escapes parent %d's [%v,%v]",
+				sp.Span, sp.Begin, sp.End, sp.Parent, parent.Begin, parent.End)
+		}
+		byID[sp.Span] = sp
+		sum += sp.Cycles
+	}
+	if !SumsAgree(sum, t.TotalCycles) {
+		return at("span cycles sum to %v, total_cycles says %v", sum, t.TotalCycles)
+	}
+	root := &t.Spans[0]
+	if len(t.CriticalPath) == 0 || t.CriticalPath[0] != root.Span {
+		return at("critical_path %v does not start at root %d", t.CriticalPath, root.Span)
+	}
+	for i, id := range t.CriticalPath[1:] {
+		if sp, ok := byID[id]; !ok || sp.Parent != t.CriticalPath[i] {
+			return at("critical_path step %d -> %d is not a parent-child edge", t.CriticalPath[i], id)
+		}
+	}
+	// An export rounds begin, end and the elapsed time to 1 ns each, so
+	// the recomputed difference may sit 1.5 ns from the stated one.
+	leaf := byID[t.CriticalPath[len(t.CriticalPath)-1]]
+	if elapsed := leaf.End - root.Begin; math.Abs(float64(elapsed-t.CriticalElapsed)) > 2e-9 {
+		return at("critical path takes %v, critical_elapsed_us says %v", elapsed, t.CriticalElapsed)
+	}
+	return nil
+}
+
+// SumsAgree reports whether two orders of the same cycle sum agree:
+// relative tolerance 1e-9, far below any real cost but above the slack
+// float64 re-association leaves.
+func SumsAgree(a, b sim.Cycles) bool {
+	return math.Abs(float64(a-b)) <= 1e-9*math.Max(math.Abs(float64(a)), math.Abs(float64(b)))
 }
 
 // CausalTraces assembles the recorded causal spans into per-trace trees,

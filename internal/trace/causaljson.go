@@ -60,3 +60,41 @@ func (s *Sink) WriteCausalJSON(w io.Writer) error {
 	bw.str("]\n}\n")
 	return bw.err
 }
+
+// ParseCausal is WriteCausalJSON's reader: the document's traces, each
+// with an id that is its root_proc#seq and well formed per
+// CausalTrace.Check.
+func ParseCausal(data []byte) ([]CausalTrace, error) {
+	d := document{schema: CausalSchema}
+	var traces []CausalTrace
+	o := d.top(data)
+	for _, to := range o.list("traces") {
+		var t CausalTrace
+		var id string
+		to.get("id", &id)
+		to.get("root_proc", &t.ID.Proc)
+		to.get("seq", &t.ID.Seq)
+		if id != t.ID.String() {
+			d.failf("%s: id %q is not root_proc#seq (%s)", to.path, id, t.ID)
+		}
+		to.get("total_cycles", &t.TotalCycles)
+		t.CriticalElapsed = to.usec("critical_elapsed_us")
+		to.get("critical_path", &t.CriticalPath)
+		for _, so := range to.list("spans") {
+			sp := CausalSpan{Phase: enum(so, "phase", NumPhases), Begin: so.usec("begin_us"), End: so.usec("end_us")}
+			so.get("span", &sp.Span)
+			so.get("parent", &sp.Parent)
+			so.get("proc", &sp.Proc)
+			so.get("cycles", &sp.Cycles)
+			so.end()
+			t.Spans = append(t.Spans, sp)
+		}
+		to.end()
+		if err := t.Check(); err != nil {
+			d.failf("%v", err)
+		}
+		traces = append(traces, t)
+	}
+	o.end()
+	return traces, d.err
+}

@@ -145,6 +145,70 @@ func (s *Sink) WriteChromeTrace(w io.Writer) error {
 	return bw.err
 }
 
+// ParseChromeTrace is WriteChromeTrace's reader: the recorded spans (the
+// "X" events, in file order, without the cycle attribution the format
+// does not carry). It accepts only what the writer can produce: "M"
+// process_name records naming every pid before its first use, "X" events
+// of category "mmt" named after a known phase with non-negative ts/dur
+// and either the whole trace/span/parent link or none of it, and "C"
+// records carrying known, non-zero counters.
+func ParseChromeTrace(data []byte) ([]Event, error) {
+	d := document{schema: "chrome trace"}
+	var events []Event
+	procs := map[int]string{}
+	for _, o := range d.array("event", data) {
+		var ph, cat string
+		var pid, tid int
+		o.get("ph", &ph)
+		o.get("pid", &pid)
+		o.get("tid", &tid)
+		if pid < 1 || tid < 1 {
+			d.failf("%s: pid %d and tid %d must be >= 1", o.path, pid, tid)
+		}
+		switch ph {
+		case "M":
+			var name, proc string
+			o.get("name", &name)
+			args := o.child("args")
+			args.get("name", &proc)
+			args.end()
+			if name != "process_name" || proc == "" {
+				d.failf("%s: metadata must be a process_name with a non-empty args.name", o.path)
+			}
+			procs[pid] = proc
+		case "X":
+			ev := Event{Proc: procs[pid], Phase: enum(o, "name", NumPhases), Begin: o.usec("ts")}
+			ev.End = ev.Begin + o.usec("dur")
+			if o.get("cat", &cat); cat != "mmt" || ev.Begin < 0 || ev.End < ev.Begin {
+				d.failf("%s: cat %q is not \"mmt\", or negative ts or dur", o.path, cat)
+			}
+			if o.has("args") { // causal link: all three keys or none
+				args := o.child("args")
+				ev.Trace = args.traceID("trace")
+				args.get("span", &ev.Span)
+				args.get("parent", &ev.Parent)
+				args.end()
+			}
+			events = append(events, ev)
+		case "C":
+			var name string
+			var counters, none [NumCounters]uint64
+			o.get("name", &name)
+			named(o, "args", NumCounters, counters[:])
+			if o.usec("ts") < 0 || name != "counters" || counters == none {
+				d.failf("%s: counter records are named \"counters\" and need a non-negative ts and non-empty args", o.path)
+			}
+		default:
+			d.failf("%s: unknown ph %q (want M, X or C)", o.path, ph)
+		}
+		if ph != "M" && procs[pid] == "" {
+			d.failf("%s: pid %d has no process_name metadata", o.path, pid)
+		}
+		o.end()
+	}
+	return events, d.err
+}
+
 // errWriter folds write errors so the exporter body stays linear.
 type errWriter struct {
 	w   io.Writer

@@ -2,8 +2,8 @@ package trace
 
 import (
 	"bytes"
-	"encoding/json"
 	"math"
+	"reflect"
 	"testing"
 
 	"mmt/internal/sim"
@@ -213,43 +213,15 @@ func TestHistJSONShape(t *testing.T) {
 	if err := build(1).WriteHistJSON(&ref); err != nil {
 		t.Fatalf("export: %v", err)
 	}
-	var doc struct {
-		Schema string `json:"schema"`
-		Procs  []struct {
-			Proc string `json:"proc"`
-			Ops  []struct {
-				Op      string  `json:"op"`
-				Count   uint64  `json:"count"`
-				P50     float64 `json:"p50_cycles"`
-				P99     float64 `json:"p99_cycles"`
-				Buckets []struct {
-					Le    float64 `json:"le_cycles"`
-					Count uint64  `json:"count"`
-				} `json:"buckets"`
-			} `json:"ops"`
-		} `json:"procs"`
+	m, err := ParseHist(ref.Bytes())
+	if err != nil {
+		t.Fatalf("export does not parse: %v\n%s", err, ref.String())
 	}
-	if err := json.Unmarshal(ref.Bytes(), &doc); err != nil {
-		t.Fatalf("export not valid JSON: %v\n%s", err, ref.String())
+	if len(m.Procs) != 2 || m.Procs[0].Proc != "alice" || m.Procs[1].Proc != "bob" {
+		t.Fatalf("procs not name-sorted: %+v", m.Procs)
 	}
-	if doc.Schema != HistSchema {
-		t.Fatalf("schema = %q", doc.Schema)
-	}
-	if len(doc.Procs) != 2 || doc.Procs[0].Proc != "alice" || doc.Procs[1].Proc != "bob" {
-		t.Fatalf("procs not name-sorted: %+v", doc.Procs)
-	}
-	if len(doc.Procs[1].Ops) != 1 || doc.Procs[1].Ops[0].Op != "local-read" || doc.Procs[1].Ops[0].Count != 10 {
-		t.Fatalf("bob ops = %+v", doc.Procs[1].Ops)
-	}
-	var total uint64
-	for _, b := range doc.Procs[1].Ops[0].Buckets {
-		if b.Count == 0 {
-			t.Fatalf("export lists empty bucket")
-		}
-		total += b.Count
-	}
-	if total != 10 {
-		t.Fatalf("bucket counts sum to %d, want 10", total)
+	if want := build(1).Snapshot(); !reflect.DeepEqual(m, want) {
+		t.Fatalf("parsed histograms differ from the sink's:\n got %+v\nwant %+v", m, want)
 	}
 	for _, workers := range []int{2, 4, 8} {
 		var out bytes.Buffer
@@ -265,8 +237,8 @@ func TestHistJSONShape(t *testing.T) {
 	if err := (*Sink)(nil).WriteHistJSON(&empty); err != nil {
 		t.Fatalf("nil export: %v", err)
 	}
-	if err := json.Unmarshal(empty.Bytes(), &doc); err != nil {
-		t.Fatalf("nil export invalid: %v", err)
+	if m, err := ParseHist(empty.Bytes()); err != nil || len(m.Procs) != 0 {
+		t.Fatalf("nil export invalid: %v, %+v", err, m)
 	}
 }
 

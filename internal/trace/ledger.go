@@ -62,16 +62,6 @@ func (k EventKind) String() string {
 	return "event?"
 }
 
-// EventKindByName reports the kind with the given exporter name.
-func EventKindByName(name string) (EventKind, bool) {
-	for i, n := range eventKindNames {
-		if n == name {
-			return EventKind(i), true
-		}
-	}
-	return 0, false
-}
-
 // SecEvent is one cycle-stamped entry in the security-event ledger.
 type SecEvent struct {
 	// Seq numbers events in record order across the whole sink, starting

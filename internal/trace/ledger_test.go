@@ -3,7 +3,7 @@ package trace
 import (
 	"bufio"
 	"bytes"
-	"encoding/json"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -12,7 +12,7 @@ import (
 )
 
 // TestEventKindNames: every kind has a distinct exporter name and the
-// reverse lookup round-trips (mmt-tracecheck validates against this set).
+// reverse lookup round-trips (ParseEvents resolves kinds through this table).
 func TestEventKindNames(t *testing.T) {
 	seen := map[string]bool{}
 	for k := EventKind(0); int(k) < NumEventKinds; k++ {
@@ -21,13 +21,13 @@ func TestEventKindNames(t *testing.T) {
 			t.Fatalf("bad kind name %q for %d", n, k)
 		}
 		seen[n] = true
-		got, ok := EventKindByName(n)
+		got, ok := Lookup(n, EventKind(NumEventKinds))
 		if !ok || got != k {
-			t.Fatalf("EventKindByName(%q) = %v, %v", n, got, ok)
+			t.Fatalf("Lookup(%q) = %v, %v", n, got, ok)
 		}
 	}
-	if _, ok := EventKindByName("no-such-kind"); ok {
-		t.Fatalf("EventKindByName accepted unknown name")
+	if _, ok := Lookup("no-such-kind", EventKind(NumEventKinds)); ok {
+		t.Fatalf("Lookup accepted unknown name")
 	}
 }
 
@@ -151,37 +151,27 @@ func TestEventsJSONLShape(t *testing.T) {
 	if err := build().WriteEventsJSONL(&out); err != nil {
 		t.Fatalf("export: %v", err)
 	}
-	lines := strings.Split(strings.TrimRight(out.String(), "\n"), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("lines = %d, want 3:\n%s", len(lines), out.String())
+	if lines := strings.Count(out.String(), "\n"); lines != 3 {
+		t.Fatalf("lines = %d, want 3:\n%s", lines, out.String())
 	}
-	var hdr struct {
-		Schema  string `json:"schema"`
-		Events  int    `json:"events"`
-		Dropped uint64 `json:"dropped"`
+	events, dropped, err := ParseEvents(out.Bytes())
+	if err != nil || dropped != 0 {
+		t.Fatalf("export does not parse: %v (dropped %d)\n%s", err, dropped, out.String())
 	}
-	if err := json.Unmarshal([]byte(lines[0]), &hdr); err != nil {
-		t.Fatalf("header: %v", err)
+	// time_us carries 1 ns resolution, so the parsed times may sit an ulp
+	// from the recorded ones; everything else round-trips exactly.
+	want := build().SecEvents()
+	for i := range events {
+		if math.Abs(float64(events[i].Time-want[i].Time)) > 1e-12 {
+			t.Fatalf("event %d time = %v, want %v", i, events[i].Time, want[i].Time)
+		}
+		events[i].Time = want[i].Time
 	}
-	if hdr.Schema != EventsSchema || hdr.Events != 2 || hdr.Dropped != 0 {
-		t.Fatalf("header = %+v", hdr)
+	if !reflect.DeepEqual(events, want) {
+		t.Fatalf("parsed ledger differs from the sink's:\n got %+v\nwant %+v", events, want)
 	}
-	var ev struct {
-		Seq    uint64  `json:"seq"`
-		Proc   string  `json:"proc"`
-		Kind   string  `json:"kind"`
-		TimeUs float64 `json:"time_us"`
-		Addr   string  `json:"addr"`
-		Detail string  `json:"detail"`
-	}
-	if err := json.Unmarshal([]byte(lines[1]), &ev); err != nil {
-		t.Fatalf("event line: %v", err)
-	}
-	if ev.Seq != 1 || ev.Kind != "integrity-fail" || ev.Addr != "0xdead" || ev.TimeUs != 1.5 {
-		t.Fatalf("event = %+v", ev)
-	}
-	if _, ok := EventKindByName(ev.Kind); !ok {
-		t.Fatalf("exported kind %q not resolvable", ev.Kind)
+	if !strings.Contains(out.String(), `"kind":"integrity-fail"`) || !strings.Contains(out.String(), `"addr":"0xdead"`) || !strings.Contains(out.String(), `"time_us":1.500`) {
+		t.Fatalf("event line not in the documented form:\n%s", out.String())
 	}
 	var again bytes.Buffer
 	if err := build().WriteEventsJSONL(&again); err != nil {

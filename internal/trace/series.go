@@ -13,7 +13,7 @@ package trace
 // back into a base image, which by the same identity stays exactly the
 // cumulative image at the eviction boundary. A left-to-right sum over
 // the exported series therefore telescopes to the final totals with no
-// rounding slack, and mmt-tracecheck verifies equality, not tolerance.
+// rounding slack, and SeriesView.Check verifies equality, not tolerance.
 //
 // Determinism under the parallel runner follows the same discipline as
 // the rest of the sink: window indices are derived from simulated
@@ -416,6 +416,69 @@ type SeriesView struct {
 	WindowCycles uint64
 	MaxSamples   int
 	Procs        []ProcSeries // sorted by process name
+}
+
+// Check verifies the sampler's contract on a view, whether it came from
+// SeriesSnapshot or from ParseSeries: a power-of-two window, name-ordered
+// non-idle procs, at most MaxSamples retained deltas plus the
+// synthesized tail, strictly increasing window labels from the evicted
+// aggregate through the samples to Totals.Window, and — the load-bearing
+// one — per key the evicted aggregate plus the samples, summed left to
+// right in float64, equal to Totals EXACTLY: every delta is built so the
+// sum telescopes without rounding.
+func (v *SeriesView) Check() error {
+	if w := v.WindowCycles; w == 0 || w&(w-1) != 0 || v.MaxSamples < 1 {
+		return fmt.Errorf("series: window_cycles %d must be a power of two and max_samples %d at least 1", w, v.MaxSamples)
+	}
+	for i := range v.Procs {
+		p := &v.Procs[i]
+		at := func(format string, args ...interface{}) error {
+			return fmt.Errorf("series proc %q: %s", p.Proc, fmt.Sprintf(format, args...))
+		}
+		if p.Proc == "" || i > 0 && p.Proc <= v.Procs[i-1].Proc {
+			return at("empty or out of name order")
+		}
+		if len(p.Samples) == 0 && p.EvictedWindows == 0 {
+			return at("an idle proc must be omitted")
+		}
+		if len(p.Samples) > v.MaxSamples+1 {
+			return at("%d samples exceed the ring bound max_samples %d+1", len(p.Samples), v.MaxSamples)
+		}
+		if p.Evicted.Window != p.EvictedThrough {
+			return at("evicted window %d != evicted_through %d", p.Evicted.Window, p.EvictedThrough)
+		}
+		var sum seriesAccum
+		sum.add(&p.Evicted) // the zero sample when nothing was evicted
+		last, any := p.EvictedThrough, p.EvictedWindows > 0
+		for j := range p.Samples {
+			d := &p.Samples[j]
+			if any && d.Window <= last {
+				return at("samples[%d]: window %d not after %d", j, d.Window, last)
+			}
+			last, any = d.Window, true
+			sum.add(d)
+		}
+		if p.Totals.Window != last {
+			return at("totals window %d != newest window %d", p.Totals.Window, last)
+		}
+		for c, n := range sum.counters {
+			if n != p.Totals.Counters[c] {
+				return at("counter %q: evicted+samples sum to %d, totals say %d", Counter(c), n, p.Totals.Counters[c])
+			}
+		}
+		for ph, n := range sum.cycles {
+			if n != p.Totals.Cycles[ph] {
+				return at("phase %q: evicted+samples sum to %v, totals say %v (must be exact)", Phase(ph), n, p.Totals.Cycles[ph])
+			}
+		}
+		for op, n := range sum.opCount {
+			if n != p.Totals.OpCount[op] || sum.opSum[op] != p.Totals.OpSum[op] {
+				return at("op %q: evicted+samples sum to %d ops / %v cycles, totals say %d / %v (must be exact)",
+					Op(op), n, sum.opSum[op], p.Totals.OpCount[op], p.Totals.OpSum[op])
+			}
+		}
+	}
+	return nil
 }
 
 // SeriesSnapshot captures the current series without mutating sampler

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -27,7 +28,7 @@ func driveWindows(clock *sim.Clock, p *Probe, n, stepsPerWindow int, windowCycle
 // aggregate plus the retained per-window deltas, summed left to right
 // in float64, equal the cumulative accumulator totals EXACTLY — no
 // tolerance — even with non-dyadic charges and ring eviction folding
-// old deltas into the base. This is what lets mmt-tracecheck verify
+// old deltas into the base. This is what lets SeriesView.Check verify
 // series artifacts with ==.
 func TestSeriesDeltaSumExact(t *testing.T) {
 	const window = uint64(1024)
@@ -142,6 +143,15 @@ func TestSeriesMergeReproducesSerial(t *testing.T) {
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
 		t.Fatalf("merged series differs from serial:\nserial:\n%s\nmerged:\n%s", a.String(), b.String())
+	}
+	// The reader gives back exactly the view the writer serialised, and
+	// the live view passes the check the reader applies.
+	live, _ := serial.SeriesSnapshot()
+	if err := live.Check(); err != nil {
+		t.Fatalf("live view: %v", err)
+	}
+	if parsed, err := ParseSeries(a.Bytes()); err != nil || !reflect.DeepEqual(parsed, live) {
+		t.Fatalf("series did not round-trip (err %v):\n got %+v\nwant %+v", err, parsed, live)
 	}
 }
 

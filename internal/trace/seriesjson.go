@@ -6,7 +6,7 @@ import (
 )
 
 // This file renders the windowed sampler two ways: the mmt-series/v1
-// JSON artifact (validated by mmt-tracecheck, rendered by mmt-stat) and
+// JSON artifact (read back by ParseSeries, rendered by mmt-stat) and
 // an OpenMetrics-style text exposition served at /debug/mmt/metrics.
 // Both follow the package determinism contract — no map iteration, no
 // wall clock, fixed float formatting — so identical runs export byte-
@@ -28,7 +28,7 @@ import (
 // where each sample object is {"window": w, "counters": {...},
 // "cycles": {...}, "ops": {name: {"count": n, "sum_cycles": c}}} with
 // only non-zero entries listed, keys in enum order. The invariant
-// mmt-tracecheck verifies: evicted + samples sum to totals exactly.
+// SeriesView.Check verifies: evicted + samples sum to totals exactly.
 // An error is returned when sampling is not enabled.
 func (s *Sink) WriteSeriesJSON(w io.Writer) error {
 	v, ok := s.SeriesSnapshot()
@@ -123,6 +123,69 @@ func writeSeriesSample(bw *errWriter, d *SeriesSample) {
 			", \"sum_cycles\": " + cyc(d.OpSum[op]) + "}")
 	}
 	bw.str("}}")
+}
+
+// ParseSeries is WriteSeriesJSON's reader: the view the document was
+// written from, accepted only if every key is one the writer emits
+// (names from the package's own tables, zero entries omitted, the
+// evicted aggregate present exactly when windows were evicted) and the
+// view passes SeriesView.Check.
+func ParseSeries(data []byte) (SeriesView, error) {
+	d := document{schema: SeriesSchema}
+	var v SeriesView
+	o := d.top(data)
+	o.get("window_cycles", &v.WindowCycles)
+	o.get("max_samples", &v.MaxSamples)
+	for _, po := range o.list("procs") {
+		var p ProcSeries
+		po.get("proc", &p.Proc)
+		po.get("evicted_windows", &p.EvictedWindows)
+		po.get("evicted_through", &p.EvictedThrough)
+		if po.has("evicted") != (p.EvictedWindows > 0) {
+			d.failf("%s: evicted aggregate must be present exactly when evicted_windows > 0", po.path)
+		} else if p.EvictedWindows > 0 {
+			p.Evicted = readSeriesSample(po.child("evicted"))
+		}
+		for _, so := range po.list("samples") {
+			p.Samples = append(p.Samples, readSeriesSample(so))
+		}
+		p.Totals = readSeriesSample(po.child("totals"))
+		po.end()
+		v.Procs = append(v.Procs, p)
+	}
+	o.end()
+	if err := v.Check(); err != nil {
+		d.failf("%v", err)
+	}
+	return v, d.err
+}
+
+func readSeriesSample(o object) SeriesSample {
+	var s SeriesSample
+	o.get("window", &s.Window)
+	named(o, "counters", NumCounters, s.Counters[:])
+	named(o, "cycles", NumPhases, s.Cycles[:])
+	ops := o.child("ops")
+	for op, name := range opNames {
+		if !ops.has(name) {
+			continue
+		}
+		oo := ops.child(name)
+		oo.get("count", &s.OpCount[op])
+		oo.get("sum_cycles", &s.OpSum[op])
+		oo.end()
+		if s.OpSum[op] < 0 || s.OpCount[op] == 0 && s.OpSum[op] == 0 {
+			o.d.failf("%s: a zero op must be omitted, and sum_cycles cannot be negative", oo.path)
+		}
+	}
+	for ph, c := range s.Cycles {
+		if c < 0 {
+			o.d.failf("%s: negative %s cycles", o.path, Phase(ph))
+		}
+	}
+	ops.end()
+	o.end()
+	return s
 }
 
 // WriteOpenMetrics serializes the sink's accumulators as an

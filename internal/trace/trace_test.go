@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 
@@ -163,6 +164,19 @@ func TestChromeTraceShape(t *testing.T) {
 	// alice sorts first → pid 1; her span must carry pid 1.
 	if !strings.Contains(got, `{"name":"send","cat":"mmt","ph":"X","pid":1,`) {
 		t.Fatalf("alice span not pid 1:\n%s", got)
+	}
+	// The reader gives the spans back, pids resolved to process names
+	// (times at the export's 1 ns resolution).
+	spans, err := ParseChromeTrace(out.Bytes())
+	if err != nil || len(spans) != 2 {
+		t.Fatalf("export does not parse: %v, %+v", err, spans)
+	}
+	for i, want := range build().Events() {
+		got := spans[i]
+		if got.Proc != want.Proc || got.Phase != want.Phase ||
+			math.Abs(float64(got.Begin-want.Begin)) > 1e-12 || math.Abs(float64(got.End-want.End)) > 1e-12 {
+			t.Fatalf("span %d = %+v, want %+v", i, got, want)
+		}
 	}
 	var again bytes.Buffer
 	if err := build().WriteChromeTrace(&again); err != nil {

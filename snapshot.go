@@ -32,6 +32,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
+	"strings"
 
 	"mmt/internal/attest"
 	"mmt/internal/core"
@@ -43,6 +45,7 @@ import (
 	"mmt/internal/netsim"
 	"mmt/internal/snap"
 	"mmt/internal/store"
+	"mmt/internal/trace"
 	"mmt/internal/tree"
 )
 
@@ -299,7 +302,7 @@ func (c *Cluster) restoredEnclave(machine string, id monitor.EnclaveID) (*Enclav
 // canonical mmt-snap/v1 blob followed by the 32-byte state hash of the
 // model it encodes. The cluster keeps running; Save does not mutate
 // simulated state and clears no dirty bit. The returned Manifest
-// describes what was saved (mmt-tracecheck validates its JSON form).
+// describes what was saved (ParseManifest reads its JSON form back).
 func (c *Cluster) Save(w io.Writer) (*Manifest, error) {
 	m, err := c.buildModel()
 	if err != nil {
@@ -511,9 +514,12 @@ func openFromStore(st *store.Store, s settings) (*Cluster, error) {
 // ---------------------------------------------------------------------------
 // Manifest: the human/CI-facing description of a snapshot.
 
-// Manifest describes one saved snapshot or store commit. Its JSON form
-// (WriteJSON) carries schema "mmt-manifest/v1" and validates with
-// cmd/mmt-tracecheck.
+// manifestSchema identifies the manifest's JSON form.
+const manifestSchema = "mmt-manifest/v1"
+
+// Manifest describes one saved snapshot or store commit. WriteJSON
+// renders it as an mmt-manifest/v1 document and ParseManifest reads one
+// back.
 type Manifest struct {
 	Schema string `json:"schema"`
 	// Epoch is the store commit epoch (0 for a direct Save).
@@ -542,7 +548,7 @@ type ManifestMachine struct {
 
 func manifestFor(m *snap.Model, epoch uint64, hash [32]byte, size int) *Manifest {
 	mf := &Manifest{
-		Schema:        "mmt-manifest/v1",
+		Schema:        manifestSchema,
 		Epoch:         epoch,
 		RootHash:      hex.EncodeToString(hash[:]),
 		SnapshotBytes: size,
@@ -564,6 +570,50 @@ func manifestFor(m *snap.Model, epoch uint64, hash [32]byte, size int) *Manifest
 		mf.Links = append(mf.Links, l.ID)
 	}
 	return mf
+}
+
+// ParseManifest is WriteJSON's reader: a strict decode (an unknown key,
+// or the absence of one the encoder always writes, is an error) of a
+// manifest that manifestFor could have built — a 64-digit lowercase-hex
+// root hash, a snapshot size that holds at least the hash trailer, 2–4
+// tree levels, at least one region, name-ordered machines with
+// non-negative finite clocks and no more live regions than the profile
+// has, and non-empty link ids.
+func ParseManifest(data []byte) (*Manifest, error) {
+	m := &Manifest{}
+	if err := trace.DecodeStrict(manifestSchema, data, m); err != nil {
+		return nil, err
+	}
+	bad := func(format string, args ...interface{}) (*Manifest, error) {
+		return nil, fmt.Errorf("mmt: manifest: "+format, args...)
+	}
+	if m.Schema != manifestSchema {
+		return bad("schema %q, want %q", m.Schema, manifestSchema)
+	}
+	if len(m.RootHash) != 64 || strings.Trim(m.RootHash, "0123456789abcdef") != "" {
+		return bad("root_hash %q is not 64 lowercase hex digits", m.RootHash)
+	}
+	if m.SnapshotBytes <= len(m.RootHash)/2 {
+		return bad("snapshot_bytes %d cannot hold the hash trailer", m.SnapshotBytes)
+	}
+	if m.TreeLevels < 2 || m.TreeLevels > 4 || m.Regions < 1 || m.Profile == "" || len(m.Machines) == 0 {
+		return bad("want tree_levels in [2,4], regions >= 1, a profile and at least one machine; got %d, %d, %q, %d machines",
+			m.TreeLevels, m.Regions, m.Profile, len(m.Machines))
+	}
+	for i, mc := range m.Machines {
+		if mc.Name == "" || i > 0 && mc.Name <= m.Machines[i-1].Name {
+			return bad("machines[%d]: name %q empty or out of name order", i, mc.Name)
+		}
+		if !(mc.Clock >= 0) || math.IsInf(mc.Clock, 0) || mc.LiveRegions < 0 || mc.LiveRegions > m.Regions {
+			return bad("machine %q: clock_seconds %v or live_regions %d out of range [0,%d]", mc.Name, mc.Clock, mc.LiveRegions, m.Regions)
+		}
+	}
+	for i, l := range m.Links {
+		if l == "" {
+			return bad("links[%d]: empty id", i)
+		}
+	}
+	return m, nil
 }
 
 // Manifest describes the cluster's current state as Save would snapshot

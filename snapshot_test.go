@@ -2,12 +2,12 @@ package mmt
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -646,12 +646,12 @@ func TestManifestJSON(t *testing.T) {
 	if err := man.WriteJSON(&out); err != nil {
 		t.Fatal(err)
 	}
-	var decoded map[string]any
-	if err := json.Unmarshal(out.Bytes(), &decoded); err != nil {
+	decoded, err := ParseManifest(out.Bytes())
+	if err != nil {
 		t.Fatal(err)
 	}
-	if decoded["schema"] != "mmt-manifest/v1" {
-		t.Fatalf("schema = %v", decoded["schema"])
+	if !reflect.DeepEqual(decoded, man) || decoded.Schema != "mmt-manifest/v1" {
+		t.Fatalf("manifest did not round-trip:\n got %+v\nwant %+v", decoded, man)
 	}
 	if len(man.RootHash) != 64 {
 		t.Fatalf("root hash %q", man.RootHash)
