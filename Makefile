@@ -2,13 +2,28 @@
 
 GO ?= go
 
-.PHONY: build test race vet lint vet-json allow-prune bench bench-smoke bench-module bench-pairs check smoke fuzz perfdiff baselines profiles crash-sim
+.PHONY: build test test-purego cross race vet lint vet-json allow-prune bench bench-smoke bench-module bench-pairs check smoke fuzz perfdiff baselines profiles crash-sim
 
 build:
 	$(GO) build ./...
 
 test:
 	$(GO) test ./...
+
+# test-purego: the packages on the MAC path with the portable gf.Mulx
+# (byte tables, mulx_generic.go) in place of the amd64 carry-less-multiply
+# kernel, so the file every other platform compiles is tested on every
+# push. The tag also switches the standard library's AES to its portable
+# code, so this run is slow by design.
+test-purego:
+	$(GO) test -tags purego ./internal/gf ./internal/crypt ./internal/tree ./internal/engine ./internal/core .
+
+# cross: the module builds, and gf vets, for a platform that has no
+# kernel. (On amd64 it is `vet` whose asmdecl pass checks mulx_amd64.s
+# against its Go declarations.)
+cross:
+	GOARCH=arm64 $(GO) build ./...
+	GOARCH=arm64 $(GO) vet ./internal/gf
 
 # First-class tier-1 target: the whole module under the race detector.
 race:
@@ -139,4 +154,4 @@ crash-sim:
 
 # check: what CI's first step runs. vet-json is the lint run that also
 # leaves the findings document CI uploads.
-check: build vet vet-json test race bench-module
+check: build vet cross vet-json test test-purego race bench-module

@@ -191,7 +191,7 @@ func (m *MMT) ReadInto(line int, dst []byte) error {
 
 // checkSpan rejects a byte span that does not lie inside the region.
 func (m *MMT) checkSpan(op string, off, n int) error {
-	if size := m.node.ctl.Geometry().DataSize(); off < 0 || n < 0 || n > size-off {
+	if size := m.node.ctl.DataSize(); off < 0 || n < 0 || n > size-off {
 		return fmt.Errorf("core: %s [%d,+%d) outside region of %d bytes", op, off, n, size)
 	}
 	return nil

@@ -72,8 +72,8 @@ func packedWords(n int) []uint64 {
 	return p
 }
 
-// BenchmarkNodeMACBatch: a full 3-level path (16/32/64-ary) verified in
-// one lock-step Horner evaluation — the VerifyPath kernel.
+// BenchmarkNodeMACBatch: the node MACs of a full 3-level path
+// (16/32/64-ary), hash and mask.
 func BenchmarkNodeMACBatch(b *testing.B) {
 	e := benchEngine(b)
 	var s Scratch
@@ -92,8 +92,8 @@ func BenchmarkNodeMACBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkNodeHashBatch: same path, unmasked GF halves only — the kernel
-// the tree runs when its per-node mask cache hits.
+// BenchmarkNodeHashBatch: same path, unmasked GF halves only — what the
+// tree computes when its per-node mask cache hits.
 func BenchmarkNodeHashBatch(b *testing.B) {
 	e := benchEngine(b)
 	var s Scratch

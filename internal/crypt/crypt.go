@@ -82,7 +82,11 @@ type Engine struct {
 	block cipher.Block // AES-128 for OTP/MAC masks
 	seal  cipher.AEAD  // AES-GCM for root sealing
 	point uint64       // secret GF(2^64) evaluation point for CW MACs
-	mulx  *gf.Mulx     // precomputed multiply-by-point tables
+	mulx  *gf.Mulx     // fixed-point multiplier for point
+	// lineLen is LineHash's length-binding term, LineSize·point^8: every
+	// hashed line is LineSize bytes, so the top coefficient of its
+	// polynomial is a per-key constant.
+	lineLen uint64
 }
 
 // NewEngine derives an engine from an MMT key.
@@ -109,7 +113,9 @@ func NewEngine(key Key) *Engine {
 	if point == 0 {
 		point = 1 // the zero point would collapse the polynomial hash
 	}
-	return &Engine{block: block, seal: aead, point: point, mulx: gf.NewMulx(point)}
+	mulx := gf.NewMulx(point)
+	lenPoly := [LineSize/8 + 1]uint64{LineSize / 8: LineSize}
+	return &Engine{block: block, seal: aead, point: point, mulx: mulx, lineLen: mulx.Eval(lenPoly[:])}
 }
 
 func deriveKey(key Key, label string) Key {
@@ -132,17 +138,13 @@ type Tweak struct {
 
 // NodeHash is the GF(2^64) half of NodeMAC: the polynomial with
 // coefficients (parentCounter, arity, packed...) — constant term first —
-// evaluated at the secret point. Horner runs highest-coefficient-first,
-// so the packed slice is evaluated as-is (zero copy) and the two header
-// words fold in afterwards. Callers that cache per-node masks (the
-// tree's mask planes) compose the MAC themselves:
-// NodeMAC == NodeHash ^ mask(guaddr, nodeID, parentCounter).
+// evaluated at the secret point, the packed slice used in place. Callers
+// that cache per-node masks (the tree's mask planes) compose the MAC
+// themselves: NodeMAC == NodeHash ^ mask(guaddr, nodeID, parentCounter).
 //
 //mmt:hotpath
 func (e *Engine) NodeHash(parentCounter, arity uint64, packed []uint64) uint64 {
-	acc := e.mulx.Eval(packed)
-	acc = e.mulx.Mul(acc) ^ arity
-	return e.mulx.Mul(acc) ^ parentCounter
+	return e.mulx.EvalPrefixed(parentCounter, arity, packed)
 }
 
 // TagEqual compares two 64-bit authentication tags in constant time.

@@ -106,13 +106,38 @@ func TestLineMACDetectsTampering(t *testing.T) {
 	tw := Tweak{GUAddr: 5, Line: 1, Counter: 3}
 	ct := encryptLine(e, tw, line(0))
 	mac := e.LineMAC(tw, ct)
-	for _, bit := range []int{0, 7, 63, 255, 511} {
-		mut := make([]byte, len(ct))
-		copy(mut, ct)
-		mut[bit/8] ^= 1 << uint(bit%8)
-		if e.LineMAC(tw, mut) == mac {
-			t.Fatalf("flipping bit %d did not change LineMAC", bit)
+	if e.LineMACBuf(tw, ct, &Scratch{}) != mac {
+		t.Fatal("LineMACBuf differs from LineMAC on the untampered line")
+	}
+	// Every byte of the line is authenticated, by the oracle and by the
+	// scratch kernel alike.
+	mut := make([]byte, len(ct))
+	for i := range ct {
+		for _, bit := range []byte{0x01, 0x80} {
+			copy(mut, ct)
+			mut[i] ^= bit
+			if e.LineMAC(tw, mut) == mac {
+				t.Fatalf("flipping %#x in byte %d did not change LineMAC", bit, i)
+			}
+			if e.LineMACBuf(tw, mut, &Scratch{}) == mac {
+				t.Fatalf("flipping %#x in byte %d did not change LineMACBuf", bit, i)
+			}
 		}
+	}
+	// Anything but a whole line is refused: a length that is not a
+	// multiple of eight would leave its last bytes out of the MAC.
+	for name, mac := range map[string]func(){
+		"LineMAC":    func() { e.LineMAC(tw, ct[:13]) },
+		"LineMACBuf": func() { e.LineMACBuf(tw, ct[:13], &Scratch{}) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s accepted a 13-byte input", name)
+				}
+			}()
+			mac()
+		}()
 	}
 }
 

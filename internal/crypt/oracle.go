@@ -69,6 +69,10 @@ func (e *Engine) XORPad(tw Tweak, buf []byte) {
 // Carter–Wegman construction, replay-sensitive because the counter is in
 // the mask.
 func (e *Engine) LineMAC(tw Tweak, ct []byte) uint64 {
+	if len(ct) != LineSize {
+		//mmt:allow nopanic: caller bug, equivalent to built-in bounds check
+		panic(fmt.Sprintf("crypt: LineMAC with %d bytes, want %d", len(ct), LineSize))
+	}
 	words := make([]uint64, 0, LineSize/8+1)
 	for off := 0; off+8 <= len(ct); off += 8 {
 		words = append(words, binary.LittleEndian.Uint64(ct[off:]))

@@ -26,8 +26,6 @@ type Scratch struct {
 	stage         [LineSize]byte      // PRF input blocks for PadLineFromBase
 	aesIn, aesOut [aes.BlockSize]byte // single-block AES staging
 	base          [aes.BlockSize]byte // tweakBase output
-	lineWords     [LineSize/8 + 1]uint64
-	polys         [][]uint64
 }
 
 // MaskBaseSize is the byte size of one cached tweak base (one AES block).
@@ -113,35 +111,19 @@ func XORLine(dst, line, pad []byte) {
 	}
 }
 
-// LineHash is the GF(2^64) half of LineMAC: the ciphertext words plus
-// length binding, hashed at the secret point. Callers with a cached
-// DomainLineMAC mask (the engine's per-line mask cache) XOR it in
-// themselves; LineMACBuf composes the two for everyone else.
+// LineHash is the GF(2^64) half of LineMAC: the eight ciphertext words
+// of a LineSize line hashed at the secret point where they lie, plus the
+// length-binding term. Callers with a cached DomainLineMAC mask (the
+// engine's per-line mask cache) XOR it in themselves; LineMACBuf composes
+// the two for everyone else.
 //
 //mmt:hotpath
-func (e *Engine) LineHash(ct []byte, s *Scratch) uint64 {
-	if len(ct) == LineSize {
-		// Unrolled Horner for the fixed full-line case: same polynomial
-		// and the same high-to-low fold order as the generic Eval (the
-		// length coefficient first, then ciphertext words from the top),
-		// without the staging append or the generic loop.
-		m := e.mulx
-		acc := uint64(LineSize)
-		acc = m.Mul(acc) ^ binary.LittleEndian.Uint64(ct[56:64])
-		acc = m.Mul(acc) ^ binary.LittleEndian.Uint64(ct[48:56])
-		acc = m.Mul(acc) ^ binary.LittleEndian.Uint64(ct[40:48])
-		acc = m.Mul(acc) ^ binary.LittleEndian.Uint64(ct[32:40])
-		acc = m.Mul(acc) ^ binary.LittleEndian.Uint64(ct[24:32])
-		acc = m.Mul(acc) ^ binary.LittleEndian.Uint64(ct[16:24])
-		acc = m.Mul(acc) ^ binary.LittleEndian.Uint64(ct[8:16])
-		return m.Mul(acc) ^ binary.LittleEndian.Uint64(ct[0:8])
+func (e *Engine) LineHash(ct []byte, _ *Scratch) uint64 {
+	if len(ct) != LineSize {
+		//mmt:allow nopanic: caller bug, equivalent to built-in bounds check
+		panic(fmt.Sprintf("crypt: LineHash with %d bytes, want %d", len(ct), LineSize))
 	}
-	words := s.lineWords[:0]
-	for off := 0; off+8 <= len(ct); off += 8 {
-		words = append(words, binary.LittleEndian.Uint64(ct[off:]))
-	}
-	words = append(words, uint64(len(ct))) // length binding
-	return e.mulx.Eval(words)
+	return e.mulx.EvalBlock((*[LineSize]byte)(ct)) ^ e.lineLen
 }
 
 // LineMACBuf is LineMAC computed through the caller's scratch buffers
@@ -166,40 +148,25 @@ type NodeMACJob struct {
 	Packed []uint64
 }
 
-// NodeHashBatch computes the GF halves of several node MACs at once,
-// writing job j's hash (NOT masked) to out[j]. The polynomial slices are
-// the jobs' Packed arena sub-slices used in place — no flattening copy —
-// and gf.Mulx.EvalBatch interleaves the independent Horner chains for
-// instruction-level parallelism; the two header coefficients (arity,
-// parent counter) fold in lock-step afterwards. Callers that cache
-// per-node masks (the tree) XOR them in themselves; NodeMACBatch
-// composes hash and mask for everyone else.
+// NodeHashBatch computes the GF halves of several node MACs, writing job
+// j's hash (NOT masked) to out[j]: NodeHash per job, each polynomial its
+// job's Packed arena sub-slice used in place. Callers that cache per-node
+// masks XOR them in themselves; NodeMACBatch composes hash and mask for
+// everyone else.
 //
 // len(out) must be >= len(jobs).
 //
 //mmt:hotpath
-func (e *Engine) NodeHashBatch(jobs []NodeMACJob, out []uint64, s *Scratch) {
-	if cap(s.polys) < len(jobs) {
-		//mmt:allow noalloc: guarded grow-once; steady state reuses the batch poly slots
-		s.polys = make([][]uint64, len(jobs))
-	}
-	polys := s.polys[:len(jobs)]
+func (e *Engine) NodeHashBatch(jobs []NodeMACJob, out []uint64, _ *Scratch) {
 	for i := range jobs {
-		polys[i] = jobs[i].Packed
-	}
-	e.mulx.EvalBatch(polys, out)
-	for i := range jobs {
-		j := &jobs[i]
-		out[i] = e.mulx.Mul(out[i]) ^ j.Arity
-		out[i] = e.mulx.Mul(out[i]) ^ j.ParentCounter
+		out[i] = e.NodeHash(jobs[i].ParentCounter, jobs[i].Arity, jobs[i].Packed)
 	}
 }
 
 // NodeMACBatch computes the MACs of several tree nodes at once, writing
 // job j's MAC to out[j]. Output is identical to calling NodeMAC per job.
-// The tree's leaf-to-root verify path batches all L node MACs of one
-// walk through NodeHashBatch with cached masks; this composed form
-// serves region scrubs and tests.
+// The tree composes NodeHash with its cached masks; this form serves
+// everyone without a mask cache.
 //
 // len(out) must be >= len(jobs).
 //

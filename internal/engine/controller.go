@@ -215,10 +215,14 @@ type Controller struct {
 	stats   Stats
 	quiet   bool
 	probe   *trace.Probe // nil = tracing disabled
-	// levelDiv[l] is the number of lines covered by one level-l node, so
-	// nodeIndexAt is one division instead of an arity-product loop per
-	// level per access.
+	// Geometry products, multiplied out once in New. levelDiv[l] is the
+	// number of lines covered by one level-l node, so nodeIndexAt is one
+	// division instead of an arity-product loop per level per access;
+	// nodeSize[l] is geo.NodeSize(l), what a level-l node occupies in the
+	// node cache; dataSize is geo.DataSize().
 	levelDiv []int
+	nodeSize []int
+	dataSize int
 	// causal is the causal context the channel/monitor layer installs
 	// around a closure accept, so the functional Install lands as a child
 	// span of the accept (zero when no migration is in progress).
@@ -253,10 +257,12 @@ func New(m *mem.Memory, geo tree.Geometry, clock *sim.Clock, prof *sim.Profile) 
 		clock = sim.NewClock(prof.FreqHz)
 	}
 	levelDiv := make([]int, geo.Levels())
+	nodeSize := make([]int, geo.Levels())
 	prod := 1
 	for l := geo.Levels() - 1; l >= 0; l-- {
 		prod *= geo.Arities[l]
 		levelDiv[l] = prod
+		nodeSize[l] = geo.NodeSize(l)
 	}
 	return &Controller{
 		mem:      m,
@@ -267,11 +273,18 @@ func New(m *mem.Memory, geo tree.Geometry, clock *sim.Clock, prof *sim.Profile) 
 		roots:    newRootTable(prof.RootTableSoC / rootEntryBytes),
 		regions:  make([]regionState, m.Regions()),
 		levelDiv: levelDiv,
+		nodeSize: nodeSize,
+		dataSize: prod * mem.LineSize,
 	}, nil
 }
 
 // Geometry reports the controller's tree geometry.
 func (c *Controller) Geometry() tree.Geometry { return c.geo }
+
+// DataSize reports the protected bytes of one region, Geometry().DataSize()
+// without re-multiplying the arities: the bound every span check compares
+// against.
+func (c *Controller) DataSize() int { return c.dataSize }
 
 // Memory reports the underlying physical memory.
 func (c *Controller) Memory() *mem.Memory { return c.mem }
@@ -497,7 +510,7 @@ func (c *Controller) chargePath(r, line int, extraNodes int) (total, verify sim.
 		walkCost += queuePerLevel
 		key := nodeKey{region: r, level: l, index: c.nodeIndexAt(line, l)}
 		//mmt:allow noalloc: LRU bookkeeping models on-chip SRAM lookup state, not per-access DRAM traffic; entries are bounded by cache capacity
-		if c.cache.touch(key, c.geo.NodeSize(l)) {
+		if c.cache.touch(key, c.nodeSize[l]) {
 			c.stats.NodeHits++
 			c.probe.Count(trace.CtrNodeCacheHits, 1)
 			continue

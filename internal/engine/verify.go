@@ -97,9 +97,16 @@ func (c *Controller) sweepLines(fn func(lo, hi int, scr *crypt.Scratch) error) e
 	if workers == 1 {
 		return fn(0, lines, &c.scr)
 	}
-	scratch := make([]crypt.Scratch, workers)
-	return par.ForEach(workers, scratch, func(i int, _ crypt.Scratch) error {
-		return fn(i*groups/workers*64, min((i+1)*groups/workers*64, lines), &scratch[i])
+	// Every line stages its AES blocks through the worker's scratch, so
+	// two scratches within reach of one cache line (or of the adjacent
+	// line the prefetcher pairs with it) make two workers as slow as one.
+	type apart struct {
+		crypt.Scratch
+		_ [128]byte
+	}
+	scratch := make([]apart, workers)
+	return par.ForEach(workers, scratch, func(i int, _ apart) error {
+		return fn(i*groups/workers*64, min((i+1)*groups/workers*64, lines), &scratch[i].Scratch)
 	})
 }
 

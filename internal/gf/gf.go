@@ -8,35 +8,34 @@
 // smallest irreducible degree-64 pentanomial, the same one used by
 // reference GHASH-style constructions over 64-bit words).
 //
-// The arithmetic is table-driven: generic multiplication uses a per-call
-// 4-bit window over one operand plus two small shared reduction tables
-// (red4 for shift-by-4 folds, red8 for shift-by-8 folds), turning the old
-// 64-iteration bit loop into 16 window steps. The original bit-loop
-// implementation survives in oracle.go as the differential-test oracle —
-// the shared tables are built from it at init and the tests cross-check
-// every fast path against it.
+// Three multipliers share one definition. The bit loop in oracle.go
+// defines the field and is what every test compares against. Mul and
+// Eval, for two free operands, walk a 4-bit window of one operand built
+// per call, folding overflow through the small shared red4 table. Mulx,
+// the fixed-point multiplier every Carter–Wegman MAC goes through, is
+// per platform: a carry-less-multiply dot product over cached powers of
+// the point on amd64 (mulx_amd64.go), byte tables and Horner's rule
+// elsewhere and under -tags purego (mulx_generic.go). All are pinned by
+// the same known-answer vectors (testdata/gf_kat.json).
 package gf
 
 // reduction holds the low coefficients of the irreducible polynomial
 // x^64 + x^4 + x^3 + x + 1: bits for x^4, x^3, x^1, x^0.
 const reduction uint64 = 0x1B
 
-// red4 and red8 are the shared (key-independent) reduction tables:
-// red4[o] is the reduction of o·x^64 for the 4-bit overflow o shifted out
-// by a multiply-by-x^4 step, red8[o] likewise for the 8-bit overflow of a
-// multiply-by-x^8 step. Both are derived from the bit-loop oracle at
-// init, so the fast path is definitionally anchored to it.
-var (
-	red4 [16]uint64
-	red8 [256]uint64
-)
+// BlockSize is the byte size of the block Mulx.EvalBlock hashes in place:
+// eight coefficient words, the engine's 64 B cache line.
+const BlockSize = 64
+
+// red4 is the shared (key-independent) reduction table: red4[o] is the
+// reduction of o·x^64 for the 4-bit overflow o shifted out by a
+// multiply-by-x^4 step. It is derived from the bit-loop oracle at init,
+// so the fast path is definitionally anchored to it.
+var red4 [16]uint64
 
 func init() {
 	for o := range red4 {
 		red4[o] = reduceSlow(uint64(o), 0)
-	}
-	for o := range red8 {
-		red8[o] = reduceSlow(uint64(o), 0)
 	}
 }
 
@@ -46,10 +45,6 @@ func Add(a, b uint64) uint64 { return a ^ b }
 // mulx4 returns v * x^4 in GF(2^64): shift by a nibble, folding the four
 // overflow bits through the shared red4 table.
 func mulx4(v uint64) uint64 { return v<<4 ^ red4[v>>60] }
-
-// mulx8 returns v * x^8 in GF(2^64): shift by a byte, folding the eight
-// overflow bits through the shared red8 table.
-func mulx8(v uint64) uint64 { return v<<8 ^ red8[v>>56] }
 
 // window16 builds the reduced 4-bit window of a into w: w[k] = a*k for
 // every 4-bit polynomial k. Entries are filled by the doubling chain
@@ -116,79 +111,27 @@ func Pow(a uint64, n uint) uint64 {
 	return result
 }
 
-// evalTableMin is the coefficient count from which Eval amortizes a full
-// 16x16 nibble table of the evaluation point instead of windowing per
-// Horner step. Below it the per-step window walk is cheaper.
-const evalTableMin = 8
-
 // Eval evaluates the polynomial with coefficients coeffs (constant term
 // first) at point x, via Horner's rule. This is the universal-hash core:
 // for a fixed secret x, Eval is an almost-universal family over messages.
 //
-// Short polynomials run Horner with a per-step window walk over the
-// accumulator; longer ones first expand x into a 16x16 nibble table
-// (nibble j of the accumulator -> contribution (nib<<4j)*x), making each
-// Horner step 16 independent table lookups. Both agree exactly with the
-// oracle evalSlow (TestEvalMatchesOracle).
+// It is the two-operand form for a point nobody keeps a Mulx for: one
+// window of x built per call, then a window walk over the accumulator's
+// nibbles per Horner step. Agrees exactly with the oracle evalSlow
+// (TestEvalMatchesOracle).
 //
 //mmt:hotpath
 func Eval(coeffs []uint64, x uint64) uint64 {
-	if len(coeffs) < evalTableMin {
-		var w [16]uint64
-		window16(x, &w)
-		var acc uint64
-		for i := len(coeffs) - 1; i >= 0; i-- {
-			// acc*x via the window over acc's nibbles, high to low.
-			var m uint64
-			for s := 60; s >= 0; s -= 4 {
-				m = mulx4(m) ^ w[(acc>>uint(s))&0xF]
-			}
-			acc = m ^ coeffs[i]
-		}
-		return acc
-	}
-	var t [16][16]uint64
-	evalTable(x, &t)
+	var w [16]uint64
+	window16(x, &w)
 	var acc uint64
 	for i := len(coeffs) - 1; i >= 0; i-- {
-		acc = mulTable(&t, acc) ^ coeffs[i]
+		// acc*x via the window over acc's nibbles, high to low.
+		var m uint64
+		for s := 60; s >= 0; s -= 4 {
+			m = mulx4(m) ^ w[(acc>>uint(s))&0xF]
+		}
+		acc = m ^ coeffs[i]
 	}
 	return acc
-}
-
-// evalTable fills t with the nibble tables of x: t[j][k] = (k << 4j) * x.
-// Row 0 is the plain window of x; each higher row is the previous one
-// advanced by x^4 through red4.
-//
-//mmt:hotpath
-func evalTable(x uint64, t *[16][16]uint64) {
-	window16(x, &t[0])
-	for j := 1; j < 16; j++ {
-		for k := 0; k < 16; k++ {
-			t[j][k] = mulx4(t[j-1][k])
-		}
-	}
-}
-
-// mulTable returns a * x for the x the table was built from: 16
-// independent lookups, one per nibble of a — no serial fold chain.
-//
-//mmt:hotpath
-func mulTable(t *[16][16]uint64, a uint64) uint64 {
-	return t[0][a&0xF] ^
-		t[1][a>>4&0xF] ^
-		t[2][a>>8&0xF] ^
-		t[3][a>>12&0xF] ^
-		t[4][a>>16&0xF] ^
-		t[5][a>>20&0xF] ^
-		t[6][a>>24&0xF] ^
-		t[7][a>>28&0xF] ^
-		t[8][a>>32&0xF] ^
-		t[9][a>>36&0xF] ^
-		t[10][a>>40&0xF] ^
-		t[11][a>>44&0xF] ^
-		t[12][a>>48&0xF] ^
-		t[13][a>>52&0xF] ^
-		t[14][a>>56&0xF] ^
-		t[15][a>>60&0xF]
 }

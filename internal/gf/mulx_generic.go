@@ -1,4 +1,27 @@
+//go:build !amd64 || purego
+
 package gf
+
+import "encoding/binary"
+
+// This file is the portable Mulx: every platform but amd64, and amd64
+// under -tags purego. mulx_amd64.go is its carry-less-multiply twin; the
+// two export the same methods and produce the same values.
+
+// red8 is red4's byte-wide sibling: red8[o] is the reduction of o·x^64
+// for the 8-bit overflow of a multiply-by-x^8 step, derived from the
+// bit-loop oracle like red4.
+var red8 [256]uint64
+
+func init() {
+	for o := range red8 {
+		red8[o] = reduceSlow(uint64(o), 0)
+	}
+}
+
+// mulx8 returns v * x^8 in GF(2^64): shift by a byte, folding the eight
+// overflow bits through red8.
+func mulx8(v uint64) uint64 { return v<<8 ^ red8[v>>56] }
 
 // Mulx multiplies by one fixed element of GF(2^64) using byte-indexed
 // precomputed tables, the classic GHASH acceleration. The Carter–Wegman
@@ -58,14 +81,30 @@ func (m *Mulx) Eval(coeffs []uint64) uint64 {
 	return acc
 }
 
+// EvalBlock evaluates the polynomial whose eight coefficients are the
+// little-endian words of b, constant term first.
+func (m *Mulx) EvalBlock(b *[BlockSize]byte) uint64 {
+	var acc uint64
+	for off := BlockSize - 8; off >= 0; off -= 8 {
+		acc = m.Mul(acc) ^ binary.LittleEndian.Uint64(b[off:])
+	}
+	return acc
+}
+
+// EvalPrefixed evaluates the polynomial (h0, h1, coeffs...) — two header
+// coefficients ahead of a slice used in place — at the fixed point:
+// h0 + h1·x + x²·Eval(coeffs).
+func (m *Mulx) EvalPrefixed(h0, h1 uint64, coeffs []uint64) uint64 {
+	return m.Mul(m.Mul(m.Eval(coeffs))^h1) ^ h0
+}
+
 // EvalBatch evaluates several polynomials at the fixed point at once,
 // writing polynomial j's hash to out[j]. Semantically out[j] ==
 // Eval(polys[j]); the win is instruction-level parallelism: a single
 // Horner chain is one long serial dependency (each Mul waits on the
 // previous accumulator), while the lock-step loop here interleaves the
 // independent accumulators of the batch, so the table lookups of
-// different polynomials overlap. The tree verify path batches all node
-// MACs of one leaf-to-root walk through this.
+// different polynomials overlap.
 //
 // len(out) must be >= len(polys); out[len(polys):] is untouched.
 func (m *Mulx) EvalBatch(polys [][]uint64, out []uint64) {

@@ -69,9 +69,8 @@ func TestIdleTreeAllocsConstant(t *testing.T) {
 	}
 }
 
-// TestBatchedVerifyMatchesPerNode: the batched VerifyPath agrees with
-// node-by-node verification (verifyNode) on both healthy and tampered
-// trees, including the identity of the reported node.
+// TestBatchedVerifyMatchesPerNode: VerifyPath passes a healthy tree and
+// names, on a tampered one, the node a leaf-to-root walk meets first.
 func TestBatchedVerifyMatchesPerNode(t *testing.T) {
 	e := crypt.NewEngine(crypt.KeyFromBytes([]byte("batch")))
 	const guaddr = 0x9100

@@ -161,17 +161,13 @@ func (g Geometry) MetaSize() int {
 // to reproduce Table V's "Root Size" column for a given total memory.
 func (g Geometry) RootSoCBytes() int { return 8 }
 
-// checkLine bounds-checks a line index.
-func (g Geometry) checkLine(line int) {
+// path computes, for a line index, the node index and slot at every level.
+// Returned slices are indexed by level (0 = top).
+func (g Geometry) path(line int) (nodeIdx, slot []int) {
 	if line < 0 || line >= g.Lines() {
 		//mmt:allow nopanic: internal bounds guard, equivalent to built-in slice indexing
 		panic(fmt.Sprintf("tree: line %d out of range [0,%d)", line, g.Lines()))
 	}
-}
-
-// path computes, for a line index, the node index and slot at every level.
-// Returned slices are indexed by level (0 = top).
-func (g Geometry) path(line int) (nodeIdx, slot []int) {
 	L := g.Levels()
 	nodeIdx = make([]int, L)
 	slot = make([]int, L)
@@ -180,10 +176,10 @@ func (g Geometry) path(line int) (nodeIdx, slot []int) {
 }
 
 // pathInto is path writing into caller-owned level-indexed buffers of
-// length Levels(); the tree's hot verify/update paths use it with scratch
-// buffers to stay allocation-free.
+// length Levels(), for a line the caller has bounds-checked; the tree's
+// hot verify/update paths use it with scratch buffers to stay
+// allocation-free.
 func (g Geometry) pathInto(line int, nodeIdx, slot []int) {
-	g.checkLine(line)
 	// Walk from leaf upward: at the leaf level the slot is line % leafArity
 	// and the node index is line / leafArity; each level up divides by that
 	// level's arity.

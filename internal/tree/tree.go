@@ -42,6 +42,7 @@ type Tree struct {
 	ctrBase    []int // ctr-plane word offset of (l, 0)
 	ctrStride  []int // ctr words per node at level l: 1 + ceil(arity/4)
 	totalNodes int
+	lines      int // geo.Lines(), multiplied out once
 
 	// Dirty-node tracking for checkpoint streaming: one bit per node,
 	// flattened level-major (levelBase[l]+i). Bits are set in rehashNode —
@@ -89,6 +90,7 @@ func (t *Tree) initPlanes() {
 		words += n * t.ctrStride[l]
 	}
 	t.totalNodes = nodes
+	t.lines = t.geo.Lines()
 	t.ctr = make([]uint64, words)
 	t.mac = make([]uint64, nodes)
 	t.dirty = make([]uint64, (nodes+63)/64)
@@ -181,21 +183,14 @@ func (t *Tree) MarkAllDirty() {
 	}
 }
 
-// verifyAllChunk bounds how many nodes one VerifyAll hash batch gathers;
-// it caps the scratch job array on huge trees while keeping enough
-// independent Horner chains in flight to saturate the pipeline.
-const verifyAllChunk = 64
-
 // treeScratch holds the tree's reusable working buffers so the per-access
 // verify and update paths stay allocation-free. A tree belongs to one
 // goroutine (each parallel work unit builds its own controller and trees),
 // so one scratch per tree suffices.
 type treeScratch struct {
-	nodeIdx []int              // path node index per level
-	slot    []int              // path slot per level
-	ovf     []bool             // Update overflow markers per level
-	jobs    []crypt.NodeMACJob // batched verify jobs
-	macs    []uint64           // batched verify results
+	nodeIdx []int  // path node index per level
+	slot    []int  // path slot per level
+	ovf     []bool // Update overflow markers per level
 	cs      crypt.Scratch
 }
 
@@ -209,12 +204,16 @@ func (t *Tree) ensureScratch() {
 	t.scr.nodeIdx = make([]int, L)
 	t.scr.slot = make([]int, L)
 	t.scr.ovf = make([]bool, L)
-	batch := L
-	if batch < verifyAllChunk {
-		batch = verifyAllChunk
+}
+
+// checkLine bounds-checks a line index.
+//
+//mmt:hotpath
+func (t *Tree) checkLine(line int) {
+	if line < 0 || line >= t.lines {
+		//mmt:allow nopanic: internal bounds guard, equivalent to built-in slice indexing
+		panic(fmt.Sprintf("tree: line %d out of range [0,%d)", line, t.lines))
 	}
-	t.scr.jobs = make([]crypt.NodeMACJob, batch)
-	t.scr.macs = make([]uint64, batch)
 }
 
 // pathOf computes line's path — node index and slot per level — into the
@@ -223,6 +222,7 @@ func (t *Tree) ensureScratch() {
 //
 //mmt:hotpath
 func (t *Tree) pathOf(line int) (nodeIdx, slot []int) {
+	t.checkLine(line)
 	//mmt:allow noalloc: scratch grows once per geometry change, then steady-state reuse
 	t.ensureScratch()
 	t.geo.pathInto(line, t.scr.nodeIdx, t.scr.slot)
@@ -321,9 +321,10 @@ func (n NodeRef) SetMAC(v uint64) { n.t.mac[n.t.levelBase[n.level]+n.index] = v 
 // this is the counter the crypto engine mixes into the line's OTP and MAC.
 // Called once per protected access, so it computes the leaf coordinates
 // directly instead of materialising the whole path.
+//
 //mmt:hotpath
 func (t *Tree) LeafCounter(line int) uint64 {
-	t.geo.checkLine(line)
+	t.checkLine(line)
 	L := t.geo.Levels()
 	leafArity := t.geo.Arities[L-1]
 	return t.counter(L-1, line/leafArity, line%leafArity)
@@ -388,14 +389,35 @@ func (t *Tree) nodeMask(e *crypt.Engine, guaddr uint64, l, i int, pc uint64) uin
 	return v
 }
 
+// nodeMAC computes the MAC node (l, i) should carry: the GF hash of its
+// counter record under the covering parent counter, XOR the cached mask.
+// Callers must have bound (e, guaddr) first.
+//
+//mmt:hotpath
+func (t *Tree) nodeMAC(e *crypt.Engine, guaddr uint64, l, i int) uint64 {
+	pc := t.parentCounter(l, i)
+	return e.NodeHash(pc, uint64(t.geo.Arities[l]), t.packed(l, i)) ^ t.nodeMask(e, guaddr, l, i, pc)
+}
+
+// checkNode compares node (l, i)'s stored MAC with the one it should
+// carry, counting the verification.
+//
+//mmt:hotpath
+func (t *Tree) checkNode(e *crypt.Engine, guaddr uint64, l, i int) error {
+	t.probe.Count(trace.CtrTreeNodeVerifies, 1)
+	if !crypt.TagEqual(t.mac[t.levelBase[l]+i], t.nodeMAC(e, guaddr, l, i)) {
+		t.probe.Count(trace.CtrTreeNodeVerifyFails, 1)
+		return fmt.Errorf("%w: node level %d index %d", ErrIntegrity, l, i)
+	}
+	return nil
+}
+
 // rehashNode recomputes the MAC of node (l, i).
 func (t *Tree) rehashNode(e *crypt.Engine, guaddr uint64, l, i int) {
 	t.probe.Count(trace.CtrTreeNodeRehashes, 1)
 	t.markDirty(l, i)
 	t.bind(e, guaddr)
-	pc := t.parentCounter(l, i)
-	h := e.NodeHash(pc, uint64(t.geo.Arities[l]), t.packed(l, i))
-	t.mac[t.levelBase[l]+i] = h ^ t.nodeMask(e, guaddr, l, i, pc)
+	t.mac[t.levelBase[l]+i] = t.nodeMAC(e, guaddr, l, i)
 }
 
 // RehashAll recomputes every node MAC bottom-up. Used after bulk
@@ -415,79 +437,32 @@ var ErrIntegrity = errors.New("tree: integrity check failed")
 
 // VerifyPath checks node MACs from the leaf covering line up to the root
 // counter — the integrity-tree engine's read-path check ("checks hashes
-// stored in tree nodes recursively up to the MMT root", §V-A2).
+// stored in tree nodes recursively up to the MMT root", §V-A2) — stopping
+// at the first mismatch. Each node's hash is one independent dot product
+// (crypt.NodeHash over the arena sub-slice, no copying), so the levels
+// need no staging to overlap.
 //
-// The expected MACs of the whole path are computed in one
-// crypt.NodeHashBatch (the batched GF Horner kernel over the arena
-// sub-slices, no copying) plus cached per-node masks before any
-// comparison; computing a MAC is pure, so doing the upper levels' work
-// eagerly cannot change behaviour. Comparisons — and the per-node verify
-// trace counts — then run leaf to root exactly like the serial loop,
-// stopping at the first mismatch, so traces and errors are identical to
-// the unbatched implementation in both success and failure.
 //mmt:hotpath
 func (t *Tree) VerifyPath(e *crypt.Engine, guaddr uint64, line int) error {
-	t.pathOf(line)
+	nodeIdx, _ := t.pathOf(line)
 	t.bind(e, guaddr)
-	s := &t.scr
-	L := t.geo.Levels()
-	jobs := s.jobs[:L]
-	for l := 0; l < L; l++ {
-		i := s.nodeIdx[l]
-		jobs[l] = crypt.NodeMACJob{
-			NodeID:        nodeID(l, i),
-			ParentCounter: t.parentCounter(l, i),
-			Arity:         uint64(t.geo.Arities[l]),
-			Packed:        t.packed(l, i),
-		}
-	}
-	e.NodeHashBatch(jobs, s.macs, &s.cs)
-	for l := 0; l < L; l++ {
-		s.macs[l] ^= t.nodeMask(e, guaddr, l, s.nodeIdx[l], jobs[l].ParentCounter)
-	}
-	for l := L - 1; l >= 0; l-- {
-		t.probe.Count(trace.CtrTreeNodeVerifies, 1)
-		if !crypt.TagEqual(t.mac[t.levelBase[l]+s.nodeIdx[l]], s.macs[l]) {
-			t.probe.Count(trace.CtrTreeNodeVerifyFails, 1)
-			return fmt.Errorf("%w: node level %d index %d", ErrIntegrity, l, s.nodeIdx[l])
+	for l := t.geo.Levels() - 1; l >= 0; l-- {
+		if err := t.checkNode(e, guaddr, l, nodeIdx[l]); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
-// VerifyAll checks every node MAC; the closure-delegation engine runs this
-// after unsealing a transferred root. Each level is verified in hash
-// batches of up to verifyAllChunk nodes — a whole level shares one pass of
-// lock-step Horner chains — with comparisons, trace counts and first-error
-// semantics identical to the old per-node walk in (level, index) order.
+// VerifyAll checks every node MAC in (level, index) order, stopping at
+// the first mismatch; the closure-delegation engine runs this after
+// unsealing a transferred root.
 func (t *Tree) VerifyAll(e *crypt.Engine, guaddr uint64) error {
-	t.ensureScratch()
 	t.bind(e, guaddr)
-	s := &t.scr
 	for l := 0; l < t.geo.Levels(); l++ {
-		n := t.geo.NodesAtLevel(l)
-		for start := 0; start < n; start += verifyAllChunk {
-			end := start + verifyAllChunk
-			if end > n {
-				end = n
-			}
-			jobs := s.jobs[:end-start]
-			for i := start; i < end; i++ {
-				jobs[i-start] = crypt.NodeMACJob{
-					NodeID:        nodeID(l, i),
-					ParentCounter: t.parentCounter(l, i),
-					Arity:         uint64(t.geo.Arities[l]),
-					Packed:        t.packed(l, i),
-				}
-			}
-			e.NodeHashBatch(jobs, s.macs, &s.cs)
-			for i := start; i < end; i++ {
-				t.probe.Count(trace.CtrTreeNodeVerifies, 1)
-				want := s.macs[i-start] ^ t.nodeMask(e, guaddr, l, i, jobs[i-start].ParentCounter)
-				if !crypt.TagEqual(t.mac[t.levelBase[l]+i], want) {
-					t.probe.Count(trace.CtrTreeNodeVerifyFails, 1)
-					return fmt.Errorf("%w: node level %d index %d", ErrIntegrity, l, i)
-				}
+		for i, n := 0, t.geo.NodesAtLevel(l); i < n; i++ {
+			if err := t.checkNode(e, guaddr, l, i); err != nil {
+				return err
 			}
 		}
 	}
@@ -513,6 +488,7 @@ type UpdateResult struct {
 // interior slot, and the root counter — handling local-counter overflow,
 // then recomputes the affected node MACs. This is the write path of the
 // integrity tree engine.
+//
 //mmt:hotpath
 func (t *Tree) Update(e *crypt.Engine, guaddr uint64, line int) UpdateResult {
 	nodeIdx, slot := t.pathOf(line)

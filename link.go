@@ -150,7 +150,7 @@ func (e *Enclave) Buffers() []uint64 {
 
 // Size reports the buffer's capacity in bytes.
 func (b *Buffer) Size() int {
-	return b.machine.mon.Node().Controller().Geometry().DataSize()
+	return b.machine.mon.Node().Controller().DataSize()
 }
 
 // mmtOf resolves the buffer's live MMT.
