@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test test-purego cross race vet lint vet-json allow-prune bench bench-smoke bench-module bench-pairs check smoke fuzz perfdiff baselines profiles crash-sim
+.PHONY: build test test-purego cross race vet lint vet-json allow-prune loc bench bench-smoke bench-module bench-pairs check smoke fuzz perfdiff baselines profiles crash-sim
 
 build:
 	$(GO) build ./...
@@ -47,6 +47,14 @@ vet-json:
 # allow-prune: list stale //mmt:allow comments ready for removal.
 allow-prune:
 	$(GO) run ./cmd/mmt-vet -fix allow-prune ./...
+
+# loc: non-test Go lines per package directory and the module total —
+# the table CHANGES.md reports per PR. benchmark/ is a module of its own
+# and is not counted.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' | xargs wc -l | \
+		awk '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); n[d] += $$1; t += $$1 } \
+			END { for (d in n) printf "%6d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%6d total\n", t }'
 
 # bench: measured run of the hot-path kernels (crypt scratch kernels,
 # engine read/write path, cache) plus the public API. The scratch-path

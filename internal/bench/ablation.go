@@ -110,14 +110,15 @@ func traceRun(prof *sim.Profile, cfg workload.TraceConfig, geo tree.Geometry, ac
 		return 0, 0, err
 	}
 	tr := workload.NewTrace(cfg, 11)
+	lines := geo.Lines()
 	for i := 0; i < accesses/10; i++ {
 		line, w := tr.Next()
-		ctl.Access(line/geo.Lines(), line%geo.Lines(), w)
+		ctl.Access(line/lines, line%lines, w)
 	}
 	ctl.ResetStats()
 	for i := 0; i < accesses; i++ {
 		line, w := tr.Next()
-		ctl.Access(line/geo.Lines(), line%geo.Lines(), w)
+		ctl.Access(line/lines, line%lines, w)
 	}
 	st := ctl.Stats()
 	compute := cfg.ComputeCyclesPerAccess * float64(accesses)

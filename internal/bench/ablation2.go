@@ -225,14 +225,15 @@ func RootTableSweep(accesses int) ([]RootTableRow, error) {
 			return nil, err
 		}
 		tr := workload.NewTrace(cfg, 11)
+		lines := geo.Lines()
 		for i := 0; i < accesses/10; i++ {
 			line, w := tr.Next()
-			ctl.Access(line/geo.Lines(), line%geo.Lines(), w)
+			ctl.Access(line/lines, line%lines, w)
 		}
 		ctl.ResetStats()
 		for i := 0; i < accesses; i++ {
 			line, w := tr.Next()
-			ctl.Access(line/geo.Lines(), line%geo.Lines(), w)
+			ctl.Access(line/lines, line%lines, w)
 		}
 		st := ctl.Stats()
 		compute := cfg.ComputeCyclesPerAccess * float64(accesses)

@@ -150,10 +150,11 @@ func fig11Run(cfg workload.TraceConfig, level, accesses int, sink *trace.Sink) (
 	// probe attaches only after the warm-up reset so the trace phases
 	// account for exactly the measured cycles.
 	tr := workload.NewTrace(cfg, 11)
+	lines := geo.Lines()
 	warm := accesses / 10
 	for i := 0; i < warm; i++ {
 		line, w := tr.Next()
-		ctl.Access(line/geo.Lines(), line%geo.Lines(), w)
+		ctl.Access(line/lines, line%lines, w)
 	}
 	ctl.ResetStats()
 	pr := sink.Probe(fmt.Sprintf("%s/L%d", cfg.Name, level))
@@ -163,7 +164,7 @@ func fig11Run(cfg workload.TraceConfig, level, accesses int, sink *trace.Sink) (
 	}
 	for i := 0; i < accesses; i++ {
 		line, w := tr.Next()
-		ctl.Access(line/geo.Lines(), line%geo.Lines(), w)
+		ctl.Access(line/lines, line%lines, w)
 	}
 	memCycles := float64(ctl.Stats().Cycles)
 	compute := cfg.ComputeCyclesPerAccess * float64(accesses)

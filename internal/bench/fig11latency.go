@@ -126,12 +126,12 @@ func fig11Latency(reads int, sink *trace.Sink) (*Fig11Latency, sim.Cycles, error
 	// Fixed burst interval: the migration (and therefore eviction-miss)
 	// fraction of the read stream is the same at any reads count, so the
 	// p99 contrast survives both the quick CI runs and full-length sweeps.
-	migrations := 0
+	migrations, lines := 0, geo.Lines()
 	for i := 0; i < reads; i++ {
 		if i%latBurstInterval == 0 && i > 0 {
 			migrations++
 			for w := 0; w < latProducerWrites; w++ {
-				ctl.Access(latProducerRegion, (w*8)%geo.Lines(), true)
+				ctl.Access(latProducerRegion, (w*8)%lines, true)
 			}
 			if err := tb.deleg.Send(payload(latPayloadBytes)); err != nil {
 				return nil, 0, err

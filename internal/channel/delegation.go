@@ -58,7 +58,7 @@ func NewDelegation(ep *netsim.Endpoint, peer string, prof *sim.Profile, node *co
 
 // Capacity reports the payload bytes one closure carries.
 func (c *Delegation) Capacity() int {
-	return c.node.Controller().Geometry().DataSize() - msgHeaderSize
+	return c.node.Controller().DataSize() - msgHeaderSize
 }
 
 // PoolFree reports the free buffer regions (tests).

@@ -154,6 +154,30 @@ func TestClosureWireForm(t *testing.T) {
 	}
 }
 
+// FuzzDecodeClosure: DecodeClosure never panics on bytes off the wire; a
+// reject is ErrBadClosure with no closure; an accept is structural only, so
+// it re-encodes to exactly the input and WireSize agrees. The committed
+// corpus is a closure BeginSend built over testGeo, that closure with each
+// chunk length off by one either way, and its truncations at every chunk
+// boundary.
+func FuzzDecodeClosure(f *testing.F) {
+	f.Fuzz(func(t *testing.T, wire []byte) {
+		c, err := DecodeClosure(wire)
+		if err != nil {
+			if !errors.Is(err, ErrBadClosure) || c != nil {
+				t.Fatalf("closure %v, err %v; want nil and ErrBadClosure", c != nil, err)
+			}
+			return
+		}
+		if !bytes.Equal(c.Encode(), wire) {
+			t.Fatal("accepted input re-encodes differently")
+		}
+		if c.WireSize() != len(wire) {
+			t.Fatalf("WireSize %d, input %d bytes", c.WireSize(), len(wire))
+		}
+	})
+}
+
 func TestSealUnsealRootRoundTrip(t *testing.T) {
 	e := crypt.NewEngine(crypt.KeyFromBytes([]byte("root-key")))
 	c := sampleClosure()

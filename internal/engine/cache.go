@@ -1,230 +1,69 @@
 package engine
 
-// nodeKey identifies one cached integrity-tree node.
-type nodeKey struct {
-	region int
-	level  int
-	index  int
+// lru is a least-recently-used table over dense keys: key (region, n) with
+// n in [0, width). The controller builds two of them.
+//
+// The tree-node cache (Table II: 32 KB "MMT Cache") keys a node by its flat
+// index in tree.Layout and is sized in bytes, since nodes at different
+// levels have different sizes; a table of capacity <= 0 holds nothing.
+//
+// The SoC root table (Table II: "MMT Roots in SoC", 8 KB on the Gem5
+// testbed) has width 1 and unit sizes. When more MMTs are live than it
+// holds, roots are mounted on demand, Penglai-style [25] — the scalability
+// path §VII points to; a mount costs a meta-zone access plus a verification
+// of the sealed root copy, charged in Controller.chargePath. Built pinned,
+// a table of capacity <= 0 holds every root.
+//
+// Residency is a direct table, one int32 per key, a row per region made on
+// the region's first touch (the trace-driven experiments drive Access with
+// virtual region numbers beyond mem.Regions()): lookup is an array index
+// and invalidateRegion a row walk. Recency is one intrusive list across all
+// regions, threaded through a pool whose slots recycle through a free
+// list, so the steady-state hit/miss/evict cycle allocates nothing and the
+// hit/miss sequence — hence every cycle-domain metric derived from it — is
+// that of a flat LRU.
+type lru struct {
+	capacity int  // in size units
+	pinned   bool // what touch reports when capacity <= 0
+	width    int
+	used     int       // size units resident
+	rows     [][]int32 // [region][n]: pool slot + 1; 0 = not resident
+	pool     []lruEntry
+	free     int32 // recycled slots, linked through next
+	head     int32 // most recently used
+	tail     int32 // least recently used
 }
 
-// levelIndex packs a key's within-region coordinates into one uint64 so
-// the shard tables hash a single fixed-width word instead of a three-int
-// struct — the struct-keyed map's generic hash and equality dominated
-// the chargePath profile. Levels are single digits and indices fit 48
-// bits for any realizable geometry.
-func (k nodeKey) levelIndex() uint64 {
-	return uint64(k.level)<<48 | uint64(k.index)&0xFFFFFFFFFFFF
-}
-
-// cacheNode is one resident node in the intrusive LRU: the pool slot holds
-// the key, the byte size, and the prev/next links of the global recency
-// list. Slots are recycled through a free list, so the steady-state
-// hit/miss/evict cycle performs zero heap allocations — unlike the previous
-// container/list implementation, which allocated a list.Element per insert
-// (visible as ~70 allocs/op in BenchmarkCacheInvalidateRegion).
-type cacheNode struct {
-	key        nodeKey
-	size       int
-	prev, next int32 // pool indices; nilIdx terminates
+type lruEntry struct {
+	region, n, size int
+	prev, next      int32 // pool slots; nilIdx terminates
 }
 
 const nilIdx = int32(-1)
 
-// shardSlot is one entry of a shard's open-addressed index. idx == nilIdx
-// marks an empty slot; key is the packed levelIndex.
-type shardSlot struct {
-	key uint64
-	idx int32
+func newLRU(capacity, width int, pinned bool) *lru {
+	return &lru{capacity: capacity, pinned: pinned, width: width, free: nilIdx, head: nilIdx, tail: nilIdx}
 }
 
-// cacheShard indexes one region's resident nodes. invalidateRegion — which
-// runs on every migration install/invalidate and meta reload — walks only
-// the evicted region's own shard instead of scanning the entire LRU list;
-// with many regions sharing the cache that scan was O(total resident
-// nodes) per migration (see BenchmarkCacheInvalidateRegion and its
-// Contended variant).
-//
-// The index is a linear-probing open-addressed table rather than a Go
-// map: the lookup is on the chargePath hot loop (three probes per
-// protected access), and even the runtime's fast64 map path spent ~13%
-// of the read profile in hashing and bucket walks. Deletion uses
-// backward-shift compaction, so the table never accumulates tombstones
-// no matter how many evict/insert cycles it sees.
-type cacheShard struct {
-	slots []shardSlot // power-of-2 length; every empty slot has idx == nilIdx
-	mask  uint64
-	used  int // live entries
-	bytes int
-}
-
-// hashKey spreads the packed levelIndex across the table. Fibonacci
-// multiplicative hashing: one multiply, good dispersion of the low bits
-// that power-of-2 masking keeps.
-func hashKey(k uint64) uint64 { return k * 0x9E3779B97F4A7C15 >> 16 }
-
-const shardMinSlots = 16
-
-// grow rehashes into a table of newLen slots (a power of 2).
-func (s *cacheShard) grow(newLen int) {
-	old := s.slots
-	//mmt:allow noalloc: table doubles O(log resident) times per region lifetime, then steady-state reuse (reset keeps the allocation; benchmarks pin 0 allocs/op)
-	s.slots = make([]shardSlot, newLen)
-	s.mask = uint64(newLen - 1)
-	for i := range s.slots {
-		s.slots[i].idx = nilIdx
-	}
-	for i := range old {
-		if old[i].idx != nilIdx {
-			s.insert(old[i].key, old[i].idx)
-		}
-	}
-}
-
-// lookup returns the pool slot for key, or nilIdx.
-//
-//mmt:hotpath
-func (s *cacheShard) lookup(key uint64) int32 {
-	if s.slots == nil {
-		return nilIdx
-	}
-	for h := hashKey(key) & s.mask; ; h = (h + 1) & s.mask {
-		sl := &s.slots[h]
-		if sl.idx == nilIdx {
-			return nilIdx
-		}
-		if sl.key == key {
-			return sl.idx
-		}
-	}
-}
-
-// insert adds key -> idx. The caller ensures key is absent and the table
-// has a free slot (insert is only reached below the 3/4 load factor).
-func (s *cacheShard) insert(key uint64, idx int32) {
-	h := hashKey(key) & s.mask
-	for s.slots[h].idx != nilIdx {
-		h = (h + 1) & s.mask
-	}
-	s.slots[h] = shardSlot{key: key, idx: idx}
-}
-
-// set grows if needed and inserts key -> idx, counting it live.
-func (s *cacheShard) set(key uint64, idx int32) {
-	if s.slots == nil {
-		s.grow(shardMinSlots)
-	} else if (s.used+1)*4 > len(s.slots)*3 {
-		s.grow(len(s.slots) * 2)
-	}
-	s.insert(key, idx)
-	s.used++
-}
-
-// remove deletes key using backward-shift compaction: entries displaced
-// past the hole by linear probing are moved back so every remaining
-// entry stays reachable from its home slot without tombstones.
-func (s *cacheShard) remove(key uint64) {
-	if s.slots == nil {
-		return
-	}
-	h := hashKey(key) & s.mask
-	for {
-		if s.slots[h].idx == nilIdx {
-			return // not present
-		}
-		if s.slots[h].key == key {
-			break
-		}
-		h = (h + 1) & s.mask
-	}
-	s.used--
-	// Backward shift: scan forward from the hole; any entry whose home
-	// slot lies at or before the hole (cyclically) fills it, opening a
-	// new hole at its old position.
-	hole := h
-	for i := (hole + 1) & s.mask; ; i = (i + 1) & s.mask {
-		if s.slots[i].idx == nilIdx {
-			break
-		}
-		home := hashKey(s.slots[i].key) & s.mask
-		// Is home outside the (hole, i] cyclic interval? Then the entry
-		// probed across the hole and must move back into it.
-		if ((i - home) & s.mask) >= ((i - hole) & s.mask) {
-			s.slots[hole] = s.slots[i]
-			hole = i
-		}
-	}
-	s.slots[hole].idx = nilIdx
-}
-
-// reset empties the table in place, keeping the allocation for the
-// region's next MMT: shards are bounded by the region count, and reusing
-// the table keeps the invalidate/repopulate cycle allocation-free.
-func (s *cacheShard) reset() {
-	for i := range s.slots {
-		s.slots[i].idx = nilIdx
-	}
-	s.used = 0
-	s.bytes = 0
-}
-
-// nodeCache is the MMT controller's on-chip tree-node cache (Table II:
-// 32 KB "MMT Cache"). It is an LRU over tree nodes, sized in bytes since
-// nodes at different levels have different sizes. Recency is a single
-// global list across all regions — sharding only accelerates lookup and
-// invalidation, so the hit/miss sequence (and therefore every cycle-domain
-// metric derived from it) is identical to a flat LRU.
-type nodeCache struct {
-	capacity int // bytes; <= 0 disables caching entirely
-	used     int
-	pool     []cacheNode
-	freeHead int32 // recycled slots, linked through next
-	head     int32 // most recently used
-	tail     int32 // least recently used
-	count    int
-	shards   []*cacheShard // indexed by region; grown on demand
-}
-
-func newNodeCache(capacityBytes int) *nodeCache {
-	return &nodeCache{
-		capacity: capacityBytes,
-		freeHead: nilIdx,
-		head:     nilIdx,
-		tail:     nilIdx,
-	}
-}
-
-// alloc takes a slot from the free list, growing the pool when empty.
-func (c *nodeCache) alloc() int32 {
-	if c.freeHead != nilIdx {
-		i := c.freeHead
-		c.freeHead = c.pool[i].next
-		return i
-	}
-	//mmt:allow noalloc: pool grows until the byte capacity is reached, then every insert recycles through the free list
-	c.pool = append(c.pool, cacheNode{})
-	return int32(len(c.pool) - 1)
-}
-
-// listRemove unlinks slot i from the recency list.
-func (c *nodeCache) listRemove(i int32) {
-	n := &c.pool[i]
-	if n.prev != nilIdx {
-		c.pool[n.prev].next = n.next
+// unlink takes slot i out of the recency list.
+func (c *lru) unlink(i int32) {
+	e := &c.pool[i]
+	if e.prev != nilIdx {
+		c.pool[e.prev].next = e.next
 	} else {
-		c.head = n.next
+		c.head = e.next
 	}
-	if n.next != nilIdx {
-		c.pool[n.next].prev = n.prev
+	if e.next != nilIdx {
+		c.pool[e.next].prev = e.prev
 	} else {
-		c.tail = n.prev
+		c.tail = e.prev
 	}
 }
 
-// listPushFront links slot i in as the most recently used entry.
-func (c *nodeCache) listPushFront(i int32) {
-	n := &c.pool[i]
-	n.prev = nilIdx
-	n.next = c.head
+// pushFront links slot i in as the most recently used entry.
+func (c *lru) pushFront(i int32) {
+	e := &c.pool[i]
+	e.prev, e.next = nilIdx, c.head
 	if c.head != nilIdx {
 		c.pool[c.head].prev = i
 	}
@@ -234,103 +73,71 @@ func (c *nodeCache) listPushFront(i int32) {
 	}
 }
 
-// shard returns region's shard, creating it (and growing the region
-// table) on first use.
-func (c *nodeCache) shard(region int) *cacheShard {
-	for region >= len(c.shards) {
-		//mmt:allow noalloc: region table grows once to the cluster's region count, then stays
-		c.shards = append(c.shards, nil)
-	}
-	s := c.shards[region]
-	if s == nil {
-		//mmt:allow noalloc: one shard per region for the process lifetime; invalidateRegion resets in place
-		s = &cacheShard{}
-		c.shards[region] = s
-	}
-	return s
+// drop removes resident slot i and recycles it.
+func (c *lru) drop(i int32) {
+	e := &c.pool[i]
+	c.unlink(i)
+	c.rows[e.region][e.n] = 0
+	c.used -= e.size
+	e.next, c.free = c.free, i
 }
 
-// removeSlot drops slot i from the recency list, its region shard and the
-// byte accounting, and recycles the slot.
-func (c *nodeCache) removeSlot(i int32) {
-	n := &c.pool[i]
-	c.listRemove(i)
-	if s := c.shards[n.key.region]; s != nil {
-		s.remove(n.key.levelIndex())
-		s.bytes -= n.size
-	}
-	c.used -= n.size
-	c.count--
-	n.next = c.freeHead
-	c.freeHead = i
-}
-
-// touch looks up a node and reports whether it was resident, inserting it
-// (and evicting LRU victims) if it was not. This matches the hardware
-// fetch path: a miss always allocates.
+// touch reports whether key (region, n) was resident, inserting it (and
+// evicting LRU victims) if it was not. This matches the hardware fetch
+// path: a miss always allocates.
 //
 //mmt:hotpath
-func (c *nodeCache) touch(key nodeKey, size int) (hit bool) {
+func (c *lru) touch(region, n, size int) (hit bool) {
 	if c.capacity <= 0 {
-		return false
+		return c.pinned
 	}
-	if key.region < len(c.shards) {
-		if s := c.shards[key.region]; s != nil {
-			if i := s.lookup(key.levelIndex()); i != nilIdx {
-				if c.head != i { // already MRU: the splice would be a no-op
-					c.listRemove(i)
-					c.listPushFront(i)
-				}
-				return true
-			}
+	for region >= len(c.rows) {
+		//mmt:allow noalloc: the region table grows once to the highest region number touched, then stays
+		c.rows = append(c.rows, nil)
+	}
+	row := c.rows[region]
+	if row == nil {
+		//mmt:allow noalloc: one row per region for the table's lifetime; invalidateRegion clears it in place
+		row = make([]int32, c.width)
+		c.rows[region] = row
+	}
+	if i := row[n] - 1; i >= 0 {
+		if c.head != i { // already MRU: the splice would be a no-op
+			c.unlink(i)
+			c.pushFront(i)
 		}
+		return true
 	}
 	if size > c.capacity {
-		return false // node larger than the whole cache: uncacheable
+		return false // larger than the whole table: uncacheable
 	}
-	for c.used+size > c.capacity && c.tail != nilIdx {
-		c.removeSlot(c.tail)
+	for c.used+size > c.capacity {
+		c.drop(c.tail)
 	}
-	i := c.alloc()
-	c.pool[i].key = key
-	c.pool[i].size = size
-	c.listPushFront(i)
-	s := c.shard(key.region)
-	s.set(key.levelIndex(), i)
-	s.bytes += size
+	i := c.free
+	if i != nilIdx {
+		c.free = c.pool[i].next
+	} else {
+		//mmt:allow noalloc: the pool grows until the capacity is reached, then every insert recycles through the free list
+		c.pool = append(c.pool, lruEntry{})
+		i = int32(len(c.pool) - 1)
+	}
+	c.pool[i].region, c.pool[i].n, c.pool[i].size = region, n, size
+	c.pushFront(i)
+	row[n] = i + 1
 	c.used += size
-	c.count++
 	return false
 }
 
-// invalidateRegion drops all nodes belonging to a region (used when an MMT
-// is invalidated or migrated away). Cost is proportional to the region's
-// own shard, not the whole cache.
-func (c *nodeCache) invalidateRegion(region int) {
-	if region >= len(c.shards) {
+// invalidateRegion drops every key of a region (its MMT was invalidated,
+// migrated away or reloaded): one walk of the region's own row.
+func (c *lru) invalidateRegion(region int) {
+	if region >= len(c.rows) {
 		return
 	}
-	s := c.shards[region]
-	if s == nil {
-		return
-	}
-	for si := range s.slots {
-		i := s.slots[si].idx
-		if i == nilIdx {
-			continue
+	for _, v := range c.rows[region] {
+		if v != 0 {
+			c.drop(v - 1)
 		}
-		n := &c.pool[i]
-		c.listRemove(i)
-		c.used -= n.size
-		c.count--
-		n.next = c.freeHead
-		c.freeHead = i
 	}
-	s.reset()
 }
-
-// len reports the number of resident nodes (for tests).
-func (c *nodeCache) len() int { return c.count }
-
-// usedBytes reports resident bytes (for tests).
-func (c *nodeCache) usedBytes() int { return c.used }

@@ -5,128 +5,96 @@ import (
 	"testing"
 )
 
-// TestCacheShardDifferential drives one shard's open-addressed table
-// against a plain map through a long random set/remove/lookup schedule.
-// Backward-shift deletion is the only subtle code in the table — a wrong
-// move condition silently strands entries past a hole, which this
-// differential catches immediately because every key is re-checked after
-// every operation.
-func TestCacheShardDifferential(t *testing.T) {
-	rng := rand.New(rand.NewSource(0x5eed))
-	s := &cacheShard{}
-	model := map[uint64]int32{}
-	// A small key universe forces heavy slot reuse and long probe chains.
-	keys := make([]uint64, 64)
-	for i := range keys {
-		// Mix levels and indices, including adjacent values that collide
-		// after multiplicative hashing is masked down to few bits.
-		keys[i] = uint64(i%4)<<48 | uint64(rng.Intn(32))
-	}
-	for op := 0; op < 20000; op++ {
-		k := keys[rng.Intn(len(keys))]
-		switch rng.Intn(3) {
-		case 0: // set (insert-if-absent, like touch's miss path)
-			if _, ok := model[k]; !ok {
-				v := int32(op)
-				s.set(k, v)
-				model[k] = v
-			}
-		case 1: // remove
-			if _, ok := model[k]; ok {
-				s.remove(k)
-				delete(model, k)
-			} else {
-				s.remove(k) // removing an absent key must be a no-op
-			}
-		case 2: // lookup only
-		}
-		if s.used != len(model) {
-			t.Fatalf("op %d: used=%d model=%d", op, s.used, len(model))
-		}
-		for _, k := range keys {
-			got := s.lookup(k)
-			want, ok := model[k]
-			if !ok {
-				want = nilIdx
-			}
-			if got != want {
-				t.Fatalf("op %d: lookup(%#x)=%d want %d", op, k, got, want)
-			}
-		}
-	}
-	// Reset must empty the table but keep it usable.
-	s.reset()
-	for _, k := range keys {
-		if s.lookup(k) != nilIdx {
-			t.Fatalf("lookup(%#x) after reset", k)
-		}
-	}
-	s.set(keys[0], 7)
-	if s.lookup(keys[0]) != 7 {
-		t.Fatal("set after reset")
-	}
+// lruModel is the naive reference: a recency slice searched linearly.
+type lruModel struct {
+	capacity int
+	order    []lruModelEntry // order[0] is LRU, last is MRU
 }
 
-// TestCacheLRUDifferential drives the full nodeCache against a naive
-// model (map + recency slice) through a random touch/invalidate schedule
-// across several regions, checking that every hit/miss verdict matches.
-// The cycle-domain sidecars derive from exactly this hit/miss sequence,
-// so the model equivalence here is what keeps them byte-identical.
+type lruModelEntry struct{ region, n, size int }
+
+func (m *lruModel) used() int {
+	u := 0
+	for _, e := range m.order {
+		u += e.size
+	}
+	return u
+}
+
+func (m *lruModel) touch(region, n, size int) bool {
+	for i, e := range m.order {
+		if e.region == region && e.n == n {
+			m.order = append(append(m.order[:i:i], m.order[i+1:]...), e)
+			return true
+		}
+	}
+	if size > m.capacity {
+		return false
+	}
+	for m.used()+size > m.capacity {
+		m.order = m.order[1:]
+	}
+	m.order = append(m.order, lruModelEntry{region, n, size})
+	return false
+}
+
+func (m *lruModel) invalidateRegion(region int) {
+	kept := m.order[:0]
+	for _, e := range m.order {
+		if e.region != region {
+			kept = append(kept, e)
+		}
+	}
+	m.order = kept
+}
+
+// TestCacheLRUDifferential drives both instantiations of the one LRU type —
+// the byte-sized node cache and the unit-sized root table, built as
+// engine.New builds them — against the naive model through a random
+// touch/invalidate schedule, checking every hit/miss verdict, the resident
+// count and the resident size. The cycle-domain sidecars derive from
+// exactly this hit/miss sequence, so the model equivalence here is what
+// keeps them byte-identical. Region numbers reach far above any memory's
+// region count (the trace-driven experiments pass virtual ones), and the
+// pool must end no larger than the peak residency: invalidated and evicted
+// slots are recycled, not leaked.
 func TestCacheLRUDifferential(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	c := newNodeCache(1024)
-	type entry struct {
-		key  nodeKey
-		size int
-	}
-	var order []entry // order[0] is LRU, last is MRU
-	find := func(k nodeKey) int {
-		for i := range order {
-			if order[i].key == k {
-				return i
-			}
-		}
-		return -1
-	}
-	usedBytes := func() int {
-		n := 0
-		for _, e := range order {
-			n += e.size
-		}
-		return n
-	}
-	for op := 0; op < 30000; op++ {
-		if rng.Intn(50) == 0 {
-			region := rng.Intn(4)
-			c.invalidateRegion(region)
-			kept := order[:0]
-			for _, e := range order {
-				if e.key.region != region {
-					kept = append(kept, e)
+	regions := []int{0, 1, 2, 3, 65, 4099}
+	for _, tc := range []struct {
+		name            string
+		capacity, width int
+		pinned          bool
+		size            func(rng *rand.Rand) int
+	}{
+		{"node cache", 1024, 24, false, func(rng *rand.Rand) int { return 16 + 16*rng.Intn(3) }},
+		{"root table", 3, 1, true, func(*rand.Rand) int { return 1 }},
+	} {
+		rng := rand.New(rand.NewSource(42))
+		c := newLRU(tc.capacity, tc.width, tc.pinned)
+		m := &lruModel{capacity: tc.capacity}
+		peak := 0
+		for op := 0; op < 30000; op++ {
+			region := regions[rng.Intn(len(regions))]
+			if rng.Intn(50) == 0 {
+				c.invalidateRegion(region)
+				m.invalidateRegion(region)
+			} else {
+				n, size := rng.Intn(tc.width), tc.size(rng)
+				if got, want := c.touch(region, n, size), m.touch(region, n, size); got != want {
+					t.Fatalf("%s op %d: touch(%d, %d) hit=%v want %v", tc.name, op, region, n, got, want)
 				}
 			}
-			order = kept
-			continue
-		}
-		k := nodeKey{region: rng.Intn(4), level: rng.Intn(3), index: rng.Intn(8)}
-		size := 16 + 16*rng.Intn(3)
-		gotHit := c.touch(k, size)
-		i := find(k)
-		wantHit := i >= 0
-		if gotHit != wantHit {
-			t.Fatalf("op %d: touch(%v) hit=%v want %v", op, k, gotHit, wantHit)
-		}
-		if wantHit {
-			e := order[i]
-			order = append(append(order[:i:i], order[i+1:]...), e)
-		} else {
-			for usedBytes()+size > 1024 && len(order) > 0 {
-				order = order[1:]
+			if resident(c) != len(m.order) || c.used != m.used() {
+				t.Fatalf("%s op %d: len/size %d/%d want %d/%d", tc.name, op, resident(c), c.used, len(m.order), m.used())
 			}
-			order = append(order, entry{key: k, size: size})
+			peak = max(peak, len(m.order))
 		}
-		if c.len() != len(order) || c.usedBytes() != usedBytes() {
-			t.Fatalf("op %d: len/bytes %d/%d want %d/%d", op, c.len(), c.usedBytes(), len(order), usedBytes())
+		if len(c.pool) != peak {
+			t.Errorf("%s: pool grew to %d slots, peak residency %d", tc.name, len(c.pool), peak)
+		}
+		c.invalidateRegion(1 << 20) // a region never touched: no-op, no row made
+		if len(c.rows) != 4100 {
+			t.Errorf("%s: %d rows, want 4100", tc.name, len(c.rows))
 		}
 	}
 }

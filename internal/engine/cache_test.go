@@ -2,83 +2,94 @@ package engine
 
 import "testing"
 
+// The unit tests key a 16-wide node cache by (region, n).
+func newTestCache(capacity int) *lru { return newLRU(capacity, 16, false) }
+
+// resident counts the keys a table holds, from its residency rows.
+func resident(c *lru) int {
+	n := 0
+	for _, row := range c.rows {
+		for _, v := range row {
+			if v != 0 {
+				n++
+			}
+		}
+	}
+	return n
+}
+
 func TestCacheHitMiss(t *testing.T) {
-	c := newNodeCache(100)
-	k := nodeKey{region: 0, level: 1, index: 2}
-	if c.touch(k, 40) {
+	c := newTestCache(100)
+	if c.touch(0, 2, 40) {
 		t.Fatal("first touch should miss")
 	}
-	if !c.touch(k, 40) {
+	if !c.touch(0, 2, 40) {
 		t.Fatal("second touch should hit")
 	}
-	if c.len() != 1 || c.usedBytes() != 40 {
-		t.Fatalf("len=%d used=%d", c.len(), c.usedBytes())
+	if resident(c) != 1 || c.used != 40 {
+		t.Fatalf("len=%d used=%d", resident(c), c.used)
 	}
 }
 
 func TestCacheEvictsLRU(t *testing.T) {
-	c := newNodeCache(100)
-	a := nodeKey{index: 1}
-	b := nodeKey{index: 2}
-	d := nodeKey{index: 3}
-	c.touch(a, 40)
-	c.touch(b, 40)
-	c.touch(a, 40) // a is now MRU
-	c.touch(d, 40) // evicts b (LRU)
-	if !c.touch(a, 40) {
+	c := newTestCache(100)
+	const a, b, d = 1, 2, 3
+	c.touch(0, a, 40)
+	c.touch(0, b, 40)
+	c.touch(0, a, 40) // a is now MRU
+	c.touch(0, d, 40) // evicts b (LRU)
+	if !c.touch(0, a, 40) {
 		t.Fatal("a should still be resident")
 	}
-	if c.touch(b, 40) {
+	if c.touch(0, b, 40) {
 		t.Fatal("b should have been evicted")
 	}
-	if c.usedBytes() > 100 {
-		t.Fatalf("cache over capacity: %d", c.usedBytes())
+	if c.used > 100 {
+		t.Fatalf("cache over capacity: %d", c.used)
 	}
 }
 
 func TestCacheZeroCapacityNeverHits(t *testing.T) {
-	c := newNodeCache(0)
-	k := nodeKey{index: 1}
-	if c.touch(k, 8) || c.touch(k, 8) {
+	c := newTestCache(0)
+	if c.touch(0, 1, 8) || c.touch(0, 1, 8) {
 		t.Fatal("zero-capacity cache must never hit")
 	}
 }
 
 func TestCacheOversizedNodeUncacheable(t *testing.T) {
-	c := newNodeCache(10)
-	k := nodeKey{index: 1}
-	if c.touch(k, 100) || c.touch(k, 100) {
+	c := newTestCache(10)
+	if c.touch(0, 1, 100) || c.touch(0, 1, 100) {
 		t.Fatal("oversized node must not be cached")
 	}
-	if c.len() != 0 {
+	if resident(c) != 0 {
 		t.Fatal("oversized node left residue")
 	}
 }
 
 func TestCacheInvalidateRegion(t *testing.T) {
-	c := newNodeCache(1000)
-	c.touch(nodeKey{region: 0, index: 1}, 10)
-	c.touch(nodeKey{region: 1, index: 1}, 10)
-	c.touch(nodeKey{region: 0, index: 2}, 10)
+	c := newTestCache(1000)
+	c.touch(0, 1, 10)
+	c.touch(1, 1, 10)
+	c.touch(0, 2, 10)
 	c.invalidateRegion(0)
-	if c.touch(nodeKey{region: 0, index: 1}, 10) {
+	if c.touch(0, 1, 10) {
 		t.Fatal("region-0 node survived invalidation")
 	}
 	// The touch above re-inserted it; region 1 must still be resident.
-	if !c.touch(nodeKey{region: 1, index: 1}, 10) {
+	if !c.touch(1, 1, 10) {
 		t.Fatal("region-1 node lost by region-0 invalidation")
 	}
 }
 
 func TestCacheAccountsBytesAcrossEvictions(t *testing.T) {
-	c := newNodeCache(64)
+	c := newLRU(64, 100, false)
 	for i := 0; i < 100; i++ {
-		c.touch(nodeKey{index: i}, 16)
-		if c.usedBytes() > 64 {
-			t.Fatalf("over capacity at %d: %d bytes", i, c.usedBytes())
+		c.touch(0, i, 16)
+		if c.used > 64 {
+			t.Fatalf("over capacity at %d: %d bytes", i, c.used)
 		}
 	}
-	if c.len() != 4 {
-		t.Fatalf("len = %d, want 4", c.len())
+	if resident(c) != 4 {
+		t.Fatalf("len = %d, want 4", resident(c))
 	}
 }

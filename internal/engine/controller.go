@@ -95,36 +95,31 @@ type regionState struct {
 	linePlanes
 }
 
-// linePlanes are a region's per-line AES caches. The two-block tweak PRF's
-// first block (the "base") depends only on (guaddr, line, domain), so it is
-// computed once per line per domain on the line's first touch; the hot
-// read/write path then derives each OTP pad and MAC mask from the cached
-// base, saving one AES block per pad and halving the MAC-mask AES work.
-// lineMask additionally memoises the finished DomainLineMAC mask keyed by
-// the line's counter (lineMaskCtr + lineMaskOK bitset), so re-reads of an
-// unwritten line skip the mask AES entirely. All caches are pure functions
-// of (engine, guaddr, line[, counter]) — replaying them is bit-identical to
-// recomputation, so tamper detection is unaffected.
+// linePlanes are a region's per-line AES caches: one record per line,
+// "keys derived at counter c". The two-block tweak PRF's first block (the
+// "base") depends only on (guaddr, line, domain), so both bases are computed
+// once, on the line's first touch; the 64-byte OTP pad and the
+// DomainLineMAC mask are then derived from the cached bases and memoised
+// under the counter they were derived at. A read never bumps the counter, so
+// re-reads of a line reduce to MAC check + XOR with zero AES work, and a
+// write (which derives the new keys anyway) refreshes the record for the
+// read-after-write that typically follows. Everything here is a pure
+// function of (engine, guaddr, line[, counter]) — replaying it is
+// bit-identical to recomputation, so tamper detection is unaffected.
 //
-// Every read of a byte or word plane is gated by the line's bit in the
-// matching *OK bitset, which is what makes a plane set recyclable across
-// regions, keys and addresses (Controller.bindRegion): with the three
-// bitsets cleared, whatever the planes still hold is unreachable.
+// One validity bit per line suffices: lineKeys is the only writer and always
+// leaves bases, mask, pad and counter of a line consistent, so the bit means
+// "this line's record is whole". It is also what makes a plane set
+// recyclable across regions, keys and addresses (Controller.bindRegion):
+// with the one bitset cleared, whatever the planes still hold is
+// unreachable.
 type linePlanes struct {
-	padBase     []byte   // crypt.MaskBaseSize bytes per line, DomainPad
-	macBase     []byte   // crypt.MaskBaseSize bytes per line, DomainLineMAC
-	lineBaseOK  []uint64 // bitset: both base entries for the line computed
-	lineMask    []uint64
-	lineMaskCtr []uint64
-	lineMaskOK  []uint64 // bitset: lineMask/lineMaskCtr entry valid
-	// The full 64-byte OTP pad, memoised per line keyed by the line's
-	// counter like lineMask: a read never bumps the counter, so re-reads
-	// of a line reduce to MAC-check + XOR with zero AES work, and a write
-	// (which computes the new pad anyway) refreshes the entry for the
-	// read-after-write that typically follows.
-	linePad    []byte // mem.LineSize bytes per line
-	linePadCtr []uint64
-	linePadOK  []uint64 // bitset: linePad/linePadCtr entry valid
+	padBase  []byte   // crypt.MaskBaseSize bytes per line, DomainPad
+	macBase  []byte   // crypt.MaskBaseSize bytes per line, DomainLineMAC
+	lineMask []uint64 // DomainLineMAC mask at lineCtr
+	linePad  []byte   // mem.LineSize bytes per line: the OTP keystream at lineCtr
+	lineCtr  []uint64
+	lineOK   []uint64 // bitset: the line's record is valid
 }
 
 // markLine flags a line as dirty for the checkpoint stream.
@@ -132,75 +127,43 @@ func (st *regionState) markLine(line int) {
 	st.dirtyLines[line>>6] |= uint64(1) << (uint(line) & 63)
 }
 
-// newLinePlanes sizes the per-line planes with nothing valid. The bases
-// fill lazily (lineBases) on first touch of each line, so a migration
-// install — which verifies every line but may never read most of them
-// again — does not pay two AES blocks per line up front.
+// newLinePlanes sizes the per-line planes with nothing valid. Records fill
+// lazily (lineKeys) on first touch of each line, so a migration install —
+// which verifies every line but may never read most of them again — does
+// not pay AES blocks per line up front.
 func newLinePlanes(lines int) linePlanes {
 	return linePlanes{
-		padBase:     make([]byte, lines*crypt.MaskBaseSize),
-		macBase:     make([]byte, lines*crypt.MaskBaseSize),
-		lineBaseOK:  make([]uint64, (lines+63)/64),
-		lineMask:    make([]uint64, lines),
-		lineMaskCtr: make([]uint64, lines),
-		lineMaskOK:  make([]uint64, (lines+63)/64),
-		linePad:     make([]byte, lines*mem.LineSize),
-		linePadCtr:  make([]uint64, lines),
-		linePadOK:   make([]uint64, (lines+63)/64),
+		padBase:  make([]byte, lines*crypt.MaskBaseSize),
+		macBase:  make([]byte, lines*crypt.MaskBaseSize),
+		lineMask: make([]uint64, lines),
+		linePad:  make([]byte, lines*mem.LineSize),
+		lineCtr:  make([]uint64, lines),
+		lineOK:   make([]uint64, (lines+63)/64),
 	}
 }
 
-// lineBases returns the cached DomainPad and DomainLineMAC tweak bases
-// for line, computing both (two AES blocks) on the line's first touch.
+// lineKeys returns line's OTP pad and line-MAC mask at counter ctr: from the
+// line's record when it was derived at ctr, re-deriving both (five AES
+// blocks from the cached bases, plus two for the bases on the line's first
+// touch) and re-recording otherwise. The pad is a view of the plane, valid
+// until the line's next lineKeys.
 //
 //mmt:hotpath
-func (st *regionState) lineBases(line int, scr *crypt.Scratch) (pad, mac []byte) {
-	off := line * crypt.MaskBaseSize
+func (st *regionState) lineKeys(line int, ctr uint64, scr *crypt.Scratch) (pad []byte, mask uint64) {
+	pad = st.linePad[line*mem.LineSize : (line+1)*mem.LineSize]
+	base := line * crypt.MaskBaseSize
 	w, bit := line>>6, uint64(1)<<(uint(line)&63)
-	if st.lineBaseOK[w]&bit == 0 {
-		st.eng.MaskBaseInto(st.guaddr, uint32(line), crypt.DomainPad, st.padBase[off:], scr)
-		st.eng.MaskBaseInto(st.guaddr, uint32(line), crypt.DomainLineMAC, st.macBase[off:], scr)
-		st.lineBaseOK[w] |= bit
+	if st.lineOK[w]&bit == 0 {
+		st.eng.MaskBaseInto(st.guaddr, uint32(line), crypt.DomainPad, st.padBase[base:], scr)
+		st.eng.MaskBaseInto(st.guaddr, uint32(line), crypt.DomainLineMAC, st.macBase[base:], scr)
+		st.lineOK[w] |= bit
+	} else if st.lineCtr[line] == ctr {
+		return pad, st.lineMask[line]
 	}
-	return st.padBase[off:], st.macBase[off:]
-}
-
-// lineMaskFor returns the DomainLineMAC mask for line at counter ctr,
-// from the cache when the counter still matches, recomputing (one AES
-// block, from the cached base) and re-caching otherwise.
-//
-//mmt:hotpath
-func (st *regionState) lineMaskFor(line int, macBase []byte, ctr uint64, scr *crypt.Scratch) uint64 {
-	w, bit := line>>6, uint64(1)<<(uint(line)&63)
-	if st.lineMaskOK[w]&bit != 0 && st.lineMaskCtr[line] == ctr {
-		return st.lineMask[line]
-	}
-	m := st.eng.MaskFromBase(macBase, ctr, scr)
-	st.lineMask[line] = m
-	st.lineMaskCtr[line] = ctr
-	st.lineMaskOK[w] |= bit
-	return m
-}
-
-// linePadFor returns the 64-byte OTP keystream for line at counter ctr,
-// from the cache when the counter still matches, recomputing (four AES
-// blocks, from the cached base) and re-caching otherwise. The pad is a
-// pure function of (engine, guaddr, line, ctr) — the same purity
-// argument as lineMaskFor — so serving it from the plane is
-// bit-identical to recomputation and tamper detection is unaffected.
-//
-//mmt:hotpath
-func (st *regionState) linePadFor(line int, padBase []byte, ctr uint64, scr *crypt.Scratch) []byte {
-	off := line * mem.LineSize
-	w, bit := line>>6, uint64(1)<<(uint(line)&63)
-	if st.linePadOK[w]&bit != 0 && st.linePadCtr[line] == ctr {
-		return st.linePad[off : off+mem.LineSize]
-	}
-	pad := st.eng.PadLineFromBase(padBase, ctr, scr)
-	copy(st.linePad[off:], pad[:])
-	st.linePadCtr[line] = ctr
-	st.linePadOK[w] |= bit
-	return st.linePad[off : off+mem.LineSize]
+	copy(pad, st.eng.PadLineFromBase(st.padBase[base:], ctr, scr)[:])
+	st.lineMask[line] = st.eng.MaskFromBase(st.macBase[base:], ctr, scr)
+	st.lineCtr[line] = ctr
+	return pad, st.lineMask[line]
 }
 
 // Controller is one node's MMT-extended memory controller.
@@ -209,20 +172,13 @@ type Controller struct {
 	geo     tree.Geometry
 	clock   *sim.Clock
 	prof    *sim.Profile
-	cache   *nodeCache
-	roots   *rootTable
+	lay     tree.Layout // geo's products: node keys, node sizes, line and byte counts
+	cache   *lru        // tree nodes, keyed (region, flat node index), in bytes
+	roots   *lru        // mounted roots, keyed (region, 0), in entries
 	regions []regionState
 	stats   Stats
 	quiet   bool
 	probe   *trace.Probe // nil = tracing disabled
-	// Geometry products, multiplied out once in New. levelDiv[l] is the
-	// number of lines covered by one level-l node, so nodeIndexAt is one
-	// division instead of an arity-product loop per level per access;
-	// nodeSize[l] is geo.NodeSize(l), what a level-l node occupies in the
-	// node cache; dataSize is geo.DataSize().
-	levelDiv []int
-	nodeSize []int
-	dataSize int
 	// causal is the causal context the channel/monitor layer installs
 	// around a closure accept, so the functional Install lands as a child
 	// span of the accept (zero when no migration is in progress).
@@ -242,49 +198,39 @@ type Controller struct {
 // memory's region size must equal the geometry's protected data size, and
 // its meta-zone must fit the serialized tree plus line MACs.
 func New(m *mem.Memory, geo tree.Geometry, clock *sim.Clock, prof *sim.Profile) (*Controller, error) {
-	if err := geo.Validate(); err != nil {
+	lay, err := geo.Layout()
+	if err != nil {
 		return nil, err
 	}
-	if m.Config().RegionSize != geo.DataSize() {
+	if m.Config().RegionSize != lay.DataSize {
 		return nil, fmt.Errorf("engine: region size %d != tree data size %d",
-			m.Config().RegionSize, geo.DataSize())
+			m.Config().RegionSize, lay.DataSize)
 	}
-	if m.Config().MetaPerRegion < geo.MetaSize() {
+	if m.Config().MetaPerRegion < lay.MetaSize {
 		return nil, fmt.Errorf("engine: meta-zone %d bytes/region < required %d",
-			m.Config().MetaPerRegion, geo.MetaSize())
+			m.Config().MetaPerRegion, lay.MetaSize)
 	}
 	if clock == nil {
 		clock = sim.NewClock(prof.FreqHz)
 	}
-	levelDiv := make([]int, geo.Levels())
-	nodeSize := make([]int, geo.Levels())
-	prod := 1
-	for l := geo.Levels() - 1; l >= 0; l-- {
-		prod *= geo.Arities[l]
-		levelDiv[l] = prod
-		nodeSize[l] = geo.NodeSize(l)
-	}
 	return &Controller{
-		mem:      m,
-		geo:      geo,
-		clock:    clock,
-		prof:     prof,
-		cache:    newNodeCache(prof.MMTCacheBytes),
-		roots:    newRootTable(prof.RootTableSoC / rootEntryBytes),
-		regions:  make([]regionState, m.Regions()),
-		levelDiv: levelDiv,
-		nodeSize: nodeSize,
-		dataSize: prod * mem.LineSize,
+		mem:     m,
+		geo:     geo,
+		lay:     lay,
+		clock:   clock,
+		prof:    prof,
+		cache:   newLRU(prof.MMTCacheBytes, lay.Nodes, false),
+		roots:   newLRU(prof.RootTableSoC/rootEntryBytes, 1, true),
+		regions: make([]regionState, m.Regions()),
 	}, nil
 }
 
 // Geometry reports the controller's tree geometry.
 func (c *Controller) Geometry() tree.Geometry { return c.geo }
 
-// DataSize reports the protected bytes of one region, Geometry().DataSize()
-// without re-multiplying the arities: the bound every span check compares
-// against.
-func (c *Controller) DataSize() int { return c.dataSize }
+// DataSize reports the protected bytes of one region: the bound every span
+// check compares against.
+func (c *Controller) DataSize() int { return c.lay.DataSize }
 
 // Memory reports the underlying physical memory.
 func (c *Controller) Memory() *mem.Memory { return c.mem }
@@ -374,17 +320,16 @@ func (c *Controller) Enable(r int, key crypt.Key, guaddr, rootCounter uint64) er
 	tr.SetTrace(c.probe)
 	tr.SetRootCounter(rootCounter)
 	tr.RehashAll(eng, guaddr)
-	c.bindRegion(r, regionState{mode: ModeReadWrite, eng: eng, tr: tr, guaddr: guaddr, lineMACs: make([]uint64, c.geo.Lines())})
-	// The write path's kernel, line by line: cached tweak bases, pad and
-	// mask derived from them, no allocation.
+	c.bindRegion(r, regionState{mode: ModeReadWrite, eng: eng, tr: tr, guaddr: guaddr, lineMACs: make([]uint64, c.lay.Lines)})
+	// The write path's kernel, line by line: pad and mask from the line's
+	// record, no allocation.
 	data := c.mem.RegionData(r)
 	return c.sweepLines(func(lo, hi int, scr *crypt.Scratch) error {
 		for line := lo; line < hi; line++ {
 			buf := data[line*mem.LineSize : (line+1)*mem.LineSize]
-			ctr := tr.LeafCounter(line)
-			padBase, macBase := st.lineBases(line, scr)
-			crypt.XORLine(buf, buf, st.linePadFor(line, padBase, ctr, scr))
-			st.lineMACs[line] = eng.LineHash(buf, scr) ^ st.lineMaskFor(line, macBase, ctr, scr)
+			pad, mask := st.lineKeys(line, tr.LeafCounter(line), scr)
+			crypt.XORLine(buf, buf, pad)
+			st.lineMACs[line] = eng.LineHash(buf, scr) ^ mask
 		}
 		return nil
 	})
@@ -392,19 +337,17 @@ func (c *Controller) Enable(r int, key crypt.Key, guaddr, rootCounter uint64) er
 
 // bindRegion makes st the live state of the disabled region r: it adds
 // line planes with nothing valid (recycled from planePool when an
-// invalidated region left a set, so only the three validity bitsets are
-// reset) and an all-dirty line bitset — neither freshly encrypted nor
+// invalidated region left a set, so only the validity bitset is reset) and
+// an all-dirty line bitset — neither freshly encrypted nor
 // transferred contents have been checkpointed here — then marks the
 // region secure.
 func (c *Controller) bindRegion(r int, st regionState) {
-	lines := c.geo.Lines()
+	lines := c.lay.Lines
 	if n := len(c.planePool); n > 0 {
 		st.linePlanes = c.planePool[n-1]
 		c.planePool[n-1] = linePlanes{}
 		c.planePool = c.planePool[:n-1]
-		clear(st.lineBaseOK)
-		clear(st.lineMaskOK)
-		clear(st.linePadOK)
+		clear(st.lineOK)
 	} else {
 		st.linePlanes = newLinePlanes(lines)
 	}
@@ -430,7 +373,7 @@ func (c *Controller) Invalidate(r int) {
 	*st = regionState{}
 	c.mem.SetRegionKind(r, mem.KindNormal)
 	c.cache.invalidateRegion(r)
-	c.roots.evict(r)
+	c.roots.invalidateRegion(r)
 }
 
 // Release decrypts region r in place (restoring plaintext) and then
@@ -444,8 +387,8 @@ func (c *Controller) Release(r int) error {
 	if err := c.sweepLines(func(lo, hi int, scr *crypt.Scratch) error {
 		for line := lo; line < hi; line++ {
 			buf := data[line*mem.LineSize : (line+1)*mem.LineSize]
-			padBase, _ := st.lineBases(line, scr)
-			crypt.XORLine(buf, buf, st.linePadFor(line, padBase, st.tr.LeafCounter(line), scr))
+			pad, _ := st.lineKeys(line, st.tr.LeafCounter(line), scr)
+			crypt.XORLine(buf, buf, pad)
 		}
 		return nil
 	}); err != nil {
@@ -497,8 +440,7 @@ func (c *Controller) chargePath(r, line int, extraNodes int) (total, verify sim.
 	dataCost := c.prof.DRAMAccess + 2 // data line + OTP XOR
 	c.stats.DataAccesses++
 	var rootCost, walkCost, macCost sim.Cycles
-	//mmt:allow noalloc: root-table LRU models the SoC root-mount slots; bounded by table capacity
-	if !c.roots.touch(r) {
+	if !c.roots.touch(r, 0, 1) {
 		// Penglai-style root mount: the region's root counter is loaded
 		// into the SoC root table, verified against the sealed copy.
 		c.stats.RootMounts++
@@ -506,11 +448,9 @@ func (c *Controller) chargePath(r, line int, extraNodes int) (total, verify sim.
 		rootCost = c.prof.DRAMAccess + c.prof.MACLatency
 	}
 	misses := 0
-	for l := 0; l < c.geo.Levels(); l++ {
+	for l := range c.lay.Level {
 		walkCost += queuePerLevel
-		key := nodeKey{region: r, level: l, index: c.nodeIndexAt(line, l)}
-		//mmt:allow noalloc: LRU bookkeeping models on-chip SRAM lookup state, not per-access DRAM traffic; entries are bounded by cache capacity
-		if c.cache.touch(key, c.nodeSize[l]) {
+		if c.cache.touch(r, c.lay.NodeAt(l, line), c.lay.Level[l].NodeSize) {
 			c.stats.NodeHits++
 			c.probe.Count(trace.CtrNodeCacheHits, 1)
 			continue
@@ -526,7 +466,7 @@ func (c *Controller) chargePath(r, line int, extraNodes int) (total, verify sim.
 		}
 		macCost += c.prof.MACLatency
 	}
-	c.probe.Count(trace.CtrTreeNodeWalks, uint64(c.geo.Levels()))
+	c.probe.Count(trace.CtrTreeNodeWalks, uint64(len(c.lay.Level)))
 	if extraNodes > 0 {
 		macCost += sim.Cycles(extraNodes) * c.prof.MACLatency
 		c.probe.Count(trace.CtrMACUpdates, uint64(extraNodes))
@@ -554,21 +494,16 @@ func (c *Controller) recordAccess(op trace.Op, total, verify sim.Cycles) {
 	}
 }
 
-// Timing-model constants for the tree walk (see chargePath).
+// Timing-model constants for the tree walk (see chargePath), and the SoC
+// storage per mounted MMT root (Table V's root-size accounting: an 8-byte
+// counter).
 const (
+	rootEntryBytes                 = 8
 	queuePerLevel       sim.Cycles = 8
 	writeUpdatePerLevel sim.Cycles = 12
 	firstMissExposure              = 0.35 // overlapped with the data fetch
 	chainMissExposure              = 0.80 // serial extension of the chain
 )
-
-// nodeIndexAt reports the index of the level-l node covering line:
-// line / product(arities[l..L-1]), with the product precomputed in New.
-//
-//mmt:hotpath
-func (c *Controller) nodeIndexAt(line, l int) int {
-	return line / c.levelDiv[l]
-}
 
 // ReadInto verifies and decrypts the given line of secure region r into
 // dst (mem.LineSize bytes): ReadRange over one line.
@@ -597,7 +532,7 @@ func (c *Controller) ReadRange(r, line int, dst []byte) error {
 	if st.mode == ModeDisabled {
 		return ErrDisabled
 	}
-	leafArity := c.levelDiv[len(c.levelDiv)-1]
+	leafArity := c.lay.Level[len(c.lay.Level)-1].Arity
 	for start := line; len(dst) > 0; line, dst = line+1, dst[mem.LineSize:] {
 		c.stats.Reads++
 		total, verify := c.chargePath(r, line, 0)
@@ -609,15 +544,14 @@ func (c *Controller) ReadRange(r, line int, dst []byte) error {
 			}
 		}
 		ct := c.mem.LineView(c.lineAddr(r, line))
-		ctr := st.tr.LeafCounter(line)
-		padBase, macBase := st.lineBases(line, &c.scr)
+		pad, mask := st.lineKeys(line, st.tr.LeafCounter(line), &c.scr)
 		// Constant-time compare: the stored line MAC is untrusted (meta-zone)
 		// and a variable-time == would leak matching tag bytes to a prober.
-		if !crypt.TagEqual(st.eng.LineHash(ct, &c.scr)^st.lineMaskFor(line, macBase, ctr, &c.scr), st.lineMACs[line]) {
+		if !crypt.TagEqual(st.eng.LineHash(ct, &c.scr)^mask, st.lineMACs[line]) {
 			c.probe.Event(trace.EvIntegrityFail, c.clock.Now(), st.guaddr, "read: data line MAC")
 			return fmt.Errorf("%w: data line %d", ErrIntegrity, line)
 		}
-		crypt.XORLine(dst[:mem.LineSize], ct, st.linePadFor(line, padBase, ctr, &c.scr))
+		crypt.XORLine(dst[:mem.LineSize], ct, pad)
 	}
 	return nil
 }
@@ -656,7 +590,7 @@ func (c *Controller) WriteRange(r, line int, src []byte) error {
 	case ModeReadOnly:
 		return ErrReadOnly
 	}
-	leafArity := c.levelDiv[len(c.levelDiv)-1]
+	leafArity := c.lay.Level[len(c.lay.Level)-1].Arity
 	// pending lines of the current run are already advanced in the tree;
 	// touched is the node re-MACs each of them is charged for.
 	for pending, touched := 0, 0; len(src) > 0; line, src = line+1, src[mem.LineSize:] {
@@ -668,7 +602,7 @@ func (c *Controller) WriteRange(r, line int, src []byte) error {
 				return err
 			}
 			pending = min(leafArity-line%leafArity, len(src)/mem.LineSize)
-			touched = c.geo.Levels()
+			touched = len(c.lay.Level)
 			if !st.tr.UpdateRun(st.eng, st.guaddr, line, pending) {
 				res := st.tr.Update(st.eng, st.guaddr, line)
 				pending, touched, reencrypt = 1, res.NodesTouched, res.ReencryptLines
@@ -678,12 +612,11 @@ func (c *Controller) WriteRange(r, line int, src []byte) error {
 		total, verify := c.chargePath(r, line, touched)
 		c.recordAccess(trace.OpLocalWrite, total, verify)
 
-		ctr := st.tr.LeafCounter(line)
-		padBase, macBase := st.lineBases(line, &c.scr)
+		pad, mask := st.lineKeys(line, st.tr.LeafCounter(line), &c.scr)
 		ct := c.lineBuf[:]
-		crypt.XORLine(ct, src[:mem.LineSize], st.linePadFor(line, padBase, ctr, &c.scr))
+		crypt.XORLine(ct, src[:mem.LineSize], pad)
 		c.mem.WriteLine(c.lineAddr(r, line), ct)
-		st.lineMACs[line] = st.eng.LineHash(ct, &c.scr) ^ st.lineMaskFor(line, macBase, ctr, &c.scr)
+		st.lineMACs[line] = st.eng.LineHash(ct, &c.scr) ^ mask
 		st.markLine(line)
 
 		for _, ln := range reencrypt {
@@ -717,11 +650,14 @@ func (c *Controller) reencryptLine(st *regionState, r, ln int) error {
 		bits = tree.DefaultLocalBits
 	}
 	base := (newCtr >> bits) - 1 // previous global value
-	padBase, macBase := st.lineBases(ln, &c.scr)
+	// The line's keys at its new counter; this also makes its tweak bases
+	// valid, and the search below probes the old counters from them.
+	pad, mask := st.lineKeys(ln, newCtr, &c.scr)
+	padBase, macBase := st.padBase[ln*crypt.MaskBaseSize:], st.macBase[ln*crypt.MaskBaseSize:]
 	// The stored tag is LineHash(ct) ^ mask(counter) and the hash does not
 	// depend on the candidate counter, so hash once and probe each
 	// candidate with a single AES mask — same purity argument as the hot
-	// path's lineMaskFor.
+	// path's lineKeys.
 	h := st.eng.LineHash(ct, &c.scr)
 	var pt [mem.LineSize]byte
 	found := false
@@ -742,9 +678,9 @@ func (c *Controller) reencryptLine(st *regionState, r, ln int) error {
 		return fmt.Errorf("%w: sibling line %d unrecoverable during overflow re-encryption", ErrIntegrity, ln)
 	}
 	nct := c.lineBuf[:] // Write's own ciphertext already hit memory; safe to reuse
-	crypt.XORLine(nct, pt[:], st.linePadFor(ln, padBase, newCtr, &c.scr))
+	crypt.XORLine(nct, pt[:], pad)
 	c.mem.WriteLine(a, nct)
-	st.lineMACs[ln] = st.eng.LineHash(nct, &c.scr) ^ st.lineMaskFor(ln, macBase, newCtr, &c.scr)
+	st.lineMACs[ln] = st.eng.LineHash(nct, &c.scr) ^ mask
 	st.markLine(ln)
 	c.stats.ReencryptedLines++
 	c.probe.Count(trace.CtrReencryptLines, 1)
@@ -774,9 +710,9 @@ func (c *Controller) Access(r, line int, write bool) {
 	}
 	total, verify := c.chargePath(r, line, 0)
 	if write {
-		cost := sim.Cycles(c.geo.Levels()) * writeUpdatePerLevel
+		cost := sim.Cycles(len(c.lay.Level)) * writeUpdatePerLevel
 		c.probe.AddCycles(trace.PhaseTreeUpdate, cost)
-		c.probe.Count(trace.CtrMACUpdates, uint64(c.geo.Levels()))
+		c.probe.Count(trace.CtrMACUpdates, uint64(len(c.lay.Level)))
 		c.stats.Cycles += cost
 		c.clock.AdvanceCycles(cost)
 		c.recordAccess(trace.OpLocalWrite, total+cost, verify)
@@ -852,11 +788,11 @@ func (c *Controller) Install(r int, key crypt.Key, guaddr, rootCounter uint64, t
 	if mode == ModeDisabled {
 		return fmt.Errorf("engine: install with disabled mode")
 	}
-	if len(data) != c.geo.DataSize() {
-		return fmt.Errorf("engine: closure data %d bytes, want %d", len(data), c.geo.DataSize())
+	if len(data) != c.lay.DataSize {
+		return fmt.Errorf("engine: closure data %d bytes, want %d", len(data), c.lay.DataSize)
 	}
-	if len(lineMACs) != c.geo.Lines() {
-		return fmt.Errorf("engine: closure has %d line MACs, want %d", len(lineMACs), c.geo.Lines())
+	if len(lineMACs) != c.lay.Lines {
+		return fmt.Errorf("engine: closure has %d line MACs, want %d", len(lineMACs), c.lay.Lines)
 	}
 	eng := crypt.NewEngine(key)
 	tr, err := tree.Deserialize(c.geo, treeBytes)
@@ -913,7 +849,7 @@ func (c *Controller) LoadMeta(r int) error {
 		return ErrDisabled
 	}
 	meta := c.mem.MetaRegion(r)
-	tr, err := tree.Deserialize(c.geo, meta[:c.geo.NodesSize()])
+	tr, err := tree.Deserialize(c.geo, meta[:c.lay.NodesSize])
 	if err != nil {
 		return err
 	}
@@ -921,7 +857,7 @@ func (c *Controller) LoadMeta(r int) error {
 	tr.SetRootCounter(st.tr.RootCounter()) // root counter stays in SoC
 	tr.MarkAllDirty()
 	st.tr = tr
-	off := c.geo.NodesSize()
+	off := c.lay.NodesSize
 	for i := range st.lineMACs {
 		st.lineMACs[i] = binary.LittleEndian.Uint64(meta[off+i*8:])
 		st.markLine(i)

@@ -241,9 +241,9 @@ func TestLoadMetaMarksEverythingDirty(t *testing.T) {
 	nodes, lines := 0, 0
 	c.Tree(0).DirtyNodes(func(int, int) { nodes++ })
 	c.DirtyLines(0, func(int) { lines++ })
-	if geo := c.Geometry(); nodes != geo.TotalNodes() || lines != geo.Lines() {
+	if nodes != c.lay.Nodes || lines != c.lay.Lines {
 		t.Fatalf("after LoadMeta %d of %d nodes and %d of %d lines are dirty; want all",
-			nodes, geo.TotalNodes(), lines, geo.Lines())
+			nodes, c.lay.Nodes, lines, c.lay.Lines)
 	}
 }
 

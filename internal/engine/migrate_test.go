@@ -15,7 +15,7 @@ import (
 )
 
 // TestPlaneRecycling: a region enabled on planes another tenant left
-// behind — every plane and every validity bitset deliberately poisoned —
+// behind — every plane and the validity bitset deliberately poisoned —
 // under a different key and address behaves exactly like one enabled on
 // fresh planes, and the pool never holds more sets than there are regions.
 func TestPlaneRecycling(t *testing.T) {
@@ -42,7 +42,7 @@ func TestPlaneRecycling(t *testing.T) {
 			b[i] = 0xA5
 		}
 	}
-	for _, w := range [][]uint64{p.lineBaseOK, p.lineMask, p.lineMaskCtr, p.lineMaskOK, p.linePadCtr, p.linePadOK} {
+	for _, w := range [][]uint64{p.lineMask, p.lineCtr, p.lineOK} {
 		for i := range w {
 			w[i] = ^uint64(0)
 		}
@@ -107,6 +107,95 @@ func TestPlaneRecycling(t *testing.T) {
 		if len(c.planePool) != regions {
 			t.Fatalf("round %d: pool holds %d sets, want %d", round, len(c.planePool), regions)
 		}
+	}
+}
+
+// TestLineKeysAfterInstall: on an installed region — no Enable sweep has
+// filled the line planes, so every line's record is derived on first touch,
+// by whichever path touches it first — read, write, a leaf-counter overflow
+// with sibling re-encryption and Release agree line by line with the slow
+// reference (XORPad, LineMAC).
+func TestLineKeysAfterInstall(t *testing.T) {
+	geo := tree.Geometry{Arities: []int{2, 4}, LocalBits: 2} // 8 lines; a local counter wraps at its 4th bump
+	setup := func() *Controller {
+		c, err := New(mem.New(mem.Config{Size: geo.DataSize(), RegionSize: geo.DataSize(), MetaPerRegion: geo.MetaSize()}), geo, nil, sim.Gem5Profile())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	const guaddr = 0x77
+	src, c := setup(), setup()
+	fill(src, 0, 3)
+	plain := slices.Clone(src.Memory().RegionData(0))
+	write := func(c *Controller, line int, seed byte) {
+		t.Helper()
+		p := plain[line*LineSize : (line+1)*LineSize]
+		for i := range p {
+			p[i] = seed ^ byte(i)
+		}
+		if err := c.Write(0, line, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := src.Enable(0, testKey, guaddr, 9); err != nil {
+		t.Fatal(err)
+	}
+	write(src, 1, 0x10) // uneven counters across the leaf
+	write(src, 6, 0x20)
+	tb, data, macs, rootCtr, _, err := src.Export(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Install(0, testKey, guaddr, rootCtr, tb, data, slices.Clone(macs), ModeReadWrite); err != nil {
+		t.Fatal(err)
+	}
+
+	ref := crypt.NewEngine(testKey)
+	check := func(when string) {
+		t.Helper()
+		for line := range c.lay.Lines {
+			tw := crypt.Tweak{GUAddr: guaddr, Line: uint32(line), Counter: c.Tree(0).LeafCounter(line)}
+			want := slices.Clone(plain[line*LineSize : (line+1)*LineSize])
+			ref.XORPad(tw, want)
+			if ct, mac := c.LineState(0, line); !bytes.Equal(ct, want) || mac != ref.LineMAC(tw, ct) {
+				t.Fatalf("%s: line %d disagrees with XORPad/LineMAC", when, line)
+			}
+		}
+	}
+	read := func(when string, line int) {
+		t.Helper()
+		if got, err := readLine(c, 0, line); err != nil || !bytes.Equal(got, plain[line*LineSize:(line+1)*LineSize]) {
+			t.Fatalf("%s: line %d reads %x, %v", when, line, got, err)
+		}
+	}
+
+	// Leaf 0 holds lines 0-3: line 0 is first touched by a read, line 2 by
+	// a write, line 3 by the overflow's re-encryption, and line 1 drives
+	// the overflow. Lines 4, 5 and 7 stay untouched until Release.
+	read("first read", 0)
+	read("re-read", 0)
+	write(c, 2, 0x30)
+	read("read after write", 2)
+	check("after first touches")
+	for n := 0; c.Stats().ReencryptedLines == 0; n++ {
+		if n == 8 {
+			t.Fatal("no leaf-counter overflow within 8 writes of one line at LocalBits 2")
+		}
+		write(c, 1, 0x40+byte(n))
+	}
+	if got := c.Stats().ReencryptedLines; got != 3 {
+		t.Fatalf("overflow re-encrypted %d sibling lines, want 3", got)
+	}
+	check("after overflow")
+	for line := 0; line < 4; line++ { // leaf 0; the other leaf stays untouched for Release
+		read("after overflow", line)
+	}
+	if err := c.Release(0); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(c.Memory().RegionData(0), plain) {
+		t.Fatal("Release did not restore the plaintext")
 	}
 }
 

@@ -32,7 +32,7 @@ func TestReadWriteZeroAlloc(t *testing.T) {
 			}
 			buf := make([]byte, LineSize)
 			// Warm scratch buffers, node cache and root table.
-			for i := 0; i < c.geo.Lines(); i++ {
+			for i := 0; i < c.lay.Lines; i++ {
 				if err := c.ReadInto(0, i, buf); err != nil {
 					t.Fatal(err)
 				}
@@ -55,7 +55,7 @@ func TestReadWriteZeroAlloc(t *testing.T) {
 				if err := c.WriteRange(0, 2, span); err != nil {
 					t.Fatal(err)
 				}
-				line = (line + 1) % c.geo.Lines()
+				line = (line + 1) % c.lay.Lines
 			})
 			if allocs != 0 {
 				t.Fatalf("Read+Write+ReadRange+WriteRange allocates %.1f objects/op, want 0", allocs)
@@ -75,7 +75,7 @@ func TestReadIntoMatchesRead(t *testing.T) {
 		t.Fatal(err)
 	}
 	buf := make([]byte, LineSize)
-	for line := 0; line < c.geo.Lines(); line++ {
+	for line := 0; line < c.lay.Lines; line++ {
 		if err := c.ReadInto(0, line, buf); err != nil {
 			t.Fatal(err)
 		}
@@ -169,7 +169,7 @@ func BenchmarkReadLine(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := c.ReadInto(0, i%c.geo.Lines(), buf); err != nil {
+		if err := c.ReadInto(0, i%c.lay.Lines, buf); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -189,7 +189,7 @@ func BenchmarkWriteLine(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := c.Write(0, i%c.geo.Lines(), buf); err != nil {
+		if err := c.Write(0, i%c.lay.Lines, buf); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -197,14 +197,14 @@ func BenchmarkWriteLine(b *testing.B) {
 
 // BenchmarkCacheInvalidateRegion measures invalidating one region's nodes
 // while many other regions keep the cache full — the migration-path cost
-// the per-region index exists for. Before the index this walked every
-// resident node; now it touches only the victim region's.
+// the per-region residency row exists for: the walk touches only the victim
+// region's own keys.
 func BenchmarkCacheInvalidateRegion(b *testing.B) {
 	const regions, nodesPer = 64, 32
-	c := newNodeCache(regions * nodesPer * 16)
+	c := newLRU(regions*nodesPer*16, nodesPer, false)
 	for r := 0; r < regions; r++ {
 		for i := 0; i < nodesPer; i++ {
-			c.touch(nodeKey{region: r, index: i}, 16)
+			c.touch(r, i, 16)
 		}
 	}
 	b.ReportAllocs()
@@ -213,7 +213,7 @@ func BenchmarkCacheInvalidateRegion(b *testing.B) {
 		r := i % regions
 		c.invalidateRegion(r)
 		for n := 0; n < nodesPer; n++ { // repopulate for the next round
-			c.touch(nodeKey{region: r, index: n}, 16)
+			c.touch(r, n, 16)
 		}
 	}
 }
@@ -225,10 +225,10 @@ func BenchmarkCacheInvalidateRegion(b *testing.B) {
 // enclaves sharing one MMT cache while one of them migrates away.
 func BenchmarkCacheInvalidateRegionContended(b *testing.B) {
 	const regions, nodesPer = 64, 32
-	c := newNodeCache(regions * nodesPer * 16)
+	c := newLRU(regions*nodesPer*16, nodesPer, false)
 	for r := 0; r < regions; r++ {
 		for i := 0; i < nodesPer; i++ {
-			c.touch(nodeKey{region: r, index: i}, 16)
+			c.touch(r, i, 16)
 		}
 	}
 	b.ReportAllocs()
@@ -239,12 +239,12 @@ func BenchmarkCacheInvalidateRegionContended(b *testing.B) {
 		// the cache full and the recency list interleaved across regions.
 		for r := 0; r < regions; r++ {
 			if r != victim {
-				c.touch(nodeKey{region: r, index: i % nodesPer}, 16)
+				c.touch(r, i%nodesPer, 16)
 			}
 		}
 		c.invalidateRegion(victim)
 		for n := 0; n < nodesPer; n++ { // repopulate for the next round
-			c.touch(nodeKey{region: victim, index: n}, 16)
+			c.touch(victim, n, 16)
 		}
 	}
 }
@@ -286,27 +286,27 @@ func TestEnableReleaseSweeps(t *testing.T) {
 			if err := c.Enable(0, testKey, 0x11, 0); err != nil {
 				t.Fatal(err)
 			}
-			for line := range c.geo.Lines() {
+			for line := range c.lay.Lines {
 				tw := crypt.Tweak{GUAddr: 0x11, Line: uint32(line), Counter: c.Tree(0).LeafCounter(line)}
 				want := append([]byte(nil), plain[line*LineSize:(line+1)*LineSize]...)
 				ref.XORPad(tw, want)
 				ct, mac := c.LineState(0, line)
 				if !bytes.Equal(ct, want) || mac != ref.LineMAC(tw, ct) {
-					t.Fatalf("GOMAXPROCS=%d, line %d of %d: Enable disagrees with XORPad/LineMAC", procs, line, c.geo.Lines())
+					t.Fatalf("GOMAXPROCS=%d, line %d of %d: Enable disagrees with XORPad/LineMAC", procs, line, c.lay.Lines)
 				}
 			}
 			// The planes the sweep filled serve the read path as they are.
 			buf := make([]byte, LineSize)
-			for line := range c.geo.Lines() {
+			for line := range c.lay.Lines {
 				if err := c.ReadInto(0, line, buf); err != nil || !bytes.Equal(buf, plain[line*LineSize:(line+1)*LineSize]) {
-					t.Fatalf("GOMAXPROCS=%d, line %d of %d: read after Enable: %v", procs, line, c.geo.Lines(), err)
+					t.Fatalf("GOMAXPROCS=%d, line %d of %d: read after Enable: %v", procs, line, c.lay.Lines, err)
 				}
 			}
 			if err := c.Release(0); err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(c.Memory().RegionData(0), plain) {
-				t.Fatalf("GOMAXPROCS=%d, %d lines: Release did not restore the plaintext", procs, c.geo.Lines())
+				t.Fatalf("GOMAXPROCS=%d, %d lines: Release did not restore the plaintext", procs, c.lay.Lines)
 			}
 		}
 	}

@@ -120,7 +120,7 @@ func tamper(c *Controller, kind, line int) {
 	case 1:
 		c.Memory().RegionData(0)[line*LineSize+9] ^= 0x40
 	default:
-		n := c.Tree(0).Node(kind-2, c.nodeIndexAt(line, kind-2))
+		n := c.Tree(0).Node(kind-2, line/c.lay.Level[kind-2].Span)
 		n.SetMAC(n.MAC() ^ 1)
 	}
 }

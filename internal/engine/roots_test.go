@@ -2,25 +2,31 @@ package engine
 
 import "testing"
 
+// newRootTable builds the unit-sized instantiation engine.New uses for the
+// SoC root table; rootTouch mounts region's one key.
+func newRootTable(capacity int) *lru { return newLRU(capacity, 1, true) }
+
+func rootTouch(rt *lru, region int) bool { return rt.touch(region, 0, 1) }
+
 func TestRootTableHitMissEvict(t *testing.T) {
 	rt := newRootTable(2)
-	if rt.touch(1) {
+	if rootTouch(rt, 1) {
 		t.Fatal("first touch mounted")
 	}
-	if !rt.touch(1) {
+	if !rootTouch(rt, 1) {
 		t.Fatal("second touch not resident")
 	}
-	rt.touch(2)
-	rt.touch(1) // 1 is MRU
-	rt.touch(3) // evicts 2
-	if rt.touch(2) {
+	rootTouch(rt, 2)
+	rootTouch(rt, 1) // 1 is MRU
+	rootTouch(rt, 3) // evicts 2
+	if rootTouch(rt, 2) {
 		t.Fatal("2 should have been evicted")
 	}
 	// Re-mounting 2 evicted the LRU entry (1); 3 stays resident.
-	if !rt.touch(3) {
+	if !rootTouch(rt, 3) {
 		t.Fatal("3 lost unexpectedly")
 	}
-	if rt.touch(1) {
+	if rootTouch(rt, 1) {
 		t.Fatal("1 should have been evicted by 2's re-mount")
 	}
 }
@@ -28,7 +34,7 @@ func TestRootTableHitMissEvict(t *testing.T) {
 func TestRootTableUnlimited(t *testing.T) {
 	rt := newRootTable(0)
 	for i := 0; i < 100; i++ {
-		if !rt.touch(i) {
+		if !rootTouch(rt, i) {
 			t.Fatal("unlimited table should always report resident")
 		}
 	}
@@ -36,12 +42,12 @@ func TestRootTableUnlimited(t *testing.T) {
 
 func TestRootTableEvictExplicit(t *testing.T) {
 	rt := newRootTable(4)
-	rt.touch(7)
-	rt.evict(7)
-	if rt.touch(7) {
+	rootTouch(rt, 7)
+	rt.invalidateRegion(7)
+	if rootTouch(rt, 7) {
 		t.Fatal("evicted root still resident")
 	}
-	rt.evict(99) // no-op
+	rt.invalidateRegion(99) // no-op
 }
 
 func TestRootMountsCountedUnderPressure(t *testing.T) {

@@ -19,12 +19,12 @@ func TestAccessZeroAllocTracingDisabled(t *testing.T) {
 	// Warm the node cache and root table so steady-state accesses stay
 	// on the hit path.
 	for i := 0; i < 64; i++ {
-		c.Access(0, i%c.geo.Lines(), i%2 == 0)
+		c.Access(0, i%c.lay.Lines, i%2 == 0)
 	}
 	line := 0
 	allocs := testing.AllocsPerRun(200, func() {
 		c.Access(0, line, true)
-		line = (line + 1) % c.geo.Lines()
+		line = (line + 1) % c.lay.Lines
 	})
 	if allocs != 0 {
 		t.Fatalf("Access allocates %.1f objects/op with tracing disabled, want 0", allocs)
@@ -41,12 +41,12 @@ func benchAccess(b *testing.B, sink *trace.Sink) {
 	}
 	c.SetTrace(sink.Probe("bench"))
 	for i := 0; i < 64; i++ {
-		c.Access(0, i%c.geo.Lines(), i%2 == 0)
+		c.Access(0, i%c.lay.Lines, i%2 == 0)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.Access(0, i%c.geo.Lines(), i%2 == 0)
+		c.Access(0, i%c.lay.Lines, i%2 == 0)
 	}
 }
 
@@ -67,7 +67,7 @@ func TestAccessTracedMatchesUntraced(t *testing.T) {
 		c.ResetStats()
 		c.SetTrace(sink.Probe("ctl"))
 		for i := 0; i < 500; i++ {
-			c.Access(0, (i*7)%c.geo.Lines(), i%3 == 0)
+			c.Access(0, (i*7)%c.lay.Lines, i%3 == 0)
 		}
 		return c
 	}

@@ -62,9 +62,9 @@ func (c *Controller) VerifyRegions(regions []int, workers int) error {
 		if err := st.tr.VerifyAll(st.eng, st.guaddr); err != nil {
 			return fmt.Errorf("region %d: %w", r, err)
 		}
-		nodes := uint64(c.geo.TotalNodes())
+		nodes := uint64(c.lay.Nodes)
 		var s crypt.Scratch
-		if bad := sweepLineMACs(st.eng, st.tr, st.guaddr, c.mem.RegionData(r), st.lineMACs, 0, c.geo.Lines(), &s); bad >= 0 {
+		if bad := sweepLineMACs(st.eng, st.tr, st.guaddr, c.mem.RegionData(r), st.lineMACs, 0, c.lay.Lines, &s); bad >= 0 {
 			return fmt.Errorf("region %d: %w: data line %d", r, ErrIntegrity, bad)
 		}
 		verifies[i] = nodes
@@ -76,7 +76,7 @@ func (c *Controller) VerifyRegions(regions []int, workers int) error {
 	}
 	for i := range regions {
 		c.probe.Count(trace.CtrTreeNodeVerifies, verifies[i])
-		c.probe.Count(trace.CtrMACVerifies, uint64(c.geo.Lines()))
+		c.probe.Count(trace.CtrMACVerifies, uint64(c.lay.Lines))
 	}
 	return nil
 }
@@ -84,14 +84,14 @@ func (c *Controller) VerifyRegions(regions []int, workers int) error {
 // sweepLines runs fn over every line of a region, cut into contiguous
 // chunks, one per available processor, each with its own scratch. A chunk
 // is a whole number of 64-line groups, because the sweeps that fill line
-// planes set bits in validity words (lineBaseOK, lineMaskOK, linePadOK)
-// that 64 lines share; beyond that fn must touch only state of its own
-// lines. The error is the lowest failing chunk's (par.ForEach), so a sweep
-// that stops at its first bad line reports the lowest bad line whatever
-// the processor count. With one processor it is the plain loop on the
-// controller's scratch: no goroutine, no allocation.
+// planes set bits in validity words (lineOK) that 64 lines share; beyond
+// that fn must touch only state of its own lines. The error is the lowest
+// failing chunk's (par.ForEach), so a sweep that stops at its first bad
+// line reports the lowest bad line whatever the processor count. With one
+// processor it is the plain loop on the controller's scratch: no
+// goroutine, no allocation.
 func (c *Controller) sweepLines(fn func(lo, hi int, scr *crypt.Scratch) error) error {
-	lines := c.geo.Lines()
+	lines := c.lay.Lines
 	groups := (lines + 63) / 64
 	workers := min(runtime.GOMAXPROCS(0), groups)
 	if workers == 1 {

@@ -74,7 +74,7 @@ func (p *Patch) Record() store.Record {
 // apply lands a decoded patch on the model. Patches only ever touch
 // machines and regions the base snapshot holds, at coordinates inside
 // the base's serialized tree and data.
-func (p *Patch) apply(m *Model, geo tree.Geometry) error {
+func (p *Patch) apply(m *Model, lay *tree.Layout) error {
 	var mm *Machine
 	for i := range m.Machines {
 		if m.Machines[i].Name == p.Machine {
@@ -103,11 +103,15 @@ func (p *Patch) apply(m *Model, geo tree.Geometry) error {
 	case RecRoot:
 		rm.RootCounter = p.Counter
 	case RecNode:
-		if p.Level >= geo.Levels() || p.Index >= geo.NodesAtLevel(p.Level) || len(p.Bytes) != geo.NodeSize(p.Level) ||
-			geo.NodeOffset(p.Level, p.Index)+len(p.Bytes) > len(rm.Tree) {
+		var lv tree.Level // the zero Level holds no node
+		if p.Level < len(lay.Level) {
+			lv = lay.Level[p.Level]
+		}
+		off := lv.Offset + p.Index*lv.NodeSize
+		if p.Index >= lv.Nodes || len(p.Bytes) != lv.NodeSize || off+len(p.Bytes) > len(rm.Tree) {
 			return fmt.Errorf("%w: node patch (%d,%d) of %d bytes outside the serialized tree", ErrBadSnapshot, p.Level, p.Index, len(p.Bytes))
 		}
-		copy(rm.Tree[geo.NodeOffset(p.Level, p.Index):], p.Bytes)
+		copy(rm.Tree[off:], p.Bytes)
 	case RecLine:
 		if p.Index >= len(rm.LineMACs) || len(p.Bytes) != engine.LineSize || (p.Index+1)*engine.LineSize > len(rm.Data) {
 			return fmt.Errorf("%w: line patch %d of %d bytes outside the region", ErrBadSnapshot, p.Index, len(p.Bytes))
@@ -119,19 +123,19 @@ func (p *Patch) apply(m *Model, geo tree.Geometry) error {
 }
 
 // Replay folds a committed record log into the model it encodes: the
-// latest base, patched by every delta after it. The geometry that
+// latest base, patched by every delta after it. The layout that
 // interprets node patches is the base's own.
 func Replay(recs []store.Record) (*Model, error) {
 	var (
 		m   *Model
-		geo tree.Geometry
+		lay tree.Layout
 	)
 	for i, rec := range recs {
 		var err error
 		switch {
 		case rec.Type == RecBase:
 			if m, err = Decode(rec.Payload); err == nil {
-				geo = tree.ForLevels(m.TreeLevels)
+				lay, err = tree.ForLevels(m.TreeLevels).Layout()
 			}
 		case rec.Type < RecBase || rec.Type > RecLine:
 			err = fmt.Errorf("%w: unknown record type %d", ErrBadSnapshot, rec.Type)
@@ -142,7 +146,7 @@ func Replay(recs []store.Record) (*Model, error) {
 			c := codec{Codec: cursor.Decoder(rec.Payload, ErrBadSnapshot), regions: m.Regions}
 			c.patch(&p)
 			if err = c.R.Done(); err == nil {
-				err = p.apply(m, geo)
+				err = p.apply(m, &lay)
 			}
 		}
 		if err != nil {

@@ -14,6 +14,8 @@ package tree
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 
 	"mmt/internal/crypt"
 )
@@ -63,20 +65,10 @@ func ForLevels(levels int) Geometry {
 	return Geometry{Arities: ar}
 }
 
-// Validate checks the geometry.
+// Validate checks the geometry: every bound Layout enforces.
 func (g Geometry) Validate() error {
-	if len(g.Arities) == 0 {
-		return fmt.Errorf("tree: geometry has no levels")
-	}
-	for i, a := range g.Arities {
-		if a < 2 {
-			return fmt.Errorf("tree: level %d arity %d < 2", i, a)
-		}
-	}
-	if g.LocalBits > 16 {
-		return fmt.Errorf("tree: local bits %d > 16 (locals serialize as uint16)", g.LocalBits)
-	}
-	return nil
+	_, err := g.Layout()
+	return err
 }
 
 func (g Geometry) localBits() uint {
@@ -86,107 +78,152 @@ func (g Geometry) localBits() uint {
 	return g.LocalBits
 }
 
+// Level is one tree level's share of a Layout (level 0 = top).
+type Level struct {
+	Arity     int // slots per node = children per node
+	Nodes     int // nodes at this level
+	Base      int // flat index of node (l, 0): the node count of the levels above
+	Span      int // data lines under one node
+	NodeSize  int // serialized bytes of one node: 8-byte global, 2-byte locals, 8-byte MAC
+	Offset    int // byte offset of node (l, 0) in the Serialize layout
+	CtrBase   int // counter-plane word offset of node (l, 0)
+	CtrStride int // counter-plane words per node: the global, then locals four per word
+}
+
+// Layout is every product of arities a geometry implies, multiplied out
+// once. It is the single owner of tree coordinates: node (l, i) has the
+// flat index Level[l].Base+i in every per-node plane (MACs, dirty bits,
+// mask caches, the controller's node cache), its counter record starts at
+// word Level[l].CtrBase+i*Level[l].CtrStride, and its serialized record at
+// byte Level[l].Offset+i*Level[l].NodeSize — flat order is Serialize order.
+type Layout struct {
+	Level     []Level
+	Nodes     int // nodes across all levels
+	Lines     int // data lines the tree covers
+	DataSize  int // protected bytes (the MMT granularity: 2 MB for the 3-level default)
+	NodesSize int // serialized bytes of all tree nodes
+	MetaSize  int // meta-zone bytes: all nodes plus an 8-byte MAC per line, rounded up to a whole line
+	CtrWords  int // counter-plane words
+}
+
+// Layout derives the geometry's layout, or reports why the geometry is
+// unusable. nodeID mixes level<<24 | index into every node MAC and the
+// tweak carries the line as a uint32, so a level count or a per-level node
+// count that aliases there — or any product that overflows int — would
+// re-open node splicing within one MMT; each is an error here.
+func (g Geometry) Layout() (Layout, error) {
+	L := len(g.Arities)
+	switch {
+	case L == 0:
+		return Layout{}, fmt.Errorf("tree: geometry has no levels")
+	case L >= 1<<8:
+		return Layout{}, fmt.Errorf("tree: %d levels >= 256 (the node id holds the level in 8 bits)", L)
+	case g.LocalBits > 16:
+		return Layout{}, fmt.Errorf("tree: local bits %d > 16 (locals serialize as uint16)", g.LocalBits)
+	}
+	ly := Layout{Level: make([]Level, L)}
+	// Checked arithmetic on non-negative ints; ok goes false on overflow.
+	ok := true
+	mul := func(a, b int) int {
+		hi, lo := bits.Mul64(uint64(a), uint64(b))
+		ok = ok && hi == 0 && lo <= math.MaxInt
+		return int(lo)
+	}
+	add := func(a, b int) int {
+		ok = ok && a+b >= a
+		return a + b
+	}
+	nodes := 1
+	for l, a := range g.Arities {
+		if a < 2 {
+			return Layout{}, fmt.Errorf("tree: level %d arity %d < 2", l, a)
+		}
+		if nodes >= 1<<24 {
+			return Layout{}, fmt.Errorf("tree: level %d has %d nodes >= 2^24 (the node id holds the index in 24 bits)", l, nodes)
+		}
+		lv := &ly.Level[l]
+		lv.Arity, lv.Nodes = a, nodes
+		lv.Base, lv.Offset, lv.CtrBase = ly.Nodes, ly.NodesSize, ly.CtrWords
+		lv.NodeSize = add(mul(2, a), 16)
+		lv.CtrStride = add(a, 3)/4 + 1
+		ly.Nodes = add(ly.Nodes, nodes)
+		ly.NodesSize = add(ly.NodesSize, mul(nodes, lv.NodeSize))
+		ly.CtrWords = add(ly.CtrWords, mul(nodes, lv.CtrStride))
+		nodes = mul(nodes, a)
+		if !ok {
+			return Layout{}, fmt.Errorf("tree: arities %v overflow int at level %d", g.Arities, l)
+		}
+	}
+	if uint64(nodes-1) > math.MaxUint32 {
+		return Layout{}, fmt.Errorf("tree: %d lines do not fit the tweak's uint32 line index", nodes)
+	}
+	ly.Lines = nodes
+	ly.DataSize = mul(nodes, LineSize)
+	ly.MetaSize = add(add(ly.NodesSize, mul(nodes, 8)), LineSize-1) / LineSize * LineSize
+	if !ok {
+		return Layout{}, fmt.Errorf("tree: arities %v overflow int in the region sizes", g.Arities)
+	}
+	for l, span := L-1, 1; l >= 0; l-- {
+		span *= g.Arities[l] // a factor of Lines: cannot overflow
+		ly.Level[l].Span = span
+	}
+	return ly, nil
+}
+
+// path writes, for a line the caller has bounds-checked, the flat index of
+// the covering node and the slot within it at every level into
+// level-indexed buffers of length len(Level).
+//
+//mmt:hotpath
+func (ly *Layout) path(line int, node, slot []int) {
+	// From the leaf upward: the slot is the running index modulo the
+	// level's arity, the node index the quotient.
+	idx := line
+	for l := len(ly.Level) - 1; l >= 0; l-- {
+		lv := &ly.Level[l]
+		slot[l] = idx % lv.Arity
+		idx /= lv.Arity
+		node[l] = lv.Base + idx
+	}
+}
+
+// NodeAt reports the flat index of the level-l node covering line.
+//
+//mmt:hotpath
+func (ly *Layout) NodeAt(l, line int) int {
+	lv := &ly.Level[l]
+	return lv.Base + line/lv.Span
+}
+
+// levelOf reports the level of flat node n. Most nodes are leaves, so the
+// scan starts there.
+func (ly *Layout) levelOf(n int) int {
+	l := len(ly.Level) - 1
+	for n < ly.Level[l].Base {
+		l--
+	}
+	return l
+}
+
 // Levels reports the number of node levels (excluding the root counter).
 func (g Geometry) Levels() int { return len(g.Arities) }
 
+// layout is Layout for the exported size readers below, which report zero
+// for a geometry Validate rejects.
+func (g Geometry) layout() Layout {
+	ly, _ := g.Layout()
+	return ly
+}
+
 // Lines reports how many data lines the tree covers.
-func (g Geometry) Lines() int {
-	n := 1
-	for _, a := range g.Arities {
-		n *= a
-	}
-	return n
-}
+func (g Geometry) Lines() int { return g.layout().Lines }
 
-// DataSize reports the protected data bytes (the MMT granularity: 2 MB for
-// the 3-level default).
-func (g Geometry) DataSize() int { return g.Lines() * LineSize }
+// DataSize reports the protected data bytes.
+func (g Geometry) DataSize() int { return g.layout().DataSize }
 
-// NodesAtLevel reports the node count at level l (level 0 = top).
-func (g Geometry) NodesAtLevel(l int) int {
-	n := 1
-	for i := 0; i < l; i++ {
-		n *= g.Arities[i]
-	}
-	return n
-}
-
-// TotalNodes reports the node count across all levels.
-func (g Geometry) TotalNodes() int {
-	total := 0
-	for l := range g.Arities {
-		total += g.NodesAtLevel(l)
-	}
-	return total
-}
-
-// NodeSize reports the serialized size in bytes of one level-l node:
-// 8-byte global counter, 2-byte locals, 8-byte MAC.
-func (g Geometry) NodeSize(l int) int { return 8 + 2*g.Arities[l] + 8 }
-
-// NodeOffset reports the byte offset of node (l, i) within the Serialize
-// layout (levels top-down, nodes in index order). The snapshot recovery
-// path uses it to patch dirty-node deltas into a serialized node set.
-func (g Geometry) NodeOffset(l, i int) int {
-	off := 0
-	for k := 0; k < l; k++ {
-		off += g.NodesAtLevel(k) * g.NodeSize(k)
-	}
-	return off + i*g.NodeSize(l)
-}
-
-// NodesSize reports the serialized size of all tree nodes.
-func (g Geometry) NodesSize() int {
-	total := 0
-	for l := range g.Arities {
-		total += g.NodesAtLevel(l) * g.NodeSize(l)
-	}
-	return total
-}
-
-// LineMACsSize reports the bytes of per-line data MACs (8 B each).
-func (g Geometry) LineMACsSize() int { return g.Lines() * 8 }
-
-// MetaSize reports the meta-zone bytes per MMT: all tree nodes plus all
-// line MACs, rounded up to a whole line.
-func (g Geometry) MetaSize() int {
-	n := g.NodesSize() + g.LineMACsSize()
-	if r := n % LineSize; r != 0 {
-		n += LineSize - r
-	}
-	return n
-}
+// MetaSize reports the meta-zone bytes per MMT.
+func (g Geometry) MetaSize() int { return g.layout().MetaSize }
 
 // RootSoCBytes reports the per-MMT SoC root storage (8-byte counter), used
 // to reproduce Table V's "Root Size" column for a given total memory.
 func (g Geometry) RootSoCBytes() int { return 8 }
-
-// path computes, for a line index, the node index and slot at every level.
-// Returned slices are indexed by level (0 = top).
-func (g Geometry) path(line int) (nodeIdx, slot []int) {
-	if line < 0 || line >= g.Lines() {
-		//mmt:allow nopanic: internal bounds guard, equivalent to built-in slice indexing
-		panic(fmt.Sprintf("tree: line %d out of range [0,%d)", line, g.Lines()))
-	}
-	L := g.Levels()
-	nodeIdx = make([]int, L)
-	slot = make([]int, L)
-	g.pathInto(line, nodeIdx, slot)
-	return nodeIdx, slot
-}
-
-// pathInto is path writing into caller-owned level-indexed buffers of
-// length Levels(), for a line the caller has bounds-checked; the tree's
-// hot verify/update paths use it with scratch buffers to stay
-// allocation-free.
-func (g Geometry) pathInto(line int, nodeIdx, slot []int) {
-	// Walk from leaf upward: at the leaf level the slot is line % leafArity
-	// and the node index is line / leafArity; each level up divides by that
-	// level's arity.
-	idx := line
-	for l := g.Levels() - 1; l >= 0; l-- {
-		slot[l] = idx % g.Arities[l]
-		idx /= g.Arities[l]
-		nodeIdx[l] = idx
-	}
-}

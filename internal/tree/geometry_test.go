@@ -1,8 +1,21 @@
 package tree
 
 import (
+	"strings"
 	"testing"
 )
+
+// path is Layout.path as per-level node indices (flat index minus the
+// level's base), for the path-arithmetic tests below.
+func (g Geometry) path(line int) (nodeIdx, slot []int) {
+	ly := g.layout()
+	nodeIdx, slot = make([]int, len(ly.Level)), make([]int, len(ly.Level))
+	ly.path(line, nodeIdx, slot)
+	for l := range nodeIdx {
+		nodeIdx[l] -= ly.Level[l].Base
+	}
+	return nodeIdx, slot
+}
 
 // TestTableVGeometry checks the closure ("MMT Size") and SoC root-storage
 // numbers of the paper's Table V: for 2 GB of secure memory,
@@ -70,13 +83,50 @@ func TestGeometryValidate(t *testing.T) {
 	}
 }
 
+// TestGeometryBounds: the products are bounded where they are computed.
+// Each rejected shape would alias in nodeID (level in 8 bits, index in 24),
+// truncate in the tweak's uint32 line, or overflow int; the accepted ones
+// sit exactly on the limits.
+func TestGeometryBounds(t *testing.T) {
+	twos := func(n int) []int {
+		a := make([]int, n)
+		for i := range a {
+			a[i] = 2
+		}
+		return a
+	}
+	for _, c := range []struct {
+		name    string
+		arities []int
+		want    string // substring of the error; "" = accepted
+	}{
+		{"256 levels", twos(256), "levels >= 256"},
+		{"2^24 nodes at a level", []int{1 << 24, 2}, "nodes >= 2^24"},
+		{"2^23 nodes at a level", []int{1 << 23, 2}, ""},
+		{"2^33 lines", []int{1 << 11, 1 << 11, 1 << 11}, "uint32 line index"},
+		{"2^32 lines", []int{1 << 16, 1 << 16}, ""},
+		{"product overflows int", []int{1 << 23, 1 << 62}, "overflow int"},
+		{"node size overflows int", []int{1 << 62}, "overflow int"},
+		{"32 levels of 2", twos(32), "nodes >= 2^24"},
+	} {
+		err := Geometry{Arities: c.arities}.Validate()
+		switch {
+		case c.want == "" && err != nil:
+			t.Errorf("%s: rejected: %v", c.name, err)
+		case c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)):
+			t.Errorf("%s: error %v, want one containing %q", c.name, err, c.want)
+		}
+	}
+}
+
 func TestNodeCounts(t *testing.T) {
 	g := ForLevels(3) // 16, 32, 64
-	if g.NodesAtLevel(0) != 1 || g.NodesAtLevel(1) != 16 || g.NodesAtLevel(2) != 512 {
-		t.Fatalf("node counts: %d %d %d", g.NodesAtLevel(0), g.NodesAtLevel(1), g.NodesAtLevel(2))
+	ly := g.layout()
+	if ly.Level[0].Nodes != 1 || ly.Level[1].Nodes != 16 || ly.Level[2].Nodes != 512 {
+		t.Fatalf("node counts: %d %d %d", ly.Level[0].Nodes, ly.Level[1].Nodes, ly.Level[2].Nodes)
 	}
-	if g.TotalNodes() != 529 {
-		t.Fatalf("TotalNodes = %d, want 529", g.TotalNodes())
+	if ly.Nodes != 529 {
+		t.Fatalf("Nodes = %d, want 529", ly.Nodes)
 	}
 	if g.Lines() != 32768 {
 		t.Fatalf("Lines = %d, want 32768", g.Lines())
@@ -120,15 +170,15 @@ func TestPathMath(t *testing.T) {
 }
 
 func TestPathPanicsOutOfRange(t *testing.T) {
-	g := ForLevels(2)
-	for _, line := range []int{-1, g.Lines()} {
+	tr := mustNew(ForLevels(2), testEngine(), guaddr)
+	for _, line := range []int{-1, tr.Geometry().Lines()} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("path(%d): expected panic", line)
+					t.Errorf("pathOf(%d): expected panic", line)
 				}
 			}()
-			g.path(line)
+			tr.pathOf(line)
 		}()
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"mmt/internal/crypt"
 	"mmt/internal/trace"
@@ -28,27 +29,22 @@ import (
 // reads cache-line-adjacent words.
 type Tree struct {
 	geo     Geometry
+	lay     Layout // every coordinate below is read from here
 	rootCtr uint64
 	probe   *trace.Probe // nil = tracing disabled
 	scr     treeScratch
 
-	// The arena. ctr holds every node's packed counter record
-	// (ctrBase[l] + i*ctrStride[l] words in); mac holds one word per node
-	// (levelBase[l] + i).
+	// The arena. ctr holds every node's packed counter record (ctrOff words
+	// in); mac holds one word per node. A node is keyed by its flat index
+	// n = lay.Level[l].Base + i in mac and in every other per-node plane.
 	ctr []uint64
 	mac []uint64
 
-	levelBase  []int // flat node index of (l, 0), for mac/dirty/mask planes
-	ctrBase    []int // ctr-plane word offset of (l, 0)
-	ctrStride  []int // ctr words per node at level l: 1 + ceil(arity/4)
-	totalNodes int
-	lines      int // geo.Lines(), multiplied out once
-
-	// Dirty-node tracking for checkpoint streaming: one bit per node,
-	// flattened level-major (levelBase[l]+i). Bits are set in rehashNode —
-	// the single chokepoint every counter/MAC mutation funnels through —
-	// and cleared by the store layer after a successful commit. The bitset
-	// is preallocated at construction so the hot paths stay 0-alloc.
+	// Dirty-node tracking for checkpoint streaming: one bit per node. Bits
+	// are set in rehashNode — the single chokepoint every counter/MAC
+	// mutation funnels through — and cleared by the store layer after a
+	// successful commit. The bitset is preallocated at construction so the
+	// hot paths stay 0-alloc.
 	dirty      []uint64
 	dirtyCount int
 
@@ -72,71 +68,75 @@ type Tree struct {
 	baseOK   []uint64 // bitset, parallel to maskBase
 }
 
-// initPlanes allocates the arena and every per-node plane for t.geo. All
-// sizes are pure functions of the geometry; nothing here scales the
-// allocation count with the node count.
-func (t *Tree) initPlanes() {
-	L := t.geo.Levels()
-	t.levelBase = make([]int, L)
-	t.ctrBase = make([]int, L)
-	t.ctrStride = make([]int, L)
-	nodes, words := 0, 0
-	for l := 0; l < L; l++ {
-		t.levelBase[l] = nodes
-		t.ctrBase[l] = words
-		t.ctrStride[l] = 1 + (t.geo.Arities[l]+3)/4
-		n := t.geo.NodesAtLevel(l)
-		nodes += n
-		words += n * t.ctrStride[l]
-	}
-	t.totalNodes = nodes
-	t.lines = t.geo.Lines()
-	t.ctr = make([]uint64, words)
-	t.mac = make([]uint64, nodes)
-	t.dirty = make([]uint64, (nodes+63)/64)
-	t.maskVal = make([]uint64, nodes)
-	t.maskCtr = make([]uint64, nodes)
-	t.maskOK = make([]uint64, (nodes+63)/64)
-	t.maskBase = make([]byte, nodes*16)
-	t.baseOK = make([]uint64, (nodes+63)/64)
+// treeScratch holds the tree's reusable working buffers so the per-access
+// verify and update paths stay allocation-free. A tree belongs to one
+// goroutine (each parallel work unit builds its own controller and trees),
+// so one scratch per tree suffices.
+type treeScratch struct {
+	node []int  // path node (flat index) per level
+	slot []int  // path slot per level
+	ovf  []bool // Update overflow markers per level
+	cs   crypt.Scratch
 }
 
-// ctrOff reports the ctr-plane word offset of node (l, i)'s record.
+// newTree allocates the arena, every per-node plane and the path scratch
+// for a layout. All sizes are read from it; nothing here scales the
+// allocation count with the node count.
+func newTree(geo Geometry, lay Layout) *Tree {
+	L, nodes := len(lay.Level), lay.Nodes
+	return &Tree{
+		geo:      geo,
+		lay:      lay,
+		scr:      treeScratch{node: make([]int, L), slot: make([]int, L), ovf: make([]bool, L)},
+		ctr:      make([]uint64, lay.CtrWords),
+		mac:      make([]uint64, nodes),
+		dirty:    make([]uint64, (nodes+63)/64),
+		maskVal:  make([]uint64, nodes),
+		maskCtr:  make([]uint64, nodes),
+		maskOK:   make([]uint64, (nodes+63)/64),
+		maskBase: make([]byte, nodes*16),
+		baseOK:   make([]uint64, (nodes+63)/64),
+	}
+}
+
+// ctrOff reports the ctr-plane word offset of level-l node n's record.
 //
 //mmt:hotpath
-func (t *Tree) ctrOff(l, i int) int { return t.ctrBase[l] + i*t.ctrStride[l] }
+func (t *Tree) ctrOff(l, n int) int {
+	lv := &t.lay.Level[l]
+	return lv.CtrBase + (n-lv.Base)*lv.CtrStride
+}
 
-// packed returns node (l, i)'s counter record — global word plus packed
+// packed returns level-l node n's counter record — global word plus packed
 // locals — as a sub-slice of the arena. Callers only read it; it is the
 // polynomial the node MAC hashes.
 //
 //mmt:hotpath
-func (t *Tree) packed(l, i int) []uint64 {
-	off := t.ctrOff(l, i)
-	return t.ctr[off : off+t.ctrStride[l]]
+func (t *Tree) packed(l, n int) []uint64 {
+	off := t.ctrOff(l, n)
+	return t.ctr[off : off+t.lay.Level[l].CtrStride]
 }
 
-// local reports the raw local counter of slot s in node (l, i).
+// local reports the raw local counter of slot s in level-l node n.
 //
 //mmt:hotpath
-func (t *Tree) local(l, i, s int) uint64 {
-	w := t.ctr[t.ctrOff(l, i)+1+s>>2]
+func (t *Tree) local(l, n, s int) uint64 {
+	w := t.ctr[t.ctrOff(l, n)+1+s>>2]
 	return w >> (uint(s&3) * 16) & 0xFFFF
 }
 
-// counter reports the effective counter of slot s in node (l, i):
+// counter reports the effective counter of slot s in level-l node n:
 // Global<<LocalBits | Local[s] (§V-A2's "global-local counter layout").
 //
 //mmt:hotpath
-func (t *Tree) counter(l, i, s int) uint64 {
-	return t.ctr[t.ctrOff(l, i)]<<t.geo.localBits() | t.local(l, i, s)
+func (t *Tree) counter(l, n, s int) uint64 {
+	return t.ctr[t.ctrOff(l, n)]<<t.geo.localBits() | t.local(l, n, s)
 }
 
-// markDirty sets the dirty bit for node (l, i). Pure arithmetic on the
-// preallocated bitset, safe on every hot path.
-func (t *Tree) markDirty(l, i int) {
-	bit := t.levelBase[l] + i
-	w, m := bit>>6, uint64(1)<<(uint(bit)&63)
+// markDirty sets node n's dirty bit. Pure arithmetic on the preallocated
+// bitset, safe on every hot path.
+func (t *Tree) markDirty(n int) {
+	w, m := n>>6, uint64(1)<<(uint(n)&63)
 	if t.dirty[w]&m == 0 {
 		t.dirty[w] |= m
 		t.dirtyCount++
@@ -147,18 +147,14 @@ func (t *Tree) markDirty(l, i int) {
 func (t *Tree) DirtyCount() int { return t.dirtyCount }
 
 // DirtyNodes calls fn for every dirty node in ascending (level, index)
-// order — the deterministic enumeration the checkpoint stream relies on.
+// order — flat order, the deterministic enumeration the checkpoint stream
+// relies on.
 func (t *Tree) DirtyNodes(fn func(level, index int)) {
-	if t.dirtyCount == 0 {
-		return
-	}
-	for l := 0; l < t.geo.Levels(); l++ {
-		base := t.levelBase[l]
-		for i, n := 0, t.geo.NodesAtLevel(l); i < n; i++ {
-			bit := base + i
-			if t.dirty[bit>>6]&(uint64(1)<<(uint(bit)&63)) != 0 {
-				fn(l, i)
-			}
+	for w, word := range t.dirty {
+		for ; word != 0; word &= word - 1 {
+			n := w*64 + bits.TrailingZeros64(word)
+			l := t.lay.levelOf(n)
+			fn(l, n-t.lay.Level[l].Base)
 		}
 	}
 }
@@ -166,67 +162,41 @@ func (t *Tree) DirtyNodes(fn func(level, index int)) {
 // ClearDirty resets all dirty bits; the store layer calls it after the
 // commit record for the batch containing these nodes is durable.
 func (t *Tree) ClearDirty() {
-	for i := range t.dirty {
-		t.dirty[i] = 0
-	}
+	clear(t.dirty)
 	t.dirtyCount = 0
 }
 
 // MarkAllDirty flags every node, forcing the next checkpoint to stream
 // the full node set (used after structural changes and on fresh trees).
 func (t *Tree) MarkAllDirty() {
-	t.dirtyCount = 0
-	for l := 0; l < t.geo.Levels(); l++ {
-		for i, n := 0, t.geo.NodesAtLevel(l); i < n; i++ {
-			t.markDirty(l, i)
-		}
+	for n := range t.dirty {
+		t.dirty[n] = ^uint64(0)
 	}
-}
-
-// treeScratch holds the tree's reusable working buffers so the per-access
-// verify and update paths stay allocation-free. A tree belongs to one
-// goroutine (each parallel work unit builds its own controller and trees),
-// so one scratch per tree suffices.
-type treeScratch struct {
-	nodeIdx []int  // path node index per level
-	slot    []int  // path slot per level
-	ovf     []bool // Update overflow markers per level
-	cs      crypt.Scratch
-}
-
-// ensureScratch sizes the scratch for the tree's geometry. Cheap after the
-// first call; the length check keys off nodeIdx.
-func (t *Tree) ensureScratch() {
-	L := t.geo.Levels()
-	if len(t.scr.nodeIdx) == L {
-		return
+	if r := uint(t.lay.Nodes) & 63; r != 0 {
+		t.dirty[len(t.dirty)-1] = 1<<r - 1 // no bit past the last node
 	}
-	t.scr.nodeIdx = make([]int, L)
-	t.scr.slot = make([]int, L)
-	t.scr.ovf = make([]bool, L)
+	t.dirtyCount = t.lay.Nodes
 }
 
 // checkLine bounds-checks a line index.
 //
 //mmt:hotpath
 func (t *Tree) checkLine(line int) {
-	if line < 0 || line >= t.lines {
+	if line < 0 || line >= t.lay.Lines {
 		//mmt:allow nopanic: internal bounds guard, equivalent to built-in slice indexing
-		panic(fmt.Sprintf("tree: line %d out of range [0,%d)", line, t.lines))
+		panic(fmt.Sprintf("tree: line %d out of range [0,%d)", line, t.lay.Lines))
 	}
 }
 
-// pathOf computes line's path — node index and slot per level — into the
-// tree's scratch and returns the two level-indexed slices, valid until
+// pathOf computes line's path — flat node index and slot per level — into
+// the tree's scratch and returns the two level-indexed slices, valid until
 // the next call.
 //
 //mmt:hotpath
-func (t *Tree) pathOf(line int) (nodeIdx, slot []int) {
+func (t *Tree) pathOf(line int) (node, slot []int) {
 	t.checkLine(line)
-	//mmt:allow noalloc: scratch grows once per geometry change, then steady-state reuse
-	t.ensureScratch()
-	t.geo.pathInto(line, t.scr.nodeIdx, t.scr.slot)
-	return t.scr.nodeIdx, t.scr.slot
+	t.lay.path(line, t.scr.node, t.scr.slot)
+	return t.scr.node, t.scr.slot
 }
 
 // SetTrace attaches a trace probe counting functional node MAC
@@ -239,11 +209,11 @@ func (t *Tree) Probe() *trace.Probe { return t.probe }
 // New builds a tree with all counters zero and MACs computed for guaddr
 // under e. It returns an error if the geometry is invalid.
 func New(geo Geometry, e *crypt.Engine, guaddr uint64) (*Tree, error) {
-	if err := geo.Validate(); err != nil {
+	lay, err := geo.Layout()
+	if err != nil {
 		return nil, err
 	}
-	t := &Tree{geo: geo}
-	t.initPlanes()
+	t := newTree(geo, lay)
 	t.RehashAll(e, guaddr)
 	return t, nil
 }
@@ -268,9 +238,7 @@ func (t *Tree) SetRootCounter(v uint64) { t.rootCtr = v }
 // the delegation" (§IV-B2), even when no data write happened in between.
 func (t *Tree) BumpRootCounter(e *crypt.Engine, guaddr uint64) {
 	t.rootCtr++
-	for i, n := 0, t.geo.NodesAtLevel(0); i < n; i++ {
-		t.rehashNode(e, guaddr, 0, i)
-	}
+	t.rehashNode(e, guaddr, 0, 0) // the one top node
 }
 
 // NodeRef is a view of one node in the arena. It replaces the old
@@ -282,40 +250,40 @@ func (t *Tree) BumpRootCounter(e *crypt.Engine, guaddr uint64) {
 type NodeRef struct {
 	t     *Tree
 	level int
-	index int
+	n     int // flat index
 }
 
 // Node returns a view of the node at (level, index).
 func (t *Tree) Node(level, index int) NodeRef {
-	return NodeRef{t: t, level: level, index: index}
+	return NodeRef{t: t, level: level, n: t.lay.Level[level].Base + index}
 }
 
 // Arity reports the node's slot count.
-func (n NodeRef) Arity() int { return n.t.geo.Arities[n.level] }
+func (n NodeRef) Arity() int { return n.t.lay.Level[n.level].Arity }
 
 // Global reads the node's global counter word.
-func (n NodeRef) Global() uint64 { return n.t.ctr[n.t.ctrOff(n.level, n.index)] }
+func (n NodeRef) Global() uint64 { return n.t.ctr[n.t.ctrOff(n.level, n.n)] }
 
 // SetGlobal overwrites the node's global counter word.
-func (n NodeRef) SetGlobal(v uint64) { n.t.ctr[n.t.ctrOff(n.level, n.index)] = v }
+func (n NodeRef) SetGlobal(v uint64) { n.t.ctr[n.t.ctrOff(n.level, n.n)] = v }
 
 // Local reads the raw local counter of slot s.
-func (n NodeRef) Local(s int) uint64 { return n.t.local(n.level, n.index, s) }
+func (n NodeRef) Local(s int) uint64 { return n.t.local(n.level, n.n, s) }
 
 // SetLocal overwrites the local counter of slot s (truncated to 16 bits,
 // the packed field width).
 func (n NodeRef) SetLocal(s int, v uint64) {
 	t := n.t
-	off := t.ctrOff(n.level, n.index) + 1 + s>>2
+	off := t.ctrOff(n.level, n.n) + 1 + s>>2
 	sh := uint(s&3) * 16
 	t.ctr[off] = t.ctr[off]&^(uint64(0xFFFF)<<sh) | (v&0xFFFF)<<sh
 }
 
 // MAC reads the node's stored MAC.
-func (n NodeRef) MAC() uint64 { return n.t.mac[n.t.levelBase[n.level]+n.index] }
+func (n NodeRef) MAC() uint64 { return n.t.mac[n.n] }
 
 // SetMAC overwrites the node's stored MAC.
-func (n NodeRef) SetMAC(v uint64) { n.t.mac[n.t.levelBase[n.level]+n.index] = v }
+func (n NodeRef) SetMAC(v uint64) { n.t.mac[n.n] = v }
 
 // LeafCounter reports the effective counter protecting the given line;
 // this is the counter the crypto engine mixes into the line's OTP and MAC.
@@ -325,22 +293,21 @@ func (n NodeRef) SetMAC(v uint64) { n.t.mac[n.t.levelBase[n.level]+n.index] = v 
 //mmt:hotpath
 func (t *Tree) LeafCounter(line int) uint64 {
 	t.checkLine(line)
-	L := t.geo.Levels()
-	leafArity := t.geo.Arities[L-1]
-	return t.counter(L-1, line/leafArity, line%leafArity)
+	leaf := len(t.lay.Level) - 1
+	lv := &t.lay.Level[leaf]
+	return t.counter(leaf, lv.Base+line/lv.Arity, line%lv.Arity)
 }
 
-// parentCounter reports the counter covering node (l, i): the root counter
-// for level 0, otherwise the effective counter in the parent's slot.
+// parentCounter reports the counter covering level-l node n: the root
+// counter for level 0, otherwise the effective counter in the parent's slot.
 //
 //mmt:hotpath
-func (t *Tree) parentCounter(l, i int) uint64 {
+func (t *Tree) parentCounter(l, n int) uint64 {
 	if l == 0 {
 		return t.rootCtr
 	}
-	parent := i / t.geo.Arities[l-1]
-	slot := i % t.geo.Arities[l-1]
-	return t.counter(l-1, parent, slot)
+	i, up := n-t.lay.Level[l].Base, &t.lay.Level[l-1]
+	return t.counter(l-1, up.Base+i/up.Arity, i%up.Arity)
 }
 
 // nodeID packs a node's coordinates into the 32-bit id mixed into its MAC,
@@ -356,77 +323,71 @@ func (t *Tree) bind(e *crypt.Engine, guaddr uint64) {
 	if t.bound && t.bindEng == e && t.bindGU == guaddr {
 		return
 	}
-	for i := range t.maskOK {
-		t.maskOK[i] = 0
-	}
-	for i := range t.baseOK {
-		t.baseOK[i] = 0
-	}
+	clear(t.maskOK)
+	clear(t.baseOK)
 	t.bindEng, t.bindGU, t.bound = e, guaddr, true
 }
 
-// nodeMask returns the MAC mask of node (l, i) at parent counter pc,
+// nodeMask returns the MAC mask of level-l node n at parent counter pc,
 // serving it from the per-node cache when the key matches. Callers must
 // have bound (e, guaddr) first. The value is always exactly
 // AES-mask(guaddr, nodeID, pc) — the cache changes cost, never output.
 //
 //mmt:hotpath
-func (t *Tree) nodeMask(e *crypt.Engine, guaddr uint64, l, i int, pc uint64) uint64 {
-	idx := t.levelBase[l] + i
-	w, m := idx>>6, uint64(1)<<(uint(idx)&63)
-	if t.maskOK[w]&m != 0 && t.maskCtr[idx] == pc {
-		return t.maskVal[idx]
+func (t *Tree) nodeMask(e *crypt.Engine, guaddr uint64, l, n int, pc uint64) uint64 {
+	w, m := n>>6, uint64(1)<<(uint(n)&63)
+	if t.maskOK[w]&m != 0 && t.maskCtr[n] == pc {
+		return t.maskVal[n]
 	}
-	base := t.maskBase[idx*16 : idx*16+16]
+	base := t.maskBase[n*16 : n*16+16]
 	if t.baseOK[w]&m == 0 {
-		e.MaskBaseInto(guaddr, nodeID(l, i), crypt.DomainNodeMAC, base, &t.scr.cs)
+		e.MaskBaseInto(guaddr, nodeID(l, n-t.lay.Level[l].Base), crypt.DomainNodeMAC, base, &t.scr.cs)
 		t.baseOK[w] |= m
 	}
 	v := e.MaskFromBase(base, pc, &t.scr.cs)
-	t.maskVal[idx] = v
-	t.maskCtr[idx] = pc
+	t.maskVal[n] = v
+	t.maskCtr[n] = pc
 	t.maskOK[w] |= m
 	return v
 }
 
-// nodeMAC computes the MAC node (l, i) should carry: the GF hash of its
+// nodeMAC computes the MAC level-l node n should carry: the GF hash of its
 // counter record under the covering parent counter, XOR the cached mask.
 // Callers must have bound (e, guaddr) first.
 //
 //mmt:hotpath
-func (t *Tree) nodeMAC(e *crypt.Engine, guaddr uint64, l, i int) uint64 {
-	pc := t.parentCounter(l, i)
-	return e.NodeHash(pc, uint64(t.geo.Arities[l]), t.packed(l, i)) ^ t.nodeMask(e, guaddr, l, i, pc)
+func (t *Tree) nodeMAC(e *crypt.Engine, guaddr uint64, l, n int) uint64 {
+	pc := t.parentCounter(l, n)
+	return e.NodeHash(pc, uint64(t.lay.Level[l].Arity), t.packed(l, n)) ^ t.nodeMask(e, guaddr, l, n, pc)
 }
 
-// checkNode compares node (l, i)'s stored MAC with the one it should
+// checkNode compares level-l node n's stored MAC with the one it should
 // carry, counting the verification.
 //
 //mmt:hotpath
-func (t *Tree) checkNode(e *crypt.Engine, guaddr uint64, l, i int) error {
+func (t *Tree) checkNode(e *crypt.Engine, guaddr uint64, l, n int) error {
 	t.probe.Count(trace.CtrTreeNodeVerifies, 1)
-	if !crypt.TagEqual(t.mac[t.levelBase[l]+i], t.nodeMAC(e, guaddr, l, i)) {
+	if !crypt.TagEqual(t.mac[n], t.nodeMAC(e, guaddr, l, n)) {
 		t.probe.Count(trace.CtrTreeNodeVerifyFails, 1)
-		return fmt.Errorf("%w: node level %d index %d", ErrIntegrity, l, i)
+		return fmt.Errorf("%w: node level %d index %d", ErrIntegrity, l, n-t.lay.Level[l].Base)
 	}
 	return nil
 }
 
-// rehashNode recomputes the MAC of node (l, i).
-func (t *Tree) rehashNode(e *crypt.Engine, guaddr uint64, l, i int) {
+// rehashNode recomputes the MAC of level-l node n.
+func (t *Tree) rehashNode(e *crypt.Engine, guaddr uint64, l, n int) {
 	t.probe.Count(trace.CtrTreeNodeRehashes, 1)
-	t.markDirty(l, i)
+	t.markDirty(n)
 	t.bind(e, guaddr)
-	t.mac[t.levelBase[l]+i] = t.nodeMAC(e, guaddr, l, i)
+	t.mac[n] = t.nodeMAC(e, guaddr, l, n)
 }
 
-// RehashAll recomputes every node MAC bottom-up. Used after bulk
-// initialisation or after SetRootCounter.
+// RehashAll recomputes every node MAC (each depends on counters only, so
+// the order is free). Used after bulk initialisation or after
+// SetRootCounter.
 func (t *Tree) RehashAll(e *crypt.Engine, guaddr uint64) {
-	for l := t.geo.Levels() - 1; l >= 0; l-- {
-		for i, n := 0, t.geo.NodesAtLevel(l); i < n; i++ {
-			t.rehashNode(e, guaddr, l, i)
-		}
+	for n := 0; n < t.lay.Nodes; n++ {
+		t.rehashNode(e, guaddr, t.lay.levelOf(n), n)
 	}
 }
 
@@ -444,10 +405,10 @@ var ErrIntegrity = errors.New("tree: integrity check failed")
 //
 //mmt:hotpath
 func (t *Tree) VerifyPath(e *crypt.Engine, guaddr uint64, line int) error {
-	nodeIdx, _ := t.pathOf(line)
+	node, _ := t.pathOf(line)
 	t.bind(e, guaddr)
-	for l := t.geo.Levels() - 1; l >= 0; l-- {
-		if err := t.checkNode(e, guaddr, l, nodeIdx[l]); err != nil {
+	for l := len(node) - 1; l >= 0; l-- {
+		if err := t.checkNode(e, guaddr, l, node[l]); err != nil {
 			return err
 		}
 	}
@@ -459,11 +420,9 @@ func (t *Tree) VerifyPath(e *crypt.Engine, guaddr uint64, line int) error {
 // unsealing a transferred root.
 func (t *Tree) VerifyAll(e *crypt.Engine, guaddr uint64) error {
 	t.bind(e, guaddr)
-	for l := 0; l < t.geo.Levels(); l++ {
-		for i, n := 0, t.geo.NodesAtLevel(l); i < n; i++ {
-			if err := t.checkNode(e, guaddr, l, i); err != nil {
-				return err
-			}
+	for n := 0; n < t.lay.Nodes; n++ {
+		if err := t.checkNode(e, guaddr, t.lay.levelOf(n), n); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -491,8 +450,8 @@ type UpdateResult struct {
 //
 //mmt:hotpath
 func (t *Tree) Update(e *crypt.Engine, guaddr uint64, line int) UpdateResult {
-	nodeIdx, slot := t.pathOf(line)
-	L := t.geo.Levels()
+	node, slot := t.pathOf(line)
+	L := len(node)
 	res := UpdateResult{}
 	maxLocal := uint64(1)<<t.geo.localBits() - 1
 
@@ -500,18 +459,14 @@ func (t *Tree) Update(e *crypt.Engine, guaddr uint64, line int) UpdateResult {
 	// overflow, then rehash: MACs depend on parent counters, so they must
 	// be computed against the final values.
 	overflowAt := t.scr.ovf
-	for l := range overflowAt {
-		overflowAt[l] = false
-	}
+	clear(overflowAt)
 	for l := L - 1; l >= 0; l-- {
-		off := t.ctrOff(l, nodeIdx[l])
+		off := t.ctrOff(l, node[l])
 		w := off + 1 + slot[l]>>2
 		sh := uint(slot[l]&3) * 16
 		if t.ctr[w]>>sh&0xFFFF == maxLocal {
 			t.ctr[off]++ // global counter
-			for k := off + 1; k < off+t.ctrStride[l]; k++ {
-				t.ctr[k] = 0
-			}
+			clear(t.ctr[off+1 : off+t.lay.Level[l].CtrStride])
 			overflowAt[l] = true
 			res.Overflowed = true
 		} else {
@@ -527,33 +482,33 @@ func (t *Tree) Update(e *crypt.Engine, guaddr uint64, line int) UpdateResult {
 	// the MACs of all children of the overflowed node (their parent
 	// counters were reset), and a leaf overflow forces data re-encryption.
 	for l := 0; l < L; l++ {
-		t.rehashNode(e, guaddr, l, nodeIdx[l])
+		t.rehashNode(e, guaddr, l, node[l])
 		res.NodesTouched++
 		if !overflowAt[l] {
 			continue
 		}
+		lv := &t.lay.Level[l]
+		first := (node[l] - lv.Base) * lv.Arity // first child: a line under a leaf, a node index below
 		if l == L-1 {
 			// Leaf overflow: all lines under this leaf changed counters.
-			base := nodeIdx[l] * t.geo.Arities[l]
-			for s := 0; s < t.geo.Arities[l]; s++ {
-				if ln := base + s; ln != line {
+			for ln := first; ln < first+lv.Arity; ln++ {
+				if ln != line {
 					//mmt:allow noalloc: overflow re-encryption list is the rare cold path; grows once per global-counter exhaustion
 					res.ReencryptLines = append(res.ReencryptLines, ln)
 				}
 			}
-		} else {
-			// Interior overflow: all child nodes must be re-MACed.
-			childBase := nodeIdx[l] * t.geo.Arities[l]
-			for c := 0; c < t.geo.Arities[l]; c++ {
-				child := childBase + c
-				if child != nodeIdx[l+1] { // path child is rehashed anyway
-					t.rehashNode(e, guaddr, l+1, child)
-					res.NodesTouched++
-				}
+			continue
+		}
+		// Interior overflow: all child nodes must be re-MACed.
+		first += t.lay.Level[l+1].Base
+		for child := first; child < first+lv.Arity; child++ {
+			if child != node[l+1] { // path child is rehashed anyway
+				t.rehashNode(e, guaddr, l+1, child)
+				res.NodesTouched++
 			}
 		}
 	}
-	res.LeafCounter = t.counter(L-1, nodeIdx[L-1], slot[L-1])
+	res.LeafCounter = t.counter(L-1, node[L-1], slot[L-1])
 	return res
 }
 
@@ -572,96 +527,86 @@ func (t *Tree) Update(e *crypt.Engine, guaddr uint64, line int) UpdateResult {
 //
 //mmt:hotpath
 func (t *Tree) UpdateRun(e *crypt.Engine, guaddr uint64, line, n int) bool {
-	nodeIdx, slot := t.pathOf(line)
-	leaf := t.geo.Levels() - 1
-	if n < 1 || slot[leaf]+n > t.geo.Arities[leaf] {
+	node, slot := t.pathOf(line)
+	leaf := len(node) - 1
+	if n < 1 || slot[leaf]+n > t.lay.Level[leaf].Arity {
 		return false
 	}
 	maxLocal := uint64(1)<<t.geo.localBits() - 1
 	for s := slot[leaf]; s < slot[leaf]+n; s++ {
-		if t.local(leaf, nodeIdx[leaf], s) == maxLocal {
+		if t.local(leaf, node[leaf], s) == maxLocal {
 			return false
 		}
 	}
 	for l := 0; l < leaf; l++ {
-		if t.local(l, nodeIdx[l], slot[l])+uint64(n) > maxLocal {
+		if t.local(l, node[l], slot[l])+uint64(n) > maxLocal {
 			return false
 		}
 	}
 	// No field passes maxLocal <= 0xFFFF, so no add carries into the
 	// neighbouring packed field.
-	off := t.ctrOff(leaf, nodeIdx[leaf]) + 1
+	off := t.ctrOff(leaf, node[leaf]) + 1
 	for s := slot[leaf]; s < slot[leaf]+n; s++ {
 		t.ctr[off+s>>2] += 1 << (uint(s&3) * 16)
 	}
 	for l := 0; l < leaf; l++ {
-		t.ctr[t.ctrOff(l, nodeIdx[l])+1+slot[l]>>2] += uint64(n) << (uint(slot[l]&3) * 16)
+		t.ctr[t.ctrOff(l, node[l])+1+slot[l]>>2] += uint64(n) << (uint(slot[l]&3) * 16)
 	}
 	t.rootCtr += uint64(n)
 	for l := 0; l <= leaf; l++ {
-		t.rehashNode(e, guaddr, l, nodeIdx[l])
+		t.rehashNode(e, guaddr, l, node[l])
 	}
 	return true
 }
 
-// appendNode appends node (l, i)'s serialized record to dst: global u64,
+// appendNode appends level-l node n's serialized record to dst: global u64,
 // locals u16 in slot order, MAC u64, all little endian. Because the
 // packed in-word field order is little-endian too, the locals are emitted
 // by streaming each arena word's LE bytes and truncating the final
 // partial word — the serialized format is unchanged from the per-node
 // layout of earlier versions.
-func (t *Tree) appendNode(dst []byte, l, i int) []byte {
-	off := t.ctrOff(l, i)
+func (t *Tree) appendNode(dst []byte, l, n int) []byte {
+	off := t.ctrOff(l, n)
 	var buf [8]byte
 	binary.LittleEndian.PutUint64(buf[:], t.ctr[off])
 	dst = append(dst, buf[:]...)
-	rem := 2 * t.geo.Arities[l] // local bytes still to emit
+	rem := 2 * t.lay.Level[l].Arity // local bytes still to emit
 	for k := off + 1; rem > 0; k++ {
 		binary.LittleEndian.PutUint64(buf[:], t.ctr[k])
-		n := rem
-		if n > 8 {
-			n = 8
-		}
-		dst = append(dst, buf[:n]...)
-		rem -= n
+		dst = append(dst, buf[:min(rem, 8)]...)
+		rem -= 8
 	}
-	binary.LittleEndian.PutUint64(buf[:], t.mac[t.levelBase[l]+i])
+	binary.LittleEndian.PutUint64(buf[:], t.mac[n])
 	return append(dst, buf[:]...)
 }
 
 // setNodeFromBytes decodes one serialized node record into the arena.
 // Unused high fields of a trailing partial word are zeroed — an invariant
 // every arena record maintains so hashes and re-serialization agree.
-func (t *Tree) setNodeFromBytes(l, i int, b []byte) {
-	off := t.ctrOff(l, i)
+func (t *Tree) setNodeFromBytes(l, n int, b []byte) {
+	off := t.ctrOff(l, n)
 	t.ctr[off] = binary.LittleEndian.Uint64(b)
 	pos := 8
-	rem := 2 * t.geo.Arities[l]
-	for k := off + 1; k < off+t.ctrStride[l]; k++ {
+	rem := 2 * t.lay.Level[l].Arity
+	for k := off + 1; k < off+t.lay.Level[l].CtrStride; k++ {
 		var w uint64
-		n := rem
-		if n > 8 {
-			n = 8
-		}
-		for j := 0; j < n; j++ {
+		for j := 0; j < min(rem, 8); j++ {
 			w |= uint64(b[pos+j]) << (8 * uint(j))
 		}
 		t.ctr[k] = w
-		pos += n
-		rem -= n
+		pos += min(rem, 8)
+		rem -= 8
 	}
-	t.mac[t.levelBase[l]+i] = binary.LittleEndian.Uint64(b[pos:])
+	t.mac[n] = binary.LittleEndian.Uint64(b[pos:])
 }
 
 // Serialize encodes all tree nodes (not the root counter — that travels
 // sealed inside the MMT root) in the meta-zone layout: per node, global
 // counter, locals, MAC, little endian, levels top-down.
 func (t *Tree) Serialize() []byte {
-	out := make([]byte, 0, t.geo.NodesSize())
-	for l := 0; l < t.geo.Levels(); l++ {
-		for i, n := 0, t.geo.NodesAtLevel(l); i < n; i++ {
-			out = t.appendNode(out, l, i)
-		}
+	out := make([]byte, 0, t.lay.NodesSize)
+	for n := 0; n < t.lay.Nodes; n++ {
+		out = t.appendNode(out, t.lay.levelOf(n), n)
 	}
 	return out
 }
@@ -670,21 +615,18 @@ func (t *Tree) Serialize() []byte {
 // geometry. The root counter is zero until SetRootCounter; callers verify
 // with VerifyAll after installing the unsealed root counter.
 func Deserialize(geo Geometry, data []byte) (*Tree, error) {
-	if err := geo.Validate(); err != nil {
+	lay, err := geo.Layout()
+	if err != nil {
 		return nil, err
 	}
-	if len(data) != geo.NodesSize() {
-		return nil, fmt.Errorf("tree: serialized size %d, want %d", len(data), geo.NodesSize())
+	if len(data) != lay.NodesSize {
+		return nil, fmt.Errorf("tree: serialized size %d, want %d", len(data), lay.NodesSize)
 	}
-	t := &Tree{geo: geo}
-	t.initPlanes()
-	off := 0
-	for l := 0; l < geo.Levels(); l++ {
-		size := geo.NodeSize(l)
-		for i, n := 0, geo.NodesAtLevel(l); i < n; i++ {
-			t.setNodeFromBytes(l, i, data[off:off+size])
-			off += size
-		}
+	t := newTree(geo, lay)
+	for n := 0; n < lay.Nodes; n++ {
+		l := lay.levelOf(n)
+		t.setNodeFromBytes(l, n, data)
+		data = data[lay.Level[l].NodeSize:]
 	}
 	return t, nil
 }
@@ -694,27 +636,27 @@ func Deserialize(geo Geometry, data []byte) (*Tree, error) {
 // endian) — to dst and returns the extended slice. This is the unit record
 // of the mmt-store/v1 dirty-node stream.
 func (t *Tree) AppendNode(dst []byte, l, i int) []byte {
-	return t.appendNode(dst, l, i)
+	return t.appendNode(dst, l, t.lay.Level[l].Base+i)
 }
 
 // SetNodeFromBytes overwrites node (l, i) from its serialized form. Used
 // by snapshot recovery when patching a node delta into a reloaded tree;
 // callers re-verify with VerifyAll afterwards.
 func (t *Tree) SetNodeFromBytes(l, i int, b []byte) error {
-	if l < 0 || l >= t.geo.Levels() || i < 0 || i >= t.geo.NodesAtLevel(l) {
+	if l < 0 || l >= len(t.lay.Level) || i < 0 || i >= t.lay.Level[l].Nodes {
 		return fmt.Errorf("tree: node (%d,%d) out of range", l, i)
 	}
-	if len(b) != t.geo.NodeSize(l) {
-		return fmt.Errorf("tree: node bytes %d, want %d", len(b), t.geo.NodeSize(l))
+	if lv := &t.lay.Level[l]; len(b) != lv.NodeSize {
+		return fmt.Errorf("tree: node bytes %d, want %d", len(b), lv.NodeSize)
 	}
-	t.setNodeFromBytes(l, i, b)
+	t.setNodeFromBytes(l, t.lay.Level[l].Base+i, b)
 	return nil
 }
 
 // Clone deep-copies the tree (used for read-only ownership-copy mode).
 func (t *Tree) Clone() *Tree {
-	c := &Tree{geo: t.geo, rootCtr: t.rootCtr, probe: t.probe}
-	c.initPlanes()
+	c := newTree(t.geo, t.lay)
+	c.rootCtr, c.probe = t.rootCtr, t.probe
 	copy(c.ctr, t.ctr)
 	copy(c.mac, t.mac)
 	c.MarkAllDirty() // the clone has never been checkpointed

@@ -233,8 +233,8 @@ func TestSerializeRoundTrip(t *testing.T) {
 		tr.Update(e, guaddr, i%tr.Geometry().Lines())
 	}
 	blob := tr.Serialize()
-	if len(blob) != tr.Geometry().NodesSize() {
-		t.Fatalf("serialized %d bytes, want %d", len(blob), tr.Geometry().NodesSize())
+	if len(blob) != tr.lay.NodesSize {
+		t.Fatalf("serialized %d bytes, want %d", len(blob), tr.lay.NodesSize)
 	}
 	back, err := Deserialize(tr.Geometry(), blob)
 	if err != nil {
@@ -430,6 +430,44 @@ func TestUpdateRunMatchesUpdates(t *testing.T) {
 		}
 		if batched == 0 || (geo.LocalBits != 0 && refused == 0) {
 			t.Fatalf("%v: %d runs batched, %d refused: the test did not reach both outcomes", geo, batched, refused)
+		}
+	}
+}
+
+// TestMarkAllDirtyCounts: after MarkAllDirty the count, the enumeration and
+// the node total agree whatever was dirty before — a fresh tree (New leaves
+// every node dirty), a clean one and a partly dirty one — on a node count
+// that is not a multiple of 64 and one that fills a word exactly. DirtyNodes
+// must also name each node once, in ascending (level, index) order.
+func TestMarkAllDirtyCounts(t *testing.T) {
+	e := testEngine()
+	for _, geo := range []Geometry{smallGeo(), ForLevels(3), {Arities: []int{63, 2}}} { // 9, 529 and 1+63 = 64 nodes
+		total := geo.layout().Nodes
+		for _, prep := range []struct {
+			name string
+			do   func(tr *Tree)
+		}{
+			{"fresh", func(*Tree) {}},
+			{"clean", func(tr *Tree) { tr.ClearDirty() }},
+			{"partly dirty", func(tr *Tree) { tr.ClearDirty(); tr.Update(e, guaddr, 0) }},
+		} {
+			tr := mustNew(geo, e, guaddr)
+			prep.do(tr)
+			tr.MarkAllDirty()
+			var seen [][2]int
+			tr.DirtyNodes(func(l, i int) { seen = append(seen, [2]int{l, i}) })
+			if tr.DirtyCount() != total || len(seen) != total {
+				t.Errorf("%v %s: DirtyCount %d, enumerated %d, want %d", geo.Arities, prep.name, tr.DirtyCount(), len(seen), total)
+			}
+			for k := 1; k < len(seen); k++ {
+				if slices.Compare(seen[k-1][:], seen[k][:]) >= 0 {
+					t.Errorf("%v %s: DirtyNodes not strictly ascending at %v, %v", geo.Arities, prep.name, seen[k-1], seen[k])
+				}
+			}
+			tr.ClearDirty()
+			if tr.DirtyCount() != 0 {
+				t.Errorf("%v %s: DirtyCount %d after ClearDirty", geo.Arities, prep.name, tr.DirtyCount())
+			}
 		}
 	}
 }

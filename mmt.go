@@ -42,7 +42,6 @@ import (
 
 	"mmt/internal/attest"
 	"mmt/internal/core"
-	"mmt/internal/enclave"
 	"mmt/internal/engine"
 	"mmt/internal/mem"
 	"mmt/internal/monitor"
@@ -195,13 +194,12 @@ func (c *Cluster) Close() error {
 // Geometry reports the cluster's tree geometry.
 func (c *Cluster) Geometry() tree.Geometry { return c.geometry }
 
-// Machine is one attested host: controller, monitor and TEEOS runtime.
+// Machine is one attested host: controller and monitor.
 type Machine struct {
 	name    string
 	cluster *Cluster
 	ident   *attest.Machine
 	mon     *monitor.Monitor
-	rt      *enclave.Runtime
 	// enclaves in spawn order, for deterministic snapshot enumeration.
 	enclaves []*Enclave
 }
@@ -255,7 +253,7 @@ func (c *Cluster) buildMachine(name string, machine *attest.Machine) (*Machine, 
 	if err := mon.AttachNetwork(c.net, name); err != nil {
 		return nil, err
 	}
-	return &Machine{name: name, cluster: c, ident: machine, mon: mon, rt: enclave.NewRuntime(mon)}, nil
+	return &Machine{name: name, cluster: c, ident: machine, mon: mon}, nil
 }
 
 // Machine looks up a machine by name.
@@ -287,13 +285,12 @@ type Enclave struct {
 	machine *Machine
 	name    string
 	id      monitor.EnclaveID
-	rt      *enclave.Enclave
 }
 
 // Spawn starts an enclave on the machine, measured from its code image.
 func (m *Machine) Spawn(name string, image []byte) *Enclave {
-	e := m.rt.Spawn(name, image)
-	enc := &Enclave{machine: m, name: name, id: e.ID(), rt: e}
+	e := m.mon.CreateEnclave(name, attest.MeasureSoftware(image))
+	enc := &Enclave{machine: m, name: name, id: e.ID}
 	m.enclaves = append(m.enclaves, enc)
 	m.cluster.markStructural()
 	return enc

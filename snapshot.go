@@ -38,7 +38,6 @@ import (
 	"mmt/internal/attest"
 	"mmt/internal/core"
 	"mmt/internal/cursor"
-	"mmt/internal/enclave"
 	"mmt/internal/engine"
 	"mmt/internal/mem"
 	"mmt/internal/monitor"
@@ -266,9 +265,9 @@ func (c *Cluster) restoreMachine(mm *snap.Machine) (*Machine, error) {
 	if err := mon.AttachNetwork(c.net, mm.Name); err != nil {
 		return nil, err
 	}
-	m := &Machine{name: mm.Name, cluster: c, ident: ident, mon: mon, rt: enclave.NewRuntime(mon)}
+	m := &Machine{name: mm.Name, cluster: c, ident: ident, mon: mon}
 	for _, rec := range mm.Mon.Enclaves {
-		m.enclaves = append(m.enclaves, &Enclave{machine: m, name: rec.Name, id: rec.ID, rt: m.rt.Adopt(rec.ID)})
+		m.enclaves = append(m.enclaves, &Enclave{machine: m, name: rec.Name, id: rec.ID})
 	}
 	return m, nil
 }
