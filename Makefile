@@ -10,20 +10,24 @@ build:
 test:
 	$(GO) test ./...
 
-# test-purego: the packages on the MAC path with the portable gf.Mulx
-# (byte tables, mulx_generic.go) in place of the amd64 carry-less-multiply
-# kernel, so the file every other platform compiles is tested on every
-# push. The tag also switches the standard library's AES to its portable
-# code, so this run is slow by design.
+# test-purego: the packages on the MAC and pad path with the portable
+# gf.Mulx (byte tables, mulx_generic.go) and the portable AES primitive
+# (a loop over cipher.Block, crypt/aes_generic.go) in place of the amd64
+# carry-less-multiply and AES-NI kernels, so the files every other platform
+# compiles are tested on every push. The tag also switches the standard
+# library's AES to its portable code, so this run is slow by design.
 test-purego:
 	$(GO) test -tags purego ./internal/gf ./internal/crypt ./internal/tree ./internal/engine ./internal/core .
 
-# cross: the module builds, and gf vets, for a platform that has no
-# kernel. (On amd64 it is `vet` whose asmdecl pass checks mulx_amd64.s
-# against its Go declarations.)
+# cross: both sides of the kernels' build split compile on every run —
+# the module builds, and gf and crypt vet, for a platform that has no
+# kernel, and the module builds for amd64 with the kernels tagged out. (On
+# amd64 it is `vet` whose asmdecl pass checks mulx_amd64.s and aes_amd64.s
+# against their Go declarations.)
 cross:
 	GOARCH=arm64 $(GO) build ./...
-	GOARCH=arm64 $(GO) vet ./internal/gf
+	GOARCH=arm64 $(GO) vet ./internal/gf ./internal/crypt
+	GOARCH=amd64 $(GO) build -tags purego ./...
 
 # First-class tier-1 target: the whole module under the race detector.
 race:

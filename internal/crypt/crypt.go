@@ -79,7 +79,8 @@ func (k Key) String() string { return fmt.Sprintf("mmtkey:%x…", k[:4]) }
 // pad cipher, the secret GF evaluation point and the sealing AEAD. Engines
 // are cheap to construct and safe for concurrent use.
 type Engine struct {
-	block cipher.Block // AES-128 for OTP/MAC masks
+	block cipher.Block // AES-128 under the pad key: oracle.go and the portable encryptBlocks
+	rk    padKeys      // the same key's round keys, for the AES-NI encryptBlocks
 	seal  cipher.AEAD  // AES-GCM for root sealing
 	point uint64       // secret GF(2^64) evaluation point for CW MACs
 	mulx  *gf.Mulx     // fixed-point multiplier for point
@@ -115,7 +116,7 @@ func NewEngine(key Key) *Engine {
 	}
 	mulx := gf.NewMulx(point)
 	lenPoly := [LineSize/8 + 1]uint64{LineSize / 8: LineSize}
-	return &Engine{block: block, seal: aead, point: point, mulx: mulx, lineLen: mulx.Eval(lenPoly[:])}
+	return &Engine{block: block, rk: newPadKeys(padKey), seal: aead, point: point, mulx: mulx, lineLen: mulx.Eval(lenPoly[:])}
 }
 
 func deriveKey(key Key, label string) Key {

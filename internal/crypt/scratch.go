@@ -6,32 +6,73 @@ import (
 	"fmt"
 )
 
-// Scratch holds caller-owned working buffers for the allocation-free line
-// and node paths. The steady-state protected read/write path (engine
-// Read/Write per 64 B line) must not allocate — the hardware it models
-// certainly does not — and the kernels below achieve that by staging
-// through Scratch instead of fresh slices (asserted by
-// TestScratchPathsAllocFree, in the spirit of trace_alloc_test.go). Each
-// computes exactly what its slow counterpart in oracle.go computes.
+// Scratch holds caller-owned staging for the engine-layer kernels whose
+// result is a value rather than bytes in a caller's buffer: the keystream
+// PadLineFromBase returns a pointer to, and the one PRF block behind a
+// mask (MaskFromBase, LineMACBuf, NodeMACBatch). Each kernel writes its
+// PRF input there and encrypts it in place, so the steady-state protected
+// read/write path does not allocate — the hardware it models certainly
+// does not — (asserted by TestScratchPathsAllocFree), and each computes
+// exactly what its slow counterpart in oracle.go computes.
 //
-// The staging buffers exist because cipher.Block is an interface: escape
-// analysis cannot see through Encrypt, so any local array passed to it is
-// forced to the heap. Buffers reached through a long-lived *Scratch cost
-// one allocation when the Scratch itself first escapes, not one per call.
+// The AES-NI encryptBlocks lets nothing escape, so on amd64 a stack array
+// would do; the staging lives in a Scratch because the portable twin
+// reaches AES through the cipher.Block interface, which forces whatever it
+// is handed to the heap. Buffers reached through a long-lived *Scratch
+// cost one allocation when the Scratch itself first escapes, not one per
+// call. The batch kernels (LineBases, LineKeys, MaskBases, MasksFromBases)
+// need none: they stage in the caller's destination.
 //
 // A Scratch belongs to exactly one goroutine; parallel work units (see
 // internal/par) each own their own.
 type Scratch struct {
-	pad           [LineSize]byte      // OTP keystream for the line in flight
-	stage         [LineSize]byte      // PRF input blocks for PadLineFromBase
-	aesIn, aesOut [aes.BlockSize]byte // single-block AES staging
-	base          [aes.BlockSize]byte // tweakBase output
+	pad [LineSize]byte      // OTP keystream for the line in flight
+	blk [aes.BlockSize]byte // one PRF block: a base, then the mask made from it
 }
 
 // MaskBaseSize is the byte size of one cached tweak base (one AES block).
 // Callers that keep per-line or per-node base planes slice them at this
 // stride.
 const MaskBaseSize = aes.BlockSize
+
+// The two-block tweak PRF is AES(AES(guaddr ‖ id ‖ domain) ⊕ (counter ‖
+// lane)): a first level that depends only on an object's identity (its
+// "base") and a second that adds the version. Blocks of one level never
+// depend on each other, so every kernel below stages all the inputs of a
+// level and makes one encryptBlocks call for them.
+
+// maskLane is the second-level lane of a MAC mask; pad keystream blocks
+// use lanes 0…3.
+const maskLane = 0xFFFFFFFF
+
+// block is one AES block of staging, as a type so that the helpers below
+// index it without bounds checks.
+type block = [aes.BlockSize]byte
+
+// baseInput writes the first-level PRF input for (guaddr, id, domain).
+func baseInput(blk *block, guaddr uint64, id uint32, domain byte) {
+	binary.LittleEndian.PutUint64(blk[0:8], guaddr)
+	binary.LittleEndian.PutUint64(blk[8:16], uint64(id)|uint64(domain)<<32)
+}
+
+// laneInput writes the second-level PRF input base ⊕ (counter ‖ lane), as
+// two 64-bit stores: the lane occupies bytes 8..11 with 12..15 zero. blk
+// may be base itself.
+func laneInput(blk, base *block, counter uint64, lane uint32) {
+	b0 := binary.LittleEndian.Uint64(base[0:8])
+	b1 := binary.LittleEndian.Uint64(base[8:16])
+	binary.LittleEndian.PutUint64(blk[0:8], counter^b0)
+	binary.LittleEndian.PutUint64(blk[8:16], uint64(lane)^b1)
+}
+
+// padInput writes the four second-level inputs of a line's keystream:
+// lanes 0…3 over one base and counter.
+func padInput(dst *[LineSize]byte, base *block, counter uint64) {
+	laneInput((*block)(dst[0:]), base, counter, 0)
+	laneInput((*block)(dst[16:]), base, counter, 1)
+	laneInput((*block)(dst[32:]), base, counter, 2)
+	laneInput((*block)(dst[48:]), base, counter, 3)
+}
 
 // MaskBaseInto computes the tweak base — the first AES block of the
 // two-block PRF — for (guaddr, id, domain) and writes it to dst, which
@@ -40,58 +81,111 @@ const MaskBaseSize = aes.BlockSize
 // line or node repeatedly (the engine's per-line planes, the tree's
 // per-node mask cache) compute it once and replay it through
 // MaskFromBase / PadLineFromBase, halving the AES work of a MAC mask and
-// shaving a block off every pad.
+// shaving a block off every pad. MaskBases is the form for several ids.
 //
 //mmt:hotpath
-func (e *Engine) MaskBaseInto(guaddr uint64, id uint32, domain byte, dst []byte, s *Scratch) {
-	in := s.aesIn[:]
-	clear(in)
-	binary.LittleEndian.PutUint64(in[0:8], guaddr)
-	binary.LittleEndian.PutUint32(in[8:12], id)
-	in[12] = domain
-	e.block.Encrypt(dst[:aes.BlockSize], in)
+func (e *Engine) MaskBaseInto(guaddr uint64, id uint32, domain byte, dst []byte, _ *Scratch) {
+	dst = dst[:aes.BlockSize]
+	baseInput((*block)(dst), guaddr, id, domain)
+	e.encryptBlocks(dst, dst)
+}
+
+// MaskBases is MaskBaseInto for the ids of one domain at once: id i's base
+// lands at dst[i*MaskBaseSize:], all of them from one encryptBlocks call.
+//
+//mmt:hotpath
+func (e *Engine) MaskBases(guaddr uint64, domain byte, ids []uint32, dst []byte) {
+	dst = dst[:len(ids)*MaskBaseSize]
+	for i, id := range ids {
+		baseInput((*block)(dst[i*MaskBaseSize:]), guaddr, id, domain)
+	}
+	e.encryptBlocks(dst, dst)
 }
 
 // MaskFromBase finishes the MAC-mask PRF from a precomputed base:
 // AES(base XOR (counter, mask lane)). Identical to the mask macMask
 // derives for the (guaddr, id, domain) the base was built from.
+// MasksFromBases is the form for several bases.
 //
 //mmt:hotpath
 func (e *Engine) MaskFromBase(base []byte, counter uint64, s *Scratch) uint64 {
-	// Word-at-a-time staging: the PRF input is (counter, mask lane) XOR
-	// base, built as two 64-bit stores instead of byte loops.
-	in := s.aesIn[:]
-	b0 := binary.LittleEndian.Uint64(base[0:8])
-	b1 := binary.LittleEndian.Uint64(base[8:16])
-	binary.LittleEndian.PutUint64(in[0:8], counter^b0)
-	binary.LittleEndian.PutUint64(in[8:16], 0xFFFFFFFF^b1)
-	e.block.Encrypt(s.aesOut[:], in)
-	return binary.LittleEndian.Uint64(s.aesOut[:8])
+	laneInput(&s.blk, (*block)(base), counter, maskLane)
+	e.encryptBlocks(s.blk[:], s.blk[:])
+	return Mask(s.blk[:])
 }
+
+// MasksFromBases is MaskFromBase for len(ctrs) bases at once, in place:
+// blk holds base i at blk[i*MaskBaseSize:] on entry and, on return, the
+// PRF block whose Mask is that base's mask at ctrs[i] — all of them from
+// one encryptBlocks call.
+//
+//mmt:hotpath
+func (e *Engine) MasksFromBases(blk []byte, ctrs []uint64) {
+	blk = blk[:len(ctrs)*MaskBaseSize]
+	for i, ctr := range ctrs {
+		b := (*block)(blk[i*MaskBaseSize:])
+		laneInput(b, b, ctr, maskLane)
+	}
+	e.encryptBlocks(blk, blk)
+}
+
+// Mask reads the MAC mask out of a finished PRF block: its first eight
+// bytes, little-endian.
+func Mask(blk []byte) uint64 { return binary.LittleEndian.Uint64(blk[:8]) }
 
 // PadLineFromBase fills s.pad with the 64-byte OTP keystream for the line
 // whose DomainPad base is base, at version counter: the keystream XORPad
-// applies for the matching tweak, minus the per-call tweakBase AES.
+// applies for the matching tweak, minus the per-call tweakBase AES — four
+// blocks, one encryptBlocks call.
 //
 //mmt:hotpath
 func (e *Engine) PadLineFromBase(base []byte, counter uint64, s *Scratch) *[LineSize]byte {
-	// Word-at-a-time staging: each PRF input block is (counter, lane) XOR
-	// base — two 64-bit stores per block, no zeroing pass, no byte loops.
-	// The lane index occupies bytes 8..11 with 12..15 zero, so the second
-	// word is just uint64(lane) XOR the base's high word.
-	in := s.stage[:]
-	b0 := binary.LittleEndian.Uint64(base[0:8])
-	b1 := binary.LittleEndian.Uint64(base[8:16])
-	w0 := counter ^ b0
-	for lane := 0; lane < LineSize/aes.BlockSize; lane++ {
-		blk := in[lane*aes.BlockSize:]
-		binary.LittleEndian.PutUint64(blk[0:8], w0)
-		binary.LittleEndian.PutUint64(blk[8:16], uint64(lane)^b1)
-	}
-	for off := 0; off < LineSize; off += aes.BlockSize {
-		e.block.Encrypt(s.pad[off:off+aes.BlockSize], in[off:off+aes.BlockSize])
-	}
+	padInput(&s.pad, (*block)(base), counter)
+	e.encryptBlocks(s.pad[:], s.pad[:])
 	return &s.pad
+}
+
+// A line's cached AES state, as the engine's line planes lay it out so
+// that each PRF level of a run of lines is one contiguous stretch of
+// blocks: LineBasesSize bytes of bases (DomainPad, then DomainLineMAC) and
+// LineKeysSize bytes of keys (the LineSize keystream, then the PRF block
+// whose Mask is the line-MAC mask).
+const (
+	LineBasesSize = 2 * MaskBaseSize
+	LineKeysSize  = LineSize + aes.BlockSize
+)
+
+// LineBases derives both tweak bases of the len(dst)/LineBasesSize
+// consecutive lines starting at line, in place in dst: two blocks per
+// line, one encryptBlocks call for all of them.
+//
+//mmt:hotpath
+func (e *Engine) LineBases(guaddr uint64, line uint32, dst []byte) {
+	dst = dst[:len(dst)/LineBasesSize*LineBasesSize]
+	for off := 0; off < len(dst); off, line = off+LineBasesSize, line+1 {
+		baseInput((*block)(dst[off:]), guaddr, line, DomainPad)
+		baseInput((*block)(dst[off+MaskBaseSize:]), guaddr, line, DomainLineMAC)
+	}
+	e.encryptBlocks(dst, dst)
+}
+
+// LineKeys derives, for each i < len(ctrs), the keystream and line-MAC
+// mask block of the line whose bases are bases[i*LineBasesSize:] at
+// version ctrs[i], in place in keys[i*LineKeysSize:]: five blocks per
+// line, one encryptBlocks call for all of them. The keystream is what
+// PadLineFromBase returns and Mask of the trailing block what
+// MaskFromBase returns.
+//
+//mmt:hotpath
+func (e *Engine) LineKeys(bases []byte, ctrs []uint64, keys []byte) {
+	bases, keys = bases[:len(ctrs)*LineBasesSize], keys[:len(ctrs)*LineKeysSize]
+	for i, ctr := range ctrs {
+		b := (*[LineBasesSize]byte)(bases[i*LineBasesSize:])
+		k := (*[LineKeysSize]byte)(keys[i*LineKeysSize:])
+		padInput((*[LineSize]byte)(k[:]), (*block)(b[:]), ctr)
+		laneInput((*block)(k[LineSize:]), (*block)(b[MaskBaseSize:]), ctr, maskLane)
+	}
+	e.encryptBlocks(keys, keys)
 }
 
 // XORLine XORs a LineSize line with a LineSize pad into dst, eight bytes
@@ -132,8 +226,8 @@ func (e *Engine) LineHash(ct []byte, _ *Scratch) uint64 {
 //
 //mmt:hotpath
 func (e *Engine) LineMACBuf(tw Tweak, ct []byte, s *Scratch) uint64 {
-	e.MaskBaseInto(tw.GUAddr, tw.Line, DomainLineMAC, s.base[:], s)
-	return e.LineHash(ct, s) ^ e.MaskFromBase(s.base[:], tw.Counter, s)
+	e.MaskBaseInto(tw.GUAddr, tw.Line, DomainLineMAC, s.blk[:], s)
+	return e.LineHash(ct, s) ^ e.MaskFromBase(s.blk[:], tw.Counter, s)
 }
 
 // NodeMACJob describes one node MAC of a batch: the inputs NodeMAC takes,
@@ -174,7 +268,7 @@ func (e *Engine) NodeHashBatch(jobs []NodeMACJob, out []uint64, _ *Scratch) {
 func (e *Engine) NodeMACBatch(guaddr uint64, jobs []NodeMACJob, out []uint64, s *Scratch) {
 	e.NodeHashBatch(jobs, out, s)
 	for i := range jobs {
-		e.MaskBaseInto(guaddr, jobs[i].NodeID, DomainNodeMAC, s.base[:], s)
-		out[i] ^= e.MaskFromBase(s.base[:], jobs[i].ParentCounter, s)
+		e.MaskBaseInto(guaddr, jobs[i].NodeID, DomainNodeMAC, s.blk[:], s)
+		out[i] ^= e.MaskFromBase(s.blk[:], jobs[i].ParentCounter, s)
 	}
 }

@@ -171,6 +171,108 @@ func TestMaskFromBaseMatchesLineMAC(t *testing.T) {
 	}
 }
 
+// batchTweaks is n line tweaks of one region with mixed counters: zero,
+// small, a value with every byte set, and past 2^32.
+func batchTweaks(n int) []Tweak {
+	tws := make([]Tweak, n)
+	for i := range tws {
+		tws[i] = Tweak{GUAddr: 0xC0FFEE, Line: uint32(1000 + i), Counter: []uint64{0, uint64(i), 0x0807060504030201, 1<<40 + uint64(i)}[i%4]}
+	}
+	return tws
+}
+
+// TestLineBasesMatchesOracle / TestLineKeysMatchesOracle: the run kernels
+// the engine's line planes are filled by — bases for n consecutive lines,
+// then pad and mask block for each at its own counter, in place — equal
+// the oracle's tweakBase, XORPad and LineMAC, for a run of one and of 64.
+func TestLineBasesMatchesOracle(t *testing.T) {
+	e := testEngine()
+	for _, n := range []int{1, 64} {
+		tws := batchTweaks(n)
+		bases := make([]byte, n*LineBasesSize)
+		e.LineBases(tws[0].GUAddr, tws[0].Line, bases)
+		for i, tw := range tws {
+			pad, mac := e.tweakBase(tw.GUAddr, tw.Line, DomainPad), e.tweakBase(tw.GUAddr, tw.Line, DomainLineMAC)
+			if b := bases[i*LineBasesSize:]; !bytes.Equal(b[:MaskBaseSize], pad[:]) || !bytes.Equal(b[MaskBaseSize:LineBasesSize], mac[:]) {
+				t.Fatalf("n=%d: bases of line %d differ from tweakBase", n, i)
+			}
+		}
+	}
+}
+
+func TestLineKeysMatchesOracle(t *testing.T) {
+	e := testEngine()
+	for _, n := range []int{1, 64} {
+		tws := batchTweaks(n)
+		bases, keys, ctrs := make([]byte, n*LineBasesSize), make([]byte, n*LineKeysSize), make([]uint64, n)
+		for i, tw := range tws {
+			ctrs[i] = tw.Counter
+		}
+		e.LineBases(tws[0].GUAddr, tws[0].Line, bases)
+		e.LineKeys(bases, ctrs, keys)
+		for i, tw := range tws {
+			k := keys[i*LineKeysSize : (i+1)*LineKeysSize]
+			ct := encryptLine(e, tw, line(byte(i)))
+			if !bytes.Equal(k[:LineSize], encryptLine(e, tw, make([]byte, LineSize))) {
+				t.Fatalf("n=%d: pad of line %d differs from XORPad", n, i)
+			}
+			if got := e.LineHash(ct, nil) ^ Mask(k[LineSize:]); got != e.LineMAC(tw, ct) {
+				t.Fatalf("n=%d: line %d hash^mask = %#x, want LineMAC %#x", n, i, got, e.LineMAC(tw, ct))
+			}
+		}
+	}
+}
+
+// TestMaskBasesMatchesOracle / TestMasksFromBasesMatchesOracle: the two
+// levels of a batch of masks — bases of n ids of one domain, then the masks
+// from them in place at n counters — equal the oracle's tweakBase, NodeMAC
+// and LineMAC, for a batch of one and of 64.
+func TestMaskBasesMatchesOracle(t *testing.T) {
+	e := testEngine()
+	for _, n := range []int{1, 64} {
+		tws := batchTweaks(n)
+		ids, blk := make([]uint32, n), make([]byte, n*MaskBaseSize)
+		for i, tw := range tws {
+			ids[i] = tw.Line ^ uint32(i)<<24 // not consecutive: node ids carry the level on top
+		}
+		for _, domain := range []byte{DomainNodeMAC, DomainLineMAC} {
+			e.MaskBases(tws[0].GUAddr, domain, ids, blk)
+			for i, id := range ids {
+				if want := e.tweakBase(tws[0].GUAddr, id, domain); !bytes.Equal(blk[i*MaskBaseSize:(i+1)*MaskBaseSize], want[:]) {
+					t.Fatalf("n=%d domain %#x: base %d differs from tweakBase", n, domain, i)
+				}
+			}
+		}
+	}
+}
+
+func TestMasksFromBasesMatchesOracle(t *testing.T) {
+	e := testEngine()
+	for _, n := range []int{1, 64} {
+		tws := batchTweaks(n)
+		ids, ctrs, blk := make([]uint32, n), make([]uint64, n), make([]byte, n*MaskBaseSize)
+		for i, tw := range tws {
+			ids[i], ctrs[i] = tw.Line, tw.Counter
+		}
+		e.MaskBases(tws[0].GUAddr, DomainNodeMAC, ids, blk)
+		e.MasksFromBases(blk, ctrs)
+		packed := []uint64{9, 0x20001}
+		for i, tw := range tws {
+			if got, want := e.NodeHash(tw.Counter, 4, packed)^Mask(blk[i*MaskBaseSize:]), e.NodeMAC(tw.GUAddr, tw.Line, tw.Counter, 4, packed); got != want {
+				t.Fatalf("n=%d: node %d hash^mask = %#x, want NodeMAC %#x", n, i, got, want)
+			}
+		}
+		e.MaskBases(tws[0].GUAddr, DomainLineMAC, ids, blk)
+		e.MasksFromBases(blk, ctrs)
+		for i, tw := range tws {
+			ct := line(byte(i))
+			if got := e.LineHash(ct, nil) ^ Mask(blk[i*MaskBaseSize:]); got != e.LineMAC(tw, ct) {
+				t.Fatalf("n=%d: line %d hash^mask = %#x, want LineMAC %#x", n, i, got, e.LineMAC(tw, ct))
+			}
+		}
+	}
+}
+
 // TestScratchPathsAllocFree: the scratch kernels are allocation-free
 // once the scratch is warm — the hardware data path they model does not
 // call malloc per memory access.
@@ -186,6 +288,8 @@ func TestScratchPathsAllocFree(t *testing.T) {
 	out := make([]uint64, len(jobs))
 	var base [16]byte
 	e.NodeMACBatch(1, jobs, out, &s) // warm polys
+	ids, ctrs := []uint32{7, 8, 1 << 24}, []uint64{3, 4, 5}
+	blk, bases, keys := make([]byte, 3*MaskBaseSize), make([]byte, 3*LineBasesSize), make([]byte, 3*LineKeysSize)
 
 	var macSink uint64
 	allocs := testing.AllocsPerRun(100, func() {
@@ -197,6 +301,11 @@ func TestScratchPathsAllocFree(t *testing.T) {
 		macSink ^= e.MaskFromBase(base[:], 3, &s)
 		macSink ^= e.LineHash(buf, &s)
 		macSink ^= e.NodeHash(9, 4, jobs[0].Packed)
+		e.MaskBases(1, DomainNodeMAC, ids, blk)
+		e.MasksFromBases(blk, ctrs)
+		e.LineBases(1, 2, bases)
+		e.LineKeys(bases, ctrs, keys)
+		macSink ^= Mask(blk) ^ Mask(keys[LineSize:])
 	})
 	if allocs != 0 {
 		t.Fatalf("scratch paths allocated %.1f times per op, want 0", allocs)

@@ -37,12 +37,12 @@ func TestPlaneRecycling(t *testing.T) {
 		t.Fatalf("pool holds %d sets after one Invalidate, want 1", len(c.planePool))
 	}
 	p := &c.planePool[0]
-	for _, b := range [][]byte{p.padBase, p.macBase, p.linePad} {
+	for _, b := range [][]byte{p.bases, p.keys} {
 		for i := range b {
 			b[i] = 0xA5
 		}
 	}
-	for _, w := range [][]uint64{p.lineMask, p.lineCtr, p.lineOK} {
+	for _, w := range [][]uint64{p.lineCtr, p.lineOK} {
 		for i := range w {
 			w[i] = ^uint64(0)
 		}
@@ -113,10 +113,11 @@ func TestPlaneRecycling(t *testing.T) {
 // TestLineKeysAfterInstall: on an installed region — no Enable sweep has
 // filled the line planes, so every line's record is derived on first touch,
 // by whichever path touches it first — read, write, a leaf-counter overflow
-// with sibling re-encryption and Release agree line by line with the slow
-// reference (XORPad, LineMAC).
+// with sibling re-encryption, a span that starts mid-leaf and crosses two
+// leaf boundaries (so the runs lineKeys keys are ragged at both ends) and
+// Release agree line by line with the slow reference (XORPad, LineMAC).
 func TestLineKeysAfterInstall(t *testing.T) {
-	geo := tree.Geometry{Arities: []int{2, 4}, LocalBits: 2} // 8 lines; a local counter wraps at its 4th bump
+	geo := tree.Geometry{Arities: []int{4, 4}, LocalBits: 2} // 16 lines; a local counter wraps at its 4th bump
 	setup := func() *Controller {
 		c, err := New(mem.New(mem.Config{Size: geo.DataSize(), RegionSize: geo.DataSize(), MetaPerRegion: geo.MetaSize()}), geo, nil, sim.Gem5Profile())
 		if err != nil {
@@ -172,7 +173,8 @@ func TestLineKeysAfterInstall(t *testing.T) {
 
 	// Leaf 0 holds lines 0-3: line 0 is first touched by a read, line 2 by
 	// a write, line 3 by the overflow's re-encryption, and line 1 drives
-	// the overflow. Lines 4, 5 and 7 stay untouched until Release.
+	// the overflow. Lines 4-9 are first touched by the ragged span, read
+	// then written; lines 10-15 stay untouched until Release.
 	read("first read", 0)
 	read("re-read", 0)
 	write(c, 2, 0x30)
@@ -188,8 +190,24 @@ func TestLineKeysAfterInstall(t *testing.T) {
 		t.Fatalf("overflow re-encrypted %d sibling lines, want 3", got)
 	}
 	check("after overflow")
-	for line := 0; line < 4; line++ { // leaf 0; the other leaf stays untouched for Release
+	for line := 0; line < 4; line++ { // leaf 0; the other leaves are still untouched
 		read("after overflow", line)
+	}
+	const first, n = 2, 8 // runs [2,4) [4,8) [8,10)
+	span := plain[first*LineSize : (first+n)*LineSize]
+	got := make([]byte, len(span))
+	if err := c.ReadRange(0, first, got); err != nil || !bytes.Equal(got, span) {
+		t.Fatalf("ragged span, first touch by a range read: %v", err)
+	}
+	for i := range span {
+		span[i] ^= 0x5A
+	}
+	if err := c.WriteRange(0, first, span); err != nil {
+		t.Fatal(err)
+	}
+	check("after the ragged span write")
+	if err := c.ReadRange(0, first, got); err != nil || !bytes.Equal(got, span) {
+		t.Fatalf("ragged span read back: %v", err)
 	}
 	if err := c.Release(0); err != nil {
 		t.Fatal(err)
@@ -199,12 +217,15 @@ func TestLineKeysAfterInstall(t *testing.T) {
 	}
 }
 
-// TestInstallSweepDeterminism: with two lines tampered in different chunks
-// of the sweep, Install names the lower one and leaves the region disabled
-// at every processor count — what the serial loop reports.
+// TestInstallSweepDeterminism: with two lines tampered — in different
+// chunks of the sweep, inside one 64-line batch of masks, either side of a
+// batch boundary, either side of a worker-chunk boundary — Install names
+// the lower one, installs nothing and leaves the region disabled and the
+// plane pool as it was, at every processor count: what the serial
+// line-by-line loop reports.
 func TestInstallSweepDeterminism(t *testing.T) {
 	// 768 lines: twelve 64-line groups, so the sweep really is cut in two
-	// and in four.
+	// (at line 384) and in four (at 192, 384, 576).
 	geo := tree.Geometry{Arities: []int{4, 8, 24}}
 	c, err := New(mem.New(mem.Config{Size: 2 * geo.DataSize(), RegionSize: geo.DataSize(), MetaPerRegion: geo.MetaSize()}), geo, nil, sim.Gem5Profile())
 	if err != nil {
@@ -219,27 +240,40 @@ func TestInstallSweepDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// With 4 workers the chunks are quarters: i sits in the second, j in
-	// the last; with 2 workers they sit in different halves.
-	i, j := lines/4+1, lines-2
-	bad := slices.Clone(data)
-	bad[i*mem.LineSize] ^= 1
-	bad[j*mem.LineSize+9] ^= 0x80
+	before := slices.Clone(c.Memory().RegionData(1))
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	for _, procs := range []int{1, 2, 4} {
-		runtime.GOMAXPROCS(procs)
-		err := c.Install(1, testKey, guaddr, rootCtr, tb, bad, macs, ModeReadWrite)
-		want := fmt.Sprintf("transferred data line %d", i)
-		if !errors.Is(err, ErrIntegrity) || err.Error() != fmt.Sprintf("%v: %s", ErrIntegrity, want) {
-			t.Fatalf("GOMAXPROCS=%d: err %v, want ErrIntegrity naming %q", procs, err, want)
+	for _, tc := range []struct {
+		name string
+		i, j int
+	}{
+		{"different chunks", lines/4 + 1, lines - 2}, // second and last quarter; different halves
+		{"one batch", 130, 140},
+		{"batch boundary", 127, 128},
+		{"chunk boundary", lines/2 - 1, lines / 2},
+	} {
+		bad := slices.Clone(data)
+		bad[tc.i*mem.LineSize] ^= 1
+		bad[tc.j*mem.LineSize+9] ^= 0x80
+		for _, procs := range []int{1, 2, 4} {
+			runtime.GOMAXPROCS(procs)
+			pooled := len(c.planePool)
+			err := c.Install(1, testKey, guaddr, rootCtr, tb, bad, macs, ModeReadWrite)
+			want := fmt.Sprintf("transferred data line %d", tc.i)
+			if !errors.Is(err, ErrIntegrity) || err.Error() != fmt.Sprintf("%v: %s", ErrIntegrity, want) {
+				t.Fatalf("%s, GOMAXPROCS=%d: err %v, want ErrIntegrity naming %q", tc.name, procs, err, want)
+			}
+			if c.Mode(1) != ModeDisabled || c.Memory().RegionKind(1) != mem.KindNormal {
+				t.Fatalf("%s, GOMAXPROCS=%d: rejected install left region 1 %v/%v", tc.name, procs, c.Mode(1), c.Memory().RegionKind(1))
+			}
+			if len(c.planePool) != pooled || !bytes.Equal(c.Memory().RegionData(1), before) {
+				t.Fatalf("%s, GOMAXPROCS=%d: rejected install took a plane set (%d -> %d pooled) or wrote the region", tc.name, procs, pooled, len(c.planePool))
+			}
+			if err := c.Install(1, testKey, guaddr, rootCtr, tb, data, macs, ModeReadOnly); err != nil {
+				t.Fatalf("%s, GOMAXPROCS=%d: clean closure rejected: %v", tc.name, procs, err)
+			}
+			c.Invalidate(1)
+			copy(c.Memory().RegionData(1), before)
 		}
-		if c.Mode(1) != ModeDisabled || c.Memory().RegionKind(1) != mem.KindNormal {
-			t.Fatalf("GOMAXPROCS=%d: rejected install left region 1 %v/%v", procs, c.Mode(1), c.Memory().RegionKind(1))
-		}
-		if err := c.Install(1, testKey, guaddr, rootCtr, tb, data, macs, ModeReadOnly); err != nil {
-			t.Fatalf("GOMAXPROCS=%d: clean closure rejected: %v", procs, err)
-		}
-		c.Invalidate(1)
 	}
 }
 

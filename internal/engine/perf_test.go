@@ -286,21 +286,41 @@ func TestEnableReleaseSweeps(t *testing.T) {
 			if err := c.Enable(0, testKey, 0x11, 0); err != nil {
 				t.Fatal(err)
 			}
-			for line := range c.lay.Lines {
-				tw := crypt.Tweak{GUAddr: 0x11, Line: uint32(line), Counter: c.Tree(0).LeafCounter(line)}
-				want := append([]byte(nil), plain[line*LineSize:(line+1)*LineSize]...)
-				ref.XORPad(tw, want)
-				ct, mac := c.LineState(0, line)
-				if !bytes.Equal(ct, want) || mac != ref.LineMAC(tw, ct) {
-					t.Fatalf("GOMAXPROCS=%d, line %d of %d: Enable disagrees with XORPad/LineMAC", procs, line, c.lay.Lines)
+			check := func(when string) {
+				t.Helper()
+				for line := range c.lay.Lines {
+					tw := crypt.Tweak{GUAddr: 0x11, Line: uint32(line), Counter: c.Tree(0).LeafCounter(line)}
+					want := append([]byte(nil), plain[line*LineSize:(line+1)*LineSize]...)
+					ref.XORPad(tw, want)
+					ct, mac := c.LineState(0, line)
+					if !bytes.Equal(ct, want) || mac != ref.LineMAC(tw, ct) {
+						t.Fatalf("GOMAXPROCS=%d, line %d of %d: %s disagrees with XORPad/LineMAC", procs, line, c.lay.Lines, when)
+					}
 				}
 			}
+			check("Enable")
 			// The planes the sweep filled serve the read path as they are.
 			buf := make([]byte, LineSize)
 			for line := range c.lay.Lines {
 				if err := c.ReadInto(0, line, buf); err != nil || !bytes.Equal(buf, plain[line*LineSize:(line+1)*LineSize]) {
 					t.Fatalf("GOMAXPROCS=%d, line %d of %d: read after Enable: %v", procs, line, c.lay.Lines, err)
 				}
+			}
+			// A span that starts mid-leaf and crosses two leaf boundaries:
+			// the runs lineKeys keys are ragged at both ends.
+			leaf := c.lay.Level[len(c.lay.Level)-1].Arity
+			first, n := leaf/2, 2*leaf+1
+			span := plain[first*LineSize : (first+n)*LineSize]
+			for i := range span {
+				span[i] ^= 0x5A
+			}
+			if err := c.WriteRange(0, first, span); err != nil {
+				t.Fatal(err)
+			}
+			check("a ragged WriteRange")
+			got := make([]byte, len(span))
+			if err := c.ReadRange(0, first, got); err != nil || !bytes.Equal(got, span) {
+				t.Fatalf("GOMAXPROCS=%d, %d lines: ragged span read back: %v", procs, c.lay.Lines, err)
 			}
 			if err := c.Release(0); err != nil {
 				t.Fatal(err)

@@ -10,6 +10,7 @@ import (
 	"slices"
 	"testing"
 
+	"mmt/internal/crypt"
 	"mmt/internal/mem"
 	"mmt/internal/sim"
 	"mmt/internal/trace"
@@ -223,6 +224,59 @@ func TestRangeMatchesLineByLine(t *testing.T) {
 		reencrypted := rangeVsLine(t, geo, script)
 		if (geo.LocalBits != 0) != (reencrypted > 0) {
 			t.Fatalf("%v: %d lines re-encrypted: the overflow geometry must reach the overflow procedure and only it", geo, reencrypted)
+		}
+	}
+}
+
+// TestRangeOverflowInsideKeyedRun: a 64-line WriteRange over a leaf one
+// of whose lines — the 2nd, the middle or the last — is one bump short of
+// wrapping its local counter, after a range read has keyed the whole run
+// ahead. The overflow resets every sibling's counter and re-encrypts it, so
+// no key derived ahead may survive it: ciphertext, line MACs, serialized
+// tree, dirty sets, Stats, clock and trace end byte for byte as the
+// line-by-line loop leaves them, and every line agrees with the slow
+// reference at the counter the tree now holds.
+func TestRangeOverflowInsideKeyedRun(t *testing.T) {
+	geo := tree.Geometry{Arities: []int{2, 64}, LocalBits: 6} // a local counter wraps at its 64th bump
+	const first, n = 64, 64                                   // the second leaf
+	refEng := crypt.NewEngine(testKey)
+	for _, at := range []int{1, n / 2, n - 1} {
+		rng, ref := newTwin(t, geo), newTwin(t, geo)
+		one := bytes.Repeat([]byte{byte(at)}, LineSize)
+		for range 1<<geo.LocalBits - 1 {
+			if err := errors.Join(rng.c.Write(0, first+at, one), ref.c.Write(0, first+at, one)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		a, b := make([]byte, n*LineSize), make([]byte, n*LineSize)
+		if err := errors.Join(rng.c.ReadRange(0, first, a), ref.readLines(first, b)); err != nil || !bytes.Equal(a, b) {
+			t.Fatalf("overflow at line %d: keying read: %v", at, err)
+		}
+		for i := range a {
+			a[i] = byte(i*3 + at)
+		}
+		if err := errors.Join(rng.c.WriteRange(0, first, a), ref.writeLines(first, a)); err != nil {
+			t.Fatal(err)
+		}
+		if got := rng.c.Stats().ReencryptedLines; got != n-1 {
+			t.Fatalf("overflow at line %d: %d sibling lines re-encrypted, want %d", at, got, n-1)
+		}
+		if oa, ob := rng.observe(), ref.observe(); !reflect.DeepEqual(oa, ob) {
+			t.Fatalf("overflow at line %d: observable state differs\nrange:        %+v\nline by line: %+v", at, oa, ob)
+		}
+		if sa, sb := rng.stored(t), ref.stored(t); !reflect.DeepEqual(sa, sb) {
+			t.Fatalf("overflow at line %d: stored state differs (root counters %d / %d)", at, sa.rootCounter, sb.rootCounter)
+		}
+		for line := first; line < first+n; line++ {
+			tw := crypt.Tweak{GUAddr: 0x11, Line: uint32(line), Counter: rng.c.Tree(0).LeafCounter(line)}
+			want := bytes.Clone(a[(line-first)*LineSize : (line-first+1)*LineSize])
+			refEng.XORPad(tw, want)
+			if ct, mac := rng.c.LineState(0, line); !bytes.Equal(ct, want) || mac != refEng.LineMAC(tw, ct) {
+				t.Fatalf("overflow at line %d: line %d disagrees with XORPad/LineMAC", at, line)
+			}
+		}
+		if err := rng.c.ReadRange(0, first, b); err != nil || !bytes.Equal(a, b) {
+			t.Fatalf("overflow at line %d: read back: %v", at, err)
 		}
 	}
 }

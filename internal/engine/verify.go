@@ -63,8 +63,7 @@ func (c *Controller) VerifyRegions(regions []int, workers int) error {
 			return fmt.Errorf("region %d: %w", r, err)
 		}
 		nodes := uint64(c.lay.Nodes)
-		var s crypt.Scratch
-		if bad := sweepLineMACs(st.eng, st.tr, st.guaddr, c.mem.RegionData(r), st.lineMACs, 0, c.lay.Lines, &s); bad >= 0 {
+		if bad := sweepLineMACs(st.eng, st.tr, st.guaddr, c.mem.RegionData(r), st.lineMACs, 0, c.lay.Lines); bad >= 0 {
 			return fmt.Errorf("region %d: %w: data line %d", r, ErrIntegrity, bad)
 		}
 		verifies[i] = nodes
@@ -82,31 +81,22 @@ func (c *Controller) VerifyRegions(regions []int, workers int) error {
 }
 
 // sweepLines runs fn over every line of a region, cut into contiguous
-// chunks, one per available processor, each with its own scratch. A chunk
-// is a whole number of 64-line groups, because the sweeps that fill line
-// planes set bits in validity words (lineOK) that 64 lines share; beyond
-// that fn must touch only state of its own lines. The error is the lowest
-// failing chunk's (par.ForEach), so a sweep that stops at its first bad
-// line reports the lowest bad line whatever the processor count. With one
-// processor it is the plain loop on the controller's scratch: no
-// goroutine, no allocation.
-func (c *Controller) sweepLines(fn func(lo, hi int, scr *crypt.Scratch) error) error {
+// chunks, one per available processor. A chunk is a whole number of 64-line
+// groups, because the sweeps that fill line planes set bits in validity
+// words (lineOK) that 64 lines share; beyond that fn must touch only state
+// of its own lines. The error is the lowest failing chunk's (par.ForEach),
+// so a sweep that stops at its first bad line reports the lowest bad line
+// whatever the processor count. With one processor it is the plain loop:
+// no goroutine, no allocation.
+func (c *Controller) sweepLines(fn func(lo, hi int) error) error {
 	lines := c.lay.Lines
 	groups := (lines + 63) / 64
 	workers := min(runtime.GOMAXPROCS(0), groups)
 	if workers == 1 {
-		return fn(0, lines, &c.scr)
+		return fn(0, lines)
 	}
-	// Every line stages its AES blocks through the worker's scratch, so
-	// two scratches within reach of one cache line (or of the adjacent
-	// line the prefetcher pairs with it) make two workers as slow as one.
-	type apart struct {
-		crypt.Scratch
-		_ [128]byte
-	}
-	scratch := make([]apart, workers)
-	return par.ForEach(workers, scratch, func(i int, _ apart) error {
-		return fn(i*groups/workers*64, min((i+1)*groups/workers*64, lines), &scratch[i].Scratch)
+	return par.ForEach(workers, make([]struct{}, workers), func(i int, _ struct{}) error {
+		return fn(i*groups/workers*64, min((i+1)*groups/workers*64, lines))
 	})
 }
 
@@ -114,8 +104,8 @@ func (c *Controller) sweepLines(fn func(lo, hi int, scr *crypt.Scratch) error) e
 // (already verified) tree holds for it, and names the lowest line that
 // fails. The chunks share only read-only inputs.
 func (c *Controller) verifyLineMACs(eng *crypt.Engine, tr *tree.Tree, guaddr uint64, data []byte, lineMACs []uint64) error {
-	return c.sweepLines(func(lo, hi int, scr *crypt.Scratch) error {
-		if bad := sweepLineMACs(eng, tr, guaddr, data, lineMACs, lo, hi, scr); bad >= 0 {
+	return c.sweepLines(func(lo, hi int) error {
+		if bad := sweepLineMACs(eng, tr, guaddr, data, lineMACs, lo, hi); bad >= 0 {
 			return fmt.Errorf("%w: transferred data line %d", ErrIntegrity, bad)
 		}
 		return nil
@@ -123,17 +113,34 @@ func (c *Controller) verifyLineMACs(eng *crypt.Engine, tr *tree.Tree, guaddr uin
 }
 
 // sweepLineMACs verifies lines [lo, hi) of a region's ciphertext against
-// lineMACs and returns the first line that does not match, or -1. It only
-// reads its inputs, so several sweeps over disjoint ranges may run at once.
+// lineMACs and returns the first line that does not match, or -1. The masks
+// are derived 64 lines at a time — their bases in one multi-block AES call,
+// the masks from them in a second, staged on the stack — and the lines then
+// hashed and compared in line order. It only reads its inputs, so several
+// sweeps over disjoint ranges may run at once.
 //
 //mmt:hotpath
-func sweepLineMACs(eng *crypt.Engine, tr *tree.Tree, guaddr uint64, data []byte, lineMACs []uint64, lo, hi int, scr *crypt.Scratch) int {
-	for line := lo; line < hi; line++ {
-		ct := data[line*mem.LineSize : (line+1)*mem.LineSize]
-		tw := crypt.Tweak{GUAddr: guaddr, Line: uint32(line), Counter: tr.LeafCounter(line)}
-		// Constant-time compare: the MACs are untrusted (wire or meta-zone).
-		if !crypt.TagEqual(eng.LineMACBuf(tw, ct, scr), lineMACs[line]) {
-			return line
+func sweepLineMACs(eng *crypt.Engine, tr *tree.Tree, guaddr uint64, data []byte, lineMACs []uint64, lo, hi int) int {
+	var (
+		ids  [64]uint32
+		ctrs [64]uint64
+		blk  [64 * crypt.MaskBaseSize]byte
+	)
+	for ; lo < hi; lo += len(ids) {
+		n := min(len(ids), hi-lo)
+		for i := range n {
+			ids[i] = uint32(lo + i)
+		}
+		tr.LeafCounters(lo, ctrs[:n])
+		eng.MaskBases(guaddr, crypt.DomainLineMAC, ids[:n], blk[:])
+		eng.MasksFromBases(blk[:], ctrs[:n])
+		for i := range n {
+			line := lo + i
+			ct := data[line*mem.LineSize : (line+1)*mem.LineSize]
+			// Constant-time compare: the MACs are untrusted (wire or meta-zone).
+			if !crypt.TagEqual(eng.LineHash(ct, nil)^crypt.Mask(blk[i*crypt.MaskBaseSize:]), lineMACs[line]) {
+				return line
+			}
 		}
 	}
 	return -1

@@ -41,7 +41,7 @@ type Tree struct {
 	mac []uint64
 
 	// Dirty-node tracking for checkpoint streaming: one bit per node. Bits
-	// are set in rehashNode — the single chokepoint every counter/MAC
+	// are set in setMAC — the single chokepoint every counter/MAC
 	// mutation funnels through — and cleared by the store layer after a
 	// successful commit. The bitset is preallocated at construction so the
 	// hot paths stay 0-alloc.
@@ -76,8 +76,23 @@ type treeScratch struct {
 	node []int  // path node (flat index) per level
 	slot []int  // path slot per level
 	ovf  []bool // Update overflow markers per level
-	cs   crypt.Scratch
+
+	// keyMasks' staging, one batch of nodes: who misses, the ids or parent
+	// counters that go into their PRF blocks, and the blocks themselves.
+	miss [maskBatch]int
+	ids  [maskBatch]uint32
+	ctrs [maskBatch]uint64
+	blk  [maskBatch * crypt.MaskBaseSize]byte
+
+	pathPC []uint64  // rehashPath's parent counter per level
+	oneN   [1]int    // nodeMAC's list of one for a miss outside a keyed path,
+	onePC  [1]uint64 // and its parent counter
 }
+
+// maskBatch is how many node masks one pair of multi-block AES calls
+// derives at most: a whole path of the geometries in use; a deeper one
+// takes several.
+const maskBatch = 8
 
 // newTree allocates the arena, every per-node plane and the path scratch
 // for a layout. All sizes are read from it; nothing here scales the
@@ -87,7 +102,7 @@ func newTree(geo Geometry, lay Layout) *Tree {
 	return &Tree{
 		geo:      geo,
 		lay:      lay,
-		scr:      treeScratch{node: make([]int, L), slot: make([]int, L), ovf: make([]bool, L)},
+		scr:      treeScratch{node: make([]int, L), slot: make([]int, L), ovf: make([]bool, L), pathPC: make([]uint64, L)},
 		ctr:      make([]uint64, lay.CtrWords),
 		mac:      make([]uint64, nodes),
 		dirty:    make([]uint64, (nodes+63)/64),
@@ -298,6 +313,28 @@ func (t *Tree) LeafCounter(line int) uint64 {
 	return t.counter(leaf, lv.Base+line/lv.Arity, line%lv.Arity)
 }
 
+// LeafCounters writes the effective counters of the len(dst) consecutive
+// lines starting at line to dst — LeafCounter for each, with the leaf
+// coordinates stepped instead of divided out again per line.
+//
+//mmt:hotpath
+func (t *Tree) LeafCounters(line int, dst []uint64) {
+	if len(dst) == 0 {
+		return
+	}
+	t.checkLine(line)
+	t.checkLine(line + len(dst) - 1)
+	leaf := len(t.lay.Level) - 1
+	lv := &t.lay.Level[leaf]
+	n, s := lv.Base+line/lv.Arity, line%lv.Arity
+	for i := range dst {
+		dst[i] = t.counter(leaf, n, s)
+		if s++; s == lv.Arity {
+			n, s = n+1, 0
+		}
+	}
+}
+
 // parentCounter reports the counter covering level-l node n: the root
 // counter for level 0, otherwise the effective counter in the parent's slot.
 //
@@ -328,37 +365,70 @@ func (t *Tree) bind(e *crypt.Engine, guaddr uint64) {
 	t.bindEng, t.bindGU, t.bound = e, guaddr, true
 }
 
-// nodeMask returns the MAC mask of level-l node n at parent counter pc,
-// serving it from the per-node cache when the key matches. Callers must
-// have bound (e, guaddr) first. The value is always exactly
-// AES-mask(guaddr, nodeID, pc) — the cache changes cost, never output.
+// keyMasks brings the cached masks of the listed nodes (flat indices) up
+// to the parent counters given beside them, batch by batch in two
+// multi-block AES calls, one per level of the tweak PRF: the bases of the
+// nodes on their first touch since bind, then the masks of the nodes whose
+// cached mask is missing or was derived at another counter. The blocks of
+// a batch are independent, so a caller about to MAC a whole path lists it
+// before MACing any of it. Callers must have bound (e, guaddr) first. The
+// values are always exactly AES-mask(guaddr, nodeID, pcs[k]) — the cache
+// and the batching change cost, never output.
 //
 //mmt:hotpath
-func (t *Tree) nodeMask(e *crypt.Engine, guaddr uint64, l, n int, pc uint64) uint64 {
-	w, m := n>>6, uint64(1)<<(uint(n)&63)
-	if t.maskOK[w]&m != 0 && t.maskCtr[n] == pc {
-		return t.maskVal[n]
+func (t *Tree) keyMasks(e *crypt.Engine, guaddr uint64, nodes []int, pcs []uint64) {
+	const size = crypt.MaskBaseSize
+	s := &t.scr
+	for ; len(nodes) > 0; nodes, pcs = nodes[min(len(nodes), maskBatch):], pcs[min(len(pcs), maskBatch):] {
+		batch := nodes[:min(len(nodes), maskBatch)]
+		k := 0
+		for _, n := range batch {
+			if t.baseOK[n>>6]>>(uint(n)&63)&1 == 0 {
+				l := t.lay.levelOf(n)
+				s.miss[k], s.ids[k] = n, nodeID(l, n-t.lay.Level[l].Base)
+				k++
+			}
+		}
+		if k > 0 {
+			e.MaskBases(guaddr, crypt.DomainNodeMAC, s.ids[:k], s.blk[:])
+			for i, n := range s.miss[:k] {
+				*(*[size]byte)(t.maskBase[n*size:]) = *(*[size]byte)(s.blk[i*size:])
+				t.baseOK[n>>6] |= 1 << (uint(n) & 63)
+			}
+		}
+		k = 0
+		for i, n := range batch {
+			if t.maskOK[n>>6]>>(uint(n)&63)&1 == 0 || t.maskCtr[n] != pcs[i] {
+				*(*[size]byte)(s.blk[k*size:]) = *(*[size]byte)(t.maskBase[n*size:])
+				s.miss[k], s.ctrs[k] = n, pcs[i]
+				k++
+			}
+		}
+		if k > 0 {
+			e.MasksFromBases(s.blk[:], s.ctrs[:k])
+			for i, n := range s.miss[:k] {
+				t.maskVal[n], t.maskCtr[n] = crypt.Mask(s.blk[i*size:]), s.ctrs[i]
+				t.maskOK[n>>6] |= 1 << (uint(n) & 63)
+			}
+		}
 	}
-	base := t.maskBase[n*16 : n*16+16]
-	if t.baseOK[w]&m == 0 {
-		e.MaskBaseInto(guaddr, nodeID(l, n-t.lay.Level[l].Base), crypt.DomainNodeMAC, base, &t.scr.cs)
-		t.baseOK[w] |= m
-	}
-	v := e.MaskFromBase(base, pc, &t.scr.cs)
-	t.maskVal[n] = v
-	t.maskCtr[n] = pc
-	t.maskOK[w] |= m
-	return v
 }
 
-// nodeMAC computes the MAC level-l node n should carry: the GF hash of its
-// counter record under the covering parent counter, XOR the cached mask.
-// Callers must have bound (e, guaddr) first.
+// nodeMAC computes the MAC level-l node n should carry under the covering
+// parent counter pc: the GF hash of its counter record, XOR its mask at pc
+// — from the per-node cache when the key matches, which it does whenever
+// the caller listed n in a keyMasks since pc last moved, and through a
+// keyMasks of the one node otherwise. Callers must have bound (e, guaddr)
+// first.
 //
 //mmt:hotpath
-func (t *Tree) nodeMAC(e *crypt.Engine, guaddr uint64, l, n int) uint64 {
-	pc := t.parentCounter(l, n)
-	return e.NodeHash(pc, uint64(t.lay.Level[l].Arity), t.packed(l, n)) ^ t.nodeMask(e, guaddr, l, n, pc)
+func (t *Tree) nodeMAC(e *crypt.Engine, guaddr uint64, l, n int, pc uint64) uint64 {
+	if t.maskOK[n>>6]>>(uint(n)&63)&1 == 0 || t.maskCtr[n] != pc {
+		s := &t.scr
+		s.oneN[0], s.onePC[0] = n, pc
+		t.keyMasks(e, guaddr, s.oneN[:], s.onePC[:])
+	}
+	return e.NodeHash(pc, uint64(t.lay.Level[l].Arity), t.packed(l, n)) ^ t.maskVal[n]
 }
 
 // checkNode compares level-l node n's stored MAC with the one it should
@@ -367,7 +437,7 @@ func (t *Tree) nodeMAC(e *crypt.Engine, guaddr uint64, l, n int) uint64 {
 //mmt:hotpath
 func (t *Tree) checkNode(e *crypt.Engine, guaddr uint64, l, n int) error {
 	t.probe.Count(trace.CtrTreeNodeVerifies, 1)
-	if !crypt.TagEqual(t.mac[n], t.nodeMAC(e, guaddr, l, n)) {
+	if !crypt.TagEqual(t.mac[n], t.nodeMAC(e, guaddr, l, n, t.parentCounter(l, n))) {
 		t.probe.Count(trace.CtrTreeNodeVerifyFails, 1)
 		return fmt.Errorf("%w: node level %d index %d", ErrIntegrity, l, n-t.lay.Level[l].Base)
 	}
@@ -376,10 +446,37 @@ func (t *Tree) checkNode(e *crypt.Engine, guaddr uint64, l, n int) error {
 
 // rehashNode recomputes the MAC of level-l node n.
 func (t *Tree) rehashNode(e *crypt.Engine, guaddr uint64, l, n int) {
+	t.bind(e, guaddr)
+	t.setMAC(e, guaddr, l, n, t.parentCounter(l, n))
+}
+
+// setMAC stores the MAC level-l node n should carry under pc, counting the
+// recomputation and marking the node dirty: the single chokepoint every
+// MAC mutation funnels through.
+//
+//mmt:hotpath
+func (t *Tree) setMAC(e *crypt.Engine, guaddr uint64, l, n int, pc uint64) {
 	t.probe.Count(trace.CtrTreeNodeRehashes, 1)
 	t.markDirty(n)
+	t.mac[n] = t.nodeMAC(e, guaddr, l, n, pc)
+}
+
+// rehashPath recomputes the MACs of a whole path — node[l] on level l,
+// reached through slot[l-1] of node[l-1] — against the counters as they
+// now stand, the path's masks keyed together.
+//
+//mmt:hotpath
+func (t *Tree) rehashPath(e *crypt.Engine, guaddr uint64, node, slot []int) {
 	t.bind(e, guaddr)
-	t.mac[n] = t.nodeMAC(e, guaddr, l, n)
+	pcs := t.scr.pathPC
+	pcs[0] = t.rootCtr
+	for l := 1; l < len(node); l++ {
+		pcs[l] = t.counter(l-1, node[l-1], slot[l-1])
+	}
+	t.keyMasks(e, guaddr, node, pcs)
+	for l, n := range node {
+		t.setMAC(e, guaddr, l, n, pcs[l])
+	}
 }
 
 // RehashAll recomputes every node MAC (each depends on counters only, so
@@ -478,12 +575,13 @@ func (t *Tree) Update(e *crypt.Engine, guaddr uint64, line int) UpdateResult {
 	t.rootCtr++
 
 	// Rehash. Path nodes always need it (their counters and their parent
-	// counters changed). An overflow at level l additionally invalidates
+	// counters changed), so their masks are keyed together first. An
+	// overflow at level l additionally invalidates
 	// the MACs of all children of the overflowed node (their parent
 	// counters were reset), and a leaf overflow forces data re-encryption.
+	t.rehashPath(e, guaddr, node, slot)
+	res.NodesTouched = L
 	for l := 0; l < L; l++ {
-		t.rehashNode(e, guaddr, l, node[l])
-		res.NodesTouched++
 		if !overflowAt[l] {
 			continue
 		}
@@ -553,9 +651,7 @@ func (t *Tree) UpdateRun(e *crypt.Engine, guaddr uint64, line, n int) bool {
 		t.ctr[t.ctrOff(l, node[l])+1+slot[l]>>2] += uint64(n) << (uint(slot[l]&3) * 16)
 	}
 	t.rootCtr += uint64(n)
-	for l := 0; l <= leaf; l++ {
-		t.rehashNode(e, guaddr, l, node[l])
-	}
+	t.rehashPath(e, guaddr, node, slot)
 	return true
 }
 
