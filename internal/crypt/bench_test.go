@@ -124,3 +124,44 @@ func BenchmarkSeal(b *testing.B) {
 		_ = e.Seal(uint64(i), aad, pt)
 	}
 }
+
+// BenchmarkSealOpenLines: the run kernels of the line data path over a
+// 64-line leaf run, per line — XOR, hash and mask, and on the way out the
+// tag compare.
+func BenchmarkSealOpenLines(b *testing.B) {
+	e := benchEngine(b)
+	const n = 64
+	bases, keys, ctrs := make([]byte, n*LineBasesSize), make([]byte, n*LineKeysSize), make([]uint64, n)
+	e.LineBases(1, 0, bases)
+	e.LineKeys(bases, ctrs, keys)
+	src, ct, macs := make([]byte, n*LineSize), make([]byte, n*LineSize), make([]uint64, n)
+	e.SealLines(ct, src, keys, macs) // OpenLines below needs matching MACs whatever -bench selects
+	b.Run("SealLines", func(b *testing.B) {
+		b.SetBytes(LineSize)
+		for i := 0; i < b.N; i += n {
+			e.SealLines(ct, src, keys, macs)
+		}
+	})
+	b.Run("SealLines1", func(b *testing.B) {
+		b.SetBytes(LineSize)
+		for i := 0; i < b.N; i++ {
+			e.SealLines(ct[:LineSize], src[:LineSize], keys[:LineKeysSize], macs[:1])
+		}
+	})
+	b.Run("OpenLines", func(b *testing.B) {
+		b.SetBytes(LineSize)
+		for i := 0; i < b.N; i += n {
+			if e.OpenLines(src, ct, keys, macs) != n {
+				b.Fatal("bad MAC")
+			}
+		}
+	})
+	b.Run("OpenLines1", func(b *testing.B) {
+		b.SetBytes(LineSize)
+		for i := 0; i < b.N; i++ {
+			if e.OpenLines(src[:LineSize], ct[:LineSize], keys[:LineKeysSize], macs[:1]) != 1 {
+				b.Fatal("bad MAC")
+			}
+		}
+	})
+}

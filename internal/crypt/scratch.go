@@ -199,10 +199,32 @@ func XORLine(dst, line, pad []byte) {
 		//mmt:allow nopanic: caller bug, equivalent to built-in bounds check
 		panic(fmt.Sprintf("crypt: XORLine with %d -> %d bytes, want %d", len(line), len(dst), LineSize))
 	}
-	for i := 0; i < LineSize; i += 8 {
-		binary.LittleEndian.PutUint64(dst[i:],
-			binary.LittleEndian.Uint64(line[i:])^binary.LittleEndian.Uint64(pad[i:]))
-	}
+	xorLine((*[LineSize]byte)(dst), (*[LineSize]byte)(line), (*[LineSize]byte)(pad))
+}
+
+// xorLine is XORLine on lines the caller has already sized: every word is
+// loaded before any is stored, so dst may be line itself. Written out word
+// by word because the eight-step loop it replaces cost 3 ns more per line
+// in SealLines and OpenLines (11.0 against 14.0 ns, best of six).
+//
+//mmt:hotpath
+func xorLine(dst, line, pad *[LineSize]byte) {
+	w0 := binary.LittleEndian.Uint64(line[0:]) ^ binary.LittleEndian.Uint64(pad[0:])
+	w1 := binary.LittleEndian.Uint64(line[8:]) ^ binary.LittleEndian.Uint64(pad[8:])
+	w2 := binary.LittleEndian.Uint64(line[16:]) ^ binary.LittleEndian.Uint64(pad[16:])
+	w3 := binary.LittleEndian.Uint64(line[24:]) ^ binary.LittleEndian.Uint64(pad[24:])
+	w4 := binary.LittleEndian.Uint64(line[32:]) ^ binary.LittleEndian.Uint64(pad[32:])
+	w5 := binary.LittleEndian.Uint64(line[40:]) ^ binary.LittleEndian.Uint64(pad[40:])
+	w6 := binary.LittleEndian.Uint64(line[48:]) ^ binary.LittleEndian.Uint64(pad[48:])
+	w7 := binary.LittleEndian.Uint64(line[56:]) ^ binary.LittleEndian.Uint64(pad[56:])
+	binary.LittleEndian.PutUint64(dst[0:], w0)
+	binary.LittleEndian.PutUint64(dst[8:], w1)
+	binary.LittleEndian.PutUint64(dst[16:], w2)
+	binary.LittleEndian.PutUint64(dst[24:], w3)
+	binary.LittleEndian.PutUint64(dst[32:], w4)
+	binary.LittleEndian.PutUint64(dst[40:], w5)
+	binary.LittleEndian.PutUint64(dst[48:], w6)
+	binary.LittleEndian.PutUint64(dst[56:], w7)
 }
 
 // LineHash is the GF(2^64) half of LineMAC: the eight ciphertext words
@@ -218,6 +240,69 @@ func (e *Engine) LineHash(ct []byte, _ *Scratch) uint64 {
 		panic(fmt.Sprintf("crypt: LineHash with %d bytes, want %d", len(ct), LineSize))
 	}
 	return e.mulx.EvalBlock((*[LineSize]byte)(ct)) ^ e.lineLen
+}
+
+// LineHashes is LineHash for the len(ct)/LineSize consecutive lines of ct,
+// line i's hash written to out[i]: one entry into the dot-product kernel
+// for a whole run. len(out) must be at least the line count.
+//
+//mmt:hotpath
+func (e *Engine) LineHashes(ct []byte, out []uint64) {
+	e.mulx.EvalBlocks(ct, out)
+	for i := range out[:len(ct)/LineSize] {
+		out[i] ^= e.lineLen
+	}
+}
+
+// SealLines is the write path's line crypto for a run of len(macs) lines
+// in one call: ct = src XOR keystream, then macs[i] = LineHash(ct line i)
+// XOR mask, with line i's keystream and mask block read from its
+// LineKeysSize record in keys as LineKeys wrote it. ct and src may be the
+// same lines (Enable encrypts in place).
+//
+//mmt:hotpath
+func (e *Engine) SealLines(ct, src, keys []byte, macs []uint64) {
+	n := len(macs)
+	ct, src, keys = ct[:n*LineSize], src[:n*LineSize], keys[:n*LineKeysSize]
+	for i := range n {
+		xorLine((*[LineSize]byte)(ct[i*LineSize:]), (*[LineSize]byte)(src[i*LineSize:]), (*[LineSize]byte)(keys[i*LineKeysSize:]))
+	}
+	e.LineHashes(ct, macs)
+	for i := range macs {
+		macs[i] ^= Mask(keys[i*LineKeysSize+LineSize:])
+	}
+}
+
+// OpenLines is the read path's line crypto for a run of len(macs) lines in
+// one call: line i of ct is checked against macs[i] — LineHash XOR the
+// mask block of its LineKeysSize record in keys, compared in constant time
+// — and then decrypted into dst with the record's keystream. It stops at
+// the first line whose MAC does not match and returns its index, having
+// written only the lines before it; a return of len(macs) is a clean run.
+//
+// Each line is hashed where it is decrypted, one EvalBlock at a time: the
+// line is loaded once and nothing is staged, so a run of one costs what a
+// single line costs. Hashing the run ahead through LineHashes, as SealLines
+// does, was measured and is no faster here — a read has no store in front
+// of the hash for the batch to get out of the way of — while its stack
+// staging cost the single-line read 3 to 6 %.
+//
+//mmt:hotpath
+func (e *Engine) OpenLines(dst, ct, keys []byte, macs []uint64) (good int) {
+	n := len(macs)
+	dst, ct, keys = dst[:n*LineSize], ct[:n*LineSize], keys[:n*LineKeysSize]
+	for i := range n {
+		rec := keys[i*LineKeysSize : (i+1)*LineKeysSize]
+		line := (*[LineSize]byte)(ct[i*LineSize:])
+		// Constant-time compare: the stored line MAC is untrusted
+		// (meta-zone) and a variable-time == would leak matching tag bytes
+		// to a prober.
+		if !TagEqual(e.mulx.EvalBlock(line)^e.lineLen^Mask(rec[LineSize:]), macs[i]) {
+			return i
+		}
+		xorLine((*[LineSize]byte)(dst[i*LineSize:]), line, (*[LineSize]byte)(rec))
+	}
+	return n
 }
 
 // LineMACBuf is LineMAC computed through the caller's scratch buffers

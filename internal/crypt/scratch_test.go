@@ -2,6 +2,7 @@ package crypt
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -273,6 +274,93 @@ func TestMasksFromBasesMatchesOracle(t *testing.T) {
 	}
 }
 
+// runKeys derives the key records of n consecutive lines at batchTweaks'
+// counters, the way the engine's line planes hold them.
+func runKeys(e *Engine, tws []Tweak) (keys []byte) {
+	bases, ctrs := make([]byte, len(tws)*LineBasesSize), make([]uint64, len(tws))
+	for i, tw := range tws {
+		ctrs[i] = tw.Counter
+	}
+	keys = make([]byte, len(tws)*LineKeysSize)
+	e.LineBases(tws[0].GUAddr, tws[0].Line, bases)
+	e.LineKeys(bases, ctrs, keys)
+	return keys
+}
+
+// TestSealOpenLinesMatchOracle: the run kernels of the line data path —
+// SealLines on the way in, OpenLines on the way out — equal the oracle's
+// XORPad and LineMAC line by line, for no line, one, two, and a 64-line
+// run with its ragged neighbours; sealing in place (ct == src, as Enable
+// does) gives the same bytes.
+func TestSealOpenLinesMatchOracle(t *testing.T) {
+	e := testEngine()
+	for _, n := range []int{0, 1, 2, 63, 64, 65} {
+		tws := batchTweaks(max(n, 1))[:n]
+		src := make([]byte, n*LineSize)
+		for i := range src {
+			src[i] = byte(i*13 + n)
+		}
+		var keys []byte
+		if n > 0 {
+			keys = runKeys(e, tws)
+		}
+		ct, macs := make([]byte, len(src)), make([]uint64, n)
+		e.SealLines(ct, src, keys, macs)
+		for i, tw := range tws {
+			want := encryptLine(e, tw, src[i*LineSize:(i+1)*LineSize])
+			if got := ct[i*LineSize : (i+1)*LineSize]; !bytes.Equal(got, want) || macs[i] != e.LineMAC(tw, got) {
+				t.Fatalf("n=%d: SealLines line %d differs from XORPad/LineMAC", n, i)
+			}
+		}
+		inPlace, macs2 := bytes.Clone(src), make([]uint64, n)
+		e.SealLines(inPlace, inPlace, keys, macs2)
+		if !bytes.Equal(inPlace, ct) || !slices.Equal(macs2, macs) {
+			t.Fatalf("n=%d: SealLines in place differs", n)
+		}
+		dst := make([]byte, len(src))
+		if good := e.OpenLines(dst, ct, keys, macs); good != n || !bytes.Equal(dst, src) {
+			t.Fatalf("n=%d: OpenLines = %d, plaintext equal %v; want a clean run", n, good, bytes.Equal(dst, src))
+		}
+	}
+}
+
+// TestOpenLinesStopsAtFirstBadLine: one flipped bit — in a stored MAC or in
+// the ciphertext — at the first, a middle or the last line of a 40-line
+// run: OpenLines returns that line's index, has decrypted every line
+// before it, and has written nothing from it on.
+func TestOpenLinesStopsAtFirstBadLine(t *testing.T) {
+	e := testEngine()
+	const n = 40
+	tws := batchTweaks(n)
+	keys := runKeys(e, tws)
+	src := make([]byte, n*LineSize)
+	for i := range src {
+		src[i] = byte(i * 31)
+	}
+	ct, macs := make([]byte, len(src)), make([]uint64, n)
+	e.SealLines(ct, src, keys, macs)
+	for _, bad := range []int{0, n / 2, n - 1} {
+		for _, inMAC := range []bool{true, false} {
+			ct, macs := bytes.Clone(ct), slices.Clone(macs)
+			if inMAC {
+				macs[bad] ^= 1 << 63
+			} else {
+				ct[bad*LineSize+LineSize-1] ^= 0x80
+			}
+			dst := bytes.Repeat([]byte{0xEE}, len(src))
+			if good := e.OpenLines(dst, ct, keys, macs); good != bad {
+				t.Fatalf("bad line %d (MAC %v): OpenLines = %d", bad, inMAC, good)
+			}
+			if !bytes.Equal(dst[:bad*LineSize], src[:bad*LineSize]) {
+				t.Fatalf("bad line %d (MAC %v): the lines before it were not delivered", bad, inMAC)
+			}
+			if !bytes.Equal(dst[bad*LineSize:], bytes.Repeat([]byte{0xEE}, (n-bad)*LineSize)) {
+				t.Fatalf("bad line %d (MAC %v): dst written at or past the bad line", bad, inMAC)
+			}
+		}
+	}
+}
+
 // TestScratchPathsAllocFree: the scratch kernels are allocation-free
 // once the scratch is warm — the hardware data path they model does not
 // call malloc per memory access.
@@ -290,6 +378,7 @@ func TestScratchPathsAllocFree(t *testing.T) {
 	e.NodeMACBatch(1, jobs, out, &s) // warm polys
 	ids, ctrs := []uint32{7, 8, 1 << 24}, []uint64{3, 4, 5}
 	blk, bases, keys := make([]byte, 3*MaskBaseSize), make([]byte, 3*LineBasesSize), make([]byte, 3*LineKeysSize)
+	run, macs := make([]byte, 3*LineSize), make([]uint64, 3)
 
 	var macSink uint64
 	allocs := testing.AllocsPerRun(100, func() {
@@ -305,6 +394,8 @@ func TestScratchPathsAllocFree(t *testing.T) {
 		e.MasksFromBases(blk, ctrs)
 		e.LineBases(1, 2, bases)
 		e.LineKeys(bases, ctrs, keys)
+		e.SealLines(run, run, keys, macs)
+		macSink ^= uint64(e.OpenLines(run, run, keys, macs))
 		macSink ^= Mask(blk) ^ Mask(keys[LineSize:])
 	})
 	if allocs != 0 {

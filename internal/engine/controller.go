@@ -86,7 +86,7 @@ type regionState struct {
 	// bit arithmetic, no allocation).
 	//
 	// The rule both consumers rest on: every mutation of the region's
-	// ciphertext or line MACs marks the line (markLine), every mutation of
+	// ciphertext or line MACs marks the line (markLines), every mutation of
 	// a tree node marks the node (tree.markDirty), a region bound by
 	// bindRegion starts with everything marked, and only ClearRegionDirty
 	// clears — so a clear bit means "unchanged since the last durable
@@ -116,7 +116,7 @@ type regionState struct {
 // were measured: a random warm read 1 % faster, a random write 2 % slower
 // for the second AES call, both inside the noise; the one record stayed.)
 //
-// One validity bit per line suffices: lineKeys is the only writer and always
+// One validity bit per line suffices: keyRun is the only writer and always
 // leaves bases, mask, pad and counter of a line consistent, so the bit means
 // "this line's record is whole". It is also what makes a plane set
 // recyclable across regions, keys and addresses (Controller.bindRegion):
@@ -129,13 +129,38 @@ type linePlanes struct {
 	lineOK  []uint64 // bitset: the line's record is valid
 }
 
-// markLine flags a line as dirty for the checkpoint stream.
-func (st *regionState) markLine(line int) {
-	st.dirtyLines[line>>6] |= uint64(1) << (uint(line) & 63)
+// setBits sets the n bits of set starting at bit lo, a word at a time.
+//
+//mmt:hotpath
+func setBits(set []uint64, lo, n int) {
+	for end := lo + n; lo < end; {
+		next := min((lo|63)+1, end)
+		set[lo>>6] |= ^uint64(0) >> (64 - uint(next-lo)) << (uint(lo) & 63)
+		lo = next
+	}
 }
 
+// firstClear reports the offset from lo of the first clear bit among the n
+// bits of set starting at bit lo, or n when all of them are set.
+//
+//mmt:hotpath
+func firstClear(set []uint64, lo, n int) int {
+	for i := lo; i < lo+n; i = (i | 63) + 1 {
+		// The word's clear bits as ones, bit i lowest; the zeros shifted in
+		// on top stand for bits of the next word.
+		if w := ^set[i>>6] >> (uint(i) & 63); w != 0 {
+			return min(i+bits.TrailingZeros64(w)-lo, n)
+		}
+	}
+	return n
+}
+
+// markLines flags the n lines starting at line as dirty for the checkpoint
+// stream.
+func (st *regionState) markLines(line, n int) { setBits(st.dirtyLines, line, n) }
+
 // newLinePlanes sizes the per-line planes with nothing valid. Records fill
-// lazily (lineKeys) on first touch of each line, so a migration install —
+// lazily (keyRun) on first touch of each line, so a migration install —
 // which verifies every line but may never read most of them again — does
 // not pay AES blocks per line up front.
 func newLinePlanes(lines int) linePlanes {
@@ -147,39 +172,42 @@ func newLinePlanes(lines int) linePlanes {
 	}
 }
 
-// lineKeys returns line's OTP pad and line-MAC mask at the counter the tree
-// holds for it: from the line's record when it was derived at that counter,
-// and otherwise after re-deriving, at their current counters, the records
-// of the n >= 1 lines starting at line — the rest of the run the caller is
-// working through, whose keys are as stale (a cold run, or one whose
-// counters tree.UpdateRun has just fixed) and whose blocks are independent
-// of this line's: two multi-block AES calls for the run, 2n blocks of bases
-// if any of its lines is on its first touch and 5n of keys. Every use
-// compares the record's counter with the tree's, so a record derived ahead
-// is used only while the line's counter is still the one it was derived
-// at (an overflow that resets a sibling's counter makes its record miss).
-// The pad is a view of the plane, valid until the line's next lineKeys.
+// keyRun brings the key records of the n >= 1 lines starting at line — a
+// leaf run, or the 64-line group of a sweep — to the counters the tree
+// holds for them, after which the caller indexes the keys plane directly:
+// line l's pad is keys[l*crypt.LineKeysSize:][:LineSize] and its line-MAC
+// mask crypt.Mask of the block behind it, valid until the next keyRun over
+// the line. One stepped pass over the run's leaf counters and validity
+// bits finds the first line whose record is missing or was derived at
+// another counter; the records from there to the run's end — as stale (a
+// cold run, or one whose counters tree.UpdateRun has just fixed), and
+// their blocks independent — are re-derived in two multi-block AES calls,
+// 2 blocks a line of bases if any of them is on its first touch and 5 of
+// keys. A warm run costs the pass and no AES. Every use compares the
+// record's counter with the tree's, so a record is used only while the
+// line's counter is still the one it was derived at (an overflow that
+// resets a sibling's counter makes its record miss).
 //
 //mmt:hotpath
-func (st *regionState) lineKeys(line, n int) (pad []byte, mask uint64) {
-	if ctr := st.tr.LeafCounter(line); st.lineOK[line>>6]>>(uint(line)&63)&1 == 0 || st.lineCtr[line] != ctr {
-		cold := false
-		for l := line; l < line+n; l++ {
-			w, bit := l>>6, uint64(1)<<(uint(l)&63)
-			cold = cold || st.lineOK[w]&bit == 0
-			st.lineOK[w] |= bit
-		}
-		bases := st.bases[line*crypt.LineBasesSize : (line+n)*crypt.LineBasesSize]
-		if cold {
-			st.eng.LineBases(st.guaddr, uint32(line), bases)
-		}
-		ctrs := st.lineCtr[line : line+n]
-		ctrs[0] = ctr
-		st.tr.LeafCounters(line+1, ctrs[1:])
-		st.eng.LineKeys(bases, ctrs, st.keys[line*crypt.LineKeysSize:(line+n)*crypt.LineKeysSize])
+func (st *regionState) keyRun(line, n int) {
+	ctrs := st.lineCtr[line : line+n]
+	valid := firstClear(st.lineOK, line, n)
+	stale := min(st.tr.LeafCounters(line, ctrs), valid)
+	if stale == n {
+		return
 	}
-	rec := st.keys[line*crypt.LineKeysSize : (line+1)*crypt.LineKeysSize]
-	return rec[:mem.LineSize], crypt.Mask(rec[mem.LineSize:])
+	bases := st.bases[(line+stale)*crypt.LineBasesSize : (line+n)*crypt.LineBasesSize]
+	if valid < n { // a line at or after stale is on its first touch
+		st.eng.LineBases(st.guaddr, uint32(line+stale), bases)
+		setBits(st.lineOK, line+stale, n-stale)
+	}
+	st.eng.LineKeys(bases, ctrs[stale:], st.keys[(line+stale)*crypt.LineKeysSize:(line+n)*crypt.LineKeysSize])
+}
+
+// runKeys is the keys-plane stretch of the n lines starting at line: what
+// crypt.SealLines and crypt.OpenLines read once keyRun has covered them.
+func (st *regionState) runKeys(line, n int) []byte {
+	return st.keys[line*crypt.LineKeysSize : (line+n)*crypt.LineKeysSize]
 }
 
 // Controller is one node's MMT-extended memory controller.
@@ -192,9 +220,12 @@ type Controller struct {
 	cache   *lru        // tree nodes, keyed (region, flat node index), in bytes
 	roots   *lru        // mounted roots, keyed (region, 0), in entries
 	regions []regionState
-	stats   Stats
-	quiet   bool
-	probe   *trace.Probe // nil = tracing disabled
+	// pathFits: the nodes of one tree path fit the node cache together, so
+	// the further lines of a leaf run hit at every level (chargeRest).
+	pathFits bool
+	stats    Stats
+	quiet    bool
+	probe    *trace.Probe // nil = tracing disabled
 	// causal is the causal context the channel/monitor layer installs
 	// around a closure accept, so the functional Install lands as a child
 	// span of the accept (zero when no migration is in progress).
@@ -228,15 +259,21 @@ func New(m *mem.Memory, geo tree.Geometry, clock *sim.Clock, prof *sim.Profile) 
 	if clock == nil {
 		clock = sim.NewClock(prof.FreqHz)
 	}
+	cache, pathBytes := newLRU(prof.MMTCacheBytes, lay.Nodes, false), 0
+	for _, lv := range lay.Level {
+		pathBytes += lv.NodeSize
+	}
 	return &Controller{
 		mem:     m,
 		geo:     geo,
 		lay:     lay,
 		clock:   clock,
 		prof:    prof,
-		cache:   newLRU(prof.MMTCacheBytes, lay.Nodes, false),
+		cache:   cache,
 		roots:   newLRU(prof.RootTableSoC/rootEntryBytes, 1, true),
 		regions: make([]regionState, m.Regions()),
+		// From the table's own capacity, not prof: ablations mutate prof.
+		pathFits: pathBytes <= cache.capacity,
 	}, nil
 }
 
@@ -336,15 +373,15 @@ func (c *Controller) Enable(r int, key crypt.Key, guaddr, rootCounter uint64) er
 	tr.SetRootCounter(rootCounter)
 	tr.RehashAll(eng, guaddr)
 	c.bindRegion(r, regionState{mode: ModeReadWrite, eng: eng, tr: tr, guaddr: guaddr, lineMACs: make([]uint64, c.lay.Lines)})
-	// The write path's kernel, line by line: pad and mask from the line's
-	// record, keyed a 64-line group at a time, no allocation.
+	// The write path's kernels, a 64-line group at a time: keyed, then
+	// encrypted in place and MACed, no allocation.
 	data := c.mem.RegionData(r)
 	return c.sweepLines(func(lo, hi int) error {
-		for line := lo; line < hi; line++ {
-			buf := data[line*mem.LineSize : (line+1)*mem.LineSize]
-			pad, mask := st.lineKeys(line, min(64-line&63, hi-line))
-			crypt.XORLine(buf, buf, pad)
-			st.lineMACs[line] = eng.LineHash(buf, nil) ^ mask
+		for ; lo < hi; lo += 64 {
+			n := min(64, hi-lo)
+			st.keyRun(lo, n)
+			buf := data[lo*mem.LineSize : (lo+n)*mem.LineSize]
+			eng.SealLines(buf, buf, st.runKeys(lo, n), st.lineMACs[lo:lo+n])
 		}
 		return nil
 	})
@@ -367,9 +404,7 @@ func (c *Controller) bindRegion(r int, st regionState) {
 		st.linePlanes = newLinePlanes(lines)
 	}
 	st.dirtyLines = make([]uint64, (lines+63)/64)
-	for line := range lines {
-		st.markLine(line)
-	}
+	st.markLines(0, lines) // whole words, and no bit past the last line
 	c.regions[r] = st
 	c.mem.SetRegionKind(r, mem.KindSecure)
 	c.cache.invalidateRegion(r)
@@ -400,10 +435,13 @@ func (c *Controller) Release(r int) error {
 	}
 	data := c.mem.RegionData(r)
 	if err := c.sweepLines(func(lo, hi int) error {
-		for line := lo; line < hi; line++ {
-			buf := data[line*mem.LineSize : (line+1)*mem.LineSize]
-			pad, _ := st.lineKeys(line, min(64-line&63, hi-line))
-			crypt.XORLine(buf, buf, pad)
+		for ; lo < hi; lo += 64 {
+			n := min(64, hi-lo)
+			st.keyRun(lo, n)
+			for line := lo; line < lo+n; line++ {
+				buf := data[line*mem.LineSize : (line+1)*mem.LineSize]
+				crypt.XORLine(buf, buf, st.runKeys(line, 1))
+			}
 		}
 		return nil
 	}); err != nil {
@@ -509,6 +547,68 @@ func (c *Controller) recordAccess(op trace.Op, total, verify sim.Cycles) {
 	}
 }
 
+// chargeRest charges and records the k lines starting at line as the
+// further lines of a leaf run whose first line chargePath has just charged,
+// and leaves Stats, the clock, every trace accumulator and both lru tables
+// exactly as k more chargePath + recordAccess pairs in line order would.
+// The lines of a run share all L path nodes, so when a path fits the node
+// cache (pathFits) the first line left the root mounted and all L nodes
+// resident at the head of the recency list, in path order; every further
+// line would touch the same L nodes in the same order, hit each time, and
+// splice them back where they already are. Its charge is therefore the
+// all-hit arithmetic — no mount, L hits, no miss, the data line, L queue
+// slots and the caller's extraNodes MAC updates — with no table touched.
+// What stays per line is what a per-line observer can tell apart: the
+// clock advances once per line (AdvanceCycles rounds cost/freq to seconds,
+// and a window hook samples the accumulators as they stand at that line),
+// and counters, phase cycles and histogram samples are applied per line in
+// chargePath's order. When a path does not fit, later touches evict
+// earlier path nodes and the hit pattern is the lru's to say: every line
+// takes chargePath.
+//
+//mmt:hotpath
+func (c *Controller) chargeRest(op trace.Op, r, line, k, extraNodes int) {
+	if c.quiet || k <= 0 {
+		return
+	}
+	if !c.pathFits {
+		for ; k > 0; line, k = line+1, k-1 {
+			total, verify := c.chargePath(r, line, extraNodes)
+			c.recordAccess(op, total, verify)
+		}
+		return
+	}
+	levels := uint64(len(c.lay.Level))
+	dataCost := c.prof.DRAMAccess + 2
+	walkCost := sim.Cycles(levels) * queuePerLevel
+	macCost := sim.Cycles(extraNodes) * c.prof.MACLatency
+	cost := dataCost + walkCost + macCost
+	c.stats.DataAccesses += uint64(k)
+	c.stats.NodeHits += uint64(k) * levels
+	for ; k > 0; k-- {
+		c.probe.Count(trace.CtrNodeCacheHits, levels)
+		c.probe.Count(trace.CtrTreeNodeWalks, levels)
+		if extraNodes > 0 {
+			c.probe.Count(trace.CtrMACUpdates, uint64(extraNodes))
+		}
+		c.probe.AddCycles(trace.PhaseData, dataCost)
+		c.probe.AddCycles(trace.PhaseTreeWalk, walkCost)
+		c.probe.AddCycles(trace.PhaseMAC, macCost)
+		c.stats.Cycles += cost
+		c.clock.AdvanceCycles(dataCost + walkCost + macCost) // cost, spelt as the summands mirrored above (mmt-vet phasecharge)
+		c.recordAccess(op, cost, macCost)
+	}
+}
+
+// checkSpan refuses a span of n bytes starting at line that is not a whole
+// number of lines inside the region.
+func (c *Controller) checkSpan(line, n int) error {
+	if line < 0 || n%mem.LineSize != 0 || n/mem.LineSize > c.lay.Lines-line {
+		return fmt.Errorf("engine: span of %d bytes at line %d is not whole lines within [0,%d)", n, line, c.lay.Lines)
+	}
+	return nil
+}
+
 // Timing-model constants for the tree walk (see chargePath), and the SoC
 // storage per mounted MMT root (Table V's root-size accounting: an 8-byte
 // counter).
@@ -529,17 +629,23 @@ func (c *Controller) ReadInto(r, line int, dst []byte) error {
 }
 
 // ReadRange verifies and decrypts len(dst)/mem.LineSize consecutive lines
-// of secure region r, starting at line, into dst. Every line is counted,
-// charged, MAC-checked and decrypted on its own, in line order; the tree
-// path is verified once per leaf run — the lines of the span that share
-// one leaf node, hence one whole path — at the run's first line. Nothing
-// but this controller writes the tree arena inside one call and a read
-// moves no counter, so the verification a line-by-line loop would repeat
-// for each further line of the run is the same computation on the same
-// words. The whole steady-state path — batched path verification, line
-// MAC check, OTP decryption — runs through the controller's scratch
-// buffers and performs zero heap allocations (TestReadWriteZeroAlloc),
-// matching the hardware data path it models.
+// of secure region r, starting at line, into dst. A span that is not whole
+// lines inside the region is refused before anything is counted. The unit
+// of work is the leaf run — the lines of the span that share one leaf node,
+// hence one whole path; a single line is a run of one. Per run the tree
+// path is verified once, at the run's first line: nothing but this
+// controller writes the tree arena inside one call and a read moves no
+// counter, so the verification a line-by-line loop would repeat for each
+// further line is the same computation on the same words. The run's keys
+// are then checked in one pass (keyRun) and its lines MAC-checked and
+// decrypted in one kernel call (crypt.OpenLines), which stops at the first
+// bad MAC. The crypto touches nothing an observer sees, so the order
+// between it and the accounting is free: every line up to and including
+// the bad one, as a line-by-line loop would have reached it, is counted,
+// charged and recorded (chargeRest) before the ledger event. The whole
+// steady-state path runs through the controller's planes and scratch and
+// performs zero heap allocations (TestReadWriteZeroAlloc), matching the
+// hardware data path it models.
 //
 //mmt:hotpath
 func (c *Controller) ReadRange(r, line int, dst []byte) error {
@@ -547,29 +653,31 @@ func (c *Controller) ReadRange(r, line int, dst []byte) error {
 	if st.mode == ModeDisabled {
 		return ErrDisabled
 	}
+	if err := c.checkSpan(line, len(dst)); err != nil {
+		return err
+	}
 	leafArity := c.lay.Level[len(c.lay.Level)-1].Arity
-	// ahead counts the lines of the current run still to read, this one
-	// included.
-	for ahead := 0; len(dst) > 0; line, dst, ahead = line+1, dst[mem.LineSize:], ahead-1 {
+	data := c.mem.RegionData(r)
+	for n := 0; len(dst) > 0; line, dst = line+n, dst[n*mem.LineSize:] {
 		c.stats.Reads++
 		total, verify := c.chargePath(r, line, 0)
 		c.recordAccess(trace.OpLocalRead, total, verify)
-		if ahead == 0 {
-			if err := st.tr.VerifyPath(st.eng, st.guaddr, line); err != nil {
-				c.probe.Event(trace.EvIntegrityFail, c.clock.Now(), st.guaddr, "read: tree path")
-				return err
-			}
-			ahead = min(leafArity-line%leafArity, len(dst)/mem.LineSize)
+		if err := st.tr.VerifyPath(st.eng, st.guaddr, line); err != nil {
+			c.probe.Event(trace.EvIntegrityFail, c.clock.Now(), st.guaddr, "read: tree path")
+			return err
 		}
-		ct := c.mem.LineView(c.lineAddr(r, line))
-		pad, mask := st.lineKeys(line, ahead)
-		// Constant-time compare: the stored line MAC is untrusted (meta-zone)
-		// and a variable-time == would leak matching tag bytes to a prober.
-		if !crypt.TagEqual(st.eng.LineHash(ct, &c.scr)^mask, st.lineMACs[line]) {
+		n = min(leafArity-line%leafArity, len(dst)/mem.LineSize)
+		st.keyRun(line, n)
+		good := st.eng.OpenLines(dst[:n*mem.LineSize], data[line*mem.LineSize:(line+n)*mem.LineSize], st.runKeys(line, n), st.lineMACs[line:line+n])
+		// The run's further lines a line-by-line loop would have reached:
+		// all of them, or those up to and including the bad one.
+		reached := min(good, n-1)
+		c.stats.Reads += uint64(reached)
+		c.chargeRest(trace.OpLocalRead, r, line+1, reached, 0)
+		if good < n {
 			c.probe.Event(trace.EvIntegrityFail, c.clock.Now(), st.guaddr, "read: data line MAC")
-			return fmt.Errorf("%w: data line %d", ErrIntegrity, line)
+			return fmt.Errorf("%w: data line %d", ErrIntegrity, line+good)
 		}
-		crypt.XORLine(dst[:mem.LineSize], ct, pad)
 	}
 	return nil
 }
@@ -583,16 +691,19 @@ func (c *Controller) Write(r, line int, plaintext []byte) error {
 }
 
 // WriteRange stores len(src)/mem.LineSize consecutive plaintext lines of
-// secure region r, starting at line. Every line is counted, charged,
-// encrypted, stored, MACed and marked dirty on its own, in line order;
-// the tree work is done once per leaf run. At a run's first line the path
-// is verified — the tree engine "checks data integrity before writing",
-// and here before any counter of the run moves — and tree.UpdateRun then
-// advances the counters for every line of the run and re-MACs each path
-// node once. A line-by-line loop would verify, between two lines of the
-// run, exactly the node MACs it had itself just written, and would re-MAC
-// the path after every line though only the last result survives; memory,
-// line MACs, the tree, Stats and the clock end bit-identical.
+// secure region r, starting at line. A span that is not whole lines inside
+// the region is refused before anything is counted. The unit of work is
+// the leaf run, a single line being a run of one. At a run's first line the
+// path is verified — the tree engine "checks data integrity before
+// writing", and here before any counter of the run moves — and
+// tree.UpdateRun then advances the counters for every line of the run and
+// re-MACs each path node once. A line-by-line loop would verify, between
+// two lines of the run, exactly the node MACs it had itself just written,
+// and would re-MAC the path after every line though only the last result
+// survives. The run's lines are then charged (chargeRest), keyed at their
+// final counters (keyRun), and encrypted, stored and MACed where they lie
+// in one kernel call (crypt.SealLines); memory, line MACs, the tree, the
+// dirty sets, Stats and the clock end bit-identical to the loop's.
 //
 // When a counter on the path would overflow within the run, the run's
 // first line advances alone through tree.Update, whose overflow procedure
@@ -608,36 +719,32 @@ func (c *Controller) WriteRange(r, line int, src []byte) error {
 	case ModeReadOnly:
 		return ErrReadOnly
 	}
+	if err := c.checkSpan(line, len(src)); err != nil {
+		return err
+	}
 	leafArity := c.lay.Level[len(c.lay.Level)-1].Arity
-	// pending lines of the current run are already advanced in the tree;
-	// touched is the node re-MACs each of them is charged for.
-	for pending, touched := 0, 0; len(src) > 0; line, src = line+1, src[mem.LineSize:] {
+	data := c.mem.RegionData(r)
+	for n := 0; len(src) > 0; line, src = line+n, src[n*mem.LineSize:] {
 		c.stats.Writes++
+		if err := st.tr.VerifyPath(st.eng, st.guaddr, line); err != nil {
+			c.probe.Event(trace.EvIntegrityFail, c.clock.Now(), st.guaddr, "write: tree path")
+			return err
+		}
+		n = min(leafArity-line%leafArity, len(src)/mem.LineSize)
+		// touched is the node re-MACs each line of the run is charged for.
+		touched := len(c.lay.Level)
 		var reencrypt []int
-		if pending == 0 {
-			if err := st.tr.VerifyPath(st.eng, st.guaddr, line); err != nil {
-				c.probe.Event(trace.EvIntegrityFail, c.clock.Now(), st.guaddr, "write: tree path")
-				return err
-			}
-			pending = min(leafArity-line%leafArity, len(src)/mem.LineSize)
-			touched = len(c.lay.Level)
-			if !st.tr.UpdateRun(st.eng, st.guaddr, line, pending) {
-				res := st.tr.Update(st.eng, st.guaddr, line)
-				pending, touched, reencrypt = 1, res.NodesTouched, res.ReencryptLines
-			}
+		if !st.tr.UpdateRun(st.eng, st.guaddr, line, n) {
+			res := st.tr.Update(st.eng, st.guaddr, line)
+			n, touched, reencrypt = 1, res.NodesTouched, res.ReencryptLines
 		}
 		total, verify := c.chargePath(r, line, touched)
 		c.recordAccess(trace.OpLocalWrite, total, verify)
-
-		// The run's counters are final, so its first line keys all of it;
-		// the ciphertext is made, and hashed, where it is stored.
-		pad, mask := st.lineKeys(line, pending)
-		pending--
-		ct := c.mem.LineView(c.lineAddr(r, line))
-		crypt.XORLine(ct, src[:mem.LineSize], pad)
-		st.lineMACs[line] = st.eng.LineHash(ct, &c.scr) ^ mask
-		st.markLine(line)
-
+		c.stats.Writes += uint64(n - 1)
+		c.chargeRest(trace.OpLocalWrite, r, line+1, n-1, touched)
+		st.keyRun(line, n)
+		st.eng.SealLines(data[line*mem.LineSize:(line+n)*mem.LineSize], src[:n*mem.LineSize], st.runKeys(line, n), st.lineMACs[line:line+n])
+		st.markLines(line, n)
 		for _, ln := range reencrypt {
 			if err := c.reencryptLine(st, r, ln); err != nil {
 				return err
@@ -671,13 +778,15 @@ func (c *Controller) reencryptLine(st *regionState, r, ln int) error {
 	base := (newCtr >> bits) - 1 // previous global value
 	// The line's keys at its new counter; this also makes its tweak bases
 	// valid, and the search below probes the old counters from them.
-	pad, mask := st.lineKeys(ln, 1)
+	st.keyRun(ln, 1)
+	rec := st.runKeys(ln, 1)
+	pad, mask := rec[:mem.LineSize], crypt.Mask(rec[mem.LineSize:])
 	padBase := st.bases[ln*crypt.LineBasesSize : (ln+1)*crypt.LineBasesSize]
 	macBase := padBase[crypt.MaskBaseSize:]
 	// The stored tag is LineHash(ct) ^ mask(counter) and the hash does not
 	// depend on the candidate counter, so hash once and probe each
 	// candidate with a single AES mask — same purity argument as the hot
-	// path's lineKeys.
+	// path's keyRun.
 	h := st.eng.LineHash(ct, &c.scr)
 	var pt [mem.LineSize]byte
 	found := false
@@ -699,7 +808,7 @@ func (c *Controller) reencryptLine(st *regionState, r, ln int) error {
 	}
 	crypt.XORLine(ct, pt[:], pad)
 	st.lineMACs[ln] = st.eng.LineHash(ct, &c.scr) ^ mask
-	st.markLine(ln)
+	st.markLines(ln, 1)
 	c.stats.ReencryptedLines++
 	c.probe.Count(trace.CtrReencryptLines, 1)
 	c.probe.AddCycles(trace.PhaseReencrypt, c.prof.DRAMAccess+c.prof.AESLatency)
@@ -878,8 +987,8 @@ func (c *Controller) LoadMeta(r int) error {
 	off := c.lay.NodesSize
 	for i := range st.lineMACs {
 		st.lineMACs[i] = binary.LittleEndian.Uint64(meta[off+i*8:])
-		st.markLine(i)
 	}
+	st.markLines(0, len(st.lineMACs))
 	c.cache.invalidateRegion(r)
 	return nil
 }
@@ -929,9 +1038,7 @@ func (c *Controller) ClearRegionDirty(r int) {
 		return
 	}
 	st.tr.ClearDirty()
-	for i := range st.dirtyLines {
-		st.dirtyLines[i] = 0
-	}
+	clear(st.dirtyLines)
 }
 
 // LineState exposes region r's stored ciphertext (a view, valid until the

@@ -114,7 +114,7 @@ func TestPlaneRecycling(t *testing.T) {
 // filled the line planes, so every line's record is derived on first touch,
 // by whichever path touches it first — read, write, a leaf-counter overflow
 // with sibling re-encryption, a span that starts mid-leaf and crosses two
-// leaf boundaries (so the runs lineKeys keys are ragged at both ends) and
+// leaf boundaries (so the runs keyRun keys are ragged at both ends) and
 // Release agree line by line with the slow reference (XORPad, LineMAC).
 func TestLineKeysAfterInstall(t *testing.T) {
 	geo := tree.Geometry{Arities: []int{4, 4}, LocalBits: 2} // 16 lines; a local counter wraps at its 4th bump

@@ -15,10 +15,12 @@ import (
 )
 
 // TestReadWriteZeroAlloc pins the full protected line path — batched tree
-// verify, counter update, line MAC, OTP crypto, DRAM copy — at zero heap
-// allocations per access once warm, for a single line and for a span over
-// three leaf runs, with tracing both disabled and enabled. The modelled hardware pipeline has no allocator; neither may
-// the steady-state software path.
+// verify, counter update, key check, line MACs, OTP crypto — at zero heap
+// allocations per access once warm: for a single line, for a span over
+// three leaf runs, and for the default tree's whole 2 MB region (512 runs
+// of 64 lines), with tracing both disabled and enabled. The modelled
+// hardware pipeline has no allocator; neither may the steady-state
+// software path.
 func TestReadWriteZeroAlloc(t *testing.T) {
 	for _, traced := range []bool{false, true} {
 		t.Run(fmt.Sprintf("traced=%v", traced), func(t *testing.T) {
@@ -60,8 +62,43 @@ func TestReadWriteZeroAlloc(t *testing.T) {
 			if allocs != 0 {
 				t.Fatalf("Read+Write+ReadRange+WriteRange allocates %.1f objects/op, want 0", allocs)
 			}
+
+			big, region := range2M(t)
+			if traced {
+				big.SetTrace(trace.NewSink().Probe("alloc"))
+			}
+			allocs = testing.AllocsPerRun(3, func() {
+				if err := big.ReadRange(0, 0, region); err != nil {
+					t.Fatal(err)
+				}
+				if err := big.WriteRange(0, 0, region); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs != 0 {
+				t.Fatalf("2 MB ReadRange+WriteRange allocates %.1f objects/op, want 0", allocs)
+			}
 		})
 	}
+}
+
+// range2M is a controller over one enabled region of the default 3-level
+// tree — 2 MB, 32 768 lines, 64-line leaves — with a region-sized buffer,
+// written and read once so that planes, node cache and root table are warm.
+func range2M(t testing.TB) (*Controller, []byte) {
+	t.Helper()
+	geo := tree.ForLevels(3)
+	m := mem.New(mem.Config{Size: geo.DataSize(), RegionSize: geo.DataSize(), MetaPerRegion: geo.MetaSize()})
+	c, err := New(m, geo, nil, sim.Gem5Profile())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fill(c, 0, 1)
+	region := make([]byte, geo.DataSize())
+	if err := errors.Join(c.Enable(0, testKey, 0x11, 0), c.WriteRange(0, 0, region), c.ReadRange(0, 0, region)); err != nil {
+		t.Fatal(err)
+	}
+	return c, region
 }
 
 // TestReadIntoMatchesRead: ReadInto, the one single-line read (the
@@ -195,6 +232,35 @@ func BenchmarkWriteLine(b *testing.B) {
 	}
 }
 
+// BenchmarkReadRange2M / BenchmarkWriteRange2M: the range kernels over the
+// default tree's whole region, the shape of the benchmark's `bulk`
+// workload, reported per line; both must report 0 allocs/op.
+func BenchmarkReadRange2M(b *testing.B) {
+	c, region := range2M(b)
+	b.SetBytes(int64(len(region)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := c.ReadRange(0, 0, region); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*c.lay.Lines), "ns/line")
+}
+
+func BenchmarkWriteRange2M(b *testing.B) {
+	c, region := range2M(b)
+	b.SetBytes(int64(len(region)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := c.WriteRange(0, 0, region); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*c.lay.Lines), "ns/line")
+}
+
 // BenchmarkCacheInvalidateRegion measures invalidating one region's nodes
 // while many other regions keep the cache full — the migration-path cost
 // the per-region residency row exists for: the walk touches only the victim
@@ -307,7 +373,7 @@ func TestEnableReleaseSweeps(t *testing.T) {
 				}
 			}
 			// A span that starts mid-leaf and crosses two leaf boundaries:
-			// the runs lineKeys keys are ragged at both ends.
+			// the runs keyRun keys are ragged at both ends.
 			leaf := c.lay.Level[len(c.lay.Level)-1].Arity
 			first, n := leaf/2, 2*leaf+1
 			span := plain[first*LineSize : (first+n)*LineSize]

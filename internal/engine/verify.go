@@ -113,17 +113,19 @@ func (c *Controller) verifyLineMACs(eng *crypt.Engine, tr *tree.Tree, guaddr uin
 }
 
 // sweepLineMACs verifies lines [lo, hi) of a region's ciphertext against
-// lineMACs and returns the first line that does not match, or -1. The masks
-// are derived 64 lines at a time — their bases in one multi-block AES call,
-// the masks from them in a second, staged on the stack — and the lines then
-// hashed and compared in line order. It only reads its inputs, so several
-// sweeps over disjoint ranges may run at once.
+// lineMACs and returns the first line that does not match, or -1. It works
+// 64 lines at a time, staged on the stack: their mask bases in one
+// multi-block AES call, the masks from them in a second, their hashes in
+// one entry into the dot-product kernel, then the compares in line order.
+// It only reads its inputs, so several sweeps over disjoint ranges may run
+// at once.
 //
 //mmt:hotpath
 func sweepLineMACs(eng *crypt.Engine, tr *tree.Tree, guaddr uint64, data []byte, lineMACs []uint64, lo, hi int) int {
 	var (
 		ids  [64]uint32
 		ctrs [64]uint64
+		hash [64]uint64
 		blk  [64 * crypt.MaskBaseSize]byte
 	)
 	for ; lo < hi; lo += len(ids) {
@@ -134,12 +136,11 @@ func sweepLineMACs(eng *crypt.Engine, tr *tree.Tree, guaddr uint64, data []byte,
 		tr.LeafCounters(lo, ctrs[:n])
 		eng.MaskBases(guaddr, crypt.DomainLineMAC, ids[:n], blk[:])
 		eng.MasksFromBases(blk[:], ctrs[:n])
+		eng.LineHashes(data[lo*mem.LineSize:(lo+n)*mem.LineSize], hash[:])
 		for i := range n {
-			line := lo + i
-			ct := data[line*mem.LineSize : (line+1)*mem.LineSize]
 			// Constant-time compare: the MACs are untrusted (wire or meta-zone).
-			if !crypt.TagEqual(eng.LineHash(ct, nil)^crypt.Mask(blk[i*crypt.MaskBaseSize:]), lineMACs[line]) {
-				return line
+			if !crypt.TagEqual(hash[i]^crypt.Mask(blk[i*crypt.MaskBaseSize:]), lineMACs[lo+i]) {
+				return lo + i
 			}
 		}
 	}

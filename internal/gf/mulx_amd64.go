@@ -34,6 +34,15 @@ func dot(c, p *uint64, n int, a, b uint64) uint64
 //go:noescape
 func dotLE(c *byte, p *uint64, n int, a, b uint64) uint64
 
+// evalBlocks writes to out[i], for each i < n, the polynomial whose eight
+// coefficients are the little-endian words of the i-th BlockSize-byte
+// block at blocks, evaluated against the powers p[0..7]: dotLE per block,
+// with the powers and the reduction constant loaded once for all of them.
+// n == 0 touches nothing.
+//
+//go:noescape
+func evalBlocks(blocks *byte, n int, p, out *uint64)
+
 // hasCLMUL reports whether the CPU implements PCLMULQDQ.
 func hasCLMUL() bool
 
@@ -83,6 +92,18 @@ func (m *Mulx) Eval(coeffs []uint64) uint64 {
 //mmt:hotpath
 func (m *Mulx) EvalBlock(b *[BlockSize]byte) uint64 {
 	return dotLE(&b[0], &m.pow[0], BlockSize/8, 0, 0)
+}
+
+// EvalBlocks is EvalBlock for the len(blocks)/BlockSize consecutive blocks
+// of blocks, block i's value written to out[i]: one kernel entry for a
+// whole run of cache lines, whose dot products are independent and overlap
+// in the multiplier. len(out) must be at least the block count.
+//
+//mmt:hotpath
+func (m *Mulx) EvalBlocks(blocks []byte, out []uint64) {
+	if n := len(blocks) / BlockSize; n > 0 {
+		evalBlocks(&blocks[0], n, &m.pow[0], &out[:n][0])
+	}
 }
 
 // EvalPrefixed evaluates the polynomial (h0, h1, coeffs...) — two header

@@ -91,6 +91,15 @@ func (m *Mulx) EvalBlock(b *[BlockSize]byte) uint64 {
 	return acc
 }
 
+// EvalBlocks is EvalBlock for the len(blocks)/BlockSize consecutive blocks
+// of blocks, block i's value written to out[i]. len(out) must be at least
+// the block count.
+func (m *Mulx) EvalBlocks(blocks []byte, out []uint64) {
+	for i := range out[:len(blocks)/BlockSize] {
+		out[i] = m.EvalBlock((*[BlockSize]byte)(blocks[i*BlockSize:]))
+	}
+}
+
 // EvalPrefixed evaluates the polynomial (h0, h1, coeffs...) — two header
 // coefficients ahead of a slice used in place — at the fixed point:
 // h0 + h1·x + x²·Eval(coeffs).

@@ -82,3 +82,55 @@ func FuzzDotVsOracle(f *testing.F) {
 		checkAgainstOracle(t, x, h0, h1, coeffs)
 	})
 }
+
+// TestEvalBlocksMatchesEvalBlock holds the run kernel to EvalBlock block by
+// block: no block, one, a pair, and both sides of a 64-block run, with the
+// blocks starting at an aligned and at an odd byte offset and the output
+// at an even and an odd word — the kernel's loads and stores assume no
+// alignment. Words of out past the block count stay as they were.
+func TestEvalBlocksMatchesEvalBlock(t *testing.T) {
+	seed := uint64(0x2545F4914F6CDD1D)
+	next := func() uint64 {
+		seed = seed*6364136223846793005 + 1442695040888963407
+		return seed
+	}
+	m := NewMulx(next())
+	for _, n := range []int{0, 1, 2, 63, 64, 65} {
+		for _, off := range []int{0, 1, 7} {
+			buf := make([]byte, off+n*BlockSize+5) // a ragged tail is not a block
+			for i := range buf {
+				buf[i] = byte(next() >> 56)
+			}
+			out := make([]uint64, off+n+1)
+			out[off+n] = 0xDEAD
+			m.EvalBlocks(buf[off:], out[off:])
+			for i := range n {
+				if want := m.EvalBlock((*[BlockSize]byte)(buf[off+i*BlockSize:])); out[off+i] != want {
+					t.Fatalf("n %d, offset %d: EvalBlocks[%d] = %#x, EvalBlock %#x", n, off, i, out[off+i], want)
+				}
+			}
+			if out[off+n] != 0xDEAD {
+				t.Fatalf("n %d, offset %d: EvalBlocks wrote past the last block", n, off)
+			}
+		}
+	}
+}
+
+func BenchmarkEvalBlocks(b *testing.B) {
+	m := NewMulx(0x9E3779B97F4A7C15)
+	blocks := make([]byte, 64*BlockSize)
+	for i := range blocks {
+		blocks[i] = byte(i * 7)
+	}
+	out := make([]uint64, 64)
+	b.Run("EvalBlock", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			out[i&63] = m.EvalBlock((*[BlockSize]byte)(blocks[(i&63)*BlockSize:]))
+		}
+	})
+	b.Run("EvalBlocks64", func(b *testing.B) {
+		for i := 0; i < b.N; i += 64 {
+			m.EvalBlocks(blocks, out)
+		}
+	})
+}

@@ -314,25 +314,35 @@ func (t *Tree) LeafCounter(line int) uint64 {
 }
 
 // LeafCounters writes the effective counters of the len(dst) consecutive
-// lines starting at line to dst — LeafCounter for each, with the leaf
-// coordinates stepped instead of divided out again per line.
+// lines starting at line to dst — LeafCounter for each, in one stepped pass
+// over the leaf records: a node's offset and global word are read once per
+// node, not divided out and loaded again per line. It reports the index of
+// the first entry it changed, len(dst) when dst already held every counter:
+// a caller that keeps per-line state derived at dst (the engine's key
+// records) learns from where that state is stale.
 //
 //mmt:hotpath
-func (t *Tree) LeafCounters(line int, dst []uint64) {
+func (t *Tree) LeafCounters(line int, dst []uint64) (changed int) {
+	changed = len(dst)
 	if len(dst) == 0 {
-		return
+		return changed
 	}
 	t.checkLine(line)
 	t.checkLine(line + len(dst) - 1)
 	leaf := len(t.lay.Level) - 1
 	lv := &t.lay.Level[leaf]
 	n, s := lv.Base+line/lv.Arity, line%lv.Arity
-	for i := range dst {
-		dst[i] = t.counter(leaf, n, s)
-		if s++; s == lv.Arity {
-			n, s = n+1, 0
+	for i := 0; i < len(dst); n, s = n+1, 0 {
+		rec := t.packed(leaf, n)
+		global := rec[0] << t.geo.localBits()
+		for ; s < lv.Arity && i < len(dst); s, i = s+1, i+1 {
+			ctr := global | rec[1+s>>2]>>(uint(s&3)*16)&0xFFFF
+			if dst[i] != ctr {
+				dst[i], changed = ctr, min(changed, i)
+			}
 		}
 	}
+	return changed
 }
 
 // parentCounter reports the counter covering level-l node n: the root

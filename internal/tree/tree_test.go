@@ -471,3 +471,60 @@ func TestMarkAllDirtyCounts(t *testing.T) {
 		}
 	}
 }
+
+// TestLeafCountersMatchLeafCounter: the stepped pass over any span — inside
+// a leaf, across leaves, the whole tree, with locals that have overflowed
+// into the globals — writes LeafCounter of every line and reports the first
+// entry that was not already there: len(dst) on a second pass, and the
+// first line written to after a few more updates.
+func TestLeafCountersMatchLeafCounter(t *testing.T) {
+	e := testEngine()
+	for _, geo := range []Geometry{
+		{Arities: []int{2, 3, 4}},
+		{Arities: []int{3, 5}, LocalBits: 2},
+		{Arities: []int{2, 130}},
+	} {
+		tr := mustNew(geo, e, guaddr)
+		rng := rand.New(rand.NewSource(int64(geo.Lines())))
+		for i := 0; i < 300; i++ {
+			tr.Update(e, guaddr, rng.Intn(geo.Lines()))
+		}
+		if got := tr.LeafCounters(0, nil); got != 0 {
+			t.Fatalf("%v: LeafCounters of no lines = %d", geo, got)
+		}
+		for i := 0; i < 200; i++ {
+			line := rng.Intn(geo.Lines())
+			dst := make([]uint64, 1+rng.Intn(geo.Lines()-line))
+			for k := range dst {
+				dst[k] = tr.LeafCounter(line+k) ^ 1 // every entry stale
+			}
+			if got := tr.LeafCounters(line, dst); got != 0 {
+				t.Fatalf("%v: first changed entry of an all-stale span = %d", geo, got)
+			}
+			for k, c := range dst {
+				if c != tr.LeafCounter(line+k) {
+					t.Fatalf("%v: LeafCounters(%d)[%d] = %d, LeafCounter %d", geo, line, k, c, tr.LeafCounter(line+k))
+				}
+			}
+			if got := tr.LeafCounters(line, dst); got != len(dst) {
+				t.Fatalf("%v: second pass over [%d,+%d) reports entry %d changed", geo, line, len(dst), got)
+			}
+			lowest := len(dst)
+			for range 3 {
+				k := rng.Intn(len(dst))
+				tr.Update(e, guaddr, line+k)
+				lowest = min(lowest, k)
+			}
+			first := 0
+			for first < len(dst) && dst[first] == tr.LeafCounter(line+first) {
+				first++
+			}
+			if first > lowest { // an overflow may move a sibling below it, never spare the line itself
+				t.Fatalf("%v: line %d was updated but kept its counter", geo, line+lowest)
+			}
+			if got := tr.LeafCounters(line, dst); got != first {
+				t.Fatalf("%v: after updates under [%d,+%d) the first changed entry is %d, want %d", geo, line, len(dst), got, first)
+			}
+		}
+	}
+}
