@@ -61,10 +61,11 @@ loc:
 			END { for (d in n) printf "%6d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%6d total\n", t }'
 
 # bench: measured run of the hot-path kernels (crypt scratch kernels,
-# engine read/write path, cache) plus the public API. The scratch-path
-# benchmarks must report 0 allocs/op.
+# the tree's warm and cold path check, deferred update and flush, engine
+# read/write path, cache) plus the public API. The scratch-path benchmarks
+# must report 0 allocs/op.
 bench:
-	$(GO) test -bench=. -benchmem -run=^$$ ./internal/crypt ./internal/engine .
+	$(GO) test -bench=. -benchmem -run=^$$ ./internal/crypt ./internal/tree ./internal/engine .
 
 # bench-smoke: one iteration of every benchmark in the module — cheap CI
 # proof that no benchmark has bit-rotted.

@@ -11,15 +11,27 @@
 // any private hooks into the protocol. The output is deterministic (all
 // counts and timestamps read off the simulated run) and pinned by a
 // golden test.
+//
+// The last scenario's adversary is not on the wire but on the memory bus
+// (§III's physical attacker): it rewrites the meta-zone of a region whose
+// tree the controller has just verified end to end. The public API has no
+// DRAM to rewrite, so that one scenario drives a memory controller
+// directly; its verdict is read off the same ledger.
 package main
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"os"
 
 	"mmt"
+	"mmt/internal/crypt"
+	"mmt/internal/engine"
+	"mmt/internal/mem"
+	"mmt/internal/sim"
+	"mmt/internal/tree"
 )
 
 // The adversaries below are written entirely against the public API —
@@ -108,15 +120,18 @@ type scenario struct {
 	interposer mmt.Interposer
 	// wantReject: the delegation must fail under this adversary.
 	wantReject bool
+	// physical: not a wire adversary; the scenario runs this instead.
+	physical func() (string, error)
 }
 
 func scenarios() []scenario {
 	return []scenario{
-		{"passive spy (confidentiality)", &spy{}, false},
-		{"bit flip in closure data", &tamperer{Kind: mmt.WireClosure, Offset: -3}, true},
-		{"bit flip in sealed root", &tamperer{Kind: mmt.WireClosure, Offset: 40}, true},
-		{"replay of a recorded closure", &replayer{Kind: mmt.WireClosure}, true},
-		{"re-ordering of two closures", &reorderer{Kind: mmt.WireClosure}, true},
+		{name: "passive spy (confidentiality)", interposer: &spy{}},
+		{name: "bit flip in closure data", interposer: &tamperer{Kind: mmt.WireClosure, Offset: -3}, wantReject: true},
+		{name: "bit flip in sealed root", interposer: &tamperer{Kind: mmt.WireClosure, Offset: 40}, wantReject: true},
+		{name: "replay of a recorded closure", interposer: &replayer{Kind: mmt.WireClosure}, wantReject: true},
+		{name: "re-ordering of two closures", interposer: &reorderer{Kind: mmt.WireClosure}, wantReject: true},
+		{name: "meta-zone rewrite after verify", physical: metaZoneRewrite},
 	}
 }
 
@@ -147,7 +162,10 @@ func report(w io.Writer) error {
 	fmt.Fprintln(w, "sender recovered its buffer for retry each time. The wire column is")
 	fmt.Fprintln(w, "everything each adversary got to see — message and byte counts per traffic")
 	fmt.Fprintln(w, "kind, all of it ciphertext or protocol framing — and the ledger column is")
-	fmt.Fprintln(w, "the security-event record an auditor reads from Cluster.Events().")
+	fmt.Fprintln(w, "the security-event record an auditor reads from Cluster.Events(). The last")
+	fmt.Fprintln(w, "adversary held the DRAM instead: a tree the controller had just verified in")
+	fmt.Fprintln(w, "full was not trusted once its backing bytes had been out of the controller's")
+	fmt.Fprintln(w, "hands, and the first access after the rewrite failed closed.")
 	return nil
 }
 
@@ -186,6 +204,9 @@ func ledgerView(events []mmt.SecurityEvent) string {
 // outcome, and reports the adversary-visible wire traffic plus the
 // ledger verdict.
 func run(s scenario) (string, error) {
+	if s.physical != nil {
+		return s.physical()
+	}
 	sink := mmt.NewTraceSink()
 	cluster, err := mmt.New(mmt.WithTreeLevels(2), mmt.WithRegions(8), mmt.WithTracing(sink))
 	if err != nil {
@@ -270,6 +291,63 @@ func run(s scenario) (string, error) {
 		if len(spy.Captured) == 0 {
 			return "", fmt.Errorf("spy captured nothing")
 		}
+	}
+	return line, nil
+}
+
+// metaZoneRewrite is the physical attack on a warm region. The victim
+// reads every line, so every tree node has been verified; its metadata is
+// written back to the untrusted meta-zone; the attacker flips one bit of
+// one leaf node's counters there; the controller re-reads its metadata.
+// What it now holds has not been verified, whatever the copy it replaced
+// had been: the first read must fail closed with an integrity-fail ledger
+// event, and with the bit restored the secret must read back intact.
+func metaZoneRewrite() (string, error) {
+	geo := tree.ForLevels(2)
+	lay, err := geo.Layout()
+	if err != nil {
+		return "", err
+	}
+	memory := mem.New(mem.Config{Size: geo.DataSize(), RegionSize: geo.DataSize(), MetaPerRegion: geo.MetaSize()})
+	ctl, err := engine.New(memory, geo, nil, sim.Gem5Profile())
+	if err != nil {
+		return "", err
+	}
+	sink := mmt.NewTraceSink()
+	ctl.SetTrace(sink.Probe("alice"))
+	if err := ctl.Enable(0, crypt.KeyFromBytes([]byte("attack-target key")), 0x4000, 0); err != nil {
+		return "", err
+	}
+	secret := make([]byte, engine.LineSize)
+	copy(secret, "attack-target payload: 0123456789abcdef")
+	if err := ctl.Write(0, 0, secret); err != nil {
+		return "", err
+	}
+	all := make([]byte, lay.DataSize)
+	if err := ctl.ReadRange(0, 0, all); err != nil {
+		return "", err
+	}
+	ctl.FlushMeta(0)
+	leaf := lay.Level[len(lay.Level)-1]
+	at := leaf.Offset + 8 // the first leaf node's first local counter: line 0's
+	meta := memory.MetaRegion(0)
+	meta[at] ^= 1
+	if err := ctl.LoadMeta(0); err != nil {
+		return "", err
+	}
+	got := make([]byte, engine.LineSize)
+	err = ctl.ReadInto(0, 0, got)
+	line := fmt.Sprintf("dram: 1 bit of a %d B meta-zone flipped after %d verified reads | %s",
+		len(meta), lay.Lines, ledgerView(sink.SecEvents()))
+	if !errors.Is(err, engine.ErrIntegrity) {
+		return "", fmt.Errorf("rewritten counter was NOT rejected: read returned %v", err)
+	}
+	meta[at] ^= 1
+	if err := ctl.LoadMeta(0); err != nil {
+		return "", err
+	}
+	if err := ctl.ReadInto(0, 0, got); err != nil || !bytes.Equal(got, secret) {
+		return "", fmt.Errorf("read after the bit was restored failed: %v", err)
 	}
 	return line, nil
 }

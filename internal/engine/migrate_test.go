@@ -151,6 +151,25 @@ func TestLineKeysAfterInstall(t *testing.T) {
 	if err := c.Install(0, testKey, guaddr, rootCtr, tb, data, slices.Clone(macs), ModeReadWrite); err != nil {
 		t.Fatal(err)
 	}
+	// Install's VerifyAll is why the first read below need not MAC a node
+	// (tree.TestVerifyAllWarmsEveryPath); that verification is a statement
+	// about the bytes it read, and a write to any of them — here on a twin
+	// installed from the same closure — ends it: the first read fails.
+	{
+		tampered := setup()
+		if err := tampered.Install(0, testKey, guaddr, rootCtr, tb, data, slices.Clone(macs), ModeReadWrite); err != nil {
+			t.Fatal(err)
+		}
+		n := tampered.Tree(0).Node(1, 0)
+		n.SetMAC(n.MAC() ^ 1)
+		if _, err := readLine(tampered, 0, 0); !errors.Is(err, ErrIntegrity) {
+			t.Fatalf("first read of an installed region whose node MAC was flipped after Install: %v", err)
+		}
+		n.SetMAC(n.MAC() ^ 1)
+		if _, err := readLine(tampered, 0, 0); err != nil {
+			t.Fatalf("first read after the flip was undone: %v", err)
+		}
+	}
 
 	ref := crypt.NewEngine(testKey)
 	check := func(when string) {
@@ -241,6 +260,14 @@ func TestInstallSweepDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := slices.Clone(c.Memory().RegionData(1))
+	// A closure whose tree bytes were touched never reaches the line sweep:
+	// Install's VerifyAll — the node MAC work the installed region's first
+	// accesses then need not repeat — names the node.
+	badTree := slices.Clone(tb)
+	badTree[len(badTree)-1] ^= 1 // the last leaf's MAC
+	if err, want := c.Install(1, testKey, guaddr, rootCtr, badTree, data, macs, ModeReadWrite), fmt.Sprintf("%v: node level 2 index 31", ErrIntegrity); !errors.Is(err, ErrIntegrity) || err.Error() != want || c.Mode(1) != ModeDisabled {
+		t.Fatalf("closure with a flipped node MAC: err %v (want %q), region 1 %v", err, want, c.Mode(1))
+	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, tc := range []struct {
 		name string

@@ -89,11 +89,13 @@ func (w twin) writeLines(r, line int, src []byte) error {
 }
 
 // observed is everything a caller can see of a controller between two
-// calls, short of its stored state: activity counters, the simulated
-// clock, the regions' modes, every trace accumulator, the sampled series
-// and the security ledger. The two functional-work counters are left out —
-// doing that work once per run is the point of the range kernels
-// (DESIGN.md §17).
+// calls, short of its stored data: activity counters, the simulated
+// clock, the regions' modes, every trace accumulator, the sampled series,
+// the security ledger and the serialized trees — reading those is an
+// observation of every node MAC, so each op of a twin script ends with the
+// MACs its writes deferred being computed (DESIGN.md §19). The two
+// functional-work counters are left out — doing that work once per run is
+// the point of the range kernels (DESIGN.md §17).
 type observed struct {
 	stats   Stats
 	now     sim.Time
@@ -101,6 +103,7 @@ type observed struct {
 	metrics trace.ProcMetrics
 	series  trace.SeriesView
 	events  []trace.SecEvent
+	trees   [][]byte
 }
 
 func (w twin) observe() observed {
@@ -111,6 +114,9 @@ func (w twin) observe() observed {
 	functional(&o.metrics.Counters)
 	for r := range w.c.regions {
 		o.modes = append(o.modes, w.c.Mode(r))
+		if tr := w.c.Tree(r); tr != nil {
+			o.trees = append(o.trees, tr.Serialize())
+		}
 	}
 	o.series, _ = w.sink.SeriesSnapshot()
 	for i := range o.series.Procs {

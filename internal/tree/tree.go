@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"mmt/internal/crypt"
 	"mmt/internal/trace"
@@ -41,12 +42,26 @@ type Tree struct {
 	mac []uint64
 
 	// Dirty-node tracking for checkpoint streaming: one bit per node. Bits
-	// are set in setMAC — the single chokepoint every counter/MAC
-	// mutation funnels through — and cleared by the store layer after a
+	// are set where the Update family re-MACs a node or defers its MAC
+	// (rehashNode, rehashPath) and cleared by the store layer after a
 	// successful commit. The bitset is preallocated at construction so the
 	// hot paths stay 0-alloc.
 	dirty      []uint64
 	dirtyCount int
+
+	// Node state, one bit per node each (DESIGN §19); both are lazy
+	// evaluation, neither moves a check. verified: the node's stored MAC
+	// was checked good under the bound (engine, guaddr) and nothing it
+	// depends on has been written since except by the Update family,
+	// which re-establishes it. Bits are set a whole path at a time
+	// (VerifyPath) or all at once (VerifyAll) and cleared only wholesale
+	// (unverify), so a set bit implies every ancestor's. stale: the Update
+	// family changed the node's MAC inputs and left mac[n] to be computed
+	// at its next observation (flush); until then mac[n] is not the node's
+	// MAC and nothing may read it.
+	verified   []uint64
+	stale      []uint64
+	staleCount int
 
 	// MAC-mask memoization. A node's MAC mask is a pure function of
 	// (engine, guaddr, nodeID, parentCounter); the tweak base underneath it
@@ -84,9 +99,10 @@ type treeScratch struct {
 	ctrs [maskBatch]uint64
 	blk  [maskBatch * crypt.MaskBaseSize]byte
 
-	pathPC []uint64  // rehashPath's parent counter per level
-	oneN   [1]int    // nodeMAC's list of one for a miss outside a keyed path,
-	onePC  [1]uint64 // and its parent counter
+	flushN  [maskBatch]int    // flushAll's batch of stale nodes
+	flushPC [maskBatch]uint64 // and their parent counters
+	oneN    [1]int            // nodeMAC's list of one for a miss outside a keyed batch,
+	onePC   [1]uint64         // and its parent counter
 }
 
 // maskBatch is how many node masks one pair of multi-block AES calls
@@ -102,10 +118,12 @@ func newTree(geo Geometry, lay Layout) *Tree {
 	return &Tree{
 		geo:      geo,
 		lay:      lay,
-		scr:      treeScratch{node: make([]int, L), slot: make([]int, L), ovf: make([]bool, L), pathPC: make([]uint64, L)},
+		scr:      treeScratch{node: make([]int, L), slot: make([]int, L), ovf: make([]bool, L)},
 		ctr:      make([]uint64, lay.CtrWords),
 		mac:      make([]uint64, nodes),
 		dirty:    make([]uint64, (nodes+63)/64),
+		verified: make([]uint64, (nodes+63)/64),
+		stale:    make([]uint64, (nodes+63)/64),
 		maskVal:  make([]uint64, nodes),
 		maskCtr:  make([]uint64, nodes),
 		maskOK:   make([]uint64, (nodes+63)/64),
@@ -148,12 +166,35 @@ func (t *Tree) counter(l, n, s int) uint64 {
 	return t.ctr[t.ctrOff(l, n)]<<t.geo.localBits() | t.local(l, n, s)
 }
 
+// bit reports bit n of a per-node bitset.
+//
+//mmt:hotpath
+func bit(set []uint64, n int) bool { return set[n>>6]>>(uint(n)&63)&1 != 0 }
+
+// mark sets bit n of a per-node bitset and reports whether it was clear.
+//
+//mmt:hotpath
+func mark(set []uint64, n int) bool {
+	w, m := n>>6, uint64(1)<<(uint(n)&63)
+	was := set[w]&m != 0
+	set[w] |= m
+	return !was
+}
+
+// fill sets bits 0…n-1 of a per-node bitset and no bit past them.
+func fill(set []uint64, n int) {
+	for w := range set {
+		set[w] = ^uint64(0)
+	}
+	if r := uint(n) & 63; r != 0 {
+		set[len(set)-1] = 1<<r - 1
+	}
+}
+
 // markDirty sets node n's dirty bit. Pure arithmetic on the preallocated
 // bitset, safe on every hot path.
 func (t *Tree) markDirty(n int) {
-	w, m := n>>6, uint64(1)<<(uint(n)&63)
-	if t.dirty[w]&m == 0 {
-		t.dirty[w] |= m
+	if mark(t.dirty, n) {
 		t.dirtyCount++
 	}
 }
@@ -184,12 +225,7 @@ func (t *Tree) ClearDirty() {
 // MarkAllDirty flags every node, forcing the next checkpoint to stream
 // the full node set (used after structural changes and on fresh trees).
 func (t *Tree) MarkAllDirty() {
-	for n := range t.dirty {
-		t.dirty[n] = ^uint64(0)
-	}
-	if r := uint(t.lay.Nodes) & 63; r != 0 {
-		t.dirty[len(t.dirty)-1] = 1<<r - 1 // no bit past the last node
-	}
+	fill(t.dirty, t.lay.Nodes)
 	t.dirtyCount = t.lay.Nodes
 }
 
@@ -244,7 +280,10 @@ func (t *Tree) RootCounter() uint64 { return t.rootCtr }
 // (§IV-B2); the delegation protocol relies on it only ever increasing
 // afterwards. Callers must re-hash (RehashAll) afterwards since the top
 // node MAC is keyed by the root counter.
-func (t *Tree) SetRootCounter(v uint64) { t.rootCtr = v }
+func (t *Tree) SetRootCounter(v uint64) {
+	t.settle()
+	t.rootCtr = v
+}
 
 // BumpRootCounter increments the root counter by one and re-hashes the top
 // level (whose MACs are keyed by it). The delegation protocol calls this
@@ -252,6 +291,7 @@ func (t *Tree) SetRootCounter(v uint64) { t.rootCtr = v }
 // always larger than that in the receiver and is always increased during
 // the delegation" (§IV-B2), even when no data write happened in between.
 func (t *Tree) BumpRootCounter(e *crypt.Engine, guaddr uint64) {
+	t.bind(e, guaddr)
 	t.rootCtr++
 	t.rehashNode(e, guaddr, 0, 0) // the one top node
 }
@@ -261,7 +301,9 @@ func (t *Tree) BumpRootCounter(e *crypt.Engine, guaddr uint64) {
 // planes. The setters deliberately bypass MAC maintenance and dirty
 // tracking — they model an attacker (or snapshot patcher) writing the
 // untrusted meta-zone behind the controller's back; tests use them to
-// simulate tampering.
+// simulate tampering. Being external writers, they settle the tree first:
+// what they overwrite is what an eager tree would hold, and no node stays
+// verified across them.
 type NodeRef struct {
 	t     *Tree
 	level int
@@ -280,7 +322,10 @@ func (n NodeRef) Arity() int { return n.t.lay.Level[n.level].Arity }
 func (n NodeRef) Global() uint64 { return n.t.ctr[n.t.ctrOff(n.level, n.n)] }
 
 // SetGlobal overwrites the node's global counter word.
-func (n NodeRef) SetGlobal(v uint64) { n.t.ctr[n.t.ctrOff(n.level, n.n)] = v }
+func (n NodeRef) SetGlobal(v uint64) {
+	n.t.settle()
+	n.t.ctr[n.t.ctrOff(n.level, n.n)] = v
+}
 
 // Local reads the raw local counter of slot s.
 func (n NodeRef) Local(s int) uint64 { return n.t.local(n.level, n.n, s) }
@@ -289,16 +334,23 @@ func (n NodeRef) Local(s int) uint64 { return n.t.local(n.level, n.n, s) }
 // the packed field width).
 func (n NodeRef) SetLocal(s int, v uint64) {
 	t := n.t
+	t.settle()
 	off := t.ctrOff(n.level, n.n) + 1 + s>>2
 	sh := uint(s&3) * 16
 	t.ctr[off] = t.ctr[off]&^(uint64(0xFFFF)<<sh) | (v&0xFFFF)<<sh
 }
 
 // MAC reads the node's stored MAC.
-func (n NodeRef) MAC() uint64 { return n.t.mac[n.n] }
+func (n NodeRef) MAC() uint64 {
+	n.t.flush(n.level, n.n)
+	return n.t.mac[n.n]
+}
 
 // SetMAC overwrites the node's stored MAC.
-func (n NodeRef) SetMAC(v uint64) { n.t.mac[n.n] = v }
+func (n NodeRef) SetMAC(v uint64) {
+	n.t.settle()
+	n.t.mac[n.n] = v
+}
 
 // LeafCounter reports the effective counter protecting the given line;
 // this is the counter the crypto engine mixes into the line's OTP and MAC.
@@ -361,18 +413,99 @@ func (t *Tree) parentCounter(l, n int) uint64 {
 // preventing node splicing within one MMT.
 func nodeID(level, index int) uint32 { return uint32(level)<<24 | uint32(index)&0xFFFFFF }
 
-// bind points the mask caches at (e, guaddr), flushing them if either
-// changed since the last use. Engines are compared by identity: a
+// bind points the tree at (e, guaddr). Engines are compared by identity: a
 // re-created engine under the same key conservatively misses.
 //
 //mmt:hotpath
 func (t *Tree) bind(e *crypt.Engine, guaddr uint64) {
-	if t.bound && t.bindEng == e && t.bindGU == guaddr {
-		return
+	if !t.bound || t.bindEng != e || t.bindGU != guaddr {
+		t.rebind(e, guaddr)
 	}
+}
+
+// rebind switches the binding: the deferred MACs are computed under the
+// binding they were deferred under, then the mask caches and every
+// verification — all of them statements about the old key or address — go.
+// Kept out of line so that bind's compare inlines into VerifyPath.
+//
+//go:noinline
+func (t *Tree) rebind(e *crypt.Engine, guaddr uint64) {
+	t.settle()
 	clear(t.maskOK)
 	clear(t.baseOK)
 	t.bindEng, t.bindGU, t.bound = e, guaddr, true
+}
+
+// settle is the first thing every writer outside the Update family does
+// (the NodeRef setters, SetNodeFromBytes, SetRootCounter, rebind): it
+// computes every deferred MAC, so what is about to be overwritten — and
+// everything else — is what an eager tree would hold and no later flush
+// can launder the write, and it forgets every verification, because any
+// node's MAC inputs may be about to change.
+func (t *Tree) settle() {
+	t.flushAll()
+	clear(t.verified)
+}
+
+// flush computes level-l node n's MAC if it was deferred. Every reader of
+// mac[n] — checkNode, appendNode, NodeRef.MAC, Clone — flushes first.
+//
+//mmt:hotpath
+func (t *Tree) flush(l, n int) {
+	if t.unstale(n) {
+		t.mac[n] = t.nodeMAC(t.bindEng, t.bindGU, l, n, t.parentCounter(l, n))
+	}
+}
+
+// unstale clears node n's stale bit and reports whether it was set.
+//
+//mmt:hotpath
+func (t *Tree) unstale(n int) bool {
+	was := bit(t.stale, n)
+	if was {
+		t.stale[n>>6] &^= 1 << (uint(n) & 63)
+		t.staleCount--
+	}
+	return was
+}
+
+// flushAll computes every deferred MAC, the masks of a batch of nodes keyed
+// together. A node is only ever stale under the current binding (rebind
+// settles first), and its MAC inputs are as the Update that deferred it
+// left them: any later Update that moved one of them deferred or re-MACed
+// the node again.
+//
+//mmt:hotpath
+func (t *Tree) flushAll() {
+	if t.staleCount == 0 {
+		return
+	}
+	s := &t.scr
+	k := 0
+	for w, word := range t.stale {
+		for ; word != 0; word &= word - 1 {
+			n := w*64 + bits.TrailingZeros64(word)
+			s.flushN[k], s.flushPC[k] = n, t.parentCounter(t.lay.levelOf(n), n)
+			if k++; k == maskBatch {
+				t.flushBatch(k)
+				k = 0
+			}
+		}
+		t.stale[w] = 0
+	}
+	t.flushBatch(k)
+	t.staleCount = 0
+}
+
+// flushBatch stores the MACs of the first k nodes staged in the scratch.
+//
+//mmt:hotpath
+func (t *Tree) flushBatch(k int) {
+	s := &t.scr
+	t.keyMasks(t.bindEng, t.bindGU, s.flushN[:k], s.flushPC[:k])
+	for i, n := range s.flushN[:k] {
+		t.mac[n] = t.nodeMAC(t.bindEng, t.bindGU, t.lay.levelOf(n), n, s.flushPC[i])
+	}
 }
 
 // keyMasks brings the cached masks of the listed nodes (flat indices) up
@@ -442,11 +575,16 @@ func (t *Tree) nodeMAC(e *crypt.Engine, guaddr uint64, l, n int, pc uint64) uint
 }
 
 // checkNode compares level-l node n's stored MAC with the one it should
-// carry, counting the verification.
+// carry, counting the verification. A verified node is the comparison
+// already made. Callers must have bound (e, guaddr) first.
 //
 //mmt:hotpath
 func (t *Tree) checkNode(e *crypt.Engine, guaddr uint64, l, n int) error {
 	t.probe.Count(trace.CtrTreeNodeVerifies, 1)
+	if bit(t.verified, n) {
+		return nil
+	}
+	t.flush(l, n)
 	if !crypt.TagEqual(t.mac[n], t.nodeMAC(e, guaddr, l, n, t.parentCounter(l, n))) {
 		t.probe.Count(trace.CtrTreeNodeVerifyFails, 1)
 		return fmt.Errorf("%w: node level %d index %d", ErrIntegrity, l, n-t.lay.Level[l].Base)
@@ -454,38 +592,32 @@ func (t *Tree) checkNode(e *crypt.Engine, guaddr uint64, l, n int) error {
 	return nil
 }
 
-// rehashNode recomputes the MAC of level-l node n.
+// rehashNode recomputes the MAC of level-l node n now, counting the
+// recomputation and marking the node dirty; a MAC deferred earlier is
+// superseded.
 func (t *Tree) rehashNode(e *crypt.Engine, guaddr uint64, l, n int) {
 	t.bind(e, guaddr)
-	t.setMAC(e, guaddr, l, n, t.parentCounter(l, n))
-}
-
-// setMAC stores the MAC level-l node n should carry under pc, counting the
-// recomputation and marking the node dirty: the single chokepoint every
-// MAC mutation funnels through.
-//
-//mmt:hotpath
-func (t *Tree) setMAC(e *crypt.Engine, guaddr uint64, l, n int, pc uint64) {
 	t.probe.Count(trace.CtrTreeNodeRehashes, 1)
 	t.markDirty(n)
-	t.mac[n] = t.nodeMAC(e, guaddr, l, n, pc)
+	t.unstale(n)
+	t.mac[n] = t.nodeMAC(e, guaddr, l, n, t.parentCounter(l, n))
 }
 
-// rehashPath recomputes the MACs of a whole path — node[l] on level l,
-// reached through slot[l-1] of node[l-1] — against the counters as they
-// now stand, the path's masks keyed together.
+// rehashPath is the re-MAC of a whole path whose counters an Update has
+// just moved, deferred: each node is counted and marked dirty as
+// re-MACed, and marked stale, and its MAC is computed against the counters
+// as they stand when it is next observed (flush) — once, however many
+// Updates pass through the node before then. Callers must have bound the
+// (engine, guaddr) the Update came with.
 //
 //mmt:hotpath
-func (t *Tree) rehashPath(e *crypt.Engine, guaddr uint64, node, slot []int) {
-	t.bind(e, guaddr)
-	pcs := t.scr.pathPC
-	pcs[0] = t.rootCtr
-	for l := 1; l < len(node); l++ {
-		pcs[l] = t.counter(l-1, node[l-1], slot[l-1])
-	}
-	t.keyMasks(e, guaddr, node, pcs)
-	for l, n := range node {
-		t.setMAC(e, guaddr, l, n, pcs[l])
+func (t *Tree) rehashPath(node []int) {
+	t.probe.Count(trace.CtrTreeNodeRehashes, uint64(len(node)))
+	for _, n := range node {
+		t.markDirty(n)
+		if mark(t.stale, n) {
+			t.staleCount++
+		}
 	}
 }
 
@@ -506,32 +638,43 @@ var ErrIntegrity = errors.New("tree: integrity check failed")
 // VerifyPath checks node MACs from the leaf covering line up to the root
 // counter — the integrity-tree engine's read-path check ("checks hashes
 // stored in tree nodes recursively up to the MMT root", §V-A2) — stopping
-// at the first mismatch. Each node's hash is one independent dot product
-// (crypt.NodeHash over the arena sub-slice, no copying), so the levels
-// need no staging to overlap.
+// at the first mismatch. A verified leaf has a verified path, so the warm
+// check is one division and one bit test; a path that passes node by node
+// is marked verified whole.
 //
 //mmt:hotpath
 func (t *Tree) VerifyPath(e *crypt.Engine, guaddr uint64, line int) error {
-	node, _ := t.pathOf(line)
+	t.checkLine(line)
 	t.bind(e, guaddr)
-	for l := len(node) - 1; l >= 0; l-- {
+	L := len(t.lay.Level)
+	if lv := &t.lay.Level[L-1]; bit(t.verified, lv.Base+line/lv.Arity) {
+		t.probe.Count(trace.CtrTreeNodeVerifies, uint64(L))
+		return nil
+	}
+	node, _ := t.pathOf(line)
+	for l := L - 1; l >= 0; l-- {
 		if err := t.checkNode(e, guaddr, l, node[l]); err != nil {
 			return err
 		}
+	}
+	for _, n := range node {
+		mark(t.verified, n)
 	}
 	return nil
 }
 
 // VerifyAll checks every node MAC in (level, index) order, stopping at
 // the first mismatch; the closure-delegation engine runs this after
-// unsealing a transferred root.
+// unsealing a transferred root. A tree that passes is verified whole.
 func (t *Tree) VerifyAll(e *crypt.Engine, guaddr uint64) error {
 	t.bind(e, guaddr)
+	t.flushAll() // in batches; checkNode would flush node by node
 	for n := 0; n < t.lay.Nodes; n++ {
 		if err := t.checkNode(e, guaddr, t.lay.levelOf(n), n); err != nil {
 			return err
 		}
 	}
+	fill(t.verified, t.lay.Nodes)
 	return nil
 }
 
@@ -552,11 +695,13 @@ type UpdateResult struct {
 
 // Update increments the counters along line's path — leaf slot, every
 // interior slot, and the root counter — handling local-counter overflow,
-// then recomputes the affected node MACs. This is the write path of the
+// then re-MACs the affected nodes: the path's by deferral (rehashPath), an
+// overflowed node's other children at once. This is the write path of the
 // integrity tree engine.
 //
 //mmt:hotpath
 func (t *Tree) Update(e *crypt.Engine, guaddr uint64, line int) UpdateResult {
+	t.bind(e, guaddr)
 	node, slot := t.pathOf(line)
 	L := len(node)
 	res := UpdateResult{}
@@ -585,11 +730,11 @@ func (t *Tree) Update(e *crypt.Engine, guaddr uint64, line int) UpdateResult {
 	t.rootCtr++
 
 	// Rehash. Path nodes always need it (their counters and their parent
-	// counters changed), so their masks are keyed together first. An
-	// overflow at level l additionally invalidates
-	// the MACs of all children of the overflowed node (their parent
-	// counters were reset), and a leaf overflow forces data re-encryption.
-	t.rehashPath(e, guaddr, node, slot)
+	// counters changed); theirs is deferred. An overflow at level l
+	// additionally invalidates the MACs of all children of the overflowed
+	// node (their parent counters were reset), re-MACed here and now, and a
+	// leaf overflow forces data re-encryption.
+	t.rehashPath(node)
 	res.NodesTouched = L
 	for l := 0; l < L; l++ {
 		if !overflowAt[l] {
@@ -623,10 +768,10 @@ func (t *Tree) Update(e *crypt.Engine, guaddr uint64, line int) UpdateResult {
 // UpdateRun is Update for the n consecutive lines starting at line, which
 // must share one leaf node and therefore one whole path: the n leaf locals
 // advance by one, every upper slot on the path and the root counter by n,
-// and each path node is re-MACed once, against the final counters. The
-// arena ends exactly as n Updates in line order would leave it — they
-// would re-MAC the same nodes n times and keep only the last result —
-// and each line's new counter is LeafCounter(line).
+// and each path node's re-MAC is deferred once. The arena ends exactly as
+// n Updates in line order would leave it — they would re-MAC the same
+// nodes n times and keep only the last result — and each line's new
+// counter is LeafCounter(line).
 //
 // It reports false, having changed nothing, when some counter on the path
 // would overflow within the run (or the n lines are not a run: they leave
@@ -635,6 +780,7 @@ func (t *Tree) Update(e *crypt.Engine, guaddr uint64, line int) UpdateResult {
 //
 //mmt:hotpath
 func (t *Tree) UpdateRun(e *crypt.Engine, guaddr uint64, line, n int) bool {
+	t.bind(e, guaddr)
 	node, slot := t.pathOf(line)
 	leaf := len(node) - 1
 	if n < 1 || slot[leaf]+n > t.lay.Level[leaf].Arity {
@@ -661,29 +807,34 @@ func (t *Tree) UpdateRun(e *crypt.Engine, guaddr uint64, line, n int) bool {
 		t.ctr[t.ctrOff(l, node[l])+1+slot[l]>>2] += uint64(n) << (uint(slot[l]&3) * 16)
 	}
 	t.rootCtr += uint64(n)
-	t.rehashPath(e, guaddr, node, slot)
+	t.rehashPath(node)
 	return true
 }
 
 // appendNode appends level-l node n's serialized record to dst: global u64,
 // locals u16 in slot order, MAC u64, all little endian. Because the
-// packed in-word field order is little-endian too, the locals are emitted
-// by streaming each arena word's LE bytes and truncating the final
-// partial word — the serialized format is unchanged from the per-node
-// layout of earlier versions.
+// packed in-word field order is little-endian too, the locals are the
+// arena words' LE bytes, the final partial word truncated — the serialized
+// format is unchanged from the per-node layout of earlier versions.
 func (t *Tree) appendNode(dst []byte, l, n int) []byte {
-	off := t.ctrOff(l, n)
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], t.ctr[off])
-	dst = append(dst, buf[:]...)
-	rem := 2 * t.lay.Level[l].Arity // local bytes still to emit
-	for k := off + 1; rem > 0; k++ {
-		binary.LittleEndian.PutUint64(buf[:], t.ctr[k])
-		dst = append(dst, buf[:min(rem, 8)]...)
-		rem -= 8
+	t.flush(l, n)
+	lv := &t.lay.Level[l]
+	at := len(dst)
+	dst = slices.Grow(dst, lv.NodeSize)[:at+lv.NodeSize]
+	rec, words := dst[at:], t.packed(l, n)
+	// The global and the whole words of locals, then the bytes of a last,
+	// partial word up to where the MAC starts.
+	whole := 1 + lv.Arity/4
+	for k, w := range words[:whole] {
+		binary.LittleEndian.PutUint64(rec[8*k:], w)
 	}
-	binary.LittleEndian.PutUint64(buf[:], t.mac[n])
-	return append(dst, buf[:]...)
+	if whole < len(words) {
+		for j, w := 8*whole, words[whole]; j < lv.NodeSize-8; j, w = j+1, w>>8 {
+			rec[j] = byte(w)
+		}
+	}
+	binary.LittleEndian.PutUint64(rec[lv.NodeSize-8:], t.mac[n])
+	return dst
 }
 
 // setNodeFromBytes decodes one serialized node record into the arena.
@@ -710,6 +861,7 @@ func (t *Tree) setNodeFromBytes(l, n int, b []byte) {
 // sealed inside the MMT root) in the meta-zone layout: per node, global
 // counter, locals, MAC, little endian, levels top-down.
 func (t *Tree) Serialize() []byte {
+	t.flushAll()
 	out := make([]byte, 0, t.lay.NodesSize)
 	for n := 0; n < t.lay.Nodes; n++ {
 		out = t.appendNode(out, t.lay.levelOf(n), n)
@@ -755,12 +907,14 @@ func (t *Tree) SetNodeFromBytes(l, i int, b []byte) error {
 	if lv := &t.lay.Level[l]; len(b) != lv.NodeSize {
 		return fmt.Errorf("tree: node bytes %d, want %d", len(b), lv.NodeSize)
 	}
+	t.settle()
 	t.setNodeFromBytes(l, t.lay.Level[l].Base+i, b)
 	return nil
 }
 
 // Clone deep-copies the tree (used for read-only ownership-copy mode).
 func (t *Tree) Clone() *Tree {
+	t.flushAll()
 	c := newTree(t.geo, t.lay)
 	c.rootCtr, c.probe = t.rootCtr, t.probe
 	copy(c.ctr, t.ctr)

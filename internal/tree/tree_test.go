@@ -3,6 +3,7 @@ package tree
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -323,50 +324,85 @@ func TestPaperGeometryEndToEnd(t *testing.T) {
 	}
 }
 
-func BenchmarkUpdate3Level(b *testing.B) {
-	e := testEngine()
-	tr := mustNew(ForLevels(3), e, guaddr)
-	lines := tr.Geometry().Lines()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tr.Update(e, guaddr, i%lines)
-	}
-}
-
-func BenchmarkVerifyPath3Level(b *testing.B) {
-	e := testEngine()
-	tr := mustNew(ForLevels(3), e, guaddr)
-	lines := tr.Geometry().Lines()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := tr.VerifyPath(e, guaddr, i%lines); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // benchVerifyPath measures VerifyPath over a cycling line set for an
-// arbitrary geometry. Heights 5 and 7 use narrow interior arities: the
-// paper geometry at those heights would cover gigabytes of data, and the
+// arbitrary geometry: warm, every path already verified, so a check is the
+// leaf's bit; or cold, every verification forgotten before each check, so
+// it is L node MACs against warm mask caches — what every check cost before
+// the verified bit. Heights 5 and 7 use narrow interior arities: the paper
+// geometry at those heights would cover gigabytes of data, and the
 // benchmark measures path length, not fan-out.
-func benchVerifyPath(b *testing.B, geo Geometry) {
+func benchVerifyPath(b *testing.B, geo Geometry, cold bool) {
 	b.Helper()
 	e := testEngine()
 	tr := mustNew(geo, e, guaddr)
+	if err := tr.VerifyAll(e, guaddr); err != nil {
+		b.Fatal(err)
+	}
 	lines := tr.Geometry().Lines()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		if cold {
+			clear(tr.verified)
+		}
 		if err := tr.VerifyPath(e, guaddr, i%lines); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-func BenchmarkVerifyPath(b *testing.B) {
-	b.Run("h3", func(b *testing.B) { benchVerifyPath(b, ForLevels(3)) })
-	b.Run("h5", func(b *testing.B) { benchVerifyPath(b, Geometry{Arities: []int{4, 4, 4, 4, 64}}) })
-	b.Run("h7", func(b *testing.B) { benchVerifyPath(b, Geometry{Arities: []int{2, 2, 2, 2, 2, 2, 64}}) })
+func benchVerifyPathHeights(b *testing.B, cold bool) {
+	b.Run("h3", func(b *testing.B) { benchVerifyPath(b, ForLevels(3), cold) })
+	b.Run("h5", func(b *testing.B) { benchVerifyPath(b, Geometry{Arities: []int{4, 4, 4, 4, 64}}, cold) })
+	b.Run("h7", func(b *testing.B) { benchVerifyPath(b, Geometry{Arities: []int{2, 2, 2, 2, 2, 2, 64}}, cold) })
+}
+
+func BenchmarkVerifyPathWarm(b *testing.B) { benchVerifyPathHeights(b, false) }
+func BenchmarkVerifyPathCold(b *testing.B) { benchVerifyPathHeights(b, true) }
+
+// BenchmarkUpdateRunDeferred measures the write path's tree step on the
+// 3-level tree, a single line and a whole 64-line leaf at a time: counters
+// move, the path is marked, no MAC is computed. (A local counter wraps every
+// 65 536 bumps; the run then goes through Update, as in the engine.)
+func BenchmarkUpdateRunDeferred(b *testing.B) {
+	for _, n := range []int{1, 64} {
+		b.Run(fmt.Sprintf("run%d", n), func(b *testing.B) {
+			e := testEngine()
+			tr := mustNew(ForLevels(3), e, guaddr)
+			lines := tr.Geometry().Lines()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if line := i * n % lines; !tr.UpdateRun(e, guaddr, line, n) {
+					tr.Update(e, guaddr, line)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkFlushAll256 is the checkpoint's share of the deferral, in the
+// persist workload's shape: 256 single-line updates at random lines of the
+// 3-level tree (untimed), then one flushAll of the nodes they left stale —
+// some 220, since the upper levels are shared.
+func BenchmarkFlushAll256(b *testing.B) {
+	e := testEngine()
+	tr := mustNew(ForLevels(3), e, guaddr)
+	rng := rand.New(rand.NewSource(1))
+	nodes := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		for range 256 {
+			tr.Update(e, guaddr, rng.Intn(tr.lay.Lines))
+		}
+		nodes += tr.staleCount
+		b.StartTimer()
+		tr.flushAll()
+	}
+	b.ReportMetric(float64(nodes)/float64(b.N), "nodes/op")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(nodes), "ns/node")
 }
 
 // TestUpdateRunMatchesUpdates pins UpdateRun to the procedure it batches:
