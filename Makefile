@@ -63,9 +63,13 @@ loc:
 # bench: measured run of the hot-path kernels (crypt scratch kernels,
 # the tree's warm and cold path check, deferred update and flush, engine
 # read/write path, cache) plus the public API. The scratch-path benchmarks
-# must report 0 allocs/op.
+# must report 0 allocs/op. The two halves of a migration whose cost depends
+# on the processor count — the sender's frame encode (allocator and GC) and
+# the receiver's Install (both sweeps are cut per processor) — run again
+# at 1, 2 and 4.
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ ./internal/crypt ./internal/tree ./internal/engine .
+	$(GO) test -bench='EncodeClosureFrame2M|Install2M' -benchmem -cpu 1,2,4 -run=^$$ ./internal/monitor ./internal/engine
 
 # bench-smoke: one iteration of every benchmark in the module — cheap CI
 # proof that no benchmark has bit-rotted.

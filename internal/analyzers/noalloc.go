@@ -43,13 +43,6 @@ package analyzers
 // amortization argument lives). The benchmarks remain the dynamic
 // cross-check that the reserved capacity really is enough.
 //
-// Append-style writers: cursor.Writer's methods append to a buffer whose
-// capacity the caller chose, the same contract as encoding/binary's
-// AppendUintNN, which half of them wrap. They are trusted like those: a
-// hot path that frames into a Writer owes it the full reservation (the
-// make that sizes Buf is the allocation site), and TestDelegateAllocBudget
-// is the dynamic cross-check that it pays.
-//
 // Cross-package traversal sees only packages matched by the run's
 // patterns: full coverage therefore requires running over ./..., which
 // CI does. Callees in unmatched packages are skipped silently.
@@ -80,12 +73,6 @@ var noallocStdlibOK = map[string]bool{
 	"crypto/subtle":   true,
 	"sync":            true,
 	"sync/atomic":     true,
-}
-
-// noallocWriterOK lists module types whose methods only append into
-// capacity their caller reserved.
-var noallocWriterOK = map[string]bool{
-	"mmt/internal/cursor.Writer": true,
 }
 
 // noallocIfaceOK lists packages whose interface methods are trusted not
@@ -473,13 +460,6 @@ func (c *noallocChecker) checkCall(key funcKey, f *indexedFunc, call *ast.CallEx
 				return
 			}
 			c.reportf(call.Pos(), "hot path %s: dynamic call to %s.%s cannot be statically verified", where, pkg.Path(), fn.Name())
-			return
-		}
-		recv := types.Unalias(sig.Recv().Type())
-		if p, ok := recv.(*types.Pointer); ok {
-			recv = types.Unalias(p.Elem())
-		}
-		if named, ok := recv.(*types.Named); ok && noallocWriterOK[pkg.Path()+"."+named.Obj().Name()] {
 			return
 		}
 	}

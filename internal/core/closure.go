@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"mmt/internal/crypt"
 	"mmt/internal/cursor"
@@ -94,21 +95,31 @@ func (c *Closure) appendHeader(w *cursor.Writer) {
 }
 
 // Encode serializes the closure for the wire into a fresh buffer of
-// exactly WireSize bytes.
+// WireSize bytes (see AppendTo for how the buffer comes to be).
 func (c *Closure) Encode() []byte {
-	w := cursor.Writer{Buf: make([]byte, 0, c.WireSize())}
+	var w cursor.Writer
 	c.AppendTo(&w)
 	return w.Buf
 }
 
 // AppendTo appends the wire form — the header, then four length-prefixed
 // chunks: sealed root, tree nodes, line MACs, data — to w. This is the one
-// copy a send makes of the region: a caller that frames the closure (a
-// conn-id prefix) reserves room for frame and closure (WireSize) in one
-// Writer, and the appends fill that capacity without growing it.
+// copy a send makes of the region, and the one encoder body: Encode and
+// the monitor's closure frame both end here.
 //
-//mmt:hotpath
+// AppendTo reserves room for everything but Data (MetadataSize) and lets
+// the final append of Data outgrow that capacity on purpose. A buffer
+// reserved at the full WireSize is zeroed by the allocator and then
+// overwritten end to end; an append that has to grow a pointer-free slice
+// gets memory the runtime does not clear (it clears only the sub-page
+// tail past the new length), so the 2 MB chunk is written once instead of
+// zeroed and then written. The price is that the metadata prefix is
+// allocated, then copied into the grown buffer: one more allocation of
+// MetadataSize bytes per closure. A caller that frames the closure writes
+// its prefix first and adds MetadataSize — never WireSize — to its own
+// reservation, so prefix and metadata share that allocation.
 func (c *Closure) AppendTo(w *cursor.Writer) {
+	w.Buf = slices.Grow(w.Buf, c.MetadataSize())
 	c.appendHeader(w)
 	w.Bytes(c.SealedRoot)
 	w.Bytes(c.TreeNodes)

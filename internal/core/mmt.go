@@ -324,6 +324,10 @@ type Conn struct {
 	key         crypt.Key
 	lastCounter uint64
 	lastGUAddr  uint64
+	// eng is the key's derived engine, built by the first Accept: every
+	// closure on the connection is unsealed under the same key. It is
+	// derived state, so snapshots carry the key and RestoreConn nothing more.
+	eng *crypt.Engine
 }
 
 // NewConn builds a connection endpoint with the agreed key and initial
@@ -347,6 +351,14 @@ func (c *Conn) LastGUAddr() uint64 { return c.lastGUAddr }
 // the live one would have.
 func RestoreConn(key crypt.Key, lastCounter, lastGUAddr uint64) *Conn {
 	return &Conn{key: key, lastCounter: lastCounter, lastGUAddr: lastGUAddr}
+}
+
+// engine returns the connection key's engine, deriving it on first use.
+func (c *Conn) engine() *crypt.Engine {
+	if c.eng == nil {
+		c.eng = crypt.NewEngine(c.key)
+	}
+	return c.eng
 }
 
 // NextCounter returns a root-counter initial value guaranteed fresh for
@@ -473,8 +485,7 @@ func (m *MMT) Accept(conn *Conn, wire []byte) error {
 	if err != nil {
 		return err
 	}
-	e := crypt.NewEngine(conn.key)
-	root, err := unsealRoot(e, c)
+	root, err := unsealRoot(conn.engine(), c)
 	if err != nil {
 		return err
 	}

@@ -898,11 +898,13 @@ func (c *Controller) Export(r int) (treeBytes, data []byte, lineMACs []uint64, r
 
 // Install adopts a transferred MMT into region r: deserializes the tree,
 // installs the root counter, verifies every node MAC and every line MAC
-// under key/guaddr, and only then enables the region. Any integrity
-// failure leaves the region disabled. mode is the resulting enforcement
-// mode (read-write for ownership transfer, read-only for ownership copy).
+// under key/guaddr, and only then copies data into the region and enables
+// it. Any integrity failure leaves the region disabled and its bytes
+// untouched. mode is the resulting enforcement mode (read-write for
+// ownership transfer, read-only for ownership copy).
 //
-// treeBytes and data are only read. On success lineMACs becomes the
+// treeBytes and data are only read; data may be the region's own bytes
+// (Export, Invalidate, Install on one region). On success lineMACs becomes the
 // region's line-MAC plane — the caller hands the slice over and must not
 // touch it again; on failure nothing is retained. The one slice Install
 // will not adopt is a plane Export lent from a region still live on this
@@ -934,7 +936,15 @@ func (c *Controller) Install(r int, key crypt.Key, guaddr, rootCounter uint64, t
 	if err := c.verifyLineMACs(eng, tr, guaddr, data, lineMACs); err != nil {
 		return err
 	}
-	c.mem.Write(c.mem.RegionBase(r), data)
+	// Verdict in: only now does the region change. The copy is a sweep like
+	// the verifying one, each worker moving its own span, and a pass of its
+	// own, entered after every chunk of that one has returned: a rejected
+	// closure writes nothing.
+	dst := c.mem.RegionData(r)
+	_ = c.sweepLines(func(lo, hi int) error { // the copy cannot fail
+		copy(dst[lo*mem.LineSize:hi*mem.LineSize], data[lo*mem.LineSize:])
+		return nil
+	})
 	for i := range c.regions {
 		if live := c.regions[i].lineMACs; len(live) > 0 && &live[0] == &lineMACs[0] {
 			lineMACs = slices.Clone(lineMACs)

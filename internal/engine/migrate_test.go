@@ -241,11 +241,19 @@ func TestLineKeysAfterInstall(t *testing.T) {
 // batch boundary, either side of a worker-chunk boundary — Install names
 // the lower one, installs nothing and leaves the region disabled and the
 // plane pool as it was, at every processor count: what the serial
-// line-by-line loop reports.
+// line-by-line loop reports. A clean closure, at every processor count,
+// leaves the region byte-equal to the closure's data — also when that data
+// is the region itself.
 func TestInstallSweepDeterminism(t *testing.T) {
 	// 768 lines: twelve 64-line groups, so the sweep really is cut in two
 	// (at line 384) and in four (at 192, 384, 576).
-	geo := tree.Geometry{Arities: []int{4, 8, 24}}
+	installSweepDeterminism(t, tree.Geometry{Arities: []int{4, 8, 24}})
+	// 800 lines: twelve groups and a half, so the chunks are unequal (the
+	// same cuts, the last chunk 224 or 416 lines) and the last group ragged.
+	installSweepDeterminism(t, tree.Geometry{Arities: []int{4, 8, 25}})
+}
+
+func installSweepDeterminism(t *testing.T, geo tree.Geometry) {
 	c, err := New(mem.New(mem.Config{Size: 2 * geo.DataSize(), RegionSize: geo.DataSize(), MetaPerRegion: geo.MetaSize()}), geo, nil, sim.Gem5Profile())
 	if err != nil {
 		t.Fatal(err)
@@ -265,10 +273,11 @@ func TestInstallSweepDeterminism(t *testing.T) {
 	// accesses then need not repeat — names the node.
 	badTree := slices.Clone(tb)
 	badTree[len(badTree)-1] ^= 1 // the last leaf's MAC
-	if err, want := c.Install(1, testKey, guaddr, rootCtr, badTree, data, macs, ModeReadWrite), fmt.Sprintf("%v: node level 2 index 31", ErrIntegrity); !errors.Is(err, ErrIntegrity) || err.Error() != want || c.Mode(1) != ModeDisabled {
+	if err, want := c.Install(1, testKey, guaddr, rootCtr, badTree, data, macs, ModeReadWrite), fmt.Sprintf("%v: node level 2 index %d", ErrIntegrity, c.lay.Level[2].Nodes-1); !errors.Is(err, ErrIntegrity) || err.Error() != want || c.Mode(1) != ModeDisabled {
 		t.Fatalf("closure with a flipped node MAC: err %v (want %q), region 1 %v", err, want, c.Mode(1))
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	half := (lines + 63) / 64 / 2 * 64 // where two workers, and four, cut the groups
 	for _, tc := range []struct {
 		name string
 		i, j int
@@ -276,7 +285,7 @@ func TestInstallSweepDeterminism(t *testing.T) {
 		{"different chunks", lines/4 + 1, lines - 2}, // second and last quarter; different halves
 		{"one batch", 130, 140},
 		{"batch boundary", 127, 128},
-		{"chunk boundary", lines/2 - 1, lines / 2},
+		{"chunk boundary", half - 1, half},
 	} {
 		bad := slices.Clone(data)
 		bad[tc.i*mem.LineSize] ^= 1
@@ -298,8 +307,31 @@ func TestInstallSweepDeterminism(t *testing.T) {
 			if err := c.Install(1, testKey, guaddr, rootCtr, tb, data, macs, ModeReadOnly); err != nil {
 				t.Fatalf("%s, GOMAXPROCS=%d: clean closure rejected: %v", tc.name, procs, err)
 			}
+			if !bytes.Equal(c.Memory().RegionData(1), data) {
+				t.Fatalf("%s, GOMAXPROCS=%d: installed region differs from the closure's data", tc.name, procs)
+			}
 			c.Invalidate(1)
 			copy(c.Memory().RegionData(1), before)
+		}
+	}
+	// The exact alias: a region exported, invalidated and installed onto
+	// itself, so the copy sweep's source is its destination.
+	want := slices.Clone(data)
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		tb, data, macs, rootCtr, guaddr, err := c.Export(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Invalidate(0)
+		if err := c.Install(0, testKey, guaddr, rootCtr, tb, data, macs, ModeReadWrite); err != nil {
+			t.Fatalf("GOMAXPROCS=%d: region installed onto itself: %v", procs, err)
+		}
+		if !bytes.Equal(c.Memory().RegionData(0), want) {
+			t.Fatalf("GOMAXPROCS=%d: region installed onto itself changed its bytes", procs)
+		}
+		if _, err := readLine(c, 0, lines-1); err != nil {
+			t.Fatalf("GOMAXPROCS=%d: last line after the self-install: %v", procs, err)
 		}
 	}
 }

@@ -105,9 +105,11 @@ type ackMsg struct {
 // would make unrelated framing bytes (not covered by any MAC) able to
 // swallow the whole message. Layout: 2-byte conn-id length, conn id, wire.
 // The closure is encoded straight into the frame, so the region's bytes
-// are copied once on their way to the network.
+// are copied once on their way to the network; the reservation is the
+// frame's prefix and the closure's metadata, and the data chunk grows it
+// (core.Closure.AppendTo says why).
 func encodeClosureFrame(connID string, closure *core.Closure) []byte {
-	w := cursor.Writer{Buf: make([]byte, 0, 2+len(connID)+closure.WireSize())}
+	w := cursor.Writer{Buf: make([]byte, 0, 2+len(connID)+closure.MetadataSize())}
 	w.U16(uint16(len(connID)))
 	w.Raw([]byte(connID))
 	closure.AppendTo(&w)
@@ -337,11 +339,12 @@ func (m *Monitor) SendPMO(caller EnclaveID, cap CapID, connID string, mode core.
 	probe.Count(trace.CtrClosuresSent, 1)
 	probe.Count(trace.CtrClosureEncodeBytes, uint64(len(frame)))
 	prof := m.ctl.Profile()
-	probe.AddCycles(trace.PhaseDMA, prof.RemoteWriteCost(len(frame)))
+	dma := prof.RemoteWriteCost(len(frame))
+	probe.AddCycles(trace.PhaseDMA, dma)
 	probe.AddCycles(trace.PhaseDelegation, prof.DelegationFixed)
-	probe.RecordOp(trace.OpMigrationSend, prof.RemoteWriteCost(len(frame))+prof.DelegationFixed)
-	root.AddCycles(prof.RemoteWriteCost(len(frame)) + prof.DelegationFixed)
-	m.ctl.Clock().AdvanceCycles(prof.RemoteWriteCost(len(frame)) + prof.DelegationFixed)
+	probe.RecordOp(trace.OpMigrationSend, dma+prof.DelegationFixed)
+	root.AddCycles(dma + prof.DelegationFixed)
+	m.ctl.Clock().AdvanceCycles(dma + prof.DelegationFixed)
 	m.endpoint.SendOwned(c.PeerMonitor, netsim.KindClosure, frame, root.Context())
 	probe.Event(trace.EvMigrationSend, m.ctl.Clock().Now(), p.mmt.GUAddr(), "monitor: closure on wire")
 	if root != nil {
@@ -505,6 +508,7 @@ func (m *Monitor) TakeReceived(connID string) (*PMO, bool) {
 		return nil, false
 	}
 	p := c.Received[0]
+	c.Received[0] = nil // the backing array outlives the pop; do not let it pin the PMO
 	c.Received = c.Received[1:]
 	return p, true
 }

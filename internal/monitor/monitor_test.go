@@ -11,6 +11,7 @@ import (
 	"mmt/internal/attest"
 	"mmt/internal/core"
 	"mmt/internal/crypt"
+	"mmt/internal/cursor"
 	"mmt/internal/engine"
 	"mmt/internal/mem"
 	"mmt/internal/netsim"
@@ -245,9 +246,14 @@ func TestDelegationThroughMonitors(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	cb, _ := w.b.Connection(connID)
+	held := cb.Received
 	rp, ok := w.b.TakeReceived(connID)
 	if !ok {
 		t.Fatal("no PMO received on b")
+	}
+	if held[0] != nil {
+		t.Fatal("the connection's queue still references the PMO it popped")
 	}
 	if rp.Owner != eb.ID {
 		t.Fatalf("received PMO owned by %d, want %d", rp.Owner, eb.ID)
@@ -470,5 +476,64 @@ func TestClosureFrame(t *testing.T) {
 		if _, _, err := decodeClosureFrame(frame[:n]); !errors.Is(err, errBadFrame) {
 			t.Fatalf("frame cut to %d bytes, inside its conn id: err %v", n, err)
 		}
+	}
+
+	// The data chunk outgrows the encoders' reservation on purpose
+	// (core.Closure.AppendTo): the frame must still be, byte for byte and to
+	// the length, what a buffer reserved in full receives, and end within a
+	// page of its capacity — for the default 2 MB closure and for a 16-line
+	// one whose data is whole, short or absent.
+	for _, tc := range []struct{ lines, tree, data int }{
+		{32768, 75 << 10, 2 << 20}, {16, 90, 16 * 64}, {16, 90, 40}, {16, 90, 0},
+	} {
+		closure := patternedClosure(tc.lines, tc.tree, tc.data)
+		full := cursor.Writer{Buf: make([]byte, 0, 2+len(connID)+closure.WireSize())}
+		full.U16(uint16(len(connID)))
+		full.Raw([]byte(connID))
+		closure.AppendTo(&full)
+		if cap(full.Buf) != len(full.Buf) {
+			t.Fatalf("%+v: the fully reserved reference grew", tc)
+		}
+		frame, wire := encodeClosureFrame(connID, closure), closure.Encode()
+		if !bytes.Equal(frame, full.Buf) || !bytes.Equal(wire, full.Buf[2+len(connID):]) {
+			t.Fatalf("%+v: a grown frame or wire differs from the fully reserved one", tc)
+		}
+		if len(frame) != 2+len(connID)+closure.WireSize() || cap(frame)-len(frame) >= 8192 || cap(wire)-len(wire) >= 8192 {
+			t.Fatalf("%+v: frame %d of %d bytes, wire %d of %d, for a %d-byte closure", tc, len(frame), cap(frame), len(wire), cap(wire), closure.WireSize())
+		}
+	}
+}
+
+// patternedClosure is a closure of the given shape — line MACs, bytes of
+// tree nodes, bytes of data — with no two neighbouring bytes alike.
+func patternedClosure(lines, tree, data int) *core.Closure {
+	patterned := func(n int, seed byte) []byte {
+		b := make([]byte, n)
+		for i := range b {
+			b[i] = byte(i)*31 + seed
+		}
+		return b
+	}
+	c := &core.Closure{Mode: core.OwnershipTransfer, GUAddrHint: 7, CounterHint: 9, SealedRoot: patterned(33, 1),
+		TreeNodes: patterned(tree, 2), LineMACs: make([]uint64, lines), Data: patterned(data, 3)}
+	for i := range c.LineMACs {
+		c.LineMACs[i] = uint64(i) * 0x9E3779B97F4A7C15
+	}
+	return c
+}
+
+var frameSink []byte
+
+// BenchmarkEncodeClosureFrame2M: the sender's one copy — a default-tree
+// closure (2 MB of data, 32 768 line MACs, 75 KB of nodes) encoded into a
+// conn-id-prefixed frame. B/op is the frame plus the metadata prefix the
+// data chunk outgrew (core.Closure.AppendTo).
+func BenchmarkEncodeClosureFrame2M(b *testing.B) {
+	closure := patternedClosure(32768, 75<<10, 2<<20)
+	b.SetBytes(int64(closure.WireSize()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		frameSink = encodeClosureFrame("a/1<->b/1#0", closure)
 	}
 }

@@ -99,6 +99,7 @@ type Endpoint struct {
 func (e *Endpoint) SetTrace(p *trace.Probe) { e.probe = p }
 
 // wireCounters maps a Kind to its (messages, bytes) trace counters.
+//
 //mmt:hotpath
 func wireCounters(k Kind) (msgs, bytes trace.Counter, ok bool) {
 	switch k {
@@ -212,6 +213,10 @@ func (e *Endpoint) Recv() (Message, bool) {
 		return Message{}, false
 	}
 	m := e.inbox[0]
+	// The backing array outlives the pop (the reslice still points into
+	// it), so clear the slot: a 2.4 MB closure frame must not stay
+	// reachable until the next message to this endpoint reallocates it.
+	e.inbox[0] = Message{}
 	e.inbox = e.inbox[1:]
 	if wait := m.ArriveAt - e.clock.Now(); wait > 0 {
 		e.probe.RecordOp(trace.OpRemoteRead, sim.TimeToCycles(wait, e.clock.Freq()))

@@ -96,11 +96,16 @@ func TestPending(t *testing.T) {
 	if b.Pending() != 3 {
 		t.Fatalf("Pending = %d", b.Pending())
 	}
-	// FIFO order.
+	// FIFO order. A popped slot of the inbox's backing array — which the
+	// rest of the queue keeps alive — lets go of its payload.
+	held := b.inbox
 	for i := 0; i < 3; i++ {
 		m, ok := b.Recv()
 		if !ok || m.Payload[0] != byte(i) {
 			t.Fatalf("message %d out of order: %+v", i, m)
+		}
+		if held[i].Payload != nil {
+			t.Fatalf("inbox still references the payload of message %d after Recv", i)
 		}
 	}
 }

@@ -218,7 +218,8 @@ func TestFlippedClosureSectionRejected(t *testing.T) {
 
 // TestDelegateAllocBudget pins the migration copy budget: delegating and
 // receiving a 2 MB buffer may allocate at most 1.5x the closure's wire
-// size — the frame itself plus the receiver's decoded tree and line MACs.
+// size — the frame itself, the metadata prefix its data chunk outgrew
+// (core.Closure.AppendTo) and the receiver's decoded tree and line MACs.
 // A reintroduced copy of the payload (each is another ~1x) fails here, not
 // only in the benchmark.
 func TestDelegateAllocBudget(t *testing.T) {
