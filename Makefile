@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test test-purego cross race vet lint vet-json allow-prune loc bench bench-smoke bench-module bench-pairs check smoke fuzz perfdiff baselines profiles crash-sim
+.PHONY: build test test-purego cross race vet lint vet-json allow-prune loc loc-gate bench bench-smoke bench-module bench-pairs check smoke fuzz perfdiff baselines profiles crash-sim
 
 build:
 	$(GO) build ./...
@@ -36,10 +36,9 @@ race:
 vet:
 	$(GO) vet ./...
 
-# mmt-vet: the project's own twelve-analyzer suite (simclock,
-# cryptocompare, checkverify, nopanic, maporder, parclock, eventkind,
-# noalloc, lockorder, phasecharge, tracectx, samplerwindow) plus the
-# //mmt:allow suppression audit. Non-zero exit on any finding.
+# mmt-vet: the project's own analyzer suite (`go run ./cmd/mmt-vet -list`
+# enumerates the rules) plus the //mmt:allow suppression audit. Non-zero
+# exit on any finding.
 lint:
 	$(GO) run ./cmd/mmt-vet ./...
 
@@ -59,6 +58,18 @@ loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' | xargs wc -l | \
 		awk '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); n[d] += $$1; t += $$1 } \
 			END { for (d in n) printf "%6d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%6d total\n", t }'
+
+# loc-gate: the ratchet on that total. LOC_MAX is the module's size as of
+# the last PR that changed it; a tree that has grown past it fails, and the
+# PR that means to grow the module raises the number in its own diff, where
+# a reviewer sees it. A PR that shrinks the module lowers it.
+LOC_MAX := 25025
+loc-gate:
+	@n=$$($(MAKE) -s loc | awk '$$2 == "total" { print $$1 }'); \
+	if [ "$$n" -gt $(LOC_MAX) ]; then \
+		echo "loc-gate: $$n non-test lines, LOC_MAX is $(LOC_MAX): shrink the change or raise LOC_MAX in this diff"; exit 1; \
+	fi; \
+	echo "loc-gate: $$n non-test lines (LOC_MAX $(LOC_MAX))"
 
 # bench: measured run of the hot-path kernels (crypt scratch kernels,
 # the tree's warm and cold path check, deferred update and flush, engine
@@ -171,4 +182,4 @@ crash-sim:
 
 # check: what CI's first step runs. vet-json is the lint run that also
 # leaves the findings document CI uploads.
-check: build vet cross vet-json test test-purego race bench-module
+check: build vet cross vet-json loc-gate test test-purego race bench-module

@@ -1,22 +1,19 @@
-// Command mmt-vet runs the repository's custom static-analysis suite:
-// twelve analyzers (simclock, cryptocompare, checkverify, nopanic,
-// maporder, parclock, eventkind, noalloc, lockorder, phasecharge,
-// tracectx, samplerwindow) that machine-enforce the determinism,
-// crypto-safety and hot-path invariants every figure and security
-// claim depends on. See
-// internal/analyzers for the invariants and DESIGN.md §11 for the
-// rationale.
+// Command mmt-vet runs the repository's custom static-analysis suite,
+// the rules that machine-enforce the determinism, crypto-safety and
+// hot-path invariants every figure and security claim depends on.
+// `mmt-vet -list` enumerates them; internal/analyzers documents each
+// where it is declared and DESIGN.md §11 gives the rationale.
 //
 // Usage:
 //
-//	mmt-vet [-list] [-run name,name] [-json|-sarif] [-out file] [-fix allow-prune] [packages]
+//	mmt-vet [-list] [-run name,name] [-json] [-out file] [-fix allow-prune] [packages]
 //
 // With no packages, ./... relative to the module root is analyzed.
 // Findings print as file:line:col: [analyzer] message; -json emits the
-// byte-stable mmt-vet/v1 document and -sarif a SARIF-lite 2.1.0 log
-// (both to stdout, or to -out with the human lines kept on stdout).
-// Every finding carries a stable diagnostic ID (MMT001…MMT012, MMT900
-// for the suppression audit) so CI baselines survive renames.
+// byte-stable mmt-vet/v1 document (to stdout, or to -out with the human
+// lines kept on stdout). Every finding carries a stable diagnostic ID
+// (MMTnnn as listed, MMT900 for the suppression audit) so CI baselines
+// survive renames.
 //
 // -fix=allow-prune lists stale //mmt:allow comments — suppressions that
 // no longer suppress anything — one file:line per line, ready to feed
@@ -40,7 +37,6 @@ func main() {
 	list := flag.Bool("list", false, "list analyzers and exit")
 	run := flag.String("run", "", "comma-separated analyzer names to run (default: all)")
 	jsonOut := flag.Bool("json", false, "emit findings as the mmt-vet/v1 JSON document")
-	sarifOut := flag.Bool("sarif", false, "emit findings as a SARIF-lite 2.1.0 log")
 	outFile := flag.String("out", "", "write machine-readable output to this file instead of stdout")
 	fix := flag.String("fix", "", "fix mode: 'allow-prune' lists stale //mmt:allow comments for removal")
 	flag.Parse()
@@ -51,10 +47,6 @@ func main() {
 			fmt.Printf("%-14s %s  %s\n", a.Name, a.ID, a.Doc)
 		}
 		return
-	}
-	if *jsonOut && *sarifOut {
-		fmt.Fprintln(os.Stderr, "mmt-vet: -json and -sarif are mutually exclusive")
-		os.Exit(2)
 	}
 	if *fix != "" && *fix != "allow-prune" {
 		fmt.Fprintf(os.Stderr, "mmt-vet: unknown -fix mode %q (have: allow-prune)\n", *fix)
@@ -108,7 +100,6 @@ func main() {
 		return
 	}
 
-	machine := *jsonOut || *sarifOut
 	var dst io.Writer = os.Stdout
 	if *outFile != "" {
 		f, err := os.Create(*outFile)
@@ -119,17 +110,13 @@ func main() {
 		defer f.Close()
 		dst = f
 	}
-	switch {
-	case *jsonOut:
-		err = analyzers.WriteJSON(dst, findings, root)
-	case *sarifOut:
-		err = analyzers.WriteSARIF(dst, findings, root)
+	if *jsonOut {
+		if err := analyzers.WriteJSON(dst, findings, root); err != nil {
+			fmt.Fprintf(os.Stderr, "mmt-vet: write output: %v\n", err)
+			os.Exit(2)
+		}
 	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "mmt-vet: write output: %v\n", err)
-		os.Exit(2)
-	}
-	if !machine || *outFile != "" {
+	if !*jsonOut || *outFile != "" {
 		for _, f := range findings {
 			fmt.Println(f)
 		}

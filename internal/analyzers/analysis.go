@@ -1,48 +1,35 @@
-// Package analyzers is the mmt-vet static-analysis suite: ten custom
-// analyzers that machine-enforce the repository's determinism,
-// crypto-safety and hot-path invariants.
+// Package analyzers is the mmt-vet static-analysis suite: the rules
+// that machine-enforce the repository's determinism, crypto-safety and
+// hot-path invariants.
 //
 // Every figure and table this repository reproduces must be a pure
 // function of the seed and the internal/sim clock, and every security
 // claim rests on authentication code in internal/crypt and
 // internal/channel. Both properties are one careless diff away from
 // silently breaking, so they are enforced by analysis rather than by
-// reviewer vigilance:
+// reviewer vigilance.
 //
-//   - simclock: no wall-clock time or unseeded global randomness in
-//     simulation code; all timing flows through internal/sim.
-//   - cryptocompare: MAC/tag values from crypt.Engine must be compared
-//     in constant time (crypt.TagEqual / crypto/subtle), never ==.
-//   - checkverify: results of Verify*/Open/Unseal calls must be checked.
-//   - nopanic: library packages return errors instead of panicking.
-//   - maporder: no map iteration with order-dependent effects.
-//   - parclock: par.Map/par.ForEach work units must own the sim.Clocks
-//     they touch; a clock captured from the enclosing scope is shared
-//     across goroutines and breaks the determinism contract.
-//   - eventkind: security-ledger record sites must pass compile-time
-//     constant event kinds, keeping the auditable vocabulary closed.
+// One rule is one Analyzer value, documented where it is declared; All
+// is the suite and `mmt-vet -list` prints it. Every rule has the same
+// shape: Run receives one Pass holding every loaded package and walks
+// the in-scope ones with Pass.files or Pass.forEachCall. Two rules need
+// more than syntax and types: phasecharge solves a forward dataflow
+// over each function's CFG (cfg.go, dataflow.go), and noalloc does the
+// same hot/cold split per function and follows static calls across
+// packages through the function index. Its call-graph coverage is
+// complete only when the run's patterns are ./..., which is what CI
+// runs.
 //
-// Three analyzers are built on the shared intra-procedural CFG/dataflow
-// layer (cfg.go, dataflow.go) and see the whole module at once:
+// IDs MMT009 (lockorder) and MMT012 (samplerwindow) are retired and
+// never reused. The module's mutexes are leaves — no code path holds
+// two different ones — so `go test -race`, a tier-1 target, is the
+// concurrency gate; and a sampler window that is not a power of two is
+// refused at run time by trace.Sink.EnableSeries wherever it comes from.
 //
-//   - noalloc: functions annotated //mmt:hotpath — and everything they
-//     statically call within the module — must contain no allocation
-//     sites on any path that can reach a success exit, statically
-//     proving the 0-allocs/op claims the crypt/engine benchmarks assert
-//     dynamically.
-//   - lockorder: derives the global mutex-acquisition order from every
-//     Lock/RLock pair and flags pairs acquired in inconsistent order,
-//     plus re-acquisition of a mutex already held.
-//   - phasecharge: every sim.Clock.AdvanceCycles charge site must be
-//     mirrored into exactly one trace phase (Probe.AddCycles) on all
-//     CFG paths, making PR 2's charge-mirror contract a compile-time
-//     guarantee.
-//
-// The framework mirrors the golang.org/x/tools/go/analysis API surface
+// The framework borrows the vocabulary of golang.org/x/tools/go/analysis
 // (Analyzer, Pass, Diagnostic) but is self-contained: the module has no
 // external dependencies, so the driver loads packages with `go list
-// -export` and typechecks them with go/types directly. Swapping the
-// framework for x/tools later is a mechanical import change.
+// -export` and typechecks them with go/types directly.
 //
 // A finding can be suppressed with a justifying comment on the same
 // line (or the line above):
@@ -55,38 +42,46 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"iter"
+	"slices"
 	"strings"
 )
 
-// Analyzer describes one static check, mirroring the shape of
-// golang.org/x/tools/go/analysis.Analyzer.
-//
-// Exactly one of Run and RunModule is set: Run analyzers see one package
-// at a time, RunModule analyzers (the call-graph walkers) see every
-// loaded package in a single pass.
+// Analyzer describes one static check.
 type Analyzer struct {
 	// Name identifies the analyzer in output and in //mmt:allow comments.
 	Name string
 	// ID is the stable machine-readable diagnostic ID (MMT001…) used in
-	// -json and -sarif output. IDs are append-only: an analyzer keeps its
-	// ID forever so CI baselines and suppressions stay comparable.
+	// -json output. IDs are append-only: an analyzer keeps its ID forever
+	// so CI baselines and suppressions stay comparable.
 	ID string
 	// Doc is the one-paragraph description shown by mmt-vet -list.
 	Doc string
-	// Run applies the analyzer to one package.
-	Run func(*Pass) error
-	// RunModule applies the analyzer to the whole loaded module.
-	RunModule func(*ModulePass) error
+	// Run applies the analyzer to every package of the pass.
+	Run func(*Pass)
 }
 
-// Pass carries one package's syntax and type information to an analyzer.
-type Pass struct {
-	Analyzer  *Analyzer
-	Fset      *token.FileSet
+// PackageUnit is one typechecked package.
+type PackageUnit struct {
 	Files     []*ast.File
 	Pkg       *types.Package
 	TypesInfo *types.Info
-	Report    func(Diagnostic)
+}
+
+// Pass carries every loaded package to an analyzer: all packages the
+// run's patterns matched, or the one fixture package under analysistest.
+type Pass struct {
+	Fset  *token.FileSet
+	Units []*PackageUnit
+	// Report records a finding unless it lies in a _test.go file or an
+	// //mmt:allow comment for this analyzer covers it.
+	Report func(Diagnostic)
+	// Suppressed reports whether an //mmt:allow comment for this analyzer
+	// covers pos, and marks that comment as used. Analyzers query it to
+	// prune traversals (e.g. noalloc stopping at an allowed call site)
+	// without emitting a diagnostic first; Report applies the same check
+	// automatically.
+	Suppressed func(token.Pos) bool
 }
 
 // Diagnostic is one finding at one source position.
@@ -100,34 +95,59 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	p.Report(Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...)})
 }
 
-// PackageUnit is one typechecked package inside a ModulePass.
-type PackageUnit struct {
-	Files     []*ast.File
-	Pkg       *types.Package
-	TypesInfo *types.Info
+// files yields every file of every in-scope package with its unit.
+func (p *Pass) files() iter.Seq2[*PackageUnit, *ast.File] {
+	return func(yield func(*PackageUnit, *ast.File) bool) {
+		for _, u := range p.Units {
+			if !inScope(u.Pkg.Path()) {
+				continue
+			}
+			for _, f := range u.Files {
+				if !yield(u, f) {
+					return
+				}
+			}
+		}
+	}
 }
 
-// ModulePass carries every loaded package to a module-wide analyzer.
-type ModulePass struct {
-	Analyzer *Analyzer
-	Fset     *token.FileSet
-	Units    []*PackageUnit
-	Report   func(Diagnostic)
-	// Suppressed reports whether a //mmt:allow comment for this analyzer
-	// covers pos, and marks that comment as used. Analyzers query it to
-	// prune traversals (e.g. noalloc stopping at an allowed call site)
-	// without emitting a diagnostic first; Report applies the same check
-	// automatically.
-	Suppressed func(token.Pos) bool
+// forEachCall calls fn at every in-scope call whose callee is a function
+// or method of package pkgPath named one of names.
+func (p *Pass) forEachCall(pkgPath string, names []string, fn func(u *PackageUnit, call *ast.CallExpr, callee *types.Func)) {
+	for u, f := range p.files() {
+		ast.Inspect(f, func(n ast.Node) bool {
+			if call, ok := n.(*ast.CallExpr); ok {
+				callee := funcObj(u.TypesInfo, call)
+				if callee != nil && callee.Pkg() != nil && callee.Pkg().Path() == pkgPath && slices.Contains(names, callee.Name()) {
+					fn(u, call, callee)
+				}
+			}
+			return true
+		})
+	}
 }
 
-// Reportf reports a formatted finding at pos.
-func (p *ModulePass) Reportf(pos token.Pos, format string, args ...any) {
-	p.Report(Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...)})
+// forEachBody calls fn with the body of every in-scope function
+// declaration and function literal. A literal nested inside a body is
+// visited again on its own.
+func (p *Pass) forEachBody(fn func(u *PackageUnit, body *ast.BlockStmt)) {
+	for u, f := range p.files() {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.FuncDecl:
+				if n.Body != nil {
+					fn(u, n.Body)
+				}
+			case *ast.FuncLit:
+				fn(u, n.Body)
+			}
+			return true
+		})
+	}
 }
 
 // All returns the full mmt-vet suite in stable order. Diagnostic IDs are
-// assigned in this order and are append-only.
+// append-only; MMT009 and MMT012 are retired (see the package comment).
 func All() []*Analyzer {
 	return []*Analyzer{
 		SimClock,      // MMT001
@@ -138,10 +158,8 @@ func All() []*Analyzer {
 		ParClock,      // MMT006
 		EventKind,     // MMT007
 		NoAlloc,       // MMT008
-		LockOrder,     // MMT009
 		PhaseCharge,   // MMT010
 		TraceCtx,      // MMT011
-		SamplerWindow, // MMT012
 	}
 }
 
@@ -170,6 +188,16 @@ func analyzerID(name string) string {
 func inScope(pkgPath string) bool {
 	return strings.HasPrefix(pkgPath, "mmt/internal/") &&
 		!strings.HasPrefix(pkgPath, "mmt/internal/analyzers")
+}
+
+// isBuiltinCall reports whether call invokes the builtin function name.
+func isBuiltinCall(info *types.Info, call *ast.CallExpr, name string) bool {
+	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
+	if !ok {
+		return false
+	}
+	b, ok := info.Uses[id].(*types.Builtin)
+	return ok && b.Name() == name
 }
 
 // funcObj resolves a call's callee to its *types.Func, or nil.

@@ -16,8 +16,6 @@
 package analysistest
 
 import (
-	"go/token"
-	"go/types"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -48,36 +46,7 @@ func Run(t *testing.T, a *analyzers.Analyzer, fixture string) {
 	for i, n := range names {
 		base[i] = filepath.Base(n)
 	}
-	fset := token.NewFileSet()
-	files, err := analyzers.ParseFiles(fset, dir, base)
-	if err != nil {
-		t.Fatalf("parse fixture: %v", err)
-	}
-
-	// Resolve fixture imports (stdlib and mmt packages alike) from
-	// compiled export data, exactly as the real driver does.
-	var imports []string
-	seen := map[string]bool{}
-	for _, f := range files {
-		for _, imp := range f.Imports {
-			p := strings.Trim(imp.Path.Value, `"`)
-			if p != "" && !seen[p] {
-				seen[p] = true
-				imports = append(imports, p)
-			}
-		}
-	}
-	sort.Strings(imports)
-	var imp types.Importer
-	if len(imports) > 0 {
-		exports, err := analyzers.ExportData("", imports)
-		if err != nil {
-			t.Fatalf("export data for fixture imports: %v", err)
-		}
-		imp = analyzers.NewExportImporter(fset, exports)
-	}
-
-	findings, err := analyzers.CheckAndRun(fset, files, "mmt/internal/"+fixture, imp, []*analyzers.Analyzer{a})
+	findings, err := analyzers.RunFiles(dir, base, "mmt/internal/"+fixture, []*analyzers.Analyzer{a})
 	if err != nil {
 		t.Fatalf("run %s on %s: %v", a.Name, fixture, err)
 	}

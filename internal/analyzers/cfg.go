@@ -1,7 +1,7 @@
 package analyzers
 
 // Intra-procedural control-flow graphs for the dataflow analyzers
-// (noalloc, lockorder, phasecharge). The builder is syntax-directed and
+// (noalloc, phasecharge). The builder is syntax-directed and
 // self-contained, mirroring the role golang.org/x/tools/go/cfg plays for
 // upstream analyzers: one funcCFG per function body, blocks holding the
 // statements and control sub-expressions executed in order, edges for
@@ -15,10 +15,8 @@ package analyzers
 // Deliberate simplifications, documented for analyzer authors:
 //
 //   - defer: deferred calls are recorded as ordinary statements at the
-//     defer site, not replayed on exit edges. A deferred Unlock therefore
-//     does not release a lock for lockorder (conservative: the lock is
-//     held until function exit), and a deferred allocation is charged at
-//     the defer site for noalloc.
+//     defer site, not replayed on exit edges, so a deferred allocation
+//     is charged at the defer site for noalloc.
 //   - panic terminates a block with no successors and marks it, so paths
 //     ending in panic can be classified as failure exits.
 //   - recover is ignored: a function that panics is assumed not to
@@ -27,6 +25,7 @@ package analyzers
 import (
 	"go/ast"
 	"go/token"
+	"go/types"
 )
 
 // cfgBlock is one basic block: nodes executed in order, then a transfer
@@ -63,7 +62,7 @@ type pendingGoto struct {
 
 type cfgBuilder struct {
 	blocks       []*cfgBlock
-	isPanic      func(*ast.CallExpr) bool
+	info         *types.Info
 	breakables   []breakCtx
 	fallthroughs []*cfgBlock // innermost switch's next-clause target
 	labels       map[string]*cfgBlock
@@ -71,13 +70,10 @@ type cfgBuilder struct {
 	pendingLabel string
 }
 
-// buildCFG constructs the CFG of body. isPanic classifies calls that
-// never return (the builtin panic); it may be nil.
-func buildCFG(body *ast.BlockStmt, isPanic func(*ast.CallExpr) bool) *funcCFG {
-	if isPanic == nil {
-		isPanic = func(*ast.CallExpr) bool { return false }
-	}
-	b := &cfgBuilder{isPanic: isPanic, labels: map[string]*cfgBlock{}}
+// buildCFG constructs the CFG of body. info resolves which calls are the
+// builtin panic, the one call that never returns.
+func buildCFG(body *ast.BlockStmt, info *types.Info) *funcCFG {
+	b := &cfgBuilder{info: info, labels: map[string]*cfgBlock{}}
 	entry := b.newBlock()
 	end := b.stmtList(body.List, entry)
 	_ = end // a non-nil end is the implicit-return exit block
@@ -279,7 +275,7 @@ func (b *cfgBuilder) stmt(s ast.Stmt, cur *cfgBlock) *cfgBlock {
 
 	case *ast.ExprStmt:
 		cur.nodes = append(cur.nodes, s)
-		if call, ok := ast.Unparen(s.X).(*ast.CallExpr); ok && b.isPanic(call) {
+		if call, ok := ast.Unparen(s.X).(*ast.CallExpr); ok && isBuiltinCall(b.info, call, "panic") {
 			cur.panics = true
 			return nil
 		}

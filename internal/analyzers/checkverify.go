@@ -18,28 +18,24 @@ var CheckVerify = &Analyzer{
 	Run: runCheckVerify,
 }
 
-func runCheckVerify(pass *Pass) error {
-	if !inScope(pass.Pkg.Path()) {
-		return nil
-	}
-	for _, f := range pass.Files {
+func runCheckVerify(pass *Pass) {
+	for u, f := range pass.files() {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch st := n.(type) {
 			case *ast.ExprStmt:
 				if call, ok := st.X.(*ast.CallExpr); ok {
-					checkDiscardedCall(pass, call, "result discarded")
+					checkDiscardedCall(pass, u, call, "result discarded")
 				}
 			case *ast.GoStmt:
-				checkDiscardedCall(pass, st.Call, "result discarded by go statement")
+				checkDiscardedCall(pass, u, st.Call, "result discarded by go statement")
 			case *ast.DeferStmt:
-				checkDiscardedCall(pass, st.Call, "result discarded by defer statement")
+				checkDiscardedCall(pass, u, st.Call, "result discarded by defer statement")
 			case *ast.AssignStmt:
-				checkBlankAssign(pass, st)
+				checkBlankAssign(pass, u, st)
 			}
 			return true
 		})
 	}
-	return nil
 }
 
 // isAuthCheck reports whether fn is an authentication-check function
@@ -58,8 +54,8 @@ func isAuthCheck(fn *types.Func) bool {
 	return false
 }
 
-func checkDiscardedCall(pass *Pass, call *ast.CallExpr, how string) {
-	fn := funcObj(pass.TypesInfo, call)
+func checkDiscardedCall(pass *Pass, u *PackageUnit, call *ast.CallExpr, how string) {
+	fn := funcObj(u.TypesInfo, call)
 	if fn == nil || !isAuthCheck(fn) {
 		return
 	}
@@ -70,7 +66,7 @@ func checkDiscardedCall(pass *Pass, call *ast.CallExpr, how string) {
 // checkBlankAssign flags `v, _ := aead.Open(...)`-style statements where
 // the verdict-carrying result (an error or bool) lands in the blank
 // identifier.
-func checkBlankAssign(pass *Pass, st *ast.AssignStmt) {
+func checkBlankAssign(pass *Pass, u *PackageUnit, st *ast.AssignStmt) {
 	if len(st.Rhs) != 1 {
 		return
 	}
@@ -78,7 +74,7 @@ func checkBlankAssign(pass *Pass, st *ast.AssignStmt) {
 	if !ok {
 		return
 	}
-	fn := funcObj(pass.TypesInfo, call)
+	fn := funcObj(u.TypesInfo, call)
 	if fn == nil || !isAuthCheck(fn) {
 		return
 	}

@@ -19,7 +19,9 @@ var CryptoCompare = &Analyzer{
 	Doc: "MAC/tag values from crypt.Engine.LineMAC/NodeMAC must not be compared " +
 		"with == / != / bytes.Equal in verification paths; use crypt.TagEqual " +
 		"(constant time) instead",
-	Run: runCryptoCompare,
+	Run: func(pass *Pass) {
+		pass.forEachBody(func(u *PackageUnit, body *ast.BlockStmt) { checkFuncForMACCompares(pass, u.TypesInfo, body) })
+	},
 }
 
 // macSources are the fully-qualified methods whose results are
@@ -30,42 +32,18 @@ var macSources = map[string]bool{
 	"(*mmt/internal/crypt.Engine).macMask": true,
 }
 
-func runCryptoCompare(pass *Pass) error {
-	if !inScope(pass.Pkg.Path()) {
-		return nil
-	}
-	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			var body *ast.BlockStmt
-			switch fn := n.(type) {
-			case *ast.FuncDecl:
-				body = fn.Body
-			case *ast.FuncLit:
-				body = fn.Body
-			default:
-				return true
-			}
-			if body != nil {
-				checkFuncForMACCompares(pass, body)
-			}
-			return true
-		})
-	}
-	return nil
-}
-
 // checkFuncForMACCompares does a simple flow-insensitive pass over one
 // function body: any identifier ever assigned a MAC-source call result
 // is tainted, and comparisons involving tainted values or direct
 // MAC-source calls are reported.
-func checkFuncForMACCompares(pass *Pass, body *ast.BlockStmt) {
+func checkFuncForMACCompares(pass *Pass, info *types.Info, body *ast.BlockStmt) {
 	tainted := map[types.Object]bool{}
 	record := func(lhs ast.Expr, rhs ast.Expr) {
-		if !isMACSourceCall(pass.TypesInfo, rhs) {
+		if !isMACSourceCall(info, rhs) {
 			return
 		}
 		if id, ok := ast.Unparen(lhs).(*ast.Ident); ok {
-			if obj := pass.TypesInfo.ObjectOf(id); obj != nil {
+			if obj := info.ObjectOf(id); obj != nil {
 				tainted[obj] = true
 			}
 		}
@@ -90,11 +68,11 @@ func checkFuncForMACCompares(pass *Pass, body *ast.BlockStmt) {
 
 	isMAC := func(e ast.Expr) bool {
 		e = ast.Unparen(e)
-		if isMACSourceCall(pass.TypesInfo, e) {
+		if isMACSourceCall(info, e) {
 			return true
 		}
 		if id, ok := e.(*ast.Ident); ok {
-			if obj := pass.TypesInfo.ObjectOf(id); obj != nil {
+			if obj := info.ObjectOf(id); obj != nil {
 				return tainted[obj]
 			}
 		}
@@ -109,7 +87,7 @@ func checkFuncForMACCompares(pass *Pass, body *ast.BlockStmt) {
 					"use crypt.TagEqual (crypto/subtle) instead", e.Op)
 			}
 		case *ast.CallExpr:
-			fn := funcObj(pass.TypesInfo, e)
+			fn := funcObj(info, e)
 			if fn == nil {
 				return true
 			}

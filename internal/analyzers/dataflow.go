@@ -1,9 +1,9 @@
 package analyzers
 
 // Shared dataflow plumbing for the CFG-based analyzers: string-canonical
-// fact sets with the set algebra the worklist solvers need, expression
+// fact sets with the set algebra the worklist solver needs, expression
 // canonicalisation, and the module-wide function index that lets noalloc
-// and lockorder walk the static call graph across packages.
+// walk the static call graph across packages.
 //
 // Facts are canonical renderings of Go expressions (printer output), so
 // "the same expression" means "prints the same" — exactly the contract
@@ -53,23 +53,14 @@ func (s factSet) intersect(o factSet) factSet {
 	return out
 }
 
-// union adds o's facts to a copy of s.
-func (s factSet) union(o factSet) factSet {
-	out := s.clone()
-	for k := range o {
-		out[k] = true
-	}
-	return out
-}
-
-// solveForward runs a forward dataflow over c to fixpoint and returns
-// the converged entry fact set of every reachable block. The transfer
-// function must be pure (analyzers re-run it with reporting enabled
-// after convergence). With must=true the join over predecessors is
-// intersection (a fact holds only if it holds on every path, unvisited
-// predecessors optimistically ignored); with must=false it is union.
-func solveForward(c *funcCFG, must bool, entryIn factSet, transfer func(*cfgBlock, factSet) factSet) map[*cfgBlock]factSet {
-	ins := map[*cfgBlock]factSet{c.entry: entryIn}
+// solveForward runs a forward must-dataflow over c to fixpoint, starting
+// from no facts, and returns the converged entry fact set of every
+// reachable block. The transfer function must be pure (analyzers re-run
+// it with reporting enabled after convergence). The join over
+// predecessors is intersection: a fact holds only if it holds on every
+// path, unvisited predecessors optimistically ignored.
+func solveForward(c *funcCFG, transfer func(*cfgBlock, factSet) factSet) map[*cfgBlock]factSet {
+	ins := map[*cfgBlock]factSet{c.entry: {}}
 	outs := map[*cfgBlock]factSet{}
 	preds := map[*cfgBlock][]*cfgBlock{}
 	for _, blk := range c.blocks {
@@ -99,10 +90,8 @@ func solveForward(c *funcCFG, must bool, entryIn factSet, transfer func(*cfgBloc
 				}
 				if joined == nil {
 					joined = po.clone()
-				} else if must {
-					joined = joined.intersect(po)
 				} else {
-					joined = joined.union(po)
+					joined = joined.intersect(po)
 				}
 			}
 			if joined == nil {
@@ -190,6 +179,13 @@ func namedRecv(t types.Type) *types.TypeName {
 	return nil
 }
 
+// isNamed reports whether t is the named type pkgPath.name or a pointer
+// to it.
+func isNamed(t types.Type, pkgPath, name string) bool {
+	tn := namedRecv(t)
+	return tn != nil && tn.Name() == name && tn.Pkg() != nil && tn.Pkg().Path() == pkgPath
+}
+
 // keyOfFunc computes the funcKey of a resolved function object.
 func keyOfFunc(fn *types.Func) (funcKey, bool) {
 	if fn == nil || fn.Pkg() == nil {
@@ -263,16 +259,6 @@ func (idx *funcIndex) lookupCall(unit *PackageUnit, call *ast.CallExpr) (*indexe
 		return nil, funcKey{}
 	}
 	return idx.funcs[key], key
-}
-
-// isPanicCall reports whether call is the builtin panic.
-func isPanicCall(info *types.Info, call *ast.CallExpr) bool {
-	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
-	if !ok {
-		return false
-	}
-	b, ok := info.Uses[id].(*types.Builtin)
-	return ok && b.Name() == "panic"
 }
 
 // isErrorReturnFunc builds the cold-path classifier for a function: a

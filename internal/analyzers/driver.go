@@ -33,15 +33,6 @@ func (f Finding) String() string {
 // ID reports the finding's stable diagnostic ID (MMT001…).
 func (f Finding) ID() string { return analyzerID(f.Analyzer) }
 
-// Options tunes a driver run.
-type Options struct {
-	// Audit reports //mmt:allow comments that suppressed nothing during
-	// the run (for analyzers that actually ran) and comments naming
-	// analyzers that do not exist. The findings carry analyzer name
-	// "unusedallow".
-	Audit bool
-}
-
 // listedPackage is the subset of `go list -json` output the driver uses.
 type listedPackage struct {
 	ImportPath  string
@@ -63,21 +54,13 @@ type packageError struct {
 
 // Run loads the packages matching patterns (resolved relative to dir,
 // which must lie inside the module), typechecks them, applies every
-// analyzer, and returns the surviving findings sorted by position, with
-// the suppression audit enabled.
-func Run(dir string, patterns []string, as []*Analyzer) ([]Finding, error) {
-	return RunWith(dir, patterns, as, Options{Audit: true})
-}
-
-// RunWith is Run with explicit Options.
+// analyzer in one pass over all of them, audits the //mmt:allow comments
+// and returns the surviving findings sorted by position.
 //
 // Packages are enumerated and compiled with `go list -export`; imports
 // are satisfied from the resulting export data, so the driver needs no
 // dependencies beyond the go toolchain already required by tier-1.
-// Per-package analyzers see one package at a time; module analyzers see
-// every matched package in one pass (their cross-package call-graph
-// coverage is therefore only complete under ./...).
-func RunWith(dir string, patterns []string, as []*Analyzer, opts Options) ([]Finding, error) {
+func Run(dir string, patterns []string, as []*Analyzer) ([]Finding, error) {
 	exports, err := exportData(dir, patterns)
 	if err != nil {
 		return nil, err
@@ -93,7 +76,6 @@ func RunWith(dir string, patterns []string, as []*Analyzer, opts Options) ([]Fin
 	imp := newExportImporter(fset, exports)
 	allow := newAllowIndex()
 	var units []*PackageUnit
-	var findings []Finding
 	for _, pkg := range targets {
 		// go list -e tolerates broken patterns so ./... keeps working in a
 		// partially broken tree, but a pattern that resolves to nothing or
@@ -111,20 +93,8 @@ func RunWith(dir string, patterns []string, as []*Analyzer, opts Options) ([]Fin
 		}
 		allow.collect(fset, fs)
 		units = append(units, unit)
-		pf, err := runPackageAnalyzers(fset, unit, as, allow)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", pkg.ImportPath, err)
-		}
-		findings = append(findings, pf...)
 	}
-	mf, err := runModuleAnalyzers(fset, units, as, allow)
-	if err != nil {
-		return nil, err
-	}
-	findings = append(findings, mf...)
-	if opts.Audit {
-		findings = append(findings, allow.auditFindings(as)...)
-	}
+	findings := append(analyze(fset, units, as, allow), allow.auditFindings(as)...)
 	sortFindings(findings)
 	return dedupeFindings(findings), nil
 }
@@ -146,64 +116,26 @@ func checkPackage(fset *token.FileSet, files []*ast.File, pkgPath string, imp ty
 	return &PackageUnit{Files: files, Pkg: pkg, TypesInfo: info}, nil
 }
 
-// report wraps an analyzer's Report callback with the shared filters:
-// findings in _test.go files are dropped (invariants bind non-test code
-// only) and //mmt:allow suppressions are honored and marked used.
-func report(fset *token.FileSet, name string, allow *allowIndex, findings *[]Finding) func(Diagnostic) {
-	return func(d Diagnostic) {
-		pos := fset.Position(d.Pos)
-		if strings.HasSuffix(pos.Filename, "_test.go") {
-			return
-		}
-		if allow.use(name, pos) {
-			return
-		}
-		*findings = append(*findings, Finding{Analyzer: name, Pos: pos, Message: d.Message})
-	}
-}
-
-func runPackageAnalyzers(fset *token.FileSet, unit *PackageUnit, as []*Analyzer, allow *allowIndex) ([]Finding, error) {
+// analyze runs each analyzer once over all units and returns what they
+// report, minus the shared filters: findings in _test.go files are
+// dropped (invariants bind non-test code only) and //mmt:allow
+// suppressions are honored and marked used.
+func analyze(fset *token.FileSet, units []*PackageUnit, as []*Analyzer, allow *allowIndex) []Finding {
 	var findings []Finding
 	for _, a := range as {
-		if a.Run == nil {
-			continue
-		}
-		pass := &Pass{
-			Analyzer:  a,
-			Fset:      fset,
-			Files:     unit.Files,
-			Pkg:       unit.Pkg,
-			TypesInfo: unit.TypesInfo,
-			Report:    report(fset, a.Name, allow, &findings),
-		}
-		if err := a.Run(pass); err != nil {
-			return nil, fmt.Errorf("analyzer %s: %w", a.Name, err)
-		}
-	}
-	return findings, nil
-}
-
-func runModuleAnalyzers(fset *token.FileSet, units []*PackageUnit, as []*Analyzer, allow *allowIndex) ([]Finding, error) {
-	var findings []Finding
-	for _, a := range as {
-		if a.RunModule == nil {
-			continue
-		}
-		name := a.Name
-		mp := &ModulePass{
-			Analyzer: a,
-			Fset:     fset,
-			Units:    units,
-			Report:   report(fset, name, allow, &findings),
-			Suppressed: func(pos token.Pos) bool {
-				return allow.use(name, fset.Position(pos))
+		a.Run(&Pass{
+			Fset:  fset,
+			Units: units,
+			Report: func(d Diagnostic) {
+				pos := fset.Position(d.Pos)
+				if !strings.HasSuffix(pos.Filename, "_test.go") && !allow.use(a.Name, pos) {
+					findings = append(findings, Finding{Analyzer: a.Name, Pos: pos, Message: d.Message})
+				}
 			},
-		}
-		if err := a.RunModule(mp); err != nil {
-			return nil, fmt.Errorf("analyzer %s: %w", a.Name, err)
-		}
+			Suppressed: func(pos token.Pos) bool { return allow.use(a.Name, fset.Position(pos)) },
+		})
 	}
-	return findings, nil
+	return findings
 }
 
 func sortFindings(fs []Finding) {
@@ -226,10 +158,9 @@ func sortFindings(fs []Finding) {
 }
 
 // dedupeFindings drops findings that repeat an already-reported message
-// at the same position — either the same analyzer firing twice (e.g. a
-// module analyzer reaching one allocation site from two hot roots) or
-// two analyzers wording the same defect identically. Input must be
-// sorted; position order is preserved.
+// at the same position — either the same analyzer reaching one site
+// twice or two analyzers wording the same defect identically. Input must
+// be sorted; position order is preserved.
 func dedupeFindings(fs []Finding) []Finding {
 	seen := map[string]bool{}
 	out := fs[:0]

@@ -27,7 +27,8 @@ func writeModule(t *testing.T, files map[string]string) string {
 }
 
 // TestDriverAllowAudit: a full run flags //mmt:allow comments that
-// suppressed nothing and comments naming analyzers that do not exist; a
+// suppressed nothing and comments naming analyzers that do not exist,
+// retired ones included; a
 // partial -run leaves allows for analyzers outside the run set alone.
 func TestDriverAllowAudit(t *testing.T) {
 	if testing.Short() {
@@ -42,14 +43,17 @@ func F() int { return 1 }
 
 //mmt:allow nosuch: typo for a real analyzer name
 func G() int { return 2 }
+
+//mmt:allow lockorder: a retired rule is no rule
+func H() int { return 3 }
 `,
 	})
 	findings, err := analyzers.Run(dir, []string{"./..."}, analyzers.All())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(findings) != 2 {
-		t.Fatalf("got %d findings, want 2: %v", len(findings), findings)
+	if len(findings) != 3 {
+		t.Fatalf("got %d findings, want 3: %v", len(findings), findings)
 	}
 	for _, f := range findings {
 		if f.Analyzer != "unusedallow" || f.ID() != analyzers.UnusedAllowID {
@@ -62,15 +66,18 @@ func G() int { return 2 }
 	if !strings.Contains(findings[1].Message, `unknown analyzer "nosuch"`) {
 		t.Errorf("second finding %q, want unknown-analyzer audit", findings[1].Message)
 	}
+	if !strings.Contains(findings[2].Message, `unknown analyzer "lockorder"`) {
+		t.Errorf("third finding %q, want the retired name audited as unknown", findings[2].Message)
+	}
 
 	// Partial run: nopanic did not run, so its allow is not auditable;
-	// the unknown name is always a finding.
+	// an unknown name is always a finding.
 	findings, err = analyzers.Run(dir, []string{"./..."}, []*analyzers.Analyzer{analyzers.SimClock})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(findings) != 1 || !strings.Contains(findings[0].Message, `unknown analyzer "nosuch"`) {
-		t.Fatalf("partial run: got %v, want only the unknown-analyzer audit", findings)
+	if len(findings) != 2 || !strings.Contains(findings[0].Message, `unknown analyzer "nosuch"`) {
+		t.Fatalf("partial run: got %v, want only the two unknown-analyzer audits", findings)
 	}
 }
 
@@ -96,8 +103,8 @@ func TestDriverSurfacesCompileError(t *testing.T) {
 	}
 }
 
-// goldenFindings is a fixed finding list covering both writers; paths
-// sit under the fake root /m so output is machine-independent.
+// goldenFindings is a fixed finding list; paths sit under the fake root
+// /m so output is machine-independent.
 func goldenFindings() []analyzers.Finding {
 	f1 := analyzers.Finding{Analyzer: "noalloc", Message: "hot path mmt/internal/x.F: make allocates"}
 	f1.Pos.Filename = "/m/internal/x/x.go"
@@ -122,8 +129,8 @@ func checkGolden(t *testing.T, name string, got []byte) {
 	}
 }
 
-// TestOutputGolden pins the machine-readable formats byte-for-byte: the
-// schema is a CI interface, so accidental drift must fail loudly. Each
+// TestOutputGolden pins the machine-readable format byte-for-byte: the
+// schema is a CI interface, so accidental drift must fail loudly. The
 // writer also runs twice to prove byte-stability.
 func TestOutputGolden(t *testing.T) {
 	findings := goldenFindings()
@@ -139,18 +146,6 @@ func TestOutputGolden(t *testing.T) {
 	}
 	checkGolden(t, "findings.json", a.Bytes())
 
-	a.Reset()
-	b.Reset()
-	if err := analyzers.WriteSARIF(&a, findings, "/m"); err != nil {
-		t.Fatal(err)
-	}
-	if err := analyzers.WriteSARIF(&b, findings, "/m"); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Error("WriteSARIF is not byte-stable across invocations")
-	}
-	checkGolden(t, "findings.sarif", a.Bytes())
 }
 
 // TestRunByteStable runs the real driver twice over the same package and

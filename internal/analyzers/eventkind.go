@@ -2,6 +2,7 @@ package analyzers
 
 import (
 	"go/ast"
+	"go/types"
 )
 
 // EventKind requires every security-ledger record site to name its event
@@ -23,31 +24,15 @@ var EventKind = &Analyzer{
 	Run: runEventKind,
 }
 
-func runEventKind(pass *Pass) error {
-	if !inScope(pass.Pkg.Path()) {
-		return nil
-	}
-	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			fn := funcObj(pass.TypesInfo, call)
-			if fn == nil || fn.Name() != "Event" || fn.Pkg() == nil ||
-				fn.Pkg().Path() != "mmt/internal/trace" || fn.Signature().Recv() == nil {
-				return true
-			}
-			if len(call.Args) == 0 {
-				return true
-			}
-			kind := call.Args[0]
-			if tv, ok := pass.TypesInfo.Types[kind]; !ok || tv.Value == nil {
-				pass.Reportf(kind.Pos(), "event kind must be a compile-time constant "+
-					"(trace.Ev*); classify verdicts with explicit branches, not computed kinds")
-			}
-			return true
-		})
-	}
-	return nil
+func runEventKind(pass *Pass) {
+	pass.forEachCall("mmt/internal/trace", []string{"Event"}, func(u *PackageUnit, call *ast.CallExpr, callee *types.Func) {
+		if callee.Signature().Recv() == nil || len(call.Args) == 0 {
+			return
+		}
+		kind := call.Args[0]
+		if tv, ok := u.TypesInfo.Types[kind]; !ok || tv.Value == nil {
+			pass.Reportf(kind.Pos(), "event kind must be a compile-time constant "+
+				"(trace.Ev*); classify verdicts with explicit branches, not computed kinds")
+		}
+	})
 }

@@ -26,24 +26,21 @@ var MapOrder = &Analyzer{
 	Run: runMapOrder,
 }
 
-func runMapOrder(pass *Pass) error {
-	if !inScope(pass.Pkg.Path()) {
-		return nil
-	}
-	for _, f := range pass.Files {
+func runMapOrder(pass *Pass) {
+	for u, f := range pass.files() {
 		ast.Inspect(f, func(n ast.Node) bool {
 			rng, ok := n.(*ast.RangeStmt)
 			if !ok {
 				return true
 			}
-			t := pass.TypesInfo.TypeOf(rng.X)
+			t := u.TypesInfo.TypeOf(rng.X)
 			if t == nil {
 				return true
 			}
 			if _, isMap := t.Underlying().(*types.Map); !isMap {
 				return true
 			}
-			if bodyIsOrderInsensitive(pass, rng.Body.List) {
+			if bodyIsOrderInsensitive(u, rng.Body.List) {
 				return true
 			}
 			pass.Reportf(rng.Pos(), "map iteration order is randomized and this loop body has "+
@@ -51,56 +48,49 @@ func runMapOrder(pass *Pass) error {
 			return true
 		})
 	}
-	return nil
 }
 
 // bodyIsOrderInsensitive reports whether every statement is one of the
 // commutative shapes (local-slice append, local integer accumulation,
 // map delete, continue, or an if around only such statements).
-func bodyIsOrderInsensitive(pass *Pass, stmts []ast.Stmt) bool {
+func bodyIsOrderInsensitive(u *PackageUnit, stmts []ast.Stmt) bool {
 	for _, st := range stmts {
-		if !stmtIsOrderInsensitive(pass, st) {
+		if !stmtIsOrderInsensitive(u, st) {
 			return false
 		}
 	}
 	return true
 }
 
-func stmtIsOrderInsensitive(pass *Pass, st ast.Stmt) bool {
+func stmtIsOrderInsensitive(u *PackageUnit, st ast.Stmt) bool {
 	switch s := st.(type) {
 	case *ast.AssignStmt:
-		return assignIsOrderInsensitive(pass, s)
+		return assignIsOrderInsensitive(u, s)
 	case *ast.IncDecStmt:
-		return isLocalInteger(pass, s.X)
+		return isLocalInteger(u, s.X)
 	case *ast.ExprStmt:
 		// delete(m, k) is commutative across iterations.
-		if call, ok := s.X.(*ast.CallExpr); ok {
-			if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
-				if b, ok := pass.TypesInfo.Uses[id].(*types.Builtin); ok && b.Name() == "delete" {
-					return true
-				}
-			}
-		}
-		return false
+		call, ok := s.X.(*ast.CallExpr)
+		return ok && isBuiltinCall(u.TypesInfo, call, "delete")
 	case *ast.BranchStmt:
 		return s.Label == nil
 	case *ast.IfStmt:
-		if s.Init != nil || !bodyIsOrderInsensitive(pass, s.Body.List) {
+		if s.Init != nil || !bodyIsOrderInsensitive(u, s.Body.List) {
 			return false
 		}
 		if s.Else == nil {
 			return true
 		}
 		if blk, ok := s.Else.(*ast.BlockStmt); ok {
-			return bodyIsOrderInsensitive(pass, blk.List)
+			return bodyIsOrderInsensitive(u, blk.List)
 		}
-		return stmtIsOrderInsensitive(pass, s.Else)
+		return stmtIsOrderInsensitive(u, s.Else)
 	default:
 		return false
 	}
 }
 
-func assignIsOrderInsensitive(pass *Pass, s *ast.AssignStmt) bool {
+func assignIsOrderInsensitive(u *PackageUnit, s *ast.AssignStmt) bool {
 	if len(s.Lhs) != 1 || len(s.Rhs) != 1 {
 		return false
 	}
@@ -109,14 +99,7 @@ func assignIsOrderInsensitive(pass *Pass, s *ast.AssignStmt) bool {
 		// x = append(x, ...) with x function-local: the collect half of
 		// collect-then-sort. Element order is unspecified until sorted.
 		call, ok := ast.Unparen(s.Rhs[0]).(*ast.CallExpr)
-		if !ok {
-			return false
-		}
-		id, ok := ast.Unparen(call.Fun).(*ast.Ident)
-		if !ok {
-			return false
-		}
-		if b, ok := pass.TypesInfo.Uses[id].(*types.Builtin); !ok || b.Name() != "append" {
+		if !ok || !isBuiltinCall(u.TypesInfo, call, "append") {
 			return false
 		}
 		lhs, ok := ast.Unparen(s.Lhs[0]).(*ast.Ident)
@@ -127,10 +110,10 @@ func assignIsOrderInsensitive(pass *Pass, s *ast.AssignStmt) bool {
 		if !ok || arg0.Name != lhs.Name {
 			return false
 		}
-		return isLocalVar(pass, lhs)
+		return isLocalVar(u, lhs)
 	case "+=", "|=", "&=", "^=":
 		// Commutative integer accumulation into a local.
-		return isLocalInteger(pass, s.Lhs[0])
+		return isLocalInteger(u, s.Lhs[0])
 	default:
 		return false
 	}
@@ -138,24 +121,24 @@ func assignIsOrderInsensitive(pass *Pass, s *ast.AssignStmt) bool {
 
 // isLocalVar reports whether e is an identifier for a function-local
 // variable (not a package global, not a field, not captured state).
-func isLocalVar(pass *Pass, e ast.Expr) bool {
+func isLocalVar(u *PackageUnit, e ast.Expr) bool {
 	id, ok := ast.Unparen(e).(*ast.Ident)
 	if !ok {
 		return false
 	}
-	v, ok := pass.TypesInfo.ObjectOf(id).(*types.Var)
+	v, ok := u.TypesInfo.ObjectOf(id).(*types.Var)
 	if !ok || v.IsField() {
 		return false
 	}
-	return v.Parent() != nil && v.Parent() != pass.Pkg.Scope() && v.Parent() != types.Universe
+	return v.Parent() != nil && v.Parent() != u.Pkg.Scope() && v.Parent() != types.Universe
 }
 
 // isLocalInteger reports whether e is a function-local variable of
 // integer kind (float accumulation is order-sensitive through rounding).
-func isLocalInteger(pass *Pass, e ast.Expr) bool {
-	if !isLocalVar(pass, e) {
+func isLocalInteger(u *PackageUnit, e ast.Expr) bool {
+	if !isLocalVar(u, e) {
 		return false
 	}
-	t, ok := pass.TypesInfo.TypeOf(e).Underlying().(*types.Basic)
+	t, ok := u.TypesInfo.TypeOf(e).Underlying().(*types.Basic)
 	return ok && t.Info()&types.IsInteger != 0
 }

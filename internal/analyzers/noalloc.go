@@ -48,7 +48,6 @@ package analyzers
 // CI does. Callees in unmatched packages are skipped silently.
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
@@ -61,7 +60,7 @@ var NoAlloc = &Analyzer{
 	Doc: "functions annotated //mmt:hotpath (and all module functions they " +
 		"statically call) must contain no allocation sites on any path that " +
 		"can reach a success exit; proves the 0-allocs/op benchmarks statically",
-	RunModule: runNoAlloc,
+	Run: runNoAlloc,
 }
 
 // noallocStdlibOK lists stdlib packages whose exported functions do not
@@ -82,11 +81,8 @@ var noallocIfaceOK = map[string]bool{
 }
 
 type noallocChecker struct {
-	pass *ModulePass
+	pass *Pass
 	idx  *funcIndex
-	// reported dedupes (pos, message) across traversals from different
-	// hot roots.
-	reported map[string]bool
 	// visited functions, so shared callees are scanned once.
 	visited map[funcKey]bool
 	// reservedNow is the reserved-capacity locals of the function being
@@ -94,12 +90,11 @@ type noallocChecker struct {
 	reservedNow map[types.Object]bool
 }
 
-func runNoAlloc(pass *ModulePass) error {
+func runNoAlloc(pass *Pass) {
 	c := &noallocChecker{
-		pass:     pass,
-		idx:      buildFuncIndex(pass.Fset, pass.Units),
-		reported: map[string]bool{},
-		visited:  map[funcKey]bool{},
+		pass:    pass,
+		idx:     buildFuncIndex(pass.Fset, pass.Units),
+		visited: map[funcKey]bool{},
 	}
 	// Deterministic worklist: roots in index (position) order.
 	for _, key := range c.idx.order {
@@ -109,7 +104,6 @@ func runNoAlloc(pass *ModulePass) error {
 		}
 		c.check(key, f)
 	}
-	return nil
 }
 
 // isHotPath reports whether decl's doc comment carries //mmt:hotpath.
@@ -137,16 +131,6 @@ func hasDocDirective(decl *ast.FuncDecl, directive string) bool {
 	return false
 }
 
-func (c *noallocChecker) reportf(pos token.Pos, format string, args ...any) {
-	msg := fmt.Sprintf(format, args...)
-	key := fmt.Sprintf("%d\x00%s", pos, msg)
-	if c.reported[key] {
-		return
-	}
-	c.reported[key] = true
-	c.pass.Report(Diagnostic{Pos: pos, Message: msg})
-}
-
 // check scans one function's hot blocks and recurses into module callees.
 func (c *noallocChecker) check(key funcKey, f *indexedFunc) {
 	if c.visited[key] {
@@ -154,7 +138,7 @@ func (c *noallocChecker) check(key funcKey, f *indexedFunc) {
 	}
 	c.visited[key] = true
 	info := f.unit.TypesInfo
-	cfg := buildCFG(f.decl.Body, func(call *ast.CallExpr) bool { return isPanicCall(info, call) })
+	cfg := buildCFG(f.decl.Body, info)
 	hot := cfg.hotBlocks(isErrorReturnFunc(f.unit, f.decl))
 
 	// Collect call positions first: a method selector in call position is
@@ -268,12 +252,12 @@ func (c *noallocChecker) scanNode(key funcKey, f *indexedFunc, node ast.Node, ca
 		switch n := n.(type) {
 		case *ast.FuncLit:
 			if capturesOuter(unit, n) {
-				c.reportf(n.Pos(), "hot path %s: closure captures outer variables and allocates", where)
+				c.pass.Reportf(n.Pos(), "hot path %s: closure captures outer variables and allocates", where)
 			}
 			return false
 
 		case *ast.GoStmt:
-			c.reportf(n.Pos(), "hot path %s: go statement allocates a goroutine", where)
+			c.pass.Reportf(n.Pos(), "hot path %s: go statement allocates a goroutine", where)
 			return false
 
 		case *ast.CompositeLit:
@@ -283,16 +267,16 @@ func (c *noallocChecker) scanNode(key funcKey, f *indexedFunc, node ast.Node, ca
 			}
 			switch types.Unalias(t).Underlying().(type) {
 			case *types.Slice:
-				c.reportf(n.Pos(), "hot path %s: slice literal allocates", where)
+				c.pass.Reportf(n.Pos(), "hot path %s: slice literal allocates", where)
 			case *types.Map:
-				c.reportf(n.Pos(), "hot path %s: map literal allocates", where)
+				c.pass.Reportf(n.Pos(), "hot path %s: map literal allocates", where)
 			}
 			return true
 
 		case *ast.UnaryExpr:
 			if n.Op == token.AND {
 				if _, ok := ast.Unparen(n.X).(*ast.CompositeLit); ok {
-					c.reportf(n.Pos(), "hot path %s: &composite literal allocates", where)
+					c.pass.Reportf(n.Pos(), "hot path %s: &composite literal allocates", where)
 				}
 			}
 			return true
@@ -302,7 +286,7 @@ func (c *noallocChecker) scanNode(key funcKey, f *indexedFunc, node ast.Node, ca
 				if t := info.Types[n].Type; t != nil {
 					if b, ok := types.Unalias(t).Underlying().(*types.Basic); ok && b.Info()&types.IsString != 0 {
 						if cv := info.Types[n]; cv.Value == nil { // constant folding is free
-							c.reportf(n.Pos(), "hot path %s: string concatenation allocates", where)
+							c.pass.Reportf(n.Pos(), "hot path %s: string concatenation allocates", where)
 						}
 					}
 				}
@@ -322,7 +306,7 @@ func (c *noallocChecker) scanNode(key funcKey, f *indexedFunc, node ast.Node, ca
 				return true
 			}
 			if sel := info.Selections[n]; sel != nil && sel.Kind() == types.MethodVal {
-				c.reportf(n.Pos(), "hot path %s: method value allocates a bound-method closure", where)
+				c.pass.Reportf(n.Pos(), "hot path %s: method value allocates a bound-method closure", where)
 			}
 			return true
 
@@ -341,7 +325,7 @@ func (c *noallocChecker) checkAssign(where string, unit *PackageUnit, as *ast.As
 		if ix, ok := ast.Unparen(lhs).(*ast.IndexExpr); ok {
 			if t := info.Types[ix.X].Type; t != nil {
 				if _, ok := types.Unalias(t).Underlying().(*types.Map); ok {
-					c.reportf(lhs.Pos(), "hot path %s: map assignment may rehash and allocate", where)
+					c.pass.Reportf(lhs.Pos(), "hot path %s: map assignment may rehash and allocate", where)
 				}
 			}
 		}
@@ -403,7 +387,7 @@ func (c *noallocChecker) checkBoxing(where string, unit *PackageUnit, e ast.Expr
 	case *types.Pointer, *types.Chan, *types.Map, *types.Signature:
 		return // pointer-shaped: stored directly in the iface word
 	}
-	c.reportf(e.Pos(), "hot path %s: storing %s in an interface allocates", where, tv.Type)
+	c.pass.Reportf(e.Pos(), "hot path %s: storing %s in an interface allocates", where, tv.Type)
 }
 
 func (c *noallocChecker) checkCall(key funcKey, f *indexedFunc, call *ast.CallExpr) {
@@ -414,7 +398,7 @@ func (c *noallocChecker) checkCall(key funcKey, f *indexedFunc, call *ast.CallEx
 	// Conversions.
 	if tv, ok := info.Types[ast.Unparen(call.Fun)]; ok && tv.IsType() && len(call.Args) == 1 {
 		if conversionAllocates(info, call) {
-			c.reportf(call.Pos(), "hot path %s: conversion %s allocates", where, canonExpr(c.pass.Fset, call.Fun))
+			c.pass.Reportf(call.Pos(), "hot path %s: conversion %s allocates", where, canonExpr(c.pass.Fset, call.Fun))
 		}
 		return
 	}
@@ -424,12 +408,12 @@ func (c *noallocChecker) checkCall(key funcKey, f *indexedFunc, call *ast.CallEx
 		if b, ok := info.Uses[id].(*types.Builtin); ok {
 			switch b.Name() {
 			case "make":
-				c.reportf(call.Pos(), "hot path %s: make allocates", where)
+				c.pass.Reportf(call.Pos(), "hot path %s: make allocates", where)
 			case "new":
-				c.reportf(call.Pos(), "hot path %s: new allocates", where)
+				c.pass.Reportf(call.Pos(), "hot path %s: new allocates", where)
 			case "append":
 				if len(call.Args) > 0 && !c.appendReserved(unit, call) {
-					c.reportf(call.Pos(), "hot path %s: append may grow and allocate", where)
+					c.pass.Reportf(call.Pos(), "hot path %s: append may grow and allocate", where)
 				}
 			}
 			return
@@ -443,7 +427,7 @@ func (c *noallocChecker) checkCall(key funcKey, f *indexedFunc, call *ast.CallEx
 		if c.pass.Suppressed(call.Pos()) {
 			return
 		}
-		c.reportf(call.Pos(), "hot path %s: call through function value cannot be statically verified", where)
+		c.pass.Reportf(call.Pos(), "hot path %s: call through function value cannot be statically verified", where)
 		return
 	}
 	pkg := fn.Pkg()
@@ -459,7 +443,7 @@ func (c *noallocChecker) checkCall(key funcKey, f *indexedFunc, call *ast.CallEx
 			if c.pass.Suppressed(call.Pos()) {
 				return
 			}
-			c.reportf(call.Pos(), "hot path %s: dynamic call to %s.%s cannot be statically verified", where, pkg.Path(), fn.Name())
+			c.pass.Reportf(call.Pos(), "hot path %s: dynamic call to %s.%s cannot be statically verified", where, pkg.Path(), fn.Name())
 			return
 		}
 	}
@@ -485,7 +469,7 @@ func (c *noallocChecker) checkCall(key funcKey, f *indexedFunc, call *ast.CallEx
 	if c.pass.Suppressed(call.Pos()) {
 		return
 	}
-	c.reportf(call.Pos(), "hot path %s: call to %s.%s may allocate", where, pkg.Path(), fn.Name())
+	c.pass.Reportf(call.Pos(), "hot path %s: call to %s.%s may allocate", where, pkg.Path(), fn.Name())
 }
 
 // appendReserved reports whether an append targets reserved capacity:

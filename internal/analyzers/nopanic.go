@@ -1,9 +1,6 @@
 package analyzers
 
-import (
-	"go/ast"
-	"go/types"
-)
+import "go/ast"
 
 // NoPanic forbids panic in library packages under internal/. A panicking
 // constructor or verifier takes down the whole simulated cluster instead
@@ -24,25 +21,13 @@ var NoPanic = &Analyzer{
 	Run: runNoPanic,
 }
 
-func runNoPanic(pass *Pass) error {
-	if !inScope(pass.Pkg.Path()) {
-		return nil
-	}
-	for _, f := range pass.Files {
+func runNoPanic(pass *Pass) {
+	for u, f := range pass.files() {
 		ast.Inspect(f, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			id, ok := ast.Unparen(call.Fun).(*ast.Ident)
-			if !ok {
-				return true
-			}
-			if b, ok := pass.TypesInfo.Uses[id].(*types.Builtin); ok && b.Name() == "panic" {
-				pass.Reportf(call.Pos(), "panic in library package %s; return an error instead", pass.Pkg.Path())
+			if call, ok := n.(*ast.CallExpr); ok && isBuiltinCall(u.TypesInfo, call, "panic") {
+				pass.Reportf(call.Pos(), "panic in library package %s; return an error instead", u.Pkg.Path())
 			}
 			return true
 		})
 	}
-	return nil
 }

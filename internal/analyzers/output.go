@@ -1,15 +1,13 @@
 package analyzers
 
-// Machine-readable findings output: a compact JSON schema for CI
-// artifacts and a SARIF-lite 2.1.0 document for code-scanning UIs.
-// Both writers are deterministic byte-for-byte for a given finding list
-// and module root (golden-tested): findings arrive sorted from the
-// driver, keys are emitted in fixed order, and paths are normalized to
-// forward-slash module-relative form.
+// Machine-readable findings output: the compact mmt-vet/v1 JSON document
+// CI uploads as an artifact. The writer is deterministic byte-for-byte
+// for a given finding list and module root (golden-tested): findings
+// arrive sorted from the driver, keys are emitted in fixed order, and
+// paths are normalized to forward-slash module-relative form.
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"path/filepath"
 	"strings"
@@ -65,103 +63,4 @@ func WriteJSON(w io.Writer, findings []Finding, root string) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(rep)
-}
-
-// SARIF-lite: the subset of SARIF 2.1.0 that code-scanning consumers
-// need — tool metadata with one reportingDescriptor per analyzer, and
-// one result per finding with a physical location.
-
-type sarifLog struct {
-	Schema  string     `json:"$schema"`
-	Version string     `json:"version"`
-	Runs    []sarifRun `json:"runs"`
-}
-
-type sarifRun struct {
-	Tool    sarifTool     `json:"tool"`
-	Results []sarifResult `json:"results"`
-}
-
-type sarifTool struct {
-	Driver sarifDriver `json:"driver"`
-}
-
-type sarifDriver struct {
-	Name           string      `json:"name"`
-	InformationURI string      `json:"informationUri"`
-	Rules          []sarifRule `json:"rules"`
-}
-
-type sarifRule struct {
-	ID   string `json:"id"`
-	Name string `json:"name"`
-	Desc struct {
-		Text string `json:"text"`
-	} `json:"shortDescription"`
-}
-
-type sarifResult struct {
-	RuleID    string          `json:"ruleId"`
-	Level     string          `json:"level"`
-	Message   sarifText       `json:"message"`
-	Locations []sarifLocation `json:"locations"`
-}
-
-type sarifText struct {
-	Text string `json:"text"`
-}
-
-type sarifLocation struct {
-	PhysicalLocation sarifPhysical `json:"physicalLocation"`
-}
-
-type sarifPhysical struct {
-	ArtifactLocation sarifArtifact `json:"artifactLocation"`
-	Region           sarifRegion   `json:"region"`
-}
-
-type sarifArtifact struct {
-	URI string `json:"uri"`
-}
-
-type sarifRegion struct {
-	StartLine   int `json:"startLine"`
-	StartColumn int `json:"startColumn"`
-}
-
-// WriteSARIF writes the findings as a SARIF-lite 2.1.0 document, with
-// the same determinism guarantees as WriteJSON.
-func WriteSARIF(w io.Writer, findings []Finding, root string) error {
-	drv := sarifDriver{Name: "mmt-vet", InformationURI: "https://example.invalid/mmt-vet"}
-	for _, a := range All() {
-		r := sarifRule{ID: a.ID, Name: a.Name}
-		r.Desc.Text = a.Doc
-		drv.Rules = append(drv.Rules, r)
-	}
-	audit := sarifRule{ID: UnusedAllowID, Name: "unusedallow"}
-	audit.Desc.Text = "an //mmt:allow comment suppressed nothing during a full run"
-	drv.Rules = append(drv.Rules, audit)
-
-	results := make([]sarifResult, 0, len(findings))
-	for _, f := range findings {
-		results = append(results, sarifResult{
-			RuleID:  f.ID(),
-			Level:   "error",
-			Message: sarifText{Text: fmt.Sprintf("[%s] %s", f.Analyzer, f.Message)},
-			Locations: []sarifLocation{{
-				PhysicalLocation: sarifPhysical{
-					ArtifactLocation: sarifArtifact{URI: relPath(root, f.Pos.Filename)},
-					Region:           sarifRegion{StartLine: f.Pos.Line, StartColumn: f.Pos.Column},
-				},
-			}},
-		})
-	}
-	log := sarifLog{
-		Schema:  "https://json.schemastore.org/sarif-2.1.0.json",
-		Version: "2.1.0",
-		Runs:    []sarifRun{{Tool: sarifTool{Driver: drv}, Results: results}},
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(log)
 }

@@ -43,39 +43,17 @@ var PhaseCharge = &Analyzer{
 	Doc: "every sim.Clock.AdvanceCycles charge must be mirrored into exactly " +
 		"one trace phase (Probe.AddCycles of the same cost expression) on all " +
 		"CFG paths reaching it",
-	Run: runPhaseCharge,
-}
-
-func runPhaseCharge(pass *Pass) error {
-	if !inScope(pass.Pkg.Path()) {
-		return nil
-	}
-	unit := &PackageUnit{Files: pass.Files, Pkg: pass.Pkg, TypesInfo: pass.TypesInfo}
-	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			var body *ast.BlockStmt
-			switch n := n.(type) {
-			case *ast.FuncDecl:
-				body = n.Body
-			case *ast.FuncLit:
-				body = n.Body
-			}
-			if body == nil {
-				return true
-			}
-			checkChargeBody(pass, unit, body)
-			return true // literals nested inside are visited independently
-		})
-	}
-	return nil
+	Run: func(pass *Pass) {
+		pass.forEachBody(func(u *PackageUnit, body *ast.BlockStmt) { checkChargeBody(pass, u, body) })
+	},
 }
 
 func checkChargeBody(pass *Pass, unit *PackageUnit, body *ast.BlockStmt) {
-	cfg := buildCFG(body, func(call *ast.CallExpr) bool { return isPanicCall(unit.TypesInfo, call) })
+	cfg := buildCFG(body, unit.TypesInfo)
 	transfer := func(blk *cfgBlock, in factSet) factSet {
 		return chargeTransfer(pass, unit, blk, in, false)
 	}
-	ins := solveForward(cfg, true, factSet{}, transfer)
+	ins := solveForward(cfg, transfer)
 	for _, blk := range cfg.blocks {
 		in, ok := ins[blk]
 		if !ok {
@@ -304,6 +282,6 @@ func isMethodCall(unit *PackageUnit, call *ast.CallExpr, pkgPath, typeName, name
 	if fn == nil || fn.Name() != name || fn.Pkg() == nil || fn.Pkg().Path() != pkgPath {
 		return false
 	}
-	tn := namedRecv(recvTypeOf(fn))
-	return tn != nil && tn.Name() == typeName
+	recv := fn.Signature().Recv()
+	return recv != nil && isNamed(recv.Type(), pkgPath, typeName)
 }

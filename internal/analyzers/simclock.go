@@ -1,9 +1,8 @@
 package analyzers
 
 import (
-	"go/ast"
 	"go/types"
-	"sort"
+	"strconv"
 )
 
 // SimClock forbids wall-clock time and unseeded global randomness in
@@ -42,60 +41,43 @@ var allowedRandFuncs = map[string]bool{
 	"NewZipf":   true,
 }
 
-func runSimClock(pass *Pass) error {
-	path := pass.Pkg.Path()
-	if !inScope(path) || path == "mmt/internal/sim" {
-		// internal/sim is the sanctioned clock abstraction; it may wrap
-		// package time (e.g. time.Duration formatting) as it sees fit.
-		return nil
-	}
-	// Walk every use of an imported function object. Iterating
-	// TypesInfo.Uses (a map) is fine here: the driver sorts diagnostics
-	// by position before anything order-sensitive happens.
-	var diags []Diagnostic
-	for id, obj := range pass.TypesInfo.Uses {
-		fn, ok := obj.(*types.Func)
-		if !ok || fn.Pkg() == nil {
+func runSimClock(pass *Pass) {
+	for _, u := range pass.Units {
+		path := u.Pkg.Path()
+		if !inScope(path) || path == "mmt/internal/sim" {
+			// internal/sim is the sanctioned clock abstraction; it may wrap
+			// package time (e.g. time.Duration formatting) as it sees fit.
 			continue
 		}
-		switch fn.Pkg().Path() {
-		case "time":
-			if bannedTimeFuncs[fn.Name()] {
-				diags = append(diags, Diagnostic{Pos: id.Pos(), Message: "time." + fn.Name() +
-					" reads the wall clock; simulation code must derive timing from internal/sim"})
+		// Walk every use of an imported function object. Iterating
+		// TypesInfo.Uses (a map) is fine here: the driver sorts findings
+		// by position.
+		for id, obj := range u.TypesInfo.Uses {
+			fn, ok := obj.(*types.Func)
+			if !ok || fn.Pkg() == nil {
+				continue
 			}
-		case "math/rand", "math/rand/v2":
-			if fn.Signature().Recv() == nil && !allowedRandFuncs[fn.Name()] {
-				diags = append(diags, Diagnostic{Pos: id.Pos(), Message: "rand." + fn.Name() +
-					" uses the process-global random source; use a seeded rand.New(rand.NewSource(seed))"})
+			switch fn.Pkg().Path() {
+			case "time":
+				if bannedTimeFuncs[fn.Name()] {
+					pass.Reportf(id.Pos(), "time.%s reads the wall clock; simulation code must derive timing from internal/sim", fn.Name())
+				}
+			case "math/rand", "math/rand/v2":
+				if fn.Signature().Recv() == nil && !allowedRandFuncs[fn.Name()] {
+					pass.Reportf(id.Pos(), "rand.%s uses the process-global random source; use a seeded rand.New(rand.NewSource(seed))", fn.Name())
+				}
 			}
 		}
-	}
-	sort.Slice(diags, func(i, j int) bool { return diags[i].Pos < diags[j].Pos })
-	for _, d := range diags {
-		pass.Report(d)
-	}
-	// Separately flag dot-imports of time/math/rand, which would let the
-	// banned names appear unqualified.
-	for _, f := range pass.Files {
-		for _, imp := range f.Imports {
-			if imp.Name != nil && imp.Name.Name == "." {
-				if p := importPath(imp); p == "time" || p == "math/rand" || p == "math/rand/v2" {
-					pass.Reportf(imp.Pos(), "dot-import of %q hides wall-clock and global-rand calls", p)
+		// Separately flag dot-imports of time/math/rand, which would let the
+		// banned names appear unqualified.
+		for _, f := range u.Files {
+			for _, imp := range f.Imports {
+				if imp.Name != nil && imp.Name.Name == "." {
+					if p, _ := strconv.Unquote(imp.Path.Value); p == "time" || p == "math/rand" || p == "math/rand/v2" {
+						pass.Reportf(imp.Pos(), "dot-import of %q hides wall-clock and global-rand calls", p)
+					}
 				}
 			}
 		}
 	}
-	return nil
-}
-
-func importPath(spec *ast.ImportSpec) string {
-	if spec.Path == nil {
-		return ""
-	}
-	s := spec.Path.Value
-	if len(s) >= 2 && s[0] == '"' {
-		s = s[1 : len(s)-1]
-	}
-	return s
 }

@@ -1,62 +1,50 @@
 package analyzers_test
 
 import (
+	"bytes"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"mmt/internal/analyzers"
 	"mmt/internal/analyzers/analysistest"
 )
 
-// Each analyzer runs over its fixture package in testdata/src/<name>;
-// // want comments mark the expected diagnostics, *_test.go fixture files
-// must stay silent, and //mmt:allow comments exercise suppression.
+// Each rule runs over its fixture package testdata/src/<name>: // want
+// comments mark the expected diagnostics, *_test.go fixture files must
+// stay silent, and //mmt:allow comments exercise suppression. One named
+// function per rule — the repository's test floor pins these names —
+// and TestEveryRuleHasFixture is the table that keeps the list honest.
 
-func TestSimClock(t *testing.T) {
-	analysistest.Run(t, analyzers.SimClock, "simclock")
-}
+func TestSimClock(t *testing.T)      { analysistest.Run(t, analyzers.SimClock, "simclock") }
+func TestCryptoCompare(t *testing.T) { analysistest.Run(t, analyzers.CryptoCompare, "cryptocompare") }
+func TestCheckVerify(t *testing.T)   { analysistest.Run(t, analyzers.CheckVerify, "checkverify") }
+func TestNoPanic(t *testing.T)       { analysistest.Run(t, analyzers.NoPanic, "nopanic") }
+func TestMapOrder(t *testing.T)      { analysistest.Run(t, analyzers.MapOrder, "maporder") }
+func TestParClock(t *testing.T)      { analysistest.Run(t, analyzers.ParClock, "parclock") }
+func TestEventKind(t *testing.T)     { analysistest.Run(t, analyzers.EventKind, "eventkind") }
+func TestNoAlloc(t *testing.T)       { analysistest.Run(t, analyzers.NoAlloc, "noalloc") }
+func TestPhaseCharge(t *testing.T)   { analysistest.Run(t, analyzers.PhaseCharge, "phasecharge") }
+func TestTraceCtx(t *testing.T)      { analysistest.Run(t, analyzers.TraceCtx, "tracectx") }
 
-func TestCryptoCompare(t *testing.T) {
-	analysistest.Run(t, analyzers.CryptoCompare, "cryptocompare")
-}
-
-func TestCheckVerify(t *testing.T) {
-	analysistest.Run(t, analyzers.CheckVerify, "checkverify")
-}
-
-func TestNoPanic(t *testing.T) {
-	analysistest.Run(t, analyzers.NoPanic, "nopanic")
-}
-
-func TestMapOrder(t *testing.T) {
-	analysistest.Run(t, analyzers.MapOrder, "maporder")
-}
-
-func TestParClock(t *testing.T) {
-	analysistest.Run(t, analyzers.ParClock, "parclock")
-}
-
-func TestEventKind(t *testing.T) {
-	analysistest.Run(t, analyzers.EventKind, "eventkind")
-}
-
-func TestNoAlloc(t *testing.T) {
-	analysistest.Run(t, analyzers.NoAlloc, "noalloc")
-}
-
-func TestLockOrder(t *testing.T) {
-	analysistest.Run(t, analyzers.LockOrder, "lockorder")
-}
-
-func TestPhaseCharge(t *testing.T) {
-	analysistest.Run(t, analyzers.PhaseCharge, "phasecharge")
-}
-
-func TestTraceCtx(t *testing.T) {
-	analysistest.Run(t, analyzers.TraceCtx, "tracectx")
-}
-
-func TestSamplerWindow(t *testing.T) {
-	analysistest.Run(t, analyzers.SamplerWindow, "samplerwindow")
+// TestEveryRuleHasFixture is the table over the suite: a rule in
+// analyzers.All() without a testdata/src/<name> fixture, or with one that
+// expects no diagnostic, has never been seen to fire.
+func TestEveryRuleHasFixture(t *testing.T) {
+	for _, a := range analyzers.All() {
+		files, _ := filepath.Glob(filepath.Join("testdata", "src", a.Name, "*.go"))
+		wants := false
+		for _, f := range files {
+			src, err := os.ReadFile(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wants = wants || bytes.Contains(src, []byte(`// want "`))
+		}
+		if !wants {
+			t.Errorf("rule %s (%s): no fixture in testdata/src/%s with a // want comment", a.Name, a.ID, a.Name)
+		}
+	}
 }
 
 // TestDriverOnRealPackage smoke-tests the go-list driver end to end: the

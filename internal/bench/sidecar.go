@@ -422,7 +422,8 @@ func sidecarFig10() (*Sidecar, error) {
 
 // fig11SeriesWindow is the fixed sampling window of the fig11 sidecar
 // run. A constant — never tuned per run — so the committed baseline's
-// series section stays byte-stable, and a power of two (mmt-vet MMT012).
+// series section stays byte-stable, and a power of two (EnableSeries
+// refuses any other).
 const fig11SeriesWindow = 1 << 14
 
 // sidecarFig11 traces the SPEC-like overhead sweep. Each (benchmark,

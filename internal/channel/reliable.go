@@ -27,9 +27,6 @@ func NewReliable(d *Delegation) *Reliable { return &Reliable{d: d, MaxRetries: 3
 // retransmissions.
 var ErrGiveUp = errors.New("channel: delegation failed after retries")
 
-// Unwrap returns the underlying delegation channel.
-func (r *Reliable) Unwrap() *Delegation { return r.d }
-
 // SendReliably sends payload and confirms delivery. pump runs the
 // receiving side (its Recv loop) between attempts — the synchronous
 // simulation's stand-in for concurrent execution. SendReliably returns

@@ -328,14 +328,8 @@ func (c *Controller) Trace() *trace.Probe { return c.probe }
 // layer brackets each closure accept with SetCausal/clear.
 func (c *Controller) SetCausal(ctx trace.Context) { c.causal = ctx }
 
-// Causal reports the installed causal context (tests).
-func (c *Controller) Causal() trace.Context { return c.causal }
-
 // Mode reports region r's access mode.
 func (c *Controller) Mode(r int) Mode { return c.region(r).mode }
-
-// GUAddr reports the global-unique address of region r's MMT.
-func (c *Controller) GUAddr(r int) uint64 { return c.region(r).guaddr }
 
 // RootCounter reports region r's trusted root counter.
 func (c *Controller) RootCounter(r int) uint64 { return c.region(r).tr.RootCounter() }

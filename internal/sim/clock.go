@@ -132,9 +132,10 @@ func (c *Clock) SetNow(t Time) {
 
 // SetWindowHook installs a sampling hook that fires whenever the clock
 // crosses into a new window of windowCycles simulated cycles. The window
-// size must be a power of two (mmt-vet MMT012 enforces this for
-// constants); other values are rounded up to the next power of two so
-// the window index stays a cheap shift. A nil hook uninstalls sampling.
+// size must be a power of two (callers pass a sink's SeriesWindow, and
+// trace.Sink.EnableSeries refuses any other); other values are rounded
+// up to the next power of two so the window index stays a cheap shift.
+// A nil hook uninstalls sampling.
 func (c *Clock) SetWindowHook(windowCycles uint64, hook func(window uint64)) {
 	if hook == nil {
 		c.winHook = nil

@@ -46,8 +46,7 @@ const DefaultFlightCap = 16
 type SeriesConfig struct {
 	// WindowCycles is the sampling window in simulated cycles. It must
 	// be a power of two — the window index is a shift of the cycle
-	// count — and mmt-vet rule MMT012 enforces this statically for
-	// constant expressions.
+	// count — and EnableSeries refuses any other.
 	WindowCycles uint64
 	// MaxSamples bounds the per-process sample ring; older samples fold
 	// into the evicted aggregate. 0 means DefaultSeriesCap.

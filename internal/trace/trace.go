@@ -313,10 +313,10 @@ func (s *Sink) Merge(src *Sink) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	// s and src are distinct instances by contract: src is a worker's
-	// private sink being folded into the shared one, and merges run
+	// Two mutexes of one type held at once — the only place in the module:
+	// s and src are distinct instances by contract (src is a worker's
+	// private sink being folded into the shared one), and merges run
 	// serially on the coordinating goroutine (see internal/par).
-	//mmt:allow lockorder: distinct Sink instances, serial merge protocol
 	src.mu.Lock()
 	defer src.mu.Unlock()
 	// Causal trace IDs are per-process sequences, so folding a worker's

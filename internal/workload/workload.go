@@ -78,9 +78,6 @@ func NewTrace(cfg TraceConfig, seed int64) *Trace {
 	return &Trace{cfg: cfg, rng: rand.New(rand.NewSource(seed)), hot: hot}
 }
 
-// Config reports the trace's parameters.
-func (t *Trace) Config() TraceConfig { return t.cfg }
-
 // Next returns the next access: a line index within the footprint and
 // whether it is a store.
 func (t *Trace) Next() (line int, write bool) {
