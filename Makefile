@@ -63,7 +63,7 @@ loc:
 # the last PR that changed it; a tree that has grown past it fails, and the
 # PR that means to grow the module raises the number in its own diff, where
 # a reviewer sees it. A PR that shrinks the module lowers it.
-LOC_MAX := 25025
+LOC_MAX := 25312
 loc-gate:
 	@n=$$($(MAKE) -s loc | awk '$$2 == "total" { print $$1 }'); \
 	if [ "$$n" -gt $(LOC_MAX) ]; then \
@@ -74,13 +74,13 @@ loc-gate:
 # bench: measured run of the hot-path kernels (crypt scratch kernels,
 # the tree's warm and cold path check, deferred update and flush, engine
 # read/write path, cache) plus the public API. The scratch-path benchmarks
-# must report 0 allocs/op. The two halves of a migration whose cost depends
-# on the processor count — the sender's frame encode (allocator and GC) and
-# the receiver's Install (both sweeps are cut per processor) — run again
-# at 1, 2 and 4.
+# must report 0 allocs/op. What runs faster with more processors — the
+# two halves of a migration (the sender's frame encode, allocator and GC;
+# the receiver's Install, both sweeps cut per processor) and the 2 MB range
+# read and write, whose line crypto is pipelined — runs again at 1, 2 and 4.
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ ./internal/crypt ./internal/tree ./internal/engine .
-	$(GO) test -bench='EncodeClosureFrame2M|Install2M' -benchmem -cpu 1,2,4 -run=^$$ ./internal/monitor ./internal/engine
+	$(GO) test -bench='EncodeClosureFrame2M|Install2M|ReadRange2M|WriteRange2M' -benchmem -cpu 1,2,4 -run=^$$ ./internal/monitor ./internal/engine
 
 # bench-smoke: one iteration of every benchmark in the module — cheap CI
 # proof that no benchmark has bit-rotted.

@@ -289,9 +289,12 @@ func (m *MMT) WriteBytes(startLine int, p []byte) error {
 	if err := m.WriteAt(off, p[:whole]); err != nil {
 		return err
 	}
+	// The padded line goes through the one-line entry point, as the partial
+	// lines of ReadAt and WriteAt do: the range kernels may hand their span
+	// to other goroutines, and a stack line passed to them would escape.
 	var last [engine.LineSize]byte
 	copy(last[:], p[whole:])
-	return m.WriteAt(off+whole, last[:])
+	return m.Write(startLine+whole/engine.LineSize, last[:])
 }
 
 // ReadBytes reads n bytes starting at a line boundary.

@@ -3,10 +3,15 @@ package core
 import (
 	"bytes"
 	"errors"
+	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"mmt/internal/engine"
+	"mmt/internal/mem"
+	"mmt/internal/sim"
+	"mmt/internal/tree"
 )
 
 // lineLoopRead and lineLoopWrite are the span splitting every caller of
@@ -193,5 +198,72 @@ func TestSpanSplitterStates(t *testing.T) {
 	}
 	if ctls[0].Stats() != ctls[1].Stats() || ctls[0].Clock().Now() != ctls[1].Clock().Now() {
 		t.Fatalf("sender stats %+v, line loop %+v", ctls[0].Stats(), ctls[1].Stats())
+	}
+}
+
+// TestSpanAllocsAcrossProcessors: at 2 and 4 processors, where the range
+// kernels may cut a span across goroutines, the core entry points keep
+// their stage lines on the stack. A single line (whole, and partial
+// through the stage), a 64-line group and WriteBytes' padded last line
+// allocate nothing; a whole 2 MB region costs a bounded number of objects
+// per call — a goroutine per pipe chunk and per helper, about five per
+// processor — however many leaf runs it has. testing.AllocsPerRun pins one
+// processor, so this counts runtime.MemStats.Mallocs around the loop, and
+// takes the lowest of five rounds: a goroutine of the runtime's, or of the
+// race detector, can allocate inside one round, an op's own allocation
+// shows in every round.
+func TestSpanAllocsAcrossProcessors(t *testing.T) {
+	geo := tree.ForLevels(3)
+	ctl, err := engine.New(mem.New(mem.Config{Size: geo.DataSize(), RegionSize: geo.DataSize(), MetaPerRegion: geo.MetaSize()}), geo, nil, sim.Gem5Profile())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := NewNode(1, ctl).Acquire(0, connKey, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	must := func(err error) {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	mallocs := func(runs int, op func()) float64 {
+		op() // warm planes, node cache and root table
+		least := math.Inf(1)
+		for range 5 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for range runs {
+				op()
+			}
+			runtime.ReadMemStats(&after)
+			least = min(least, float64(after.Mallocs-before.Mallocs)/float64(runs))
+		}
+		return least
+	}
+	region := make([]byte, geo.DataSize())
+	line, group, tail := region[:engine.LineSize], region[:64*engine.LineSize], region[:3]
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{2, 4} {
+		runtime.GOMAXPROCS(procs)
+		if got := mallocs(20, func() {
+			must(m.ReadAt(64*engine.LineSize, line))
+			must(m.WriteAt(64*engine.LineSize, line))
+			must(m.ReadAt(100, line[:10]))
+			must(m.WriteAt(100, line[:10]))
+			must(m.ReadAt(128*engine.LineSize, group))
+			must(m.WriteAt(128*engine.LineSize, group))
+			must(m.WriteBytes(7, tail))
+		}); got != 0 {
+			t.Fatalf("GOMAXPROCS=%d: a line, a partial line, a group and a padded line allocate %.1f objects, want 0", procs, got)
+		}
+		got := mallocs(3, func() {
+			must(m.WriteAt(0, region))
+			must(m.ReadAt(0, region))
+		})
+		t.Logf("GOMAXPROCS=%d: 2 MB WriteAt+ReadAt allocates %.1f objects per call pair", procs, got)
+		if bound := float64(10*procs + 14); got > bound {
+			t.Fatalf("GOMAXPROCS=%d: 2 MB WriteAt+ReadAt allocates %.1f objects, want at most %.0f (two pipes of at most 4·procs+1 chunks and procs−1 helpers)", procs, got, bound)
+		}
 	}
 }

@@ -305,6 +305,40 @@ func (e *Engine) OpenLines(dst, ct, keys []byte, macs []uint64) (good int) {
 	return n
 }
 
+// CheckLines is the MAC half of OpenLines for a run of len(macs) lines:
+// each line of ct is checked against macs[i] as OpenLines checks it, and
+// nothing is decrypted. It returns the first line whose MAC does not match,
+// len(macs) for a clean run. XORLines is the other half; a span cut across
+// processors runs the two apart, so that no line is decrypted before the
+// caller has verified its tree path.
+//
+//mmt:hotpath
+func (e *Engine) CheckLines(ct, keys []byte, macs []uint64) (good int) {
+	n := len(macs)
+	ct, keys = ct[:n*LineSize], keys[:n*LineKeysSize]
+	for i := range n {
+		// Constant-time compare, as in OpenLines.
+		if !TagEqual(e.mulx.EvalBlock((*[LineSize]byte)(ct[i*LineSize:]))^e.lineLen^Mask(keys[i*LineKeysSize+LineSize:]), macs[i]) {
+			return i
+		}
+	}
+	return n
+}
+
+// XORLines XORs each of the len(dst)/LineSize lines of src with the
+// keystream of its LineKeysSize record in keys into dst: the decryption
+// half of OpenLines, and in place (dst == src) Release's decryption of a
+// whole region.
+//
+//mmt:hotpath
+func XORLines(dst, src, keys []byte) {
+	n := len(dst) / LineSize
+	src, keys = src[:n*LineSize], keys[:n*LineKeysSize]
+	for i := range n {
+		xorLine((*[LineSize]byte)(dst[i*LineSize:]), (*[LineSize]byte)(src[i*LineSize:]), (*[LineSize]byte)(keys[i*LineKeysSize:]))
+	}
+}
+
 // LineMACBuf is LineMAC computed through the caller's scratch buffers
 // instead of fresh slices: hash, then base and mask back to back through
 // s for a tweak nobody caches a base for. Identical output to LineMAC.

@@ -361,6 +361,67 @@ func TestOpenLinesStopsAtFirstBadLine(t *testing.T) {
 	}
 }
 
+// TestCheckXORLinesSplitOpenLines: the two halves of OpenLines a pipelined read
+// runs apart — CheckLines, the MAC check without decryption, and XORLines,
+// the decryption without a check — agree with OpenLines and with the
+// oracle's LineMAC and XORPad, for no line, one, and runs about a 64-line
+// group, clean and with one bad MAC at the first, a middle or the last
+// line. CheckLines writes nothing; XORLines decrypts in place too, as
+// Release does.
+func TestCheckXORLinesSplitOpenLines(t *testing.T) {
+	e := testEngine()
+	for _, n := range []int{0, 1, 63, 64, 65} {
+		tws := batchTweaks(max(n, 1))[:n]
+		src := make([]byte, n*LineSize)
+		for i := range src {
+			src[i] = byte(i*29 + n)
+		}
+		var keys []byte
+		if n > 0 {
+			keys = runKeys(e, tws)
+		}
+		ct, macs := make([]byte, len(src)), make([]uint64, n)
+		e.SealLines(ct, src, keys, macs)
+		ctBefore := bytes.Clone(ct)
+		if good := e.CheckLines(ct, keys, macs); good != n || !bytes.Equal(ct, ctBefore) {
+			t.Fatalf("n=%d: CheckLines = %d on a clean run (ciphertext unchanged %v)", n, good, bytes.Equal(ct, ctBefore))
+		}
+		dst := make([]byte, len(src))
+		XORLines(dst, ct, keys)
+		for i, tw := range tws {
+			want := bytes.Clone(ct[i*LineSize : (i+1)*LineSize])
+			e.XORPad(tw, want)
+			if !bytes.Equal(dst[i*LineSize:(i+1)*LineSize], want) || !bytes.Equal(want, src[i*LineSize:(i+1)*LineSize]) {
+				t.Fatalf("n=%d: XORLines line %d differs from XORPad", n, i)
+			}
+		}
+		inPlace := bytes.Clone(ct)
+		if XORLines(inPlace, inPlace, keys); !bytes.Equal(inPlace, src) {
+			t.Fatalf("n=%d: XORLines in place differs", n)
+		}
+		if n == 0 {
+			continue
+		}
+		for _, bad := range []int{0, n / 2, n - 1} {
+			macs := slices.Clone(macs)
+			macs[bad] ^= 1
+			opened := bytes.Repeat([]byte{0xEE}, len(src))
+			want := e.OpenLines(opened, ct, keys, macs)
+			if good := e.CheckLines(ct, keys, macs); good != bad || good != want {
+				t.Fatalf("n=%d, bad line %d: CheckLines = %d, OpenLines = %d", n, bad, good, want)
+			}
+			if e.LineMAC(tws[bad], ct[bad*LineSize:(bad+1)*LineSize]) == macs[bad] {
+				t.Fatalf("n=%d, bad line %d: the oracle accepts the flipped MAC", n, bad)
+			}
+			split := bytes.Repeat([]byte{0xEE}, len(src))
+			XORLines(split[:bad*LineSize], ct, keys)
+			if !bytes.Equal(split, opened) {
+				t.Fatalf("n=%d, bad line %d: check then XOR of the lines before it differs from OpenLines", n, bad)
+			}
+		}
+	}
+}
+
 // TestScratchPathsAllocFree: the scratch kernels are allocation-free
 // once the scratch is warm — the hardware data path they model does not
 // call malloc per memory access.
@@ -396,6 +457,8 @@ func TestScratchPathsAllocFree(t *testing.T) {
 		e.LineKeys(bases, ctrs, keys)
 		e.SealLines(run, run, keys, macs)
 		macSink ^= uint64(e.OpenLines(run, run, keys, macs))
+		macSink ^= uint64(e.CheckLines(run, keys, macs))
+		XORLines(run, run, keys)
 		macSink ^= Mask(blk) ^ Mask(keys[LineSize:])
 	})
 	if allocs != 0 {

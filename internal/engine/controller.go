@@ -210,6 +210,20 @@ func (st *regionState) runKeys(line, n int) []byte {
 	return st.keys[line*crypt.LineKeysSize : (line+n)*crypt.LineKeysSize]
 }
 
+// sealGroups keys lines [lo, hi) at the counters the tree holds for them
+// and encrypts and MACs them into data and the line-MAC plane, a 64-line
+// group per keyRun and crypt.SealLines call; line l's plaintext is
+// src[(l-lo)*mem.LineSize:]. src may be the lines' own bytes (Enable).
+//
+//mmt:hotpath
+func (st *regionState) sealGroups(data, src []byte, lo, hi int) {
+	for g := lo; g < hi; g = groupEnd(g, hi) {
+		n := groupEnd(g, hi) - g
+		st.keyRun(g, n)
+		st.eng.SealLines(data[g*mem.LineSize:(g+n)*mem.LineSize], src[(g-lo)*mem.LineSize:], st.runKeys(g, n), st.lineMACs[g:g+n])
+	}
+}
+
 // Controller is one node's MMT-extended memory controller.
 type Controller struct {
 	mem     *mem.Memory
@@ -368,17 +382,13 @@ func (c *Controller) Enable(r int, key crypt.Key, guaddr, rootCounter uint64) er
 	tr.RehashAll(eng, guaddr)
 	c.bindRegion(r, regionState{mode: ModeReadWrite, eng: eng, tr: tr, guaddr: guaddr, lineMACs: make([]uint64, c.lay.Lines)})
 	// The write path's kernels, a 64-line group at a time: keyed, then
-	// encrypted in place and MACed, no allocation.
+	// encrypted in place and MACed.
 	data := c.mem.RegionData(r)
-	return c.sweepLines(func(lo, hi int) error {
-		for ; lo < hi; lo += 64 {
-			n := min(64, hi-lo)
-			st.keyRun(lo, n)
-			buf := data[lo*mem.LineSize : (lo+n)*mem.LineSize]
-			eng.SealLines(buf, buf, st.runKeys(lo, n), st.lineMACs[lo:lo+n])
-		}
-		return nil
+	c.sweepLines(func(lo, hi int) int {
+		st.sealGroups(data, data[lo*mem.LineSize:], lo, hi)
+		return -1
 	})
+	return nil
 }
 
 // bindRegion makes st the live state of the disabled region r: it adds
@@ -428,19 +438,15 @@ func (c *Controller) Release(r int) error {
 		return ErrDisabled
 	}
 	data := c.mem.RegionData(r)
-	if err := c.sweepLines(func(lo, hi int) error {
-		for ; lo < hi; lo += 64 {
-			n := min(64, hi-lo)
-			st.keyRun(lo, n)
-			for line := lo; line < lo+n; line++ {
-				buf := data[line*mem.LineSize : (line+1)*mem.LineSize]
-				crypt.XORLine(buf, buf, st.runKeys(line, 1))
-			}
+	c.sweepLines(func(lo, hi int) int {
+		for g := lo; g < hi; g = groupEnd(g, hi) {
+			n := groupEnd(g, hi) - g
+			st.keyRun(g, n)
+			buf := data[g*mem.LineSize : (g+n)*mem.LineSize]
+			crypt.XORLines(buf, buf, st.runKeys(g, n))
 		}
-		return nil
-	}); err != nil {
-		return err
-	}
+		return -1
+	})
 	c.Invalidate(r)
 	return nil
 }
@@ -614,55 +620,135 @@ const (
 	chainMissExposure              = 0.80 // serial extension of the chain
 )
 
+// access returns region r's state for an access to the n bytes starting at
+// line, refusing — before anything is counted — a disabled region, a write
+// to a read-only one, and a span that is not whole lines inside the region.
+//
+//mmt:hotpath
+func (c *Controller) access(r, line, n int, write bool) (*regionState, error) {
+	st := c.region(r)
+	switch {
+	case st.mode == ModeDisabled:
+		return nil, ErrDisabled
+	case write && st.mode == ModeReadOnly:
+		return nil, ErrReadOnly
+	}
+	if err := c.checkSpan(line, n); err != nil {
+		return nil, err
+	}
+	return st, nil
+}
+
 // ReadInto verifies and decrypts the given line of secure region r into
-// dst (mem.LineSize bytes): ReadRange over one line.
+// dst (mem.LineSize bytes): ReadRange over one line, never pipelined.
 //
 //mmt:hotpath
 func (c *Controller) ReadInto(r, line int, dst []byte) error {
-	return c.ReadRange(r, line, dst[:mem.LineSize])
+	dst = dst[:mem.LineSize]
+	st, err := c.access(r, line, len(dst), false)
+	if err != nil {
+		return err
+	}
+	_, err = c.readRuns(st, r, line, line+1, dst, line+1)
+	return err
 }
 
 // ReadRange verifies and decrypts len(dst)/mem.LineSize consecutive lines
 // of secure region r, starting at line, into dst. A span that is not whole
-// lines inside the region is refused before anything is counted. The unit
-// of work is the leaf run — the lines of the span that share one leaf node,
-// hence one whole path; a single line is a run of one. Per run the tree
-// path is verified once, at the run's first line: nothing but this
-// controller writes the tree arena inside one call and a read moves no
-// counter, so the verification a line-by-line loop would repeat for each
-// further line is the same computation on the same words. The run's keys
-// are then checked in one pass (keyRun) and its lines MAC-checked and
-// decrypted in one kernel call (crypt.OpenLines), which stops at the first
-// bad MAC. The crypto touches nothing an observer sees, so the order
-// between it and the accounting is free: every line up to and including
-// the bad one, as a line-by-line loop would have reached it, is counted,
-// charged and recorded (chargeRest) before the ledger event. The whole
-// steady-state path runs through the controller's planes and scratch and
-// performs zero heap allocations (TestReadWriteZeroAlloc), matching the
-// hardware data path it models.
-//
-//mmt:hotpath
+// lines inside the region is refused before anything is counted. A span of
+// one pipe chunk (newPipe), or any span on one processor, is readRuns
+// alone. A longer one is read as a pipeline of three stages per chunk:
+// helpers key the chunks' lines and check their MACs without decrypting
+// them, in chunk order and ahead of the loop; readRuns does the accounting
+// and path verification chunk by chunk, on the caller and in line order,
+// taking each run's verdict from the check; and once it has verified a
+// chunk a goroutine decrypts into dst the lines it verified, and only
+// those. A failing read thus leaves dst untouched from the failing line
+// on, and no line is decrypted before its path has verified (DESIGN.md
+// §17, "The span pipeline").
 func (c *Controller) ReadRange(r, line int, dst []byte) error {
-	st := c.region(r)
-	if st.mode == ModeDisabled {
-		return ErrDisabled
-	}
-	if err := c.checkSpan(line, len(dst)); err != nil {
+	st, err := c.access(r, line, len(dst), false)
+	if err != nil {
 		return err
 	}
+	end := line + len(dst)/mem.LineSize
+	p := newPipe(line, end, c.lay.Level[len(c.lay.Level)-1].Arity)
+	if p == nil {
+		_, err := c.readRuns(st, r, line, end, dst, end)
+		return err
+	}
+	data := c.mem.RegionData(r)
+	p.ahead(func(lo, hi int) int {
+		for g := lo; g < hi; g = groupEnd(g, hi) {
+			n := groupEnd(g, hi) - g
+			st.keyRun(g, n)
+			if good := st.eng.CheckLines(data[g*mem.LineSize:(g+n)*mem.LineSize], st.runKeys(g, n), st.lineMACs[g:g+n]); good < n {
+				return g + good
+			}
+		}
+		return -1
+	})
+	decrypt := func(lo, hi int) {
+		for g := lo; g < hi; g = groupEnd(g, hi) {
+			next := groupEnd(g, hi)
+			crypt.XORLines(dst[(g-line)*mem.LineSize:(next-line)*mem.LineSize], data[g*mem.LineSize:], st.runKeys(g, next-g))
+		}
+	}
+	defer p.wait()
+	for k := range p.chunks {
+		lo, hi := p.cut(k)
+		bad := p.await(k)
+		if bad < 0 {
+			bad = hi
+		}
+		verified, err := c.readRuns(st, r, lo, hi, nil, bad)
+		p.behind(lo, verified, decrypt)
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// readRuns is ReadRange's loop over the lines [line, end). The unit of work
+// is the leaf run — the lines of the span that share one leaf node, hence
+// one whole path; a single line is a run of one. Per run the tree path is
+// verified once, at the run's first line: nothing but this controller
+// writes the tree arena inside one call and a read moves no counter, so the
+// verification a line-by-line loop would repeat for each further line is
+// the same computation on the same words. With a dst, the run's keys are
+// then checked in one pass (keyRun) and its lines MAC-checked and decrypted
+// into dst in one kernel call (crypt.OpenLines), which stops at the first
+// bad MAC. With dst nil, the pipe's check stage has keyed and checked the
+// lines ahead and bad is the lowest line that failed (end when none did),
+// and a stage behind the loop decrypts what it verified. The crypto
+// touches nothing an observer sees, so the order between it and the
+// accounting is free: every line up to and including the bad one, as a
+// line-by-line loop would have reached it, is counted, charged and
+// recorded (chargeRest) before the ledger event. It returns where it
+// stopped — end, or the line whose path or MAC failed — and performs zero
+// heap allocations (TestReadWriteZeroAlloc), matching the hardware data
+// path it models.
+//
+//mmt:hotpath
+func (c *Controller) readRuns(st *regionState, r, line, end int, dst []byte, bad int) (int, error) {
 	leafArity := c.lay.Level[len(c.lay.Level)-1].Arity
 	data := c.mem.RegionData(r)
-	for n := 0; len(dst) > 0; line, dst = line+n, dst[n*mem.LineSize:] {
+	for n := 0; line < end; line += n {
 		c.stats.Reads++
 		total, verify := c.chargePath(r, line, 0)
 		c.recordAccess(trace.OpLocalRead, total, verify)
 		if err := st.tr.VerifyPath(st.eng, st.guaddr, line); err != nil {
 			c.probe.Event(trace.EvIntegrityFail, c.clock.Now(), st.guaddr, "read: tree path")
-			return err
+			return line, err
 		}
-		n = min(leafArity-line%leafArity, len(dst)/mem.LineSize)
-		st.keyRun(line, n)
-		good := st.eng.OpenLines(dst[:n*mem.LineSize], data[line*mem.LineSize:(line+n)*mem.LineSize], st.runKeys(line, n), st.lineMACs[line:line+n])
+		n = min(leafArity-line%leafArity, end-line)
+		good := min(bad-line, n)
+		if dst != nil {
+			st.keyRun(line, n)
+			good = st.eng.OpenLines(dst[:n*mem.LineSize], data[line*mem.LineSize:(line+n)*mem.LineSize], st.runKeys(line, n), st.lineMACs[line:line+n])
+			dst = dst[n*mem.LineSize:]
+		}
 		// The run's further lines a line-by-line loop would have reached:
 		// all of them, or those up to and including the bad one.
 		reached := min(good, n-1)
@@ -670,65 +756,101 @@ func (c *Controller) ReadRange(r, line int, dst []byte) error {
 		c.chargeRest(trace.OpLocalRead, r, line+1, reached, 0)
 		if good < n {
 			c.probe.Event(trace.EvIntegrityFail, c.clock.Now(), st.guaddr, "read: data line MAC")
-			return fmt.Errorf("%w: data line %d", ErrIntegrity, line+good)
+			return line + good, fmt.Errorf("%w: data line %d", ErrIntegrity, line+good)
 		}
 	}
-	return nil
+	return end, nil
 }
 
 // Write verifies the path, advances the counters and stores the encrypted
-// line: WriteRange over one line.
+// line: WriteRange over one line, never pipelined.
 //
 //mmt:hotpath
 func (c *Controller) Write(r, line int, plaintext []byte) error {
-	return c.WriteRange(r, line, plaintext[:mem.LineSize])
+	plaintext = plaintext[:mem.LineSize]
+	st, err := c.access(r, line, len(plaintext), true)
+	if err != nil {
+		return err
+	}
+	_, err = c.writeRuns(st, r, line, line+1, plaintext, false)
+	return err
 }
 
 // WriteRange stores len(src)/mem.LineSize consecutive plaintext lines of
 // secure region r, starting at line. A span that is not whole lines inside
-// the region is refused before anything is counted. The unit of work is
-// the leaf run, a single line being a run of one. At a run's first line the
-// path is verified — the tree engine "checks data integrity before
-// writing", and here before any counter of the run moves — and
+// the region is refused before anything is counted. A span of one pipe
+// chunk (newPipe), or any span on one processor, is writeRuns alone,
+// sealing each run as it goes. A longer one has its line crypto deferred
+// and pipelined: writeRuns verifies, updates and charges run by run, on the
+// caller, a chunk at a time, and a goroutine then keys and seals the lines
+// of the chunk it passed while the loop goes on to the next — also when it
+// stopped at a failed path verification, so that the runs before it stay
+// written (DESIGN.md §17).
+func (c *Controller) WriteRange(r, line int, src []byte) error {
+	st, err := c.access(r, line, len(src), true)
+	if err != nil {
+		return err
+	}
+	end := line + len(src)/mem.LineSize
+	p := newPipe(line, end, c.lay.Level[len(c.lay.Level)-1].Arity)
+	if p == nil {
+		_, err := c.writeRuns(st, r, line, end, src, false)
+		return err
+	}
+	data := c.mem.RegionData(r)
+	seal := func(lo, hi int) {
+		st.sealGroups(data, src[(lo-line)*mem.LineSize:], lo, hi)
+	}
+	stop := line
+	for k := 0; k < p.chunks && err == nil; k++ {
+		lo, hi := p.cut(k)
+		stop, err = c.writeRuns(st, r, lo, hi, src[(lo-line)*mem.LineSize:], true)
+		p.behind(lo, stop, seal)
+	}
+	p.wait()
+	st.markLines(line, stop-line)
+	return err
+}
+
+// writeRuns is WriteRange's loop over the lines [line, end). At a run's
+// first line the path is verified — the tree engine "checks data integrity
+// before writing", and here before any counter of the run moves — and
 // tree.UpdateRun then advances the counters for every line of the run and
 // re-MACs each path node once. A line-by-line loop would verify, between
 // two lines of the run, exactly the node MACs it had itself just written,
 // and would re-MAC the path after every line though only the last result
-// survives. The run's lines are then charged (chargeRest), keyed at their
-// final counters (keyRun), and encrypted, stored and MACed where they lie
-// in one kernel call (crypt.SealLines); memory, line MACs, the tree, the
-// dirty sets, Stats and the clock end bit-identical to the loop's.
+// survives. The run's lines are then charged (chargeRest) and, unless
+// deferSeal, keyed at their final counters (keyRun) and encrypted, stored
+// and MACed where they lie in one kernel call (crypt.SealLines); memory,
+// line MACs, the tree, the dirty sets, Stats and the clock end
+// bit-identical to the loop's.
 //
 // When a counter on the path would overflow within the run, the run's
 // first line advances alone through tree.Update, whose overflow procedure
 // re-encrypts the sibling lines (§V-A2's global-counter exhaustion), and
-// the remaining lines start a new run.
+// the remaining lines start a new run. A line written alone is sealed at
+// once even with deferSeal: the siblings an overflow re-encrypts lie under
+// its own leaf, the overflowing line starts its run, so the leaf's earlier
+// lines in the span were each written alone — none is pending when
+// reencryptLine reads its ciphertext. It returns where it stopped: end, or
+// the line whose path or overflow re-encryption failed.
 //
 //mmt:hotpath
-func (c *Controller) WriteRange(r, line int, src []byte) error {
-	st := c.region(r)
-	switch st.mode {
-	case ModeDisabled:
-		return ErrDisabled
-	case ModeReadOnly:
-		return ErrReadOnly
-	}
-	if err := c.checkSpan(line, len(src)); err != nil {
-		return err
-	}
+func (c *Controller) writeRuns(st *regionState, r, line, end int, src []byte, deferSeal bool) (int, error) {
 	leafArity := c.lay.Level[len(c.lay.Level)-1].Arity
 	data := c.mem.RegionData(r)
-	for n := 0; len(src) > 0; line, src = line+n, src[n*mem.LineSize:] {
+	for n := 0; line < end; line, src = line+n, src[n*mem.LineSize:] {
 		c.stats.Writes++
 		if err := st.tr.VerifyPath(st.eng, st.guaddr, line); err != nil {
 			c.probe.Event(trace.EvIntegrityFail, c.clock.Now(), st.guaddr, "write: tree path")
-			return err
+			return line, err
 		}
-		n = min(leafArity-line%leafArity, len(src)/mem.LineSize)
+		n = min(leafArity-line%leafArity, end-line)
 		// touched is the node re-MACs each line of the run is charged for.
 		touched := len(c.lay.Level)
 		var reencrypt []int
-		if !st.tr.UpdateRun(st.eng, st.guaddr, line, n) {
+		alone := !st.tr.UpdateRun(st.eng, st.guaddr, line, n)
+		if alone {
 			res := st.tr.Update(st.eng, st.guaddr, line)
 			n, touched, reencrypt = 1, res.NodesTouched, res.ReencryptLines
 		}
@@ -736,16 +858,18 @@ func (c *Controller) WriteRange(r, line int, src []byte) error {
 		c.recordAccess(trace.OpLocalWrite, total, verify)
 		c.stats.Writes += uint64(n - 1)
 		c.chargeRest(trace.OpLocalWrite, r, line+1, n-1, touched)
-		st.keyRun(line, n)
-		st.eng.SealLines(data[line*mem.LineSize:(line+n)*mem.LineSize], src[:n*mem.LineSize], st.runKeys(line, n), st.lineMACs[line:line+n])
-		st.markLines(line, n)
+		if !deferSeal || alone {
+			st.keyRun(line, n)
+			st.eng.SealLines(data[line*mem.LineSize:(line+n)*mem.LineSize], src[:n*mem.LineSize], st.runKeys(line, n), st.lineMACs[line:line+n])
+			st.markLines(line, n)
+		}
 		for _, ln := range reencrypt {
 			if err := c.reencryptLine(st, r, ln); err != nil {
-				return err
+				return line, err
 			}
 		}
 	}
-	return nil
+	return end, nil
 }
 
 // reencryptLine re-encrypts sibling line ln after a leaf counter overflow
@@ -935,9 +1059,9 @@ func (c *Controller) Install(r int, key crypt.Key, guaddr, rootCounter uint64, t
 	// own, entered after every chunk of that one has returned: a rejected
 	// closure writes nothing.
 	dst := c.mem.RegionData(r)
-	_ = c.sweepLines(func(lo, hi int) error { // the copy cannot fail
+	c.sweepLines(func(lo, hi int) int { // the copy cannot fail
 		copy(dst[lo*mem.LineSize:hi*mem.LineSize], data[lo*mem.LineSize:])
-		return nil
+		return -1
 	})
 	for i := range c.regions {
 		if live := c.regions[i].lineMACs; len(live) > 0 && &live[0] == &lineMACs[0] {

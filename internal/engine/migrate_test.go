@@ -245,11 +245,11 @@ func TestLineKeysAfterInstall(t *testing.T) {
 // leaves the region byte-equal to the closure's data — also when that data
 // is the region itself.
 func TestInstallSweepDeterminism(t *testing.T) {
-	// 768 lines: twelve 64-line groups, so the sweep really is cut in two
-	// (at line 384) and in four (at 192, 384, 576).
+	// 768 lines: twelve 64-line groups, so the sweep really is cut, into
+	// six chunks of 128 lines at GOMAXPROCS 2 and twelve of 64 at 4.
 	installSweepDeterminism(t, tree.Geometry{Arities: []int{4, 8, 24}})
-	// 800 lines: twelve groups and a half, so the chunks are unequal (the
-	// same cuts, the last chunk 224 or 416 lines) and the last group ragged.
+	// 800 lines: twelve groups and a half, so the last chunk, [768, 800),
+	// is short and its group ragged.
 	installSweepDeterminism(t, tree.Geometry{Arities: []int{4, 8, 25}})
 }
 

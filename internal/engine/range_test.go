@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -190,7 +191,7 @@ func tamper(c *Controller, r, kind, line int) {
 // nothing of that run, so the region is whole again afterwards. (Not so
 // where an earlier run of the write overflows an interior counter: that
 // re-MACs every child of the node, the flipped MAC included, and the flip
-// back would be the tamper. The narrow-locals geometry skips the write.)
+// back would be the tamper. The narrow-locals geometries skip the write.)
 func rangeVsLine(t testing.TB, setup twinSetup, script []byte) uint64 {
 	t.Helper()
 	geo := setup.geo
@@ -266,14 +267,24 @@ func rangeVsLine(t testing.TB, setup twinSetup, script []byte) uint64 {
 
 // rangeGeometries are the shapes the twin tests and the fuzz target run
 // over: the small test tree, one whose two-bit locals overflow within a
-// few writes, the default 2 MB tree with its 64-line leaves, and one whose
-// 128-line leaves are wider than any 64-line group the planes are keyed by.
+// few writes, the default 2 MB tree with its 64-line leaves, one whose
+// 128-line leaves are wider than any 64-line group the planes are keyed by,
+// and one of 576 lines in 96-line leaves with two-bit locals, whose leaf
+// runs the 64-line groups split, whose pipe chunks are 192 lines (two
+// leaves, three groups) and whose overflows fall in the middle of a
+// pipelined span.
 var rangeGeometries = []tree.Geometry{
 	{Arities: []int{2, 3, 4}},
 	{Arities: []int{2, 4}, LocalBits: 2},
 	tree.ForLevels(3),
 	{Arities: []int{2, 2, 128}},
+	{Arities: []int{2, 3, 96}, LocalBits: 2},
 }
+
+// sweepProcs are the processor counts the twin tests run at: one, where
+// every span is read and written inline, and two and four, where a span of
+// more than one pipe chunk is pipelined (newPipe).
+var sweepProcs = []int{1, 2, 4}
 
 // twinSetups are the twin builds the differential test and the fuzz target
 // choose from: every geometry under the Gem5 profile, then the builds the
@@ -323,14 +334,21 @@ func (s twinSetup) String() string {
 // writes leaves twin controllers indistinguishable, on every geometry,
 // through counter overflow, and at every node-cache and root-table size
 // that decides how a run's further lines are charged. The all-hit charge
-// must be on exactly when a path fits the node cache.
+// must be on exactly when a path fits the node cache. Every script runs at
+// each of sweepProcs.
 func TestRangeMatchesLineByLine(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for i, setup := range twinSetups() {
 		script := make([]byte, 6*300)
 		rand.New(rand.NewSource(int64(i) + 1)).Read(script)
-		reencrypted := rangeVsLine(t, setup, script)
-		if (setup.geo.LocalBits != 0) != (reencrypted > 0) {
-			t.Fatalf("%v: %d lines re-encrypted: the overflow geometry must reach the overflow procedure and only it", setup, reencrypted)
+		for _, procs := range sweepProcs {
+			t.Run(fmt.Sprintf("setup%d/GOMAXPROCS=%d", i, procs), func(t *testing.T) {
+				runtime.GOMAXPROCS(procs)
+				reencrypted := rangeVsLine(t, setup, script)
+				if (setup.geo.LocalBits != 0) != (reencrypted > 0) {
+					t.Fatalf("%v: %d lines re-encrypted: the overflow geometries must reach the overflow procedure and only they", setup, reencrypted)
+				}
+			})
 		}
 		w := newTwin(t, setup)
 		path := 0
@@ -397,11 +415,15 @@ func TestRangeOverflowInsideKeyedRun(t *testing.T) {
 }
 
 // FuzzRangeVsLine is TestRangeMatchesLineByLine with the fuzzer choosing
-// the twin build and the script.
+// the twin build and the script, each input run at every one of sweepProcs.
 func FuzzRangeVsLine(f *testing.F) {
 	setups := twinSetups()
 	f.Fuzz(func(t *testing.T, setup uint8, script []byte) {
-		rangeVsLine(t, setups[int(setup)%len(setups)], script[:min(len(script), 6*64)])
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+		for _, procs := range sweepProcs {
+			runtime.GOMAXPROCS(procs)
+			rangeVsLine(t, setups[int(setup)%len(setups)], script[:min(len(script), 6*64)])
+		}
 	})
 }
 
@@ -455,6 +477,82 @@ func TestRangeTamper(t *testing.T) {
 						t.Fatalf("stored state differs: dirty lines %v / %v, dirty nodes %v / %v", sa.dirtyLines, sb.dirtyLines, sa.dirtyNodes, sb.dirtyNodes)
 					}
 				})
+			}
+		}
+	}
+	tamperSwept(t, names)
+}
+
+// tamperSwept is TestRangeTamper over the default tree's whole 2 MB region
+// at 2 and 4 processors, where a span is pipelined in chunks of 64 or 32
+// groups: one flip in a later chunk than the first, and two flips in
+// different chunks, the first failing run inside its chunk, not at its
+// start, so a write has passed lines of that chunk when it stops. The read names the lowest failing line, delivers
+// every line before it and leaves dst untouched from it on; the write
+// stops at the same run with the runs before it written, as line by line.
+func tamperSwept(t *testing.T, names []string) {
+	geo := tree.ForLevels(3)
+	lay, _ := geo.Layout()
+	lines := lay.Lines
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, flips := range [][]int{{lines*5/8 + 700}, {lines/4 + 1000, lines*7/8 + 5}} {
+		for kind, name := range names {
+			// The first line a line-by-line access fails at: the flipped
+			// line, or the first line under the flipped node.
+			fail := lines
+			for _, at := range flips {
+				if kind >= 2 {
+					span := lay.Level[kind-2].Span
+					if len(flips) > 1 && flips[0]/span == flips[1]/span {
+						fail = -1 // both flips land on one node MAC and cancel
+						break
+					}
+					at -= at % span
+				}
+				fail = min(fail, at)
+			}
+			if fail < 0 {
+				continue
+			}
+			for _, write := range []bool{false, true} {
+				for _, procs := range sweepProcs[1:] {
+					if write && kind < 2 {
+						continue
+					}
+					t.Run(fmt.Sprintf("2MB/%s/lines%v/write=%v/GOMAXPROCS=%d", name, flips, write, procs), func(t *testing.T) {
+						runtime.GOMAXPROCS(procs)
+						rng, ref := newTwin(t, twinSetup{geo: geo}), newTwin(t, twinSetup{geo: geo})
+						for _, at := range flips {
+							tamper(rng.c, 0, kind, at)
+							tamper(ref.c, 0, kind, at)
+						}
+						a, b := bytes.Repeat([]byte{0xEE}, lines*LineSize), bytes.Repeat([]byte{0xEE}, lines*LineSize)
+						var errA, errB error
+						if write {
+							for i := range a {
+								a[i] = byte(i*5 + 1)
+							}
+							errA, errB = rng.c.WriteRange(0, 0, a), ref.writeLines(0, 0, a)
+						} else {
+							errA, errB = rng.c.ReadRange(0, 0, a), ref.readLines(0, 0, b)
+							if !bytes.Equal(a, b) {
+								t.Fatal("delivered plaintext differs")
+							}
+							if !bytes.Equal(a[fail*LineSize:], bytes.Repeat([]byte{0xEE}, (lines-fail)*LineSize)) {
+								t.Fatalf("dst written at or after the failing line %d", fail)
+							}
+						}
+						if !errors.Is(errA, ErrIntegrity) || !sameErr(errA, errB) {
+							t.Fatalf("range error %v, line by line %v, want the same ErrIntegrity", errA, errB)
+						}
+						if oa, ob := rng.observe(), ref.observe(); !reflect.DeepEqual(oa, ob) {
+							t.Fatalf("observable state differs\nrange:        %+v\nline by line: %+v", oa, ob)
+						}
+						if sa, sb := rng.stored(t, 0), ref.stored(t, 0); !reflect.DeepEqual(sa, sb) {
+							t.Fatalf("stored state differs: %d / %d dirty lines", len(sa.dirtyLines), len(sb.dirtyLines))
+						}
+					})
+				}
 			}
 		}
 	}

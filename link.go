@@ -169,7 +169,7 @@ func (b *Buffer) Write(off int, p []byte) error {
 	if m == nil {
 		return fmt.Errorf("mmt: buffer has no live MMT")
 	}
-	if off < 0 || off+len(p) > b.Size() {
+	if off < 0 || len(p) > b.Size()-off {
 		return fmt.Errorf("mmt: write [%d,+%d) outside buffer of %d bytes", off, len(p), b.Size())
 	}
 	return m.WriteAt(off, p)
@@ -185,7 +185,7 @@ func (b *Buffer) Read(off, n int) ([]byte, error) {
 	if m == nil {
 		return nil, fmt.Errorf("mmt: buffer has no live MMT")
 	}
-	if off < 0 || n < 0 || off+n > b.Size() {
+	if off < 0 || n < 0 || n > b.Size()-off {
 		return nil, fmt.Errorf("mmt: read [%d,+%d) outside buffer of %d bytes", off, n, b.Size())
 	}
 	out := make([]byte, n)

@@ -3,6 +3,7 @@ package mmt
 import (
 	"bytes"
 	"errors"
+	"math"
 	"testing"
 
 	"mmt/internal/tree"
@@ -245,6 +246,43 @@ func TestBufferBounds(t *testing.T) {
 	}
 	if _, err := buf.Read(0, buf.Size()+1); err == nil {
 		t.Fatal("oversized read accepted")
+	}
+}
+
+// TestBufferBoundsOverflow: spans whose end overflows int, or that start
+// before the buffer, are refused with an error — no panic from a wrapped
+// bound reaching make or a slice — and change nothing: not the machine's
+// clock, not the buffer's bytes.
+func TestBufferBoundsOverflow(t *testing.T) {
+	c, a, b := twoMachines(t)
+	sender := a.Spawn("p", nil)
+	link, err := c.Connect(sender, b.Spawn("q", nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf, err := link.NewBuffer(sender)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := buf.Write(0, bytes.Repeat([]byte{7}, buf.Size())); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct{ off, n int }{{1, math.MaxInt}, {math.MaxInt, 1}, {-1, 0}} {
+		before := a.Clock().Now()
+		if _, err := buf.Read(tc.off, tc.n); err == nil {
+			t.Fatalf("Read(%d, %d) accepted", tc.off, tc.n)
+		}
+		if tc.n <= buf.Size() {
+			if err := buf.Write(tc.off, make([]byte, tc.n)); err == nil {
+				t.Fatalf("Write(%d, %d bytes) accepted", tc.off, tc.n)
+			}
+		}
+		if a.Clock().Now() != before {
+			t.Fatalf("refused span at (%d, %d) advanced the clock", tc.off, tc.n)
+		}
+	}
+	if got, err := buf.Read(0, buf.Size()); err != nil || !bytes.Equal(got, bytes.Repeat([]byte{7}, buf.Size())) {
+		t.Fatalf("buffer changed by refused spans: %v", err)
 	}
 }
 
