@@ -1,8 +1,8 @@
 // Command mmt-attack demonstrates the §IV-B2 threat model live: it builds
 // a two-machine cluster, puts a man-in-the-middle on the interconnect, and
 // shows each classic attack being rejected by the MMT closure delegation
-// protocol — then shows the same attacks succeeding against the
-// unprotected baseline, which is the whole point.
+// protocol. It prints no unprotected baseline: examples/attacks is the
+// program that shows the same attacks succeeding against one.
 //
 // Everything it prints comes from the cluster's public observability
 // surface — the wire counters from Cluster.Metrics() and the rejection

@@ -13,8 +13,6 @@
 //	mmt-bench -fig 10           # write the BENCH_fig10.json metrics sidecar
 //	mmt-bench -fig 10,11 -out . # several sidecars into a directory
 //	mmt-bench -fig 11 -parallel 8   # same bytes, less wall-clock
-//	mmt-bench -exp all -checkpoint ck        # commit each result durably as it lands
-//	mmt-bench -exp all -checkpoint ck -resume # after a crash: reprint done, run the rest
 //
 // Sidecars are machine-readable companions to the rendered figures: the
 // headline numbers plus the trace-layer breakdown (per-phase simulated
@@ -137,8 +135,6 @@ func main() {
 	series := flag.Bool("series", false, "with -fig: also write BENCH_fig<N>.series.json (mmt-series/v1) for figures that sample (fig 11)")
 	out := flag.String("out", ".", "output directory for -fig sidecars")
 	parallel := flag.Int("parallel", 1, "worker goroutines for figure sweeps (results are byte-identical at any setting)")
-	checkpoint := flag.String("checkpoint", "", "directory for the crash-consistent experiment checkpoint store")
-	resume := flag.Bool("resume", false, "with -checkpoint: skip experiments already committed there and reprint their stored output")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile to FILE (relative paths land next to the sidecars in -out)")
 	memprofile := flag.String("memprofile", "", "write a pprof heap profile to FILE at exit (relative paths land next to the sidecars in -out)")
 	flag.Parse()
@@ -193,21 +189,7 @@ func main() {
 		return
 	}
 
-	var bs *benchStore
-	if *checkpoint != "" {
-		var err error
-		bs, err = openBenchStore(*checkpoint, *resume)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		defer bs.close()
-	} else if *resume {
-		fmt.Fprintln(os.Stderr, "-resume needs -checkpoint <dir>")
-		os.Exit(2)
-	}
-
-	runExperiments(opts{accesses: *accesses}, *exp, bs)
+	runExperiments(opts{accesses: *accesses}, *exp)
 }
 
 // profilePath resolves a -cpuprofile/-memprofile argument: relative
@@ -263,11 +245,8 @@ func writeSidecars(figs, dir string, accesses int, series bool) error {
 	return nil
 }
 
-// runExperiments runs the selected rendered tables/figures. With a
-// checkpoint store, completed experiments come back from the store
-// byte-identically and each fresh result is committed as soon as it
-// renders.
-func runExperiments(o opts, exp string, bs *benchStore) {
+// runExperiments runs the selected rendered tables/figures.
+func runExperiments(o opts, exp string) {
 	selected := map[string]bool{}
 	runAll := exp == "all"
 	for _, name := range strings.Split(exp, ",") {
@@ -294,24 +273,11 @@ func runExperiments(o opts, exp string, bs *benchStore) {
 		if !runAll && !selected[e.name] {
 			continue
 		}
-		if bs != nil {
-			if out, done := bs.resumed(e.name); done {
-				fmt.Fprintf(os.Stderr, "mmt-bench: %s resumed from checkpoint\n", e.name)
-				fmt.Println(out)
-				continue
-			}
-		}
 		out, err := e.run(o)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", e.name, err)
 			failed = true
 			continue
-		}
-		if bs != nil {
-			if err := bs.complete(e.name, out); err != nil {
-				fmt.Fprintf(os.Stderr, "%s: checkpoint: %v\n", e.name, err)
-				failed = true
-			}
 		}
 		fmt.Println(out)
 	}

@@ -18,9 +18,11 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"maps"
 	"os"
 	"os/exec"
 	"regexp"
+	"slices"
 	"sort"
 	"strconv"
 )
@@ -88,6 +90,8 @@ func measure(dir string, args []string, seed uint64) (run, error) {
 	return r, nil
 }
 
+// lastLineStart is the offset of out's last line, a final newline not
+// counting as the start of an empty one.
 func lastLineStart(out []byte) int {
 	for i := len(out) - 2; i >= 0; i-- {
 		if out[i] == '\n' {
@@ -107,6 +111,9 @@ func quantile(sorted []float64, q float64) float64 {
 	return sorted[lo] + (pos-float64(lo))*(sorted[lo+1]-sorted[lo])
 }
 
+// summarise sets each metric's quartiles over the side's runs. The metric
+// names are run 0's; a run missing one reads as 0 there (check refuses
+// such a run before it gets here).
 func (s *side) summarise() {
 	s.Summary = map[string]quartiles{}
 	if len(s.Runs) == 0 {
@@ -120,6 +127,36 @@ func (s *side) summarise() {
 		sort.Float64s(vals)
 		s.Summary[name] = quartiles{quantile(vals, 0.25), quantile(vals, 0.5), quantile(vals, 0.75)}
 	}
+}
+
+// check refuses a side with a run whose metric set differs from run 0's,
+// the set summarise and changeWins take their names from.
+func (s *side) check() error {
+	for i, r := range s.Runs {
+		got, want := slices.Sorted(maps.Keys(r.Metrics)), slices.Sorted(maps.Keys(s.Runs[0].Metrics))
+		if !slices.Equal(got, want) {
+			return fmt.Errorf("%s run %d (seed %d) reports metrics %v, run 0 reports %v", s.Commit, i, r.Seed, got, want)
+		}
+	}
+	return nil
+}
+
+// changeWins counts, per metric of the change's run 0, the pairs in which
+// the change read strictly lower than the parent; a tie counts for
+// neither side, and a metric a parent run lacks reads as 0 there.
+func changeWins(parent, change []run) map[string]int {
+	wins := map[string]int{}
+	if len(change) == 0 {
+		return wins
+	}
+	for name := range change[0].Metrics {
+		for i := range change {
+			if change[i].Metrics[name] < parent[i].Metrics[name] {
+				wins[name]++
+			}
+		}
+	}
+	return wins
 }
 
 // commitOf names dir's checkout: its commit, "-dirty" when the work tree
@@ -159,6 +196,10 @@ func main() {
 			fmt.Fprintf(os.Stderr, "mmt-benchpairs: no parent side with %d runs in %s (%v); pass -parent\n", pairs, outPath, err)
 			os.Exit(2)
 		}
+		if err := rep.Parent.check(); err != nil {
+			fmt.Fprintf(os.Stderr, "mmt-benchpairs: %s: %v\n", outPath, err)
+			os.Exit(2)
+		}
 	} else {
 		rep.Parent = side{Commit: commitOf(*parent)}
 	}
@@ -186,19 +227,16 @@ func main() {
 				os.Exit(1)
 			}
 			s.Runs = append(s.Runs, r)
+			if err := s.check(); err != nil {
+				fmt.Fprintln(os.Stderr, "mmt-benchpairs:", err)
+				os.Exit(1)
+			}
 			fmt.Fprintf(os.Stderr, "pair %d %-6s op_p10_ns %.4g\n", i, which, r.Metrics["op_p10_ns"])
 		}
 	}
 	rep.Parent.summarise()
 	rep.Change.summarise()
-	rep.ChangeWins = map[string]int{}
-	for name := range rep.Change.Summary {
-		for i := range rep.Change.Runs {
-			if rep.Change.Runs[i].Metrics[name] < rep.Parent.Runs[i].Metrics[name] {
-				rep.ChangeWins[name]++
-			}
-		}
-	}
+	rep.ChangeWins = changeWins(rep.Parent.Runs, rep.Change.Runs)
 	blob, err := json.MarshalIndent(rep, "", "  ")
 	if err == nil {
 		err = os.WriteFile(outPath, append(blob, '\n'), 0o644)

@@ -42,7 +42,6 @@ func main() {
 	threshold := flag.Float64("threshold", 0.05, "relative regression threshold (0.05 = 5%)")
 	warn := flag.Bool("warn", false, "report regressions but exit 0 (CI soft gate); schema mismatches stay fatal")
 	out := flag.String("out", "", "write the mmt-perfdiff/v1 JSON report to this file")
-	quiet := flag.Bool("quiet", false, "suppress the per-metric text summary")
 	update := flag.String("update", "", "validate the named sidecars and install them as baselines in this directory")
 	flag.Parse()
 
@@ -51,7 +50,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "usage: mmt-perfdiff -update <dir> sidecar.json ...")
 			os.Exit(2)
 		}
-		if err := updateBaselines(*update, flag.Args(), *quiet); err != nil {
+		if err := updateBaselines(*update, flag.Args()); err != nil {
 			fmt.Fprintln(os.Stderr, "mmt-perfdiff:", err)
 			os.Exit(2)
 		}
@@ -79,9 +78,7 @@ func main() {
 			os.Exit(2)
 		}
 	}
-	if !*quiet {
-		printSummary(rep)
-	}
+	printSummary(rep)
 	if rep.Regressions > 0 && !*warn {
 		os.Exit(1)
 	}
@@ -89,7 +86,7 @@ func main() {
 
 // updateBaselines validates each sidecar through the diff extractor and
 // copies it into dir under its base name.
-func updateBaselines(dir string, paths []string, quiet bool) error {
+func updateBaselines(dir string, paths []string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
@@ -106,9 +103,7 @@ func updateBaselines(dir string, paths []string, quiet bool) error {
 		if err := os.WriteFile(dst, data, 0o644); err != nil {
 			return err
 		}
-		if !quiet {
-			fmt.Printf("baseline %s <- %s (%s, %d metrics)\n", dst, p, doc.Kind, len(doc.Metrics))
-		}
+		fmt.Printf("baseline %s <- %s (%s, %d metrics)\n", dst, p, doc.Kind, len(doc.Metrics))
 	}
 	return nil
 }

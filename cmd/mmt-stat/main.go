@@ -13,12 +13,10 @@
 //	mmt-stat -addr 127.0.0.1:6060        # fetch /debug/mmt/{hist,events}
 //	mmt-stat -tail 20 events.jsonl       # newest 20 ledger entries
 //	mmt-stat BENCH_fig11.series.json     # windowed series as sparklines
-//	mmt-stat -addr :6060 -watch 2s       # diff /debug/mmt/metrics scrapes
 //
 // All numbers are simulated cycles and microseconds read off the
 // deterministic run; rendering the same export twice prints the same
-// bytes. The one exception is -watch, which polls a live cluster on the
-// host clock and renders scrape-over-scrape rates.
+// bytes.
 package main
 
 import (
@@ -39,26 +37,13 @@ import (
 func main() {
 	addr := flag.String("addr", "", "fetch live stats from a /debug server at this address")
 	tail := flag.Int("tail", 0, "show only the newest N ledger events (0 = all)")
-	watch := flag.Duration("watch", 0, "with -addr: poll /debug/mmt/metrics at this interval and render rates")
-	watchCount := flag.Int("watch-count", 0, "with -watch: stop after N scrapes (0 = until interrupted)")
 	flag.Parse()
 
 	if *addr == "" && flag.NArg() == 0 {
-		fmt.Fprintln(os.Stderr, "usage: mmt-stat [-tail N] <export.json|-> ...\n       mmt-stat [-tail N] -addr <host:port>\n       mmt-stat -addr <host:port> -watch <interval> [-watch-count N]")
-		os.Exit(2)
-	}
-	if *watch > 0 && *addr == "" {
-		fmt.Fprintln(os.Stderr, "mmt-stat: -watch needs -addr <host:port>")
+		fmt.Fprintln(os.Stderr, "usage: mmt-stat [-tail N] <export.json|-> ...\n       mmt-stat [-tail N] -addr <host:port>")
 		os.Exit(2)
 	}
 	failed := false
-	if *watch > 0 {
-		if err := watchMetrics(os.Stdout, *addr, *watch, *watchCount); err != nil {
-			fmt.Fprintf(os.Stderr, "mmt-stat: watch %s: %v\n", *addr, err)
-			os.Exit(1)
-		}
-		return
-	}
 	if *addr != "" {
 		for _, path := range []string{"/debug/mmt/hist", "/debug/mmt/events"} {
 			url := "http://" + *addr + path

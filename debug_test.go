@@ -2,8 +2,12 @@ package mmt
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
+	"reflect"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -107,6 +111,23 @@ func TestDebugServer(t *testing.T) {
 		t.Fatalf("vars events %d != ledger %d", vars.MMT.Events, len(events))
 	}
 
+	// Without WithSampling the series endpoint is a 404, and the exporter
+	// behind it says why.
+	if _, ok := c.Series(); ok {
+		t.Fatal("Series reports sampling on a cluster without WithSampling")
+	}
+	resp, err := http.Get(base + "/debug/mmt/series")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("series endpoint without sampling: status %d, want 404", resp.StatusCode)
+	}
+	if err := c.TraceSink().WriteSeriesJSON(io.Discard); err == nil || !strings.Contains(err.Error(), "sampling not enabled") {
+		t.Fatalf("WriteSeriesJSON without sampling: %v", err)
+	}
+
 	if sum := get(t, base+"/debug/mmt/summary"); !strings.Contains(string(sum), "alice") {
 		t.Fatalf("summary misses alice:\n%s", sum)
 	}
@@ -128,6 +149,106 @@ func TestDebugServer(t *testing.T) {
 	}
 	if _, err := http.Get(base + "/debug/vars"); err == nil {
 		t.Fatal("server still serving after Close")
+	}
+}
+
+// sampleLine is one OpenMetrics sample: name{labels} value.
+var sampleLine = regexp.MustCompile(`^([a-z_]+)(\{[^{}]*\})? (\S+)$`)
+
+// TestDebugMetricsAndSeries scrapes /debug/mmt/metrics and
+// /debug/mmt/series on a sampled cluster: every sample line of the
+// exposition parses, its counter and phase-cycle samples are exactly
+// Cluster.Metrics, the page ends in "# EOF", and the series document is
+// one ParseSeries accepts and equal to Cluster.Series.
+func TestDebugMetricsAndSeries(t *testing.T) {
+	sink := NewTraceSink()
+	c, err := New(WithTreeLevels(2), WithRegions(6), WithTracing(sink),
+		WithSampling(SamplingConfig{WindowCycles: 1 << 10, MaxSamples: 4}), WithDebugServer("127.0.0.1:0"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	alice, err := c.AddMachine("alice")
+	if err != nil {
+		t.Fatal(err)
+	}
+	bob, err := c.AddMachine("bob")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := alice.Spawn("p", nil)
+	if p.Name() != "p" || p.Machine() != alice {
+		t.Fatalf("enclave reports %q on %v, want p on alice", p.Name(), p.Machine())
+	}
+	link, err := c.Connect(p, bob.Spawn("q", nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf, err := link.NewBuffer(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again, err := p.Buffer(buf.Cap()); err != nil || again.Cap() != buf.Cap() {
+		t.Fatalf("Buffer(Cap()) = %v, %v", again, err)
+	}
+	if err := buf.Write(0, []byte("secret")); err != nil {
+		t.Fatal(err)
+	}
+	if err := link.Delegate(buf, OwnershipTransfer); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := link.Receive(link.Receiver()); err != nil {
+		t.Fatal(err)
+	}
+	base := "http://" + c.DebugAddr()
+
+	page := string(get(t, base+"/debug/mmt/metrics"))
+	if !strings.HasSuffix(page, "\n# EOF\n") {
+		t.Fatalf("exposition does not end in # EOF:\n%s", page)
+	}
+	want := map[string]string{}
+	for _, p := range c.Metrics().Procs {
+		for ctr := TraceCounter(0); ctr < trace.NumCounters; ctr++ {
+			if v := p.Counters[ctr]; v != 0 {
+				want[fmt.Sprintf("mmt_counter_total{machine=%q,counter=%q}", p.Proc, ctr)] = strconv.FormatUint(v, 10)
+			}
+		}
+		for ph := TracePhase(0); ph < trace.NumPhases; ph++ {
+			if v := p.Cycles[ph]; v != 0 {
+				want[fmt.Sprintf("mmt_phase_cycles_total{machine=%q,phase=%q}", p.Proc, ph)] = strconv.FormatFloat(float64(v), 'f', -1, 64)
+			}
+		}
+	}
+	got := map[string]string{}
+	for _, line := range strings.Split(strings.TrimSuffix(page, "\n"), "\n") {
+		if strings.HasPrefix(line, "#") {
+			continue
+		}
+		m := sampleLine.FindStringSubmatch(line)
+		if m == nil {
+			t.Fatalf("sample line %q is not name{labels} value", line)
+		}
+		if _, err := strconv.ParseFloat(m[3], 64); err != nil {
+			t.Fatalf("sample line %q: %v", line, err)
+		}
+		if m[1] == "mmt_counter_total" || m[1] == "mmt_phase_cycles_total" {
+			got[m[1]+m[2]] = m[3]
+		}
+	}
+	if len(want) == 0 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("exposition counters and phase cycles differ from Metrics:\n got %v\nwant %v", got, want)
+	}
+	if c.EventsDropped() != 0 || !strings.Contains(page, "\nmmt_sec_events_dropped_total 0\n") {
+		t.Fatalf("ledger dropped %d entries on a short run", c.EventsDropped())
+	}
+
+	doc, err := trace.ParseSeries(get(t, base+"/debug/mmt/series"))
+	if err != nil {
+		t.Fatalf("series endpoint: %v", err)
+	}
+	live, ok := c.Series()
+	if !ok || len(live.Procs) != 2 || !reflect.DeepEqual(doc, live) {
+		t.Fatalf("series endpoint differs from Cluster.Series (sampling %v):\n got %+v\nwant %+v", ok, doc, live)
 	}
 }
 

@@ -2,7 +2,9 @@
 // sits on the interconnect between two machines and tries, in turn, to
 // spy on, tamper with, replay and re-order MMT closures — and, for
 // contrast, succeeds effortlessly against the unprotected baseline
-// channel the paper's Figure 13 compares against.
+// channel the paper's Figure 13 compares against. It exits non-zero if
+// the baseline resists, or if the delegation protocol lets through any
+// attack but the passive spy or lets the spy read plaintext.
 //
 //	go run ./examples/attacks
 package main
@@ -61,9 +63,12 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("spy read the plaintext off the wire: %v\n", bytes.Contains(spy.Captured[0], secret[:16]))
-		fmt.Printf("receiver accepted silently tampered data: %v (got %q)\n\n",
-			!bytes.Equal(got, secret), got)
+		leaked, lied := bytes.Contains(spy.Captured[0], secret[:16]), !bytes.Equal(got, secret)
+		fmt.Printf("spy read the plaintext off the wire: %v\n", leaked)
+		fmt.Printf("receiver accepted silently tampered data: %v (got %q)\n\n", lied, got)
+		if !leaked || !lied {
+			log.Fatal("the unprotected baseline resisted an attack it has no defence against")
+		}
 	}
 
 	fmt.Println("== against MMT closure delegation ==")
@@ -78,7 +83,8 @@ func main() {
 	send := mk(epA, "b", nodeA)
 	recv := mk(epB, "a", nodeB)
 
-	run := func(name string, adversary netsim.Interposer, sends int) {
+	// run reports whether the receiver rejected the adversary's traffic.
+	run := func(name string, adversary netsim.Interposer, sends int) bool {
 		net.SetInterposer(adversary)
 		for i := 0; i < sends; i++ {
 			if err := send.Send(secret); err != nil {
@@ -111,6 +117,7 @@ func main() {
 		} else {
 			fmt.Printf("%-28s delivered intact\n", name)
 		}
+		return firstErr != nil
 	}
 
 	spy := &netsim.Spy{}
@@ -122,10 +129,24 @@ func main() {
 		}
 	}
 	fmt.Printf("%-28s plaintext on the wire: %v\n", "  (what the spy saw)", leaked)
-	run("tampered ciphertext", &netsim.Tamperer{Kind: netsim.KindClosure, Offset: -5}, 1)
-	run("tampered sealed root", &netsim.Tamperer{Kind: netsim.KindClosure, Offset: 30}, 1)
-	run("replayed closure", &netsim.Replayer{Kind: netsim.KindClosure}, 2)
-	run("re-ordered closures", &netsim.Reorderer{Kind: netsim.KindClosure}, 2)
+	delivered := 0
+	for _, a := range []struct {
+		name      string
+		adversary netsim.Interposer
+		sends     int
+	}{
+		{"tampered ciphertext", &netsim.Tamperer{Kind: netsim.KindClosure, Offset: -5}, 1},
+		{"tampered sealed root", &netsim.Tamperer{Kind: netsim.KindClosure, Offset: 30}, 1},
+		{"replayed closure", &netsim.Replayer{Kind: netsim.KindClosure}, 2},
+		{"re-ordered closures", &netsim.Reorderer{Kind: netsim.KindClosure}, 2},
+	} {
+		if !run(a.name, a.adversary, a.sends) {
+			delivered++
+		}
+	}
+	if leaked || delivered > 0 {
+		log.Fatalf("the delegation protocol leaked plaintext (%v) or delivered %d attack(s)", leaked, delivered)
+	}
 
 	fmt.Println("\nThe baseline leaked and lied; the delegation protocol rejected everything.")
 }

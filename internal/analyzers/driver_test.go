@@ -2,6 +2,7 @@ package analyzers_test
 
 import (
 	"bytes"
+	"go/token"
 	"os"
 	"path/filepath"
 	"strings"
@@ -78,6 +79,19 @@ func H() int { return 3 }
 	}
 	if len(findings) != 2 || !strings.Contains(findings[0].Message, `unknown analyzer "nosuch"`) {
 		t.Fatalf("partial run: got %v, want only the two unknown-analyzer audits", findings)
+	}
+}
+
+// TestFindingString pins the file:line:col: [analyzer] message line that
+// mmt-vet prints for each finding.
+func TestFindingString(t *testing.T) {
+	f := analyzers.Finding{
+		Analyzer: "nopanic",
+		Pos:      token.Position{Filename: "a/a.go", Offset: 40, Line: 3, Column: 2},
+		Message:  "panic in library code",
+	}
+	if got, want := f.String(), "a/a.go:3:2: [nopanic] panic in library code"; got != want {
+		t.Fatalf("Finding.String() = %q, want %q", got, want)
 	}
 }
 

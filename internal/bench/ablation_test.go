@@ -1,6 +1,9 @@
 package bench
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 func TestCacheSweepMonotone(t *testing.T) {
 	if testing.Short() {
@@ -89,5 +92,53 @@ func TestLossSweepDeliversEverything(t *testing.T) {
 	}
 	if lossy.GoodputGBps >= clean.GoodputGBps {
 		t.Error("goodput should drop with loss")
+	}
+}
+
+// TestRootTableSweepShape is the §VII mounting trade-off: as the SoC root
+// table shrinks under 512 live MMTs, mounts per 1 000 accesses never fall,
+// and the smallest table mounts more often than the largest.
+func TestRootTableSweepShape(t *testing.T) {
+	rows, err := RootTableSweep(2_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 5 {
+		t.Fatalf("%d rows, want 5", len(rows))
+	}
+	for i := 1; i < len(rows); i++ {
+		if rows[i].ResidentRoots >= rows[i-1].ResidentRoots || rows[i].RootTableBytes != 8*rows[i].ResidentRoots {
+			t.Fatalf("row %d: %d roots in %d B after %d roots", i, rows[i].ResidentRoots, rows[i].RootTableBytes, rows[i-1].ResidentRoots)
+		}
+		if rows[i].MountsPerKAcc < rows[i-1].MountsPerKAcc {
+			t.Errorf("%d resident roots mount %.1f per kacc, fewer than %.1f at %d",
+				rows[i].ResidentRoots, rows[i].MountsPerKAcc, rows[i-1].MountsPerKAcc, rows[i-1].ResidentRoots)
+		}
+	}
+	if first, last := rows[0], rows[len(rows)-1]; last.MountsPerKAcc <= first.MountsPerKAcc || last.Overhead <= first.Overhead {
+		t.Errorf("a 16x smaller root table cost nothing: %+v vs %+v", last, first)
+	}
+}
+
+// TestRenderAblations: the two renderers behind mmt-bench -exp ablation and
+// -exp extension print a table for every sweep they run.
+func TestRenderAblations(t *testing.T) {
+	out, err := RenderAblations(2_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ext, err := RenderExtendedAblations()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, title := range []string{"Ablation: MMT node-cache size", "Ablation: leaf arity"} {
+		if !strings.Contains(out, title) {
+			t.Errorf("RenderAblations misses %q:\n%s", title, out)
+		}
+	}
+	for _, title := range []string{"Ablation: local-counter width", "Extension: reliable delegation goodput", "Extension: Penglai-style root mounting"} {
+		if !strings.Contains(ext, title) {
+			t.Errorf("RenderExtendedAblations misses %q:\n%s", title, ext)
+		}
 	}
 }

@@ -260,10 +260,6 @@ type Received struct {
 	Length int
 }
 
-// MMT exposes the received tree (the data stays in secure memory; reads
-// verify and decrypt on demand).
-func (r *Received) MMT() *core.MMT { return r.mmt }
-
 // Payload reads the chunk's bytes out of secure memory. The reads verify
 // and decrypt as usual but are not charged to the simulated clock: payload
 // consumption is application work that every transfer mode performs and

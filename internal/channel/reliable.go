@@ -65,9 +65,3 @@ func (r *Reliable) SendReliably(payload []byte, pump func()) error {
 	}
 	return fmt.Errorf("%w: %d retries", ErrGiveUp, r.Retries)
 }
-
-// RecvMessage forwards to the underlying channel.
-func (r *Reliable) RecvMessage() ([]byte, error) { return r.d.RecvMessage() }
-
-// Recv forwards to the underlying channel.
-func (r *Reliable) Recv() (*Received, error) { return r.d.Recv() }

@@ -51,8 +51,7 @@ var (
 )
 
 // RecordType tags a record's payload. The store itself is agnostic: type
-// meanings belong to the layer writing them (the snapshot codec, the
-// benchmark checkpointer).
+// meanings belong to the layer writing them (the snapshot codec).
 type RecordType uint8
 
 // Record is one framed payload in the data file.
@@ -63,9 +62,6 @@ type Record struct {
 
 // recordHeaderSize is type byte + 4-byte payload length.
 const recordHeaderSize = 5
-
-// encodedLen reports the framed size of a record.
-func encodedLen(payload int) int { return recordHeaderSize + payload + 4 }
 
 // appendRecord frames r onto dst: type, length, payload, CRC32 (IEEE) over
 // type..payload.

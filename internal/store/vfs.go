@@ -23,7 +23,6 @@ type File interface {
 	WriteAt(p []byte, off int64) (int, error)
 	Size() (int64, error)
 	Sync() error
-	Truncate(size int64) error
 	Close() error
 }
 
@@ -58,7 +57,6 @@ type opKind uint8
 const (
 	opWrite opKind = iota
 	opSync
-	opTruncate
 )
 
 // Op is one journaled filesystem operation.
@@ -66,10 +64,10 @@ type Op struct {
 	Kind opKind
 	File string
 	Off  int64
-	Data []byte // opWrite: bytes written; opTruncate: unused (Off = new size)
+	Data []byte // opWrite: bytes written
 }
 
-// MemFS is an in-memory FS that journals every write, sync and truncate.
+// MemFS is an in-memory FS that journals every write and sync.
 // The crash simulator replays journal prefixes to reconstruct every state
 // the disk could have been in at a kill point.
 type MemFS struct {
@@ -202,44 +200,27 @@ func (fs *MemFS) StateAt(k int, mode ReplayMode) map[string][]byte {
 	}
 
 	out := map[string][]byte{}
-	apply := func(op Op, tear int) {
-		switch op.Kind {
-		case opWrite:
-			data := op.Data
-			if tear >= 0 && tear < len(data) {
-				data = data[:tear]
-			}
-			buf := out[op.File]
-			if need := op.Off + int64(len(data)); int64(len(buf)) < need {
-				grown := make([]byte, need)
-				copy(grown, buf)
-				buf = grown
-			}
-			copy(buf[op.Off:], data)
-			out[op.File] = buf
-		case opTruncate:
-			buf := out[op.File]
-			if int64(len(buf)) > op.Off {
-				buf = buf[:op.Off]
-			} else {
-				grown := make([]byte, op.Off)
-				copy(grown, buf)
-				buf = grown
-			}
-			out[op.File] = buf
-		}
-	}
 	for i, op := range ops {
-		if mode == ReplayDropUnsynced && op.Kind == opWrite {
+		if op.Kind != opWrite {
+			continue
+		}
+		if mode == ReplayDropUnsynced {
 			if ls, ok := lastSync[op.File]; !ok || i > ls {
 				continue // unsynced write: lost
 			}
 		}
-		tear := -1
-		if mode == ReplayTorn && i == len(ops)-1 && op.Kind == opWrite {
-			tear = len(op.Data) / 2
+		data := op.Data
+		if mode == ReplayTorn && i == len(ops)-1 {
+			data = data[:len(data)/2]
 		}
-		apply(op, tear)
+		buf := out[op.File]
+		if need := op.Off + int64(len(data)); int64(len(buf)) < need {
+			grown := make([]byte, need)
+			copy(grown, buf)
+			buf = grown
+		}
+		copy(buf[op.Off:], data)
+		out[op.File] = buf
 	}
 	// Files that were opened but never durably written still exist, empty.
 	for _, name := range sortedKeys(fs.files) {
@@ -248,18 +229,6 @@ func (fs *MemFS) StateAt(k int, mode ReplayMode) map[string][]byte {
 		}
 	}
 	return out
-}
-
-// FileNames lists the known files, sorted.
-func (fs *MemFS) FileNames() []string {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	names := make([]string, 0, len(fs.files))
-	for n := range fs.files {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
 
 type memFile struct {
@@ -306,22 +275,6 @@ func (f *memFile) Sync() error {
 	f.fs.mu.Lock()
 	defer f.fs.mu.Unlock()
 	f.fs.ops = append(f.fs.ops, Op{Kind: opSync, File: f.name})
-	return nil
-}
-
-func (f *memFile) Truncate(size int64) error {
-	f.fs.mu.Lock()
-	defer f.fs.mu.Unlock()
-	f.fs.ops = append(f.fs.ops, Op{Kind: opTruncate, File: f.name, Off: size})
-	buf := f.fs.files[f.name]
-	if int64(len(buf)) > size {
-		buf = buf[:size]
-	} else {
-		grown := make([]byte, size)
-		copy(grown, buf)
-		buf = grown
-	}
-	f.fs.files[f.name] = buf
 	return nil
 }
 

@@ -160,7 +160,7 @@ func (a *ActiveSpan) End(now sim.Time) {
 	})
 	p.proc.recordFlight(FlightSpan{
 		Phase: a.phase, Begin: a.begin, End: now, Trace: a.trace, Span: a.span,
-	}, p.sink.flightCap)
+	})
 	p.sink.mu.Unlock()
 }
 

@@ -18,10 +18,12 @@ package trace
 // Determinism under the parallel runner follows the same discipline as
 // the rest of the sink: window indices are derived from simulated
 // clocks, so worker sinks record identical samples regardless of worker
-// count, and Merge folds per-process series state additively in input
-// order. A machine's series lives entirely inside one work unit (the
-// mmt-vet tracectx confinement rule), so the destination side of every
-// fold is zero and the fold preserves the exact delta-sum contract.
+// count, and Merge folds per-process series state in input order. A
+// machine's series lives entirely inside one work unit (the mmt-vet
+// tracectx confinement rule), so the destination side of every fold is
+// zero and the fold is a copy. A fold onto a machine that already has
+// series state keeps the contract by evicting every sample of both
+// sides (see mergeSeriesLocked).
 
 import (
 	"fmt"
@@ -38,8 +40,8 @@ const SeriesSchema = "mmt-series/v1"
 // identical series.
 const DefaultSeriesCap = 64
 
-// DefaultFlightCap is the default per-process bound on the flight
-// recorder ring of recent spans.
+// DefaultFlightCap is the per-process bound on the flight recorder ring
+// of recent spans.
 const DefaultFlightCap = 16
 
 // SeriesConfig configures the windowed sampler for a Sink.
@@ -98,20 +100,6 @@ func (a *seriesAccum) add(d *SeriesSample) {
 	for i := range a.opCount {
 		a.opCount[i] += d.OpCount[i]
 		a.opSum[i] += d.OpSum[i]
-	}
-}
-
-// addAccum folds another cumulative image in (Merge path).
-func (a *seriesAccum) addAccum(b *seriesAccum) {
-	for i := range a.counters {
-		a.counters[i] += b.counters[i]
-	}
-	for i := range a.cycles {
-		a.cycles[i] += b.cycles[i]
-	}
-	for i := range a.opCount {
-		a.opCount[i] += b.opCount[i]
-		a.opSum[i] += b.opSum[i]
 	}
 }
 
@@ -206,8 +194,12 @@ func (ps *procSeries) push(d SeriesSample, max int) {
 	}
 }
 
-// samplesOldestFirst copies the retained ring in window order.
+// samplesOldestFirst copies the retained ring in window order; nil, as
+// ParseSeries reads it, when the ring is empty.
 func (ps *procSeries) samplesOldestFirst() []SeriesSample {
+	if len(ps.ring) == 0 {
+		return nil
+	}
 	out := make([]SeriesSample, 0, len(ps.ring))
 	out = append(out, ps.ring[ps.head:]...)
 	out = append(out, ps.ring[:ps.head]...)
@@ -303,11 +295,13 @@ func (s *Sink) observeWindowLocked(pm *procMetrics, window uint64) {
 }
 
 // mergeSeriesLocked folds src's sampler state into dst's (both sinks'
-// locks held by Merge). When dst has no series state — the invariant
-// the parallel runner's work-unit confinement guarantees — the fold is
-// a copy and preserves the exact delta-sum contract. Overlapping state
-// merges by window label (deltas of equal windows add), which keeps the
-// series well-formed but is exact only up to float addition.
+// locks held by Merge, dst's accumulators already holding src's). When
+// dst has no series state — the invariant the parallel runner's
+// work-unit confinement guarantees — the fold is a copy. Otherwise the
+// two sides' window labels come from different clocks, so no per-window
+// sum means anything: every sample of both sides, and both tails, fold
+// into the evicted aggregate, which is then the merged cumulative image
+// itself and keeps the exact delta-sum contract.
 func (s *Sink) mergeSeriesLocked(dst, src *procMetrics) {
 	ss := src.series
 	if ss == nil {
@@ -330,66 +324,15 @@ func (s *Sink) mergeSeriesLocked(dst, src *procMetrics) {
 		ds.head = 0
 		return
 	}
-	merged := mergeByWindow(ds.samplesOldestFirst(), ss.samplesOldestFirst())
-	ds.base.addAccum(&ss.base)
-	ds.baseWindows += ss.baseWindows
-	if ss.baseThrough > ds.baseThrough {
-		ds.baseThrough = ss.baseThrough
-	}
-	max := s.seriesCfg.MaxSamples
-	if max <= 0 {
-		max = DefaultSeriesCap
-	}
-	for len(merged) > max {
-		ds.base.add(&merged[0])
-		ds.baseWindows++
-		ds.baseThrough = merged[0].Window
-		merged = merged[1:]
-	}
-	ds.ring = merged
-	ds.head = 0
-	ds.last.addAccum(&ss.last)
-	if ss.sampled && (!ds.sampled || ss.lastLabel > ds.lastLabel) {
-		ds.lastLabel = ss.lastLabel
-	}
+	ds.baseWindows += ss.baseWindows + uint64(len(ds.ring)+len(ss.ring))
 	ds.sampled = ds.sampled || ss.sampled
-	if ss.curWindow > ds.curWindow {
-		ds.curWindow = ss.curWindow
+	ds.lastLabel = max(ds.lastLabel, ss.lastLabel) // 0 on a side that never sampled
+	ds.curWindow = max(ds.curWindow, ss.curWindow)
+	if ds.baseWindows > 0 { // else neither side sampled: all of it is tail
+		ds.base.loadFrom(dst)
+		ds.baseThrough = ds.lastLabel
 	}
-}
-
-// mergeByWindow merges two window-ordered sample lists, summing samples
-// with equal labels.
-func mergeByWindow(a, b []SeriesSample) []SeriesSample {
-	out := make([]SeriesSample, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i].Window < b[j].Window:
-			out = append(out, a[i])
-			i++
-		case b[j].Window < a[i].Window:
-			out = append(out, b[j])
-			j++
-		default:
-			m := a[i]
-			var acc seriesAccum
-			acc.add(&m)
-			acc.add(&b[j])
-			out = append(out, SeriesSample{
-				Window:   m.Window,
-				Counters: acc.counters,
-				Cycles:   acc.cycles,
-				OpCount:  acc.opCount,
-				OpSum:    acc.opSum,
-			})
-			i++
-			j++
-		}
-	}
-	out = append(out, a[i:]...)
-	out = append(out, b[j:]...)
-	return out
+	ds.last, ds.ring, ds.head = ds.base, nil, 0
 }
 
 // ProcSeries is the exported series of one process.
@@ -602,11 +545,8 @@ type FlightSpan struct {
 }
 
 // recordFlight appends one span to the process's flight ring.
-func (pm *procMetrics) recordFlight(fs FlightSpan, bound int) {
-	if bound <= 0 {
-		bound = DefaultFlightCap
-	}
-	if len(pm.flight) < bound {
+func (pm *procMetrics) recordFlight(fs FlightSpan) {
+	if len(pm.flight) < DefaultFlightCap {
 		pm.flight = append(pm.flight, fs)
 		return
 	}
@@ -626,21 +566,4 @@ func (pm *procMetrics) flightSnapshot() []FlightSpan {
 	out = append(out, pm.flight[pm.flightHead:]...)
 	out = append(out, pm.flight[:pm.flightHead]...)
 	return out
-}
-
-// SetFlightCapacity bounds the per-process flight-recorder rings at n
-// spans (n <= 0 restores DefaultFlightCap). Like SetEventCapacity it
-// only applies before any span has been recorded.
-func (s *Sink) SetFlightCapacity(n int) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, p := range s.procs {
-		if len(p.flight) > 0 {
-			return
-		}
-	}
-	s.flightCap = n
 }

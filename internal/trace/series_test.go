@@ -155,6 +155,50 @@ func TestSeriesMergeReproducesSerial(t *testing.T) {
 	}
 }
 
+// TestSeriesMergeOverlapExact: sinks that each sampled the same machine
+// on their own clock (parts of a run that moved between workers) merge into a series that still keeps the exact
+// delta-sum contract, so the merged view passes Check and ParseSeries
+// takes back exactly what WriteSeriesJSON wrote.
+func TestSeriesMergeOverlapExact(t *testing.T) {
+	const window = uint64(256)
+	for _, tc := range []struct{ maxSamples, parts, windows, steps int }{
+		{2, 4, 3, 8},
+		{4, 3, 20, 3},
+		{8, 3, 10, 8},
+		{64, 4, 20, 1},
+		{4, 2, 10, 3},
+	} {
+		cfg := SeriesConfig{WindowCycles: window, MaxSamples: tc.maxSamples}
+		root := NewSink()
+		if err := root.EnableSeries(cfg); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < tc.parts; i++ {
+			part := NewSink()
+			if err := part.EnableSeries(cfg); err != nil {
+				t.Fatal(err)
+			}
+			p := part.Probe("m")
+			clock := sim.NewClock(1e9)
+			clock.SetWindowHook(window, p.ObserveWindow)
+			driveWindows(clock, p, tc.windows+i, tc.steps, window) // parts of unequal length
+			root.Merge(part)
+		}
+		live, _ := root.SeriesSnapshot()
+		if err := live.Check(); err != nil {
+			t.Errorf("%+v: merged view: %v", tc, err)
+			continue
+		}
+		var buf bytes.Buffer
+		if err := root.WriteSeriesJSON(&buf); err != nil {
+			t.Fatalf("%+v: %v", tc, err)
+		}
+		if parsed, err := ParseSeries(buf.Bytes()); err != nil || !reflect.DeepEqual(parsed, live) {
+			t.Errorf("%+v: series did not round-trip (err %v)", tc, err)
+		}
+	}
+}
+
 // TestFlightRecorderFreeze mirrors the package-level mid-run snapshot
 // test for the flight recorder: one goroutine records spans while the
 // driver fires warn-severity events and observers poison the returned

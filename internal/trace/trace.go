@@ -249,9 +249,6 @@ type Sink struct {
 	// seriesOn/seriesCfg configure the windowed sampler (series.go).
 	seriesOn  bool
 	seriesCfg SeriesConfig
-	// flightCap bounds the per-process flight rings; 0 means
-	// DefaultFlightCap.
-	flightCap int
 }
 
 // NewSink returns an empty sink.
@@ -347,7 +344,7 @@ func (s *Sink) Merge(src *Sink) {
 		dst.causalSeq += sp.causalSeq
 		s.mergeSeriesLocked(dst, sp)
 		for _, fs := range sp.flightSnapshot() {
-			dst.recordFlight(fs, s.flightCap)
+			dst.recordFlight(fs)
 		}
 	}
 	for _, ev := range src.events {
@@ -450,7 +447,7 @@ func (p *Probe) Span(ph Phase, begin, end sim.Time) {
 	}
 	p.sink.mu.Lock()
 	p.sink.events = append(p.sink.events, Event{Proc: p.proc.name, Phase: ph, Begin: begin, End: end})
-	p.proc.recordFlight(FlightSpan{Phase: ph, Begin: begin, End: end}, p.sink.flightCap)
+	p.proc.recordFlight(FlightSpan{Phase: ph, Begin: begin, End: end})
 	p.sink.mu.Unlock()
 }
 

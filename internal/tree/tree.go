@@ -315,9 +315,6 @@ func (t *Tree) Node(level, index int) NodeRef {
 	return NodeRef{t: t, level: level, n: t.lay.Level[level].Base + index}
 }
 
-// Arity reports the node's slot count.
-func (n NodeRef) Arity() int { return n.t.lay.Level[n.level].Arity }
-
 // Global reads the node's global counter word.
 func (n NodeRef) Global() uint64 { return n.t.ctr[n.t.ctrOff(n.level, n.n)] }
 
