@@ -21,7 +21,6 @@ import (
 	"crypto/aes"
 	"crypto/cipher"
 	"crypto/hmac"
-	"crypto/rand"
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
@@ -49,20 +48,8 @@ const (
 )
 
 // Key is a 128-bit MMT key. The zero Key is valid input everywhere but
-// offers no secrecy; callers use NewRandomKey or a negotiated key.
+// offers no secrecy; callers derive (KeyFromBytes) or negotiate a key.
 type Key [KeySize]byte
-
-// NewRandomKey returns a fresh random key.
-func NewRandomKey() Key {
-	var k Key
-	if _, err := rand.Read(k[:]); err != nil {
-		// crypto/rand never fails on the supported platforms; treat
-		// failure as unrecoverable rather than silently weakening keys.
-		//mmt:allow nopanic: entropy failure must halt, not weaken keys
-		panic("crypt: reading random key: " + err.Error())
-	}
-	return k
-}
 
 // KeyFromBytes builds a key from arbitrary bytes by hashing, so tests and
 // examples can use readable seeds.

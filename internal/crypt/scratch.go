@@ -327,8 +327,7 @@ func (e *Engine) CheckLines(ct, keys []byte, macs []uint64) (good int) {
 
 // XORLines XORs each of the len(dst)/LineSize lines of src with the
 // keystream of its LineKeysSize record in keys into dst: the decryption
-// half of OpenLines, and in place (dst == src) Release's decryption of a
-// whole region.
+// half of OpenLines. dst may be src.
 //
 //mmt:hotpath
 func XORLines(dst, src, keys []byte) {

@@ -366,8 +366,7 @@ func TestOpenLinesStopsAtFirstBadLine(t *testing.T) {
 // the decryption without a check — agree with OpenLines and with the
 // oracle's LineMAC and XORPad, for no line, one, and runs about a 64-line
 // group, clean and with one bad MAC at the first, a middle or the last
-// line. CheckLines writes nothing; XORLines decrypts in place too, as
-// Release does.
+// line. CheckLines writes nothing; XORLines decrypts in place too.
 func TestCheckXORLinesSplitOpenLines(t *testing.T) {
 	e := testEngine()
 	for _, n := range []int{0, 1, 63, 64, 65} {

@@ -26,7 +26,8 @@ import (
 // Mode is the access mode the controller enforces for one secure region.
 // It is the hardware-visible projection of the MMT state machine: valid ->
 // ModeReadWrite, sending/read-only -> ModeReadOnly, invalid/waiting ->
-// ModeDisabled.
+// ModeDisabled. The modes of all regions are §V-A2's "bitmap which records
+// the type of physical memory": a disabled region is normal memory.
 type Mode uint8
 
 const (
@@ -395,8 +396,8 @@ func (c *Controller) Enable(r int, key crypt.Key, guaddr, rootCounter uint64) er
 // line planes with nothing valid (recycled from planePool when an
 // invalidated region left a set, so only the validity bitset is reset) and
 // an all-dirty line bitset — neither freshly encrypted nor
-// transferred contents have been checkpointed here — then marks the
-// region secure.
+// transferred contents have been checkpointed here — then drops the node
+// cache's entries for it.
 func (c *Controller) bindRegion(r int, st regionState) {
 	lines := c.lay.Lines
 	if n := len(c.planePool); n > 0 {
@@ -410,45 +411,24 @@ func (c *Controller) bindRegion(r int, st regionState) {
 	st.dirtyLines = make([]uint64, (lines+63)/64)
 	st.markLines(0, lines) // whole words, and no bit past the last line
 	c.regions[r] = st
-	c.mem.SetRegionKind(r, mem.KindSecure)
 	c.cache.invalidateRegion(r)
 }
 
 // Invalidate drops region r's MMT without decrypting: the memory reverts
 // to normal but holds ciphertext garbage. This is the sender-side
-// transition sending -> invalid after an ownership-transfer delegation.
-// The region's line planes go to planePool; its line MACs do not, because
-// a closure built by Export may still be reading them.
+// transition sending -> invalid after an ownership-transfer delegation,
+// and the only teardown: freeing a buffer ends here too, so memory that
+// returns to the normal pool never holds plaintext. The region's line
+// planes go to planePool; its line MACs do not, because a closure built
+// by Export may still be reading them.
 func (c *Controller) Invalidate(r int) {
 	st := c.region(r)
 	if st.mode != ModeDisabled {
 		c.planePool = append(c.planePool, st.linePlanes)
 	}
 	*st = regionState{}
-	c.mem.SetRegionKind(r, mem.KindNormal)
 	c.cache.invalidateRegion(r)
 	c.roots.invalidateRegion(r)
-}
-
-// Release decrypts region r in place (restoring plaintext) and then
-// invalidates the MMT — the graceful local teardown.
-func (c *Controller) Release(r int) error {
-	st := c.region(r)
-	if st.mode == ModeDisabled {
-		return ErrDisabled
-	}
-	data := c.mem.RegionData(r)
-	c.sweepLines(func(lo, hi int) int {
-		for g := lo; g < hi; g = groupEnd(g, hi) {
-			n := groupEnd(g, hi) - g
-			st.keyRun(g, n)
-			buf := data[g*mem.LineSize : (g+n)*mem.LineSize]
-			crypt.XORLines(buf, buf, st.runKeys(g, n))
-		}
-		return -1
-	})
-	c.Invalidate(r)
-	return nil
 }
 
 // SetMode changes region r's enforcement mode (driven by the MMT state
@@ -964,15 +944,6 @@ func (c *Controller) Access(r, line int, write bool) {
 	} else {
 		c.recordAccess(trace.OpLocalRead, total, verify)
 	}
-}
-
-// AccessUnprotected models a baseline (no-MMT) memory access: one DRAM
-// access, no tree traffic. Used as the denominator of Figure 11.
-func (c *Controller) AccessUnprotected() {
-	c.stats.DataAccesses++
-	c.probe.AddCycles(trace.PhaseData, c.prof.DRAMAccess)
-	c.stats.Cycles += c.prof.DRAMAccess
-	c.clock.AdvanceCycles(c.prof.DRAMAccess)
 }
 
 // BumpRootCounter advances region r's root counter by one (the delegation

@@ -125,71 +125,6 @@ func TestReadIntoMatchesRead(t *testing.T) {
 	}
 }
 
-// TestVerifyRegionsParallel: the batch scrub passes on healthy regions at
-// any worker count, detects tampering in tree nodes and data lines, and
-// reports the lowest-indexed failing region regardless of parallelism.
-func TestVerifyRegionsParallel(t *testing.T) {
-	setup := func() *Controller {
-		c := testSetup(t)
-		for r := 0; r < 3; r++ {
-			fill(c, r, byte(r+1))
-			if err := c.Enable(r, testKey, uint64(0x100*(r+1)), 0); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return c
-	}
-	for _, workers := range []int{1, 2, 8} {
-		c := setup()
-		if err := c.VerifyRegions([]int{0, 1, 2}, workers); err != nil {
-			t.Fatalf("workers=%d: healthy regions failed scrub: %v", workers, err)
-		}
-	}
-
-	// Tamper with region 1's tree and region 2's data; region 1 is the
-	// lowest failing input index at every worker count.
-	for _, workers := range []int{1, 2, 8} {
-		c := setup()
-		n := c.Tree(1).Node(0, 0)
-		n.SetGlobal(n.Global() + 1)
-		c.Memory().RegionData(2)[5] ^= 1
-		err := c.VerifyRegions([]int{0, 1, 2}, workers)
-		if !errors.Is(err, ErrIntegrity) {
-			t.Fatalf("workers=%d: err = %v, want integrity failure", workers, err)
-		}
-		serial := setup()
-		sn := serial.Tree(1).Node(0, 0)
-		sn.SetGlobal(sn.Global() + 1)
-		serial.Memory().RegionData(2)[5] ^= 1
-		serialErr := serial.VerifyRegions([]int{0, 1, 2}, 1)
-		if err.Error() != serialErr.Error() {
-			t.Fatalf("workers=%d: error %q differs from serial %q", workers, err, serialErr)
-		}
-	}
-
-	// Trace counts are applied deterministically on success.
-	counts := func(workers int) uint64 {
-		c := setup()
-		sink := trace.NewSink()
-		c.SetTrace(sink.Probe("scrub"))
-		if err := c.VerifyRegions([]int{0, 1, 2}, workers); err != nil {
-			t.Fatal(err)
-		}
-		return sink.Snapshot().Counter(trace.CtrTreeNodeVerifies)
-	}
-	if s, p := counts(1), counts(4); s != p || s == 0 {
-		t.Fatalf("trace counts differ: serial %d, parallel %d", s, p)
-	}
-
-	c := setup()
-	if err := c.VerifyRegions([]int{0, 0}, 2); err == nil {
-		t.Fatal("duplicate region accepted")
-	}
-	if err := c.VerifyRegions([]int{3}, 2); !errors.Is(err, ErrDisabled) {
-		t.Fatalf("disabled region: err = %v, want ErrDisabled", err)
-	}
-}
-
 // BenchmarkReadLine / BenchmarkWriteLine: steady-state protected access
 // cost; both must report 0 allocs/op.
 func BenchmarkReadLine(b *testing.B) {
@@ -339,13 +274,13 @@ func BenchmarkCacheInvalidateRegionContended(b *testing.B) {
 	}
 }
 
-// TestEnableReleaseSweeps pins the whole-region sweeps of Enable and
-// Release to the slow reference (every ciphertext line is XORPad of the
-// plaintext, every line MAC is LineMAC) at 1, 2 and 4 processors — the
-// sweeps are cut into per-processor chunks, and 768 lines make twelve
-// 64-line groups to cut — and, on one processor, to zero allocations per
-// line: a region 32 times larger costs the same number of allocations.
-func TestEnableReleaseSweeps(t *testing.T) {
+// TestEnableSweeps pins Enable's whole-region sweep to the slow reference
+// (every ciphertext line is XORPad of the plaintext, every line MAC is
+// LineMAC) at 1, 2 and 4 processors — the sweep is cut into per-processor
+// chunks, and 768 lines make twelve 64-line groups to cut — and, on one
+// processor, to zero allocations per line: a region 32 times larger costs
+// the same number of allocations.
+func TestEnableSweeps(t *testing.T) {
 	setup := func(arities ...int) *Controller {
 		geo := tree.Geometry{Arities: arities}
 		m := mem.New(mem.Config{Size: geo.DataSize(), RegionSize: geo.DataSize(), MetaPerRegion: geo.MetaSize()})
@@ -360,9 +295,7 @@ func TestEnableReleaseSweeps(t *testing.T) {
 			if err := c.Enable(0, testKey, 0x11, 0); err != nil {
 				t.Fatal(err)
 			}
-			if err := c.Release(0); err != nil {
-				t.Fatal(err)
-			}
+			c.Invalidate(0)
 		}
 	}
 
@@ -412,11 +345,9 @@ func TestEnableReleaseSweeps(t *testing.T) {
 			if err := c.ReadRange(0, first, got); err != nil || !bytes.Equal(got, span) {
 				t.Fatalf("GOMAXPROCS=%d, %d lines: ragged span read back: %v", procs, c.lay.Lines, err)
 			}
-			if err := c.Release(0); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(c.Memory().RegionData(0), plain) {
-				t.Fatalf("GOMAXPROCS=%d, %d lines: Release did not restore the plaintext", procs, c.lay.Lines)
+			all := make([]byte, len(plain))
+			if err := c.ReadRange(0, 0, all); err != nil || !bytes.Equal(all, plain) {
+				t.Fatalf("GOMAXPROCS=%d, %d lines: whole-region read: %v", procs, c.lay.Lines, err)
 			}
 		}
 	}
@@ -425,6 +356,6 @@ func TestEnableReleaseSweeps(t *testing.T) {
 	small := testing.AllocsPerRun(5, cycle(setup(2, 3, 4)))
 	big := testing.AllocsPerRun(5, cycle(setup(4, 8, 24))) // 768 lines against 24
 	if big != small {
-		t.Fatalf("Enable+Release allocates %.0f objects over 24 lines but %.0f over 768, want the same", small, big)
+		t.Fatalf("Enable+Invalidate allocates %.0f objects over 24 lines but %.0f over 768, want the same", small, big)
 	}
 }

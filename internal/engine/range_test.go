@@ -246,16 +246,18 @@ func rangeVsLine(t testing.TB, setup twinSetup, script []byte) uint64 {
 			t.Fatalf("%s: observable state differs\nrange:        %+v\nline by line: %+v", what, oa, ob)
 		}
 	}
-	all := make([]int, regions)
-	for r := range all {
-		all[r] = r
+	for r := range regions {
 		if sa, sb := rng.stored(t, r), ref.stored(t, r); !reflect.DeepEqual(sa, sb) {
 			t.Fatalf("region %d: stored state differs after the script (root counters %d / %d, %d / %d dirty lines, %d / %d dirty nodes)",
 				r, sa.rootCounter, sb.rootCounter, len(sa.dirtyLines), len(sb.dirtyLines), len(sa.dirtyNodes), len(sb.dirtyNodes))
 		}
-	}
-	if err := rng.c.VerifyRegions(all, 1); err != nil {
-		t.Fatalf("regions do not scrub clean after the script: %v", err)
+		st := rng.c.region(r)
+		if err := st.tr.VerifyAll(st.eng, st.guaddr); err != nil {
+			t.Fatalf("region %d: tree does not verify after the script: %v", r, err)
+		}
+		if bad := sweepLineMACs(st.eng, st.tr, st.guaddr, rng.c.mem.RegionData(r), st.lineMACs, 0, rng.c.lay.Lines); bad >= 0 {
+			t.Fatalf("region %d: line %d's MAC does not verify after the script", r, bad)
+		}
 	}
 	if setup.series {
 		if v, on := rng.sink.SeriesSnapshot(); !on || v.Check() != nil || len(v.Procs) != 1 {

@@ -9,79 +9,8 @@ import (
 
 	"mmt/internal/crypt"
 	"mmt/internal/mem"
-	"mmt/internal/par"
-	"mmt/internal/trace"
 	"mmt/internal/tree"
 )
-
-// VerifyRegions re-verifies the complete integrity state of the listed
-// secure regions — every tree node MAC and every data line MAC — fanning
-// the regions across up to workers goroutines (workers <= 1 runs
-// serially; see internal/par for the semantics). This is the meta-zone
-// scrub a monitor runs after resuming from untrusted storage or
-// periodically against physical attacks; each region's verification is
-// independent, which makes it the engine's embarrassingly-parallel batch
-// operation.
-//
-// Determinism: the result is independent of workers. On failure the error
-// names the lowest-indexed failing region (par.ForEach's contract).
-// Functional verification must not touch the shared trace probe from
-// worker goroutines, so each region's node verifies are counted and
-// applied to the probe serially, in input order, after all regions pass;
-// on error no trace counts from the batch are recorded. A region may
-// appear only once: the per-region trees and their scratch buffers are
-// the work-unit-owned state.
-//
-// Timing: scrubbing is off the critical access path; like Install and
-// Export, it charges no simulated cycles.
-func (c *Controller) VerifyRegions(regions []int, workers int) error {
-	seen := make(map[int]bool, len(regions))
-	for _, r := range regions {
-		st := c.region(r)
-		if st.mode == ModeDisabled {
-			return fmt.Errorf("%w: region %d", ErrDisabled, r)
-		}
-		if seen[r] {
-			return fmt.Errorf("engine: region %d listed twice in VerifyRegions", r)
-		}
-		seen[r] = true
-	}
-	// Detach tracing for the parallel section; trace.Probe is not safe for
-	// concurrent use.
-	probes := make([]*trace.Probe, len(regions))
-	for i, r := range regions {
-		probes[i] = c.region(r).tr.Probe()
-		c.region(r).tr.SetTrace(nil)
-	}
-	restore := func() {
-		for i, r := range regions {
-			c.region(r).tr.SetTrace(probes[i])
-		}
-	}
-
-	verifies := make([]uint64, len(regions))
-	err := par.ForEach(workers, regions, func(i, r int) error {
-		st := c.region(r)
-		if err := st.tr.VerifyAll(st.eng, st.guaddr); err != nil {
-			return fmt.Errorf("region %d: %w", r, err)
-		}
-		nodes := uint64(c.lay.Nodes)
-		if bad := sweepLineMACs(st.eng, st.tr, st.guaddr, c.mem.RegionData(r), st.lineMACs, 0, c.lay.Lines); bad >= 0 {
-			return fmt.Errorf("region %d: %w: data line %d", r, ErrIntegrity, bad)
-		}
-		verifies[i] = nodes
-		return nil
-	})
-	restore()
-	if err != nil {
-		return err
-	}
-	for i := range regions {
-		c.probe.Count(trace.CtrTreeNodeVerifies, verifies[i])
-		c.probe.Count(trace.CtrMACVerifies, uint64(c.lay.Lines))
-	}
-	return nil
-}
 
 // A pipe runs the line crypto of a span on other goroutines, beside the
 // serial loop that accounts for it (a range access) or beside nothing

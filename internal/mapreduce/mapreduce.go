@@ -47,18 +47,6 @@ func WordCountReducer(_ string, values []int64) int64 {
 	return sum
 }
 
-// GrepMapper returns a Mapper emitting (line, 1) for lines containing the
-// pattern — the second classic VC3-style job.
-func GrepMapper(pattern string) Mapper {
-	return func(chunk []byte, emit func(string, int64)) {
-		for _, line := range strings.Split(string(chunk), "\n") {
-			if strings.Contains(line, pattern) {
-				emit(line, 1)
-			}
-		}
-	}
-}
-
 // combine pre-reduces a partition locally, preserving first-seen key
 // order for determinism.
 func combine(kvs []KV, combiner Reducer) []KV {

@@ -148,7 +148,14 @@ func TestSecureChannelSlowerThanBaselineAndMMTClose(t *testing.T) {
 
 func TestGrepJob(t *testing.T) {
 	input := []byte("error: disk full\nok\nwarn: retry\nerror: disk full\nok")
-	res, err := Run(testConfig(MMT), input, GrepMapper("error"), WordCountReducer)
+	grep := func(chunk []byte, emit func(string, int64)) {
+		for _, line := range strings.Split(string(chunk), "\n") {
+			if strings.Contains(line, "error") {
+				emit(line, 1)
+			}
+		}
+	}
+	res, err := Run(testConfig(MMT), input, grep, WordCountReducer)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,14 +1,13 @@
 // Package mem models a node's physical memory as seen by the MMT
 // controller: a flat byte-addressable DRAM divided into fixed-size
-// protection regions, each of which is normal (unprotected) memory, secure
-// memory covered by an MMT, or part of the MMT meta-zone that stores tree
+// protection regions, each of which is normal (unprotected) memory or
+// secure memory covered by an MMT, and the MMT meta-zone that stores tree
 // nodes and data MACs (§V-A2).
 //
-// The controller "first checks a bitmap which records the type of physical
-// memory"; Memory.Kind is that bitmap. The meta-zone "is a separate memory
-// range which can only be accessed by MMT monitor" and "each MMT metadata
-// has a fixed mapping with its data memory"; MetaBase implements that fixed
-// mapping.
+// Which regions are secure is the controller's record (engine.Mode), not
+// this package's. The meta-zone "is a separate memory range which can only
+// be accessed by MMT monitor" and "each MMT metadata has a fixed mapping
+// with its data memory"; MetaRegion implements that fixed mapping.
 package mem
 
 import (
@@ -22,31 +21,6 @@ type Addr uint64
 
 // LineSize is the cache-line granularity of the protection engine.
 const LineSize = crypt.LineSize
-
-// Kind classifies a protection region.
-type Kind uint8
-
-const (
-	// KindNormal is unprotected memory: no encryption, no integrity tree.
-	KindNormal Kind = iota
-	// KindSecure is MMT-protected memory.
-	KindSecure
-	// KindMeta is the MMT meta-zone holding tree nodes and data MACs.
-	KindMeta
-)
-
-func (k Kind) String() string {
-	switch k {
-	case KindNormal:
-		return "normal"
-	case KindSecure:
-		return "secure"
-	case KindMeta:
-		return "meta-zone"
-	default:
-		return fmt.Sprintf("Kind(%d)", uint8(k))
-	}
-}
 
 // Config sizes a Memory.
 type Config struct {
@@ -80,10 +54,9 @@ func (c Config) Validate() error {
 // that region<->metadata mapping stays fixed (as in the hardware), while
 // region indices remain contiguous.
 type Memory struct {
-	cfg   Config
-	data  []byte
-	meta  []byte
-	kinds []Kind
+	cfg  Config
+	data []byte
+	meta []byte
 }
 
 // New allocates a Memory from cfg. It panics on an invalid Config because
@@ -92,12 +65,10 @@ func New(cfg Config) *Memory {
 	if err := cfg.Validate(); err != nil {
 		panic(err) //mmt:allow nopanic: static experiment configuration; a bad Config is a programming error, not runtime input
 	}
-	n := cfg.Size / cfg.RegionSize
 	return &Memory{
-		cfg:   cfg,
-		data:  make([]byte, cfg.Size),
-		meta:  make([]byte, n*cfg.MetaPerRegion),
-		kinds: make([]Kind, n),
+		cfg:  cfg,
+		data: make([]byte, cfg.Size),
+		meta: make([]byte, cfg.Size/cfg.RegionSize*cfg.MetaPerRegion),
 	}
 }
 
@@ -108,55 +79,10 @@ func (m *Memory) Config() Config { return m.cfg }
 func (m *Memory) Size() int { return m.cfg.Size }
 
 // Regions reports the number of protection regions.
-func (m *Memory) Regions() int { return len(m.kinds) }
-
-// RegionOf maps a physical address to its protection-region index.
-func (m *Memory) RegionOf(a Addr) int { return int(uint64(a) / uint64(m.cfg.RegionSize)) }
+func (m *Memory) Regions() int { return m.cfg.Size / m.cfg.RegionSize }
 
 // RegionBase reports the base address of region r.
 func (m *Memory) RegionBase(r int) Addr { return Addr(uint64(r) * uint64(m.cfg.RegionSize)) }
-
-// Kind reports the protection kind of the region containing a.
-func (m *Memory) Kind(a Addr) Kind {
-	return m.kinds[m.mustRegion(a)]
-}
-
-// SetRegionKind reclassifies region r. The MMT monitor is the only caller
-// in a full system (§IV-C); enforcement of that privilege lives in the
-// monitor package.
-func (m *Memory) SetRegionKind(r int, k Kind) {
-	if r < 0 || r >= len(m.kinds) {
-		panic(fmt.Sprintf("mem: region %d out of range [0,%d)", r, len(m.kinds))) //mmt:allow nopanic: internal bounds guard; models a hardware fault on an impossible region index
-	}
-	m.kinds[r] = k
-}
-
-// RegionKind reports the kind of region r.
-func (m *Memory) RegionKind(r int) Kind {
-	if r < 0 || r >= len(m.kinds) {
-		panic(fmt.Sprintf("mem: region %d out of range [0,%d)", r, len(m.kinds))) //mmt:allow nopanic: internal bounds guard; models a hardware fault on an impossible region index
-	}
-	return m.kinds[r]
-}
-
-// FindFree returns the index of the first KindNormal region, or -1 when
-// none is free. The TEEOS allocates secure PMOs from such regions.
-func (m *Memory) FindFree() int {
-	for i, k := range m.kinds {
-		if k == KindNormal {
-			return i
-		}
-	}
-	return -1
-}
-
-func (m *Memory) mustRegion(a Addr) int {
-	r := m.RegionOf(a)
-	if r < 0 || r >= len(m.kinds) {
-		panic(fmt.Sprintf("mem: address %#x out of range (size %#x)", uint64(a), m.cfg.Size)) //mmt:allow nopanic: internal bounds guard; models a hardware fault on an impossible address
-	}
-	return r
-}
 
 func (m *Memory) checkSpan(a Addr, n int) {
 	if n < 0 || uint64(a)+uint64(n) > uint64(m.cfg.Size) {
@@ -164,30 +90,12 @@ func (m *Memory) checkSpan(a Addr, n int) {
 	}
 }
 
-// ReadLine returns a copy of the LineSize-aligned line at a.
-func (m *Memory) ReadLine(a Addr) []byte {
-	m.checkLine(a)
-	out := make([]byte, LineSize)
-	copy(out, m.data[a:])
-	return out
-}
-
 // LineView returns the LineSize-aligned line at a, aliased to the DRAM
-// backing store (see MetaRegion). The engine's zero-allocation read path
-// uses it in place of ReadLine; callers must not hold the slice across
-// writes.
+// backing store (see MetaRegion), for the engine's zero-allocation read
+// path; callers must not hold the slice across writes.
 func (m *Memory) LineView(a Addr) []byte {
 	m.checkLine(a)
 	return m.data[a : a+LineSize]
-}
-
-// WriteLine stores one line at the LineSize-aligned address a.
-func (m *Memory) WriteLine(a Addr, line []byte) {
-	m.checkLine(a)
-	if len(line) != LineSize {
-		panic(fmt.Sprintf("mem: WriteLine with %d bytes", len(line))) //mmt:allow nopanic: internal invariant; callers always pass LineSize bytes
-	}
-	copy(m.data[a:], line)
 }
 
 func (m *Memory) checkLine(a Addr) {
@@ -218,8 +126,8 @@ func (m *Memory) Write(a Addr, p []byte) {
 // is also what a physical attacker can overwrite, which the integrity
 // checks must detect.
 func (m *Memory) MetaRegion(r int) []byte {
-	if r < 0 || r >= len(m.kinds) {
-		panic(fmt.Sprintf("mem: region %d out of range [0,%d)", r, len(m.kinds))) //mmt:allow nopanic: internal bounds guard; models a hardware fault on an impossible region index
+	if r < 0 || r >= m.Regions() {
+		panic(fmt.Sprintf("mem: region %d out of range [0,%d)", r, m.Regions())) //mmt:allow nopanic: internal bounds guard; models a hardware fault on an impossible region index
 	}
 	return m.meta[r*m.cfg.MetaPerRegion : (r+1)*m.cfg.MetaPerRegion]
 }

@@ -33,12 +33,12 @@ func TestConfigValidate(t *testing.T) {
 func TestLineRoundTrip(t *testing.T) {
 	m := testMem()
 	line := bytes.Repeat([]byte{0xAB}, LineSize)
-	m.WriteLine(128, line)
-	if !bytes.Equal(m.ReadLine(128), line) {
+	m.Write(128, line)
+	if !bytes.Equal(m.LineView(128), line) {
 		t.Fatal("line round trip failed")
 	}
 	// Adjacent lines untouched.
-	if !bytes.Equal(m.ReadLine(64), make([]byte, LineSize)) {
+	if !bytes.Equal(m.LineView(64), make([]byte, LineSize)) {
 		t.Fatal("adjacent line dirtied")
 	}
 }
@@ -50,7 +50,7 @@ func TestUnalignedLinePanics(t *testing.T) {
 			t.Fatal("expected panic on unaligned line read")
 		}
 	}()
-	m.ReadLine(3)
+	m.LineView(3)
 }
 
 func TestOutOfRangePanics(t *testing.T) {
@@ -77,41 +77,8 @@ func TestRegionMapping(t *testing.T) {
 	if m.Regions() != 16 {
 		t.Fatalf("Regions() = %d, want 16", m.Regions())
 	}
-	if m.RegionOf(0) != 0 || m.RegionOf(64<<10-1) != 0 || m.RegionOf(64<<10) != 1 {
-		t.Fatal("RegionOf boundary wrong")
-	}
 	if m.RegionBase(3) != Addr(3*64<<10) {
 		t.Fatal("RegionBase wrong")
-	}
-}
-
-func TestKindsAndFindFree(t *testing.T) {
-	m := testMem()
-	if m.Kind(0) != KindNormal {
-		t.Fatal("fresh memory not normal")
-	}
-	m.SetRegionKind(0, KindSecure)
-	m.SetRegionKind(1, KindMeta)
-	if m.Kind(0) != KindSecure || m.Kind(64<<10) != KindMeta {
-		t.Fatal("SetRegionKind not visible through Kind")
-	}
-	if got := m.FindFree(); got != 2 {
-		t.Fatalf("FindFree = %d, want 2", got)
-	}
-	for i := 0; i < m.Regions(); i++ {
-		m.SetRegionKind(i, KindSecure)
-	}
-	if got := m.FindFree(); got != -1 {
-		t.Fatalf("FindFree on full memory = %d, want -1", got)
-	}
-}
-
-func TestKindString(t *testing.T) {
-	if KindNormal.String() != "normal" || KindSecure.String() != "secure" || KindMeta.String() != "meta-zone" {
-		t.Fatal("Kind.String wrong")
-	}
-	if Kind(200).String() == "" {
-		t.Fatal("unknown kind should still print")
 	}
 }
 

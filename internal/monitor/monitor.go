@@ -14,7 +14,6 @@ package monitor
 import (
 	"crypto/ecdsa"
 	"errors"
-	"sort"
 
 	"mmt/internal/attest"
 	"mmt/internal/core"
@@ -155,46 +154,6 @@ func (m *Monitor) CreateEnclave(name string, measurement attest.Measurement) *En
 	return e
 }
 
-// DestroyEnclave tears down an enclave: its PMOs are reclaimed (MMTs
-// invalidated, regions returned to the pool) and its capabilities revoked.
-func (m *Monitor) DestroyEnclave(id EnclaveID) error {
-	e, ok := m.enclaves[id]
-	if !ok {
-		return ErrNoEnclave
-	}
-	// Reclaim in sorted capability order: map iteration order would make
-	// the free pool's region order (and any partial-failure state after a
-	// Reclaim error) vary from run to run.
-	caps := make([]CapID, 0, len(e.caps))
-	for cap := range e.caps {
-		caps = append(caps, cap)
-	}
-	sort.Slice(caps, func(i, j int) bool { return caps[i] < caps[j] })
-	for _, cap := range caps {
-		p := m.pmos[cap]
-		var guaddr uint64
-		if p.mmt != nil {
-			guaddr = p.mmt.GUAddr()
-			if p.mmt.State() == core.StateValid {
-				if err := p.mmt.Reclaim(); err != nil {
-					return err
-				}
-			}
-		}
-		m.pool = append(m.pool, p.Region)
-		delete(m.pmos, cap)
-		m.ctl.Trace().Event(trace.EvCapDestroy, m.ctl.Clock().Now(), guaddr, "monitor: enclave destroyed")
-	}
-	delete(m.enclaves, id)
-	return nil
-}
-
-// Enclave looks up a local enclave.
-func (m *Monitor) Enclave(id EnclaveID) (*Enclave, bool) {
-	e, ok := m.enclaves[id]
-	return e, ok
-}
-
 // AllocPMO takes a region from the pinned pool and creates a PMO owned by
 // the enclave. The MMT is not yet acquired — that is a separate, owner-
 // gated configuration step.
@@ -265,24 +224,6 @@ func (m *Monitor) AcquireMMT(caller EnclaveID, cap CapID, key crypt.Key, initCou
 	}
 	p.mmt = mmt
 	return mmt, nil
-}
-
-// TransferOwnership revokes the current owner's capability and grants the
-// PMO to another local enclave ("the ownership can be revoked if the
-// secure memory is assigned to another enclave").
-func (m *Monitor) TransferOwnership(caller EnclaveID, cap CapID, to EnclaveID) error {
-	p, err := m.checkOwner(caller, cap)
-	if err != nil {
-		return err
-	}
-	dst, ok := m.enclaves[to]
-	if !ok {
-		return ErrNoEnclave
-	}
-	delete(m.enclaves[p.Owner].caps, cap)
-	p.Owner = to
-	dst.caps[cap] = true
-	return nil
 }
 
 // PMOOf resolves a capability for its owner.

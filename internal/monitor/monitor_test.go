@@ -148,46 +148,6 @@ func TestOwnershipEnforced(t *testing.T) {
 	if err := w.a.FreePMO(intruder.ID, p.Cap); !errors.Is(err, ErrNotOwner) {
 		t.Fatalf("intruder FreePMO: %v, want ErrNotOwner", err)
 	}
-	// Legitimate ownership transfer to the other enclave.
-	if err := w.a.TransferOwnership(owner.ID, p.Cap, intruder.ID); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := w.a.AcquireMMT(intruder.ID, p.Cap, crypt.KeyFromBytes([]byte("k")), 0); err != nil {
-		t.Fatalf("new owner AcquireMMT: %v", err)
-	}
-	// The old owner lost access.
-	if _, err := w.a.PMOOf(owner.ID, p.Cap); !errors.Is(err, ErrNotOwner) {
-		t.Fatalf("old owner still resolves the cap: %v", err)
-	}
-}
-
-func TestDestroyEnclaveReclaimsEverything(t *testing.T) {
-	w := newWorld(t)
-	e := w.a.CreateEnclave("doomed", attest.Measurement{})
-	free := w.a.PoolFree()
-	for i := 0; i < 3; i++ {
-		p, err := w.a.AllocPMO(e.ID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if i == 0 {
-			if _, err := w.a.AcquireMMT(e.ID, p.Cap, crypt.KeyFromBytes([]byte("k")), 0); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if err := w.a.DestroyEnclave(e.ID); err != nil {
-		t.Fatal(err)
-	}
-	if w.a.PoolFree() != free {
-		t.Fatalf("pool %d after destroy, want %d", w.a.PoolFree(), free)
-	}
-	if _, ok := w.a.Enclave(e.ID); ok {
-		t.Fatal("enclave survived destroy")
-	}
-	if err := w.a.DestroyEnclave(e.ID); !errors.Is(err, ErrNoEnclave) {
-		t.Fatalf("double destroy: %v", err)
-	}
 }
 
 // connect builds a booted connection between one enclave on each monitor.

@@ -171,17 +171,16 @@ func IntelProfile() *Profile {
 // Link describes one row of the paper's Table I (interconnect throughput).
 type Link struct {
 	Method     string
-	Throughput string  // as printed in the paper
-	BytesPerS  float64 // effective data rate used when simulating the link
+	Throughput string // as printed in the paper
 	Connection string
 }
 
 // TableILinks reproduces Table I of the paper.
 func TableILinks() []Link {
 	return []Link{
-		{Method: "PCI-E 5.0", Throughput: "32GT/s", BytesPerS: 63e9, Connection: "CPU-Device"},
-		{Method: "UCI-E", Throughput: "32GT/s", BytesPerS: 63e9, Connection: "Chiplets"},
-		{Method: "RDMA", Throughput: "400Gb/s", BytesPerS: 50e9, Connection: "Remote Memory"},
-		{Method: "NVLINK", Throughput: "900GB/s", BytesPerS: 900e9, Connection: "GPU"},
+		{Method: "PCI-E 5.0", Throughput: "32GT/s", Connection: "CPU-Device"},
+		{Method: "UCI-E", Throughput: "32GT/s", Connection: "Chiplets"},
+		{Method: "RDMA", Throughput: "400Gb/s", Connection: "Remote Memory"},
+		{Method: "NVLINK", Throughput: "900GB/s", Connection: "GPU"},
 	}
 }

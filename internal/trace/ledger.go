@@ -88,9 +88,9 @@ type SecEvent struct {
 	Flight []FlightSpan
 }
 
-// DefaultEventCap is the default bound of the ledger ring buffer. It is
-// a fixed constant (not tuned per run) so identical workloads keep
-// identical ledgers.
+// DefaultEventCap is the bound of the ledger ring buffer. It is a fixed
+// constant (not tuned per run) so identical workloads keep identical
+// ledgers.
 const DefaultEventCap = 1024
 
 // secLedger is a bounded ring of SecEvents owned by a Sink.
@@ -98,20 +98,12 @@ type secLedger struct {
 	buf  []SecEvent
 	head int    // index of the oldest entry once the ring is full
 	seq  uint64 // total events ever recorded
-	cap  int    // bound; 0 means DefaultEventCap
-}
-
-func (l *secLedger) bound() int {
-	if l.cap <= 0 {
-		return DefaultEventCap
-	}
-	return l.cap
 }
 
 func (l *secLedger) record(ev SecEvent) {
 	l.seq++
 	ev.Seq = l.seq
-	if n := l.bound(); len(l.buf) < n {
+	if len(l.buf) < DefaultEventCap {
 		l.buf = append(l.buf, ev)
 		return
 	}
@@ -186,20 +178,4 @@ func (s *Sink) EventsDropped() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.ledger.dropped()
-}
-
-// SetEventCapacity bounds the ledger ring at n entries (n <= 0 restores
-// DefaultEventCap). It must be called before any events are recorded;
-// changing the bound mid-run would make retention depend on call timing.
-func (s *Sink) SetEventCapacity(n int) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.ledger.seq == 0 {
-		s.ledger.cap = n
-		s.ledger.buf = nil
-		s.ledger.head = 0
-	}
 }

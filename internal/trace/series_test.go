@@ -280,7 +280,7 @@ func TestSeriesDisabledZeroAlloc(t *testing.T) {
 
 // TestEnableSeriesValidation: bad configs are rejected eagerly and
 // reconfiguration with a different shape is refused (retention would
-// depend on call timing otherwise, like SetEventCapacity).
+// depend on call timing otherwise).
 func TestEnableSeriesValidation(t *testing.T) {
 	s := NewSink()
 	if err := s.EnableSeries(SeriesConfig{WindowCycles: 1000}); err == nil {

@@ -254,9 +254,6 @@ func (t *Tree) pathOf(line int) (node, slot []int) {
 // verifications and recomputations. Nil disables tracing.
 func (t *Tree) SetTrace(p *trace.Probe) { t.probe = p }
 
-// Probe reports the currently attached trace probe (nil when disabled).
-func (t *Tree) Probe() *trace.Probe { return t.probe }
-
 // New builds a tree with all counters zero and MACs computed for guaddr
 // under e. It returns an error if the geometry is invalid.
 func New(geo Geometry, e *crypt.Engine, guaddr uint64) (*Tree, error) {

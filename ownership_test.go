@@ -266,3 +266,36 @@ func TestDelegateAllocBudget(t *testing.T) {
 	}
 	t.Logf("Delegate+Receive allocated %d bytes for a %d-byte closure (%.2fx)", allocated, wire, float64(allocated)/float64(wire))
 }
+
+// TestFreeLeavesNoPlaintext: freeing a buffer returns its region to the
+// machine's pool holding only ciphertext. The teardown invalidates the MMT
+// without decrypting, so memory that goes back to the normal pool never
+// holds what the enclave wrote.
+func TestFreeLeavesNoPlaintext(t *testing.T) {
+	_, link, sender, _ := linkedPair(t)
+	buf, err := link.NewBuffer(sender)
+	if err != nil {
+		t.Fatal(err)
+	}
+	secret := []byte("a secret that must not outlive its buffer in physical memory!!!")
+	for off := 0; off < buf.Size(); off += buf.Size() / 8 {
+		if err := buf.Write(off, secret); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pmo, err := buf.mmtOf()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mon := sender.machine.mon
+	free := mon.PoolFree()
+	if err := buf.Free(); err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(mon.Node().Controller().Memory().RegionData(pmo.Region), secret) {
+		t.Fatalf("region %d holds the secret in plaintext after Free", pmo.Region)
+	}
+	if got := mon.PoolFree(); got != free+1 {
+		t.Fatalf("pool holds %d regions after Free, want %d", got, free+1)
+	}
+}
