@@ -49,8 +49,8 @@ func comparableUnit(u string) bool {
 // bench.Sidecar does not declare or lacks is a shape error like any
 // other — and pulls out its comparable metrics. It does not run
 // Sidecar.Check: the diff compares the numbers two files state, and
-// whether a file states consistent ones is mmt-bench's and
-// mmt-tracecheck's verdict.
+// whether a file states consistent ones is mmt-bench's and mmt-stat's
+// verdict.
 func extract(data []byte) (*perfDoc, error) {
 	var d bench.Sidecar
 	if err := trace.DecodeStrict("BENCH_fig*.json sidecar", data, &d); err != nil {

@@ -1,22 +1,31 @@
-// Command mmt-stat renders the observability exports as text tables:
-// per-operation latency histograms (schema mmt-hist/v1, from
-// TraceSink.WriteHistJSON or `quickstart -stats`), security-event
-// ledgers (schema mmt-events/v1, from TraceSink.WriteEventsJSONL or
-// `quickstart -events`), causal span trees (schema mmt-causal/v1, from
-// TraceSink.WriteCausalJSON or `quickstart -causal`, drawn as ASCII
-// trees), and the histogram summaries embedded in `mmt-bench -fig`
-// metrics sidecars. It reads files, stdin ("-"), or a live cluster
-// started with mmt.WithDebugServer:
+// Command mmt-stat reads every JSON artefact the repository writes,
+// each through the strict parser that lives next to its writer, and
+// renders it as text tables. It owns no schema: it tells the kinds apart
+// by shape and reports what the parser says.
 //
-//	mmt-stat hist.json events.jsonl
+//	JSON array                  Chrome trace-event file   trace.ParseChromeTrace   spans per proc and phase
+//	"schema": "mmt-hist/v1"     latency histograms        trace.ParseHist          quantiles per proc and op
+//	"schema": "mmt-events/v1"   security-event ledger     trace.ParseEvents        one row per entry
+//	"schema": "mmt-causal/v1"   per-migration span trees  trace.ParseCausal        ASCII trees
+//	"schema": "mmt-series/v1"   windowed time series      trace.ParseSeries        sparklines
+//	"schema": "mmt-manifest/v1" snapshot manifest         mmt.ParseManifest        machines table
+//	object without "schema"     BENCH_fig<N>.json sidecar bench.ParseSidecar       totals and histograms
+//
+// Each parser rejects a key its writer does not emit, the absence of one
+// it always emits, and every document that breaks an invariant the
+// writer promises (see the parser's comment for the list), so a file
+// that renders is a file that validates. mmt-stat reads files, stdin
+// ("-"), or a live cluster started with mmt.WithDebugServer:
+//
+//	mmt-stat trace.json hist.json events.jsonl BENCH_fig11.json ...
 //	quickstart -stats /dev/stdout | mmt-stat -
 //	mmt-stat -addr 127.0.0.1:6060        # fetch /debug/mmt/{hist,events}
 //	mmt-stat -tail 20 events.jsonl       # newest 20 ledger entries
-//	mmt-stat BENCH_fig11.series.json     # windowed series as sparklines
 //
-// All numbers are simulated cycles and microseconds read off the
-// deterministic run; rendering the same export twice prints the same
-// bytes.
+// Exit status 0 means every input rendered, 1 that at least one did not
+// (the others still render), 2 a usage error. All numbers are simulated
+// cycles and microseconds read off the deterministic run; rendering the
+// same export twice prints the same bytes.
 package main
 
 import (
@@ -27,37 +36,49 @@ import (
 	"io"
 	"net/http"
 	"os"
+	"sort"
 	"strings"
 
+	"mmt"
 	"mmt/internal/bench"
 	"mmt/internal/sim"
 	"mmt/internal/trace"
 )
 
 func main() {
-	addr := flag.String("addr", "", "fetch live stats from a /debug server at this address")
-	tail := flag.Int("tail", 0, "show only the newest N ledger events (0 = all)")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	if *addr == "" && flag.NArg() == 0 {
-		fmt.Fprintln(os.Stderr, "usage: mmt-stat [-tail N] <export.json|-> ...\n       mmt-stat [-tail N] -addr <host:port>")
-		os.Exit(2)
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("mmt-stat", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	addr := fs.String("addr", "", "fetch live stats from a /debug server at this address")
+	tail := fs.Int("tail", 0, "show only the newest N ledger events (0 = all)")
+	if err := fs.Parse(args); err != nil {
+		return 2
 	}
-	failed := false
+	if *addr == "" && fs.NArg() == 0 {
+		fmt.Fprintln(stderr, "usage: mmt-stat [-tail N] <export.json|-> ...\n       mmt-stat [-tail N] -addr <host:port>")
+		return 2
+	}
+	status := 0
+	show := func(name string, data []byte, err error) {
+		if err == nil {
+			err = render(stdout, data, *tail)
+		}
+		if err != nil {
+			fmt.Fprintf(stderr, "mmt-stat: %s: %v\n", name, err)
+			status = 1
+		}
+	}
 	if *addr != "" {
 		for _, path := range []string{"/debug/mmt/hist", "/debug/mmt/events"} {
 			url := "http://" + *addr + path
 			data, err := fetch(url)
-			if err == nil {
-				err = render(os.Stdout, data, *tail)
-			}
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "mmt-stat: %s: %v\n", url, err)
-				failed = true
-			}
+			show(url, data, err)
 		}
 	}
-	for _, path := range flag.Args() {
+	for _, path := range fs.Args() {
 		var data []byte
 		var err error
 		if path == "-" {
@@ -65,17 +86,9 @@ func main() {
 		} else {
 			data, err = os.ReadFile(path)
 		}
-		if err == nil {
-			err = render(os.Stdout, data, *tail)
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "mmt-stat: %s: %v\n", path, err)
-			failed = true
-		}
+		show(path, data, err)
 	}
-	if failed {
-		os.Exit(1)
-	}
+	return status
 }
 
 func fetch(url string) ([]byte, error) {
@@ -90,21 +103,32 @@ func fetch(url string) ([]byte, error) {
 	return io.ReadAll(resp.Body)
 }
 
-// render detects the export flavour by its schema field, reads it with
-// the strict parser that lives next to its writer (so a document
-// mmt-tracecheck would reject is not rendered either) and prints the
-// matching table. Sidecars (no schema, a "figure" field) render their
-// totals and embedded histogram summaries.
+// render tells the artefact kind from the JSON shape, reads it with
+// that kind's strict parser and prints the matching table; nothing is
+// printed for a document the parser rejects. The schema probe decodes
+// only the first JSON value, so a JSON Lines ledger still identifies.
 func render(w io.Writer, data []byte, tail int) error {
+	switch first := bytes.TrimLeft(data, " \t\r\n"); {
+	case len(first) == 0:
+		return fmt.Errorf("empty file")
+	case first[0] == '[':
+		events, err := trace.ParseChromeTrace(data)
+		if err != nil {
+			return err
+		}
+		renderChrome(w, events)
+		return nil
+	case first[0] != '{':
+		return fmt.Errorf("neither a JSON array (Chrome trace) nor a JSON object")
+	}
 	var probe struct {
 		Schema string `json:"schema"`
-		Figure string `json:"figure"`
 	}
 	if err := json.NewDecoder(bytes.NewReader(data)).Decode(&probe); err != nil {
-		return fmt.Errorf("not a JSON document: %w", err)
+		return fmt.Errorf("not a JSON object: %w", err)
 	}
-	switch {
-	case probe.Schema == trace.HistSchema:
+	switch probe.Schema {
+	case trace.HistSchema:
 		m, err := trace.ParseHist(data)
 		if err != nil {
 			return err
@@ -120,34 +144,75 @@ func render(w io.Writer, data []byte, tail int) error {
 			}
 		}
 		renderHists(w, rows)
-	case probe.Schema == trace.EventsSchema:
+	case trace.EventsSchema:
 		events, dropped, err := trace.ParseEvents(data)
 		if err != nil {
 			return err
 		}
 		renderEvents(w, events, dropped, tail)
-	case probe.Schema == trace.CausalSchema:
+	case trace.CausalSchema:
 		traces, err := trace.ParseCausal(data)
 		if err != nil {
 			return err
 		}
 		renderCausal(w, traces)
-	case probe.Schema == trace.SeriesSchema:
+	case trace.SeriesSchema:
 		v, err := trace.ParseSeries(data)
 		if err != nil {
 			return err
 		}
 		renderSeries(w, &v)
-	case probe.Schema == "" && probe.Figure != "":
+	case "mmt-manifest/v1":
+		m, err := mmt.ParseManifest(data)
+		if err != nil {
+			return err
+		}
+		renderManifest(w, m)
+	case "":
 		sc, err := bench.ParseSidecar(data)
 		if err != nil {
 			return err
 		}
 		renderSidecar(w, sc)
 	default:
-		return fmt.Errorf("unsupported document (schema %q): want mmt-hist/v1, mmt-events/v1, mmt-causal/v1, mmt-series/v1 or a BENCH_fig sidecar", probe.Schema)
+		return fmt.Errorf("unknown schema %q", probe.Schema)
 	}
 	return nil
+}
+
+// renderChrome counts a Chrome trace's spans per process and phase (in
+// name, then phase order) with their summed and longest durations.
+func renderChrome(w io.Writer, events []trace.Event) {
+	sort.SliceStable(events, func(i, j int) bool {
+		a, b := &events[i], &events[j]
+		return a.Proc < b.Proc || a.Proc == b.Proc && a.Phase < b.Phase
+	})
+	fmt.Fprintf(w, "chrome trace: %d spans\n", len(events))
+	rows := [][]string{{"proc", "phase", "spans", "total_us", "max_us"}}
+	for i, j := 0, 0; i < len(events); i = j {
+		var sum, longest sim.Time
+		for ; j < len(events) && events[j].Proc == events[i].Proc && events[j].Phase == events[i].Phase; j++ {
+			sum += events[j].End - events[j].Begin
+			longest = max(longest, events[j].End-events[j].Begin)
+		}
+		rows = append(rows, []string{events[i].Proc, events[i].Phase.String(), fmt.Sprintf("%d", j-i),
+			fmt.Sprintf("%.3f", sum.Microseconds()), fmt.Sprintf("%.3f", longest.Microseconds())})
+	}
+	if len(rows) > 1 {
+		table(w, rows)
+	}
+}
+
+// renderManifest prints a snapshot manifest's header line and its
+// machines table.
+func renderManifest(w io.Writer, m *mmt.Manifest) {
+	fmt.Fprintf(w, "snapshot manifest: epoch %d, %d bytes, %d tree levels, %d regions, profile %s, %d links\n  root %s\n",
+		m.Epoch, m.SnapshotBytes, m.TreeLevels, m.Regions, m.Profile, len(m.Links), m.RootHash)
+	rows := [][]string{{"machine", "node_id", "clock_s", "live_regions"}}
+	for _, mc := range m.Machines {
+		rows = append(rows, []string{mc.Name, fmt.Sprintf("%d", mc.NodeID), fmt.Sprintf("%g", mc.Clock), fmt.Sprintf("%d", mc.LiveRegions)})
+	}
+	table(w, rows)
 }
 
 func histRow(proc, op string, count uint64, p50, p90, p99, max, mean sim.Cycles) []string {

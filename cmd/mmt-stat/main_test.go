@@ -4,87 +4,26 @@ import (
 	"bytes"
 	"strings"
 	"testing"
-
-	"mmt"
-	"mmt/internal/bench"
 )
 
-// exports runs the quickstart scenario with tracing and sampling on and
-// returns the four sink exports mmt-stat renders.
-func exports(t *testing.T) map[string][]byte {
-	t.Helper()
-	sink := mmt.NewTraceSink()
-	c, err := mmt.New(mmt.WithTreeLevels(2), mmt.WithRegions(6), mmt.WithTracing(sink),
-		mmt.WithSampling(mmt.SamplingConfig{WindowCycles: 1 << 10}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	alice, err := c.AddMachine("alice")
-	if err != nil {
-		t.Fatal(err)
-	}
-	bob, err := c.AddMachine("bob")
-	if err != nil {
-		t.Fatal(err)
-	}
-	link, err := c.Connect(alice.Spawn("producer", []byte("app")), bob.Spawn("consumer", []byte("app")))
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf, err := link.NewBuffer(link.Sender())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := buf.Write(0, []byte("secret bytes")); err != nil {
-		t.Fatal(err)
-	}
-	if err := link.Delegate(buf, mmt.OwnershipTransfer); err != nil {
-		t.Fatal(err)
-	}
-	got, err := link.Receive(link.Receiver())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := got.Read(0, 12); err != nil {
-		t.Fatal(err)
-	}
-	out := map[string][]byte{}
-	for kind, write := range map[string]func(*bytes.Buffer) error{
-		"hist":   func(b *bytes.Buffer) error { return sink.WriteHistJSON(b) },
-		"events": func(b *bytes.Buffer) error { return sink.WriteEventsJSONL(b) },
-		"causal": func(b *bytes.Buffer) error { return sink.WriteCausalJSON(b) },
-		"series": func(b *bytes.Buffer) error { return sink.WriteSeriesJSON(b) },
-	} {
-		var b bytes.Buffer
-		if err := write(&b); err != nil {
-			t.Fatal(err)
-		}
-		out[kind] = b.Bytes()
-	}
-	return out
-}
-
-// TestRenderEveryKind: each export the command accepts goes through its
+// TestRenderEveryKind: each artefact the command reads goes through its
 // strict parser and comes out as the documented table, the same bytes
 // every time.
 func TestRenderEveryKind(t *testing.T) {
-	docs := exports(t)
-	sc, series, err := bench.SeriesForFigure("11", 400)
+	docs, err := artefacts()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if docs["sidecar"], err = sc.JSON(); err != nil {
-		t.Fatal(err)
-	}
-	docs["fig11-series"] = series
 	want := map[string][]string{
-		"hist":         {"latency histograms (cycles):", "proc   op", "alice  migration-send  1 ", "bob    migration-recv  1 "},
-		"events":       {"security-event ledger: 3 events (0 dropped, showing 3):", "migration-accept", "monitor: closure installed", "0x"},
-		"causal":       {"causal traces: 2", "alice#2  (", "└─* 1 alice/send [", "bob/recv", " cycles"},
-		"series":       {"time series: 2 procs, window 1024 cycles, ring 64 samples", "alice", "▁"},
-		"sidecar":      {"figure 11 totals:", "protected-memory", "read-p99-migration-cycles", "latency histograms (cycles):", "fig11-lat/busy  local-read"},
+		"chrome":       {"chrome trace: 18 spans", "proc   phase    spans  total_us  max_us", "alice  send     3 ", "bob    recv     3 "},
+		"hist":         {"latency histograms (cycles):", "proc   op", "alice  migration-send  3 ", "bob    migration-recv  2 "},
+		"events":       {"security-event ledger: 10 events (0 dropped, showing 10):", "migration-accept", "monitor: closure installed", "stale-counter", "0x"},
+		"causal":       {"causal traces: 4", "alice#2  (", "└─* 1 alice/send [", "bob/recv", " cycles"},
+		"series":       {"time series: 2 procs, window 256 cycles, ring 64 samples", "alice", "▁"},
+		"fig10":        {"figure 10 totals:", "mmt-delegation", "sender    migration-send  1 "},
+		"fig11":        {"figure 11 totals:", "protected-memory", "read-p99-migration-cycles", "latency histograms (cycles):", "fig11-lat/busy  local-read"},
 		"fig11-series": {"window 16384 cycles", "astar/L2", "█"},
+		"manifest":     {"snapshot manifest: epoch 0, ", "2 tree levels, 8 regions, profile gem5, 1 links", "\n  root ", "machine  node_id  clock_s", "alice    1 ", "bob      2 "},
 	}
 	for kind, data := range docs {
 		var first, second bytes.Buffer
@@ -106,22 +45,26 @@ func TestRenderEveryKind(t *testing.T) {
 	if err := render(&tail, docs["events"], 1); err != nil {
 		t.Fatal(err)
 	}
-	if s := tail.String(); !strings.Contains(s, "3 events (0 dropped, showing 1)") ||
-		!strings.Contains(s, "delegation-ack") || strings.Contains(s, "migration-send") {
+	if s := tail.String(); !strings.Contains(s, "10 events (0 dropped, showing 1)") ||
+		!strings.Contains(s, "stale-counter") || strings.Contains(s, "migration-send") {
 		t.Errorf("-tail 1 did not keep exactly the newest entry:\n%s", s)
 	}
 }
 
-// TestRenderRefuses: what mmt-tracecheck would reject is not rendered,
-// and neither is a kind the command has no table for.
+// TestRenderRefuses: what a strict parser rejects is not rendered, of
+// every kind, and neither is a schema the command does not know.
 func TestRenderRefuses(t *testing.T) {
-	docs := exports(t)
+	docs, err := artefacts()
+	if err != nil {
+		t.Fatal(err)
+	}
 	for name, tc := range map[string]struct{ data, want string }{
 		"unknown key":      {`{"schema": "mmt-hist/v1", "procs": [], "extra": 1}`, `unknown key "extra"`},
 		"broken invariant": {strings.Replace(string(docs["causal"]), `"parent": 1`, `"parent": 7`, 1), "parent 7 does not precede it"},
-		"manifest":         {`{"schema": "mmt-manifest/v1"}`, "unsupported document"},
-		"chrome trace":     {`[]`, "not a JSON document"},
-		"bare object":      {`{}`, "unsupported document"},
+		"bad manifest":     {`{"schema": "mmt-manifest/v1"}`, `missing key "epoch"`},
+		"bad chrome trace": {`[{"ph": "X"}]`, `missing key "pid"`},
+		"unknown schema":   {`{"schema": "mmt-future/v9"}`, `unknown schema "mmt-future/v9"`},
+		"bare object":      {`{}`, `missing key "figure"`},
 		"bad sidecar":      {`{"figure": "11"}`, `missing key "profile"`},
 	} {
 		var out bytes.Buffer

@@ -1,7 +1,6 @@
 package mmt
 
 import (
-	"encoding/json"
 	"fmt"
 	"net"
 	"net/http"
@@ -50,10 +49,6 @@ func startDebugServer(addr string, sink *trace.Sink) (*debugServer, error) {
 		w.Header().Set("Content-Type", "application/json")
 		sink.WriteSeriesJSON(w)
 	})
-	mux.HandleFunc("/debug/vars", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		writeDebugVars(w, sink)
-	})
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -82,39 +77,4 @@ func (d *debugServer) close() error {
 	err := d.srv.Close()
 	<-d.done
 	return err
-}
-
-// writeDebugVars renders an expvar-style JSON object: per-machine nonzero
-// counters and phase-cycle totals by name, plus ledger occupancy. Map
-// keys serialize sorted (encoding/json), so the document is deterministic
-// for a given snapshot.
-func writeDebugVars(w http.ResponseWriter, sink *trace.Sink) {
-	m := sink.Snapshot()
-	procs := map[string]any{}
-	for i := range m.Procs {
-		p := &m.Procs[i]
-		counters := map[string]uint64{}
-		for c := trace.Counter(0); c < trace.NumCounters; c++ {
-			if v := p.Counters[c]; v != 0 {
-				counters[c.String()] = v
-			}
-		}
-		cycles := map[string]float64{}
-		for ph := trace.Phase(0); ph < trace.NumPhases; ph++ {
-			if v := p.Cycles[ph]; v != 0 {
-				cycles[ph.String()] = float64(v)
-			}
-		}
-		procs[p.Proc] = map[string]any{"counters": counters, "cycles": cycles}
-	}
-	doc := map[string]any{
-		"mmt": map[string]any{
-			"procs":          procs,
-			"events":         len(sink.SecEvents()),
-			"events_dropped": sink.EventsDropped(),
-		},
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(doc)
 }

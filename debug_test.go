@@ -1,7 +1,6 @@
 package mmt
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -34,8 +33,8 @@ func get(t *testing.T, url string) []byte {
 
 // TestDebugServer boots a traced cluster with the /debug endpoint, runs
 // the quickstart tour, and validates every endpoint: schema'd histogram
-// JSON, ledger JSONL, the expvar-style vars document, the text summary
-// and the pprof index. The server observes read-only snapshots, so none
+// JSON, ledger JSONL, the ledger count on the metrics page, the text
+// summary and the pprof index. The server observes read-only snapshots, so none
 // of these requests disturb the simulated timeline.
 func TestDebugServer(t *testing.T) {
 	sink := NewTraceSink()
@@ -99,16 +98,9 @@ func TestDebugServer(t *testing.T) {
 		t.Fatalf("ledger misses the delegation: %+v", events)
 	}
 
-	var vars struct {
-		MMT struct {
-			Events int `json:"events"`
-		} `json:"mmt"`
-	}
-	if err := json.Unmarshal(get(t, base+"/debug/vars"), &vars); err != nil {
-		t.Fatalf("vars endpoint: %v", err)
-	}
-	if vars.MMT.Events != len(events) {
-		t.Fatalf("vars events %d != ledger %d", vars.MMT.Events, len(events))
+	page := string(get(t, base+"/debug/mmt/metrics"))
+	if want := fmt.Sprintf("\nmmt_sec_events_total %d\n", len(events)); !strings.Contains(page, want) {
+		t.Fatalf("metrics page does not count the %d ledger entries:\n%s", len(events), page)
 	}
 
 	// Without WithSampling the series endpoint is a 404, and the exporter
@@ -147,7 +139,7 @@ func TestDebugServer(t *testing.T) {
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := http.Get(base + "/debug/vars"); err == nil {
+	if _, err := http.Get(base + "/debug/mmt/hist"); err == nil {
 		t.Fatal("server still serving after Close")
 	}
 }
@@ -163,7 +155,7 @@ var sampleLine = regexp.MustCompile(`^([a-z_]+)(\{[^{}]*\})? (\S+)$`)
 func TestDebugMetricsAndSeries(t *testing.T) {
 	sink := NewTraceSink()
 	c, err := New(WithTreeLevels(2), WithRegions(6), WithTracing(sink),
-		WithSampling(SamplingConfig{WindowCycles: 1 << 10, MaxSamples: 4}), WithDebugServer("127.0.0.1:0"))
+		WithSampling(SamplingConfig{WindowCycles: 1 << 10}), WithDebugServer("127.0.0.1:0"))
 	if err != nil {
 		t.Fatal(err)
 	}

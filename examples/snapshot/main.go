@@ -3,8 +3,8 @@
 // First run (the store directory is empty): build a two-machine cluster
 // with a durable store attached, delegate a secure buffer from alice to
 // bob, checkpoint after each step (base checkpoint, then a delta), and
-// write the snapshot manifest (schema mmt-manifest/v1 — validate it with
-// `mmt-tracecheck`).
+// write the snapshot manifest (schema mmt-manifest/v1 — validate and
+// render it with `mmt-stat`).
 //
 // Second run (the store holds a committed snapshot): reopen the cluster
 // from disk with mmt.Open, verify bob still holds the delegated secret,
@@ -191,6 +191,6 @@ func writeManifest(storeDir, path string) {
 	if err := f.Close(); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("wrote %s — snapshot manifest (epoch %d, root %s…), validate with `mmt-tracecheck`\n",
+	fmt.Printf("wrote %s — snapshot manifest (epoch %d, root %s…), validate with `mmt-stat`\n",
 		path, m.Epoch, m.RootHash[:12])
 }

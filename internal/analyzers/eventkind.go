@@ -8,7 +8,7 @@ import (
 // EventKind requires every security-ledger record site to name its event
 // kind as a compile-time constant. The ledger is an audit surface: its
 // vocabulary is closed (the exporter, trace.ParseEvents and through it
-// mmt-tracecheck and mmt-stat all go through one name table), and the exporter
+// mmt-stat all go through one name table), and the exporter
 // writes whatever kind value it is handed. A kind computed at runtime —
 // from an error value, an index, or arithmetic — can silently step
 // outside that vocabulary or, worse, misclassify a rejection, and no

@@ -4,11 +4,8 @@ import (
 	"fmt"
 	"strings"
 
-	"mmt/internal/engine"
-	"mmt/internal/mem"
 	"mmt/internal/sim"
 	"mmt/internal/tree"
-	"mmt/internal/workload"
 )
 
 // The ablations go beyond the paper's figures and probe two design choices
@@ -28,24 +25,25 @@ func CacheSweep(accesses int) ([]CacheSweepRow, error) {
 	if accesses <= 0 {
 		accesses = 200_000
 	}
-	var cfg workload.TraceConfig
-	for _, c := range workload.SPECTraces() {
-		if c.Name == "mcf" {
-			cfg = c
-		}
+	cfg, err := specTrace("mcf")
+	if err != nil {
+		return nil, err
 	}
-	if cfg.Name == "" {
-		return nil, fmt.Errorf("bench: mcf trace missing")
-	}
+	geo := tree.ForLevels(3)
 	var rows []CacheSweepRow
 	for _, cache := range []int{8 << 10, 16 << 10, 32 << 10, 64 << 10, 128 << 10, 256 << 10} {
 		prof := sim.Gem5Profile()
 		prof.MMTCacheBytes = cache
-		over, miss, err := traceRun(prof, cfg, tree.ForLevels(3), accesses)
+		pinRoots(prof, cfg, geo)
+		over, st, err := traceRun(prof, cfg, geo, accesses, nil, "")
 		if err != nil {
 			return nil, err
 		}
-		rows = append(rows, CacheSweepRow{CacheBytes: cache, Overhead: over, MissRate: miss})
+		row := CacheSweepRow{CacheBytes: cache, Overhead: over}
+		if n := st.NodeHits + st.NodeMisses; n > 0 {
+			row.MissRate = float64(st.NodeMisses) / float64(n)
+		}
+		rows = append(rows, row)
 	}
 	return rows, nil
 }
@@ -66,11 +64,9 @@ func ArityAblation(accesses int) ([]ArityRow, error) {
 	if accesses <= 0 {
 		accesses = 200_000
 	}
-	var cfg workload.TraceConfig
-	for _, c := range workload.SPECTraces() {
-		if c.Name == "mcf" {
-			cfg = c
-		}
+	cfg, err := specTrace("mcf")
+	if err != nil {
+		return nil, err
 	}
 	geos := []struct {
 		label string
@@ -82,7 +78,9 @@ func ArityAblation(accesses int) ([]ArityRow, error) {
 	}
 	var rows []ArityRow
 	for _, g := range geos {
-		over, _, err := traceRun(sim.Gem5Profile(), cfg, g.geo, accesses)
+		prof := sim.Gem5Profile()
+		pinRoots(prof, cfg, g.geo)
+		over, _, err := traceRun(prof, cfg, g.geo, accesses, nil, "")
 		if err != nil {
 			return nil, err
 		}
@@ -95,39 +93,6 @@ func ArityAblation(accesses int) ([]ArityRow, error) {
 		})
 	}
 	return rows, nil
-}
-
-// traceRun measures the slowdown and node-cache miss rate of one trace on
-// one geometry/profile (the fig11 kernel, parameterized).
-func traceRun(prof *sim.Profile, cfg workload.TraceConfig, geo tree.Geometry, accesses int) (overhead, missRate float64, err error) {
-	// Pin every live root, as Table V provisions (see fig11Run).
-	regions := (cfg.FootprintLines*64 + geo.DataSize() - 1) / geo.DataSize()
-	prof = prof.Clone()
-	prof.RootTableSoC = (regions + 1) * 8
-	pm := mem.New(mem.Config{Size: geo.DataSize(), RegionSize: geo.DataSize(), MetaPerRegion: geo.MetaSize()})
-	ctl, err := engine.New(pm, geo, nil, prof)
-	if err != nil {
-		return 0, 0, err
-	}
-	tr := workload.NewTrace(cfg, 11)
-	lines := geo.Lines()
-	for i := 0; i < accesses/10; i++ {
-		line, w := tr.Next()
-		ctl.Access(line/lines, line%lines, w)
-	}
-	ctl.ResetStats()
-	for i := 0; i < accesses; i++ {
-		line, w := tr.Next()
-		ctl.Access(line/lines, line%lines, w)
-	}
-	st := ctl.Stats()
-	compute := cfg.ComputeCyclesPerAccess * float64(accesses)
-	baseline := compute + float64(accesses)*float64(prof.DRAMAccess)
-	overhead = (compute + float64(st.Cycles)) / baseline
-	if st.NodeHits+st.NodeMisses > 0 {
-		missRate = float64(st.NodeMisses) / float64(st.NodeHits+st.NodeMisses)
-	}
-	return overhead, missRate, nil
 }
 
 // RenderAblations runs and prints both ablations.

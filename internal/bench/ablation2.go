@@ -5,12 +5,9 @@ import (
 
 	"mmt/internal/channel"
 	"mmt/internal/crypt"
-	"mmt/internal/engine"
-	"mmt/internal/mem"
 	"mmt/internal/netsim"
 	"mmt/internal/sim"
 	"mmt/internal/tree"
-	"mmt/internal/workload"
 )
 
 // CounterWidthRow is one local-counter width of the Morphable-style
@@ -208,41 +205,24 @@ func RootTableSweep(accesses int) ([]RootTableRow, error) {
 	if accesses <= 0 {
 		accesses = 100_000
 	}
-	var cfg workload.TraceConfig
-	for _, c := range workload.SPECTraces() {
-		if c.Name == "mcf" {
-			cfg = c
-		}
+	cfg, err := specTrace("mcf")
+	if err != nil {
+		return nil, err
 	}
 	geo := tree.ForLevels(3)
 	var rows []RootTableRow
 	for _, entries := range []int{1024, 512, 256, 128, 64} {
 		prof := sim.Gem5Profile()
 		prof.RootTableSoC = entries * 8
-		pm := mem.New(mem.Config{Size: geo.DataSize(), RegionSize: geo.DataSize(), MetaPerRegion: geo.MetaSize()})
-		ctl, err := engine.New(pm, geo, nil, prof)
+		over, st, err := traceRun(prof, cfg, geo, accesses, nil, "")
 		if err != nil {
 			return nil, err
 		}
-		tr := workload.NewTrace(cfg, 11)
-		lines := geo.Lines()
-		for i := 0; i < accesses/10; i++ {
-			line, w := tr.Next()
-			ctl.Access(line/lines, line%lines, w)
-		}
-		ctl.ResetStats()
-		for i := 0; i < accesses; i++ {
-			line, w := tr.Next()
-			ctl.Access(line/lines, line%lines, w)
-		}
-		st := ctl.Stats()
-		compute := cfg.ComputeCyclesPerAccess * float64(accesses)
-		baseline := compute + float64(accesses)*float64(prof.DRAMAccess)
 		rows = append(rows, RootTableRow{
 			RootTableBytes: entries * 8,
 			ResidentRoots:  entries,
 			MountsPerKAcc:  1000 * float64(st.RootMounts) / float64(accesses),
-			Overhead:       (compute + float64(st.Cycles)) / baseline,
+			Overhead:       over,
 		})
 	}
 	return rows, nil

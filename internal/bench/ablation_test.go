@@ -142,3 +142,15 @@ func TestRenderAblations(t *testing.T) {
 		}
 	}
 }
+
+// TestSpecTrace: the ablations find their trace by name, and an unknown
+// name is an error rather than a zero TraceConfig run silently.
+func TestSpecTrace(t *testing.T) {
+	if _, err := specTrace("nope"); err == nil || !strings.Contains(err.Error(), `"nope"`) {
+		t.Fatalf("unknown trace: %v", err)
+	}
+	cfg, err := specTrace("mcf")
+	if err != nil || cfg.Name != "mcf" || cfg.FootprintLines == 0 {
+		t.Fatalf("specTrace(mcf) = %+v, %v", cfg, err)
+	}
+}

@@ -87,8 +87,10 @@ func fig11Traced(accesses int, sink *trace.Sink) (*Fig11Result, sim.Cycles, erro
 				}
 			}
 		}
-		over, mem, err := fig11Run(c.cfg, c.level, accesses, cs)
-		return cellOut{over, mem, cs}, err
+		prof, geo := sim.Gem5Profile(), tree.ForLevels(c.level)
+		pinRoots(prof, c.cfg, geo)
+		over, st, err := traceRun(prof, c.cfg, geo, accesses, cs, fmt.Sprintf("%s/L%d", c.cfg.Name, c.level))
+		return cellOut{over, st.Cycles, cs}, err
 	})
 	if err != nil {
 		return nil, 0, err
@@ -121,17 +123,30 @@ func fig11Traced(accesses int, sink *trace.Sink) (*Fig11Result, sim.Cycles, erro
 	return res, protected, nil
 }
 
-// fig11Run measures one (benchmark, level) cell: the trace's execution
-// time with the MMT controller over the time with plain DRAM. It also
-// returns the measured protected-memory cycles.
-func fig11Run(cfg workload.TraceConfig, level, accesses int, sink *trace.Sink) (float64, sim.Cycles, error) {
-	prof := sim.Gem5Profile()
-	geo := tree.ForLevels(level)
-	// Table V provisions SoC root storage per level (256K for 2-level over
-	// 2 GB): every live root stays resident, so size the root table for
-	// the footprint rather than keeping the 3-level default.
+// specTrace returns the SPEC-like trace of that name.
+func specTrace(name string) (workload.TraceConfig, error) {
+	for _, c := range workload.SPECTraces() {
+		if c.Name == name {
+			return c, nil
+		}
+	}
+	return workload.TraceConfig{}, fmt.Errorf("bench: no SPEC-like trace %q", name)
+}
+
+// pinRoots sizes prof's SoC root table so that every live root of the
+// trace's footprint stays resident, as Table V provisions (256K for
+// 2-level over 2 GB), rather than keeping the 3-level default.
+func pinRoots(prof *sim.Profile, cfg workload.TraceConfig, geo tree.Geometry) {
 	regions := (cfg.FootprintLines*64 + geo.DataSize() - 1) / geo.DataSize()
 	prof.RootTableSoC = (regions + 1) * 8
+}
+
+// traceRun is the Figure 11 method: the trace's execution time with the
+// MMT controller over the time with plain DRAM, on one profile and
+// geometry. It also returns the controller's stats for the measured
+// accesses. The measured phase records into sink's process proc (a nil
+// sink records nothing), sampled by the sink's window when it has one.
+func traceRun(prof *sim.Profile, cfg workload.TraceConfig, geo tree.Geometry, accesses int, sink *trace.Sink, proc string) (float64, engine.Stats, error) {
 	// Access() is a pure timing path: it moves only the node cache and the
 	// cycle counters, so the trace can cover a paper-scale (multi-GB)
 	// footprint without backing memory. The controller gets one real
@@ -143,7 +158,7 @@ func fig11Run(cfg workload.TraceConfig, level, accesses int, sink *trace.Sink) (
 	})
 	ctl, err := engine.New(pm, geo, nil, prof)
 	if err != nil {
-		return 0, 0, err
+		return 0, engine.Stats{}, err
 	}
 
 	// Warm the node cache with a prefix of the trace, then measure. The
@@ -151,25 +166,24 @@ func fig11Run(cfg workload.TraceConfig, level, accesses int, sink *trace.Sink) (
 	// account for exactly the measured cycles.
 	tr := workload.NewTrace(cfg, 11)
 	lines := geo.Lines()
-	warm := accesses / 10
-	for i := 0; i < warm; i++ {
+	for i := 0; i < accesses/10; i++ {
 		line, w := tr.Next()
 		ctl.Access(line/lines, line%lines, w)
 	}
 	ctl.ResetStats()
-	pr := sink.Probe(fmt.Sprintf("%s/L%d", cfg.Name, level))
+	pr := sink.Probe(proc)
 	ctl.SetTrace(pr)
-	if w, ok := sink.SeriesWindow(); ok {
-		ctl.Clock().SetWindowHook(w, pr.ObserveWindow)
+	if sc, ok := sink.SeriesConfigured(); ok {
+		ctl.Clock().SetWindowHook(sc.WindowCycles, pr.ObserveWindow)
 	}
 	for i := 0; i < accesses; i++ {
 		line, w := tr.Next()
 		ctl.Access(line/lines, line%lines, w)
 	}
-	memCycles := float64(ctl.Stats().Cycles)
+	st := ctl.Stats()
 	compute := cfg.ComputeCyclesPerAccess * float64(accesses)
 	baseline := compute + float64(accesses)*float64(prof.DRAMAccess)
-	return (compute + memCycles) / baseline, ctl.Stats().Cycles, nil
+	return (compute + float64(st.Cycles)) / baseline, st, nil
 }
 
 // RenderFig11 prints the per-benchmark overheads and the averages.

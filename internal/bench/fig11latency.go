@@ -96,8 +96,8 @@ func fig11Latency(reads int, sink *trace.Sink) (*Fig11Latency, sim.Cycles, error
 	// Pass 1: idle. Only the reader touches the controller.
 	idle := ls.Probe("fig11-lat/idle")
 	ctl.SetTrace(idle)
-	if w, ok := ls.SeriesWindow(); ok {
-		ctl.Clock().SetWindowHook(w, idle.ObserveWindow)
+	if sc, ok := ls.SeriesConfigured(); ok {
+		ctl.Clock().SetWindowHook(sc.WindowCycles, idle.ObserveWindow)
 	}
 	for i := 0; i < reads; i++ {
 		ctl.Access(latReaderRegion, readerLine(i), false)
@@ -118,9 +118,9 @@ func fig11Latency(reads int, sink *trace.Sink) (*Fig11Latency, sim.Cycles, error
 	// Re-aim the machines' window hooks at the pass-2 processes: each
 	// process's samples are deltas of its own accumulators, so switching
 	// the sampled process mid-run stays exact per process.
-	if w, ok := ls.SeriesWindow(); ok {
-		ctl.Clock().SetWindowHook(w, busy.ObserveWindow)
-		tb.receiver.Controller().Clock().SetWindowHook(w, rx.ObserveWindow)
+	if sc, ok := ls.SeriesConfigured(); ok {
+		ctl.Clock().SetWindowHook(sc.WindowCycles, busy.ObserveWindow)
+		tb.receiver.Controller().Clock().SetWindowHook(sc.WindowCycles, rx.ObserveWindow)
 	}
 
 	// Fixed burst interval: the migration (and therefore eviction-miss)

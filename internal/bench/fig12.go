@@ -6,6 +6,7 @@ import (
 	"mmt/internal/mapreduce"
 	"mmt/internal/par"
 	"mmt/internal/sim"
+	"mmt/internal/trace"
 	"mmt/internal/tree"
 	"mmt/internal/workload"
 )
@@ -26,40 +27,50 @@ type Fig12Row struct {
 // the default 2 MB MMT geometry. The paper's shape: up to ~10x when the
 // transferred size exceeds one closure, crossover below 8K.
 func Fig12() ([]Fig12Row, error) {
-	geo := tree.ForLevels(3)
 	sizes := []int{1 << 10, 4 << 10, 32 << 10, 256 << 10, 1 << 20, 4 << 20}
 	// Every size point builds its own corpus, profile and cluster; the
 	// points fan out across Workers() goroutines.
 	return par.Map(Workers(), sizes, func(_ int, input int) (Fig12Row, error) {
-		corpus := workload.Corpus(12, input)
-		cfg := mapreduce.Config{
-			Mappers: 1, Reducers: 1,
-			Profile:  sim.Gem5Profile(),
-			Geometry: geo,
-			// WordCount expands text ~1.7x into key-value bytes; size the
-			// pool for the expanded shuffle.
-			PoolRegions:       2*input/geo.DataSize() + 4,
-			MapCyclesPerByte:  8,
-			ReduceCyclesPerKV: 40,
-		}
-		cfg.Mode = mapreduce.SecureChannel
-		sec, err := mapreduce.Run(cfg, corpus, mapreduce.WordCountMapper, mapreduce.WordCountReducer)
-		if err != nil {
-			return Fig12Row{}, fmt.Errorf("fig12 secure %d: %w", input, err)
-		}
-		cfg.Mode = mapreduce.MMT
-		mmt, err := mapreduce.Run(cfg, corpus, mapreduce.WordCountMapper, mapreduce.WordCountReducer)
-		if err != nil {
-			return Fig12Row{}, fmt.Errorf("fig12 mmt %d: %w", input, err)
-		}
-		return Fig12Row{
-			InputBytes:   input,
-			ShuffleBytes: mmt.ShuffleBytes,
-			Secure:       sec.Elapsed,
-			MMT:          mmt.Elapsed,
-			Speedup:      float64(sec.Elapsed) / float64(mmt.Elapsed),
-		}, nil
+		return fig12Point(input, nil)
 	})
+}
+
+// fig12Point runs one Figure 12 point: WordCount over input bytes on one
+// mapper/reducer pair, secure channel then MMT shuffle, both recording
+// into sink when it is non-nil. The job's compute halves fan out across
+// Workers() goroutines; the result is the same at any width.
+func fig12Point(input int, sink *trace.Sink) (Fig12Row, error) {
+	geo := tree.ForLevels(3)
+	corpus := workload.Corpus(12, input)
+	cfg := mapreduce.Config{
+		Mappers: 1, Reducers: 1,
+		Profile:  sim.Gem5Profile(),
+		Geometry: geo,
+		// WordCount expands text ~1.7x into key-value bytes; size the
+		// pool for the expanded shuffle.
+		PoolRegions:       2*input/geo.DataSize() + 4,
+		MapCyclesPerByte:  8,
+		ReduceCyclesPerKV: 40,
+		Trace:             sink,
+		Workers:           Workers(),
+	}
+	cfg.Mode = mapreduce.SecureChannel
+	sec, err := mapreduce.Run(cfg, corpus, mapreduce.WordCountMapper, mapreduce.WordCountReducer)
+	if err != nil {
+		return Fig12Row{}, fmt.Errorf("fig12 secure %d: %w", input, err)
+	}
+	cfg.Mode = mapreduce.MMT
+	mmt, err := mapreduce.Run(cfg, corpus, mapreduce.WordCountMapper, mapreduce.WordCountReducer)
+	if err != nil {
+		return Fig12Row{}, fmt.Errorf("fig12 mmt %d: %w", input, err)
+	}
+	return Fig12Row{
+		InputBytes:   input,
+		ShuffleBytes: mmt.ShuffleBytes,
+		Secure:       sec.Elapsed,
+		MMT:          mmt.Elapsed,
+		Speedup:      float64(sec.Elapsed) / float64(mmt.Elapsed),
+	}, nil
 }
 
 // RenderFig12 prints the series.

@@ -6,6 +6,7 @@ import (
 	"mmt/internal/mapreduce"
 	"mmt/internal/par"
 	"mmt/internal/sim"
+	"mmt/internal/trace"
 	"mmt/internal/tree"
 	"mmt/internal/workload"
 )
@@ -107,37 +108,16 @@ type Fig13bRow struct {
 // growing clusters. MMT delegation is message passing, so it must scale
 // like the baseline ("MMT delegation will not break the scalability").
 func Fig13b() ([]Fig13bRow, error) {
-	geo := tree.ForLevels(3)
-	corpus := workload.Corpus(14, 2<<20)
-	run := func(mode mapreduce.Mode, n int) (sim.Time, error) {
-		// Pool sizing: the largest (Zipf-skewed) partition is a large
-		// fraction of one mapper's output; size per-link pools for it.
-		pool := 2*len(corpus)/(n*geo.DataSize()) + 3
-		cfg := mapreduce.Config{
-			Mappers: n, Reducers: n,
-			Mode:              mode,
-			Profile:           sim.IntelProfile(),
-			Geometry:          geo,
-			PoolRegions:       pool,
-			MapCyclesPerByte:  60,
-			ReduceCyclesPerKV: 300,
-		}
-		r, err := mapreduce.Run(cfg, corpus, mapreduce.WordCountMapper, mapreduce.WordCountReducer)
-		if err != nil {
-			return 0, err
-		}
-		return r.Elapsed, nil
-	}
-	// The cluster sizes run independently (every run() builds a fresh
-	// profile and cluster); the M1R1 reference times needed for the
-	// speedup columns are filled in serially afterwards.
+	// The cluster sizes run independently (every fig13bRun builds a
+	// fresh profile and cluster); the M1R1 reference times needed for
+	// the speedup columns are filled in serially afterwards.
 	type pair struct{ b, m sim.Time }
 	times, err := par.Map(Workers(), []int{1, 2, 4, 8}, func(_ int, n int) (pair, error) {
-		b, err := run(mapreduce.Baseline, n)
+		b, err := fig13bRun(mapreduce.Baseline, n, nil)
 		if err != nil {
 			return pair{}, fmt.Errorf("fig13b baseline n=%d: %w", n, err)
 		}
-		m, err := run(mapreduce.MMT, n)
+		m, err := fig13bRun(mapreduce.MMT, n, nil)
 		if err != nil {
 			return pair{}, fmt.Errorf("fig13b mmt n=%d: %w", n, err)
 		}
@@ -156,6 +136,33 @@ func Fig13b() ([]Fig13bRow, error) {
 		})
 	}
 	return rows, nil
+}
+
+// fig13bRun runs one Figure 13b cell: the fixed WordCount corpus on n
+// mappers and n reducers in one shuffle mode, recording into sink when
+// it is non-nil. The job's compute halves fan out across Workers()
+// goroutines; the result is the same at any width.
+func fig13bRun(mode mapreduce.Mode, n int, sink *trace.Sink) (sim.Time, error) {
+	geo := tree.ForLevels(3)
+	corpus := workload.Corpus(14, 2<<20)
+	cfg := mapreduce.Config{
+		Mappers: n, Reducers: n,
+		Mode:     mode,
+		Profile:  sim.IntelProfile(),
+		Geometry: geo,
+		// Pool sizing: the largest (Zipf-skewed) partition is a large
+		// fraction of one mapper's output; size per-link pools for it.
+		PoolRegions:       2*len(corpus)/(n*geo.DataSize()) + 3,
+		MapCyclesPerByte:  60,
+		ReduceCyclesPerKV: 300,
+		Trace:             sink,
+		Workers:           Workers(),
+	}
+	r, err := mapreduce.Run(cfg, corpus, mapreduce.WordCountMapper, mapreduce.WordCountReducer)
+	if err != nil {
+		return 0, err
+	}
+	return r.Elapsed, nil
 }
 
 // RenderFig13b prints the scalability series.

@@ -9,8 +9,6 @@ import (
 	"mmt/internal/mapreduce"
 	"mmt/internal/sim"
 	"mmt/internal/trace"
-	"mmt/internal/tree"
-	"mmt/internal/workload"
 )
 
 // This file builds the per-figure metrics sidecars (BENCH_<fig>.json):
@@ -497,27 +495,8 @@ func SeriesForFigure(fig string, accesses int) (*Sidecar, []byte, error) {
 // wall-clock maxima over machines, so they are reported as totals
 // without a phase-sum check.
 func sidecarFig12() (*Sidecar, error) {
-	geo := tree.ForLevels(3)
-	input := 256 << 10
-	corpus := workload.Corpus(12, input)
 	sink := trace.NewSink()
-	cfg := mapreduce.Config{
-		Mappers: 1, Reducers: 1,
-		Profile:           sim.Gem5Profile(),
-		Geometry:          geo,
-		PoolRegions:       2*input/geo.DataSize() + 4,
-		MapCyclesPerByte:  8,
-		ReduceCyclesPerKV: 40,
-		Trace:             sink,
-		Workers:           Workers(),
-	}
-	cfg.Mode = mapreduce.SecureChannel
-	sec, err := mapreduce.Run(cfg, corpus, mapreduce.WordCountMapper, mapreduce.WordCountReducer)
-	if err != nil {
-		return nil, err
-	}
-	cfg.Mode = mapreduce.MMT
-	mmtRes, err := mapreduce.Run(cfg, corpus, mapreduce.WordCountMapper, mapreduce.WordCountReducer)
+	row, err := fig12Point(256<<10, sink)
 	if err != nil {
 		return nil, err
 	}
@@ -526,10 +505,10 @@ func sidecarFig12() (*Sidecar, error) {
 		Profile:     sim.Gem5Profile().Name,
 		Description: "WordCount end-to-end, 256K input, M1R1, secure-channel vs MMT shuffle (Figure 12 point)",
 		Totals: []SidecarTotal{
-			{Name: "secure-channel-elapsed", Value: float64(sec.Elapsed), Unit: "seconds"},
-			{Name: "mmt-elapsed", Value: float64(mmtRes.Elapsed), Unit: "seconds"},
-			{Name: "shuffle", Value: float64(mmtRes.ShuffleBytes), Unit: "bytes"},
-			{Name: "speedup", Value: float64(sec.Elapsed) / float64(mmtRes.Elapsed), Unit: "x"},
+			{Name: "secure-channel-elapsed", Value: float64(row.Secure), Unit: "seconds"},
+			{Name: "mmt-elapsed", Value: float64(row.MMT), Unit: "seconds"},
+			{Name: "shuffle", Value: float64(row.ShuffleBytes), Unit: "bytes"},
+			{Name: "speedup", Value: row.Speedup, Unit: "x"},
 		},
 	}
 	sc.fillFromMetrics(sink.Snapshot())
@@ -539,27 +518,12 @@ func sidecarFig12() (*Sidecar, error) {
 // sidecarFig13 traces the M2R2 scalability cell (Figure 13b) on the
 // Intel profile: baseline vs MMT shuffle over the same corpus.
 func sidecarFig13() (*Sidecar, error) {
-	geo := tree.ForLevels(3)
-	corpus := workload.Corpus(14, 2<<20)
 	sink := trace.NewSink()
-	n := 2
-	cfg := mapreduce.Config{
-		Mappers: n, Reducers: n,
-		Profile:           sim.IntelProfile(),
-		Geometry:          geo,
-		PoolRegions:       2*len(corpus)/(n*geo.DataSize()) + 3,
-		MapCyclesPerByte:  60,
-		ReduceCyclesPerKV: 300,
-		Trace:             sink,
-		Workers:           Workers(),
-	}
-	cfg.Mode = mapreduce.Baseline
-	base, err := mapreduce.Run(cfg, corpus, mapreduce.WordCountMapper, mapreduce.WordCountReducer)
+	base, err := fig13bRun(mapreduce.Baseline, 2, sink)
 	if err != nil {
 		return nil, err
 	}
-	cfg.Mode = mapreduce.MMT
-	mmtRes, err := mapreduce.Run(cfg, corpus, mapreduce.WordCountMapper, mapreduce.WordCountReducer)
+	mmtElapsed, err := fig13bRun(mapreduce.MMT, 2, sink)
 	if err != nil {
 		return nil, err
 	}
@@ -568,8 +532,8 @@ func sidecarFig13() (*Sidecar, error) {
 		Profile:     sim.IntelProfile().Name,
 		Description: "WordCount M2R2 scalability cell, baseline vs MMT shuffle (Figure 13b)",
 		Totals: []SidecarTotal{
-			{Name: "baseline-elapsed", Value: float64(base.Elapsed), Unit: "seconds"},
-			{Name: "mmt-elapsed", Value: float64(mmtRes.Elapsed), Unit: "seconds"},
+			{Name: "baseline-elapsed", Value: float64(base), Unit: "seconds"},
+			{Name: "mmt-elapsed", Value: float64(mmtElapsed), Unit: "seconds"},
 		},
 	}
 	sc.fillFromMetrics(sink.Snapshot())

@@ -132,9 +132,9 @@ func (c *Clock) SetNow(t Time) {
 
 // SetWindowHook installs a sampling hook that fires whenever the clock
 // crosses into a new window of windowCycles simulated cycles. The window
-// size must be a power of two (callers pass a sink's SeriesWindow, and
-// trace.Sink.EnableSeries refuses any other); other values are rounded
-// up to the next power of two so the window index stays a cheap shift.
+// size must be a power of two (callers pass a sink's SeriesConfigured
+// window, and trace.Sink.EnableSeries refuses any other); other values are
+// rounded up to the next power of two so the window index stays a shift.
 // A nil hook uninstalls sampling.
 func (c *Clock) SetWindowHook(windowCycles uint64, hook func(window uint64)) {
 	if hook == nil {

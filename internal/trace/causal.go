@@ -158,9 +158,6 @@ func (a *ActiveSpan) End(now sim.Time) {
 		Proc: p.proc.name, Phase: a.phase, Begin: a.begin, End: now,
 		Trace: a.trace, Span: a.span, Parent: a.parent, Cycles: a.cycles,
 	})
-	p.proc.recordFlight(FlightSpan{
-		Phase: a.phase, Begin: a.begin, End: now, Trace: a.trace, Span: a.span,
-	})
 	p.sink.mu.Unlock()
 }
 

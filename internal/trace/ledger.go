@@ -1,6 +1,10 @@
 package trace
 
-import "mmt/internal/sim"
+import (
+	"slices"
+
+	"mmt/internal/sim"
+)
 
 // EventKind classifies one entry in the security-event ledger. Kinds at
 // record sites must be compile-time constants (enforced by the mmt-vet
@@ -82,9 +86,9 @@ type SecEvent struct {
 	// ledger entries — and any droppage between them — are localizable
 	// on the series timeline.
 	Window uint64
-	// Flight is the recording process's flight-recorder ring, frozen
-	// (copied oldest-first) at record time for kinds of severity >=
-	// SevWarn; nil otherwise.
+	// Flight is the recording process's newest DefaultFlightCap spans,
+	// frozen (copied oldest-first) at record time for kinds of severity
+	// >= SevWarn; nil otherwise.
 	Flight []FlightSpan
 }
 
@@ -152,10 +156,25 @@ func (p *Probe) Event(kind EventKind, at sim.Time, addr uint64, detail string) {
 		ev.Window = ps.curWindow
 	}
 	if kind.Severity() >= SevWarn {
-		ev.Flight = p.proc.flightSnapshot()
+		ev.Flight = p.sink.flightLocked(p.proc.name)
 	}
 	p.sink.ledger.record(ev)
 	p.sink.mu.Unlock()
+}
+
+// flightLocked is the named process's flight recorder: its newest
+// DefaultFlightCap spans, oldest first, read backwards off the span list
+// (which holds every span in record order, merged ones included); nil
+// when the process has recorded none.
+func (s *Sink) flightLocked(proc string) []FlightSpan {
+	var out []FlightSpan
+	for i := len(s.events) - 1; i >= 0 && len(out) < DefaultFlightCap; i-- {
+		if ev := &s.events[i]; ev.Proc == proc {
+			out = append(out, FlightSpan{Phase: ev.Phase, Begin: ev.Begin, End: ev.End, Trace: ev.Trace, Span: ev.Span})
+		}
+	}
+	slices.Reverse(out)
+	return out
 }
 
 // SecEvents returns a copy of the retained security-event ledger,

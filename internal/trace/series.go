@@ -3,7 +3,8 @@ package trace
 // series.go is the deterministic time-series layer: a sampler driven by
 // the simulated clocks (sim.Clock window hooks) that turns each
 // process's monotonic accumulators into bounded rings of per-window
-// deltas, plus a per-process flight recorder of the most recent spans.
+// deltas. (The flight recorder a warn-or-worse ledger entry freezes is
+// read off the sink's span list; see Sink.flightLocked.)
 //
 // The delta-sum contract: for every process, the evicted aggregate plus
 // the retained samples plus the synthesized tail sum *exactly* (float64
@@ -40,19 +41,18 @@ const SeriesSchema = "mmt-series/v1"
 // identical series.
 const DefaultSeriesCap = 64
 
-// DefaultFlightCap is the per-process bound on the flight recorder ring
-// of recent spans.
+// DefaultFlightCap is how many of its process's most recent spans a
+// warn-or-worse ledger entry freezes.
 const DefaultFlightCap = 16
 
 // SeriesConfig configures the windowed sampler for a Sink.
 type SeriesConfig struct {
 	// WindowCycles is the sampling window in simulated cycles. It must
 	// be a power of two — the window index is a shift of the cycle
-	// count — and EnableSeries refuses any other.
+	// count — and EnableSeries refuses any other. Each process keeps
+	// its newest DefaultSeriesCap samples; older ones fold into the
+	// evicted aggregate.
 	WindowCycles uint64
-	// MaxSamples bounds the per-process sample ring; older samples fold
-	// into the evicted aggregate. 0 means DefaultSeriesCap.
-	MaxSamples int
 }
 
 // SeriesSample is one window's accumulator delta (or, for the evicted
@@ -218,14 +218,10 @@ func (s *Sink) EnableSeries(cfg SeriesConfig) error {
 	if cfg.WindowCycles == 0 || cfg.WindowCycles&(cfg.WindowCycles-1) != 0 {
 		return fmt.Errorf("trace: series window must be a power of two cycles, got %d", cfg.WindowCycles)
 	}
-	if cfg.MaxSamples <= 0 {
-		cfg.MaxSamples = DefaultSeriesCap
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.seriesOn && s.seriesCfg != cfg {
-		return fmt.Errorf("trace: series sampling already enabled (window=%d max=%d)",
-			s.seriesCfg.WindowCycles, s.seriesCfg.MaxSamples)
+		return fmt.Errorf("trace: series sampling already enabled (window=%d)", s.seriesCfg.WindowCycles)
 	}
 	s.seriesOn = true
 	s.seriesCfg = cfg
@@ -233,7 +229,8 @@ func (s *Sink) EnableSeries(cfg SeriesConfig) error {
 }
 
 // SeriesConfigured reports the sampler config and whether sampling is
-// enabled. Safe on a nil sink.
+// enabled — the window to hand to sim.Clock.SetWindowHook. Safe on a
+// nil sink.
 func (s *Sink) SeriesConfigured() (SeriesConfig, bool) {
 	if s == nil {
 		return SeriesConfig{}, false
@@ -241,13 +238,6 @@ func (s *Sink) SeriesConfigured() (SeriesConfig, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.seriesCfg, s.seriesOn
-}
-
-// SeriesWindow reports the sampling window in cycles and whether
-// sampling is enabled — the value to hand to sim.Clock.SetWindowHook.
-func (s *Sink) SeriesWindow() (uint64, bool) {
-	cfg, on := s.SeriesConfigured()
-	return cfg.WindowCycles, on
 }
 
 // ObserveWindow is the sim.Clock window-hook target: the clock calls it
@@ -288,7 +278,7 @@ func (s *Sink) observeWindowLocked(pm *procMetrics, window uint64) {
 		return
 	}
 	d.Window = label
-	ps.push(d, s.seriesCfg.MaxSamples)
+	ps.push(d, DefaultSeriesCap)
 	ps.last.add(&d)
 	ps.lastLabel = label
 	ps.sampled = true
@@ -436,7 +426,7 @@ func (s *Sink) SeriesSnapshot() (SeriesView, bool) {
 	if !s.seriesOn {
 		return SeriesView{}, false
 	}
-	v := SeriesView{WindowCycles: s.seriesCfg.WindowCycles, MaxSamples: s.seriesCfg.MaxSamples}
+	v := SeriesView{WindowCycles: s.seriesCfg.WindowCycles, MaxSamples: DefaultSeriesCap}
 	for _, pm := range s.procs {
 		var state procSeries
 		if pm.series != nil {
@@ -530,10 +520,9 @@ func (k EventKind) Severity() Severity {
 	}
 }
 
-// FlightSpan is one compact record in a process's flight recorder: the
-// ring of most recent completed spans, frozen onto warn-and-above
-// ledger entries so each verdict carries its preceding execution
-// context.
+// FlightSpan is one compact record in a process's flight recorder: its
+// most recent completed spans, frozen onto warn-and-above ledger
+// entries so each verdict carries its preceding execution context.
 type FlightSpan struct {
 	Phase Phase
 	Begin sim.Time
@@ -542,28 +531,4 @@ type FlightSpan struct {
 	// causal trace (zero otherwise).
 	Trace TraceID
 	Span  uint32
-}
-
-// recordFlight appends one span to the process's flight ring.
-func (pm *procMetrics) recordFlight(fs FlightSpan) {
-	if len(pm.flight) < DefaultFlightCap {
-		pm.flight = append(pm.flight, fs)
-		return
-	}
-	pm.flight[pm.flightHead] = fs
-	pm.flightHead++
-	if pm.flightHead == len(pm.flight) {
-		pm.flightHead = 0
-	}
-}
-
-// flightSnapshot copies the flight ring oldest-first; nil when empty.
-func (pm *procMetrics) flightSnapshot() []FlightSpan {
-	if len(pm.flight) == 0 {
-		return nil
-	}
-	out := make([]FlightSpan, 0, len(pm.flight))
-	out = append(out, pm.flight[pm.flightHead:]...)
-	out = append(out, pm.flight[:pm.flightHead]...)
-	return out
 }

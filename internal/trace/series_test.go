@@ -33,15 +33,15 @@ func driveWindows(clock *sim.Clock, p *Probe, n, stepsPerWindow int, windowCycle
 func TestSeriesDeltaSumExact(t *testing.T) {
 	const window = uint64(1024)
 	s := NewSink()
-	if err := s.EnableSeries(SeriesConfig{WindowCycles: window, MaxSamples: 4}); err != nil {
+	if err := s.EnableSeries(SeriesConfig{WindowCycles: window}); err != nil {
 		t.Fatal(err)
 	}
 	p := s.Probe("alice")
 	clock := sim.NewClock(1e9)
 	clock.SetWindowHook(window, p.ObserveWindow)
 
-	// 20 windows against a 4-sample ring: most deltas evict into the base.
-	driveWindows(clock, p, 20, 8, window)
+	// Five rings' worth of windows: most deltas evict into the base.
+	driveWindows(clock, p, 5*DefaultSeriesCap, 8, window)
 
 	v, ok := s.SeriesSnapshot()
 	if !ok || len(v.Procs) != 1 {
@@ -97,9 +97,11 @@ func TestSeriesDeltaSumExact(t *testing.T) {
 // export byte-identical mmt-series/v1 documents to a single-sink run.
 func TestSeriesMergeReproducesSerial(t *testing.T) {
 	const window = uint64(512)
-	cfg := SeriesConfig{WindowCycles: window, MaxSamples: 8}
+	cfg := SeriesConfig{WindowCycles: window}
+	// About two rings' worth of windows per machine, so the merged
+	// documents carry evicted aggregates too.
 	run := func(p *Probe, clock *sim.Clock, seed int) {
-		for i := 0; i < 60; i++ {
+		for i := 0; i < 60*DefaultSeriesCap/8; i++ {
 			p.Count(CtrTreeNodeWalks, uint64(seed))
 			p.AddCycles(PhaseData, sim.Cycles(float64((i+seed)%5)+0.9))
 			p.RecordOp(OpLocalWrite, sim.Cycles(float64(seed)+0.25))
@@ -161,14 +163,16 @@ func TestSeriesMergeReproducesSerial(t *testing.T) {
 // takes back exactly what WriteSeriesJSON wrote.
 func TestSeriesMergeOverlapExact(t *testing.T) {
 	const window = uint64(256)
-	for _, tc := range []struct{ maxSamples, parts, windows, steps int }{
-		{2, 4, 3, 8},
-		{4, 3, 20, 3},
-		{8, 3, 10, 8},
-		{64, 4, 20, 1},
-		{4, 2, 10, 3},
+	// Each part runs windows+i windows: from one and a half rings to
+	// five, and one case that never fills the ring.
+	cfg := SeriesConfig{WindowCycles: window}
+	for _, tc := range []struct{ parts, windows, steps int }{
+		{4, DefaultSeriesCap * 3 / 2, 8},
+		{3, DefaultSeriesCap * 5, 3},
+		{3, DefaultSeriesCap * 5 / 4, 8},
+		{4, DefaultSeriesCap * 5 / 16, 1},
+		{2, DefaultSeriesCap * 5 / 2, 3},
 	} {
-		cfg := SeriesConfig{WindowCycles: window, MaxSamples: tc.maxSamples}
 		root := NewSink()
 		if err := root.EnableSeries(cfg); err != nil {
 			t.Fatal(err)
@@ -260,6 +264,59 @@ func TestFlightRecorderFreeze(t *testing.T) {
 	}
 }
 
+// TestFlightIsNewestSpansOfItsProcess: a warn entry freezes exactly the
+// newest DefaultFlightCap spans its own process recorded, oldest first,
+// causal links included and other processes' spans skipped; spans folded
+// in by Merge count as recorded at the merge, and Reset forgets them all.
+func TestFlightIsNewestSpansOfItsProcess(t *testing.T) {
+	s := NewSink()
+	alice, bob := s.Probe("alice"), s.Probe("bob")
+	at := func(i int) sim.Time { return sim.Time(float64(i) * 1e-6) }
+	for i := 0; i < 2*DefaultFlightCap; i++ {
+		alice.Span(PhaseMAC, at(i), at(i)+1e-7)
+		bob.Span(PhaseData, at(i), at(i)+1e-7)
+	}
+	ctx := alice.NewTrace()
+	sp := alice.BeginSpan(ctx, PhaseSend, at(100))
+	sp.End(at(101))
+
+	part := NewSink()
+	part.Probe("alice").Span(PhaseWire, at(200), at(201))
+	s.Merge(part)
+	alice.Event(EvStaleCounter, at(300), 0, "stale")
+	s.Probe("carol").Event(EvReplayReject, at(300), 0, "no spans")
+
+	evs := s.SecEvents()
+	flight := evs[0].Flight
+	if len(flight) != DefaultFlightCap {
+		t.Fatalf("flight holds %d spans, want %d", len(flight), DefaultFlightCap)
+	}
+	// The two newest are the causal and the merged span, so alice's plain
+	// spans start at index DefaultFlightCap+2 of 2*DefaultFlightCap.
+	want := FlightSpan{Phase: PhaseMAC, Begin: at(DefaultFlightCap + 2), End: at(DefaultFlightCap+2) + 1e-7}
+	if flight[0] != want {
+		t.Fatalf("oldest frozen span %+v, want %+v", flight[0], want)
+	}
+	for i := 1; i < DefaultFlightCap-2; i++ {
+		if flight[i].Phase != PhaseMAC || flight[i].Begin <= flight[i-1].Begin {
+			t.Fatalf("flight[%d] = %+v is not alice's next span", i, flight[i])
+		}
+	}
+	causal := FlightSpan{Phase: PhaseSend, Begin: at(100), End: at(101), Trace: ctx.ID, Span: 1}
+	if flight[DefaultFlightCap-2] != causal || flight[DefaultFlightCap-1].Phase != PhaseWire {
+		t.Fatalf("newest frozen spans %+v, want the causal span then the merged one", flight[DefaultFlightCap-2:])
+	}
+	if evs[1].Flight != nil {
+		t.Fatalf("a process with no spans froze %+v", evs[1].Flight)
+	}
+
+	s.Reset()
+	alice.Event(EvStaleCounter, 0, 0, "after reset")
+	if f := s.SecEvents()[0].Flight; f != nil {
+		t.Fatalf("flight survived Reset: %+v", f)
+	}
+}
+
 // TestSeriesDisabledZeroAlloc is the MMT008 acceptance contract: with
 // tracing on but sampling off, the hot line path — counter bumps, cycle
 // charges, op records, clock advances — allocates nothing. Sampling
@@ -289,13 +346,8 @@ func TestEnableSeriesValidation(t *testing.T) {
 	if err := s.EnableSeries(SeriesConfig{WindowCycles: 0}); err == nil {
 		t.Fatal("zero window accepted")
 	}
-	// Non-positive ring sizes take the default rather than erroring
-	// (the public WithSampling option rejects them eagerly instead).
-	if err := s.EnableSeries(SeriesConfig{WindowCycles: 1 << 12, MaxSamples: -1}); err != nil {
+	if err := s.EnableSeries(SeriesConfig{WindowCycles: 1 << 12}); err != nil {
 		t.Fatal(err)
-	}
-	if cfg, ok := s.SeriesConfigured(); !ok || cfg.MaxSamples != DefaultSeriesCap {
-		t.Fatalf("defaulted ring = %+v, %v", cfg, ok)
 	}
 	if err := s.EnableSeries(SeriesConfig{WindowCycles: 1 << 13}); err == nil {
 		t.Fatal("reconfiguration with a different window accepted")
@@ -303,8 +355,8 @@ func TestEnableSeriesValidation(t *testing.T) {
 	if err := s.EnableSeries(SeriesConfig{WindowCycles: 1 << 12}); err != nil {
 		t.Fatalf("idempotent re-enable refused: %v", err)
 	}
-	if w, ok := s.SeriesWindow(); !ok || w != 1<<12 {
-		t.Fatalf("SeriesWindow = %d, %v", w, ok)
+	if cfg, ok := s.SeriesConfigured(); !ok || cfg.WindowCycles != 1<<12 {
+		t.Fatalf("SeriesConfigured = %+v, %v", cfg, ok)
 	}
 	// Disabled sinks export nothing.
 	var buf bytes.Buffer

@@ -229,9 +229,6 @@ type procMetrics struct {
 	// first clock window tick (series.go); nil when sampling is off or
 	// the process's clock has not crossed a window yet.
 	series *procSeries
-	// flight is the flight-recorder ring of recent spans (series.go).
-	flight     []FlightSpan
-	flightHead int
 }
 
 // Sink aggregates trace data for one cluster or testbed. The zero value
@@ -287,8 +284,6 @@ func (s *Sink) Reset() {
 		p.ops = [NumOps]Histogram{}
 		p.causalSeq = 0
 		p.series = nil
-		p.flight = nil
-		p.flightHead = 0
 	}
 	s.events = nil
 	s.ledger.reset()
@@ -343,9 +338,6 @@ func (s *Sink) Merge(src *Sink) {
 		base[sp.name] = dst.causalSeq
 		dst.causalSeq += sp.causalSeq
 		s.mergeSeriesLocked(dst, sp)
-		for _, fs := range sp.flightSnapshot() {
-			dst.recordFlight(fs)
-		}
 	}
 	for _, ev := range src.events {
 		if ev.Trace.Valid() {
@@ -447,7 +439,6 @@ func (p *Probe) Span(ph Phase, begin, end sim.Time) {
 	}
 	p.sink.mu.Lock()
 	p.sink.events = append(p.sink.events, Event{Proc: p.proc.name, Phase: ph, Begin: begin, End: end})
-	p.proc.recordFlight(FlightSpan{Phase: ph, Begin: begin, End: end})
 	p.sink.mu.Unlock()
 }
 

@@ -163,13 +163,11 @@ func WithTracing(sink *TraceSink) Option {
 // windowCycles must be a power of two. Requires WithTracing; read the
 // series back via TraceSink.WriteSeriesJSON / SeriesSnapshot, or scrape
 // the OpenMetrics exposition at /debug/mmt/metrics when a debug server
-// is attached. cfg.MaxSamples zero means DefaultSeriesCap.
+// is attached. Each machine keeps its newest 64 window samples; older
+// ones fold into one evicted aggregate.
 func WithSampling(cfg SamplingConfig) Option {
 	if cfg.WindowCycles == 0 || cfg.WindowCycles&(cfg.WindowCycles-1) != 0 {
 		return optionErr(fmt.Errorf("mmt: WithSampling: window of %d cycles is not a power of two", cfg.WindowCycles))
-	}
-	if cfg.MaxSamples < 0 {
-		return optionErr(fmt.Errorf("mmt: WithSampling: negative MaxSamples %d", cfg.MaxSamples))
 	}
 	return func(s *settings) error {
 		c := cfg
@@ -186,10 +184,10 @@ func WithSampling(cfg SamplingConfig) Option {
 //	/debug/mmt/hist     per-operation latency histograms (mmt-hist/v1)
 //	/debug/mmt/events   the security-event ledger (mmt-events/v1 JSONL)
 //	/debug/mmt/summary  the compact text summary (plus ledger droppage)
-//	/debug/mmt/metrics  OpenMetrics text exposition (scrapeable; includes
-//	                    the time series when WithSampling is on)
+//	/debug/mmt/metrics  OpenMetrics text exposition: counters, phase
+//	                    cycles, ledger counts, and the time series when
+//	                    WithSampling is on
 //	/debug/mmt/series   the mmt-series/v1 artifact (404 without sampling)
-//	/debug/vars         expvar-style metrics JSON
 //	/debug/pprof/       the standard Go profiling endpoints
 //
 // Every response is rendered from a copied snapshot: serving never blocks
