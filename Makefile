@@ -72,7 +72,7 @@ loc:
 # the last PR that changed it; a tree that has grown past it fails, and the
 # PR that means to grow the module raises the number in its own diff, where
 # a reviewer sees it. A PR that shrinks the module lowers it.
-LOC_MAX := 24483
+LOC_MAX := 24443
 loc-gate:
 	@n=$$($(MAKE) -s loc | awk '$$2 == "total" { print $$1 }'); \
 	if [ "$$n" -gt $(LOC_MAX) ]; then \
@@ -89,7 +89,7 @@ loc-gate:
 # read and write, whose line crypto is pipelined — runs again at 1, 2 and 4.
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ ./internal/crypt ./internal/tree ./internal/engine .
-	$(GO) test -bench='EncodeClosureFrame2M|Install2M|ReadRange2M|WriteRange2M' -benchmem -cpu 1,2,4 -run=^$$ ./internal/monitor ./internal/engine
+	$(GO) test -bench='EncodeClosureFrame2M|Install2M|ReadRange2M|WriteRange2M' -benchmem -cpu 1,2,4 -run=^$$ ./internal/channel ./internal/engine
 
 # bench-smoke: one iteration of every benchmark in the module — cheap CI
 # proof that no benchmark has bit-rotted.

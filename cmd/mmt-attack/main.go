@@ -241,12 +241,13 @@ func run(s scenario) (string, error) {
 
 	cluster.SetInterposer(s.interposer)
 	err = send()
-	if err == nil {
-		switch s.interposer.(type) {
-		case *reorderer, *replayer:
-			// These adversaries need a second message: the reorderer holds
-			// the first closure until it can swap a pair; the replayer
-			// re-injects its recording after the next delivery.
+	switch s.interposer.(type) {
+	case *reorderer, *replayer:
+		// These adversaries need a second message: the reorderer holds
+		// the first closure until it can swap a pair (so that send is
+		// unacked); the replayer re-injects its recording after the next
+		// delivery.
+		if err == nil || errors.Is(err, mmt.ErrUnacked) {
 			err = send()
 		}
 	}

@@ -1,8 +1,11 @@
 package mmt
 
 import (
+	"errors"
+
 	"mmt/internal/core"
 	"mmt/internal/crypt"
+	"mmt/internal/monitor"
 	"mmt/internal/tree"
 )
 
@@ -35,6 +38,13 @@ import (
 //     a later delegation moved the connection's counter floor past it,
 //     so the peer would be obliged to reject it as a replay. The buffer
 //     stays valid; copy its contents into a fresh buffer to delegate.
+//   - ErrPoolEmpty comes out of Link.Delegate and Link.Import when the
+//     receiving machine has no free region for the closure. It is a
+//     resource refusal, not a verdict: no security event is recorded and
+//     the sender's buffer is nacked back to valid. Free a buffer there.
+//   - ErrUnacked comes out of Link.Delegate when no ack or nack came
+//     back (the network lost the closure or the ack). The buffer stays
+//     in flight, read-only: the sender cannot tell which was lost.
 //
 // After a rejected delegation (any of ErrAuth, ErrReplay, ErrReorder,
 // ErrIntegrity, ErrBadClosure from Link.Delegate), the receiver keeps waiting and the
@@ -46,4 +56,6 @@ var (
 	ErrReorder      = core.ErrReorder
 	ErrBadClosure   = core.ErrBadClosure
 	ErrStaleCounter = core.ErrStaleCounter
+	ErrPoolEmpty    = monitor.ErrPoolEmpty
+	ErrUnacked      = errors.New("mmt: delegation sent but never acknowledged")
 )

@@ -2,7 +2,7 @@
 // the paper compares (§IV-C, §VI): the non-secure remote write (the
 // baseline with no protection), the software secure channel (AES-GCM plus
 // two extra memory copies — the state of the art MMT displaces), and MMT
-// closure delegation.
+// closure delegation, whose endpoint (Closures) the monitor runs too.
 //
 // Each channel moves real bytes over the untrusted netsim interconnect and
 // advances its node's simulated clock with costs from the sim.Profile, so

@@ -412,8 +412,7 @@ func sendCrafted(t *testing.T, d *Delegation, magic, index, total, length uint32
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.inflight = append(d.inflight, inflightDeleg{mmt: m})
-	d.ep.SendOwned(d.peer, netsim.KindClosure, closure.Encode(), trace.Context{})
+	d.Closures.Send(m, closure, m)
 }
 
 // TestDelegationRejectsCraftedHeader: the framing header inside an

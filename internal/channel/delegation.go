@@ -1,6 +1,7 @@
 package channel
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -8,7 +9,6 @@ import (
 	"mmt/internal/core"
 	"mmt/internal/netsim"
 	"mmt/internal/sim"
-	"mmt/internal/trace"
 )
 
 // Delegation is the MMT closure delegation channel: message passing where
@@ -20,22 +20,10 @@ import (
 // granularity is split across several closures; a smaller one still costs
 // a whole closure — the constant-below-2M behaviour of Table IV.
 type Delegation struct {
-	common
-	node *core.Node
-	conn *core.Conn
+	*Closures[*core.MMT]
 	pool []int
-	// inflight are MMTs in sending state awaiting acks, oldest first.
-	inflight []inflightDeleg
 	// stash holds messages popped while looking for a different kind.
 	stash []netsim.Message
-}
-
-// inflightDeleg pairs an in-flight MMT with its open causal root span:
-// the migration's end-to-end span stays open from send until the ack or
-// nack completes it (drainAcks) or the sender gives up (AbandonInFlight).
-type inflightDeleg struct {
-	mmt *core.MMT
-	sp  *trace.ActiveSpan // nil when tracing is disabled
 }
 
 // msgHeader frames one chunk inside a region's plaintext.
@@ -49,10 +37,8 @@ const (
 // be disjoint from regions used elsewhere on the node.
 func NewDelegation(ep *netsim.Endpoint, peer string, prof *sim.Profile, node *core.Node, conn *core.Conn, regions []int) *Delegation {
 	return &Delegation{
-		common: common{ep: ep, peer: peer, prof: prof},
-		node:   node,
-		conn:   conn,
-		pool:   append([]int(nil), regions...),
+		Closures: NewClosures[*core.MMT](ep, peer, prof, node, conn, nil, "delegation: "),
+		pool:     append([]int(nil), regions...),
 	}
 }
 
@@ -95,84 +81,31 @@ func (c *Delegation) popKind(kind netsim.Kind) (netsim.Message, bool) {
 	}
 }
 
-// ack frames are 9 bytes: a status byte plus the global-unique address of
-// the delegated MMT, so acks and in-flight delegations match even when an
-// adversary re-orders traffic.
-func encodeAck(ok bool, guaddr uint64) []byte {
-	out := make([]byte, 9)
-	if ok {
-		out[0] = 1
-	}
-	binary.LittleEndian.PutUint64(out[1:], guaddr)
-	return out
-}
-
-func decodeAck(b []byte) (ok bool, guaddr uint64, err error) {
-	if len(b) != 9 {
-		return false, 0, fmt.Errorf("channel: malformed ack (%d bytes)", len(b))
-	}
-	return b[0] == 1, binary.LittleEndian.Uint64(b[1:]), nil
-}
-
-// errUnknownAck reports an ack naming no in-flight delegation — stale, or
-// its closure's address hint was destroyed in transit.
-var errUnknownAck = errors.New("channel: ack for unknown delegation")
-
-// drainAcks processes pending acks, completing in-flight delegations and
-// recycling their regions. Acks are matched to in-flight MMTs by
-// global-unique address; an ack that matches nothing (e.g. a nack for a
+// DrainAcks processes pending acks, completing in-flight delegations and
+// recycling their regions. An ack that matches nothing (e.g. a nack for a
 // closure whose header an attacker destroyed) is dropped like a lost
-// packet.
-func (c *Delegation) drainAcks() error {
-	// A nack for one of our in-flight delegations (ErrClosed) outranks a
-	// stale or unknown ack: the latter is delivery noise an adversary can
-	// always inject, the former means our transfer definitively failed.
+// packet. A nack of ours (ErrClosed) outranks a stale or unknown ack: that
+// is noise an adversary can always inject, a nack a transfer that failed.
+func (c *Delegation) DrainAcks() error {
 	var closedErr, otherErr error
 	for {
 		m, ok := c.popKind(netsim.KindControl)
 		if !ok {
-			if closedErr != nil {
-				return closedErr
-			}
-			return otherErr
+			return cmp.Or(closedErr, otherErr)
 		}
-		okByte, guaddr, err := decodeAck(m.Payload)
-		if err != nil {
-			if otherErr == nil {
-				otherErr = err
-			}
+		mmt, acked, err := c.Complete(m.Payload)
+		if errors.Is(err, errBadAck) || errors.Is(err, errUnknownAck) {
+			otherErr = cmp.Or(otherErr, err)
 			continue
 		}
-		matched := false
-		for i, d := range c.inflight {
-			mmt := d.mmt
-			if mmt.GUAddr() != guaddr {
-				continue
-			}
-			c.inflight = append(c.inflight[:i], c.inflight[i+1:]...)
-			// The ack closes the migration's causal root: the span now
-			// encloses send, flight, remote accept and the ack's return trip.
-			d.sp.End(c.ep.Clock().Now())
-			region := mmt.Region()
-			if err := mmt.CompleteSend(okByte); err != nil {
-				return err
-			}
-			if okByte {
-				c.probe.Event(trace.EvDelegationAck, c.ep.Clock().Now(), guaddr, "delegation: transfer acknowledged")
-			} else {
-				c.probe.Event(trace.EvDelegationAck, c.ep.Clock().Now(), guaddr, "delegation: transfer nacked")
-			}
-			if mmt.State() == core.StateInvalid {
-				c.pool = append(c.pool, region)
-			}
-			if !okByte && closedErr == nil {
-				closedErr = ErrClosed
-			}
-			matched = true
-			break
+		if err != nil {
+			return err
 		}
-		if !matched && otherErr == nil {
-			otherErr = fmt.Errorf("%w: %#x", errUnknownAck, guaddr)
+		if mmt.State() == core.StateInvalid {
+			c.pool = append(c.pool, mmt.Region())
+		}
+		if !acked {
+			closedErr = ErrClosed
 		}
 	}
 }
@@ -181,21 +114,14 @@ func (c *Delegation) drainAcks() error {
 // closures. The per-chunk cost is a remote write of the whole closure
 // (data + metadata) plus the fixed seal/ack cost — never encryption.
 func (c *Delegation) Send(payload []byte) error {
-	if err := c.drainAcks(); err != nil {
+	if err := c.DrainAcks(); err != nil {
 		return err
 	}
 	capacity := c.Capacity()
-	total := (len(payload) + capacity - 1) / capacity
-	if total == 0 {
-		total = 1
-	}
+	total := max(1, (len(payload)+capacity-1)/capacity)
 	for i := 0; i < total; i++ {
 		lo := i * capacity
-		hi := lo + capacity
-		if hi > len(payload) {
-			hi = len(payload)
-		}
-		if err := c.sendChunk(payload[lo:hi], i, total); err != nil {
+		if err := c.sendChunk(payload[lo:min(lo+capacity, len(payload))], i, total); err != nil {
 			return err
 		}
 	}
@@ -227,27 +153,11 @@ func (c *Delegation) sendChunk(chunk []byte, idx, total int) error {
 	if err != nil {
 		return err
 	}
-	closure, err := mmt.BeginSend(c.conn, core.OwnershipTransfer)
+	closure, err := c.Seal(mmt, core.OwnershipTransfer, "send")
 	if err != nil {
-		if errors.Is(err, core.ErrStaleCounter) {
-			c.probe.Event(trace.EvStaleCounter, c.ep.Clock().Now(), mmt.GUAddr(), "delegation: send aborted before seal")
-		}
 		return err
 	}
-	wire := closure.Encode()
-	// Root of this migration's causal trace: the span stays open until the
-	// peer's ack or nack completes the transfer (drainAcks / Abandon).
-	root := c.probe.BeginSpan(c.probe.NewTrace(), trace.PhaseSend, c.ep.Clock().Now())
-	c.probe.Count(trace.CtrClosuresSent, 1)
-	c.probe.Count(trace.CtrClosureEncodeBytes, uint64(len(wire)))
-	c.charge(&c.stats.RemoteWrite, trace.PhaseDMA, c.prof.RemoteWriteCost(len(wire)))
-	c.charge(&c.stats.Delegation, trace.PhaseDelegation, c.prof.DelegationFixed)
-	c.probe.RecordOp(trace.OpMigrationSend,
-		c.prof.RemoteWriteCost(len(wire))+c.prof.DelegationFixed)
-	root.AddCycles(c.prof.RemoteWriteCost(len(wire)) + c.prof.DelegationFixed)
-	c.inflight = append(c.inflight, inflightDeleg{mmt: mmt, sp: root})
-	c.ep.SendOwned(c.peer, netsim.KindClosure, wire, root.Context())
-	c.probe.Event(trace.EvMigrationSend, c.ep.Clock().Now(), mmt.GUAddr(), "delegation: closure on wire")
+	c.Closures.Send(mmt, closure, mmt)
 	return nil
 }
 
@@ -295,62 +205,27 @@ func (c *Delegation) Recv() (*Received, error) {
 	if !ok {
 		return nil, ErrEmpty
 	}
-	// The accept is a child of the migration's root span carried in the
-	// message metadata; if the sender was untraced, the receiver roots a
-	// trace of its own so local accounting survives.
-	ctx := m.Trace
-	if !ctx.Valid() {
-		ctx = c.probe.NewTrace()
-	}
-	sp := c.probe.BeginSpan(ctx, trace.PhaseRecv, c.ep.Clock().Now())
-	c.probe.Count(trace.CtrClosureDecodeBytes, uint64(len(m.Payload)))
 	region, err := c.popRegion()
 	if err != nil {
-		sp.End(c.ep.Clock().Now())
 		return nil, err
 	}
 	mmt, err := c.node.Expect(region, c.conn)
 	if err != nil {
-		sp.End(c.ep.Clock().Now())
 		return nil, err
 	}
-	// The controller records the functional install (tree + line-MAC
-	// verification) as a child of the accept span.
-	ctl := c.node.Controller()
-	ctl.SetCausal(sp.Context())
-	err = mmt.Accept(c.conn, m.Payload)
-	ctl.SetCausal(trace.Context{})
+	got := &Received{ch: c, mmt: mmt}
 	// A refused closure leaves the buffer waiting; one installed under a
 	// framing header that fails its checks is reclaimed.
-	got, free := (*Received)(nil), mmt.Cancel
-	if err == nil {
-		got, free = &Received{ch: c, mmt: mmt}, mmt.Reclaim
-		err = got.readHeader()
-	}
-	if err != nil {
-		hint, named := core.RecordReject(c.probe, c.ep.Clock().Now(), err, m.Payload, "delegation: ", "closure")
-		// Free the buffer and nack the specific delegation.
-		if ferr := free(); ferr != nil {
-			sp.End(c.ep.Clock().Now())
-			return nil, ferr
+	undo := func() error {
+		if mmt.State() == core.StateValid {
+			return got.Release()
 		}
 		c.pool = append(c.pool, region)
-		if named {
-			// The nack rides the migration's root context so its wire flight
-			// lands in the same trace as the failed transfer.
-			c.ep.SendOwned(c.peer, netsim.KindControl, encodeAck(false, hint), ctx)
-		}
-		sp.End(c.ep.Clock().Now())
+		return mmt.Cancel()
+	}
+	if err := c.Accept(mmt, m, m.Payload, got.readHeader, undo); err != nil {
 		return nil, err
 	}
-	// Ack (Figure 6 step 4): a tiny control message naming the delegation.
-	c.probe.Count(trace.CtrClosuresAccepted, 1)
-	c.charge(&c.stats.Delegation, trace.PhaseDelegation, c.prof.RemoteWriteCost(9))
-	c.probe.RecordOp(trace.OpMigrationRecv, c.prof.RemoteWriteCost(9))
-	sp.AddCycles(c.prof.RemoteWriteCost(9))
-	c.ep.SendOwned(c.peer, netsim.KindControl, encodeAck(true, mmt.GUAddr()), ctx)
-	c.probe.Event(trace.EvMigrationAccept, c.ep.Clock().Now(), mmt.GUAddr(), "delegation: closure installed")
-	sp.End(c.ep.Clock().Now())
 	return got, nil
 }
 
@@ -406,9 +281,6 @@ func (c *Delegation) RecvMessage() ([]byte, error) {
 	}
 }
 
-// InFlight reports delegations awaiting acks (tests).
-func (c *Delegation) InFlight() int { return len(c.inflight) }
-
 // AbandonInFlight gives up on every delegation still awaiting an ack: the
 // local timeout path of a reliable sender. Each sending MMT returns to
 // valid and is then reclaimed, freeing its buffer for the retry. The data
@@ -418,19 +290,14 @@ func (c *Delegation) AbandonInFlight() error {
 	for _, d := range c.inflight {
 		// Close the migration's causal root at the give-up instant.
 		d.sp.End(c.ep.Clock().Now())
-		region := d.mmt.Region()
 		if err := d.mmt.CompleteSend(false); err != nil {
 			return err
 		}
 		if err := d.mmt.Reclaim(); err != nil {
 			return err
 		}
-		c.pool = append(c.pool, region)
+		c.pool = append(c.pool, d.mmt.Region())
 	}
 	c.inflight = nil
 	return nil
 }
-
-// DrainAcks exposes ack processing for callers that interleave sends and
-// receives manually.
-func (c *Delegation) DrainAcks() error { return c.drainAcks() }

@@ -105,7 +105,7 @@ func (c *Closure) Encode() []byte {
 // AppendTo appends the wire form — the header, then four length-prefixed
 // chunks: sealed root, tree nodes, line MACs, data — to w. This is the one
 // copy a send makes of the region, and the one encoder body: Encode and
-// the monitor's closure frame both end here.
+// the channel's closure frame both end here.
 //
 // AppendTo reserves room for everything but Data (MetadataSize) and lets
 // the final append of Data outgrow that capacity on purpose. A buffer

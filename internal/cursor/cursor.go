@@ -1,7 +1,7 @@
 // Package cursor is the one byte cursor behind every binary framing in
 // the module outside internal/store (which owns mmt-store/v1): the
 // mmt-snap/v1 codec and its delta records, mmt-artifact/v1, the closure
-// wire form and the monitor's closure frame. All of them are fixed-width
+// wire form and the monitor's frame route. All of them are fixed-width
 // little-endian integers and length-prefixed byte strings, so they share
 // one Writer and one bounds-checked Reader instead of a private copy
 // each.

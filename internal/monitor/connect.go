@@ -10,11 +10,11 @@ import (
 	"fmt"
 
 	"mmt/internal/attest"
+	"mmt/internal/channel"
 	"mmt/internal/core"
 	"mmt/internal/crypt"
 	"mmt/internal/cursor"
 	"mmt/internal/netsim"
-	"mmt/internal/sim"
 	"mmt/internal/trace"
 )
 
@@ -27,16 +27,11 @@ type Connection struct {
 	Local       EnclaveID
 	PeerMonitor string // network name of the remote monitor
 	PeerEnclave EnclaveID
-	conn        *core.Conn
+	// ep runs the delegation protocol on the connection: the core.Conn,
+	// and the outbound delegations awaiting acks with their PMOs.
+	ep *channel.Closures[*PMO]
 	// recv is the armed waiting PMO for the next inbound delegation.
 	recv *PMO
-	// pending maps in-flight delegations (by MMT global-unique address)
-	// to their PMOs; several may be pipelined on one connection.
-	pending map[uint64]*PMO
-	// pendingSpan holds the open causal root span of each in-flight
-	// delegation, keyed like pending. Lazily allocated; absent when
-	// tracing is disabled (snapshots never serialize it).
-	pendingSpan map[uint64]*trace.ActiveSpan
 	// Received queues PMOs accepted from the peer, oldest first.
 	Received []*PMO
 	// Acked counts completed outbound delegations.
@@ -44,7 +39,17 @@ type Connection struct {
 }
 
 // Conn exposes the underlying protocol connection (tests).
-func (c *Connection) Conn() *core.Conn { return c.conn }
+func (c *Connection) Conn() *core.Conn { return c.ep.Conn() }
+
+// newConnection records a connection on m whose delegations run over
+// conn. Every frame on it is routed by the connection id.
+func (m *Monitor) newConnection(node *core.Node, id string, local EnclaveID, peer string, peerEnc EnclaveID, conn *core.Conn) *Connection {
+	ep := channel.NewClosures[*PMO](m.endpoint, peer, m.ctl.Profile(), node, conn, route(id), "monitor: ")
+	ep.SetTrace(m.ctl.Trace())
+	c := &Connection{ID: id, Local: local, PeerMonitor: peer, PeerEnclave: peerEnc, ep: ep}
+	m.conns[id] = c
+	return c
+}
 
 // connectMsg is the control message used during connection setup. The
 // report and ECDH shares establish who is on the other side; the rest
@@ -91,38 +96,26 @@ func verifyConnectMsg(authority *ecdsa.PublicKey, m *connectMsg) error {
 	return nil
 }
 
-type ackMsg struct {
-	Type   string `json:"type"`
-	ConnID string `json:"conn_id"`
-	OK     bool   `json:"ok"`
-	// GUAddr names the delegation being acknowledged, so acks survive
-	// adversarial re-ordering without completing the wrong transfer.
-	GUAddr uint64 `json:"guaddr"`
-}
-
-// closure frames are binary, not JSON: a closure is bulk data whose bytes
-// the delegation protocol itself authenticates, and wrapping it in JSON
-// would make unrelated framing bytes (not covered by any MAC) able to
-// swallow the whole message. Layout: 2-byte conn-id length, conn id, wire.
-// The closure is encoded straight into the frame, so the region's bytes
-// are copied once on their way to the network; the reservation is the
-// frame's prefix and the closure's metadata, and the data chunk grows it
-// (core.Closure.AppendTo says why).
-func encodeClosureFrame(connID string, closure *core.Closure) []byte {
-	w := cursor.Writer{Buf: make([]byte, 0, 2+len(connID)+closure.MetadataSize())}
+// route prefixes every frame on a connection, closure or ack, with the
+// connection id: 2-byte little-endian length, then the id. Frames are
+// binary, not JSON: in JSON, framing bytes no MAC covers could swallow
+// the closure the protocol authenticates.
+func route(connID string) []byte {
+	w := cursor.Writer{Buf: make([]byte, 0, 2+len(connID))}
 	w.U16(uint16(len(connID)))
 	w.Raw([]byte(connID))
-	closure.AppendTo(&w)
 	return w.Buf
 }
 
-var errBadFrame = errors.New("monitor: malformed closure frame")
+var errBadRoute = errors.New("monitor: malformed frame route")
 
-func decodeClosureFrame(b []byte) (connID string, wire []byte, err error) {
-	r := cursor.NewReader(b, errBadFrame)
+// splitRoute is route's inverse: the connection id a frame is for, and
+// the body behind it.
+func splitRoute(b []byte) (connID string, body []byte, err error) {
+	r := cursor.NewReader(b, errBadRoute)
 	connID = string(r.Raw(int(r.U16())))
-	wire = r.Rest()
-	return connID, wire, r.Done()
+	body = r.Rest()
+	return connID, body, r.Done()
 }
 
 // Connect establishes a delegation connection between a local enclave on
@@ -250,12 +243,8 @@ func Connect(a *Monitor, aEnc EnclaveID, b *Monitor, bEnc EnclaveID, initCounter
 	// full request/response round trip.
 	b.ctl.Trace().CausalSpan(inbound.Trace, trace.PhaseConnect, b.ctl.Clock().Now(), b.ctl.Clock().Now(), 0)
 	connectRoot.End(a.ctl.Clock().Now())
-	ca := &Connection{ID: connID, Local: aEnc, PeerMonitor: b.endpoint.Name(), PeerEnclave: bEnc,
-		conn: core.NewConn(key, initCounter), pending: make(map[uint64]*PMO)}
-	cb := &Connection{ID: connID, Local: bEnc, PeerMonitor: a.endpoint.Name(), PeerEnclave: aEnc,
-		conn: core.NewConn(key, initCounter), pending: make(map[uint64]*PMO)}
-	a.conns[connID] = ca
-	b.conns[connID] = cb
+	ca := a.newConnection(a.node, connID, aEnc, b.endpoint.Name(), bEnc, core.NewConn(key, initCounter))
+	cb := b.newConnection(b.node, connID, bEnc, a.endpoint.Name(), aEnc, core.NewConn(key, initCounter))
 	if err := a.armReceive(ca); err != nil {
 		return "", err
 	}
@@ -274,14 +263,18 @@ func mmtKeyFromShared(shared []byte) crypt.Key {
 }
 
 // armReceive allocates a waiting PMO for the next inbound delegation on c
-// (Figure 6 step 2: the receiver sets the buffer's MMT state to waiting).
-// The PMO is owned by the connection's local enclave.
+// (Figure 6 step 2: the receiver sets the buffer's MMT state to waiting),
+// unless one is armed already. The PMO is owned by the connection's local
+// enclave.
 func (m *Monitor) armReceive(c *Connection) error {
+	if c.recv != nil {
+		return nil
+	}
 	p, err := m.AllocPMO(c.Local)
 	if err != nil {
-		return err
+		return fmt.Errorf("monitor: no receive buffer on %s: %w", c.ID, err)
 	}
-	mmt, err := m.node.Expect(p.Region, c.conn)
+	mmt, err := m.node.Expect(p.Region, c.Conn())
 	if err != nil {
 		return err
 	}
@@ -296,11 +289,10 @@ func (m *Monitor) Connection(id string) (*Connection, bool) {
 	return c, ok
 }
 
-// beginSend is the shared front of SendPMO and ExportPMO: resolve the
-// connection and the caller's PMO, then seal its MMT into a closure. A
-// send the connection's counter floor has overtaken is ledgered under
-// the caller's detail string.
-func (m *Monitor) beginSend(caller EnclaveID, cap CapID, connID string, mode core.TransferMode, staleDetail string) (*Connection, *PMO, *core.Closure, error) {
+// sealPMO is the shared front of SendPMO and ExportPMO: resolve the
+// connection and the caller's PMO, then seal its MMT into a closure,
+// ledgering a stale counter as "<what> aborted before seal".
+func (m *Monitor) sealPMO(caller EnclaveID, cap CapID, connID string, mode core.TransferMode, what string) (*Connection, *PMO, *core.Closure, error) {
 	c, ok := m.conns[connID]
 	if !ok {
 		return nil, nil, nil, ErrNoConn
@@ -312,10 +304,7 @@ func (m *Monitor) beginSend(caller EnclaveID, cap CapID, connID string, mode cor
 	if p.mmt == nil {
 		return nil, nil, nil, fmt.Errorf("monitor: PMO %d has no MMT", cap)
 	}
-	closure, err := p.mmt.BeginSend(c.conn, mode)
-	if errors.Is(err, core.ErrStaleCounter) {
-		m.ctl.Trace().Event(trace.EvStaleCounter, m.ctl.Clock().Now(), p.mmt.GUAddr(), staleDetail)
-	}
+	closure, err := c.ep.Seal(p.mmt, mode, what)
 	return c, p, closure, err
 }
 
@@ -324,35 +313,11 @@ func (m *Monitor) beginSend(caller EnclaveID, cap CapID, connID string, mode cor
 // onto the untrusted network; the sender's region is read-only until the
 // peer's ack arrives (Pump processes it).
 func (m *Monitor) SendPMO(caller EnclaveID, cap CapID, connID string, mode core.TransferMode) error {
-	c, p, closure, err := m.beginSend(caller, cap, connID, mode, "monitor: delegation aborted before seal")
+	c, p, closure, err := m.sealPMO(caller, cap, connID, mode, "delegation")
 	if err != nil {
 		return err
 	}
-	c.pending[p.mmt.GUAddr()] = p
-	frame := encodeClosureFrame(connID, closure)
-	// Charge the NIC/DMA serialization and the fixed delegation cost to
-	// this machine's clock, exactly as the channel layer does. The send is
-	// the root of this migration's causal trace; the root span stays open
-	// until the peer's ack or nack arrives (Pump's KindControl branch).
-	probe := m.ctl.Trace()
-	root := probe.BeginSpan(probe.NewTrace(), trace.PhaseSend, m.ctl.Clock().Now())
-	probe.Count(trace.CtrClosuresSent, 1)
-	probe.Count(trace.CtrClosureEncodeBytes, uint64(len(frame)))
-	prof := m.ctl.Profile()
-	dma := prof.RemoteWriteCost(len(frame))
-	probe.AddCycles(trace.PhaseDMA, dma)
-	probe.AddCycles(trace.PhaseDelegation, prof.DelegationFixed)
-	probe.RecordOp(trace.OpMigrationSend, dma+prof.DelegationFixed)
-	root.AddCycles(dma + prof.DelegationFixed)
-	m.ctl.Clock().AdvanceCycles(dma + prof.DelegationFixed)
-	m.endpoint.SendOwned(c.PeerMonitor, netsim.KindClosure, frame, root.Context())
-	probe.Event(trace.EvMigrationSend, m.ctl.Clock().Now(), p.mmt.GUAddr(), "monitor: closure on wire")
-	if root != nil {
-		if c.pendingSpan == nil {
-			c.pendingSpan = make(map[uint64]*trace.ActiveSpan)
-		}
-		c.pendingSpan[p.mmt.GUAddr()] = root
-	}
+	c.ep.Send(p.mmt, closure, p)
 	return nil
 }
 
@@ -367,96 +332,50 @@ func (m *Monitor) Pump() (bool, error) {
 	if !ok {
 		return false, nil
 	}
-	switch msg.Kind {
-	case netsim.KindClosure:
-		connID, wire, err := decodeClosureFrame(msg.Payload)
+	if msg.Kind != netsim.KindClosure && msg.Kind != netsim.KindControl {
+		return true, fmt.Errorf("monitor: unexpected message kind %v", msg.Kind)
+	}
+	connID, body, err := splitRoute(msg.Payload)
+	if err != nil {
+		return true, err
+	}
+	c, ok := m.conns[connID]
+	if !ok {
+		return true, ErrNoConn
+	}
+	if msg.Kind == netsim.KindControl {
+		p, acked, err := c.ep.Complete(body)
 		if err != nil {
-			return true, err
+			return true, fmt.Errorf("monitor: on %s: %w", connID, err)
 		}
-		probe := m.ctl.Trace()
-		// Child of the migration root carried in the message metadata; a
-		// receiver of untraced traffic roots a local trace instead.
-		ctx := msg.Trace
-		if !ctx.Valid() {
-			ctx = probe.NewTrace()
-		}
-		sp := probe.BeginSpan(ctx, trace.PhaseRecv, m.ctl.Clock().Now())
-		probe.Count(trace.CtrClosureDecodeBytes, uint64(len(msg.Payload)))
-		c, ok := m.conns[connID]
-		if !ok {
-			sp.End(m.ctl.Clock().Now())
-			return true, ErrNoConn
-		}
-		if c.recv == nil || c.recv.mmt == nil {
-			sp.End(m.ctl.Clock().Now())
-			return true, fmt.Errorf("monitor: no armed receive buffer on %s", connID)
-		}
-		// The controller records the functional install as a child of sp.
-		m.ctl.SetCausal(sp.Context())
-		err = c.recv.mmt.Accept(c.conn, wire)
-		m.ctl.SetCausal(trace.Context{})
-		if err != nil {
-			// Rejected: nack the specific delegation and keep the buffer
-			// armed.
-			if hint, named := core.RecordReject(probe, m.ctl.Clock().Now(), err, wire, "monitor: ", "closure"); named {
-				m.sendAck(c, false, hint, ctx)
-			}
-			sp.End(m.ctl.Clock().Now())
-			return true, err
-		}
-		c.Received = append(c.Received, c.recv)
-		accepted := c.recv.mmt.GUAddr()
-		c.recv = nil
-		probe.Count(trace.CtrClosuresAccepted, 1)
-		ackCost := m.sendAck(c, true, accepted, ctx)
-		probe.RecordOp(trace.OpMigrationRecv, ackCost)
-		sp.AddCycles(ackCost)
-		probe.Event(trace.EvMigrationAccept, m.ctl.Clock().Now(), accepted, "monitor: closure installed")
-		sp.End(m.ctl.Clock().Now())
-		// Re-arm for the next delegation if the pool allows it.
-		if len(m.pool) > 0 {
-			if err := m.armReceive(c); err != nil {
-				return true, err
-			}
-		}
-		return true, nil
-
-	case netsim.KindControl:
-		var am ackMsg
-		if err := json.Unmarshal(msg.Payload, &am); err != nil || am.Type != "ack" {
-			return true, fmt.Errorf("monitor: malformed control message")
-		}
-		c, ok := m.conns[am.ConnID]
-		if !ok {
-			return true, ErrNoConn
-		}
-		p, ok := c.pending[am.GUAddr]
-		if !ok {
-			return true, fmt.Errorf("monitor: ack for unknown delegation %#x on %s", am.GUAddr, am.ConnID)
-		}
-		delete(c.pending, am.GUAddr)
-		// The ack closes the migration's causal root span.
-		if root, ok := c.pendingSpan[am.GUAddr]; ok {
-			delete(c.pendingSpan, am.GUAddr)
-			root.End(m.ctl.Clock().Now())
-		}
-		if err := p.mmt.CompleteSend(am.OK); err != nil {
-			return true, err
-		}
-		if am.OK {
-			m.ctl.Trace().Event(trace.EvDelegationAck, m.ctl.Clock().Now(), am.GUAddr, "monitor: transfer acknowledged")
-		} else {
-			m.ctl.Trace().Event(trace.EvDelegationAck, m.ctl.Clock().Now(), am.GUAddr, "monitor: transfer nacked")
-		}
-		if am.OK {
+		if acked {
 			c.Acked++
 			m.releaseMoved(p)
 		}
 		return true, nil
-
-	default:
-		return true, fmt.Errorf("monitor: unexpected message kind %v", msg.Kind)
 	}
+	if err := m.armReceive(c); err != nil {
+		c.ep.Refuse(msg, body)
+		return true, err
+	}
+	// Rejected: the delegation is nacked and the buffer stays armed.
+	if err := c.ep.Accept(c.recv.mmt, msg, body, nil, nil); err != nil {
+		return true, err
+	}
+	p, err := m.takeArmed(c)
+	c.Received = append(c.Received, p)
+	return true, err
+}
+
+// takeArmed hands over the armed buffer a closure was just installed in,
+// and re-arms the connection if the pool allows it.
+func (m *Monitor) takeArmed(c *Connection) (*PMO, error) {
+	p := c.recv
+	c.recv = nil
+	if len(m.pool) == 0 {
+		return p, nil
+	}
+	return p, m.armReceive(c)
 }
 
 // releaseMoved frees the local region of a PMO whose MMT an ownership
@@ -468,22 +387,6 @@ func (m *Monitor) releaseMoved(p *PMO) {
 		delete(m.pmos, p.Cap)
 		m.pool = append(m.pool, p.Region)
 	}
-}
-
-// sendAck pushes an ack/nack control frame and reports the cycles it
-// charged, so the caller can mirror them into the per-op histograms. The
-// frame rides ctx — the migration's root context — so its wire flight
-// lands in the same causal trace as the transfer it completes.
-func (m *Monitor) sendAck(c *Connection, ok bool, guaddr uint64, ctx trace.Context) sim.Cycles {
-	body, err := json.Marshal(ackMsg{Type: "ack", ConnID: c.ID, OK: ok, GUAddr: guaddr})
-	if err != nil {
-		return 0
-	}
-	cost := m.ctl.Profile().RemoteWriteCost(len(body))
-	m.ctl.Trace().AddCycles(trace.PhaseDelegation, cost)
-	m.ctl.Clock().AdvanceCycles(cost)
-	m.endpoint.SendOwned(c.PeerMonitor, netsim.KindControl, body, ctx)
-	return cost
 }
 
 // PumpAll drains the inbox, returning the first error but continuing to

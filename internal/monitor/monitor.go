@@ -14,6 +14,7 @@ package monitor
 import (
 	"crypto/ecdsa"
 	"errors"
+	"fmt"
 
 	"mmt/internal/attest"
 	"mmt/internal/core"
@@ -175,6 +176,8 @@ func (m *Monitor) AllocPMO(owner EnclaveID) (*PMO, error) {
 }
 
 // FreePMO returns a PMO's region to the pool, invalidating any live MMT.
+// A PMO the delegation protocol still holds — armed to receive (waiting)
+// or in flight (sending) — is refused and stays out of the pool.
 func (m *Monitor) FreePMO(caller EnclaveID, cap CapID) error {
 	p, err := m.checkOwner(caller, cap)
 	if err != nil {
@@ -183,7 +186,10 @@ func (m *Monitor) FreePMO(caller EnclaveID, cap CapID) error {
 	var guaddr uint64
 	if p.mmt != nil {
 		guaddr = p.mmt.GUAddr()
-		if p.mmt.State() == core.StateValid {
+		switch st := p.mmt.State(); st {
+		case core.StateWaiting, core.StateSending:
+			return fmt.Errorf("%w: cannot free PMO %d while %v", core.ErrState, cap, st)
+		case core.StateValid:
 			if err := p.mmt.Reclaim(); err != nil {
 				return err
 			}

@@ -11,7 +11,6 @@ import (
 	"mmt/internal/attest"
 	"mmt/internal/core"
 	"mmt/internal/crypt"
-	"mmt/internal/cursor"
 	"mmt/internal/engine"
 	"mmt/internal/mem"
 	"mmt/internal/netsim"
@@ -415,85 +414,23 @@ func TestConnectRejectsShareSubstitution(t *testing.T) {
 	}
 }
 
-// TestClosureFrame pins the monitor's closure frame — 2-byte little-endian
-// conn-id length, conn id, then the closure's wire form encoded in place —
-// and checks that no truncation of it decodes to the original conn id and
-// wire.
-func TestClosureFrame(t *testing.T) {
-	const connID = "a/1<->b/1#0"
-	closure := &core.Closure{Mode: core.OwnershipCopy, GUAddrHint: 7, CounterHint: 9,
-		SealedRoot: []byte("root"), TreeNodes: []byte("nodes"), LineMACs: []uint64{1, 2}, Data: []byte("closure-bytes")}
-	wire := closure.Encode()
-	frame := encodeClosureFrame(connID, closure)
-	if want := append(append([]byte{11, 0}, connID...), wire...); !bytes.Equal(frame, want) {
-		t.Fatalf("closure frame drifted: %d bytes %x, want %x", len(frame), frame, want)
-	}
-	id, back, err := decodeClosureFrame(frame)
-	if err != nil || id != connID || !bytes.Equal(back, wire) {
-		t.Fatalf("round trip: %q %q %v", id, back, err)
-	}
-	for n := 0; n < 2+len(connID); n++ {
-		if _, _, err := decodeClosureFrame(frame[:n]); !errors.Is(err, errBadFrame) {
-			t.Fatalf("frame cut to %d bytes, inside its conn id: err %v", n, err)
+// FuzzRoute: splitRoute never panics on a frame off the wire; what it
+// accepts is route(connID) ‖ body byte for byte, and route then splitRoute
+// gives back the conn id and body. The committed corpus is a closure and an
+// ack routed by a Connect-style id, and their truncations inside the id.
+func FuzzRoute(f *testing.F) {
+	f.Fuzz(func(t *testing.T, frame []byte) {
+		connID, body, err := splitRoute(frame)
+		if err != nil {
+			if !errors.Is(err, errBadRoute) {
+				t.Fatalf("reject with %v", err)
+			}
+		} else if !bytes.Equal(append(route(connID), body...), frame) {
+			t.Fatalf("accepted %x as %q ‖ %x", frame, connID, body)
 		}
-	}
-
-	// The data chunk outgrows the encoders' reservation on purpose
-	// (core.Closure.AppendTo): the frame must still be, byte for byte and to
-	// the length, what a buffer reserved in full receives, and end within a
-	// page of its capacity — for the default 2 MB closure and for a 16-line
-	// one whose data is whole, short or absent.
-	for _, tc := range []struct{ lines, tree, data int }{
-		{32768, 75 << 10, 2 << 20}, {16, 90, 16 * 64}, {16, 90, 40}, {16, 90, 0},
-	} {
-		closure := patternedClosure(tc.lines, tc.tree, tc.data)
-		full := cursor.Writer{Buf: make([]byte, 0, 2+len(connID)+closure.WireSize())}
-		full.U16(uint16(len(connID)))
-		full.Raw([]byte(connID))
-		closure.AppendTo(&full)
-		if cap(full.Buf) != len(full.Buf) {
-			t.Fatalf("%+v: the fully reserved reference grew", tc)
+		id := string(frame[:min(len(frame), 0xFFFF)])
+		if got, back, err := splitRoute(append(route(id), frame...)); err != nil || got != id || !bytes.Equal(back, frame) {
+			t.Fatalf("route(%q) ‖ %x came back as %q ‖ %x, %v", id, frame, got, back, err)
 		}
-		frame, wire := encodeClosureFrame(connID, closure), closure.Encode()
-		if !bytes.Equal(frame, full.Buf) || !bytes.Equal(wire, full.Buf[2+len(connID):]) {
-			t.Fatalf("%+v: a grown frame or wire differs from the fully reserved one", tc)
-		}
-		if len(frame) != 2+len(connID)+closure.WireSize() || cap(frame)-len(frame) >= 8192 || cap(wire)-len(wire) >= 8192 {
-			t.Fatalf("%+v: frame %d of %d bytes, wire %d of %d, for a %d-byte closure", tc, len(frame), cap(frame), len(wire), cap(wire), closure.WireSize())
-		}
-	}
-}
-
-// patternedClosure is a closure of the given shape — line MACs, bytes of
-// tree nodes, bytes of data — with no two neighbouring bytes alike.
-func patternedClosure(lines, tree, data int) *core.Closure {
-	patterned := func(n int, seed byte) []byte {
-		b := make([]byte, n)
-		for i := range b {
-			b[i] = byte(i)*31 + seed
-		}
-		return b
-	}
-	c := &core.Closure{Mode: core.OwnershipTransfer, GUAddrHint: 7, CounterHint: 9, SealedRoot: patterned(33, 1),
-		TreeNodes: patterned(tree, 2), LineMACs: make([]uint64, lines), Data: patterned(data, 3)}
-	for i := range c.LineMACs {
-		c.LineMACs[i] = uint64(i) * 0x9E3779B97F4A7C15
-	}
-	return c
-}
-
-var frameSink []byte
-
-// BenchmarkEncodeClosureFrame2M: the sender's one copy — a default-tree
-// closure (2 MB of data, 32 768 line MACs, 75 KB of nodes) encoded into a
-// conn-id-prefixed frame. B/op is the frame plus the metadata prefix the
-// data chunk outgrew (core.Closure.AppendTo).
-func BenchmarkEncodeClosureFrame2M(b *testing.B) {
-	closure := patternedClosure(32768, 75<<10, 2<<20)
-	b.SetBytes(int64(closure.WireSize()))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		frameSink = encodeClosureFrame("a/1<->b/1#0", closure)
-	}
+	})
 }

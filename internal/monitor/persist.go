@@ -3,6 +3,8 @@ package monitor
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 
 	"mmt/internal/attest"
@@ -96,27 +98,12 @@ func (m *Monitor) Snapshot() (*Snapshot, error) {
 		Pool:        append([]int(nil), m.pool...),
 	}
 
-	encIDs := make([]EnclaveID, 0, len(m.enclaves))
-	for id := range m.enclaves {
-		encIDs = append(encIDs, id)
-	}
-	sort.Slice(encIDs, func(i, j int) bool { return encIDs[i] < encIDs[j] })
-	for _, id := range encIDs {
+	for _, id := range slices.Sorted(maps.Keys(m.enclaves)) {
 		e := m.enclaves[id]
-		caps := make([]CapID, 0, len(e.caps))
-		for c := range e.caps {
-			caps = append(caps, c)
-		}
-		sort.Slice(caps, func(i, j int) bool { return caps[i] < caps[j] })
-		s.Enclaves = append(s.Enclaves, EnclaveRec{ID: e.ID, Name: e.Name, Measurement: e.Measurement, Caps: caps})
+		s.Enclaves = append(s.Enclaves, EnclaveRec{ID: e.ID, Name: e.Name, Measurement: e.Measurement, Caps: m.CapsOf(id)})
 	}
 
-	capIDs := make([]CapID, 0, len(m.pmos))
-	for c := range m.pmos {
-		capIDs = append(capIDs, c)
-	}
-	sort.Slice(capIDs, func(i, j int) bool { return capIDs[i] < capIDs[j] })
-	for _, c := range capIDs {
+	for _, c := range slices.Sorted(maps.Keys(m.pmos)) {
 		p := m.pmos[c]
 		s.PMOs = append(s.PMOs, PMORec{Cap: p.Cap, Region: p.Region, Owner: p.Owner})
 		if p.mmt == nil {
@@ -140,19 +127,15 @@ func (m *Monitor) Snapshot() (*Snapshot, error) {
 	}
 	sort.Slice(s.MMTs, func(i, j int) bool { return s.MMTs[i].Region < s.MMTs[j].Region })
 
-	connIDs := make([]string, 0, len(m.conns))
-	for id := range m.conns {
-		connIDs = append(connIDs, id)
-	}
-	sort.Strings(connIDs)
-	for _, id := range connIDs {
+	for _, id := range slices.Sorted(maps.Keys(m.conns)) {
 		c := m.conns[id]
-		if len(c.pending) > 0 {
-			return nil, fmt.Errorf("%w: %d unacked delegations on %s", ErrNotQuiescent, len(c.pending), id)
+		if n := c.ep.InFlight(); n > 0 {
+			return nil, fmt.Errorf("%w: %d unacked delegations on %s", ErrNotQuiescent, n, id)
 		}
+		conn := c.Conn()
 		rec := ConnRec{
 			ID: c.ID, Local: c.Local, PeerMonitor: c.PeerMonitor, PeerEnclave: c.PeerEnclave,
-			Key: c.conn.Key(), LastCounter: c.conn.LastCounter(), LastGUAddr: c.conn.LastGUAddr(),
+			Key: conn.Key(), LastCounter: conn.LastCounter(), LastGUAddr: conn.LastGUAddr(),
 			Acked: c.Acked,
 		}
 		if c.recv != nil {
@@ -171,10 +154,15 @@ func (m *Monitor) Snapshot() (*Snapshot, error) {
 // for every MMT record — Restore only reattaches bookkeeping and refuses
 // obviously inconsistent snapshots. The persisted attestation report is
 // re-verified against the authority key instead of re-running attestation,
-// so the restored node keeps its node id and report bytes.
+// so the restored node keeps its node id and report bytes. Restored
+// connections send on the monitor's endpoint, so the network must be
+// attached first.
 func (m *Monitor) Restore(s *Snapshot) error {
 	if m.node != nil {
 		return errors.New("monitor: restore into a booted monitor")
+	}
+	if m.endpoint == nil {
+		return errors.New("monitor: attach the network before restoring")
 	}
 	if err := attest.VerifyReport(m.authority, s.Report); err != nil {
 		return err
@@ -226,14 +214,11 @@ func (m *Monitor) Restore(s *Snapshot) error {
 		}
 		p.mmt = mmt
 	}
-	conns := make(map[string]*Connection, len(s.Conns))
+	m.conns = make(map[string]*Connection, len(s.Conns))
 	for _, rec := range s.Conns {
-		c := &Connection{
-			ID: rec.ID, Local: rec.Local, PeerMonitor: rec.PeerMonitor, PeerEnclave: rec.PeerEnclave,
-			conn:    core.RestoreConn(rec.Key, rec.LastCounter, rec.LastGUAddr),
-			pending: make(map[uint64]*PMO),
-			Acked:   rec.Acked,
-		}
+		c := m.newConnection(node, rec.ID, rec.Local, rec.PeerMonitor, rec.PeerEnclave,
+			core.RestoreConn(rec.Key, rec.LastCounter, rec.LastGUAddr))
+		c.Acked = rec.Acked
 		if rec.RecvCap != 0 {
 			p, ok := pmos[rec.RecvCap]
 			if !ok {
@@ -248,7 +233,6 @@ func (m *Monitor) Restore(s *Snapshot) error {
 			}
 			c.Received = append(c.Received, p)
 		}
-		conns[rec.ID] = c
 	}
 
 	m.node = node
@@ -258,7 +242,6 @@ func (m *Monitor) Restore(s *Snapshot) error {
 	m.enclaves = enclaves
 	m.pmos = pmos
 	m.pool = append([]int(nil), s.Pool...)
-	m.conns = conns
 	return nil
 }
 
@@ -268,12 +251,7 @@ func (m *Monitor) CapsOf(owner EnclaveID) []CapID {
 	if !ok {
 		return nil
 	}
-	caps := make([]CapID, 0, len(e.caps))
-	for c := range e.caps {
-		caps = append(caps, c)
-	}
-	sort.Slice(caps, func(i, j int) bool { return caps[i] < caps[j] })
-	return caps
+	return slices.Sorted(maps.Keys(e.caps))
 }
 
 // ExportPMO seals the PMO's MMT into a closure exactly like SendPMO, but
@@ -285,11 +263,10 @@ func (m *Monitor) CapsOf(owner EnclaveID) []CapID {
 // floors keep replayed or re-ordered artifacts rejected just like wire
 // delegations.
 func (m *Monitor) ExportPMO(caller EnclaveID, cap CapID, connID string, mode core.TransferMode) ([]byte, error) {
-	_, p, closure, err := m.beginSend(caller, cap, connID, mode, "monitor: export aborted before seal")
+	_, p, closure, err := m.sealPMO(caller, cap, connID, mode, "export")
 	if err != nil {
 		return nil, err
 	}
-	guaddr := p.mmt.GUAddr()
 	wire := closure.Encode()
 	if err := p.mmt.CompleteSend(true); err != nil {
 		return nil, err
@@ -297,7 +274,7 @@ func (m *Monitor) ExportPMO(caller EnclaveID, cap CapID, connID string, mode cor
 	probe := m.ctl.Trace()
 	probe.Count(trace.CtrClosuresSent, 1)
 	probe.Count(trace.CtrClosureEncodeBytes, uint64(len(wire)))
-	probe.Event(trace.EvMigrationSend, m.ctl.Clock().Now(), guaddr, "monitor: closure exported to artifact")
+	probe.Event(trace.EvMigrationSend, m.ctl.Clock().Now(), p.mmt.GUAddr(), "monitor: closure exported to artifact")
 	m.releaseMoved(p)
 	return wire, nil
 }
@@ -311,23 +288,16 @@ func (m *Monitor) ImportClosure(connID string, wire []byte) (*PMO, error) {
 	if !ok {
 		return nil, ErrNoConn
 	}
-	if c.recv == nil || c.recv.mmt == nil {
-		return nil, fmt.Errorf("monitor: no armed receive buffer on %s", connID)
+	if err := m.armReceive(c); err != nil {
+		return nil, err
 	}
 	probe := m.ctl.Trace()
 	probe.Count(trace.CtrClosureDecodeBytes, uint64(len(wire)))
-	if err := c.recv.mmt.Accept(c.conn, wire); err != nil {
+	if err := c.recv.mmt.Accept(c.Conn(), wire); err != nil {
 		core.RecordReject(probe, m.ctl.Clock().Now(), err, wire, "monitor: ", "artifact")
 		return nil, err
 	}
-	p := c.recv
-	c.recv = nil
 	probe.Count(trace.CtrClosuresAccepted, 1)
-	probe.Event(trace.EvMigrationAccept, m.ctl.Clock().Now(), p.mmt.GUAddr(), "monitor: artifact closure installed")
-	if len(m.pool) > 0 {
-		if err := m.armReceive(c); err != nil {
-			return nil, err
-		}
-	}
-	return p, nil
+	probe.Event(trace.EvMigrationAccept, m.ctl.Clock().Now(), c.recv.mmt.GUAddr(), "monitor: artifact closure installed")
+	return m.takeArmed(c)
 }

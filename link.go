@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 
+	"mmt/internal/core"
 	"mmt/internal/monitor"
 )
 
@@ -217,7 +218,9 @@ func (b *Buffer) Free() error {
 // pumps both monitors until the transfer completes (accept + ack). With
 // OwnershipTransfer the local buffer is consumed; with OwnershipCopy it
 // remains valid and writable after the ack. The received buffer waits on
-// the peer until Receive collects it.
+// the peer until Receive collects it. A send whose ack never came back
+// (the network lost the closure or the ack) returns ErrUnacked, and the
+// buffer stays read-only in flight.
 func (l *Link) Delegate(b *Buffer, mode TransferMode) error {
 	from, to, err := l.ends(b)
 	if err != nil {
@@ -226,16 +229,15 @@ func (l *Link) Delegate(b *Buffer, mode TransferMode) error {
 	if err := from.machine.mon.SendPMO(from.id, b.cap, l.id, mode); err != nil {
 		return err
 	}
-	// Receiver verifies and acks; sender completes.
+	// Receiver verifies and acks or nacks; sender completes or recovers.
 	l.cluster.markStructural()
-	if err := to.machine.mon.PumpAll(); err != nil {
-		// The sender still needs the nack to recover its buffer.
-		if perr := from.machine.mon.PumpAll(); perr != nil {
-			return errors.Join(err, perr)
-		}
+	if err := errors.Join(to.machine.mon.PumpAll(), from.machine.mon.PumpAll()); err != nil {
 		return err
 	}
-	return from.machine.mon.PumpAll()
+	if pmo, err := b.mmtOf(); err == nil && pmo.MMT().State() == core.StateSending {
+		return fmt.Errorf("%w on link %s", ErrUnacked, l.id)
+	}
+	return nil
 }
 
 // Receive collects the oldest buffer delegated to e over this link.

@@ -6,6 +6,8 @@ import (
 	"errors"
 	"runtime"
 	"testing"
+
+	"mmt/internal/core"
 )
 
 // The migration path moves a buffer's bytes twice — region to wire frame,
@@ -297,5 +299,191 @@ func TestFreeLeavesNoPlaintext(t *testing.T) {
 	}
 	if got := mon.PoolFree(); got != free+1 {
 		t.Fatalf("pool holds %d regions after Free, want %d", got, free+1)
+	}
+}
+
+// dropClosures is a network that loses every closure.
+var dropClosures = tamperFunc(func(m WireMessage) []WireMessage {
+	if m.Kind == WireClosure {
+		return nil
+	}
+	return []WireMessage{m}
+})
+
+// TestDelegateLostClosureUnacked: a closure the network loses completes
+// nothing, so Delegate must not report success. It reports ErrUnacked,
+// and the buffer stays in flight: the sender cannot tell a lost closure
+// from a lost ack.
+func TestDelegateLostClosureUnacked(t *testing.T) {
+	c, link, sender, receiver := linkedPair(t)
+	buf, err := link.NewBuffer(sender)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.SetInterposer(dropClosures)
+	if err := link.Delegate(buf, OwnershipTransfer); !errors.Is(err, ErrUnacked) {
+		t.Fatalf("Delegate of a lost closure: %v, want ErrUnacked", err)
+	}
+	c.SetInterposer(nil)
+	if _, err := link.Receive(receiver); !errors.Is(err, ErrNoPending) {
+		t.Fatalf("Receive after a lost closure: %v, want ErrNoPending", err)
+	}
+	if err := buf.Write(0, []byte("x")); !errors.Is(err, core.ErrState) {
+		t.Fatalf("Write to a buffer in flight: %v, want core.ErrState", err)
+	}
+	if _, err := c.Save(&bytes.Buffer{}); !errors.Is(err, ErrNotQuiescent) {
+		t.Fatalf("Save with a send in flight: %v, want ErrNotQuiescent", err)
+	}
+}
+
+// TestDelegateArmsFromPool: a receiver whose pool ran dry at its last
+// accept has nothing armed. The next closure arms a buffer from the pool
+// if the receiver has freed one since; if not, it is refused with
+// ErrPoolEmpty — no security verdict, since it is a resource refusal —
+// and the nack returns the sender's buffer to valid.
+func TestDelegateArmsFromPool(t *testing.T) {
+	for _, free := range []bool{true, false} {
+		t.Run(map[bool]string{true: "freed", false: "kept"}[free], func(t *testing.T) {
+			c, link, sender, receiver := linkedPair(t, WithRegions(3), WithTracing(NewTraceSink()))
+			kept := fillReceiver(t, link, sender, receiver)
+			if free {
+				for _, b := range kept {
+					if err := b.Free(); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			buf, err := link.NewBuffer(sender)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := buf.Write(0, []byte("round 3")); err != nil {
+				t.Fatal(err)
+			}
+			err = link.Delegate(buf, OwnershipTransfer)
+			if free {
+				if err != nil {
+					t.Fatalf("round 3 after the receiver freed its buffers: %v", err)
+				}
+				got, err := link.Receive(receiver)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if data, err := got.Read(0, 7); err != nil || string(data) != "round 3" {
+					t.Fatalf("round 3 delivered %q, %v", data, err)
+				}
+				return
+			}
+			if !errors.Is(err, ErrPoolEmpty) {
+				t.Fatalf("round 3 into a dry pool: %v, want ErrPoolEmpty", err)
+			}
+			for _, e := range c.Events() {
+				switch e.Kind {
+				case EvIntegrityFail, EvAuthFail, EvReplayReject, EvReorderReject, EvMigrationReject:
+					t.Fatalf("a resource refusal wrote a verdict: %+v", e)
+				}
+			}
+			if err := buf.Write(0, []byte("writable again")); err != nil {
+				t.Fatalf("sender after the refusal: %v", err)
+			}
+			if _, err := c.Save(&bytes.Buffer{}); err != nil {
+				t.Fatalf("Save after the refusal: %v", err)
+			}
+		})
+	}
+}
+
+// fillReceiver delegates three buffers, which the receiver keeps: with
+// WithRegions(3) its pool is then dry and nothing is armed.
+func fillReceiver(t *testing.T, link *Link, sender, receiver *Enclave) []*Buffer {
+	t.Helper()
+	var kept []*Buffer
+	for round := 0; round < 3; round++ {
+		buf, err := link.NewBuffer(sender)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := link.Delegate(buf, OwnershipTransfer); err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		got, err := link.Receive(receiver)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kept = append(kept, got)
+	}
+	return kept
+}
+
+// TestImportArmsFromPool: an artifact reaching a receiver with nothing
+// armed arms a buffer from the pool, and is refused with ErrPoolEmpty
+// while the pool is dry; the refused artifact imports once a buffer is
+// freed.
+func TestImportArmsFromPool(t *testing.T) {
+	_, link, sender, receiver := linkedPair(t, WithRegions(3))
+	kept := fillReceiver(t, link, sender, receiver)
+	buf, err := link.NewBuffer(sender)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := buf.Write(0, []byte("by file")); err != nil {
+		t.Fatal(err)
+	}
+	art, err := link.Export(buf, OwnershipTransfer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := link.Import(art, receiver); !errors.Is(err, ErrPoolEmpty) {
+		t.Fatalf("Import into a dry pool: %v, want ErrPoolEmpty", err)
+	}
+	if err := kept[0].Free(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := link.Import(art, receiver)
+	if err != nil {
+		t.Fatalf("Import after a Free: %v", err)
+	}
+	if data, err := got.Read(0, 7); err != nil || string(data) != "by file" {
+		t.Fatalf("imported %q, %v", data, err)
+	}
+}
+
+// TestFreeRefusesProtocolBuffers: the armed receive buffer (waiting) and a
+// buffer whose send is in flight (sending) belong to the delegation
+// protocol until it lets go. Free refuses both, and their regions stay
+// out of the pool, so no later buffer draws a region the controller still
+// holds and no delegation lands in a freed buffer.
+func TestFreeRefusesProtocolBuffers(t *testing.T) {
+	c, link, sender, receiver := linkedPair(t)
+	armed := receiver.Buffers()
+	if len(armed) != 1 {
+		t.Fatalf("receiver holds %d buffers after Connect, want the armed one", len(armed))
+	}
+	buf, err := receiver.Buffer(armed[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := buf.Free(); !errors.Is(err, core.ErrState) {
+		t.Fatalf("Free of the armed buffer: %v, want core.ErrState", err)
+	}
+	if _, err := link.NewBuffer(receiver); err != nil {
+		t.Fatalf("NewBuffer after the refused Free: %v", err)
+	}
+
+	out, err := link.NewBuffer(sender)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.SetInterposer(dropClosures)
+	if err := link.Delegate(out, OwnershipTransfer); !errors.Is(err, ErrUnacked) {
+		t.Fatal(err)
+	}
+	c.SetInterposer(nil)
+	pool := sender.machine.mon.PoolFree()
+	if err := out.Free(); !errors.Is(err, core.ErrState) {
+		t.Fatalf("Free of a buffer in flight: %v, want core.ErrState", err)
+	}
+	if got := sender.machine.mon.PoolFree(); got != pool {
+		t.Fatalf("pool %d after the refused Free, want %d", got, pool)
 	}
 }

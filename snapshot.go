@@ -258,11 +258,12 @@ func (c *Cluster) restoreMachine(mm *snap.Machine) (*Machine, error) {
 	ctl.Clock().SetNow(mm.Clock)
 	ctl.RestoreStats(mm.Stats)
 
+	// Restored connections send on the endpoint: attach before Restore.
 	mon := monitor.New(ident, c.measurement, c.authority.PublicKey(), ctl)
-	if err := mon.Restore(mm.Mon); err != nil {
+	if err := mon.AttachNetwork(c.net, mm.Name); err != nil {
 		return nil, err
 	}
-	if err := mon.AttachNetwork(c.net, mm.Name); err != nil {
+	if err := mon.Restore(mm.Mon); err != nil {
 		return nil, err
 	}
 	m := &Machine{name: mm.Name, cluster: c, ident: ident, mon: mon}

@@ -249,8 +249,8 @@ func TestSaveNotQuiescent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := link.Delegate(buf, OwnershipTransfer); err != nil {
-		t.Fatalf("held delegation should not error yet: %v", err)
+	if err := link.Delegate(buf, OwnershipTransfer); !errors.Is(err, ErrUnacked) {
+		t.Fatalf("held delegation: %v, want ErrUnacked", err)
 	}
 	if _, err := c.Save(&bytes.Buffer{}); !errors.Is(err, ErrNotQuiescent) {
 		t.Fatalf("want ErrNotQuiescent with a held closure, got %v", err)
