@@ -12,19 +12,21 @@
 // One rule is one Analyzer value, documented where it is declared; All
 // is the suite and `mmt-vet -list` prints it. Every rule has the same
 // shape: Run receives one Pass holding every loaded package and walks
-// the in-scope ones with Pass.files or Pass.forEachCall. Two rules need
-// more than syntax and types: phasecharge solves a forward dataflow
-// over each function's CFG (cfg.go, dataflow.go), and noalloc does the
-// same hot/cold split per function and follows static calls across
-// packages through the function index. Its call-graph coverage is
-// complete only when the run's patterns are ./..., which is what CI
-// runs.
+// the in-scope ones with Pass.files or Pass.forEachCall. One rule needs
+// more than syntax and types: noalloc splits each function's CFG
+// (cfg.go) into hot and cold blocks and follows static calls across
+// packages through the function index (dataflow.go). Its call-graph
+// coverage is complete only when the run's patterns are ./..., which is
+// what CI runs.
 //
-// IDs MMT009 (lockorder) and MMT012 (samplerwindow) are retired and
-// never reused. The module's mutexes are leaves — no code path holds
-// two different ones — so `go test -race`, a tier-1 target, is the
-// concurrency gate; and a sampler window that is not a power of two is
-// refused at run time by trace.Sink.EnableSeries wherever it comes from.
+// IDs MMT009 (lockorder), MMT010 (phasecharge) and MMT012
+// (samplerwindow) are retired and never reused. The module's mutexes are
+// leaves — no code path holds two different ones — so `go test -race`, a
+// tier-1 target, is the concurrency gate; trace.Probe.Charge books a
+// cost to its phase and the clock in one call, so the two cannot
+// disagree, and simclock confines the clock's AdvanceCycles to it; and a
+// sampler window that is not a power of two is refused at run time by
+// trace.Sink.EnableSeries wherever it comes from.
 //
 // The framework borrows the vocabulary of golang.org/x/tools/go/analysis
 // (Analyzer, Pass, Diagnostic) but is self-contained: the module has no
@@ -147,7 +149,8 @@ func (p *Pass) forEachBody(fn func(u *PackageUnit, body *ast.BlockStmt)) {
 }
 
 // All returns the full mmt-vet suite in stable order. Diagnostic IDs are
-// append-only; MMT009 and MMT012 are retired (see the package comment).
+// append-only; MMT009, MMT010 and MMT012 are retired (see the package
+// comment).
 func All() []*Analyzer {
 	return []*Analyzer{
 		SimClock,      // MMT001
@@ -158,7 +161,6 @@ func All() []*Analyzer {
 		ParClock,      // MMT006
 		EventKind,     // MMT007
 		NoAlloc,       // MMT008
-		PhaseCharge,   // MMT010
 		TraceCtx,      // MMT011
 	}
 }

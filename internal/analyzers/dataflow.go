@@ -1,15 +1,8 @@
 package analyzers
 
-// Shared dataflow plumbing for the CFG-based analyzers: string-canonical
-// fact sets with the set algebra the worklist solver needs, expression
-// canonicalisation, and the module-wide function index that lets noalloc
-// walk the static call graph across packages.
-//
-// Facts are canonical renderings of Go expressions (printer output), so
-// "the same expression" means "prints the same" — exactly the contract
-// the charge-mirror idiom relies on: the mirrored cost expression and
-// the charged cost expression are textually identical or related by
-// simple local aliasing.
+// Shared plumbing for noalloc, the one CFG-based analyzer: expression
+// canonicalisation for its messages, and the module-wide function index
+// that lets it walk the static call graph across packages.
 
 import (
 	"go/ast"
@@ -19,93 +12,6 @@ import (
 	"strings"
 )
 
-// factSet is a set of canonical expression strings.
-type factSet map[string]bool
-
-func (s factSet) clone() factSet {
-	out := make(factSet, len(s))
-	for k := range s {
-		out[k] = true
-	}
-	return out
-}
-
-func (s factSet) equal(o factSet) bool {
-	if len(s) != len(o) {
-		return false
-	}
-	for k := range s {
-		if !o[k] {
-			return false
-		}
-	}
-	return true
-}
-
-// intersect keeps only facts present in both sets.
-func (s factSet) intersect(o factSet) factSet {
-	out := factSet{}
-	for k := range s {
-		if o[k] {
-			out[k] = true
-		}
-	}
-	return out
-}
-
-// solveForward runs a forward must-dataflow over c to fixpoint, starting
-// from no facts, and returns the converged entry fact set of every
-// reachable block. The transfer function must be pure (analyzers re-run
-// it with reporting enabled after convergence). The join over
-// predecessors is intersection: a fact holds only if it holds on every
-// path, unvisited predecessors optimistically ignored.
-func solveForward(c *funcCFG, transfer func(*cfgBlock, factSet) factSet) map[*cfgBlock]factSet {
-	ins := map[*cfgBlock]factSet{c.entry: {}}
-	outs := map[*cfgBlock]factSet{}
-	preds := map[*cfgBlock][]*cfgBlock{}
-	for _, blk := range c.blocks {
-		for _, s := range blk.succs {
-			preds[s] = append(preds[s], blk)
-		}
-	}
-	work := []*cfgBlock{c.entry}
-	for len(work) > 0 {
-		blk := work[0]
-		work = work[1:]
-		in, ok := ins[blk]
-		if !ok {
-			continue
-		}
-		out := transfer(blk, in)
-		if prev, ok := outs[blk]; ok && prev.equal(out) {
-			continue
-		}
-		outs[blk] = out
-		for _, s := range blk.succs {
-			var joined factSet
-			for _, p := range preds[s] {
-				po, ok := outs[p]
-				if !ok {
-					continue
-				}
-				if joined == nil {
-					joined = po.clone()
-				} else {
-					joined = joined.intersect(po)
-				}
-			}
-			if joined == nil {
-				joined = factSet{}
-			}
-			if prev, ok := ins[s]; !ok || !prev.equal(joined) {
-				ins[s] = joined
-				work = append(work, s)
-			}
-		}
-	}
-	return ins
-}
-
 // canonExpr renders e in canonical single-line form.
 func canonExpr(fset *token.FileSet, e ast.Expr) string {
 	var sb strings.Builder
@@ -114,39 +20,6 @@ func canonExpr(fset *token.FileSet, e ast.Expr) string {
 		return ""
 	}
 	return strings.Join(strings.Fields(sb.String()), " ")
-}
-
-// addTerms splits e on top-level + into its summands.
-func addTerms(e ast.Expr) []ast.Expr {
-	e = ast.Unparen(e)
-	if b, ok := e.(*ast.BinaryExpr); ok && b.Op == token.ADD {
-		return append(addTerms(b.X), addTerms(b.Y)...)
-	}
-	return []ast.Expr{e}
-}
-
-// identTokens reports the identifier tokens of a canonical rendering —
-// maximal [A-Za-z0-9_] runs starting with a letter or underscore — used
-// for kill sets: assigning to x invalidates every fact mentioning the
-// identifier x (but not xs or max).
-func identTokens(canon string) map[string]bool {
-	out := map[string]bool{}
-	isWordByte := func(b byte) bool {
-		return b == '_' || (b >= 'a' && b <= 'z') || (b >= 'A' && b <= 'Z') || (b >= '0' && b <= '9')
-	}
-	for i := 0; i < len(canon); {
-		if !isWordByte(canon[i]) || (canon[i] >= '0' && canon[i] <= '9') {
-			i++
-			continue
-		}
-		j := i
-		for j < len(canon) && isWordByte(canon[j]) {
-			j++
-		}
-		out[canon[i:j]] = true
-		i = j
-	}
-	return out
 }
 
 // funcKey identifies a function declaration across packages in a form

@@ -8,13 +8,16 @@ import (
 // SimClock forbids wall-clock time and unseeded global randomness in
 // simulation code. Every cycle count, queue delay and generated workload
 // must be a pure function of the seed and the internal/sim clock, or the
-// calibrated cost model silently stops being reproducible.
+// calibrated cost model silently stops being reproducible. It also keeps
+// sim.Clock.AdvanceCycles to its one caller, trace.Probe.Charge, so that
+// no cost moves a clock without being booked to a phase.
 var SimClock = &Analyzer{
 	Name: "simclock",
 	ID:   "MMT001",
 	Doc: "forbid time.Now/time.Sleep/etc. and unseeded math/rand globals in " +
-		"internal/ simulation code; all timing must flow through internal/sim " +
-		"and all randomness through a seeded *rand.Rand",
+		"internal/ simulation code; all timing must flow through internal/sim, " +
+		"every clock charge through trace.Probe.Charge, and all randomness " +
+		"through a seeded *rand.Rand",
 	Run: runSimClock,
 }
 
@@ -61,6 +64,10 @@ func runSimClock(pass *Pass) {
 			case "time":
 				if bannedTimeFuncs[fn.Name()] {
 					pass.Reportf(id.Pos(), "time.%s reads the wall clock; simulation code must derive timing from internal/sim", fn.Name())
+				}
+			case "mmt/internal/sim":
+				if fn.Name() == "AdvanceCycles" && path != "mmt/internal/trace" {
+					pass.Reportf(id.Pos(), "sim.Clock.AdvanceCycles outside trace.Probe.Charge moves the clock without booking a phase")
 				}
 			case "math/rand", "math/rand/v2":
 				if fn.Signature().Recv() == nil && !allowedRandFuncs[fn.Name()] {

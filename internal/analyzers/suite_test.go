@@ -24,7 +24,6 @@ func TestMapOrder(t *testing.T)      { analysistest.Run(t, analyzers.MapOrder, "
 func TestParClock(t *testing.T)      { analysistest.Run(t, analyzers.ParClock, "parclock") }
 func TestEventKind(t *testing.T)     { analysistest.Run(t, analyzers.EventKind, "eventkind") }
 func TestNoAlloc(t *testing.T)       { analysistest.Run(t, analyzers.NoAlloc, "noalloc") }
-func TestPhaseCharge(t *testing.T)   { analysistest.Run(t, analyzers.PhaseCharge, "phasecharge") }
 func TestTraceCtx(t *testing.T)      { analysistest.Run(t, analyzers.TraceCtx, "tracectx") }
 
 // TestEveryRuleHasFixture is the table over the suite: a rule in

@@ -148,3 +148,20 @@ func checkpointFlush(n int) []byte {
 func hotCallsColdpath(n int) int {
 	return len(checkpointFlush(n))
 }
+
+// hotSwitch leaves its loop by a labelled break from inside a switch. The
+// case that fails allocates en route to an error return and is cold; the
+// append after the loop, which the break reaches, is hot.
+//mmt:hotpath
+func hotSwitch(xs, dst []int) ([]int, error) {
+scan:
+	for _, x := range xs {
+		switch {
+		case x < 0:
+			return nil, fmt.Errorf("negative %d", x)
+		case x == 0:
+			break scan
+		}
+	}
+	return append(dst, len(xs)), nil // want "append may grow and allocate"
+}

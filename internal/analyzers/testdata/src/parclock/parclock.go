@@ -11,8 +11,8 @@ import (
 // use, because simulated time would depend on goroutine interleaving.
 func captured(clock *sim.Clock, items []int) ([]sim.Time, error) {
 	return par.Map(4, items, func(_ int, it int) (sim.Time, error) {
-		clock.Advance(sim.Time(it)) // want "captures sim\.Clock"
-		return clock.Now(), nil     // want "captures sim\.Clock"
+		clock.AdvanceCycles(sim.Cycles(it)) // want "captures sim\.Clock"
+		return clock.Now(), nil             // want "captures sim\.Clock"
 	})
 }
 
@@ -30,7 +30,7 @@ func capturedValue(items []int) error {
 func owned(items []int) ([]sim.Time, error) {
 	return par.Map(0, items, func(_ int, it int) (sim.Time, error) {
 		clock := sim.NewClock(0)
-		clock.Advance(sim.Time(it))
+		clock.AdvanceCycles(sim.Cycles(it))
 		return clock.Now(), nil
 	})
 }
@@ -45,7 +45,7 @@ type unit struct {
 func ownedField(items []int) ([]sim.Time, error) {
 	return par.Map(0, items, func(_ int, it int) (sim.Time, error) {
 		cfg := unit{Clock: sim.NewClock(0)}
-		cfg.Clock.Advance(sim.Time(it))
+		cfg.Clock.AdvanceCycles(sim.Cycles(it))
 		return cfg.Clock.Now(), nil
 	})
 }
@@ -63,7 +63,7 @@ func serialReadOnly(clock *sim.Clock, items []int) []sim.Time {
 // suppressed demonstrates a justified exception.
 func suppressed(clock *sim.Clock, items []int) error {
 	return par.ForEach(1, items, func(_ int, it int) error {
-		clock.Advance(sim.Time(it)) //mmt:allow parclock: workers pinned to 1 in this code path
+		clock.AdvanceCycles(sim.Cycles(it)) //mmt:allow parclock: workers pinned to 1 in this code path
 		return nil
 	})
 }

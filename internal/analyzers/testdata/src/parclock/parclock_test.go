@@ -10,7 +10,7 @@ import (
 // the analyzer must stay silent here.
 func testOnlyCapture(clock *sim.Clock, items []int) error {
 	return par.ForEach(1, items, func(_ int, it int) error {
-		clock.Advance(sim.Time(it))
+		clock.AdvanceCycles(sim.Cycles(it))
 		return nil
 	})
 }

@@ -6,6 +6,8 @@ package simclock
 import (
 	"math/rand"
 	"time"
+
+	"mmt/internal/sim"
 )
 
 // wallClock reads and waits on the host clock — both banned.
@@ -33,6 +35,12 @@ func seededRand(seed int64) int {
 // pureArithmetic never observes the host: time.Duration math is legal.
 func pureArithmetic(n int) time.Duration {
 	return time.Duration(n) * time.Millisecond
+}
+
+// uncharged moves a clock without booking the cycles to a trace phase;
+// only trace.Probe.Charge may call AdvanceCycles.
+func uncharged(clk *sim.Clock, n sim.Cycles) {
+	clk.AdvanceCycles(n) // want "AdvanceCycles outside trace\.Probe\.Charge"
 }
 
 // suppressed shows the escape hatch for a justified exception.

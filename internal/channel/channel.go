@@ -65,12 +65,11 @@ func (c *common) Clock() *sim.Clock { return c.ep.Clock() }
 // phase accumulator. Nil disables tracing.
 func (c *common) SetTrace(p *trace.Probe) { c.probe = p }
 
-// charge advances the clock and the given stat bucket, mirroring the
-// cost into the trace phase so per-phase totals sum to Stats.Total().
+// charge adds n to the given stat bucket and books it to the trace phase
+// and the clock, so per-phase totals sum to Stats.Total().
 func (c *common) charge(bucket *sim.Cycles, ph trace.Phase, n sim.Cycles) {
 	*bucket += n
-	c.probe.AddCycles(ph, n)
-	c.ep.Clock().AdvanceCycles(n)
+	c.probe.Charge(c.ep.Clock(), ph, n)
 }
 
 // NonSecure is the unprotected remote-write channel: payload bytes go onto
@@ -87,7 +86,7 @@ func NewNonSecure(ep *netsim.Endpoint, peer string, prof *sim.Profile) *NonSecur
 // Send pushes payload to the peer: one remote write, no crypto, no copies.
 func (c *NonSecure) Send(payload []byte) error {
 	c.charge(&c.stats.RemoteWrite, trace.PhaseDMA, c.prof.RemoteWriteCost(len(payload)))
-	c.probe.RecordOp(trace.OpRemoteWrite, c.prof.RemoteWriteCost(len(payload)))
+	c.probe.RecordOp(trace.OpRemoteWrite, c.prof.RemoteWriteCost(len(payload)), 1)
 	c.stats.Messages++
 	c.stats.Bytes += len(payload)
 	c.ep.Send(c.peer, netsim.KindData, payload)

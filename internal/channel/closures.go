@@ -79,7 +79,7 @@ func (e *Closures[T]) Send(m *core.MMT, closure *core.Closure, ref T) {
 	dma := e.prof.RemoteWriteCost(len(frame))
 	e.charge(&e.stats.RemoteWrite, trace.PhaseDMA, dma)
 	e.charge(&e.stats.Delegation, trace.PhaseDelegation, e.prof.DelegationFixed)
-	e.probe.RecordOp(trace.OpMigrationSend, dma+e.prof.DelegationFixed)
+	e.probe.RecordOp(trace.OpMigrationSend, dma+e.prof.DelegationFixed, 1)
 	root.AddCycles(dma + e.prof.DelegationFixed)
 	e.inflight = append(e.inflight, sent[T]{m, root, ref})
 	e.ep.SendOwned(e.peer, netsim.KindClosure, frame, root.Context())
@@ -123,7 +123,7 @@ func (e *Closures[T]) Accept(m *core.MMT, msg netsim.Message, body []byte, check
 	ack := ackFrame(e.route, true, m.GUAddr())
 	cost := e.prof.RemoteWriteCost(len(ack))
 	e.charge(&e.stats.Delegation, trace.PhaseDelegation, cost)
-	e.probe.RecordOp(trace.OpMigrationRecv, cost)
+	e.probe.RecordOp(trace.OpMigrationRecv, cost, 1)
 	sp.AddCycles(cost)
 	e.ep.SendOwned(e.peer, netsim.KindControl, ack, ctx)
 	e.probe.Event(trace.EvMigrationAccept, e.ep.Clock().Now(), m.GUAddr(), e.who+"closure installed")

@@ -62,7 +62,7 @@ func (c *Secure) Send(payload []byte) error {
 	c.charge(&c.stats.RemoteWrite, trace.PhaseDMA, c.prof.RemoteWriteCost(len(wire)))
 	// One send-side op: the sum of the three charges above.
 	c.probe.RecordOp(trace.OpRemoteWrite,
-		c.prof.EncryptCost(n)+c.prof.MemcpyCost(n)+c.prof.RemoteWriteCost(len(wire)))
+		c.prof.EncryptCost(n)+c.prof.MemcpyCost(n)+c.prof.RemoteWriteCost(len(wire)), 1)
 	c.stats.Messages++
 	c.stats.Bytes += n
 	// wire was built for this message, so it is handed over, not copied.
@@ -96,7 +96,7 @@ func (c *Secure) Recv() ([]byte, error) {
 	// Decrypt and authenticate inside the enclave.
 	c.charge(&c.stats.Decrypt, trace.PhaseDecrypt, c.prof.DecryptCost(n))
 	// One receive-side op: the copy plus the decrypt.
-	c.probe.RecordOp(trace.OpRemoteRead, c.prof.MemcpyCost(n)+c.prof.DecryptCost(n))
+	c.probe.RecordOp(trace.OpRemoteRead, c.prof.MemcpyCost(n)+c.prof.DecryptCost(n), 1)
 	nonce := make([]byte, c.aead.NonceSize())
 	binary.LittleEndian.PutUint64(nonce, seq)
 	pt, err := c.aead.Open(nil, nonce, m.Payload[8:], nil)

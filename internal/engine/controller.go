@@ -458,10 +458,9 @@ func (c *Controller) SetMode(r int, m Mode) error {
 //     path extends the serial verification chain and exposes most of a
 //     DRAM access plus the MAC check.
 //
-// The cost is accumulated per phase (data / root-mount / tree-walk /
-// MAC) so the trace layer can report the breakdown; every constant is a
-// dyadic rational, so the regrouped float sum is bit-identical to the
-// single-accumulator original.
+// The cost is charged per phase (data / root-mount / tree-walk / MAC),
+// each phase once, so the trace layer reports the breakdown and the clock
+// moves by exactly the phases' sum.
 //
 // It returns the total charged cycles and the verification share (root
 // mount + MAC checks) so callers can mirror the same numbers into the
@@ -504,26 +503,33 @@ func (c *Controller) chargePath(r, line int, extraNodes int) (total, verify sim.
 		macCost += sim.Cycles(extraNodes) * c.prof.MACLatency
 		c.probe.Count(trace.CtrMACUpdates, uint64(extraNodes))
 	}
-	c.probe.AddCycles(trace.PhaseData, dataCost)
-	c.probe.AddCycles(trace.PhaseRootMount, rootCost)
-	c.probe.AddCycles(trace.PhaseTreeWalk, walkCost)
-	c.probe.AddCycles(trace.PhaseMAC, macCost)
-	cost := dataCost + rootCost + walkCost + macCost
-	c.stats.Cycles += cost
-	c.clock.AdvanceCycles(cost)
-	return cost, rootCost + macCost
+	c.charge(trace.PhaseData, dataCost)
+	c.charge(trace.PhaseRootMount, rootCost)
+	c.charge(trace.PhaseTreeWalk, walkCost)
+	c.charge(trace.PhaseMAC, macCost)
+	return dataCost + rootCost + walkCost + macCost, rootCost + macCost
 }
 
-// recordAccess mirrors one access's charged cycles into the per-op
-// latency histograms: the whole access under op, the verification share
-// additionally under OpVerify. Quiet-mode accesses charge nothing and
-// arrive here as zeros, recording nothing.
-func (c *Controller) recordAccess(op trace.Op, total, verify sim.Cycles) {
+// charge books n cycles of phase ph to Stats, the probe's phase total and
+// the clock. A zero charge (a warm read mounts no root and checks no MAC)
+// changes none of them and is skipped.
+func (c *Controller) charge(ph trace.Phase, n sim.Cycles) {
+	if n != 0 {
+		c.stats.Cycles += n
+		c.probe.Charge(c.clock, ph, n)
+	}
+}
+
+// recordAccess mirrors n accesses' charged cycles, each the same, into the
+// per-op latency histograms: the whole access under op, the verification
+// share additionally under OpVerify. Quiet-mode accesses charge nothing
+// and arrive here as zeros, recording nothing.
+func (c *Controller) recordAccess(op trace.Op, total, verify sim.Cycles, n uint64) {
 	if total > 0 {
-		c.probe.RecordOp(op, total)
+		c.probe.RecordOp(op, total, n)
 	}
 	if verify > 0 {
-		c.probe.RecordOp(trace.OpVerify, verify)
+		c.probe.RecordOp(trace.OpVerify, verify, n)
 	}
 }
 
@@ -537,25 +543,17 @@ func (c *Controller) recordAccess(op trace.Op, total, verify sim.Cycles) {
 // line would touch the same L nodes in the same order, hit each time, and
 // splice them back where they already are. Its charge is therefore the
 // all-hit arithmetic — no mount, L hits, no miss, the data line, L queue
-// slots and the caller's extraNodes MAC updates — with no table touched.
-// What stays per line is what a per-line observer can tell apart: the
-// clock advances once per line (AdvanceCycles rounds cost/freq to seconds,
-// and a window hook samples the accumulators as they stand at that line),
-// and counters, phase cycles and histogram samples are applied per line in
-// chargePath's order. When a path does not fit, later touches evict
-// earlier path nodes and the hit pattern is the lru's to say: every line
-// takes chargePath.
+// slots and the caller's extraNodes MAC updates — with no table touched,
+// charged in one step: k times each phase cost, counter and histogram
+// sample (small integers on a cycle clock, so equal to k single charges
+// bit for bit). Two cases go line by line through chargePath instead: a
+// path that does not fit, whose hit pattern is the lru's to say, and a
+// run inside which a sampling window boundary falls, so that the window
+// hook sees the accumulators as they stand at the crossing line.
 //
 //mmt:hotpath
 func (c *Controller) chargeRest(op trace.Op, r, line, k, extraNodes int) {
 	if c.quiet || k <= 0 {
-		return
-	}
-	if !c.pathFits {
-		for ; k > 0; line, k = line+1, k-1 {
-			total, verify := c.chargePath(r, line, extraNodes)
-			c.recordAccess(op, total, verify)
-		}
 		return
 	}
 	levels := uint64(len(c.lay.Level))
@@ -563,21 +561,25 @@ func (c *Controller) chargeRest(op trace.Op, r, line, k, extraNodes int) {
 	walkCost := sim.Cycles(levels) * queuePerLevel
 	macCost := sim.Cycles(extraNodes) * c.prof.MACLatency
 	cost := dataCost + walkCost + macCost
-	c.stats.DataAccesses += uint64(k)
-	c.stats.NodeHits += uint64(k) * levels
-	for ; k > 0; k-- {
-		c.probe.Count(trace.CtrNodeCacheHits, levels)
-		c.probe.Count(trace.CtrTreeNodeWalks, levels)
-		if extraNodes > 0 {
-			c.probe.Count(trace.CtrMACUpdates, uint64(extraNodes))
+	if !c.pathFits || c.clock.Crosses(sim.Cycles(k)*cost) {
+		for ; k > 0; line, k = line+1, k-1 {
+			total, verify := c.chargePath(r, line, extraNodes)
+			c.recordAccess(op, total, verify, 1)
 		}
-		c.probe.AddCycles(trace.PhaseData, dataCost)
-		c.probe.AddCycles(trace.PhaseTreeWalk, walkCost)
-		c.probe.AddCycles(trace.PhaseMAC, macCost)
-		c.stats.Cycles += cost
-		c.clock.AdvanceCycles(dataCost + walkCost + macCost) // cost, spelt as the summands mirrored above (mmt-vet phasecharge)
-		c.recordAccess(op, cost, macCost)
+		return
 	}
+	n := uint64(k)
+	c.stats.DataAccesses += n
+	c.stats.NodeHits += n * levels
+	c.probe.Count(trace.CtrNodeCacheHits, n*levels)
+	c.probe.Count(trace.CtrTreeNodeWalks, n*levels)
+	if extraNodes > 0 {
+		c.probe.Count(trace.CtrMACUpdates, n*uint64(extraNodes))
+	}
+	c.charge(trace.PhaseData, sim.Cycles(k)*dataCost)
+	c.charge(trace.PhaseTreeWalk, sim.Cycles(k)*walkCost)
+	c.charge(trace.PhaseMAC, sim.Cycles(k)*macCost)
+	c.recordAccess(op, cost, macCost, n)
 }
 
 // checkSpan refuses a span of n bytes starting at line that is not a whole
@@ -717,7 +719,7 @@ func (c *Controller) readRuns(st *regionState, r, line, end int, dst []byte, bad
 	for n := 0; line < end; line += n {
 		c.stats.Reads++
 		total, verify := c.chargePath(r, line, 0)
-		c.recordAccess(trace.OpLocalRead, total, verify)
+		c.recordAccess(trace.OpLocalRead, total, verify, 1)
 		if err := st.tr.VerifyPath(st.eng, st.guaddr, line); err != nil {
 			c.probe.Event(trace.EvIntegrityFail, c.clock.Now(), st.guaddr, "read: tree path")
 			return line, err
@@ -835,7 +837,7 @@ func (c *Controller) writeRuns(st *regionState, r, line, end int, src []byte, de
 			n, touched, reencrypt = 1, res.NodesTouched, res.ReencryptLines
 		}
 		total, verify := c.chargePath(r, line, touched)
-		c.recordAccess(trace.OpLocalWrite, total, verify)
+		c.recordAccess(trace.OpLocalWrite, total, verify, 1)
 		c.stats.Writes += uint64(n - 1)
 		c.chargeRest(trace.OpLocalWrite, r, line+1, n-1, touched)
 		if !deferSeal || alone {
@@ -909,10 +911,8 @@ func (c *Controller) reencryptLine(st *regionState, r, ln int) error {
 	st.markLines(ln, 1)
 	c.stats.ReencryptedLines++
 	c.probe.Count(trace.CtrReencryptLines, 1)
-	c.probe.AddCycles(trace.PhaseReencrypt, c.prof.DRAMAccess+c.prof.AESLatency)
-	c.probe.RecordOp(trace.OpReencrypt, c.prof.DRAMAccess+c.prof.AESLatency)
-	c.stats.Cycles += c.prof.DRAMAccess + c.prof.AESLatency
-	c.clock.AdvanceCycles(c.prof.DRAMAccess + c.prof.AESLatency)
+	c.probe.RecordOp(trace.OpReencrypt, c.prof.DRAMAccess+c.prof.AESLatency, 1)
+	c.charge(trace.PhaseReencrypt, c.prof.DRAMAccess+c.prof.AESLatency)
 	return nil
 }
 
@@ -936,13 +936,11 @@ func (c *Controller) Access(r, line int, write bool) {
 	total, verify := c.chargePath(r, line, 0)
 	if write {
 		cost := sim.Cycles(len(c.lay.Level)) * writeUpdatePerLevel
-		c.probe.AddCycles(trace.PhaseTreeUpdate, cost)
 		c.probe.Count(trace.CtrMACUpdates, uint64(len(c.lay.Level)))
-		c.stats.Cycles += cost
-		c.clock.AdvanceCycles(cost)
-		c.recordAccess(trace.OpLocalWrite, total+cost, verify)
+		c.charge(trace.PhaseTreeUpdate, cost)
+		c.recordAccess(trace.OpLocalWrite, total+cost, verify, 1)
 	} else {
-		c.recordAccess(trace.OpLocalRead, total, verify)
+		c.recordAccess(trace.OpLocalRead, total, verify, 1)
 	}
 }
 

@@ -251,9 +251,8 @@ func PageRank(cfg Config, g *workload.Graph) (*Result, error) {
 	}
 	incoming := make([]float64, g.N)
 
-	chargePhase := func(m *machine, bucket *sim.Cycles, before sim.Time) {
-		delta := sim.TimeToCycles(m.clock.Now()-before, cfg.Profile.FreqHz)
-		*bucket += delta
+	chargePhase := func(m *machine, bucket *sim.Cycles, before sim.Cycles) {
+		*bucket += m.clock.NowCycles() - before
 	}
 
 	iterationsRun := 0
@@ -263,7 +262,7 @@ func PageRank(cfg Config, g *workload.Graph) (*Result, error) {
 		// buffering cross-machine messages per destination machine.
 		outbox := make([]map[int][]vertexMsg, cfg.Machines)
 		for mi, m := range machines {
-			start := m.clock.Now()
+			start := m.clock.NowCycles()
 			outbox[mi] = map[int][]vertexMsg{}
 			for _, e := range localEdges[mi] {
 				src, dst := int(e[0]), int(e[1])
@@ -275,14 +274,13 @@ func PageRank(cfg Config, g *workload.Graph) (*Result, error) {
 				}
 			}
 			cost := sim.Cycles(float64(len(localEdges[mi])) * cfg.ScatterCyclesPerEdge)
-			m.probe.AddCycles(trace.PhaseApp, cost)
-			m.clock.AdvanceCycles(cost)
+			m.probe.Charge(m.clock, trace.PhaseApp, cost)
 			chargePhase(m, &m.breakdown.Scatter, start)
 		}
 
 		// Remote-transfer: flush scatter buffers to peers' gather buffers.
 		for mi, m := range machines {
-			start := m.clock.Now()
+			start := m.clock.NowCycles()
 			for peer := 0; peer < cfg.Machines; peer++ {
 				if peer == mi {
 					continue
@@ -294,7 +292,7 @@ func PageRank(cfg Config, g *workload.Graph) (*Result, error) {
 			chargePhase(m, &m.breakdown.RemoteTransfer, start)
 		}
 		for mi, m := range machines {
-			start := m.clock.Now()
+			start := m.clock.NowCycles()
 			for peer := 0; peer < cfg.Machines; peer++ {
 				if peer == mi {
 					continue
@@ -331,15 +329,13 @@ func PageRank(cfg Config, g *workload.Graph) (*Result, error) {
 			incoming[v] = 0
 		}
 		for mi, m := range machines {
-			start := m.clock.Now()
+			start := m.clock.NowCycles()
 			gatherCost := sim.Cycles(float64(msgsPerMachine[mi]) * cfg.GatherCyclesPerMsg)
-			m.probe.AddCycles(trace.PhaseApp, gatherCost)
-			m.clock.AdvanceCycles(gatherCost)
+			m.probe.Charge(m.clock, trace.PhaseApp, gatherCost)
 			chargePhase(m, &m.breakdown.Gather, start)
-			start = m.clock.Now()
+			start = m.clock.NowCycles()
 			applyCost := sim.Cycles(float64(verticesPer[mi]) * cfg.ApplyCyclesPerVertex)
-			m.probe.AddCycles(trace.PhaseApp, applyCost)
-			m.clock.AdvanceCycles(applyCost)
+			m.probe.Charge(m.clock, trace.PhaseApp, applyCost)
 			chargePhase(m, &m.breakdown.Apply, start)
 		}
 		if cfg.Epsilon > 0 && delta < cfg.Epsilon {

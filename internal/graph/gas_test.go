@@ -247,10 +247,10 @@ func TestTraceMirrorsComputePhases(t *testing.T) {
 }
 
 // TestPageRankTracedPhaseSum: a traced MMT run accounts for every cycle
-// its machines' clocks advanced. A clock moves two ways — AdvanceCycles,
-// which every charge site mirrors into exactly one phase, and SyncTo at
-// a receive, whose wait the endpoint records as a remote-read sample —
-// so phases plus waits equal the clocks. PageRank used to leave its
+// its machines' clocks advanced. A clock moves two ways — Probe.Charge,
+// which books every charge to exactly one phase, and SyncTo at a
+// receive, whose wait the endpoint records as a remote-read sample — so
+// phases plus waits equal the clocks. PageRank used to leave its
 // controllers, endpoints and channels unprobed, and the phase sum then
 // held the compute cycles only.
 func TestPageRankTracedPhaseSum(t *testing.T) {

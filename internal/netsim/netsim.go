@@ -219,7 +219,7 @@ func (e *Endpoint) Recv() (Message, bool) {
 	e.inbox[0] = Message{}
 	e.inbox = e.inbox[1:]
 	if wait := m.ArriveAt - e.clock.Now(); wait > 0 {
-		e.probe.RecordOp(trace.OpRemoteRead, sim.TimeToCycles(wait, e.clock.Freq()))
+		e.probe.RecordOp(trace.OpRemoteRead, sim.Cycles(float64(wait)*e.clock.Freq()), 1)
 	}
 	e.clock.SyncTo(m.ArriveAt)
 	// Record the flight as a causal wire span: a child of the sender's

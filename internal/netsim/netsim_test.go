@@ -49,7 +49,7 @@ func TestPayloadCopied(t *testing.T) {
 
 func TestLatencyAdvancesReceiverClock(t *testing.T) {
 	_, a, b := twoNodes(t, 5e-3)
-	a.Clock().Advance(1e-3)
+	a.Clock().SyncTo(1e-3)
 	a.Send("b", KindData, []byte("x"))
 	m, _ := b.Recv()
 	if got := float64(m.ArriveAt); got != 6e-3 {
@@ -62,7 +62,7 @@ func TestLatencyAdvancesReceiverClock(t *testing.T) {
 
 func TestReceiverClockNotRewound(t *testing.T) {
 	_, a, b := twoNodes(t, 1e-3)
-	b.Clock().Advance(1) // receiver is far ahead
+	b.Clock().SyncTo(1) // receiver is far ahead
 	a.Send("b", KindData, []byte("x"))
 	b.Recv()
 	if b.Clock().Now() != 1 {

@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Cycles counts simulated processor cycles. It is a float so that
 // per-byte cost curves can be fractional; totals are rounded only when
@@ -34,11 +31,15 @@ func (t Time) String() string {
 	}
 }
 
-// Clock is a simulated per-node clock. The zero value is a clock at time
-// zero; it is not safe for concurrent use (simulated nodes are
-// single-threaded, as in the paper's Gem5 model).
+// Clock is a simulated per-node clock. It counts cycles, as Gem5's clock
+// counts ticks, so a charge is one add and charging the parts of a cost
+// equals charging their sum whenever the parts are dyadic rationals (every
+// engine constant is); seconds are derived only at the edges (Now, SyncTo,
+// SetNow). The zero value is a clock at time zero; it is not safe for
+// concurrent use (simulated nodes are single-threaded, as in the paper's
+// Gem5 model).
 type Clock struct {
-	now  Time
+	now  Cycles
 	freq float64 // cycles per second; 0 means unset (use DefaultFreqHz)
 
 	// Window sampling hook. When winHook is non-nil, every forward move
@@ -71,38 +72,40 @@ func (c *Clock) Freq() float64 {
 }
 
 // Now reports the current simulated time.
-func (c *Clock) Now() Time { return c.now }
+func (c *Clock) Now() Time { return Time(float64(c.now) / c.Freq()) }
 
 // NowCycles reports the current simulated time expressed in cycles.
-func (c *Clock) NowCycles() Cycles { return Cycles(float64(c.now) * c.Freq()) }
+func (c *Clock) NowCycles() Cycles { return c.now }
 
-// Advance moves the clock forward by d. Negative durations are ignored so
-// that cost arithmetic can never move time backwards.
-func (c *Clock) Advance(d Time) {
-	if d > 0 {
-		c.now += d
+// cyclesAt converts the instant t to this clock's cycle count.
+func (c *Clock) cyclesAt(t Time) Cycles { return Cycles(float64(t) * c.Freq()) }
+
+// AdvanceCycles moves the clock forward by n cycles; n <= 0 is ignored so
+// that cost arithmetic can never move time backwards. Outside tests its
+// one caller is trace.Probe.Charge, which books the same n to a phase
+// (mmt-vet simclock).
+func (c *Clock) AdvanceCycles(n Cycles) {
+	if n > 0 {
+		c.now += n
 		if c.winHook != nil {
 			c.windowTick()
 		}
 	}
 }
 
-// AdvanceCycles moves the clock forward by n cycles.
-func (c *Clock) AdvanceCycles(n Cycles) {
-	if n > 0 {
-		c.now += Time(float64(n) / c.Freq())
-		if c.winHook != nil {
-			c.windowTick()
-		}
-	}
+// Crosses reports whether advancing by n cycles would fire the window
+// hook, i.e. whether a sampling window boundary falls inside the next n
+// cycles. It is false when no hook is installed.
+func (c *Clock) Crosses(n Cycles) bool {
+	return c.winHook != nil && c.window(c.now+n) > c.lastWin
 }
 
 // SyncTo moves the clock forward to t if t is later than the current time.
 // It models a blocking receive: the receiver cannot observe a message
 // before the (simulated) instant it arrives.
 func (c *Clock) SyncTo(t Time) {
-	if t > c.now {
-		c.now = t
+	if n := c.cyclesAt(t); n > c.now {
+		c.now = n
 		if c.winHook != nil {
 			c.windowTick()
 		}
@@ -117,16 +120,19 @@ func (c *Clock) Reset() {
 }
 
 // SetNow forces the clock to an absolute instant. Snapshot recovery uses
-// it to resume a reloaded node at exactly its saved simulated time.
+// it to resume a reloaded node at exactly its saved simulated time:
+// SetNow(Now()) leaves Now() unchanged, though the cycle count underneath
+// may differ from the saved one in its last bit.
 func (c *Clock) SetNow(t Time) {
-	forward := t > c.now
-	c.now = t
+	n := c.cyclesAt(t)
+	forward := n > c.now
+	c.now = n
 	if forward && c.winHook != nil {
 		c.windowTick()
 	} else if !forward {
 		// A rewind repositions the window cursor silently so a later
 		// forward move does not re-announce windows already sampled.
-		c.lastWin = c.curWindow()
+		c.lastWin = c.window(c.now)
 	}
 }
 
@@ -147,16 +153,15 @@ func (c *Clock) SetWindowHook(windowCycles uint64, hook func(window uint64)) {
 	}
 	c.winShift = shift
 	c.winHook = hook
-	c.lastWin = c.curWindow()
+	c.lastWin = c.window(c.now)
 }
 
-// curWindow reports the window index of the current instant.
-func (c *Clock) curWindow() uint64 {
-	cyc := float64(c.NowCycles())
-	if cyc <= 0 {
+// window reports the window index of the instant n cycles after zero.
+func (c *Clock) window(n Cycles) uint64 {
+	if n <= 0 {
 		return 0
 	}
-	return uint64(cyc) >> c.winShift
+	return uint64(n) >> c.winShift
 }
 
 // windowTick fires the sampling hook if the last forward move crossed a
@@ -166,28 +171,9 @@ func (c *Clock) curWindow() uint64 {
 //
 //mmt:coldpath
 func (c *Clock) windowTick() {
-	w := c.curWindow()
+	w := c.window(c.now)
 	if w > c.lastWin {
 		c.lastWin = w
 		c.winHook(w)
 	}
 }
-
-// CyclesToTime converts a cycle count to simulated seconds at freqHz.
-func CyclesToTime(n Cycles, freqHz float64) Time {
-	if freqHz <= 0 {
-		freqHz = DefaultFreqHz
-	}
-	return Time(float64(n) / freqHz)
-}
-
-// TimeToCycles converts simulated seconds to cycles at freqHz.
-func TimeToCycles(t Time, freqHz float64) Cycles {
-	if freqHz <= 0 {
-		freqHz = DefaultFreqHz
-	}
-	return Cycles(float64(t) * freqHz)
-}
-
-// MaxTime returns the later of two instants.
-func MaxTime(a, b Time) Time { return Time(math.Max(float64(a), float64(b))) }

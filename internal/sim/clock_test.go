@@ -18,13 +18,13 @@ func TestClockZeroValueStartsAtZero(t *testing.T) {
 
 func TestClockAdvance(t *testing.T) {
 	c := NewClock(2e9)
-	c.Advance(1e-3)
+	c.AdvanceCycles(2e6)
 	if got := c.Now(); got != 1e-3 {
 		t.Fatalf("Now() = %v, want 1ms", got)
 	}
-	c.Advance(-5) // negative durations must be ignored
-	if got := c.Now(); got != 1e-3 {
-		t.Fatalf("Now() after negative advance = %v, want 1ms", got)
+	c.AdvanceCycles(-5) // negative charges must be ignored
+	if got := c.NowCycles(); got != 2e6 {
+		t.Fatalf("NowCycles() after negative advance = %v, want 2e6", got)
 	}
 }
 
@@ -41,7 +41,7 @@ func TestClockAdvanceCycles(t *testing.T) {
 
 func TestClockSyncToOnlyMovesForward(t *testing.T) {
 	c := NewClock(0)
-	c.Advance(5)
+	c.SyncTo(5)
 	c.SyncTo(3)
 	if c.Now() != 5 {
 		t.Fatalf("SyncTo moved clock backwards: %v", c.Now())
@@ -54,7 +54,7 @@ func TestClockSyncToOnlyMovesForward(t *testing.T) {
 
 func TestClockReset(t *testing.T) {
 	c := NewClock(0)
-	c.Advance(42)
+	c.AdvanceCycles(42)
 	c.Reset()
 	if c.Now() != 0 {
 		t.Fatalf("Reset left clock at %v", c.Now())
@@ -62,13 +62,14 @@ func TestClockReset(t *testing.T) {
 }
 
 func TestClockMonotonic(t *testing.T) {
-	// Property: no sequence of Advance/SyncTo calls can move time backwards.
+	// Property: no sequence of AdvanceCycles/SyncTo calls can move time
+	// backwards.
 	f := func(steps []float64) bool {
 		c := NewClock(1e9)
 		prev := c.Now()
 		for i, s := range steps {
 			if i%2 == 0 {
-				c.Advance(Time(s))
+				c.AdvanceCycles(Cycles(s))
 			} else {
 				c.SyncTo(Time(s))
 			}
@@ -84,13 +85,40 @@ func TestClockMonotonic(t *testing.T) {
 	}
 }
 
+// TestCycleTimeConversionRoundTrip pins snapshot recovery's contract: a
+// clock reset to its own Now() reads the same Now(), at both profiles'
+// frequencies, for cycle counts with and without a fractional part.
 func TestCycleTimeConversionRoundTrip(t *testing.T) {
-	f := func(n uint32) bool {
-		cy := Cycles(n)
-		back := TimeToCycles(CyclesToTime(cy, 2e9), 2e9)
-		return math.Abs(float64(back-cy)) < 1e-6*math.Max(1, float64(cy))
+	for _, hz := range []float64{2e9, 2.2e9} {
+		f := func(whole uint64, frac uint16) bool {
+			c := NewClock(hz)
+			c.AdvanceCycles(Cycles(whole>>12) + Cycles(frac)/1000)
+			want := c.Now()
+			c.SetNow(want)
+			return c.Now() == want
+		}
+		if err := quick.Check(f, &quick.Config{MaxCount: 20000}); err != nil {
+			t.Fatalf("%v Hz: %v", hz, err)
+		}
 	}
-	if err := quick.Check(f, nil); err != nil {
+}
+
+// TestClockRunChargeExact pins what lets the engine charge a run of k
+// identical lines in one step: for a dyadic cost c, k charges of c leave
+// the clock where one charge of k*c does, bit for bit, from any start.
+func TestClockRunChargeExact(t *testing.T) {
+	f := func(start uint32, k uint8, units uint16) bool {
+		c := Cycles(units) / 8 // a dyadic cost: whole eighths of a cycle
+		one, run := NewClock(2e9), NewClock(2e9)
+		one.AdvanceCycles(Cycles(start) + 0.375)
+		run.AdvanceCycles(Cycles(start) + 0.375)
+		for i := 0; i < int(k); i++ {
+			one.AdvanceCycles(c)
+		}
+		run.AdvanceCycles(Cycles(k) * c)
+		return one.NowCycles() == run.NowCycles()
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 5000}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -110,11 +138,5 @@ func TestTimeString(t *testing.T) {
 		if got := c.in.String(); got != c.want {
 			t.Errorf("Time(%v).String() = %q, want %q", float64(c.in), got, c.want)
 		}
-	}
-}
-
-func TestMaxTime(t *testing.T) {
-	if MaxTime(1, 2) != 2 || MaxTime(3, 2) != 3 {
-		t.Fatal("MaxTime wrong")
 	}
 }

@@ -86,7 +86,7 @@ func (p *Profile) RemoteWriteCost(n int) Cycles {
 }
 
 // ToTime converts a cycle count to simulated seconds on this profile.
-func (p *Profile) ToTime(n Cycles) Time { return CyclesToTime(n, p.FreqHz) }
+func (p *Profile) ToTime(n Cycles) Time { return Time(float64(n) / p.FreqHz) }
 
 // Gem5Profile returns the cost model for the paper's Gem5 testbed
 // (Table II: 8 OoO cores @ 2 GHz, LPDDR3-1600, 32 KB MMT cache, 8 KB of

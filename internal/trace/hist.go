@@ -100,17 +100,19 @@ func BucketBound(i int) sim.Cycles {
 	return sim.Cycles(uint64(1) << uint(i))
 }
 
-// Record adds one sample.
-func (h *Histogram) Record(c sim.Cycles) {
-	h.Count++
-	h.Sum += c
-	if h.Count == 1 || c < h.Min {
+// Record adds n > 0 samples of c cycles each. The sum grows by n*c, which
+// equals n single additions whenever c and the sum are dyadic, as every
+// engine cost is.
+func (h *Histogram) Record(c sim.Cycles, n uint64) {
+	h.Count += n
+	h.Sum += c * sim.Cycles(n)
+	if h.Count == n || c < h.Min {
 		h.Min = c
 	}
 	if c > h.Max {
 		h.Max = c
 	}
-	h.Buckets[bucketIndex(c)]++
+	h.Buckets[bucketIndex(c)] += n
 }
 
 // MergeFrom folds src into h. Bucket counts and Count add; Sum adds in
@@ -195,19 +197,19 @@ func (h *Histogram) Mean() sim.Cycles {
 	return h.Sum / sim.Cycles(h.Count)
 }
 
-// RecordOp adds one cycle-latency sample for op to the probe's process.
-// A nil probe records nothing and costs nothing: the nil check is the
-// whole of the exported method so that it inlines.
+// RecordOp adds n cycle-latency samples of c cycles for op to the probe's
+// process, under one lock. A nil probe records nothing and costs nothing:
+// the nil check is the whole of the exported method so that it inlines.
 //
 //mmt:hotpath
-func (p *Probe) RecordOp(op Op, c sim.Cycles) {
+func (p *Probe) RecordOp(op Op, c sim.Cycles, n uint64) {
 	if p != nil {
-		p.recordOp(op, c)
+		p.recordOp(op, c, n)
 	}
 }
 
-func (p *Probe) recordOp(op Op, c sim.Cycles) {
+func (p *Probe) recordOp(op Op, c sim.Cycles, n uint64) {
 	p.sink.mu.Lock()
-	p.proc.ops[op].Record(c)
+	p.proc.ops[op].Record(c, n)
 	p.sink.mu.Unlock()
 }

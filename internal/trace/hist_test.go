@@ -41,6 +41,25 @@ func TestBucketLayout(t *testing.T) {
 	}
 }
 
+// TestHistogramRecordCount: one Record of n samples equals n Records of
+// one, field for field, including Min/Max on a histogram that already
+// holds samples.
+func TestHistogramRecordCount(t *testing.T) {
+	var once, each Histogram
+	for _, s := range []struct {
+		c sim.Cycles
+		n uint64
+	}{{136.5, 7}, {40, 3}, {492.25, 1}, {8, 5}} {
+		once.Record(s.c, s.n)
+		for i := uint64(0); i < s.n; i++ {
+			each.Record(s.c, 1)
+		}
+	}
+	if once != each {
+		t.Fatalf("Record(c, n) = %+v, n × Record(c, 1) = %+v", once, each)
+	}
+}
+
 // TestHistogramStats: Record tracks exact count/min/max and the quantile
 // walk returns bucket bounds, refined to the exact max in the last
 // occupied bucket.
@@ -50,7 +69,7 @@ func TestHistogramStats(t *testing.T) {
 		t.Fatalf("empty histogram not zero-valued")
 	}
 	for _, c := range []sim.Cycles{10, 20, 30, 40, 1000} {
-		h.Record(c)
+		h.Record(c, 1)
 	}
 	if h.Count != 5 || h.Min != 10 || h.Max != 1000 || h.Sum != 1100 {
 		t.Fatalf("stats = %+v", h)
@@ -95,13 +114,13 @@ func TestHistogramMergeMatchesSerial(t *testing.T) {
 	}
 	var serial Histogram
 	for _, c := range samples {
-		serial.Record(c)
+		serial.Record(c, 1)
 	}
 	for _, workers := range []int{2, 4, 8} {
 		parts := make([]Histogram, workers)
 		for i, c := range samples {
 			// Contiguous chunks, as the parallel runner shards work units.
-			parts[i*workers/len(samples)].Record(c)
+			parts[i*workers/len(samples)].Record(c, 1)
 		}
 		var merged Histogram
 		for i := range parts {
@@ -122,10 +141,10 @@ func TestRecordOpThroughSink(t *testing.T) {
 	s := NewSink()
 	a := s.Probe("alice")
 	b := s.Probe("bob")
-	a.RecordOp(OpLocalRead, 100)
-	a.RecordOp(OpLocalRead, 200)
-	b.RecordOp(OpLocalRead, 50)
-	b.RecordOp(OpVerify, 40)
+	a.RecordOp(OpLocalRead, 100, 1)
+	a.RecordOp(OpLocalRead, 200, 1)
+	b.RecordOp(OpLocalRead, 50, 1)
+	b.RecordOp(OpVerify, 40, 1)
 
 	m := s.Snapshot()
 	h := m.Op(OpLocalRead)
@@ -145,7 +164,7 @@ func TestRecordOpThroughSink(t *testing.T) {
 	if s.Snapshot().Op(OpLocalRead).Count != 0 {
 		t.Fatalf("reset left histogram samples")
 	}
-	a.RecordOp(OpLocalRead, 7)
+	a.RecordOp(OpLocalRead, 7, 1)
 	if s.Snapshot().Op(OpLocalRead).Count != 1 {
 		t.Fatalf("post-reset probe dead")
 	}
@@ -155,12 +174,12 @@ func TestRecordOpThroughSink(t *testing.T) {
 // re-records ledger events with the destination's sequence numbers.
 func TestSinkMergeOpsAndLedger(t *testing.T) {
 	root := NewSink()
-	root.Probe("alice").RecordOp(OpLocalWrite, 10)
+	root.Probe("alice").RecordOp(OpLocalWrite, 10, 1)
 	root.Probe("alice").Event(EvMigrationSend, 1e-6, 0x10, "d0")
 
 	w := NewSink()
-	w.Probe("alice").RecordOp(OpLocalWrite, 30)
-	w.Probe("carol").RecordOp(OpRemoteRead, 5)
+	w.Probe("alice").RecordOp(OpLocalWrite, 30, 1)
+	w.Probe("carol").RecordOp(OpRemoteRead, 5, 1)
 	w.Probe("carol").Event(EvAuthFail, 2e-6, 0x20, "d1")
 
 	root.Merge(w)
@@ -190,8 +209,8 @@ func TestHistJSONShape(t *testing.T) {
 			p := root.Probe("bob")
 			q := root.Probe("alice")
 			for i := 0; i < 10; i++ {
-				p.RecordOp(OpLocalRead, sim.Cycles(100+i*37))
-				q.RecordOp(OpVerify, sim.Cycles(50+i*11))
+				p.RecordOp(OpLocalRead, sim.Cycles(100+i*37), 1)
+				q.RecordOp(OpVerify, sim.Cycles(50+i*11), 1)
 			}
 			return root
 		}
@@ -201,8 +220,8 @@ func TestHistJSONShape(t *testing.T) {
 		}
 		for i := 0; i < 10; i++ {
 			w := parts[i*workers/10]
-			w.Probe("bob").RecordOp(OpLocalRead, sim.Cycles(100+i*37))
-			w.Probe("alice").RecordOp(OpVerify, sim.Cycles(50+i*11))
+			w.Probe("bob").RecordOp(OpLocalRead, sim.Cycles(100+i*37), 1)
+			w.Probe("alice").RecordOp(OpVerify, sim.Cycles(50+i*11), 1)
 		}
 		for _, w := range parts {
 			root.Merge(w)
@@ -248,16 +267,16 @@ func TestHistJSONShape(t *testing.T) {
 func TestZeroAllocDisabledOpsAndEvents(t *testing.T) {
 	var p *Probe
 	if a := testing.AllocsPerRun(1000, func() {
-		p.RecordOp(OpLocalRead, 123)
+		p.RecordOp(OpLocalRead, 123, 1)
 		p.Event(EvIntegrityFail, 1e-6, 0x40, "tamper")
 	}); a != 0 {
 		t.Fatalf("disabled probe allocates %v per op", a)
 	}
 	s := NewSink()
 	q := s.Probe("alice")
-	q.RecordOp(OpLocalRead, 1) // warm
+	q.RecordOp(OpLocalRead, 1, 1) // warm
 	if a := testing.AllocsPerRun(1000, func() {
-		q.RecordOp(OpLocalRead, 123)
+		q.RecordOp(OpLocalRead, 123, 1)
 	}); a != 0 {
 		t.Fatalf("enabled RecordOp allocates %v per op", a)
 	}
@@ -267,7 +286,7 @@ func BenchmarkRecordOpDisabled(b *testing.B) {
 	var p *Probe
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		p.RecordOp(OpLocalRead, sim.Cycles(i))
+		p.RecordOp(OpLocalRead, sim.Cycles(i), 1)
 	}
 }
 
@@ -275,6 +294,6 @@ func BenchmarkRecordOpEnabled(b *testing.B) {
 	p := NewSink().Probe("bench")
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		p.RecordOp(OpLocalRead, sim.Cycles(i))
+		p.RecordOp(OpLocalRead, sim.Cycles(i), 1)
 	}
 }

@@ -17,9 +17,9 @@ func driveWindows(clock *sim.Clock, p *Probe, n, stepsPerWindow int, windowCycle
 	for i := 0; i < n*stepsPerWindow; i++ {
 		p.Count(CtrNodeCacheHits, 2)
 		p.Count(CtrMACVerifies, 1)
-		p.AddCycles(PhaseTreeWalk, sim.Cycles(float64(i%7)+0.3))
-		p.AddCycles(PhaseMAC, 11.7)
-		p.RecordOp(OpLocalRead, sim.Cycles(float64(i%13)+0.1))
+		p.Charge(clock, PhaseTreeWalk, sim.Cycles(float64(i%7)+0.3))
+		p.Charge(clock, PhaseMAC, 11.7)
+		p.RecordOp(OpLocalRead, sim.Cycles(float64(i%13)+0.1), 1)
 		clock.AdvanceCycles(sim.Cycles(float64(windowCycles) / float64(stepsPerWindow)))
 	}
 }
@@ -103,8 +103,8 @@ func TestSeriesMergeReproducesSerial(t *testing.T) {
 	run := func(p *Probe, clock *sim.Clock, seed int) {
 		for i := 0; i < 60*DefaultSeriesCap/8; i++ {
 			p.Count(CtrTreeNodeWalks, uint64(seed))
-			p.AddCycles(PhaseData, sim.Cycles(float64((i+seed)%5)+0.9))
-			p.RecordOp(OpLocalWrite, sim.Cycles(float64(seed)+0.25))
+			p.Charge(clock, PhaseData, sim.Cycles(float64((i+seed)%5)+0.9))
+			p.RecordOp(OpLocalWrite, sim.Cycles(float64(seed)+0.25), 1)
 			clock.AdvanceCycles(150)
 		}
 	}
@@ -327,8 +327,8 @@ func TestSeriesDisabledZeroAlloc(t *testing.T) {
 	clock := sim.NewClock(1e9)
 	if allocs := testing.AllocsPerRun(1000, func() {
 		p.Count(CtrNodeCacheHits, 1)
-		p.AddCycles(PhaseTreeWalk, 8)
-		p.RecordOp(OpLocalRead, 12)
+		p.Charge(clock, PhaseTreeWalk, 8)
+		p.RecordOp(OpLocalRead, 12, 1)
 		clock.AdvanceCycles(64)
 	}); allocs != 0 {
 		t.Fatalf("sampling-disabled hot path allocates %v per op", allocs)

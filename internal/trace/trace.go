@@ -19,7 +19,7 @@
 // Components obtain a Probe with Sink.Probe(name) and then:
 //
 //	probe.Count(trace.CtrNodeCacheMisses, 1)      // monotonic counter
-//	probe.AddCycles(trace.PhaseMAC, cost)         // per-phase cycle total
+//	probe.Charge(clk, trace.PhaseMAC, cost)       // phase total and clock
 //	sp := probe.Begin(trace.PhaseSend, clk.Now()) // span start
 //	...
 //	sp.End(clk.Now())                             // span end
@@ -46,7 +46,7 @@ import (
 )
 
 // Phase labels one cost category. Phases serve double duty: cycle
-// accumulators (AddCycles) break an experiment's total into the paper's
+// accumulators (Charge) break an experiment's total into the paper's
 // breakdown rows, and spans (Begin/End) carry the same labels into the
 // Chrome-trace timeline.
 type Phase uint8
@@ -401,14 +401,18 @@ func (p *Probe) count(c Counter, n uint64) {
 	p.sink.mu.Unlock()
 }
 
-// AddCycles adds n simulated cycles to a phase accumulator; inlined nil
-// check as for Count.
+// Charge books n simulated cycles of work to phase ph and advances clk
+// by them: the one call that moves a clock for work done, so a machine's
+// phase totals plus its receive waits (netsim's remote-read samples) are
+// its clock by construction. A nil probe books nothing and still
+// advances the clock.
 //
 //mmt:hotpath
-func (p *Probe) AddCycles(ph Phase, n sim.Cycles) {
+func (p *Probe) Charge(clk *sim.Clock, ph Phase, n sim.Cycles) {
 	if p != nil {
 		p.addCycles(ph, n)
 	}
+	clk.AdvanceCycles(n)
 }
 
 func (p *Probe) addCycles(ph Phase, n sim.Cycles) {

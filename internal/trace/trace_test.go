@@ -21,7 +21,11 @@ func TestNilSafety(t *testing.T) {
 		t.Fatalf("nil probe reports enabled")
 	}
 	p.Count(CtrMACVerifies, 3)
-	p.AddCycles(PhaseMAC, 10)
+	clk := sim.NewClock(0)
+	p.Charge(clk, PhaseMAC, 10)
+	if clk.NowCycles() != 10 {
+		t.Fatalf("nil probe's Charge left the clock at %v cycles, want 10", clk.NowCycles())
+	}
 	sp := p.Begin(PhaseSend, 1)
 	sp.End(2)
 	p.Span(PhaseRecv, 1, 2)
@@ -49,9 +53,10 @@ func TestNilSafety(t *testing.T) {
 // per-access path unconditionally.
 func TestZeroAllocDisabled(t *testing.T) {
 	var p *Probe
+	clk := sim.NewClock(0)
 	allocs := testing.AllocsPerRun(1000, func() {
 		p.Count(CtrNodeCacheHits, 1)
-		p.AddCycles(PhaseTreeWalk, 8)
+		p.Charge(clk, PhaseTreeWalk, 8)
 		p.Begin(PhaseData, 0).End(0)
 	})
 	if allocs != 0 {
@@ -68,9 +73,13 @@ func TestCountersAndCycles(t *testing.T) {
 	a.Count(CtrMACVerifies, 2)
 	a.Count(CtrMACVerifies, 3)
 	b.Count(CtrMACVerifies, 5)
-	a.AddCycles(PhaseMAC, 40)
-	b.AddCycles(PhaseMAC, 8)
-	b.AddCycles(PhaseData, 110)
+	ca, cb := sim.NewClock(0), sim.NewClock(0)
+	a.Charge(ca, PhaseMAC, 40)
+	b.Charge(cb, PhaseMAC, 8)
+	b.Charge(cb, PhaseData, 110)
+	if ca.NowCycles() != 40 || cb.NowCycles() != 118 {
+		t.Fatalf("clocks at %v and %v cycles, want each process's phase sum 40 and 118", ca.NowCycles(), cb.NowCycles())
+	}
 
 	m := s.Snapshot()
 	if got := m.Counter(CtrMACVerifies); got != 10 {
@@ -191,7 +200,7 @@ func TestChromeTraceShape(t *testing.T) {
 func TestSummary(t *testing.T) {
 	s := NewSink()
 	p := s.Probe("alice")
-	p.AddCycles(PhaseMAC, 48)
+	p.Charge(sim.NewClock(0), PhaseMAC, 48)
 	p.Count(CtrMACVerifies, 6)
 	sum := s.Summary()
 	for _, want := range []string{"== alice ==", "mac", "48", "mac-verifies", "6", "TOTAL"} {

@@ -9,6 +9,9 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"mmt/internal/sim"
+	"mmt/internal/trace"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
@@ -491,5 +494,73 @@ func TestErrStaleCounter(t *testing.T) {
 	// is still readable and writable.
 	if err := stale.Write(0, []byte("still mine")); err != nil {
 		t.Fatalf("stale buffer unusable after rejected delegation: %v", err)
+	}
+}
+
+// TestPhaseCyclesSumToClock: a machine's clock moves two ways — a charge,
+// which trace.Probe.Charge books to exactly one phase as it advances the
+// clock, and a receive's wait for the wire, which the endpoint records as
+// a remote-read sample. So, per machine, the phase totals plus the
+// remote-read sum equal the clock, over rounds of writes, delegations,
+// receives, reads and frees.
+func TestPhaseCyclesSumToClock(t *testing.T) {
+	sink := NewTraceSink()
+	c, err := New(WithTreeLevels(2), WithRegions(8), WithTracing(sink))
+	if err != nil {
+		t.Fatal(err)
+	}
+	alice, err := c.AddMachine("alice")
+	if err != nil {
+		t.Fatal(err)
+	}
+	bob, err := c.AddMachine("bob")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, q := alice.Spawn("p", nil), bob.Spawn("q", nil)
+	link, err := c.Connect(p, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := bytes.Repeat([]byte("mmt!"), 1024)
+	for round := 0; round < 4; round++ {
+		buf, err := link.NewBuffer(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := buf.Write(64*round, data); err != nil {
+			t.Fatal(err)
+		}
+		if err := link.Delegate(buf, OwnershipTransfer); err != nil {
+			t.Fatal(err)
+		}
+		got, err := link.Receive(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := got.Read(64*round, len(data)); err != nil {
+			t.Fatal(err)
+		}
+		if err := got.Free(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	procs := map[string]trace.ProcMetrics{}
+	for _, pm := range c.Metrics().Procs {
+		procs[pm.Proc] = pm
+	}
+	for _, m := range []*Machine{alice, bob} {
+		pm, ok := procs[m.Name()]
+		if !ok {
+			t.Fatalf("no trace metrics for %s", m.Name())
+		}
+		var phases sim.Cycles
+		for _, cy := range pm.Cycles {
+			phases += cy
+		}
+		waits := pm.Ops[trace.OpRemoteRead].Sum
+		if clock := m.Clock().NowCycles(); phases == 0 || !trace.SumsAgree(phases+waits, clock) {
+			t.Errorf("%s: phase cycles %v + wire waits %v = %v, clock at %v cycles", m.Name(), phases, waits, phases+waits, clock)
+		}
 	}
 }
