@@ -85,19 +85,6 @@ func BenchmarkFig11(b *testing.B) {
 	b.ReportMetric(avg3, "avg-overhead-3lvl")
 }
 
-// BenchmarkTable5 regenerates the tree-level trade-off table.
-func BenchmarkTable5(b *testing.B) {
-	var overhead float64
-	for i := 0; i < b.N; i++ {
-		_, rows, err := bench.Table5(nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		overhead = rows[1].Overhead // 3-level
-	}
-	b.ReportMetric(overhead, "overhead-3lvl")
-}
-
 // BenchmarkFig12 regenerates the WordCount transfer-size sweep (paper: up
 // to 10x, crossover below 8K).
 func BenchmarkFig12(b *testing.B) {

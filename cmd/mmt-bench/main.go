@@ -1,13 +1,15 @@
 // Command mmt-bench regenerates the paper's evaluation: every table and
 // figure of "Efficient Distributed Secure Memory with Migratable Merkle
-// Tree" (HPCA 2023), printed as text tables with the paper's published
-// numbers alongside for comparison.
+// Tree" (HPCA 2023), printed as Markdown tables with the paper's published
+// numbers alongside for comparison. EXPERIMENTS.md holds this output
+// verbatim, one block per experiment, and a test in internal/bench keeps it
+// equal.
 //
 // Usage:
 //
-//	mmt-bench -exp all          # everything (minutes)
+//	mmt-bench -exp all          # every experiment (about 18 s on 2 vCPUs)
 //	mmt-bench -exp table4       # Gem5 half of Table IV
-//	mmt-bench -exp table4-intel # Intel/AES-NI half (slow: 128MB functional transfers)
+//	mmt-bench -exp table4-intel # Intel/AES-NI half (32-128MB functional transfers)
 //	mmt-bench -exp fig10a,fig11 # comma-separated selection
 //	mmt-bench -list             # list experiments
 //	mmt-bench -fig 10           # write the BENCH_fig10.json metrics sidecar
@@ -32,100 +34,7 @@ import (
 	"strings"
 
 	"mmt/internal/bench"
-	"mmt/internal/sim"
 )
-
-// experiment is one runnable table/figure.
-type experiment struct {
-	name string
-	desc string
-	run  func(opts opts) (string, error)
-}
-
-type opts struct {
-	accesses int
-}
-
-var experiments = []experiment{
-	{"table1", "interconnect throughput (Table I)", func(opts) (string, error) {
-		return bench.RenderTable1(), nil
-	}},
-	{"config", "testbed configurations (Tables II/III)", func(opts) (string, error) {
-		return bench.RenderConfigs(), nil
-	}},
-	{"table4", "secure channel vs MMT delegation, Gem5 (Table IV left)", func(opts) (string, error) {
-		rows, err := bench.Table4Gem5()
-		if err != nil {
-			return "", err
-		}
-		return bench.RenderTable4("Table IV (Gem5)", sim.Gem5Profile(), rows), nil
-	}},
-	{"table4-intel", "secure channel vs MMT delegation, Intel AES-NI (Table IV right)", func(opts) (string, error) {
-		rows, err := bench.Table4Intel()
-		if err != nil {
-			return "", err
-		}
-		return bench.RenderTable4("Table IV (Intel)", sim.IntelProfile(), rows), nil
-	}},
-	{"fig10a", "max throughput: AES-GCM vs RDMA vs MMT (Figure 10a)", func(opts) (string, error) {
-		return bench.RenderFig10a(bench.Fig10a()), nil
-	}},
-	{"fig10b", "end-to-end latency vs network latency (Figure 10b)", func(opts) (string, error) {
-		rows, err := bench.Fig10b()
-		if err != nil {
-			return "", err
-		}
-		return bench.RenderFig10b(rows), nil
-	}},
-	{"fig11", "SPEC-like overhead by tree level (Figure 11)", func(o opts) (string, error) {
-		res, err := bench.Fig11(o.accesses)
-		if err != nil {
-			return "", err
-		}
-		return bench.RenderFig11(res), nil
-	}},
-	{"table5", "tree-level trade-offs (Table V)", func(o opts) (string, error) {
-		_, rows, err := bench.Table5(nil)
-		if err != nil {
-			return "", err
-		}
-		return bench.RenderTable5(rows), nil
-	}},
-	{"fig12", "WordCount end-to-end by transferred size (Figure 12)", func(opts) (string, error) {
-		rows, err := bench.Fig12()
-		if err != nil {
-			return "", err
-		}
-		return bench.RenderFig12(rows), nil
-	}},
-	{"fig13a", "MapReduce normalized performance by comm share (Figure 13a)", func(opts) (string, error) {
-		rows, err := bench.Fig13a()
-		if err != nil {
-			return "", err
-		}
-		return bench.RenderFig13a(rows), nil
-	}},
-	{"fig13b", "MnRn scalability (Figure 13b)", func(opts) (string, error) {
-		rows, err := bench.Fig13b()
-		if err != nil {
-			return "", err
-		}
-		return bench.RenderFig13b(rows), nil
-	}},
-	{"fig14", "PageRank under the GAS model (Figure 14)", func(opts) (string, error) {
-		rows, cross, err := bench.Fig14(bench.DefaultFig14Config())
-		if err != nil {
-			return "", err
-		}
-		return bench.RenderFig14(rows, cross), nil
-	}},
-	{"ablation", "tree geometry and cache-size ablations (beyond the paper)", func(o opts) (string, error) {
-		return bench.RenderAblations(o.accesses)
-	}},
-	{"extension", "counter-width and packet-loss extensions (beyond the paper)", func(o opts) (string, error) {
-		return bench.RenderExtendedAblations()
-	}},
-}
 
 func main() {
 	exp := flag.String("exp", "all", "experiment(s) to run, comma separated, or 'all'")
@@ -175,8 +84,8 @@ func main() {
 	}
 
 	if *list {
-		for _, e := range experiments {
-			fmt.Printf("%-13s %s\n", e.name, e.desc)
+		for _, e := range bench.Experiments {
+			fmt.Printf("%-13s %s\n", e.Name, e.Desc)
 		}
 		return
 	}
@@ -189,7 +98,7 @@ func main() {
 		return
 	}
 
-	runExperiments(opts{accesses: *accesses}, *exp)
+	runExperiments(*accesses, *exp)
 }
 
 // profilePath resolves a -cpuprofile/-memprofile argument: relative
@@ -246,15 +155,15 @@ func writeSidecars(figs, dir string, accesses int, series bool) error {
 }
 
 // runExperiments runs the selected rendered tables/figures.
-func runExperiments(o opts, exp string) {
+func runExperiments(accesses int, exp string) {
 	selected := map[string]bool{}
 	runAll := exp == "all"
 	for _, name := range strings.Split(exp, ",") {
 		selected[strings.TrimSpace(name)] = true
 	}
 	known := map[string]bool{}
-	for _, e := range experiments {
-		known[e.name] = true
+	for _, e := range bench.Experiments {
+		known[e.Name] = true
 	}
 	var unknown []string
 	for name := range selected {
@@ -269,13 +178,13 @@ func runExperiments(o opts, exp string) {
 	}
 
 	failed := false
-	for _, e := range experiments {
-		if !runAll && !selected[e.name] {
+	for _, e := range bench.Experiments {
+		if !runAll && !selected[e.Name] {
 			continue
 		}
-		out, err := e.run(o)
+		out, err := e.Run(accesses)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", e.name, err)
+			fmt.Fprintf(os.Stderr, "%s: %v\n", e.Name, err)
 			failed = true
 			continue
 		}

@@ -120,29 +120,6 @@ func TestRootTableSweepShape(t *testing.T) {
 	}
 }
 
-// TestRenderAblations: the two renderers behind mmt-bench -exp ablation and
-// -exp extension print a table for every sweep they run.
-func TestRenderAblations(t *testing.T) {
-	out, err := RenderAblations(2_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ext, err := RenderExtendedAblations()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, title := range []string{"Ablation: MMT node-cache size", "Ablation: leaf arity"} {
-		if !strings.Contains(out, title) {
-			t.Errorf("RenderAblations misses %q:\n%s", title, out)
-		}
-	}
-	for _, title := range []string{"Ablation: local-counter width", "Extension: reliable delegation goodput", "Extension: Penglai-style root mounting"} {
-		if !strings.Contains(ext, title) {
-			t.Errorf("RenderExtendedAblations misses %q:\n%s", title, ext)
-		}
-	}
-}
-
 // TestSpecTrace: the ablations find their trace by name, and an unknown
 // name is an error rather than a zero TraceConfig run silently.
 func TestSpecTrace(t *testing.T) {

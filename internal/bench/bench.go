@@ -117,36 +117,16 @@ func payload(n int) []byte {
 	return p
 }
 
-// renderTable pretty-prints rows with a header.
+// renderTable prints rows as a GitHub pipe table under a "## title"
+// line: the text mmt-bench prints and EXPERIMENTS.md holds verbatim.
 func renderTable(title string, header []string, rows [][]string) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "## %s\n\n", title)
-	widths := make([]int, len(header))
-	for i, h := range header {
-		widths[i] = len(h)
-	}
-	for _, r := range rows {
-		for i, c := range r {
-			if i < len(widths) && len(c) > widths[i] {
-				widths[i] = len(c)
-			}
-		}
-	}
 	line := func(cells []string) {
-		for i, c := range cells {
-			if i > 0 {
-				b.WriteString("  ")
-			}
-			fmt.Fprintf(&b, "%-*s", widths[i], c)
-		}
-		b.WriteByte('\n')
+		b.WriteString("| " + strings.Join(cells, " | ") + " |\n")
 	}
 	line(header)
-	sep := make([]string, len(header))
-	for i := range sep {
-		sep[i] = strings.Repeat("-", widths[i])
-	}
-	line(sep)
+	b.WriteString(strings.Repeat("|---", len(header)) + "|\n")
 	for _, r := range rows {
 		line(r)
 	}

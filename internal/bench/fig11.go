@@ -206,11 +206,12 @@ func RenderFig11(res *Fig11Result) string {
 	})
 	s := renderTable("Figure 11: SPEC-like overhead by tree level (paper averages: 1.07 / 1.12 / 1.21)", header, out)
 	if lat := res.Latency; lat != nil {
-		s += fmt.Sprintf("\nRead latency under migration (%d reads, %d delegations):\n", lat.Reads, lat.Migrations)
-		s += fmt.Sprintf("  idle            p50 %v  p99 %v  max %v cycles\n",
-			lat.Idle.Quantile(0.50), lat.Idle.Quantile(0.99), lat.Idle.Max)
-		s += fmt.Sprintf("  with migration  p50 %v  p99 %v  max %v cycles\n",
-			lat.Busy.Quantile(0.50), lat.Busy.Quantile(0.99), lat.Busy.Max)
+		q := func(h *trace.Histogram) []string {
+			return []string{fmt.Sprint(h.Quantile(0.50)), fmt.Sprint(h.Quantile(0.99)), fmt.Sprint(h.Max)}
+		}
+		s += "\n" + renderTable(fmt.Sprintf("Figure 11: read latency under migration (%d reads, %d delegations)", lat.Reads, lat.Migrations),
+			[]string{"Reads", "p50 cycles", "p99 cycles", "max cycles"},
+			[][]string{append([]string{"idle"}, q(&lat.Idle)...), append([]string{"with migration"}, q(&lat.Busy)...)})
 	}
 	return s
 }

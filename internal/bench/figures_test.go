@@ -32,7 +32,6 @@ func TestFig10aShape(t *testing.T) {
 	if rows[0].AESGCMGBps >= last.AESGCMGBps {
 		t.Error("AES-GCM throughput not increasing with block size")
 	}
-	t.Log("\n" + RenderFig10a(rows))
 }
 
 func TestFig10bShape(t *testing.T) {
@@ -56,7 +55,6 @@ func TestFig10bShape(t *testing.T) {
 			t.Errorf("speedup not shrinking with latency at %v", rows[i].NetLatency)
 		}
 	}
-	t.Log("\n" + RenderFig10b(rows))
 }
 
 func TestFig11AndTable5Shape(t *testing.T) {
@@ -92,12 +90,8 @@ func TestFig11AndTable5Shape(t *testing.T) {
 			}
 		}
 	}
-	t.Log("\n" + RenderFig11(res))
 
-	_, rows, err := Table5(res)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := Table5(res)
 	want := []struct{ root, mmt int }{
 		{256 << 10, 64 << 10},
 		{8 << 10, 2 << 20},
@@ -109,7 +103,6 @@ func TestFig11AndTable5Shape(t *testing.T) {
 				r.Levels, r.RootSize, r.MMTSize, want[i].root, want[i].mmt)
 		}
 	}
-	t.Log("\n" + RenderTable5(rows))
 }
 
 func TestFig12Shape(t *testing.T) {
@@ -135,7 +128,6 @@ func TestFig12Shape(t *testing.T) {
 			t.Errorf("speedup shrinking at %s", fmtSize(rows[i].InputBytes))
 		}
 	}
-	t.Log("\n" + RenderFig12(rows))
 }
 
 func TestFig13aShape(t *testing.T) {
@@ -171,7 +163,6 @@ func TestFig13aShape(t *testing.T) {
 			t.Errorf("secure channel improves with more comm?!")
 		}
 	}
-	t.Log("\n" + RenderFig13a(rows))
 }
 
 func TestFig13bShape(t *testing.T) {
@@ -192,7 +183,6 @@ func TestFig13bShape(t *testing.T) {
 	if ratio < 0.5 || ratio > 2 {
 		t.Errorf("MMT scaling diverges from baseline: ratio %.2f", ratio)
 	}
-	t.Log("\n" + RenderFig13b(rows))
 }
 
 func TestFig14Shape(t *testing.T) {
@@ -225,15 +215,5 @@ func TestFig14Shape(t *testing.T) {
 	}
 	if math.Abs(float64(mmt.Elapsed-non.Elapsed))/float64(non.Elapsed) > 0.25 {
 		t.Errorf("MMT (%v) far from non-secure (%v)", mmt.Elapsed, non.Elapsed)
-	}
-	t.Log("\n" + RenderFig14(rows, cross))
-}
-
-func TestRenderConfigsAndTable1(t *testing.T) {
-	if s := RenderTable1(); len(s) == 0 {
-		t.Fatal("empty Table I")
-	}
-	if s := RenderConfigs(); len(s) == 0 {
-		t.Fatal("empty configs")
 	}
 }

@@ -1,10 +1,6 @@
 package bench
 
-import (
-	"testing"
-
-	"mmt/internal/sim"
-)
+import "testing"
 
 func TestTable4Gem5ShapeMatchesPaper(t *testing.T) {
 	if testing.Short() {
@@ -44,7 +40,6 @@ func TestTable4Gem5ShapeMatchesPaper(t *testing.T) {
 	if frac := float64(r.Encrypt+r.Decrypt) / float64(r.SecureChannel); frac < 0.8 {
 		t.Errorf("crypto fraction at 2M = %.2f, want > 0.8", frac)
 	}
-	t.Log("\n" + RenderTable4("Table IV (Gem5)", sim.Gem5Profile(), rows))
 }
 
 func TestTable4IntelShapeMatchesPaper(t *testing.T) {
@@ -65,5 +60,4 @@ func TestTable4IntelShapeMatchesPaper(t *testing.T) {
 			t.Errorf("%s speedup %.1fx outside [8,20] (paper %.1fx)", fmtSize(r.Size), r.Speedup, r.PaperSpeedup)
 		}
 	}
-	t.Log("\n" + RenderTable4("Table IV (Intel)", sim.IntelProfile(), rows))
 }

@@ -17,16 +17,8 @@ type Table5Row struct {
 }
 
 // Table5 computes the structural columns analytically from the geometry
-// and takes the overhead column from a Figure 11 run (pass nil to rerun
-// with the default trace length).
-func Table5(fig11 *Fig11Result) (*Fig11Result, []Table5Row, error) {
-	if fig11 == nil {
-		var err error
-		fig11, err = Fig11(0)
-		if err != nil {
-			return nil, nil, err
-		}
-	}
+// and takes the overhead column from the Figure 11 run it is given.
+func Table5(fig11 *Fig11Result) []Table5Row {
 	const secureMemory = 2 << 30
 	var rows []Table5Row
 	for _, level := range Fig11Levels {
@@ -38,7 +30,7 @@ func Table5(fig11 *Fig11Result) (*Fig11Result, []Table5Row, error) {
 			Overhead: fig11.Average[level],
 		})
 	}
-	return fig11, rows, nil
+	return rows
 }
 
 // RenderTable5 prints the rows in the paper's layout (paper: 256K/64K/1.07,
