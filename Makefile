@@ -72,7 +72,7 @@ loc:
 # the last PR that changed it; a tree that has grown past it fails, and the
 # PR that means to grow the module raises the number in its own diff, where
 # a reviewer sees it. A PR that shrinks the module lowers it.
-LOC_MAX := 23923
+LOC_MAX := 24137
 loc-gate:
 	@n=$$($(MAKE) -s loc | awk '$$2 == "total" { print $$1 }'); \
 	if [ "$$n" -gt $(LOC_MAX) ]; then \

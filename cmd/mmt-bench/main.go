@@ -1,9 +1,10 @@
 // Command mmt-bench regenerates the paper's evaluation: every table and
 // figure of "Efficient Distributed Secure Memory with Migratable Merkle
 // Tree" (HPCA 2023), printed as Markdown tables with the paper's published
-// numbers alongside for comparison. EXPERIMENTS.md holds this output
+// numbers alongside for comparison, each experiment ending in a table of the
+// paper's claims checked against its rows. EXPERIMENTS.md holds this output
 // verbatim, one block per experiment, and a test in internal/bench keeps it
-// equal.
+// equal and fails on a claim that does not hold without a stated reason.
 //
 // Usage:
 //
@@ -182,7 +183,7 @@ func runExperiments(accesses int, exp string) {
 		if !runAll && !selected[e.Name] {
 			continue
 		}
-		out, err := e.Run(accesses)
+		out, _, err := e.Output(accesses)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", e.Name, err)
 			failed = true

@@ -95,20 +95,23 @@ func ArityAblation(accesses int) ([]ArityRow, error) {
 	return rows, nil
 }
 
-// RenderAblations runs and prints both ablations.
-func RenderAblations(accesses int) (string, error) {
+// RenderAblations runs and prints both ablations and checks their shape.
+func RenderAblations(accesses int) (string, []Claim, error) {
 	cache, err := CacheSweep(accesses)
 	if err != nil {
-		return "", err
+		return "", nil, err
 	}
 	var out strings.Builder
 	var rows [][]string
-	for _, r := range cache {
+	cheaper, fewerMisses := true, true
+	for i, r := range cache {
 		rows = append(rows, []string{
 			fmtSize(r.CacheBytes),
 			fmt.Sprintf("%.3fx", r.Overhead),
 			fmt.Sprintf("%.1f%%", 100*r.MissRate),
 		})
+		cheaper = cheaper && (i == 0 || r.Overhead <= cache[i-1].Overhead)
+		fewerMisses = fewerMisses && (i == 0 || r.MissRate <= cache[i-1].MissRate)
 	}
 	out.WriteString(renderTable("Ablation: MMT node-cache size (mcf-like, 3-level)",
 		[]string{"Cache", "Overhead", "Miss rate"}, rows))
@@ -116,7 +119,7 @@ func RenderAblations(accesses int) (string, error) {
 
 	arity, err := ArityAblation(accesses)
 	if err != nil {
-		return "", err
+		return "", nil, err
 	}
 	rows = nil
 	for _, r := range arity {
@@ -129,5 +132,13 @@ func RenderAblations(accesses int) (string, error) {
 	}
 	out.WriteString(renderTable("Ablation: leaf arity at 3 levels (mcf-like)",
 		[]string{"Layout", "MMT size", "Meta overhead", "Slowdown"}, rows))
-	return out.String(), nil
+	three := len(arity) == 3
+	return out.String(), []Claim{
+		{Name: "Overhead never rises as the cache grows", Paper: "32 KB node cache (Table II)", Holds: cheaper},
+		{Name: "Miss rate never rises as the cache grows", Paper: "32 KB node cache (Table II)", Holds: fewerMisses},
+		{Name: "MMT size rises with leaf arity", Paper: "leaf arity 64 (§V-A2)",
+			Holds: three && arity[0].MMTSize < arity[1].MMTSize && arity[1].MMTSize < arity[2].MMTSize},
+		{Name: "Meta overhead at leaf-128 <= leaf-32", Paper: "leaf arity 64 (§V-A2)", Holds: three && arity[0].MetaFraction >= arity[2].MetaFraction},
+		{Name: "leaf-64 MMT size is 2M", Paper: "2 MB closures", Holds: three && arity[1].MMTSize == 2<<20},
+	}, nil
 }

@@ -26,10 +26,8 @@ type CounterWidthRow struct {
 // paper's 16-bit split (§V-A2) never overflows at this scale; the sweep
 // shows what narrower counters would cost, the trade-off Morphable
 // counters (cited as [46]) navigate.
-func CounterWidthAblation(writes int) ([]CounterWidthRow, error) {
-	if writes <= 0 {
-		writes = 20_000
-	}
+func CounterWidthAblation() ([]CounterWidthRow, error) {
+	const writes = 20_000
 	var rows []CounterWidthRow
 	for _, bits := range []uint{4, 6, 8, 10, 12, 16} {
 		geo := tree.Geometry{Arities: []int{16, 32, 64}, LocalBits: bits}
@@ -77,13 +75,13 @@ type LossRow struct {
 	GoodputGBps float64 // payload bytes / simulated transfer time
 }
 
+// lossMessages is the length of LossSweep's closure stream.
+const lossMessages = 30
+
 // LossSweep sends a stream of closures through a fabric that drops a
 // fraction of them and measures delivered goodput including retransmission
 // cost. Timing is simulated; the retry policy is channel.Reliable's.
-func LossSweep(messages int) ([]LossRow, error) {
-	if messages <= 0 {
-		messages = 30
-	}
+func LossSweep() ([]LossRow, error) {
 	geo := tree.Geometry{Arities: []int{4, 8, 16}} // 32K closures keep it fast
 	payloadBytes := geo.DataSize() - 64
 	var rows []LossRow
@@ -116,7 +114,7 @@ func LossSweep(messages int) ([]LossRow, error) {
 		}
 		start := tb.epS.Clock().Now()
 		p := payload(payloadBytes)
-		for i := 0; i < messages; i++ {
+		for i := 0; i < lossMessages; i++ {
 			if err := rel.SendReliably(p, pump); err != nil {
 				return nil, fmt.Errorf("loss %d%%: %w", loss, err)
 			}
@@ -126,21 +124,22 @@ func LossSweep(messages int) ([]LossRow, error) {
 			LossPercent: loss,
 			Delivered:   delivered,
 			Retries:     rel.Retries,
-			GoodputGBps: float64(messages*payloadBytes) / float64(elapsed) / 1e9,
+			GoodputGBps: float64(lossMessages*payloadBytes) / float64(elapsed) / 1e9,
 		})
 	}
 	return rows, nil
 }
 
-// RenderExtendedAblations runs and prints the counter-width and loss
-// sweeps.
-func RenderExtendedAblations() (string, error) {
-	cw, err := CounterWidthAblation(0)
+// RenderExtendedAblations runs and prints the counter-width, loss and
+// root-table sweeps and checks their shape.
+func RenderExtendedAblations() (string, []Claim, error) {
+	cw, err := CounterWidthAblation()
 	if err != nil {
-		return "", err
+		return "", nil, err
 	}
 	var rows [][]string
-	for _, r := range cw {
+	monotone := true
+	for i, r := range cw {
 		rows = append(rows, []string{
 			fmt.Sprintf("%d bits", r.LocalBits),
 			fmt.Sprintf("%.1f%%", 100*r.MetaFraction),
@@ -148,16 +147,18 @@ func RenderExtendedAblations() (string, error) {
 			fmt.Sprintf("%d", r.Reencryptions),
 			fmt.Sprintf("%.0f", r.CyclesPerWrite),
 		})
+		monotone = monotone && (i == 0 || r.Overflows <= cw[i-1].Overflows)
 	}
 	out := renderTable("Ablation: local-counter width under a hot-line write storm",
 		[]string{"Local bits", "Meta overhead", "Overflows", "Re-encrypted lines", "Cycles/write"}, rows)
 	out += "\n"
 
-	ls, err := LossSweep(0)
+	ls, err := LossSweep()
 	if err != nil {
-		return "", err
+		return "", nil, err
 	}
 	rows = nil
+	delivered := true
 	for _, r := range ls {
 		rows = append(rows, []string{
 			fmt.Sprintf("%d%%", r.LossPercent),
@@ -165,27 +166,49 @@ func RenderExtendedAblations() (string, error) {
 			fmt.Sprintf("%d", r.Retries),
 			fmt.Sprintf("%.2f", r.GoodputGBps),
 		})
+		delivered = delivered && r.Delivered == lossMessages
 	}
 	out += renderTable("Extension: reliable delegation goodput under packet loss (§VII)",
 		[]string{"Loss", "Delivered", "Retries", "Goodput GB/s"}, rows)
 	out += "\n"
 
-	rt, err := RootTableSweep(0)
+	rt, err := RootTableSweep()
 	if err != nil {
-		return "", err
+		return "", nil, err
 	}
 	rows = nil
-	for _, r := range rt {
+	shrinking, mounting := len(rt) == 5, true
+	for i, r := range rt {
 		rows = append(rows, []string{
 			fmtSize(r.RootTableBytes),
 			fmt.Sprintf("%d", r.ResidentRoots),
 			fmt.Sprintf("%.1f", r.MountsPerKAcc),
 			fmt.Sprintf("%.3fx", r.Overhead),
 		})
+		shrinking = shrinking && (i == 0 || r.ResidentRoots < rt[i-1].ResidentRoots && r.RootTableBytes == 8*r.ResidentRoots)
+		mounting = mounting && (i == 0 || r.MountsPerKAcc >= rt[i-1].MountsPerKAcc)
 	}
 	out += renderTable("Extension: Penglai-style root mounting under SoC pressure (mcf-like, 512 live MMTs)",
 		[]string{"Root table", "Resident roots", "Mounts/kacc", "Overhead"}, rows)
-	return out, nil
+
+	narrow, wide := cw[0], cw[len(cw)-1]
+	clean, lossy := ls[0], ls[len(ls)-1]
+	big, small := rt[0], rt[len(rt)-1]
+	return out, []Claim{
+		{Name: "4-bit counters overflow more than 16-bit", Paper: "16-bit local counters (§V-A2)",
+			Holds: narrow.LocalBits < wide.LocalBits && narrow.Overflows > wide.Overflows},
+		{Name: "4-bit Cycles/write above 16-bit", Paper: "16-bit local counters (§V-A2)", Holds: narrow.CyclesPerWrite > wide.CyclesPerWrite},
+		{Name: "16-bit counters never overflow", Paper: "16-bit local counters (§V-A2)", Holds: wide.Overflows == 0},
+		{Name: "Overflows never rise with width", Paper: "16-bit local counters (§V-A2)", Holds: monotone},
+		{Name: fmt.Sprintf("All %d messages delivered at every loss rate", lossMessages), Paper: "reliable delegation, like RDMA RC (§VII)", Holds: delivered},
+		{Name: "No retries at 0% loss", Paper: "reliable delegation, like RDMA RC (§VII)", Holds: clean.Retries == 0},
+		{Name: "Retries at 20% loss", Paper: "reliable delegation, like RDMA RC (§VII)", Holds: lossy.Retries > 0},
+		{Name: "Goodput lower at 20% loss than at 0%", Paper: "reliable delegation, like RDMA RC (§VII)", Holds: lossy.GoodputGBps < clean.GoodputGBps},
+		{Name: "Five tables, roots falling, 8 B per root", Paper: "8 KB of roots in the SoC (Table II)", Holds: shrinking},
+		{Name: "Mounts/kacc never fall as the table shrinks", Paper: "roots mounted on demand (§VII)", Holds: mounting},
+		{Name: "512B table mounts and costs more than 8K", Paper: "roots mounted on demand (§VII)",
+			Holds: small.MountsPerKAcc > big.MountsPerKAcc && small.Overhead > big.Overhead},
+	}, nil
 }
 
 // RootTableRow is one SoC root-table size of the Penglai-style mounting
@@ -201,10 +224,8 @@ type RootTableRow struct {
 
 // RootTableSweep runs the mcf-like trace (3-level, 512 live MMTs over a
 // 1 GB footprint) against shrinking root tables.
-func RootTableSweep(accesses int) ([]RootTableRow, error) {
-	if accesses <= 0 {
-		accesses = 100_000
-	}
+func RootTableSweep() ([]RootTableRow, error) {
+	const accesses = 100_000
 	cfg, err := specTrace("mcf")
 	if err != nil {
 		return nil, err

@@ -109,3 +109,31 @@ func RenderFig10b(rows []Fig10bRow) string {
 	}
 	return renderTable("Figure 10b: 2M end-to-end vs network latency (paper: 169x -> 4.5x at 10ms)", header, out)
 }
+
+// fig10aClaims checks the plateaus at the largest block.
+func fig10aClaims(rows []Fig10aRow) []Claim {
+	last := rows[len(rows)-1]
+	return []Claim{
+		{Name: "AES-GCM plateau within 1.5-3 GB/s", Paper: "~2.2 GB/s", Holds: within(last.AESGCMGBps, 1.5, 3)},
+		{Name: "RDMA plateau within 9-13 GB/s", Paper: "~11 GB/s", Holds: within(last.RDMAGBps, 9, 13)},
+		{Name: "MMT plateau within 8-11 GB/s", Paper: "9.68 GB/s", Holds: within(last.MMTGBps, 8, 11)},
+		{Name: "MMT plateau below RDMA", Paper: "the NIC rate less the metadata", Holds: last.MMTGBps < last.RDMAGBps},
+		{Name: "MMT plateau >= 3x AES-GCM", Paper: "an order of magnitude over crypto", Holds: last.MMTGBps/last.AESGCMGBps >= 3},
+		{Name: "AES-GCM grows over six or more block sizes", Paper: "setup amortised with block size",
+			Holds: len(rows) >= 6 && rows[0].AESGCMGBps < last.AESGCMGBps},
+	}
+}
+
+// fig10bClaims checks the latency sweep's ends and its slope.
+func fig10bClaims(rows []Fig10bRow) []Claim {
+	first, last := rows[0], rows[len(rows)-1]
+	falling := true
+	for i := 1; i < len(rows); i++ {
+		falling = falling && rows[i].Speedup <= rows[i-1].Speedup
+	}
+	return []Claim{
+		{Name: "Speedup at 0s within 100-260x", Paper: "169x", Holds: first.NetLatency == 0 && within(first.Speedup, 100, 260)},
+		{Name: "Speedup at 10ms within 2-8x", Paper: "4.5x", Holds: last.NetLatency == 10e-3 && within(last.Speedup, 2, 8)},
+		{Name: "Speedup never grows with latency", Paper: "169x falling to 4.5x", Holds: falling},
+	}
+}

@@ -215,3 +215,27 @@ func RenderFig11(res *Fig11Result) string {
 	}
 	return s
 }
+
+// fig11Claims checks Figure 11's averages and Table V's structural columns.
+func fig11Claims(res *Fig11Result, t5 []Table5Row) []Claim {
+	slower := len(res.Rows) >= 10
+	for _, r := range res.Rows {
+		for _, level := range Fig11Levels {
+			slower = slower && r.Overhead[level] >= 1
+		}
+	}
+	sizes := len(t5) == 3
+	for i, want := range [][2]int{{256 << 10, 64 << 10}, {8 << 10, 2 << 20}, {256, 64 << 20}} {
+		sizes = sizes && t5[i].RootSize == want[0] && t5[i].MMTSize == want[1]
+	}
+	a2, a3, a4 := res.Average[2], res.Average[3], res.Average[4]
+	return []Claim{
+		{Name: "Ten or more benchmarks, each >= 1x at every level", Paper: "protection only slows", Holds: slower},
+		{Name: "2-level average within 1.03-1.12x", Paper: "1.07", Holds: within(a2, 1.03, 1.12)},
+		{Name: "3-level average within 1.08-1.17x", Paper: "1.12", Holds: within(a3, 1.08, 1.17)},
+		{Name: "Averages rise with depth", Paper: "1.07 < 1.12 < 1.21", Holds: a2 < a3 && a3 < a4},
+		{Name: "4-level average within 1.17-1.26x", Paper: "1.21", Holds: within(a4, 1.17, 1.26),
+			Reason: "the 4th level's upper nodes stay in the 32 KB node cache"},
+		{Name: "Table V root and MMT sizes", Paper: "256K/64K, 8K/2M, 256B/64M", Holds: sizes},
+	}
+}

@@ -86,3 +86,16 @@ func RenderFig12(rows []Fig12Row) string {
 	}
 	return renderTable("Figure 12: WordCount end-to-end by transferred size (paper: up to 10x; secure channel wins <8K)", header, out)
 }
+
+// fig12Claims checks the crossover and the growth with size.
+func fig12Claims(rows []Fig12Row) []Claim {
+	growing := true
+	for i := 1; i < len(rows); i++ {
+		growing = growing && rows[i].Speedup >= 0.95*rows[i-1].Speedup
+	}
+	return []Claim{
+		{Name: "Smallest size's speedup below 1x", Paper: "the secure channel wins below 8K", Holds: rows[0].Speedup < 1},
+		{Name: "Largest size's speedup within 4-20x", Paper: "up to 10x", Holds: within(rows[len(rows)-1].Speedup, 4, 20)},
+		{Name: "Speedup never falls more than 5% as size grows", Paper: "grows with transferred size", Holds: growing},
+	}
+}

@@ -179,3 +179,34 @@ func RenderFig13b(rows []Fig13bRow) string {
 	}
 	return renderTable("Figure 13b: MnRn scalability (paper: MMT scales like the baseline)", header, out)
 }
+
+// fig13aClaims checks MMT against the baseline and the secure channel at
+// every communication share.
+func fig13aClaims(rows []Fig13aRow) []Claim {
+	near, nearLow, beats, worsening, band := true, true, true, true, true
+	for i, r := range rows {
+		near = near && r.MMT >= 0.75
+		nearLow = nearLow && (r.CommPercent > 10 || r.MMT >= 0.93)
+		beats = beats && r.SecureChannel < r.MMT && r.MMTImprovement > 0
+		worsening = worsening && (i == 0 || r.SecureChannel <= rows[i-1].SecureChannel)
+		band = band && within(r.MMTImprovement, 0.12, 0.58)
+	}
+	return []Claim{
+		{Name: "MMT >= 0.75 at every share", Paper: "MMT ~= baseline", Holds: near},
+		{Name: "MMT >= 0.93 at comm <= 10%", Paper: "1.5% overhead at comm-10%", Holds: nearLow},
+		{Name: "MMT above SecureChannel at every share", Paper: "MMT beats the secure channel", Holds: beats},
+		{Name: "SecureChannel never rises with comm share", Paper: "the secure channel deteriorates", Holds: worsening},
+		{Name: "MMT vs SC within +12-58% at every share", Paper: "12-58%", Holds: band,
+			Reason: "our secure channel's crypto does not overlap compute"},
+	}
+}
+
+// fig13bClaims checks that MMT keeps scaling, like the baseline.
+func fig13bClaims(rows []Fig13bRow) []Claim {
+	last := rows[len(rows)-1]
+	ratio := last.SpeedupVsM1MMT / last.SpeedupVsM1Baseline
+	return []Claim{
+		{Name: "M8R8 MMT scaling >= 2x", Paper: "MMT keeps scaling", Holds: last.SpeedupVsM1MMT >= 2},
+		{Name: "M8R8 MMT over baseline scaling within 0.5-2", Paper: "MMT scales like the baseline", Holds: within(ratio, 0.5, 2)},
+	}
+}

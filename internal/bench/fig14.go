@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"math"
 
 	"mmt/internal/graph"
 	"mmt/internal/par"
@@ -101,4 +102,23 @@ func RenderFig14(rows []Fig14Row, crossEdges int) string {
 	}
 	title := fmt.Sprintf("Figure 14: PageRank/GAS on 2 machines, %d cross edges (paper: MMT transfer 5%% vs 37.5%%, +35%% end-to-end)", crossEdges)
 	return renderTable(title, header, out)
+}
+
+// fig14Claims checks the remote-transfer shares and the end-to-end gain.
+func fig14Claims(rows []Fig14Row, cross int) []Claim {
+	by := map[graph.Mode]Fig14Row{}
+	for _, r := range rows {
+		by[r.Mode] = r
+	}
+	mmt, sec, non := by[graph.MMT], by[graph.SecureChannel], by[graph.NonSecure]
+	const unoverlapped = "our secure channel pays the full unoverlapped Table IV cost"
+	return []Claim{
+		{Name: "Cross edges >= 30k", Paper: "~60k", Holds: cross >= 30_000},
+		{Name: "MMT RemoteTransfer% <= 15%", Paper: "5%", Holds: mmt.RemoteTransferShare <= 0.15},
+		{Name: "SecureChannel RemoteTransfer% within 20-60%", Paper: "37.5%", Holds: within(sec.RemoteTransferShare, 0.2, 0.6)},
+		{Name: "MMT vs SecureChannel within +15-60%", Paper: "+35%", Holds: within(mmt.VsSecureChannel, 0.15, 0.6)},
+		{Name: "MMT Elapsed within 25% of non-secure", Paper: "MMT ~= non-secure", Holds: math.Abs(float64(mmt.Elapsed-non.Elapsed))/float64(non.Elapsed) <= 0.25},
+		{Name: "SecureChannel RemoteTransfer% within 27.5-47.5%", Paper: "37.5%", Holds: within(sec.RemoteTransferShare, 0.275, 0.475), Reason: unoverlapped},
+		{Name: "MMT vs SecureChannel within +25-45%", Paper: "+35%", Holds: within(mmt.VsSecureChannel, 0.25, 0.45), Reason: unoverlapped},
+	}
 }

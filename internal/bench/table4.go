@@ -144,3 +144,30 @@ func RenderTable4(title string, prof *sim.Profile, rows []Table4Row) string {
 	}
 	return renderTable(fmt.Sprintf("%s (%s)", title, unit), header, out)
 }
+
+// table4Claims checks the Gem5 half's shape: rows run 2M down to 2K.
+func table4Claims(rows []Table4Row) []Claim {
+	top, last := rows[0], rows[len(rows)-1]
+	falling, flat := true, len(rows) == 6
+	for i := 1; i < len(rows); i++ {
+		falling = falling && rows[i].Speedup < rows[i-1].Speedup
+		flat = flat && rows[i].MMT == top.MMT
+	}
+	crypto := float64(top.Encrypt+top.Decrypt) / float64(top.SecureChannel)
+	return []Claim{
+		{Name: "2M speedup within 100-260x", Paper: "169x at 2M", Holds: within(top.Speedup, 100, 260)},
+		{Name: "2K speedup below 1x", Paper: "0.45x: the secure channel wins below 8K", Holds: last.Speedup < 1},
+		{Name: "Speedup falls at every smaller size", Paper: "169x down to 0.45x", Holds: falling},
+		{Name: "MMT equal at all six sizes", Paper: "422 at every size: one closure", Holds: flat},
+		{Name: "Encrypt+Decrypt >= 80% of SecureChannel at 2M", Paper: "~45% each", Holds: crypto >= 0.8},
+	}
+}
+
+// table4IntelClaims checks the Intel half: a flat speedup.
+func table4IntelClaims(rows []Table4Row) []Claim {
+	flat := true
+	for _, r := range rows {
+		flat = flat && within(r.Speedup, 8, 20)
+	}
+	return []Claim{{Name: "Speedup within 8-20x at every size", Paper: "13.1x / 12.7x / 12.7x", Holds: flat}}
+}
