@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
-	"slices"
 
 	"mmt/internal/crypt"
 	"mmt/internal/trace"
@@ -99,7 +98,7 @@ type treeScratch struct {
 	ctrs [maskBatch]uint64
 	blk  [maskBatch * crypt.MaskBaseSize]byte
 
-	flushN  [maskBatch]int    // flushAll's batch of stale nodes
+	flushN  [maskBatch]int    // flushAll's batch of stale nodes, VerifyAll's of unverified ones,
 	flushPC [maskBatch]uint64 // and their parent counters
 	oneN    [1]int            // nodeMAC's list of one for a miss outside a keyed batch,
 	onePC   [1]uint64         // and its parent counter
@@ -442,7 +441,7 @@ func (t *Tree) settle() {
 }
 
 // flush computes level-l node n's MAC if it was deferred. Every reader of
-// mac[n] — checkNode, appendNode, NodeRef.MAC, Clone — flushes first.
+// mac[n] — checkNode, AppendNode, NodeRef.MAC; Serialize, Clone all — first.
 //
 //mmt:hotpath
 func (t *Tree) flush(l, n int) {
@@ -660,12 +659,25 @@ func (t *Tree) VerifyPath(e *crypt.Engine, guaddr uint64, line int) error {
 // VerifyAll checks every node MAC in (level, index) order, stopping at
 // the first mismatch; the closure-delegation engine runs this after
 // unsealing a transferred root. A tree that passes is verified whole.
+// The masks of each maskBatch nodes are keyed together before any of them
+// is checked, as flushAll keys the MACs it computes.
 func (t *Tree) VerifyAll(e *crypt.Engine, guaddr uint64) error {
 	t.bind(e, guaddr)
 	t.flushAll() // in batches; checkNode would flush node by node
-	for n := 0; n < t.lay.Nodes; n++ {
-		if err := t.checkNode(e, guaddr, t.lay.levelOf(n), n); err != nil {
-			return err
+	s := &t.scr
+	for first := 0; first < t.lay.Nodes; first += maskBatch {
+		end, k := min(first+maskBatch, t.lay.Nodes), 0
+		for n := first; n < end; n++ {
+			if !bit(t.verified, n) {
+				s.flushN[k], s.flushPC[k] = n, t.parentCounter(t.lay.levelOf(n), n)
+				k++
+			}
+		}
+		t.keyMasks(e, guaddr, s.flushN[:k], s.flushPC[:k])
+		for n := first; n < end; n++ {
+			if err := t.checkNode(e, guaddr, t.lay.levelOf(n), n); err != nil {
+				return err
+			}
 		}
 	}
 	fill(t.verified, t.lay.Nodes)
@@ -806,49 +818,46 @@ func (t *Tree) UpdateRun(e *crypt.Engine, guaddr uint64, line, n int) bool {
 }
 
 // appendNode appends level-l node n's serialized record to dst: global u64,
-// locals u16 in slot order, MAC u64, all little endian. Because the
-// packed in-word field order is little-endian too, the locals are the
-// arena words' LE bytes, the final partial word truncated — the serialized
-// format is unchanged from the per-node layout of earlier versions.
+// locals u16 in slot order, MAC u64, all little endian — the locals are the
+// arena words' LE bytes (the packed in-word field order is little-endian
+// too), the final partial word truncated. Callers flush the node first.
 func (t *Tree) appendNode(dst []byte, l, n int) []byte {
-	t.flush(l, n)
 	lv := &t.lay.Level[l]
-	at := len(dst)
-	dst = slices.Grow(dst, lv.NodeSize)[:at+lv.NodeSize]
-	rec, words := dst[at:], t.packed(l, n)
+	words := t.packed(l, n)
 	// The global and the whole words of locals, then the bytes of a last,
 	// partial word up to where the MAC starts.
 	whole := 1 + lv.Arity/4
-	for k, w := range words[:whole] {
-		binary.LittleEndian.PutUint64(rec[8*k:], w)
+	for _, w := range words[:whole] {
+		dst = binary.LittleEndian.AppendUint64(dst, w)
 	}
 	if whole < len(words) {
 		for j, w := 8*whole, words[whole]; j < lv.NodeSize-8; j, w = j+1, w>>8 {
-			rec[j] = byte(w)
+			dst = append(dst, byte(w))
 		}
 	}
-	binary.LittleEndian.PutUint64(rec[lv.NodeSize-8:], t.mac[n])
-	return dst
+	return binary.LittleEndian.AppendUint64(dst, t.mac[n])
 }
 
-// setNodeFromBytes decodes one serialized node record into the arena.
-// Unused high fields of a trailing partial word are zeroed — an invariant
+// setNodeFromBytes decodes one serialized node record into the arena, the
+// mirror of appendNode: whole words at a time, single bytes only for a last,
+// partial word of locals. Its unused high fields stay zero — an invariant
 // every arena record maintains so hashes and re-serialization agree.
 func (t *Tree) setNodeFromBytes(l, n int, b []byte) {
-	off := t.ctrOff(l, n)
-	t.ctr[off] = binary.LittleEndian.Uint64(b)
-	pos := 8
-	rem := 2 * t.lay.Level[l].Arity
-	for k := off + 1; k < off+t.lay.Level[l].CtrStride; k++ {
-		var w uint64
-		for j := 0; j < min(rem, 8); j++ {
-			w |= uint64(b[pos+j]) << (8 * uint(j))
-		}
-		t.ctr[k] = w
-		pos += min(rem, 8)
-		rem -= 8
+	lv := &t.lay.Level[l]
+	b = b[:lv.NodeSize]
+	off, whole := t.ctrOff(l, n), 1+lv.Arity/4
+	words := t.ctr[off : off+lv.CtrStride]
+	for k := range words[:whole] {
+		words[k] = binary.LittleEndian.Uint64(b[8*k:])
 	}
-	t.mac[n] = binary.LittleEndian.Uint64(b[pos:])
+	if whole < len(words) {
+		var w uint64
+		for j := lv.NodeSize - 9; j >= 8*whole; j-- {
+			w = w<<8 | uint64(b[j])
+		}
+		words[whole] = w
+	}
+	t.mac[n] = binary.LittleEndian.Uint64(b[lv.NodeSize-8:])
 }
 
 // Serialize encodes all tree nodes (not the root counter — that travels
@@ -888,7 +897,9 @@ func Deserialize(geo Geometry, data []byte) (*Tree, error) {
 // endian) — to dst and returns the extended slice. This is the unit record
 // of the mmt-store/v1 dirty-node stream.
 func (t *Tree) AppendNode(dst []byte, l, i int) []byte {
-	return t.appendNode(dst, l, t.lay.Level[l].Base+i)
+	n := t.lay.Level[l].Base + i
+	t.flush(l, n)
+	return t.appendNode(dst, l, n)
 }
 
 // SetNodeFromBytes overwrites node (l, i) from its serialized form. Used

@@ -10,6 +10,7 @@ import (
 	"testing/quick"
 
 	"mmt/internal/crypt"
+	"mmt/internal/trace"
 )
 
 // smallGeo is a tiny tree for fast exhaustive tests: 2*3*4 = 24 lines.
@@ -107,13 +108,47 @@ func TestTamperGlobalCounterDetected(t *testing.T) {
 	}
 }
 
+// TestTamperMACDetected: VerifyAll on a freshly decoded tree whose blob has
+// node MACs flipped names the lowest flat index among them — the node a
+// check in flat order meets first, whatever batch of masks it falls in —
+// and counts one verification per node up to and including it; a clean
+// tree counts one per node.
 func TestTamperMACDetected(t *testing.T) {
 	e := testEngine()
-	tr := mustNew(smallGeo(), e, guaddr)
-	n := tr.Node(0, 0)
-	n.SetMAC(n.MAC() ^ 1)
-	if err := tr.VerifyAll(e, guaddr); !errors.Is(err, ErrIntegrity) {
-		t.Fatalf("tampered MAC not detected: %v", err)
+	src := mustNew(ForLevels(2), e, guaddr) // 17 nodes: batches 0–7, 8–15, 16
+	for line := range src.lay.Lines {
+		src.Update(e, guaddr, line)
+	}
+	last := src.lay.Nodes - 1
+	for _, flip := range [][]int{{}, {0}, {7}, {8}, {9}, {last}, {13, 10}, {9, last}} {
+		t.Run(fmt.Sprint(flip), func(t *testing.T) {
+			blob := src.Serialize()
+			for _, n := range flip {
+				lv := &src.lay.Level[src.lay.levelOf(n)]
+				blob[lv.Offset+(n-lv.Base+1)*lv.NodeSize-1] ^= 0x80 // the MAC's last byte
+			}
+			tr, err := Deserialize(src.geo, blob)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tr.SetRootCounter(src.RootCounter())
+			sink := trace.NewSink()
+			tr.SetTrace(sink.Probe("verify"))
+			err = tr.VerifyAll(e, guaddr)
+			verifies := sink.Snapshot().Counter(trace.CtrTreeNodeVerifies)
+			if len(flip) == 0 {
+				if err != nil || verifies != uint64(src.lay.Nodes) {
+					t.Fatalf("clean tree: %v, %d verifications, want nil, %d", err, verifies, src.lay.Nodes)
+				}
+				return
+			}
+			n := slices.Min(flip)
+			l := src.lay.levelOf(n)
+			want := fmt.Sprintf("%v: node level %d index %d", ErrIntegrity, l, n-src.lay.Level[l].Base)
+			if !errors.Is(err, ErrIntegrity) || err.Error() != want || verifies != uint64(n+1) {
+				t.Fatalf("VerifyAll: %v, %d verifications, want %q, %d", err, verifies, want, n+1)
+			}
+		})
 	}
 }
 
@@ -248,6 +283,54 @@ func TestSerializeRoundTrip(t *testing.T) {
 	if back.LeafCounter(0) != tr.LeafCounter(0) {
 		t.Fatal("leaf counters differ after round trip")
 	}
+}
+
+// codecGeos are FuzzTreeCodec's geometries: the paper's 2-level tree
+// ({16, 64}: whole words of locals only), and two whose upper levels end
+// in a partial word of locals (arities 2 and 3), one with 2-bit locals.
+var codecGeos = []Geometry{ForLevels(2), {Arities: []int{2, 3, 96}, LocalBits: 2}, smallGeo()}
+
+// FuzzTreeCodec: Deserialize accepts exactly the byte strings of a
+// geometry's NodesSize, and Serialize — and AppendNode, node by node —
+// gives each back byte for byte; every other length is refused. An input
+// of another length is also tried cycled out to the right one. The
+// committed corpus holds all-0xFF blobs of each geometry: a decoder that
+// drops a partial word's bytes reads them back as zeros.
+func FuzzTreeCodec(f *testing.F) {
+	f.Fuzz(func(t *testing.T, g uint8, b []byte) {
+		geo := codecGeos[int(g)%len(codecGeos)]
+		lay, _ := geo.Layout()
+		if len(b) != lay.NodesSize {
+			if _, err := Deserialize(geo, b); err == nil {
+				t.Fatalf("%d bytes accepted, want %d", len(b), lay.NodesSize)
+			}
+			full := make([]byte, lay.NodesSize)
+			for i := 0; len(b) > 0 && i < len(full); i++ {
+				full[i] = b[i%len(b)]
+			}
+			b = full
+		}
+		tr, err := Deserialize(geo, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := tr.Serialize(); !bytes.Equal(got, b) {
+			i := 0
+			for got[i] == b[i] {
+				i++
+			}
+			t.Fatalf("Serialize(Deserialize(b)) differs from b first at byte %d: %#x, want %#x", i, got[i], b[i])
+		}
+		var nodes []byte
+		for l, lv := range lay.Level {
+			for i := range lv.Nodes {
+				nodes = tr.AppendNode(nodes, l, i)
+			}
+		}
+		if !bytes.Equal(nodes, b) {
+			t.Fatal("AppendNode over every node differs from b")
+		}
+	})
 }
 
 func TestDeserializeRejectsWrongSize(t *testing.T) {
@@ -403,6 +486,48 @@ func BenchmarkFlushAll256(b *testing.B) {
 	}
 	b.ReportMetric(float64(nodes)/float64(b.N), "nodes/op")
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(nodes), "ns/node")
+}
+
+// BenchmarkCodec times the receiver's and the sender's whole-tree passes on
+// the 3-level tree (75 KB serialized), every counter written once: Serialize,
+// Deserialize, and VerifyAll on a freshly decoded tree (the decode untimed).
+func BenchmarkCodec(b *testing.B) {
+	e := testEngine()
+	src := mustNew(ForLevels(3), e, guaddr)
+	for line := range src.lay.Lines {
+		src.Update(e, guaddr, line)
+	}
+	blob := src.Serialize()
+	decode := func(b *testing.B) *Tree {
+		tr, err := Deserialize(src.geo, blob)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return tr
+	}
+	b.Run("Serialize", func(b *testing.B) {
+		b.ReportAllocs()
+		for range b.N {
+			src.Serialize()
+		}
+	})
+	b.Run("Deserialize", func(b *testing.B) {
+		b.ReportAllocs()
+		for range b.N {
+			decode(b)
+		}
+	})
+	b.Run("VerifyAll", func(b *testing.B) {
+		for range b.N {
+			b.StopTimer()
+			tr := decode(b)
+			tr.SetRootCounter(src.RootCounter())
+			b.StartTimer()
+			if err := tr.VerifyAll(e, guaddr); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // TestUpdateRunMatchesUpdates pins UpdateRun to the procedure it batches:
