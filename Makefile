@@ -72,7 +72,7 @@ loc:
 # the last PR that changed it; a tree that has grown past it fails, and the
 # PR that means to grow the module raises the number in its own diff, where
 # a reviewer sees it. A PR that shrinks the module lowers it.
-LOC_MAX := 24148
+LOC_MAX := 22720
 loc-gate:
 	@n=$$($(MAKE) -s loc | awk '$$2 == "total" { print $$1 }'); \
 	if [ "$$n" -gt $(LOC_MAX) ]; then \
@@ -82,8 +82,10 @@ loc-gate:
 
 # bench: measured run of the hot-path kernels (crypt scratch kernels,
 # the tree's warm and cold path check, deferred update and flush, engine
-# read/write path, cache) plus the public API. The scratch-path benchmarks
-# must report 0 allocs/op. What runs faster with more processors — the
+# read/write path, cache) plus the public API, in ns/op and allocs/op. It
+# asserts nothing: the zero-allocation gate is `go test`'s
+# TestScratchPathsAllocFree, TestReadWriteZeroAlloc and their neighbours,
+# which measure the same paths. What runs faster with more processors — the
 # two halves of a migration (the sender's frame encode, allocator and GC;
 # the receiver's Install, both sweeps cut per processor) and the 2 MB range
 # read and write, whose line crypto is pipelined — runs again at 1, 2 and 4.

@@ -1,6 +1,6 @@
 // Package analyzers is the mmt-vet static-analysis suite: the rules
-// that machine-enforce the repository's determinism, crypto-safety and
-// hot-path invariants.
+// that machine-enforce the repository's determinism and crypto-safety
+// invariants.
 //
 // Every figure and table this repository reproduces must be a pure
 // function of the seed and the internal/sim clock, and every security
@@ -12,20 +12,18 @@
 // One rule is one Analyzer value, documented where it is declared; All
 // is the suite and `mmt-vet -list` prints it. Every rule has the same
 // shape: Run receives one Pass holding every loaded package and walks
-// the in-scope ones with Pass.files or Pass.forEachCall. One rule needs
-// more than syntax and types: noalloc splits each function's CFG
-// (cfg.go) into hot and cold blocks and follows static calls across
-// packages through the function index (dataflow.go). Its call-graph
-// coverage is complete only when the run's patterns are ./..., which is
-// what CI runs.
+// the in-scope ones with Pass.files or Pass.forEachCall.
 //
-// IDs MMT009 (lockorder), MMT010 (phasecharge) and MMT012
-// (samplerwindow) are retired and never reused. The module's mutexes are
-// leaves — no code path holds two different ones — so `go test -race`, a
-// tier-1 target, is the concurrency gate; trace.Probe.Charge books a
-// cost to its phase and the clock in one call, so the two cannot
-// disagree, and simclock confines the clock's AdvanceCycles to it; and a
-// sampler window that is not a power of two is refused at run time by
+// IDs MMT008 (noalloc), MMT009 (lockorder), MMT010 (phasecharge) and
+// MMT012 (samplerwindow) are retired and never reused. The steady-state
+// paths' zero allocations are asserted by the testing.AllocsPerRun tests
+// that run them, which catch every allocation the rule caught and the
+// ones its cold-path guess missed; the module's mutexes are leaves — no
+// code path holds two different ones — so `go test -race`, a tier-1
+// target, is the concurrency gate; trace.Probe.Charge books a cost to its
+// phase and the clock in one call, so the two cannot disagree, and
+// simclock confines the clock's AdvanceCycles to it; and a sampler window
+// that is not a power of two is refused at run time by
 // trace.Sink.EnableSeries wherever it comes from.
 //
 // The framework borrows the vocabulary of golang.org/x/tools/go/analysis
@@ -78,12 +76,6 @@ type Pass struct {
 	// Report records a finding unless it lies in a _test.go file or an
 	// //mmt:allow comment for this analyzer covers it.
 	Report func(Diagnostic)
-	// Suppressed reports whether an //mmt:allow comment for this analyzer
-	// covers pos, and marks that comment as used. Analyzers query it to
-	// prune traversals (e.g. noalloc stopping at an allowed call site)
-	// without emitting a diagnostic first; Report applies the same check
-	// automatically.
-	Suppressed func(token.Pos) bool
 }
 
 // Diagnostic is one finding at one source position.
@@ -149,8 +141,8 @@ func (p *Pass) forEachBody(fn func(u *PackageUnit, body *ast.BlockStmt)) {
 }
 
 // All returns the full mmt-vet suite in stable order. Diagnostic IDs are
-// append-only; MMT009, MMT010 and MMT012 are retired (see the package
-// comment).
+// append-only; MMT008, MMT009, MMT010 and MMT012 are retired (see the
+// package comment).
 func All() []*Analyzer {
 	return []*Analyzer{
 		SimClock,      // MMT001
@@ -160,7 +152,6 @@ func All() []*Analyzer {
 		MapOrder,      // MMT005
 		ParClock,      // MMT006
 		EventKind,     // MMT007
-		NoAlloc,       // MMT008
 		TraceCtx,      // MMT011
 	}
 }

@@ -78,3 +78,14 @@ func reportCaptures(pass *Pass, pkg, typ, remedy string) {
 		}
 	})
 }
+
+// isNamed reports whether t is the named type pkgPath.name or a pointer
+// to it, aliases resolved.
+func isNamed(t types.Type, pkgPath, name string) bool {
+	t = types.Unalias(t)
+	if p, ok := t.(*types.Pointer); ok {
+		t = types.Unalias(p.Elem())
+	}
+	n, ok := t.(*types.Named)
+	return ok && n.Obj().Name() == name && n.Obj().Pkg() != nil && n.Obj().Pkg().Path() == pkgPath
+}

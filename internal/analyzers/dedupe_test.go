@@ -17,10 +17,10 @@ func TestDedupeFindings(t *testing.T) {
 		}
 	}
 	fs := []Finding{
-		at("noalloc", "make allocates", 7),
-		at("other", "make allocates", 7),
-		at("noalloc", "append may grow and allocate", 7),
-		at("noalloc", "make allocates", 9),
+		at("nopanic", "panic in library code", 7),
+		at("other", "panic in library code", 7),
+		at("nopanic", "panic with a formatted message", 7),
+		at("nopanic", "panic in library code", 9),
 	}
 	sortFindings(fs)
 	out := dedupeFindings(fs)

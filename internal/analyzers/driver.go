@@ -132,7 +132,6 @@ func analyze(fset *token.FileSet, units []*PackageUnit, as []*Analyzer, allow *a
 					findings = append(findings, Finding{Analyzer: a.Name, Pos: pos, Message: d.Message})
 				}
 			},
-			Suppressed: func(pos token.Pos) bool { return allow.use(a.Name, fset.Position(pos)) },
 		})
 	}
 	return findings

@@ -2,6 +2,7 @@ package analyzers_test
 
 import (
 	"bytes"
+	"fmt"
 	"go/token"
 	"os"
 	"path/filepath"
@@ -47,14 +48,17 @@ func G() int { return 2 }
 
 //mmt:allow lockorder: a retired rule is no rule
 func H() int { return 3 }
+
+//mmt:allow noalloc: nor is the allocation rule the tests replaced
+func I() int { return 4 }
 `,
 	})
 	findings, err := analyzers.Run(dir, []string{"./..."}, analyzers.All())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(findings) != 3 {
-		t.Fatalf("got %d findings, want 3: %v", len(findings), findings)
+	if len(findings) != 4 {
+		t.Fatalf("got %d findings, want 4: %v", len(findings), findings)
 	}
 	for _, f := range findings {
 		if f.Analyzer != "unusedallow" || f.ID() != analyzers.UnusedAllowID {
@@ -67,8 +71,10 @@ func H() int { return 3 }
 	if !strings.Contains(findings[1].Message, `unknown analyzer "nosuch"`) {
 		t.Errorf("second finding %q, want unknown-analyzer audit", findings[1].Message)
 	}
-	if !strings.Contains(findings[2].Message, `unknown analyzer "lockorder"`) {
-		t.Errorf("third finding %q, want the retired name audited as unknown", findings[2].Message)
+	for i, name := range []string{"lockorder", "noalloc"} {
+		if f := findings[2+i]; !strings.Contains(f.Message, fmt.Sprintf("unknown analyzer %q", name)) {
+			t.Errorf("finding %q, want the retired name %s audited as unknown", f.Message, name)
+		}
 	}
 
 	// Partial run: nopanic did not run, so its allow is not auditable;
@@ -77,8 +83,8 @@ func H() int { return 3 }
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(findings) != 2 || !strings.Contains(findings[0].Message, `unknown analyzer "nosuch"`) {
-		t.Fatalf("partial run: got %v, want only the two unknown-analyzer audits", findings)
+	if len(findings) != 3 || !strings.Contains(findings[0].Message, `unknown analyzer "nosuch"`) {
+		t.Fatalf("partial run: got %v, want only the three unknown-analyzer audits", findings)
 	}
 }
 
@@ -120,7 +126,7 @@ func TestDriverSurfacesCompileError(t *testing.T) {
 // goldenFindings is a fixed finding list; paths sit under the fake root
 // /m so output is machine-independent.
 func goldenFindings() []analyzers.Finding {
-	f1 := analyzers.Finding{Analyzer: "noalloc", Message: "hot path mmt/internal/x.F: make allocates"}
+	f1 := analyzers.Finding{Analyzer: "nopanic", Message: "panic in library code"}
 	f1.Pos.Filename = "/m/internal/x/x.go"
 	f1.Pos.Line = 12
 	f1.Pos.Column = 7

@@ -23,7 +23,6 @@ func TestNoPanic(t *testing.T)       { analysistest.Run(t, analyzers.NoPanic, "n
 func TestMapOrder(t *testing.T)      { analysistest.Run(t, analyzers.MapOrder, "maporder") }
 func TestParClock(t *testing.T)      { analysistest.Run(t, analyzers.ParClock, "parclock") }
 func TestEventKind(t *testing.T)     { analysistest.Run(t, analyzers.EventKind, "eventkind") }
-func TestNoAlloc(t *testing.T)       { analysistest.Run(t, analyzers.NoAlloc, "noalloc") }
 func TestTraceCtx(t *testing.T)      { analysistest.Run(t, analyzers.TraceCtx, "tracectx") }
 
 // TestEveryRuleHasFixture is the table over the suite: a rule in

@@ -38,8 +38,6 @@ func newPadKeys(key Key) (rk padKeys) {
 // the pad key into dst — the one AES primitive every pad, mask and tweak
 // base goes through. dst and src are the same bytes (in place) or do not
 // overlap. Neither escapes, so callers may stage on the stack.
-//
-//mmt:hotpath
 func (e *Engine) encryptBlocks(dst, src []byte) {
 	if n := len(src) / aes.BlockSize; n > 0 {
 		aesniBlocks(&e.rk, &dst[:n*aes.BlockSize][0], &src[0], n)

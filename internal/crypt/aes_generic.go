@@ -17,8 +17,6 @@ func newPadKeys(Key) padKeys { return padKeys{} }
 // the pad key into dst, one cipher.Block call each. dst and src are the
 // same bytes (in place) or do not overlap. Both escape through the
 // interface, so callers stage in long-lived memory (planes, a Scratch).
-//
-//mmt:hotpath
 func (e *Engine) encryptBlocks(dst, src []byte) {
 	for off := 0; off+aes.BlockSize <= len(src); off += aes.BlockSize {
 		e.block.Encrypt(dst[off:off+aes.BlockSize], src[off:off+aes.BlockSize])

@@ -129,8 +129,6 @@ type Tweak struct {
 // evaluated at the secret point, the packed slice used in place. Callers
 // that cache per-node masks (the tree's mask planes) compose the MAC
 // themselves: NodeMAC == NodeHash ^ mask(guaddr, nodeID, parentCounter).
-//
-//mmt:hotpath
 func (e *Engine) NodeHash(parentCounter, arity uint64, packed []uint64) uint64 {
 	return e.mulx.EvalPrefixed(parentCounter, arity, packed)
 }
@@ -148,8 +146,6 @@ func (e *Engine) NodeHash(parentCounter, arity uint64, packed []uint64) uint64 {
 // itself does). One XOR, one negate, one OR, one shift — no data-
 // dependent branches, no byte staging, and ~5x cheaper than routing two
 // uint64s through subtle.ConstantTimeCompare on the hot read path.
-//
-//mmt:hotpath
 func TagEqual(a, b uint64) bool {
 	x := a ^ b
 	return (x|-x)>>63 == 0

@@ -82,8 +82,6 @@ func padInput(dst *[LineSize]byte, base *block, counter uint64) {
 // per-node mask cache) compute it once and replay it through
 // MaskFromBase / PadLineFromBase, halving the AES work of a MAC mask and
 // shaving a block off every pad. MaskBases is the form for several ids.
-//
-//mmt:hotpath
 func (e *Engine) MaskBaseInto(guaddr uint64, id uint32, domain byte, dst []byte, _ *Scratch) {
 	dst = dst[:aes.BlockSize]
 	baseInput((*block)(dst), guaddr, id, domain)
@@ -92,8 +90,6 @@ func (e *Engine) MaskBaseInto(guaddr uint64, id uint32, domain byte, dst []byte,
 
 // MaskBases is MaskBaseInto for the ids of one domain at once: id i's base
 // lands at dst[i*MaskBaseSize:], all of them from one encryptBlocks call.
-//
-//mmt:hotpath
 func (e *Engine) MaskBases(guaddr uint64, domain byte, ids []uint32, dst []byte) {
 	dst = dst[:len(ids)*MaskBaseSize]
 	for i, id := range ids {
@@ -106,8 +102,6 @@ func (e *Engine) MaskBases(guaddr uint64, domain byte, ids []uint32, dst []byte)
 // AES(base XOR (counter, mask lane)). Identical to the mask macMask
 // derives for the (guaddr, id, domain) the base was built from.
 // MasksFromBases is the form for several bases.
-//
-//mmt:hotpath
 func (e *Engine) MaskFromBase(base []byte, counter uint64, s *Scratch) uint64 {
 	laneInput(&s.blk, (*block)(base), counter, maskLane)
 	e.encryptBlocks(s.blk[:], s.blk[:])
@@ -118,8 +112,6 @@ func (e *Engine) MaskFromBase(base []byte, counter uint64, s *Scratch) uint64 {
 // blk holds base i at blk[i*MaskBaseSize:] on entry and, on return, the
 // PRF block whose Mask is that base's mask at ctrs[i] — all of them from
 // one encryptBlocks call.
-//
-//mmt:hotpath
 func (e *Engine) MasksFromBases(blk []byte, ctrs []uint64) {
 	blk = blk[:len(ctrs)*MaskBaseSize]
 	for i, ctr := range ctrs {
@@ -137,8 +129,6 @@ func Mask(blk []byte) uint64 { return binary.LittleEndian.Uint64(blk[:8]) }
 // whose DomainPad base is base, at version counter: the keystream XORPad
 // applies for the matching tweak, minus the per-call tweakBase AES — four
 // blocks, one encryptBlocks call.
-//
-//mmt:hotpath
 func (e *Engine) PadLineFromBase(base []byte, counter uint64, s *Scratch) *[LineSize]byte {
 	padInput(&s.pad, (*block)(base), counter)
 	e.encryptBlocks(s.pad[:], s.pad[:])
@@ -158,8 +148,6 @@ const (
 // LineBases derives both tweak bases of the len(dst)/LineBasesSize
 // consecutive lines starting at line, in place in dst: two blocks per
 // line, one encryptBlocks call for all of them.
-//
-//mmt:hotpath
 func (e *Engine) LineBases(guaddr uint64, line uint32, dst []byte) {
 	dst = dst[:len(dst)/LineBasesSize*LineBasesSize]
 	for off := 0; off < len(dst); off, line = off+LineBasesSize, line+1 {
@@ -175,8 +163,6 @@ func (e *Engine) LineBases(guaddr uint64, line uint32, dst []byte) {
 // line, one encryptBlocks call for all of them. The keystream is what
 // PadLineFromBase returns and Mask of the trailing block what
 // MaskFromBase returns.
-//
-//mmt:hotpath
 func (e *Engine) LineKeys(bases []byte, ctrs []uint64, keys []byte) {
 	bases, keys = bases[:len(ctrs)*LineBasesSize], keys[:len(ctrs)*LineKeysSize]
 	for i, ctr := range ctrs {
@@ -192,8 +178,6 @@ func (e *Engine) LineKeys(bases []byte, ctrs []uint64, keys []byte) {
 // at a time: with the pad from PadLineFromBase (or the engine's memoised
 // per-line pad plane) it both encrypts and decrypts. line and dst may
 // alias.
-//
-//mmt:hotpath
 func XORLine(dst, line, pad []byte) {
 	if len(line) != LineSize || len(dst) != LineSize || len(pad) < LineSize {
 		//mmt:allow nopanic: caller bug, equivalent to built-in bounds check
@@ -206,8 +190,6 @@ func XORLine(dst, line, pad []byte) {
 // loaded before any is stored, so dst may be line itself. Written out word
 // by word because the eight-step loop it replaces cost 3 ns more per line
 // in SealLines and OpenLines (11.0 against 14.0 ns, best of six).
-//
-//mmt:hotpath
 func xorLine(dst, line, pad *[LineSize]byte) {
 	w0 := binary.LittleEndian.Uint64(line[0:]) ^ binary.LittleEndian.Uint64(pad[0:])
 	w1 := binary.LittleEndian.Uint64(line[8:]) ^ binary.LittleEndian.Uint64(pad[8:])
@@ -232,8 +214,6 @@ func xorLine(dst, line, pad *[LineSize]byte) {
 // length-binding term. Callers with a cached DomainLineMAC mask (the
 // engine's per-line mask cache) XOR it in themselves; LineMACBuf composes
 // the two for everyone else.
-//
-//mmt:hotpath
 func (e *Engine) LineHash(ct []byte, _ *Scratch) uint64 {
 	if len(ct) != LineSize {
 		//mmt:allow nopanic: caller bug, equivalent to built-in bounds check
@@ -245,8 +225,6 @@ func (e *Engine) LineHash(ct []byte, _ *Scratch) uint64 {
 // LineHashes is LineHash for the len(ct)/LineSize consecutive lines of ct,
 // line i's hash written to out[i]: one entry into the dot-product kernel
 // for a whole run. len(out) must be at least the line count.
-//
-//mmt:hotpath
 func (e *Engine) LineHashes(ct []byte, out []uint64) {
 	e.mulx.EvalBlocks(ct, out)
 	for i := range out[:len(ct)/LineSize] {
@@ -259,8 +237,6 @@ func (e *Engine) LineHashes(ct []byte, out []uint64) {
 // XOR mask, with line i's keystream and mask block read from its
 // LineKeysSize record in keys as LineKeys wrote it. ct and src may be the
 // same lines (Enable encrypts in place).
-//
-//mmt:hotpath
 func (e *Engine) SealLines(ct, src, keys []byte, macs []uint64) {
 	n := len(macs)
 	ct, src, keys = ct[:n*LineSize], src[:n*LineSize], keys[:n*LineKeysSize]
@@ -286,8 +262,6 @@ func (e *Engine) SealLines(ct, src, keys []byte, macs []uint64) {
 // does, was measured and is no faster here — a read has no store in front
 // of the hash for the batch to get out of the way of — while its stack
 // staging cost the single-line read 3 to 6 %.
-//
-//mmt:hotpath
 func (e *Engine) OpenLines(dst, ct, keys []byte, macs []uint64) (good int) {
 	n := len(macs)
 	dst, ct, keys = dst[:n*LineSize], ct[:n*LineSize], keys[:n*LineKeysSize]
@@ -311,8 +285,6 @@ func (e *Engine) OpenLines(dst, ct, keys []byte, macs []uint64) (good int) {
 // len(macs) for a clean run. XORLines is the other half; a span cut across
 // processors runs the two apart, so that no line is decrypted before the
 // caller has verified its tree path.
-//
-//mmt:hotpath
 func (e *Engine) CheckLines(ct, keys []byte, macs []uint64) (good int) {
 	n := len(macs)
 	ct, keys = ct[:n*LineSize], keys[:n*LineKeysSize]
@@ -328,8 +300,6 @@ func (e *Engine) CheckLines(ct, keys []byte, macs []uint64) (good int) {
 // XORLines XORs each of the len(dst)/LineSize lines of src with the
 // keystream of its LineKeysSize record in keys into dst: the decryption
 // half of OpenLines. dst may be src.
-//
-//mmt:hotpath
 func XORLines(dst, src, keys []byte) {
 	n := len(dst) / LineSize
 	src, keys = src[:n*LineSize], keys[:n*LineKeysSize]
@@ -341,8 +311,6 @@ func XORLines(dst, src, keys []byte) {
 // LineMACBuf is LineMAC computed through the caller's scratch buffers
 // instead of fresh slices: hash, then base and mask back to back through
 // s for a tweak nobody caches a base for. Identical output to LineMAC.
-//
-//mmt:hotpath
 func (e *Engine) LineMACBuf(tw Tweak, ct []byte, s *Scratch) uint64 {
 	e.MaskBaseInto(tw.GUAddr, tw.Line, DomainLineMAC, s.blk[:], s)
 	return e.LineHash(ct, s) ^ e.MaskFromBase(s.blk[:], tw.Counter, s)
@@ -367,8 +335,6 @@ type NodeMACJob struct {
 // everyone else.
 //
 // len(out) must be >= len(jobs).
-//
-//mmt:hotpath
 func (e *Engine) NodeHashBatch(jobs []NodeMACJob, out []uint64, _ *Scratch) {
 	for i := range jobs {
 		out[i] = e.NodeHash(jobs[i].ParentCounter, jobs[i].Arity, jobs[i].Packed)
@@ -381,8 +347,6 @@ func (e *Engine) NodeHashBatch(jobs []NodeMACJob, out []uint64, _ *Scratch) {
 // everyone without a mask cache.
 //
 // len(out) must be >= len(jobs).
-//
-//mmt:hotpath
 func (e *Engine) NodeMACBatch(guaddr uint64, jobs []NodeMACJob, out []uint64, s *Scratch) {
 	e.NodeHashBatch(jobs, out, s)
 	for i := range jobs {

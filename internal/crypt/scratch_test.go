@@ -438,7 +438,7 @@ func TestScratchPathsAllocFree(t *testing.T) {
 	e.NodeMACBatch(1, jobs, out, &s) // warm polys
 	ids, ctrs := []uint32{7, 8, 1 << 24}, []uint64{3, 4, 5}
 	blk, bases, keys := make([]byte, 3*MaskBaseSize), make([]byte, 3*LineBasesSize), make([]byte, 3*LineKeysSize)
-	run, macs := make([]byte, 3*LineSize), make([]uint64, 3)
+	run, macs, bad := make([]byte, 3*LineSize), make([]uint64, 3), make([]uint64, 3)
 
 	var macSink uint64
 	allocs := testing.AllocsPerRun(100, func() {
@@ -456,6 +456,7 @@ func TestScratchPathsAllocFree(t *testing.T) {
 		e.LineKeys(bases, ctrs, keys)
 		e.SealLines(run, run, keys, macs)
 		macSink ^= uint64(e.OpenLines(run, run, keys, macs))
+		macSink ^= uint64(e.OpenLines(run, run, keys, bad)) // stops at line 0
 		macSink ^= uint64(e.CheckLines(run, keys, macs))
 		XORLines(run, run, keys)
 		macSink ^= Mask(blk) ^ Mask(keys[LineSize:])

@@ -85,19 +85,19 @@ func (c *lru) drop(i int32) {
 // touch reports whether key (region, n) was resident, inserting it (and
 // evicting LRU victims) if it was not. This matches the hardware fetch
 // path: a miss always allocates.
-//
-//mmt:hotpath
 func (c *lru) touch(region, n, size int) (hit bool) {
 	if c.capacity <= 0 {
 		return c.pinned
 	}
 	for region >= len(c.rows) {
-		//mmt:allow noalloc: the region table grows once to the highest region number touched, then stays
+		// The region table grows once to the highest region number
+		// touched, then stays (TestCacheGrowthAllocs).
 		c.rows = append(c.rows, nil)
 	}
 	row := c.rows[region]
 	if row == nil {
-		//mmt:allow noalloc: one row per region for the table's lifetime; invalidateRegion clears it in place
+		// One row per region for the table's lifetime; invalidateRegion
+		// clears it in place.
 		row = make([]int32, c.width)
 		c.rows[region] = row
 	}
@@ -118,7 +118,8 @@ func (c *lru) touch(region, n, size int) (hit bool) {
 	if i != nilIdx {
 		c.free = c.pool[i].next
 	} else {
-		//mmt:allow noalloc: the pool grows until the capacity is reached, then every insert recycles through the free list
+		// The pool grows until the capacity is reached, then every insert
+		// recycles through the free list.
 		c.pool = append(c.pool, lruEntry{})
 		i = int32(len(c.pool) - 1)
 	}

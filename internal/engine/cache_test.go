@@ -93,3 +93,33 @@ func TestCacheAccountsBytesAcrossEvictions(t *testing.T) {
 		t.Fatalf("len = %d, want 4", resident(c))
 	}
 }
+
+// TestCacheGrowthAllocs pins the table's only allocations: a fresh table's
+// first miss grows the region table, the region's row and the entry pool
+// by one object each. Hits, misses that evict the one resident entry, and
+// the touches a zero-capacity or too-small table answers without
+// inserting, allocate nothing.
+func TestCacheGrowthAllocs(t *testing.T) {
+	var sink *lru
+	base := testing.AllocsPerRun(10, func() { sink = newTestCache(100) })
+	first := testing.AllocsPerRun(10, func() {
+		sink = newTestCache(100)
+		sink.touch(0, 1, 40)
+	})
+	if first-base != 3 {
+		t.Fatalf("a fresh table's first miss allocates %v objects, want 3", first-base)
+	}
+
+	one, none, small := newTestCache(40), newTestCache(0), newTestCache(10)
+	one.touch(0, 1, 40)
+	n := 0
+	if a := testing.AllocsPerRun(100, func() {
+		one.touch(0, 1+n%2, 40) // evicts the other key
+		one.touch(0, 1+n%2, 40)
+		none.touch(0, 1, 8)
+		small.touch(0, 1, 100)
+		n++
+	}); a != 0 {
+		t.Fatalf("steady-state touches allocate %v objects, want 0", a)
+	}
+}

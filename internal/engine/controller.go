@@ -131,8 +131,6 @@ type linePlanes struct {
 }
 
 // setBits sets the n bits of set starting at bit lo, a word at a time.
-//
-//mmt:hotpath
 func setBits(set []uint64, lo, n int) {
 	for end := lo + n; lo < end; {
 		next := min((lo|63)+1, end)
@@ -143,8 +141,6 @@ func setBits(set []uint64, lo, n int) {
 
 // firstClear reports the offset from lo of the first clear bit among the n
 // bits of set starting at bit lo, or n when all of them are set.
-//
-//mmt:hotpath
 func firstClear(set []uint64, lo, n int) int {
 	for i := lo; i < lo+n; i = (i | 63) + 1 {
 		// The word's clear bits as ones, bit i lowest; the zeros shifted in
@@ -188,8 +184,6 @@ func newLinePlanes(lines int) linePlanes {
 // record's counter with the tree's, so a record is used only while the
 // line's counter is still the one it was derived at (an overflow that
 // resets a sibling's counter makes its record miss).
-//
-//mmt:hotpath
 func (st *regionState) keyRun(line, n int) {
 	ctrs := st.lineCtr[line : line+n]
 	valid := firstClear(st.lineOK, line, n)
@@ -215,8 +209,6 @@ func (st *regionState) runKeys(line, n int) []byte {
 // and encrypts and MACs them into data and the line-MAC plane, a 64-line
 // group per keyRun and crypt.SealLines call; line l's plaintext is
 // src[(l-lo)*mem.LineSize:]. src may be the lines' own bytes (Enable).
-//
-//mmt:hotpath
 func (st *regionState) sealGroups(data, src []byte, lo, hi int) {
 	for g := lo; g < hi; g = groupEnd(g, hi) {
 		n := groupEnd(g, hi) - g
@@ -550,8 +542,6 @@ func (c *Controller) recordAccess(op trace.Op, total, verify sim.Cycles, n uint6
 // path that does not fit, whose hit pattern is the lru's to say, and a
 // run inside which a sampling window boundary falls, so that the window
 // hook sees the accumulators as they stand at the crossing line.
-//
-//mmt:hotpath
 func (c *Controller) chargeRest(op trace.Op, r, line, k, extraNodes int) {
 	if c.quiet || k <= 0 {
 		return
@@ -605,8 +595,6 @@ const (
 // access returns region r's state for an access to the n bytes starting at
 // line, refusing — before anything is counted — a disabled region, a write
 // to a read-only one, and a span that is not whole lines inside the region.
-//
-//mmt:hotpath
 func (c *Controller) access(r, line, n int, write bool) (*regionState, error) {
 	st := c.region(r)
 	switch {
@@ -623,8 +611,6 @@ func (c *Controller) access(r, line, n int, write bool) (*regionState, error) {
 
 // ReadInto verifies and decrypts the given line of secure region r into
 // dst (mem.LineSize bytes): ReadRange over one line, never pipelined.
-//
-//mmt:hotpath
 func (c *Controller) ReadInto(r, line int, dst []byte) error {
 	dst = dst[:mem.LineSize]
 	st, err := c.access(r, line, len(dst), false)
@@ -711,8 +697,6 @@ func (c *Controller) ReadRange(r, line int, dst []byte) error {
 // stopped — end, or the line whose path or MAC failed — and performs zero
 // heap allocations (TestReadWriteZeroAlloc), matching the hardware data
 // path it models.
-//
-//mmt:hotpath
 func (c *Controller) readRuns(st *regionState, r, line, end int, dst []byte, bad int) (int, error) {
 	leafArity := c.lay.Level[len(c.lay.Level)-1].Arity
 	data := c.mem.RegionData(r)
@@ -746,8 +730,6 @@ func (c *Controller) readRuns(st *regionState, r, line, end int, dst []byte, bad
 
 // Write verifies the path, advances the counters and stores the encrypted
 // line: WriteRange over one line, never pipelined.
-//
-//mmt:hotpath
 func (c *Controller) Write(r, line int, plaintext []byte) error {
 	plaintext = plaintext[:mem.LineSize]
 	st, err := c.access(r, line, len(plaintext), true)
@@ -816,8 +798,6 @@ func (c *Controller) WriteRange(r, line int, src []byte) error {
 // lines in the span were each written alone — none is pending when
 // reencryptLine reads its ciphertext. It returns where it stopped: end, or
 // the line whose path or overflow re-encryption failed.
-//
-//mmt:hotpath
 func (c *Controller) writeRuns(st *regionState, r, line, end int, src []byte, deferSeal bool) (int, error) {
 	leafArity := c.lay.Level[len(c.lay.Level)-1].Arity
 	data := c.mem.RegionData(r)
@@ -865,8 +845,6 @@ func (c *Controller) writeRuns(st *regionState, r, line, end int, src []byte, de
 //
 // This is the rare cold path (once per 2^LocalBits writes per line at
 // worst); its copies are charged to PhaseReencrypt.
-//
-//mmt:coldpath
 func (c *Controller) reencryptLine(st *regionState, r, ln int) error {
 	a := c.lineAddr(r, ln)
 	ct := c.mem.LineView(a)
@@ -925,8 +903,6 @@ func (c *Controller) reencryptLine(st *regionState, r, ln int) error {
 // increments a counter and recomputes a MAC at every level and enqueues
 // the dirty nodes for write-back (§V-A2), so deeper trees spend more
 // write-queue occupancy per store.
-//
-//mmt:hotpath
 func (c *Controller) Access(r, line int, write bool) {
 	if write {
 		c.stats.Writes++

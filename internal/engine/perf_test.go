@@ -18,56 +18,23 @@ import (
 // verify, counter update, key check, line MACs, OTP crypto — at zero heap
 // allocations per access once warm: for a single line, for a span over
 // three leaf runs, and for the default tree's whole 2 MB region (512 runs
-// of 64 lines), with tracing both disabled and enabled. The modelled
-// hardware pipeline has no allocator; neither may the steady-state
-// software path.
+// of 64 lines), with tracing both disabled and enabled, and on the builds
+// whose charges take the other paths. The modelled hardware pipeline has
+// no allocator; neither may the steady-state software path.
 func TestReadWriteZeroAlloc(t *testing.T) {
 	for _, traced := range []bool{false, true} {
 		t.Run(fmt.Sprintf("traced=%v", traced), func(t *testing.T) {
 			c := testSetup(t)
-			fill(c, 0, 1)
-			if err := c.Enable(0, testKey, 0x11, 0); err != nil {
-				t.Fatal(err)
-			}
 			if traced {
 				c.SetTrace(trace.NewSink().Probe("alloc"))
 			}
-			buf := make([]byte, LineSize)
-			// Warm scratch buffers, node cache and root table.
-			for i := 0; i < c.lay.Lines; i++ {
-				if err := c.ReadInto(0, i, buf); err != nil {
-					t.Fatal(err)
-				}
-				if err := c.Write(0, i, buf); err != nil {
-					t.Fatal(err)
-				}
-			}
-			line := 0
-			span := make([]byte, 10*LineSize) // lines [2,12) of 4-line leaves: runs [2,4) [4,8) [8,12)
-			allocs := testing.AllocsPerRun(200, func() {
-				if err := c.ReadInto(0, line, buf); err != nil {
-					t.Fatal(err)
-				}
-				if err := c.Write(0, line, buf); err != nil {
-					t.Fatal(err)
-				}
-				if err := c.ReadRange(0, 2, span); err != nil {
-					t.Fatal(err)
-				}
-				if err := c.WriteRange(0, 2, span); err != nil {
-					t.Fatal(err)
-				}
-				line = (line + 1) % c.lay.Lines
-			})
-			if allocs != 0 {
-				t.Fatalf("Read+Write+ReadRange+WriteRange allocates %.1f objects/op, want 0", allocs)
-			}
+			lineOpsAllocFree(t, c, 1)
 
 			big, region := range2M(t)
 			if traced {
 				big.SetTrace(trace.NewSink().Probe("alloc"))
 			}
-			allocs = testing.AllocsPerRun(3, func() {
+			allocs := testing.AllocsPerRun(3, func() {
 				if err := big.ReadRange(0, 0, region); err != nil {
 					t.Fatal(err)
 				}
@@ -79,6 +46,99 @@ func TestReadWriteZeroAlloc(t *testing.T) {
 				t.Fatalf("2 MB ReadRange+WriteRange allocates %.1f objects/op, want 0", allocs)
 			}
 		})
+	}
+
+	// The builds on which the charge takes its other paths: nothing
+	// charged; a node cache that holds nothing, or one node, so every
+	// touch misses (and evicts the one resident) and a path never fits,
+	// which charges a run's further lines one by one; a one-entry root
+	// table that two regions take turns at, remounting a root per access;
+	// and a window hook on the clock, which a run crosses.
+	lay, err := tree.Geometry{Arities: []int{2, 3, 4}}.Layout()
+	if err != nil {
+		t.Fatal(err)
+	}
+	node := 0
+	for _, lv := range lay.Level {
+		node = max(node, lv.NodeSize)
+	}
+	tables := func(cacheBytes, rootBytes int) *sim.Profile {
+		p := sim.Gem5Profile()
+		p.MMTCacheBytes, p.RootTableSoC = cacheBytes, rootBytes
+		return p
+	}
+	for _, b := range []struct {
+		name        string
+		prof        *sim.Profile
+		regions     int
+		quiet, hook bool
+	}{
+		{name: "quiet", prof: sim.Gem5Profile(), regions: 1, quiet: true},
+		{name: "no node cache", prof: tables(0, 8<<10), regions: 1},
+		{name: "one-node cache", prof: tables(node, 8<<10), regions: 1},
+		{name: "one root, two regions", prof: tables(32<<10, rootEntryBytes), regions: 2},
+		{name: "window hook", prof: sim.Gem5Profile(), regions: 1, hook: true},
+	} {
+		t.Run(b.name, func(t *testing.T) {
+			c := controllerWith(t, b.prof)
+			c.SetQuiet(b.quiet)
+			if b.hook {
+				windows := 0
+				c.Clock().SetWindowHook(64, func(uint64) { windows++ })
+				defer func() {
+					if windows == 0 {
+						t.Fatal("the window hook never fired")
+					}
+				}()
+			}
+			lineOpsAllocFree(t, c, b.regions)
+		})
+	}
+}
+
+// lineOpsAllocFree enables the first regions of c, warms them, and fails
+// unless ReadInto, Write, ReadRange and WriteRange of a span over three
+// leaf runs, and a read and a write Access, allocate nothing, the regions
+// taking turns.
+func lineOpsAllocFree(t *testing.T, c *Controller, regions int) {
+	t.Helper()
+	for r := range regions {
+		fill(c, r, 1)
+		if err := c.Enable(r, testKey, 0x11+uint64(r), 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	buf := make([]byte, LineSize)
+	// Warm scratch buffers, node cache and root table.
+	for r := range regions {
+		for i := 0; i < c.lay.Lines; i++ {
+			if err := errors.Join(c.ReadInto(r, i, buf), c.Write(r, i, buf)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	line, r := 0, 0
+	span := make([]byte, 10*LineSize) // lines [2,12) of 4-line leaves: runs [2,4) [4,8) [8,12)
+	allocs := testing.AllocsPerRun(200, func() {
+		if err := c.ReadInto(r, line, buf); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Write(r, line, buf); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.ReadRange(r, 2, span); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.WriteRange(r, 2, span); err != nil {
+			t.Fatal(err)
+		}
+		c.Access(r, line, false)
+		c.Access(r, line, true)
+		line = (line + 1) % c.lay.Lines
+		r = (r + 1) % regions
+	})
+	if allocs != 0 {
+		t.Fatalf("Read+Write+ReadRange+WriteRange+Access allocates %.0f objects/op, want 0", allocs)
 	}
 }
 
@@ -357,5 +417,71 @@ func TestEnableSweeps(t *testing.T) {
 	big := testing.AllocsPerRun(5, cycle(setup(4, 8, 24))) // 768 lines against 24
 	if big != small {
 		t.Fatalf("Enable+Invalidate allocates %.0f objects over 24 lines but %.0f over 768, want the same", small, big)
+	}
+
+	// Install's line-MAC sweep, called as verifyLineMACs' chunks call it:
+	// over the whole region, which passes, and up to a tampered MAC, which
+	// it names. It allocates only what staging blocks through the AES
+	// kernel costs on this build: nothing on amd64; under the portable AES,
+	// whose cipher.Block takes its slices through an interface, the stack
+	// block moves to the heap, once per call.
+	c := setup(4, 8, 24)
+	fill(c, 0, 5)
+	if err := c.Enable(0, testKey, 0x11, 0); err != nil {
+		t.Fatal(err)
+	}
+	st := c.region(0)
+	data, bad := c.Memory().RegionData(0), append([]uint64(nil), st.lineMACs...)
+	bad[700] ^= 1
+	var ids [1]uint32
+	staging := testing.AllocsPerRun(5, func() {
+		var blk [crypt.MaskBaseSize]byte
+		st.eng.MaskBases(st.guaddr, crypt.DomainLineMAC, ids[:], blk[:])
+	})
+	if a := testing.AllocsPerRun(5, func() {
+		if sweepLineMACs(st.eng, st.tr, st.guaddr, data, st.lineMACs, 0, c.lay.Lines) != -1 ||
+			sweepLineMACs(st.eng, st.tr, st.guaddr, data, bad, 0, c.lay.Lines) != 700 {
+			t.Fatal("the sweep missed the tampered line MAC or flagged a good one")
+		}
+	}); a != 2*staging {
+		t.Fatalf("two line-MAC sweeps allocate %.0f objects, want the %.0f of staging their blocks", a, 2*staging)
+	}
+}
+
+// TestOverflowWriteAllocs pins what a write through a counter overflow
+// allocates: with 2-bit locals every fourth Write of a line wraps its
+// leaf's counters, and the write re-encrypts the leaf's other three lines.
+// The list of them that tree.Update returns is the only allocation.
+func TestOverflowWriteAllocs(t *testing.T) {
+	geo := tree.Geometry{Arities: []int{2, 4}, LocalBits: 2}
+	m := mem.New(mem.Config{Size: geo.DataSize(), RegionSize: geo.DataSize(), MetaPerRegion: geo.MetaSize()})
+	c, err := New(m, geo, nil, sim.Gem5Profile())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fill(c, 0, 3)
+	if err := c.Enable(0, testKey, 0x11, 0); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, LineSize)
+	got := testing.AllocsPerRun(10, func() {
+		for range 4 {
+			if err := c.Write(0, 0, buf); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if n := c.Stats().ReencryptedLines; n != 11*3 {
+		t.Fatalf("%d lines re-encrypted in 11 rounds of four writes, want 3 per round", n)
+	}
+	var list []int
+	want := testing.AllocsPerRun(10, func() {
+		list = nil
+		for ln := range 3 {
+			list = append(list, ln)
+		}
+	})
+	if got != want {
+		t.Fatalf("four writes through one overflow allocate %v objects, want the %v of the re-encryption list", got, want)
 	}
 }

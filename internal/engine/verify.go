@@ -151,8 +151,6 @@ func (c *Controller) sweepLines(fn func(lo, hi int) int) int {
 
 // groupEnd is the end of the 64-line group that line g starts, cut at hi:
 // the step of every loop over a pipe chunk.
-//
-//mmt:hotpath
 func groupEnd(g, hi int) int { return min((g|63)+1, hi) }
 
 // verifyLineMACs checks every transferred line's MAC at the counter the
@@ -174,8 +172,6 @@ func (c *Controller) verifyLineMACs(eng *crypt.Engine, tr *tree.Tree, guaddr uin
 // one entry into the dot-product kernel, then the compares in line order.
 // It only reads its inputs, so several sweeps over disjoint ranges may run
 // at once.
-//
-//mmt:hotpath
 func sweepLineMACs(eng *crypt.Engine, tr *tree.Tree, guaddr uint64, data []byte, lineMACs []uint64, lo, hi int) int {
 	var (
 		ids  [64]uint32

@@ -50,8 +50,6 @@ func mulx4(v uint64) uint64 { return v<<4 ^ red4[v>>60] }
 // every 4-bit polynomial k. Entries are filled by the doubling chain
 // w[2k] = x*w[k], w[2k+1] = w[2k] + a, so construction costs ~14 shifts
 // and xors rather than 15 multiplications.
-//
-//mmt:hotpath
 func window16(a uint64, w *[16]uint64) {
 	w[0] = 0
 	w[1] = a
@@ -69,8 +67,6 @@ func window16(a uint64, w *[16]uint64) {
 // 4-bit overflow folded immediately through red4 — no 128-bit
 // intermediate, no bit loop. Agrees with the retained oracle mulSlow on
 // every input (TestMulMatchesOracle, gf_kat.json).
-//
-//mmt:hotpath
 func Mul(a, b uint64) uint64 {
 	var w [16]uint64
 	window16(a, &w)
@@ -84,8 +80,6 @@ func Mul(a, b uint64) uint64 {
 // Dot returns the dot product sum_i a[i]*b[i] in GF(2^64). Mismatched
 // lengths use the shorter slice, mirroring a hardware engine that pads
 // missing lanes with zero.
-//
-//mmt:hotpath
 func Dot(a, b []uint64) uint64 {
 	n := len(a)
 	if len(b) < n {
@@ -119,8 +113,6 @@ func Pow(a uint64, n uint) uint64 {
 // window of x built per call, then a window walk over the accumulator's
 // nibbles per Horner step. Agrees exactly with the oracle evalSlow
 // (TestEvalMatchesOracle).
-//
-//mmt:hotpath
 func Eval(coeffs []uint64, x uint64) uint64 {
 	var w [16]uint64
 	window16(x, &w)

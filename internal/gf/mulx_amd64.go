@@ -65,8 +65,6 @@ func NewMulx(x uint64) *Mulx {
 }
 
 // Mul returns a * x in GF(2^64).
-//
-//mmt:hotpath
 func (m *Mulx) Mul(a uint64) uint64 { return dot(&a, &m.pow[1], 1, 0, 0) }
 
 // Eval evaluates the polynomial with coefficients coeffs (constant term
@@ -74,8 +72,6 @@ func (m *Mulx) Mul(a uint64) uint64 { return dot(&a, &m.pow[1], 1, 0, 0) }
 // the Mulx was built with. Up to K coefficients are one kernel call; a
 // longer polynomial is Horner's rule over K-word chunks, top chunk first,
 // the running value re-entering each call as the x^K term.
-//
-//mmt:hotpath
 func (m *Mulx) Eval(coeffs []uint64) uint64 {
 	var acc uint64
 	for n := len(coeffs); n > 0; {
@@ -88,8 +84,6 @@ func (m *Mulx) Eval(coeffs []uint64) uint64 {
 
 // EvalBlock evaluates the polynomial whose eight coefficients are the
 // little-endian words of b, constant term first.
-//
-//mmt:hotpath
 func (m *Mulx) EvalBlock(b *[BlockSize]byte) uint64 {
 	return dotLE(&b[0], &m.pow[0], BlockSize/8, 0, 0)
 }
@@ -98,8 +92,6 @@ func (m *Mulx) EvalBlock(b *[BlockSize]byte) uint64 {
 // of blocks, block i's value written to out[i]: one kernel entry for a
 // whole run of cache lines, whose dot products are independent and overlap
 // in the multiplier. len(out) must be at least the block count.
-//
-//mmt:hotpath
 func (m *Mulx) EvalBlocks(blocks []byte, out []uint64) {
 	if n := len(blocks) / BlockSize; n > 0 {
 		evalBlocks(&blocks[0], n, &m.pow[0], &out[:n][0])
@@ -110,8 +102,6 @@ func (m *Mulx) EvalBlocks(blocks []byte, out []uint64) {
 // coefficients ahead of a slice used in place — at the fixed point:
 // h0 + h1·x + x²·Eval(coeffs), one kernel call at power offset 2 when the
 // powers reach.
-//
-//mmt:hotpath
 func (m *Mulx) EvalPrefixed(h0, h1 uint64, coeffs []uint64) uint64 {
 	if n := len(coeffs); n > 0 && n < maxPow {
 		return h0 ^ dot(&coeffs[0], &m.pow[2], n, h1, m.pow[1])
@@ -126,8 +116,6 @@ func (m *Mulx) EvalPrefixed(h0, h1 uint64, coeffs []uint64) uint64 {
 // left to interleave across polynomials.
 //
 // len(out) must be >= len(polys); out[len(polys):] is untouched.
-//
-//mmt:hotpath
 func (m *Mulx) EvalBatch(polys [][]uint64, out []uint64) {
 	for j, p := range polys {
 		out[j] = m.Eval(p)

@@ -134,3 +134,28 @@ func BenchmarkEvalBlocks(b *testing.B) {
 		}
 	})
 }
+
+// TestKernelsAllocFree: every evaluator, the two-operand forms and those of
+// a built Mulx, allocates nothing — short and multi-chunk polynomials,
+// both EvalPrefixed shapes, a batch and a run of blocks.
+func TestKernelsAllocFree(t *testing.T) {
+	m := NewMulx(0x1B2C3D4E5F607182)
+	long := make([]uint64, 2*kernelSpan+3)
+	for i := range long {
+		long[i] = uint64(i)*0x9E3779B97F4A7C15 + 1
+	}
+	short := long[:3]
+	blocks := make([]byte, 2*BlockSize)
+	out := make([]uint64, 2)
+	var acc uint64
+	if a := testing.AllocsPerRun(100, func() {
+		acc ^= Mul(acc|1, long[0]) ^ Dot(long, short) ^ Eval(long, acc)
+		acc ^= m.Mul(acc) ^ m.Eval(long) ^ m.EvalBlock((*[BlockSize]byte)(blocks))
+		acc ^= m.EvalPrefixed(1, 2, short) ^ m.EvalPrefixed(1, 2, long)
+		m.EvalBlocks(blocks, out)
+		m.EvalBatch([][]uint64{short, long}, out)
+		acc ^= out[0] ^ out[1]
+	}); a != 0 {
+		t.Fatalf("the GF kernels allocate %v objects per round, want 0", a)
+	}
+}

@@ -99,8 +99,6 @@ type Endpoint struct {
 func (e *Endpoint) SetTrace(p *trace.Probe) { e.probe = p }
 
 // wireCounters maps a Kind to its (messages, bytes) trace counters.
-//
-//mmt:hotpath
 func wireCounters(k Kind) (msgs, bytes trace.Counter, ok bool) {
 	switch k {
 	case KindData:

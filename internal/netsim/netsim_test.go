@@ -226,3 +226,22 @@ func TestSetInterposerNilRestoresPassThrough(t *testing.T) {
 		t.Fatal("nil interposer did not restore pass-through")
 	}
 }
+
+// TestWireCountersAllocFree: mapping a message kind to its wire counters,
+// which every traced send does first, allocates nothing, for each kind and
+// for an unknown one.
+func TestWireCountersAllocFree(t *testing.T) {
+	known := 0
+	if a := testing.AllocsPerRun(100, func() {
+		for _, k := range []Kind{KindData, KindClosure, KindControl, Kind(9)} {
+			if _, _, ok := wireCounters(k); ok {
+				known++
+			}
+		}
+	}); a != 0 {
+		t.Fatalf("wireCounters allocates %v objects per round, want 0", a)
+	}
+	if known != 3*101 {
+		t.Fatalf("%d kinds mapped in 101 rounds, want 3 per round", known)
+	}
+}

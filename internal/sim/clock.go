@@ -166,10 +166,8 @@ func (c *Clock) window(n Cycles) uint64 {
 
 // windowTick fires the sampling hook if the last forward move crossed a
 // window boundary. It is the one dynamic call on the clock-advance path,
-// kept out of line (and out of MMT008's hot-path traversal) so that
-// advancing a clock with no hook stays a nil check.
-//
-//mmt:coldpath
+// kept out of line so that advancing a clock with no hook stays a nil
+// check.
 func (c *Clock) windowTick() {
 	w := c.window(c.now)
 	if w > c.lastWin {

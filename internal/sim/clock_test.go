@@ -140,3 +140,24 @@ func TestTimeString(t *testing.T) {
 		}
 	}
 }
+
+// TestWindowHookAllocFree: with a sampling hook installed, asking whether
+// a move crosses a window — from instant zero too — and advancing across
+// one allocate nothing beyond what the hook does.
+func TestWindowHookAllocFree(t *testing.T) {
+	c := NewClock(1e9)
+	fired := 0
+	c.SetWindowHook(64, func(uint64) { fired++ })
+	if a := testing.AllocsPerRun(100, func() {
+		c.Reset()
+		if c.Crosses(0) || !c.Crosses(100) {
+			t.Fatal("Crosses disagrees with a 64-cycle window")
+		}
+		c.AdvanceCycles(100)
+	}); a != 0 {
+		t.Fatalf("a hooked clock allocates %v objects per round, want 0", a)
+	}
+	if fired != 101 {
+		t.Fatalf("the hook fired %d times in 101 rounds, want once per round", fired)
+	}
+}

@@ -200,8 +200,6 @@ func (h *Histogram) Mean() sim.Cycles {
 // RecordOp adds n cycle-latency samples of c cycles for op to the probe's
 // process, under one lock. A nil probe records nothing and costs nothing:
 // the nil check is the whole of the exported method so that it inlines.
-//
-//mmt:hotpath
 func (p *Probe) RecordOp(op Op, c sim.Cycles, n uint64) {
 	if p != nil {
 		p.recordOp(op, c, n)

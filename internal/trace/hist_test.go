@@ -277,6 +277,10 @@ func TestZeroAllocDisabledOpsAndEvents(t *testing.T) {
 	q.RecordOp(OpLocalRead, 1, 1) // warm
 	if a := testing.AllocsPerRun(1000, func() {
 		q.RecordOp(OpLocalRead, 123, 1)
+		q.RecordOp(OpLocalRead, 0.5, 1)  // below one cycle: bucket 0
+		q.RecordOp(OpLocalRead, 1e30, 1) // past the last bucket's bound
+		var h Histogram
+		h.Record(123, 2) // a first sample sets Min and Max
 	}); a != 0 {
 		t.Fatalf("enabled RecordOp allocates %v per op", a)
 	}

@@ -317,10 +317,10 @@ func TestFlightIsNewestSpansOfItsProcess(t *testing.T) {
 	}
 }
 
-// TestSeriesDisabledZeroAlloc is the MMT008 acceptance contract: with
-// tracing on but sampling off, the hot line path — counter bumps, cycle
-// charges, op records, clock advances — allocates nothing. Sampling
-// must be pay-for-what-you-enable.
+// TestSeriesDisabledZeroAlloc: with tracing on but sampling off, the hot
+// line path — counter bumps, cycle charges (an out-of-range counter or
+// phase included), op records, clock advances — allocates nothing.
+// Sampling must be pay-for-what-you-enable.
 func TestSeriesDisabledZeroAlloc(t *testing.T) {
 	s := NewSink()
 	p := s.Probe("alice")
@@ -330,6 +330,8 @@ func TestSeriesDisabledZeroAlloc(t *testing.T) {
 		p.Charge(clock, PhaseTreeWalk, 8)
 		p.RecordOp(OpLocalRead, 12, 1)
 		clock.AdvanceCycles(64)
+		p.Count(NumCounters, 1)       // out of range: ignored
+		p.Charge(clock, NumPhases, 8) // books nothing, still advances
 	}); allocs != 0 {
 		t.Fatalf("sampling-disabled hot path allocates %v per op", allocs)
 	}

@@ -384,8 +384,6 @@ func (p *Probe) Enabled() bool { return p != nil }
 // Count adds n to a monotonic counter. The nil check is the whole of the
 // exported method so that it inlines: an instrumented hot path with
 // tracing off pays the branch and no call.
-//
-//mmt:hotpath
 func (p *Probe) Count(c Counter, n uint64) {
 	if p != nil {
 		p.count(c, n)
@@ -406,8 +404,6 @@ func (p *Probe) count(c Counter, n uint64) {
 // phase totals plus its receive waits (netsim's remote-read samples) are
 // its clock by construction. A nil probe books nothing and still
 // advances the clock.
-//
-//mmt:hotpath
 func (p *Probe) Charge(clk *sim.Clock, ph Phase, n sim.Cycles) {
 	if p != nil {
 		p.addCycles(ph, n)

@@ -38,7 +38,90 @@ func TestVerifyUpdateAllocFree(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("verify/update path allocated %.1f times per access, want 0", allocs)
 	}
+
+	// The cold half of the same paths. A second engine under the same key
+	// rebinds the tree (bind compares engines by identity), which settles
+	// every deferred MAC and clears every verified bit; the UpdateRuns then
+	// defer eight paths that share only the root — seventeen nodes — and
+	// the walks check node by node: the first flushes the three stale nodes
+	// it meets, flushAll computes the rest in mask batches, and a leaf whose
+	// parent is verified stops there. The runs UpdateRun refuses (none, and
+	// past the leaf) change nothing, and LeafCounters of nothing reads
+	// nothing.
+	engines := [2]*crypt.Engine{e, crypt.NewEngine(crypt.KeyFromBytes([]byte("alloc")))}
+	turn := 0
+	allocs = testing.AllocsPerRun(100, func() {
+		turn ^= 1
+		eng := engines[turn]
+		for first := 0; first < 8*2048; first += 2048 { // one leaf under each of eight interior nodes
+			if !tr.UpdateRun(eng, guaddr, first, 64) {
+				t.Fatal("unexpected overflow in alloc test")
+			}
+		}
+		if err := tr.VerifyPath(eng, guaddr, 0); err != nil {
+			t.Fatal(err)
+		}
+		tr.flushAll()
+		if err := tr.VerifyPath(eng, guaddr, 64); err != nil {
+			t.Fatal(err)
+		}
+		if tr.UpdateRun(eng, guaddr, 1, 0) || tr.UpdateRun(eng, guaddr, 1, 64) || tr.LeafCounters(line, nil) != 0 {
+			t.Fatal("UpdateRun accepted a run that is not one, or LeafCounters changed nothing")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("rebind, flush and cold verify allocated %.1f times per round, want 0", allocs)
+	}
 	_ = ctr
+}
+
+// TestOverflowAllocs pins what the overflow procedure allocates: with
+// 2-bit locals every fourth Update of a line wraps its local counter and
+// every one on its path, so four Updates re-MAC the overflowed nodes'
+// other children and list the leaf's other lines for re-encryption. That
+// list, grown one line at a time, is the only allocation; a run UpdateRun
+// refuses because a leaf local or an interior one would wrap allocates
+// nothing.
+func TestOverflowAllocs(t *testing.T) {
+	e := crypt.NewEngine(crypt.KeyFromBytes([]byte("overflow")))
+	const guaddr = 0x9400
+	geo := Geometry{Arities: []int{2, 4}, LocalBits: 2}
+	tr, err := New(geo, e, guaddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	overflows := 0
+	got := testing.AllocsPerRun(10, func() {
+		for range 4 {
+			if tr.Update(e, guaddr, 0).Overflowed {
+				overflows++
+			}
+		}
+	})
+	if overflows != 11 {
+		t.Fatalf("%d overflows in 11 rounds of four Updates, want one per round", overflows)
+	}
+	var list []int
+	want := testing.AllocsPerRun(10, func() {
+		list = nil
+		for ln := range geo.Arities[1] - 1 {
+			list = append(list, ln)
+		}
+	})
+	if got != want {
+		t.Fatalf("four Updates through one overflow allocate %v objects, want the %v of the re-encryption list", got, want)
+	}
+
+	for range 3 {
+		tr.Update(e, guaddr, 0) // line 0's local at its maximum, its parent slot too
+	}
+	if a := testing.AllocsPerRun(10, func() {
+		if tr.UpdateRun(e, guaddr, 0, 1) || tr.UpdateRun(e, guaddr, 1, 1) {
+			t.Fatal("UpdateRun accepted a run whose counters would wrap")
+		}
+	}); a != 0 {
+		t.Fatalf("refused UpdateRun allocated %v times, want 0", a)
+	}
 }
 
 // TestIdleTreeAllocsConstant pins the flat-arena storage guarantee: a

@@ -173,8 +173,6 @@ func (g Geometry) Layout() (Layout, error) {
 // path writes, for a line the caller has bounds-checked, the flat index of
 // the covering node and the slot within it at every level into
 // level-indexed buffers of length len(Level).
-//
-//mmt:hotpath
 func (ly *Layout) path(line int, node, slot []int) {
 	// From the leaf upward: the slot is the running index modulo the
 	// level's arity, the node index the quotient.
@@ -188,8 +186,6 @@ func (ly *Layout) path(line int, node, slot []int) {
 }
 
 // NodeAt reports the flat index of the level-l node covering line.
-//
-//mmt:hotpath
 func (ly *Layout) NodeAt(l, line int) int {
 	lv := &ly.Level[l]
 	return lv.Base + line/lv.Span

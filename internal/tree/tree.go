@@ -132,8 +132,6 @@ func newTree(geo Geometry, lay Layout) *Tree {
 }
 
 // ctrOff reports the ctr-plane word offset of level-l node n's record.
-//
-//mmt:hotpath
 func (t *Tree) ctrOff(l, n int) int {
 	lv := &t.lay.Level[l]
 	return lv.CtrBase + (n-lv.Base)*lv.CtrStride
@@ -142,16 +140,12 @@ func (t *Tree) ctrOff(l, n int) int {
 // packed returns level-l node n's counter record — global word plus packed
 // locals — as a sub-slice of the arena. Callers only read it; it is the
 // polynomial the node MAC hashes.
-//
-//mmt:hotpath
 func (t *Tree) packed(l, n int) []uint64 {
 	off := t.ctrOff(l, n)
 	return t.ctr[off : off+t.lay.Level[l].CtrStride]
 }
 
 // local reports the raw local counter of slot s in level-l node n.
-//
-//mmt:hotpath
 func (t *Tree) local(l, n, s int) uint64 {
 	w := t.ctr[t.ctrOff(l, n)+1+s>>2]
 	return w >> (uint(s&3) * 16) & 0xFFFF
@@ -159,20 +153,14 @@ func (t *Tree) local(l, n, s int) uint64 {
 
 // counter reports the effective counter of slot s in level-l node n:
 // Global<<LocalBits | Local[s] (§V-A2's "global-local counter layout").
-//
-//mmt:hotpath
 func (t *Tree) counter(l, n, s int) uint64 {
 	return t.ctr[t.ctrOff(l, n)]<<t.geo.localBits() | t.local(l, n, s)
 }
 
 // bit reports bit n of a per-node bitset.
-//
-//mmt:hotpath
 func bit(set []uint64, n int) bool { return set[n>>6]>>(uint(n)&63)&1 != 0 }
 
 // mark sets bit n of a per-node bitset and reports whether it was clear.
-//
-//mmt:hotpath
 func mark(set []uint64, n int) bool {
 	w, m := n>>6, uint64(1)<<(uint(n)&63)
 	was := set[w]&m != 0
@@ -229,8 +217,6 @@ func (t *Tree) MarkAllDirty() {
 }
 
 // checkLine bounds-checks a line index.
-//
-//mmt:hotpath
 func (t *Tree) checkLine(line int) {
 	if line < 0 || line >= t.lay.Lines {
 		//mmt:allow nopanic: internal bounds guard, equivalent to built-in slice indexing
@@ -241,8 +227,6 @@ func (t *Tree) checkLine(line int) {
 // pathOf computes line's path — flat node index and slot per level — into
 // the tree's scratch and returns the two level-indexed slices, valid until
 // the next call.
-//
-//mmt:hotpath
 func (t *Tree) pathOf(line int) (node, slot []int) {
 	t.checkLine(line)
 	t.lay.path(line, t.scr.node, t.scr.slot)
@@ -349,8 +333,6 @@ func (n NodeRef) SetMAC(v uint64) {
 // this is the counter the crypto engine mixes into the line's OTP and MAC.
 // Called once per protected access, so it computes the leaf coordinates
 // directly instead of materialising the whole path.
-//
-//mmt:hotpath
 func (t *Tree) LeafCounter(line int) uint64 {
 	t.checkLine(line)
 	leaf := len(t.lay.Level) - 1
@@ -365,8 +347,6 @@ func (t *Tree) LeafCounter(line int) uint64 {
 // the first entry it changed, len(dst) when dst already held every counter:
 // a caller that keeps per-line state derived at dst (the engine's key
 // records) learns from where that state is stale.
-//
-//mmt:hotpath
 func (t *Tree) LeafCounters(line int, dst []uint64) (changed int) {
 	changed = len(dst)
 	if len(dst) == 0 {
@@ -392,8 +372,6 @@ func (t *Tree) LeafCounters(line int, dst []uint64) (changed int) {
 
 // parentCounter reports the counter covering level-l node n: the root
 // counter for level 0, otherwise the effective counter in the parent's slot.
-//
-//mmt:hotpath
 func (t *Tree) parentCounter(l, n int) uint64 {
 	if l == 0 {
 		return t.rootCtr
@@ -408,8 +386,6 @@ func nodeID(level, index int) uint32 { return uint32(level)<<24 | uint32(index)&
 
 // bind points the tree at (e, guaddr). Engines are compared by identity: a
 // re-created engine under the same key conservatively misses.
-//
-//mmt:hotpath
 func (t *Tree) bind(e *crypt.Engine, guaddr uint64) {
 	if !t.bound || t.bindEng != e || t.bindGU != guaddr {
 		t.rebind(e, guaddr)
@@ -442,8 +418,6 @@ func (t *Tree) settle() {
 
 // flush computes level-l node n's MAC if it was deferred. Every reader of
 // mac[n] — checkNode, AppendNode, NodeRef.MAC; Serialize, Clone all — first.
-//
-//mmt:hotpath
 func (t *Tree) flush(l, n int) {
 	if t.unstale(n) {
 		t.mac[n] = t.nodeMAC(t.bindEng, t.bindGU, l, n, t.parentCounter(l, n))
@@ -451,8 +425,6 @@ func (t *Tree) flush(l, n int) {
 }
 
 // unstale clears node n's stale bit and reports whether it was set.
-//
-//mmt:hotpath
 func (t *Tree) unstale(n int) bool {
 	was := bit(t.stale, n)
 	if was {
@@ -467,8 +439,6 @@ func (t *Tree) unstale(n int) bool {
 // settles first), and its MAC inputs are as the Update that deferred it
 // left them: any later Update that moved one of them deferred or re-MACed
 // the node again.
-//
-//mmt:hotpath
 func (t *Tree) flushAll() {
 	if t.staleCount == 0 {
 		return
@@ -491,8 +461,6 @@ func (t *Tree) flushAll() {
 }
 
 // flushBatch stores the MACs of the first k nodes staged in the scratch.
-//
-//mmt:hotpath
 func (t *Tree) flushBatch(k int) {
 	s := &t.scr
 	t.keyMasks(t.bindEng, t.bindGU, s.flushN[:k], s.flushPC[:k])
@@ -510,8 +478,6 @@ func (t *Tree) flushBatch(k int) {
 // before MACing any of it. Callers must have bound (e, guaddr) first. The
 // values are always exactly AES-mask(guaddr, nodeID, pcs[k]) — the cache
 // and the batching change cost, never output.
-//
-//mmt:hotpath
 func (t *Tree) keyMasks(e *crypt.Engine, guaddr uint64, nodes []int, pcs []uint64) {
 	const size = crypt.MaskBaseSize
 	s := &t.scr
@@ -556,8 +522,6 @@ func (t *Tree) keyMasks(e *crypt.Engine, guaddr uint64, nodes []int, pcs []uint6
 // the caller listed n in a keyMasks since pc last moved, and through a
 // keyMasks of the one node otherwise. Callers must have bound (e, guaddr)
 // first.
-//
-//mmt:hotpath
 func (t *Tree) nodeMAC(e *crypt.Engine, guaddr uint64, l, n int, pc uint64) uint64 {
 	if t.maskOK[n>>6]>>(uint(n)&63)&1 == 0 || t.maskCtr[n] != pc {
 		s := &t.scr
@@ -570,8 +534,6 @@ func (t *Tree) nodeMAC(e *crypt.Engine, guaddr uint64, l, n int, pc uint64) uint
 // checkNode compares level-l node n's stored MAC with the one it should
 // carry, counting the verification. A verified node is the comparison
 // already made. Callers must have bound (e, guaddr) first.
-//
-//mmt:hotpath
 func (t *Tree) checkNode(e *crypt.Engine, guaddr uint64, l, n int) error {
 	t.probe.Count(trace.CtrTreeNodeVerifies, 1)
 	if bit(t.verified, n) {
@@ -602,8 +564,6 @@ func (t *Tree) rehashNode(e *crypt.Engine, guaddr uint64, l, n int) {
 // as they stand when it is next observed (flush) — once, however many
 // Updates pass through the node before then. Callers must have bound the
 // (engine, guaddr) the Update came with.
-//
-//mmt:hotpath
 func (t *Tree) rehashPath(node []int) {
 	t.probe.Count(trace.CtrTreeNodeRehashes, uint64(len(node)))
 	for _, n := range node {
@@ -634,8 +594,6 @@ var ErrIntegrity = errors.New("tree: integrity check failed")
 // at the first mismatch. A verified leaf has a verified path, so the warm
 // check is one division and one bit test; a path that passes node by node
 // is marked verified whole.
-//
-//mmt:hotpath
 func (t *Tree) VerifyPath(e *crypt.Engine, guaddr uint64, line int) error {
 	t.checkLine(line)
 	t.bind(e, guaddr)
@@ -704,8 +662,6 @@ type UpdateResult struct {
 // then re-MACs the affected nodes: the path's by deferral (rehashPath), an
 // overflowed node's other children at once. This is the write path of the
 // integrity tree engine.
-//
-//mmt:hotpath
 func (t *Tree) Update(e *crypt.Engine, guaddr uint64, line int) UpdateResult {
 	t.bind(e, guaddr)
 	node, slot := t.pathOf(line)
@@ -752,7 +708,8 @@ func (t *Tree) Update(e *crypt.Engine, guaddr uint64, line int) UpdateResult {
 			// Leaf overflow: all lines under this leaf changed counters.
 			for ln := first; ln < first+lv.Arity; ln++ {
 				if ln != line {
-					//mmt:allow noalloc: overflow re-encryption list is the rare cold path; grows once per global-counter exhaustion
+					// The one allocation of the overflow procedure, once per
+					// global-counter exhaustion (TestOverflowAllocs).
 					res.ReencryptLines = append(res.ReencryptLines, ln)
 				}
 			}
@@ -783,8 +740,6 @@ func (t *Tree) Update(e *crypt.Engine, guaddr uint64, line int) UpdateResult {
 // would overflow within the run (or the n lines are not a run: they leave
 // the leaf node); the caller then advances with Update, which carries the
 // overflow procedure.
-//
-//mmt:hotpath
 func (t *Tree) UpdateRun(e *crypt.Engine, guaddr uint64, line, n int) bool {
 	t.bind(e, guaddr)
 	node, slot := t.pathOf(line)
