@@ -19,3 +19,20 @@ func TestExpandKeyFIPS197(t *testing.T) {
 		t.Fatalf("round key 10 = %x, want %x", rk[160:], want)
 	}
 }
+
+// eachAESLoop runs f once through each encryptBlocks loop this CPU has —
+// the VAES loop when CPUID reports it, then the xmm loop — and restores
+// the choice init made. On a CPU without VAES it logs that half as
+// skipped.
+func eachAESLoop(t testing.TB, f func(loop string)) {
+	t.Helper()
+	defer func(init bool) { useVAES = init }(useVAES)
+	if hasVAES() {
+		useVAES = true
+		f("vaes")
+	} else {
+		t.Log("no VAES on this CPU: the eight-wide loop is skipped")
+	}
+	useVAES = false
+	f("xmm")
+}

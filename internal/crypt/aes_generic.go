@@ -22,3 +22,22 @@ func (e *Engine) encryptBlocks(dst, src []byte) {
 		e.block.Encrypt(dst[off:off+aes.BlockSize], src[off:off+aes.BlockSize])
 	}
 }
+
+// xorLines XORs each of n lines of src with the keystream of its
+// LineKeysSize record in keys into dst, a line at a time; dst may be src.
+func xorLines(dst, src, keys []byte, n int) {
+	for i := range n {
+		xorLine((*[LineSize]byte)(dst[i*LineSize:]), (*[LineSize]byte)(src[i*LineSize:]), (*[LineSize]byte)(keys[i*LineKeysSize:]))
+	}
+}
+
+// stageLineKeys writes the second-level PRF inputs of len(ctrs) lines
+// into their records in keys, for LineKeys to encrypt in place.
+func stageLineKeys(bases []byte, ctrs []uint64, keys []byte) {
+	for i, ctr := range ctrs {
+		b := (*[LineBasesSize]byte)(bases[i*LineBasesSize:])
+		k := (*[LineKeysSize]byte)(keys[i*LineKeysSize:])
+		padInput((*[LineSize]byte)(k[:]), (*block)(b[:]), ctr)
+		laneInput((*block)(k[LineSize:]), (*block)(b[MaskBaseSize:]), ctr, maskLane)
+	}
+}

@@ -30,26 +30,37 @@ func unhex(t testing.TB, s string) []byte {
 }
 
 // TestEncryptBlocksFIPS197: the Appendix C.1 example vector, alone, at
-// every position of a four-block group and in the single-block tail.
+// every position of an eight- and a four-block group and in the
+// single-block tail, through each loop.
 func TestEncryptBlocksFIPS197(t *testing.T) {
 	e := keyedEngine(t, Key(unhex(t, "000102030405060708090a0b0c0d0e0f")))
 	pt := unhex(t, "00112233445566778899aabbccddeeff")
 	want := unhex(t, "69c4e0d86a7b0430d8cdb78070b4c55a")
-	for n := 1; n <= 6; n++ {
-		src := bytes.Repeat(pt, n)
-		dst := make([]byte, len(src))
-		e.encryptBlocks(dst, src)
-		if !bytes.Equal(dst, bytes.Repeat(want, n)) {
-			t.Fatalf("%d blocks: got %x, want %d × %x", n, dst, n, want)
+	eachAESLoop(t, func(loop string) {
+		for n := 1; n <= 19; n++ {
+			src := bytes.Repeat(pt, n)
+			dst := make([]byte, len(src))
+			e.encryptBlocks(dst, src)
+			if !bytes.Equal(dst, bytes.Repeat(want, n)) {
+				t.Fatalf("%s loop, %d blocks: got %x, want %d × %x", loop, n, dst, n, want)
+			}
 		}
-	}
+	})
 }
 
-// checkEncryptBlocks holds encryptBlocks equal to crypto/aes block for
-// block on n blocks of data (repeated to length), with source and
-// destination at the given offsets mod 16 or — inPlace — the same bytes,
-// and checks that nothing outside dst[:16n] is written.
+// checkEncryptBlocks holds encryptBlocks, through each loop this build
+// and CPU has (eachAESLoop), equal to crypto/aes block for block on n
+// blocks of data (repeated to length), with source and destination at the
+// given offsets mod 16 or — inPlace — the same bytes, and checks that
+// nothing outside dst[:16n] is written.
 func checkEncryptBlocks(t *testing.T, key Key, data []byte, n, srcOff, dstOff int, inPlace bool) {
+	t.Helper()
+	eachAESLoop(t, func(loop string) {
+		checkEncryptLoop(t, loop, key, data, n, srcOff, dstOff, inPlace)
+	})
+}
+
+func checkEncryptLoop(t *testing.T, loop string, key Key, data []byte, n, srcOff, dstOff int, inPlace bool) {
 	t.Helper()
 	e := keyedEngine(t, key)
 	const guard = 0xA7
@@ -73,22 +84,23 @@ func checkEncryptBlocks(t *testing.T, key Key, data []byte, n, srcOff, dstOff in
 	}
 	e.encryptBlocks(dst, src)
 	if !bytes.Equal(dst, want) {
-		t.Fatalf("n=%d src+%d dst+%d inPlace=%v: differs from crypto/aes", n, srcOff, dstOff, inPlace)
+		t.Fatalf("%s loop, n=%d src+%d dst+%d inPlace=%v: differs from crypto/aes", loop, n, srcOff, dstOff, inPlace)
 	}
 	for i, b := range dstBuf {
 		if (i < dstOff || i >= dstOff+len(dst)) && b != guard {
-			t.Fatalf("n=%d: byte %d outside the destination was written", n, i-dstOff)
+			t.Fatalf("%s loop, n=%d: byte %d outside the destination was written", loop, n, i-dstOff)
 		}
 	}
 }
 
 // FuzzEncryptBlocksVsStdlib: any key, any data, any block count up to 320
 // and any pair of alignments — misalign's low nibble offsets the source,
-// the next the destination, and bit 8 selects in-place. The seeds walk the
-// block counts around the kernel's four-wide loop at every offset mod 16,
-// apart and in place; plain `go test` runs them.
+// the next the destination, and bit 8 selects in-place — through every
+// loop of the kernel. The seeds walk the block counts around its eight-
+// and four-wide loops at every offset mod 16, apart and in place; plain
+// `go test` runs them.
 func FuzzEncryptBlocksVsStdlib(f *testing.F) {
-	for _, n := range []uint16{0, 1, 3, 4, 5, 7, 8, 9, 63, 64, 65, 320} {
+	for _, n := range []uint16{0, 1, 3, 4, 5, 7, 8, 9, 15, 16, 17, 23, 24, 25, 63, 64, 65, 71, 72, 320} {
 		for off := uint16(0); off < aes.BlockSize; off++ {
 			f.Add([]byte("blocks"), []byte{byte(n), byte(off)}, n, off|(off*7+3)%aes.BlockSize<<4)
 			f.Add([]byte("blocks"), []byte{byte(n), byte(off)}, n, off<<4|1<<8)
@@ -101,17 +113,25 @@ func FuzzEncryptBlocksVsStdlib(f *testing.F) {
 	})
 }
 
+// BenchmarkEncryptBlocks: the kernel at the block counts its callers hand
+// it (one base, a line's pad, a line's keys, 8 and 16 around the VAES
+// loop, a group's bases, a group's keys), through the loop init chose; the
+// rows named after a loop run 320 blocks through that loop.
 func BenchmarkEncryptBlocks(b *testing.B) {
 	e := benchEngine(b)
-	for _, n := range []int{1, 2, 5, 64, 320} {
+	run := func(n int) func(b *testing.B) {
 		buf := make([]byte, n*aes.BlockSize)
-		b.Run(fmt.Sprint(n), func(b *testing.B) {
+		return func(b *testing.B) {
 			b.SetBytes(int64(len(buf)))
 			for i := 0; i < b.N; i++ {
 				e.encryptBlocks(buf, buf)
 			}
-		})
+		}
 	}
+	for _, n := range []int{1, 2, 5, 8, 16, 64, 320} {
+		b.Run(fmt.Sprint(n), run(n))
+	}
+	eachAESLoop(b, func(loop string) { b.Run(loop+"/320", run(320)) })
 }
 
 // BenchmarkBlockEncrypt is the baseline BenchmarkEncryptBlocks replaces:

@@ -127,7 +127,7 @@ func BenchmarkSeal(b *testing.B) {
 
 // BenchmarkSealOpenLines: the run kernels of the line data path over a
 // 64-line leaf run, per line — XOR, hash and mask, and on the way out the
-// tag compare.
+// tag compare; XORLines is the XOR kernel alone.
 func BenchmarkSealOpenLines(b *testing.B) {
 	e := benchEngine(b)
 	const n = 64
@@ -154,6 +154,12 @@ func BenchmarkSealOpenLines(b *testing.B) {
 			if e.OpenLines(src, ct, keys, macs) != n {
 				b.Fatal("bad MAC")
 			}
+		}
+	})
+	b.Run("XORLines", func(b *testing.B) {
+		b.SetBytes(LineSize)
+		for i := 0; i < b.N; i += n {
+			XORLines(src, ct, keys)
 		}
 	})
 	b.Run("OpenLines1", func(b *testing.B) {

@@ -185,7 +185,8 @@ func batchTweaks(n int) []Tweak {
 // TestLineBasesMatchesOracle / TestLineKeysMatchesOracle: the run kernels
 // the engine's line planes are filled by — bases for n consecutive lines,
 // then pad and mask block for each at its own counter, in place — equal
-// the oracle's tweakBase, XORPad and LineMAC, for a run of one and of 64.
+// the oracle's tweakBase, XORPad and LineMAC, for a run of one and of 64
+// (and, for the keys, of two and 65: a VAES group split across lines).
 func TestLineBasesMatchesOracle(t *testing.T) {
 	e := testEngine()
 	for _, n := range []int{1, 64} {
@@ -203,7 +204,7 @@ func TestLineBasesMatchesOracle(t *testing.T) {
 
 func TestLineKeysMatchesOracle(t *testing.T) {
 	e := testEngine()
-	for _, n := range []int{1, 64} {
+	for _, n := range []int{1, 2, 64, 65} {
 		tws := batchTweaks(n)
 		bases, keys, ctrs := make([]byte, n*LineBasesSize), make([]byte, n*LineKeysSize), make([]uint64, n)
 		for i, tw := range tws {
@@ -416,6 +417,58 @@ func TestCheckXORLinesSplitOpenLines(t *testing.T) {
 			XORLines(split[:bad*LineSize], ct, keys)
 			if !bytes.Equal(split, opened) {
 				t.Fatalf("n=%d, bad line %d: check then XOR of the lines before it differs from OpenLines", n, bad)
+			}
+		}
+	}
+}
+
+// TestXORLinesKernel: xorLines — on amd64 the SSE2 kernel SealLines and
+// XORLines call once per run, under purego the Go loop — equals xorLine
+// line by line for 0…130 lines, with dst, src and keys each at its own
+// offset mod 16, and in place. It writes nothing outside dst, and the
+// mask block behind each keystream never reaches the output: inverting
+// every mask block leaves the result as it was.
+func TestXORLinesKernel(t *testing.T) {
+	const guard = 0xA7
+	for n := 0; n <= 130; n++ {
+		for _, off := range []int{0, 1, 8, 15} {
+			for _, inPlace := range []bool{false, true} {
+				dOff, sOff, kOff := off, (off+5)%16, (off+11)%16
+				src := make([]byte, sOff+n*LineSize)[sOff:]
+				keys := make([]byte, kOff+n*LineKeysSize)[kOff:]
+				for i := range src {
+					src[i] = byte(i*31 + n)
+				}
+				for i := range keys {
+					keys[i] = byte(i*7+off) ^ byte(i>>8)
+				}
+				want := make([]byte, len(src))
+				for i := range n {
+					xorLine((*[LineSize]byte)(want[i*LineSize:]), (*[LineSize]byte)(src[i*LineSize:]), (*[LineSize]byte)(keys[i*LineKeysSize:]))
+				}
+				for pass := range 2 {
+					dstBuf := bytes.Repeat([]byte{guard}, dOff+len(src)+LineSize)
+					dst := dstBuf[dOff : dOff+len(src)]
+					in := src
+					if inPlace {
+						copy(dst, src)
+						in = dst
+					}
+					xorLines(dst, in, keys, n)
+					if !bytes.Equal(dst, want) {
+						t.Fatalf("n=%d off=%d inPlace=%v pass %d: differs from xorLine", n, off, inPlace, pass)
+					}
+					for i, b := range dstBuf {
+						if (i < dOff || i >= dOff+len(dst)) && b != guard {
+							t.Fatalf("n=%d off=%d inPlace=%v: byte %d outside dst written", n, off, inPlace, i-dOff)
+						}
+					}
+					for i := range n { // the second pass runs with every mask block inverted
+						for j := LineSize; j < LineKeysSize; j++ {
+							keys[i*LineKeysSize+j] ^= 0xFF
+						}
+					}
+				}
 			}
 		}
 	}

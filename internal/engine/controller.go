@@ -373,7 +373,7 @@ func (c *Controller) Enable(r int, key crypt.Key, guaddr, rootCounter uint64) er
 	tr.SetTrace(c.probe)
 	tr.SetRootCounter(rootCounter)
 	tr.RehashAll(eng, guaddr)
-	c.bindRegion(r, regionState{mode: ModeReadWrite, eng: eng, tr: tr, guaddr: guaddr, lineMACs: make([]uint64, c.lay.Lines)})
+	c.bindRegion(r, regionState{mode: ModeReadWrite, eng: eng, tr: tr, guaddr: guaddr, lineMACs: make([]uint64, c.lay.Lines), linePlanes: c.takePlanes()})
 	// The write path's kernels, a 64-line group at a time: keyed, then
 	// encrypted in place and MACed.
 	data := c.mem.RegionData(r)
@@ -384,22 +384,28 @@ func (c *Controller) Enable(r int, key crypt.Key, guaddr, rootCounter uint64) er
 	return nil
 }
 
-// bindRegion makes st the live state of the disabled region r: it adds
-// line planes with nothing valid (recycled from planePool when an
-// invalidated region left a set, so only the validity bitset is reset) and
-// an all-dirty line bitset — neither freshly encrypted nor
-// transferred contents have been checkpointed here — then drops the node
-// cache's entries for it.
+// takePlanes returns a set of line planes with nothing valid: recycled
+// from planePool when an invalidated region left one, so only the validity
+// bitset is reset, else a new set. It belongs to the caller until it binds
+// it to a region or hands it back to the pool.
+func (c *Controller) takePlanes() linePlanes {
+	n := len(c.planePool)
+	if n == 0 {
+		return newLinePlanes(c.lay.Lines)
+	}
+	p := c.planePool[n-1]
+	c.planePool[n-1] = linePlanes{}
+	c.planePool = c.planePool[:n-1]
+	clear(p.lineOK)
+	return p
+}
+
+// bindRegion makes st, whose line planes come from takePlanes, the live
+// state of the disabled region r: it adds an all-dirty line bitset —
+// neither freshly encrypted nor transferred contents have been
+// checkpointed here — then drops the node cache's entries for it.
 func (c *Controller) bindRegion(r int, st regionState) {
 	lines := c.lay.Lines
-	if n := len(c.planePool); n > 0 {
-		st.linePlanes = c.planePool[n-1]
-		c.planePool[n-1] = linePlanes{}
-		c.planePool = c.planePool[:n-1]
-		clear(st.lineOK)
-	} else {
-		st.linePlanes = newLinePlanes(lines)
-	}
 	st.dirtyLines = make([]uint64, (lines+63)/64)
 	st.markLines(0, lines) // whole words, and no bit past the last line
 	c.regions[r] = st
@@ -996,7 +1002,15 @@ func (c *Controller) Install(r int, key crypt.Key, guaddr, rootCounter uint64, t
 	if err := tr.VerifyAll(eng, guaddr); err != nil {
 		return err
 	}
-	if err := c.verifyLineMACs(eng, tr, guaddr, data, lineMACs); err != nil {
+	// The line-MAC sweep stages its mask blocks in the planes the region
+	// will get, each chunk in the bases of its own lines: nothing in them is
+	// valid yet. A rejected closure leaves the pool as it found it.
+	pooled := len(c.planePool) > 0
+	planes := c.takePlanes()
+	if err := c.verifyLineMACs(eng, tr, guaddr, data, lineMACs, planes.bases); err != nil {
+		if pooled {
+			c.planePool = append(c.planePool, planes)
+		}
 		return err
 	}
 	// Verdict in: only now does the region change. The copy is a sweep like
@@ -1014,7 +1028,7 @@ func (c *Controller) Install(r int, key crypt.Key, guaddr, rootCounter uint64, t
 			break
 		}
 	}
-	c.bindRegion(r, regionState{mode: mode, eng: eng, tr: tr, guaddr: guaddr, lineMACs: lineMACs})
+	c.bindRegion(r, regionState{mode: mode, eng: eng, tr: tr, guaddr: guaddr, lineMACs: lineMACs, linePlanes: planes})
 	tr.MarkAllDirty()
 	// Install is functional verification (tree + line MACs) and advances
 	// no clock, so its causal span is a zero-duration, zero-cycle marker

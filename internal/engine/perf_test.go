@@ -421,10 +421,8 @@ func TestEnableSweeps(t *testing.T) {
 
 	// Install's line-MAC sweep, called as verifyLineMACs' chunks call it:
 	// over the whole region, which passes, and up to a tampered MAC, which
-	// it names. It allocates only what staging blocks through the AES
-	// kernel costs on this build: nothing on amd64; under the portable AES,
-	// whose cipher.Block takes its slices through an interface, the stack
-	// block moves to the heap, once per call.
+	// it names. It stages in memory its caller owns, so it allocates
+	// nothing on either build.
 	c := setup(4, 8, 24)
 	fill(c, 0, 5)
 	if err := c.Enable(0, testKey, 0x11, 0); err != nil {
@@ -433,18 +431,14 @@ func TestEnableSweeps(t *testing.T) {
 	st := c.region(0)
 	data, bad := c.Memory().RegionData(0), append([]uint64(nil), st.lineMACs...)
 	bad[700] ^= 1
-	var ids [1]uint32
-	staging := testing.AllocsPerRun(5, func() {
-		var blk [crypt.MaskBaseSize]byte
-		st.eng.MaskBases(st.guaddr, crypt.DomainLineMAC, ids[:], blk[:])
-	})
+	stage := make([]byte, c.lay.Lines*crypt.LineBasesSize)
 	if a := testing.AllocsPerRun(5, func() {
-		if sweepLineMACs(st.eng, st.tr, st.guaddr, data, st.lineMACs, 0, c.lay.Lines) != -1 ||
-			sweepLineMACs(st.eng, st.tr, st.guaddr, data, bad, 0, c.lay.Lines) != 700 {
+		if sweepLineMACs(st.eng, st.tr, st.guaddr, data, st.lineMACs, stage, 0, c.lay.Lines) != -1 ||
+			sweepLineMACs(st.eng, st.tr, st.guaddr, data, bad, stage, 0, c.lay.Lines) != 700 {
 			t.Fatal("the sweep missed the tampered line MAC or flagged a good one")
 		}
-	}); a != 2*staging {
-		t.Fatalf("two line-MAC sweeps allocate %.0f objects, want the %.0f of staging their blocks", a, 2*staging)
+	}); a != 0 {
+		t.Fatalf("two line-MAC sweeps allocate %.0f objects, want 0", a)
 	}
 }
 

@@ -255,7 +255,7 @@ func rangeVsLine(t testing.TB, setup twinSetup, script []byte) uint64 {
 		if err := st.tr.VerifyAll(st.eng, st.guaddr); err != nil {
 			t.Fatalf("region %d: tree does not verify after the script: %v", r, err)
 		}
-		if bad := sweepLineMACs(st.eng, st.tr, st.guaddr, rng.c.mem.RegionData(r), st.lineMACs, 0, rng.c.lay.Lines); bad >= 0 {
+		if bad := sweepLineMACs(st.eng, st.tr, st.guaddr, rng.c.mem.RegionData(r), st.lineMACs, make([]byte, 64*crypt.MaskBaseSize), 0, rng.c.lay.Lines); bad >= 0 {
 			t.Fatalf("region %d: line %d's MAC does not verify after the script", r, bad)
 		}
 	}

@@ -155,10 +155,12 @@ func groupEnd(g, hi int) int { return min((g|63)+1, hi) }
 
 // verifyLineMACs checks every transferred line's MAC at the counter the
 // (already verified) tree holds for it, and names the lowest line that
-// fails. The chunks share only read-only inputs.
-func (c *Controller) verifyLineMACs(eng *crypt.Engine, tr *tree.Tree, guaddr uint64, data []byte, lineMACs []uint64) error {
+// fails. The chunks share only read-only inputs; each stages its AES
+// blocks in its own lines' stretch of bases, a plane of
+// crypt.LineBasesSize bytes per line whose contents it may overwrite.
+func (c *Controller) verifyLineMACs(eng *crypt.Engine, tr *tree.Tree, guaddr uint64, data []byte, lineMACs []uint64, bases []byte) error {
 	if bad := c.sweepLines(func(lo, hi int) int {
-		return sweepLineMACs(eng, tr, guaddr, data, lineMACs, lo, hi)
+		return sweepLineMACs(eng, tr, guaddr, data, lineMACs, bases[lo*crypt.LineBasesSize:hi*crypt.LineBasesSize], lo, hi)
 	}); bad >= 0 {
 		return fmt.Errorf("%w: transferred data line %d", ErrIntegrity, bad)
 	}
@@ -167,17 +169,19 @@ func (c *Controller) verifyLineMACs(eng *crypt.Engine, tr *tree.Tree, guaddr uin
 
 // sweepLineMACs verifies lines [lo, hi) of a region's ciphertext against
 // lineMACs and returns the first line that does not match, or -1. It works
-// 64 lines at a time, staged on the stack: their mask bases in one
-// multi-block AES call, the masks from them in a second, their hashes in
-// one entry into the dot-product kernel, then the compares in line order.
-// It only reads its inputs, so several sweeps over disjoint ranges may run
-// at once.
-func sweepLineMACs(eng *crypt.Engine, tr *tree.Tree, guaddr uint64, data []byte, lineMACs []uint64, lo, hi int) int {
+// 64 lines at a time: their mask bases in one multi-block AES call, the
+// masks from them in a second, both staged in blk (at least
+// crypt.MaskBaseSize bytes for each of min(64, hi-lo) lines; heap memory,
+// which the portable AES, reaching its cipher through an interface, would
+// otherwise move a stack array to), their hashes in one entry into the
+// dot-product kernel, then the compares in line order. It writes only
+// blk, so several sweeps over disjoint ranges, each with its own blk, may
+// run at once.
+func sweepLineMACs(eng *crypt.Engine, tr *tree.Tree, guaddr uint64, data []byte, lineMACs []uint64, blk []byte, lo, hi int) int {
 	var (
 		ids  [64]uint32
 		ctrs [64]uint64
 		hash [64]uint64
-		blk  [64 * crypt.MaskBaseSize]byte
 	)
 	for ; lo < hi; lo += len(ids) {
 		n := min(len(ids), hi-lo)
@@ -185,8 +189,8 @@ func sweepLineMACs(eng *crypt.Engine, tr *tree.Tree, guaddr uint64, data []byte,
 			ids[i] = uint32(lo + i)
 		}
 		tr.LeafCounters(lo, ctrs[:n])
-		eng.MaskBases(guaddr, crypt.DomainLineMAC, ids[:n], blk[:])
-		eng.MasksFromBases(blk[:], ctrs[:n])
+		eng.MaskBases(guaddr, crypt.DomainLineMAC, ids[:n], blk)
+		eng.MasksFromBases(blk, ctrs[:n])
 		eng.LineHashes(data[lo*mem.LineSize:(lo+n)*mem.LineSize], hash[:])
 		for i := range n {
 			// Constant-time compare: the MACs are untrusted (wire or meta-zone).
