@@ -11,16 +11,21 @@
 //	mmt-benchpairs -workload migrate                              # change side only
 //
 // Without -parent only the change side is run again; the parent side
-// already in the output file is kept, and the pairing is by index.
+// already in the output file is kept, and the pairing is by index. A
+// -parent directory must be the top level of a git work tree: a copy made
+// with git archive would record its commit as "unknown", and a copy inside
+// another checkout would record that checkout's commit.
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"maps"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"regexp"
 	"slices"
 	"sort"
@@ -171,6 +176,28 @@ func commitOf(dir string) string {
 	return string(out[:len(out)-1])
 }
 
+// checkoutRoot refuses a directory that is not the top level of a git work
+// tree, the only place where commitOf names the commit that is measured.
+func checkoutRoot(dir string) error {
+	cmd := exec.Command("git", "rev-parse", "--show-toplevel")
+	cmd.Dir = dir
+	out, err := cmd.Output()
+	if err != nil {
+		return fmt.Errorf("%s is not a git checkout: %v", dir, err)
+	}
+	top, err := filepath.EvalSymlinks(string(bytes.TrimSpace(out)))
+	if err == nil {
+		dir, err = filepath.Abs(dir)
+	}
+	if err == nil {
+		dir, err = filepath.EvalSymlinks(dir)
+	}
+	if err == nil && top != dir {
+		err = fmt.Errorf("%s is inside the checkout at %s, not the top level of its own", dir, top)
+	}
+	return err
+}
+
 // The pairing is fixed, not configurable: a recorded run must be the run
 // the driver judges (BENCHMARK.json's run length, ten pairs), and pair i
 // uses seed firstSeed+i on both sides.
@@ -200,6 +227,9 @@ func main() {
 			fmt.Fprintf(os.Stderr, "mmt-benchpairs: %s: %v\n", outPath, err)
 			os.Exit(2)
 		}
+	} else if err := checkoutRoot(*parent); err != nil {
+		fmt.Fprintln(os.Stderr, "mmt-benchpairs: -parent:", err)
+		os.Exit(2)
 	} else {
 		rep.Parent = side{Commit: commitOf(*parent)}
 	}

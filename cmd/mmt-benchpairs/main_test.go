@@ -1,6 +1,9 @@
 package main
 
 import (
+	"os"
+	"os/exec"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -139,6 +142,33 @@ func TestCheckRefusesAChangedMetricSet(t *testing.T) {
 		}
 		if tc.bad != "" && (err == nil || !strings.Contains(err.Error(), tc.bad)) {
 			t.Errorf("%s: got %v, want %s refused", tc.name, err, tc.bad)
+		}
+	}
+}
+
+// TestCheckoutRoot: a -parent must be the top level of its own git work
+// tree; a plain copy and a copy inside another checkout are refused.
+func TestCheckoutRoot(t *testing.T) {
+	repo := t.TempDir()
+	if out, err := exec.Command("git", "init", "-q", repo).CombinedOutput(); err != nil {
+		t.Skipf("git init: %v: %s", err, out)
+	}
+	nested := filepath.Join(repo, "parent")
+	plain := t.TempDir()
+	if err := os.Mkdir(nested, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct{ name, dir, bad string }{
+		{"top level", repo, ""},
+		{"not a git checkout", plain, "is not a git checkout"},
+		{"inside another checkout", nested, "not the top level"},
+	} {
+		err := checkoutRoot(tc.dir)
+		if tc.bad == "" && err != nil {
+			t.Errorf("%s: refused: %v", tc.name, err)
+		}
+		if tc.bad != "" && (err == nil || !strings.Contains(err.Error(), tc.bad)) {
+			t.Errorf("%s: got %v, want an error naming %q", tc.name, err, tc.bad)
 		}
 	}
 }

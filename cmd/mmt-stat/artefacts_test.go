@@ -140,7 +140,7 @@ func TestGeneratedArtefactsValidate(t *testing.T) {
 			t.Errorf("%s: %v", kind, err)
 		}
 	}
-	for kind, want := range map[string]string{"series": `"evicted": {`, "events": `"flight":[`, "fig11": `"series": {`} {
+	for kind, want := range map[string]string{"series": `"evicted":{`, "events": `"flight":[`, "fig11": `"series": {`} {
 		if !bytes.Contains(all[kind], []byte(want)) {
 			t.Errorf("%s artefact has no %s; the mutation table depends on it", kind, want)
 		}

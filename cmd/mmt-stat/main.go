@@ -112,11 +112,11 @@ func render(w io.Writer, data []byte, tail int) error {
 	case len(first) == 0:
 		return fmt.Errorf("empty file")
 	case first[0] == '[':
-		events, err := trace.ParseChromeTrace(data)
+		t, err := trace.ParseChromeTrace(data)
 		if err != nil {
 			return err
 		}
-		renderChrome(w, events)
+		renderChrome(w, t)
 		return nil
 	case first[0] != '{':
 		return fmt.Errorf("neither a JSON array (Chrome trace) nor a JSON object")
@@ -129,33 +129,29 @@ func render(w io.Writer, data []byte, tail int) error {
 	}
 	switch probe.Schema {
 	case trace.HistSchema:
-		m, err := trace.ParseHist(data)
+		doc, err := trace.ParseHist(data)
 		if err != nil {
 			return err
 		}
 		var rows [][]string
-		for i := range m.Procs {
-			p := &m.Procs[i]
-			for op := range p.Ops {
-				if h := &p.Ops[op]; h.Count != 0 {
-					rows = append(rows, histRow(p.Proc, trace.Op(op).String(), h.Count,
-						h.Quantile(0.50), h.Quantile(0.90), h.Quantile(0.99), h.Max, h.Mean()))
-				}
+		for _, p := range doc.Procs {
+			for _, h := range p.Ops {
+				rows = append(rows, histRow(p.Proc, h.Op.String(), h.Count, h.P50, h.P90, h.P99, h.Max, h.Mean))
 			}
 		}
 		renderHists(w, rows)
 	case trace.EventsSchema:
-		events, dropped, err := trace.ParseEvents(data)
+		doc, err := trace.ParseEvents(data)
 		if err != nil {
 			return err
 		}
-		renderEvents(w, events, dropped, tail)
+		renderEvents(w, doc, tail)
 	case trace.CausalSchema:
-		traces, err := trace.ParseCausal(data)
+		doc, err := trace.ParseCausal(data)
 		if err != nil {
 			return err
 		}
-		renderCausal(w, traces)
+		renderCausal(w, doc.Traces)
 	case trace.SeriesSchema:
 		v, err := trace.ParseSeries(data)
 		if err != nil {
@@ -182,21 +178,37 @@ func render(w io.Writer, data []byte, tail int) error {
 
 // renderChrome counts a Chrome trace's spans per process and phase (in
 // name, then phase order) with their summed and longest durations.
-func renderChrome(w io.Writer, events []trace.Event) {
-	sort.SliceStable(events, func(i, j int) bool {
-		a, b := &events[i], &events[j]
-		return a.Proc < b.Proc || a.Proc == b.Proc && a.Phase < b.Phase
-	})
-	fmt.Fprintf(w, "chrome trace: %d spans\n", len(events))
-	rows := [][]string{{"proc", "phase", "spans", "total_us", "max_us"}}
-	for i, j := 0, 0; i < len(events); i = j {
-		var sum, longest sim.Time
-		for ; j < len(events) && events[j].Proc == events[i].Proc && events[j].Phase == events[i].Phase; j++ {
-			sum += events[j].End - events[j].Begin
-			longest = max(longest, events[j].End-events[j].Begin)
+func renderChrome(w io.Writer, t trace.ChromeTrace) {
+	type span struct {
+		proc  string
+		phase trace.Phase
+		dur   float64 // microseconds
+	}
+	procs := map[int]string{}
+	var spans []span
+	for _, r := range t {
+		switch r := r.(type) {
+		case *trace.ChromeProc:
+			procs[r.Pid] = r.Args.Name
+		case *trace.ChromeSpan:
+			phase, _ := trace.Lookup(r.Name, trace.NumPhases)
+			spans = append(spans, span{procs[r.Pid], phase, float64(r.Dur)})
 		}
-		rows = append(rows, []string{events[i].Proc, events[i].Phase.String(), fmt.Sprintf("%d", j-i),
-			fmt.Sprintf("%.3f", sum.Microseconds()), fmt.Sprintf("%.3f", longest.Microseconds())})
+	}
+	sort.SliceStable(spans, func(i, j int) bool {
+		a, b := &spans[i], &spans[j]
+		return a.proc < b.proc || a.proc == b.proc && a.phase < b.phase
+	})
+	fmt.Fprintf(w, "chrome trace: %d spans\n", len(spans))
+	rows := [][]string{{"proc", "phase", "spans", "total_us", "max_us"}}
+	for i, j := 0, 0; i < len(spans); i = j {
+		var sum, longest float64
+		for ; j < len(spans) && spans[j].proc == spans[i].proc && spans[j].phase == spans[i].phase; j++ {
+			sum += spans[j].dur
+			longest = max(longest, spans[j].dur)
+		}
+		rows = append(rows, []string{spans[i].proc, spans[i].phase.String(), fmt.Sprintf("%d", j-i),
+			fmt.Sprintf("%.3f", sum), fmt.Sprintf("%.3f", longest)})
 	}
 	if len(rows) > 1 {
 		table(w, rows)
@@ -229,18 +241,18 @@ func renderHists(w io.Writer, rows [][]string) {
 	table(w, append([][]string{{"proc", "op", "count", "p50", "p90", "p99", "max", "mean"}}, rows...))
 }
 
-func renderEvents(w io.Writer, events []trace.SecEvent, dropped uint64, tail int) {
-	shown := events
+func renderEvents(w io.Writer, doc *trace.EventsDoc, tail int) {
+	shown := doc.Events
 	if tail > 0 && len(shown) > tail {
 		shown = shown[len(shown)-tail:]
 	}
 	fmt.Fprintf(w, "security-event ledger: %d events (%d dropped, showing %d):\n",
-		len(events), dropped, len(shown))
+		len(doc.Events), doc.Header.Dropped, len(shown))
 	rows := [][]string{{"seq", "time_us", "proc", "kind", "addr", "detail"}}
 	for _, ev := range shown {
 		rows = append(rows, []string{
-			fmt.Sprintf("%d", ev.Seq), fmt.Sprintf("%.3f", ev.Time.Microseconds()),
-			ev.Proc, ev.Kind.String(), fmt.Sprintf("%#x", ev.Addr), ev.Detail,
+			fmt.Sprintf("%d", ev.Seq), fmt.Sprintf("%.3f", float64(ev.Time)),
+			ev.Proc, ev.Kind.String(), fmt.Sprintf("%#x", uint64(ev.Addr)), ev.Detail,
 		})
 	}
 	if len(rows) > 1 {
@@ -255,7 +267,7 @@ func renderCausal(w io.Writer, traces []trace.CausalTrace) {
 	fmt.Fprintf(w, "causal traces: %d\n", len(traces))
 	for _, tr := range traces {
 		fmt.Fprintf(w, "%s  (%s cycles, critical path %.3fus over %d spans)\n",
-			tr.ID, cyc(float64(tr.TotalCycles)), tr.CriticalElapsed.Microseconds(), len(tr.CriticalPath))
+			tr.ID, cyc(float64(tr.TotalCycles)), float64(tr.CriticalElapsed), len(tr.CriticalPath))
 		critical := map[uint32]bool{}
 		for _, id := range tr.CriticalPath {
 			critical[id] = true
@@ -277,7 +289,7 @@ func renderCausal(w io.Writer, traces []trace.CausalTrace) {
 					mark = "*"
 				}
 				fmt.Fprintf(w, "  %s%s%s %d %s/%s [%.3f..%.3fus] %s cycles\n",
-					indent, branch, mark, sp.Span, sp.Proc, sp.Phase, sp.Begin.Microseconds(), sp.End.Microseconds(), cyc(float64(sp.Cycles)))
+					indent, branch, mark, sp.Span, sp.Proc, sp.Phase, float64(sp.Begin), float64(sp.End), cyc(float64(sp.Cycles)))
 				draw(sp.Span, indent+next)
 			}
 		}

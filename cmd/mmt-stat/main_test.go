@@ -60,7 +60,7 @@ func TestRenderRefuses(t *testing.T) {
 	}
 	for name, tc := range map[string]struct{ data, want string }{
 		"unknown key":      {`{"schema": "mmt-hist/v1", "procs": [], "extra": 1}`, `unknown key "extra"`},
-		"broken invariant": {strings.Replace(string(docs["causal"]), `"parent": 1`, `"parent": 7`, 1), "parent 7 does not precede it"},
+		"broken invariant": {strings.Replace(string(docs["causal"]), `"parent":1`, `"parent":7`, 1), "parent 7 does not precede it"},
 		"bad manifest":     {`{"schema": "mmt-manifest/v1"}`, `missing key "epoch"`},
 		"bad chrome trace": {`[{"ph": "X"}]`, `missing key "pid"`},
 		"unknown schema":   {`{"schema": "mmt-future/v9"}`, `unknown schema "mmt-future/v9"`},

@@ -31,8 +31,8 @@ func renderSeries(w io.Writer, v *trace.SeriesView) {
 			for _, c := range s.Cycles {
 				vals[i] += float64(c)
 			}
-			for _, n := range s.OpCount {
-				ops += n
+			for _, o := range s.Ops {
+				ops += o.Count
 			}
 			if vals[i] > peak {
 				peak = vals[i]

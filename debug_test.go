@@ -86,10 +86,11 @@ func TestDebugServer(t *testing.T) {
 		t.Fatalf("hist procs: %+v", hist.Procs)
 	}
 
-	events, _, err := trace.ParseEvents(get(t, base+"/debug/mmt/events"))
+	ledger, err := trace.ParseEvents(get(t, base+"/debug/mmt/events"))
 	if err != nil {
 		t.Fatalf("events endpoint: %v", err)
 	}
+	events := ledger.Events
 	accepted := false
 	for _, ev := range events {
 		accepted = accepted || ev.Kind == trace.EvMigrationAccept

@@ -91,7 +91,8 @@ func TestFig11MigrationTreesMatchSidecar(t *testing.T) {
 
 // TestCausalTreesAreWellFormed runs the one well-formedness check (the
 // same the mmt-causal/v1 reader applies to a file) over a live sink's
-// traces: parents precede children, children nest inside their parent's
+// traces at the recorder's precision, below the document's 1 ns:
+// parents precede children, children nest inside their parent's
 // interval, exactly one root per trace, a real critical path.
 func TestCausalTreesAreWellFormed(t *testing.T) {
 	_, sink := causalFig11(t, 1, 800)

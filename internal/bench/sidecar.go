@@ -356,7 +356,7 @@ func (sc *Sidecar) fillMigrations(sink *trace.Sink, m trace.Metrics) {
 			Spans:             len(t.Spans),
 			TotalCycles:       t.TotalCycles,
 			CriticalPathLen:   len(t.CriticalPath),
-			CriticalElapsedUs: t.CriticalElapsed.Microseconds(),
+			CriticalElapsedUs: float64(t.CriticalElapsed),
 		})
 	}
 	if len(sc.Migrations) == 0 {

@@ -52,7 +52,7 @@ func TestRecordRejectLedgerStrings(t *testing.T) {
 			t.Fatalf("%d ledger events, want %d", len(events), len(verdicts))
 		}
 		for i, ev := range events {
-			if ev.Kind != verdicts[i].kind || ev.Detail != site.details[i] || ev.Addr != 0xABCDEF || ev.Time != 1.5 {
+			if ev.Kind != verdicts[i].kind || ev.Detail != site.details[i] || ev.Addr != 0xABCDEF || ev.Time != trace.Micros(1.5) {
 				t.Errorf("%s%s verdict %d: kind %v detail %q addr %#x", site.who, site.what, i, ev.Kind, ev.Detail, ev.Addr)
 			}
 		}

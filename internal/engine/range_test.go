@@ -108,11 +108,11 @@ type observed struct {
 }
 
 func (w twin) observe() observed {
-	functional := func(c *[trace.NumCounters]uint64) {
+	functional := func(c []uint64) {
 		c[trace.CtrTreeNodeVerifies], c[trace.CtrTreeNodeRehashes] = 0, 0
 	}
 	o := observed{stats: w.c.Stats(), now: w.c.Clock().Now(), metrics: w.sink.Snapshot().Procs[0], events: w.sink.SecEvents()}
-	functional(&o.metrics.Counters)
+	functional(o.metrics.Counters[:])
 	for r := range w.c.regions {
 		o.modes = append(o.modes, w.c.Mode(r))
 		if tr := w.c.Tree(r); tr != nil {
@@ -122,10 +122,10 @@ func (w twin) observe() observed {
 	o.series, _ = w.sink.SeriesSnapshot()
 	for i := range o.series.Procs {
 		p := &o.series.Procs[i]
-		functional(&p.Evicted.Counters)
-		functional(&p.Totals.Counters)
+		functional(p.Evicted.Counters[:])
+		functional(p.Totals.Counters[:])
 		for j := range p.Samples {
-			functional(&p.Samples[j].Counters)
+			functional(p.Samples[j].Counters[:])
 		}
 	}
 	return o

@@ -52,6 +52,24 @@ func checkAgainstOracle(t *testing.T, x, h0, h1 uint64, coeffs []uint64) {
 	if got := m.Mul(h0); got != mulSlow(h0, x) {
 		t.Errorf("Mulx.Mul(%#x) = %#x, oracle %#x", h0, got, mulSlow(h0, x))
 	}
+	// The run kernel over every whole block of the coefficients' bytes,
+	// each block to the oracle, and nothing written past the last one.
+	n := len(coeffs) / (BlockSize / 8)
+	blocks := make([]byte, 8*len(coeffs))
+	for i, c := range coeffs {
+		binary.LittleEndian.PutUint64(blocks[8*i:], c)
+	}
+	sums := make([]uint64, n+1)
+	sums[n] = 0xDEAD
+	m.EvalBlocks(blocks, sums)
+	for i := range n {
+		if want := evalSlow(coeffs[i*BlockSize/8:(i+1)*BlockSize/8], x); sums[i] != want {
+			t.Errorf("len %d: EvalBlocks[%d] = %#x, oracle %#x", len(coeffs), i, sums[i], want)
+		}
+	}
+	if sums[n] != 0xDEAD {
+		t.Errorf("len %d: EvalBlocks wrote past block %d", len(coeffs), n)
+	}
 }
 
 func TestEvaluatorsAgreeAtKernelEdges(t *testing.T) {
@@ -72,8 +90,16 @@ func TestEvaluatorsAgreeAtKernelEdges(t *testing.T) {
 // FuzzDotVsOracle drives the fixed-point evaluators with an arbitrary
 // point, header words and coefficients (the little-endian words of data,
 // up to 2K+3 of them) against the bit-loop oracle. The committed corpus
-// holds one input per edge length plus dense and top-bit operands.
+// holds one input per edge length plus dense and top-bit operands; the
+// seeds below add runs of 1 to 9 whole blocks for EvalBlocks.
 func FuzzDotVsOracle(f *testing.F) {
+	for n := 1; n <= 9; n++ {
+		data := make([]byte, n*BlockSize)
+		for i := range data {
+			data[i] = byte(i*131 + n)
+		}
+		f.Add(uint64(0x9E3779B97F4A7C15)*uint64(n), uint64(n), ^uint64(n), data)
+	}
 	f.Fuzz(func(t *testing.T, x, h0, h1 uint64, data []byte) {
 		coeffs := make([]uint64, min(len(data)/8, 2*kernelSpan+3))
 		for i := range coeffs {

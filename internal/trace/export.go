@@ -1,6 +1,8 @@
 package trace
 
 import (
+	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"strconv"
@@ -9,217 +11,175 @@ import (
 	"mmt/internal/sim"
 )
 
-// This file renders a Sink into the Chrome trace-event JSON format
-// (the "JSON Array Format" consumed by chrome://tracing and Perfetto)
-// and into a compact text summary.
-//
-// Determinism contract: the writers below never iterate a map, never
-// read wall-clock time, and format floats with a fixed precision, so
-// two identical simulated runs serialize to byte-identical output. The
-// JSON is assembled by hand instead of encoding/json both to keep field
-// order pinned and to avoid float round-trip variance.
+// This file renders a Sink as a Chrome trace (the "JSON Array Format"
+// chrome://tracing and Perfetto read) and as a compact text summary.
 
-// pidOf maps a process name to its 1-based pid in name-sorted order.
-func pidsByName(procs []ProcMetrics) map[string]int {
-	pids := make(map[string]int, len(procs))
-	for i := range procs {
-		pids[procs[i].Proc] = i + 1
-	}
-	return pids
+// ChromeTrace is a Chrome trace-event document: its records in file
+// order, each a *ChromeProc, *ChromeSpan or *ChromeCounters.
+type ChromeTrace []ChromeRecord
+
+// ChromeRecord is one record of a ChromeTrace.
+type ChromeRecord interface{ head() *ChromeHead }
+
+// ChromeHead is what every record carries: its ph (M, X or C), and the
+// pid and tid it belongs to.
+type ChromeHead struct {
+	Ph  string `json:"ph"`
+	Pid int    `json:"pid"`
+	Tid int    `json:"tid"`
 }
 
-// jsonString escapes s as a JSON string literal. Process and phase
-// names are ASCII identifiers in practice; the escape covers the
-// general case anyway.
-func jsonString(s string) string {
-	var b strings.Builder
-	b.WriteByte('"')
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		switch {
-		case c == '"' || c == '\\':
-			b.WriteByte('\\')
-			b.WriteByte(c)
-		case c < 0x20:
-			fmt.Fprintf(&b, "\\u%04x", c)
-		default:
-			b.WriteByte(c)
+func (h *ChromeHead) head() *ChromeHead { return h }
+
+// ChromeProc is an "M" process_name record: the name of pid's process.
+type ChromeProc struct {
+	ChromeHead
+	Name string `json:"name"`
+	Args struct {
+		Name string `json:"name"`
+	} `json:"args"`
+}
+
+// ChromeSpan is an "X" record: one span, named after its phase, in
+// microseconds of simulated time, with its causal link as args when it
+// has one.
+type ChromeSpan struct {
+	ChromeHead
+	Name string    `json:"name"`
+	Cat  string    `json:"cat"`
+	Ts   Usec      `json:"ts"`
+	Dur  Usec      `json:"dur"`
+	Args *SpanLink `json:"args,omitempty"`
+}
+
+// SpanLink ties a span into its causal trace so that Perfetto queries can
+// stitch cross-machine trees.
+type SpanLink struct {
+	Trace  TraceID `json:"trace"`
+	Span   uint32  `json:"span"`
+	Parent uint32  `json:"parent"`
+}
+
+// ChromeCounters is a "C" record: a process's final counter values.
+type ChromeCounters struct {
+	ChromeHead
+	Name string `json:"name"`
+	Ts   Usec   `json:"ts"`
+	Args Counts `json:"args"`
+}
+
+// chromeTrace is the sink as a Chrome trace: an "M" record per process
+// (pids 1, 2, … in name order), an "X" record per recorded span, and a
+// "C" record per process with any counter, stamped at the process's last
+// span end (0 without spans). Safe on a nil sink (an empty array).
+func (s *Sink) chromeTrace() ChromeTrace {
+	t := ChromeTrace{}
+	m := s.Snapshot()
+	pids := make(map[string]int, len(m.Procs))
+	lastEnd := make(map[string]sim.Time, len(m.Procs))
+	for i := range m.Procs {
+		pids[m.Procs[i].Proc] = i + 1
+		proc := &ChromeProc{ChromeHead: ChromeHead{"M", i + 1, 1}, Name: "process_name"}
+		proc.Args.Name = m.Procs[i].Proc
+		t = append(t, proc)
+	}
+	for _, ev := range s.Events() {
+		x := &ChromeSpan{ChromeHead: ChromeHead{"X", pids[ev.Proc], 1}, Name: ev.Phase.String(), Cat: "mmt",
+			Ts: Micros(ev.Begin), Dur: Usec(max(ev.End.Microseconds()-ev.Begin.Microseconds(), 0))}
+		if ev.Trace.Valid() {
+			x.Args = &SpanLink{Trace: ev.Trace, Span: ev.Span, Parent: ev.Parent}
+		}
+		t = append(t, x)
+		lastEnd[ev.Proc] = max(lastEnd[ev.Proc], ev.End)
+	}
+	for i := range m.Procs {
+		if c := Counts(m.Procs[i].Counters); c != (Counts{}) {
+			t = append(t, &ChromeCounters{ChromeHead{"C", i + 1, 1}, "counters", Micros(lastEnd[m.Procs[i].Proc]), c})
 		}
 	}
-	b.WriteByte('"')
-	return b.String()
+	return t
 }
 
-// usec renders a simulated time as microseconds with fixed precision.
-// Three fractional digits = nanosecond resolution, enough to keep
-// distinct cycle stamps distinct at simulated GHz clocks.
-func usec(t sim.Time) string {
-	return strconv.FormatFloat(t.Microseconds(), 'f', 3, 64)
+// WriteChromeTrace writes the sink's Chrome trace. Safe on a nil sink.
+func (s *Sink) WriteChromeTrace(w io.Writer) error {
+	return newEncoder(w).Encode(s.chromeTrace())
+}
+
+// ParseChromeTrace reads a Chrome trace record by record, each into the
+// struct its ph names through DecodeStrict; ChromeTrace.Check says what
+// else it refuses.
+func ParseChromeTrace(data []byte) (ChromeTrace, error) {
+	var raws []json.RawMessage
+	if err := json.Unmarshal(data, &raws); err != nil {
+		return nil, fmt.Errorf("chrome trace: not a JSON array: %w", err)
+	}
+	t := make(ChromeTrace, len(raws))
+	for i, raw := range raws {
+		var h ChromeHead
+		json.Unmarshal(raw, &h) // a probe: DecodeStrict judges the record
+		switch h.Ph {
+		case "M":
+			t[i] = new(ChromeProc)
+		case "X":
+			t[i] = new(ChromeSpan)
+		case "C":
+			t[i] = new(ChromeCounters)
+		default:
+			return nil, fmt.Errorf("chrome trace: event %d: unknown ph %q (want M, X or C)", i, h.Ph)
+		}
+		if err := DecodeStrict(fmt.Sprintf("chrome trace event %d", i), raw, t[i]); err != nil {
+			return nil, err
+		}
+	}
+	if err := t.Check(); err != nil {
+		return nil, fmt.Errorf("chrome trace: %w", err)
+	}
+	return t, nil
+}
+
+// Check holds the trace to what the writer produces: pids and tids >= 1,
+// a process_name record with a name for every pid before its first use,
+// spans of category "mmt" named after a phase with non-negative ts and
+// dur, and counter records named "counters" with a non-negative ts and
+// at least one counter.
+func (t ChromeTrace) Check() error {
+	named := map[int]bool{}
+	for i, r := range t {
+		h := r.head()
+		var err error
+		switch r := r.(type) {
+		case *ChromeProc:
+			if h.Ph != "M" || r.Name != "process_name" || r.Args.Name == "" {
+				err = errors.New("metadata must be a process_name with a non-empty args.name")
+			}
+			named[h.Pid] = true
+		case *ChromeSpan:
+			if _, ok := Lookup(r.Name, NumPhases); !ok {
+				err = fmt.Errorf("unknown name %q", r.Name)
+			} else if h.Ph != "X" || r.Cat != "mmt" || r.Ts < 0 || r.Dur < 0 {
+				err = fmt.Errorf("cat %q is not \"mmt\", or negative ts or dur", r.Cat)
+			}
+		case *ChromeCounters:
+			if h.Ph != "C" || r.Name != "counters" || r.Ts < 0 || r.Args == (Counts{}) {
+				err = errors.New(`counter records are named "counters" and need a non-negative ts and non-empty args`)
+			}
+		}
+		if err == nil && (h.Pid < 1 || h.Tid < 1) {
+			err = fmt.Errorf("pid %d and tid %d must be >= 1", h.Pid, h.Tid)
+		} else if err == nil && !named[h.Pid] {
+			err = fmt.Errorf("pid %d has no process_name metadata", h.Pid)
+		}
+		if err != nil {
+			return fmt.Errorf("event %d: %w", i, err)
+		}
+	}
+	return nil
 }
 
 // cyc renders a cycle count. Cycle totals are sums of dyadic-rational
-// costs, so 'g' at full precision round-trips exactly and stays stable.
+// costs, so the shortest round-trip form is exact and stable.
 func cyc(c sim.Cycles) string {
 	return strconv.FormatFloat(float64(c), 'f', -1, 64)
-}
-
-// WriteChromeTrace serializes the sink as a Chrome trace-event JSON
-// array: one process per machine ("M" process_name metadata), one "X"
-// complete event per recorded span (ts/dur in microseconds of simulated
-// time), and one "C" counter event per process carrying the final
-// counter values. Safe on a nil sink (writes an empty array).
-func (s *Sink) WriteChromeTrace(w io.Writer) error {
-	bw := &errWriter{w: w}
-	bw.str("[")
-	if s == nil {
-		bw.str("]\n")
-		return bw.err
-	}
-	m := s.Snapshot()
-	events := s.Events()
-	pids := pidsByName(m.Procs)
-	first := true
-	emit := func(line string) {
-		if !first {
-			bw.str(",\n")
-		} else {
-			bw.str("\n")
-			first = false
-		}
-		bw.str(line)
-	}
-	for i := range m.Procs {
-		p := &m.Procs[i]
-		emit(fmt.Sprintf(`{"name":"process_name","ph":"M","pid":%d,"tid":1,"args":{"name":%s}}`,
-			pids[p.Proc], jsonString(p.Proc)))
-	}
-	for _, ev := range events {
-		begin := ev.Begin.Microseconds()
-		dur := ev.End.Microseconds() - begin
-		if dur < 0 {
-			dur = 0
-		}
-		// Causally linked spans carry their (trace, span, parent) link as
-		// event args so Perfetto queries can stitch cross-machine trees.
-		args := ""
-		if ev.Trace.Valid() {
-			args = fmt.Sprintf(`,"args":{"trace":%s,"span":%d,"parent":%d}`,
-				jsonString(ev.Trace.String()), ev.Span, ev.Parent)
-		}
-		emit(fmt.Sprintf(`{"name":%s,"cat":"mmt","ph":"X","pid":%d,"tid":1,"ts":%s,"dur":%s%s}`,
-			jsonString(ev.Phase.String()), pids[ev.Proc],
-			usec(ev.Begin), strconv.FormatFloat(dur, 'f', 3, 64), args))
-	}
-	// Counter samples: one "C" event per process at its last span end (or
-	// 0 if the process recorded no spans), carrying final counter values.
-	lastEnd := make(map[string]sim.Time, len(m.Procs))
-	for _, ev := range events {
-		if ev.End > lastEnd[ev.Proc] {
-			lastEnd[ev.Proc] = ev.End
-		}
-	}
-	for i := range m.Procs {
-		p := &m.Procs[i]
-		var args strings.Builder
-		n := 0
-		for c := Counter(0); c < NumCounters; c++ {
-			if p.Counters[c] == 0 {
-				continue
-			}
-			if n > 0 {
-				args.WriteString(",")
-			}
-			fmt.Fprintf(&args, "%s:%d", jsonString(c.String()), p.Counters[c])
-			n++
-		}
-		if n == 0 {
-			continue
-		}
-		emit(fmt.Sprintf(`{"name":"counters","ph":"C","pid":%d,"tid":1,"ts":%s,"args":{%s}}`,
-			pids[p.Proc], usec(lastEnd[p.Proc]), args.String()))
-	}
-	if !first {
-		bw.str("\n")
-	}
-	bw.str("]\n")
-	return bw.err
-}
-
-// ParseChromeTrace is WriteChromeTrace's reader: the recorded spans (the
-// "X" events, in file order, without the cycle attribution the format
-// does not carry). It accepts only what the writer can produce: "M"
-// process_name records naming every pid before its first use, "X" events
-// of category "mmt" named after a known phase with non-negative ts/dur
-// and either the whole trace/span/parent link or none of it, and "C"
-// records carrying known, non-zero counters.
-func ParseChromeTrace(data []byte) ([]Event, error) {
-	d := document{schema: "chrome trace"}
-	var events []Event
-	procs := map[int]string{}
-	for _, o := range d.array("event", data) {
-		var ph, cat string
-		var pid, tid int
-		o.get("ph", &ph)
-		o.get("pid", &pid)
-		o.get("tid", &tid)
-		if pid < 1 || tid < 1 {
-			d.failf("%s: pid %d and tid %d must be >= 1", o.path, pid, tid)
-		}
-		switch ph {
-		case "M":
-			var name, proc string
-			o.get("name", &name)
-			args := o.child("args")
-			args.get("name", &proc)
-			args.end()
-			if name != "process_name" || proc == "" {
-				d.failf("%s: metadata must be a process_name with a non-empty args.name", o.path)
-			}
-			procs[pid] = proc
-		case "X":
-			ev := Event{Proc: procs[pid], Phase: enum(o, "name", NumPhases), Begin: o.usec("ts")}
-			ev.End = ev.Begin + o.usec("dur")
-			if o.get("cat", &cat); cat != "mmt" || ev.Begin < 0 || ev.End < ev.Begin {
-				d.failf("%s: cat %q is not \"mmt\", or negative ts or dur", o.path, cat)
-			}
-			if o.has("args") { // causal link: all three keys or none
-				args := o.child("args")
-				ev.Trace = args.traceID("trace")
-				args.get("span", &ev.Span)
-				args.get("parent", &ev.Parent)
-				args.end()
-			}
-			events = append(events, ev)
-		case "C":
-			var name string
-			var counters, none [NumCounters]uint64
-			o.get("name", &name)
-			named(o, "args", NumCounters, counters[:])
-			if o.usec("ts") < 0 || name != "counters" || counters == none {
-				d.failf("%s: counter records are named \"counters\" and need a non-negative ts and non-empty args", o.path)
-			}
-		default:
-			d.failf("%s: unknown ph %q (want M, X or C)", o.path, ph)
-		}
-		if ph != "M" && procs[pid] == "" {
-			d.failf("%s: pid %d has no process_name metadata", o.path, pid)
-		}
-		o.end()
-	}
-	return events, d.err
-}
-
-// errWriter folds write errors so the exporter body stays linear.
-type errWriter struct {
-	w   io.Writer
-	err error
-}
-
-func (e *errWriter) str(s string) {
-	if e.err != nil {
-		return
-	}
-	_, e.err = io.WriteString(e.w, s)
 }
 
 // Summary renders the sink's accumulators as a compact fixed-width text

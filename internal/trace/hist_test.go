@@ -239,7 +239,7 @@ func TestHistJSONShape(t *testing.T) {
 	if len(m.Procs) != 2 || m.Procs[0].Proc != "alice" || m.Procs[1].Proc != "bob" {
 		t.Fatalf("procs not name-sorted: %+v", m.Procs)
 	}
-	if want := build(1).Snapshot(); !reflect.DeepEqual(m, want) {
+	if want := build(1).Snapshot().histDoc(); !reflect.DeepEqual(m, want) {
 		t.Fatalf("parsed histograms differ from the sink's:\n got %+v\nwant %+v", m, want)
 	}
 	for _, workers := range []int{2, 4, 8} {

@@ -66,30 +66,33 @@ func (k EventKind) String() string {
 	return "event?"
 }
 
-// SecEvent is one cycle-stamped entry in the security-event ledger.
+// SecEvent is one cycle-stamped entry in the security-event ledger, as
+// an mmt-events/v1 line carries it.
 type SecEvent struct {
 	// Seq numbers events in record order across the whole sink, starting
 	// at 1. Gaps at the front of a snapshot mean the bounded ledger
 	// dropped the oldest entries.
-	Seq  uint64
-	Proc string
-	Kind EventKind
-	// Time is the recording node's simulated clock at the event.
-	Time sim.Time
-	// Addr is the global-unique address (or region-derived address) the
-	// event concerns; 0 when not applicable.
-	Addr uint64
-	// Detail is a short constant tag chosen at the record site.
-	Detail string
+	Seq  uint64    `json:"seq"`
+	Proc string    `json:"proc"`
+	Kind EventKind `json:"kind"`
+	// Severity is Kind's severity, spelled out for a reader of the line.
+	Severity Severity `json:"severity"`
 	// Window is the sampling window index current on the recording node
 	// when the event was recorded (0 when windowed sampling is off), so
 	// ledger entries — and any droppage between them — are localizable
 	// on the series timeline.
-	Window uint64
+	Window uint64 `json:"window"`
+	// Time is the recording node's simulated clock at the event.
+	Time Usec `json:"time_us"`
+	// Addr is the global-unique address (or region-derived address) the
+	// event concerns; 0 when not applicable.
+	Addr HexAddr `json:"addr"`
+	// Detail is a short constant tag chosen at the record site.
+	Detail string `json:"detail"`
 	// Flight is the recording process's newest DefaultFlightCap spans,
 	// frozen (copied oldest-first) at record time for kinds of severity
 	// >= SevWarn; nil otherwise.
-	Flight []FlightSpan
+	Flight []FlightSpan `json:"flight,omitempty"`
 }
 
 // DefaultEventCap is the bound of the ledger ring buffer. It is a fixed
@@ -151,7 +154,7 @@ func (p *Probe) Event(kind EventKind, at sim.Time, addr uint64, detail string) {
 		return
 	}
 	p.sink.mu.Lock()
-	ev := SecEvent{Proc: p.proc.name, Kind: kind, Time: at, Addr: addr, Detail: detail}
+	ev := SecEvent{Proc: p.proc.name, Kind: kind, Severity: kind.Severity(), Time: Micros(at), Addr: HexAddr(addr), Detail: detail}
 	if ps := p.proc.series; ps != nil {
 		ev.Window = ps.curWindow
 	}
@@ -170,7 +173,7 @@ func (s *Sink) flightLocked(proc string) []FlightSpan {
 	var out []FlightSpan
 	for i := len(s.events) - 1; i >= 0 && len(out) < DefaultFlightCap; i-- {
 		if ev := &s.events[i]; ev.Proc == proc {
-			out = append(out, FlightSpan{Phase: ev.Phase, Begin: ev.Begin, End: ev.End, Trace: ev.Trace, Span: ev.Span})
+			out = append(out, FlightSpan{Phase: ev.Phase, Begin: Micros(ev.Begin), End: Micros(ev.End), Trace: ev.Trace, Span: ev.Span})
 		}
 	}
 	slices.Reverse(out)

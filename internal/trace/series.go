@@ -56,78 +56,70 @@ type SeriesConfig struct {
 }
 
 // SeriesSample is one window's accumulator delta (or, for the evicted
-// aggregate and totals, a cumulative image in the same shape).
+// aggregate and totals, a cumulative image in the same shape; the
+// sampler keeps its own images in it too, Window unused).
 type SeriesSample struct {
 	// Window is the sample's window index: cycle range
 	// [Window*W, (Window+1)*W) for window size W.
-	Window   uint64
-	Counters [NumCounters]uint64
-	Cycles   [NumPhases]sim.Cycles
-	// OpCount/OpSum are the per-operation histogram count and cycle-sum
-	// deltas (bucket occupancy is not sampled; the end-of-run histogram
-	// export carries the full distribution).
-	OpCount [NumOps]uint64
-	OpSum   [NumOps]sim.Cycles
+	Window   uint64      `json:"window"`
+	Counters Counts      `json:"counters"`
+	Cycles   PhaseCycles `json:"cycles"`
+	// Ops holds the per-operation histogram count and cycle-sum deltas
+	// (bucket occupancy is not sampled; the end-of-run histogram export
+	// carries the full distribution).
+	Ops OpSums `json:"ops"`
 }
 
-// seriesAccum is a cumulative accumulator image in sample shape.
-type seriesAccum struct {
-	counters [NumCounters]uint64
-	cycles   [NumPhases]sim.Cycles
-	opCount  [NumOps]uint64
-	opSum    [NumOps]sim.Cycles
-}
-
-func (a *seriesAccum) loadFrom(p *procMetrics) {
-	a.counters = p.counters
-	a.cycles = p.cycles
+// loadFrom sets the image to p's cumulative accumulators.
+func (a *SeriesSample) loadFrom(p *procMetrics) {
+	a.Counters = p.counters
+	a.Cycles = p.cycles
 	for op := range p.ops {
-		a.opCount[op] = p.ops[op].Count
-		a.opSum[op] = p.ops[op].Sum
+		a.Ops[op] = OpSum{Count: p.ops[op].Count, Sum: p.ops[op].Sum}
 	}
 }
 
 // add folds one delta into the image, preserving the exactDelta
 // identity: if d was built as the exact delta from this image to some
 // cumulative image cur, the result equals cur bit for bit.
-func (a *seriesAccum) add(d *SeriesSample) {
-	for i := range a.counters {
-		a.counters[i] += d.Counters[i]
+func (a *SeriesSample) add(d *SeriesSample) {
+	for i := range a.Counters {
+		a.Counters[i] += d.Counters[i]
 	}
-	for i := range a.cycles {
-		a.cycles[i] += d.Cycles[i]
+	for i := range a.Cycles {
+		a.Cycles[i] += d.Cycles[i]
 	}
-	for i := range a.opCount {
-		a.opCount[i] += d.OpCount[i]
-		a.opSum[i] += d.OpSum[i]
+	for i := range a.Ops {
+		a.Ops[i].Count += d.Ops[i].Count
+		a.Ops[i].Sum += d.Ops[i].Sum
 	}
 }
 
 // deltaTo computes the exact delta from a to cur: a sample d with
 // a+d == cur fieldwise in float64. changed reports whether any field
 // moved.
-func (a *seriesAccum) deltaTo(cur *seriesAccum) (SeriesSample, bool) {
+func (a *SeriesSample) deltaTo(cur *SeriesSample) (SeriesSample, bool) {
 	var d SeriesSample
 	changed := false
-	for i := range cur.counters {
-		if n := cur.counters[i] - a.counters[i]; n != 0 {
+	for i := range cur.Counters {
+		if n := cur.Counters[i] - a.Counters[i]; n != 0 {
 			d.Counters[i] = n
 			changed = true
 		}
 	}
-	for i := range cur.cycles {
-		if cur.cycles[i] != a.cycles[i] {
-			d.Cycles[i] = exactDelta(a.cycles[i], cur.cycles[i])
+	for i := range cur.Cycles {
+		if cur.Cycles[i] != a.Cycles[i] {
+			d.Cycles[i] = exactDelta(a.Cycles[i], cur.Cycles[i])
 			changed = true
 		}
 	}
-	for i := range cur.opCount {
-		if n := cur.opCount[i] - a.opCount[i]; n != 0 {
-			d.OpCount[i] = n
+	for i := range cur.Ops {
+		if n := cur.Ops[i].Count - a.Ops[i].Count; n != 0 {
+			d.Ops[i].Count = n
 			changed = true
 		}
-		if cur.opSum[i] != a.opSum[i] {
-			d.OpSum[i] = exactDelta(a.opSum[i], cur.opSum[i])
+		if cur.Ops[i].Sum != a.Ops[i].Sum {
+			d.Ops[i].Sum = exactDelta(a.Ops[i].Sum, cur.Ops[i].Sum)
 			changed = true
 		}
 	}
@@ -162,11 +154,11 @@ type procSeries struct {
 	sampled   bool
 	lastLabel uint64
 	// last is the cumulative accumulator image at the newest sample.
-	last seriesAccum
+	last SeriesSample
 	// base is the cumulative image at the eviction boundary: ring
 	// overflow folds the oldest sample into it, and the exactDelta
 	// identity keeps it bit-exact.
-	base        seriesAccum
+	base        SeriesSample
 	baseWindows uint64 // evicted sample count
 	baseThrough uint64 // highest evicted window label
 	ring        []SeriesSample
@@ -194,12 +186,8 @@ func (ps *procSeries) push(d SeriesSample, max int) {
 	}
 }
 
-// samplesOldestFirst copies the retained ring in window order; nil, as
-// ParseSeries reads it, when the ring is empty.
+// samplesOldestFirst copies the retained ring in window order.
 func (ps *procSeries) samplesOldestFirst() []SeriesSample {
-	if len(ps.ring) == 0 {
-		return nil
-	}
 	out := make([]SeriesSample, 0, len(ps.ring))
 	out = append(out, ps.ring[ps.head:]...)
 	out = append(out, ps.ring[:ps.head]...)
@@ -271,7 +259,7 @@ func (s *Sink) observeWindowLocked(pm *procMetrics, window uint64) {
 	if ps.sampled && label <= ps.lastLabel {
 		return
 	}
-	var cur seriesAccum
+	var cur SeriesSample
 	cur.loadFrom(pm)
 	d, changed := ps.last.deltaTo(&cur)
 	if !changed {
@@ -327,27 +315,29 @@ func (s *Sink) mergeSeriesLocked(dst, src *procMetrics) {
 
 // ProcSeries is the exported series of one process.
 type ProcSeries struct {
-	Proc string
+	Proc string `json:"proc"`
 	// EvictedWindows/EvictedThrough/Evicted describe samples that fell
 	// off the bounded ring: how many, through which window label, and
-	// their exact aggregate (Evicted.Window == EvictedThrough).
-	EvictedWindows uint64
-	EvictedThrough uint64
-	Evicted        SeriesSample
+	// their exact aggregate (Evicted.Window == EvictedThrough), the zero
+	// sample when nothing was evicted.
+	EvictedWindows uint64       `json:"evicted_windows"`
+	EvictedThrough uint64       `json:"evicted_through"`
+	Evicted        SeriesSample `json:"evicted,omitzero"`
 	// Samples holds the retained per-window deltas oldest-first, plus a
 	// synthesized tail delta for activity since the last sample.
-	Samples []SeriesSample
+	Samples []SeriesSample `json:"samples"`
 	// Totals is the end-of-run cumulative accumulator image; by the
 	// exact delta-sum contract, Evicted plus all Samples equals it bit
 	// for bit.
-	Totals SeriesSample
+	Totals SeriesSample `json:"totals"`
 }
 
-// SeriesView is a copied, immutable snapshot of a sink's series.
+// SeriesView is a copied, immutable snapshot of a sink's series. Its
+// tags are the shape of the mmt-series/v1 document (see seriesDoc).
 type SeriesView struct {
-	WindowCycles uint64
-	MaxSamples   int
-	Procs        []ProcSeries // sorted by process name
+	WindowCycles uint64       `json:"window_cycles"`
+	MaxSamples   int          `json:"max_samples"`
+	Procs        []ProcSeries `json:"procs"` // sorted by process name
 }
 
 // Check verifies the sampler's contract on a view, whether it came from
@@ -376,10 +366,16 @@ func (v *SeriesView) Check() error {
 		if len(p.Samples) > v.MaxSamples+1 {
 			return at("%d samples exceed the ring bound max_samples %d+1", len(p.Samples), v.MaxSamples)
 		}
+		if (p.Evicted != SeriesSample{}) != (p.EvictedWindows > 0) {
+			return at("evicted aggregate must be present exactly when evicted_windows > 0")
+		}
 		if p.Evicted.Window != p.EvictedThrough {
 			return at("evicted window %d != evicted_through %d", p.Evicted.Window, p.EvictedThrough)
 		}
-		var sum seriesAccum
+		if neg := p.Evicted.negative() + p.Totals.negative(); neg != "" {
+			return at("negative %s cycles in the evicted aggregate or the totals", neg)
+		}
+		var sum SeriesSample
 		sum.add(&p.Evicted) // the zero sample when nothing was evicted
 		last, any := p.EvictedThrough, p.EvictedWindows > 0
 		for j := range p.Samples {
@@ -387,30 +383,49 @@ func (v *SeriesView) Check() error {
 			if any && d.Window <= last {
 				return at("samples[%d]: window %d not after %d", j, d.Window, last)
 			}
+			if neg := d.negative(); neg != "" {
+				return at("samples[%d]: negative %s cycles", j, neg)
+			}
 			last, any = d.Window, true
 			sum.add(d)
 		}
 		if p.Totals.Window != last {
 			return at("totals window %d != newest window %d", p.Totals.Window, last)
 		}
-		for c, n := range sum.counters {
+		for c, n := range sum.Counters {
 			if n != p.Totals.Counters[c] {
 				return at("counter %q: evicted+samples sum to %d, totals say %d", Counter(c), n, p.Totals.Counters[c])
 			}
 		}
-		for ph, n := range sum.cycles {
+		for ph, n := range sum.Cycles {
 			if n != p.Totals.Cycles[ph] {
 				return at("phase %q: evicted+samples sum to %v, totals say %v (must be exact)", Phase(ph), n, p.Totals.Cycles[ph])
 			}
 		}
-		for op, n := range sum.opCount {
-			if n != p.Totals.OpCount[op] || sum.opSum[op] != p.Totals.OpSum[op] {
+		for op, n := range sum.Ops {
+			if n != p.Totals.Ops[op] {
 				return at("op %q: evicted+samples sum to %d ops / %v cycles, totals say %d / %v (must be exact)",
-					Op(op), n, sum.opSum[op], p.Totals.OpCount[op], p.Totals.OpSum[op])
+					Op(op), n.Count, n.Sum, p.Totals.Ops[op].Count, p.Totals.Ops[op].Sum)
 			}
 		}
 	}
 	return nil
+}
+
+// negative names a phase or an operation whose cycles are below zero in
+// the sample, or returns "".
+func (s *SeriesSample) negative() string {
+	for ph, c := range s.Cycles {
+		if c < 0 {
+			return Phase(ph).String()
+		}
+	}
+	for op, o := range s.Ops {
+		if o.Sum < 0 {
+			return Op(op).String()
+		}
+	}
+	return ""
 }
 
 // SeriesSnapshot captures the current series without mutating sampler
@@ -426,13 +441,13 @@ func (s *Sink) SeriesSnapshot() (SeriesView, bool) {
 	if !s.seriesOn {
 		return SeriesView{}, false
 	}
-	v := SeriesView{WindowCycles: s.seriesCfg.WindowCycles, MaxSamples: DefaultSeriesCap}
+	v := SeriesView{WindowCycles: s.seriesCfg.WindowCycles, MaxSamples: DefaultSeriesCap, Procs: []ProcSeries{}}
 	for _, pm := range s.procs {
 		var state procSeries
 		if pm.series != nil {
 			state = *pm.series
 		}
-		var cur seriesAccum
+		var cur SeriesSample
 		cur.loadFrom(pm)
 		samples := state.samplesOldestFirst()
 		if tail, changed := state.last.deltaTo(&cur); changed {
@@ -447,21 +462,11 @@ func (s *Sink) SeriesSnapshot() (SeriesView, bool) {
 			EvictedWindows: state.baseWindows,
 			EvictedThrough: state.baseThrough,
 			Samples:        samples,
-			Totals: SeriesSample{
-				Counters: cur.counters,
-				Cycles:   cur.cycles,
-				OpCount:  cur.opCount,
-				OpSum:    cur.opSum,
-			},
+			Totals:         cur,
 		}
 		if state.baseWindows > 0 {
-			pr.Evicted = SeriesSample{
-				Window:   state.baseThrough,
-				Counters: state.base.counters,
-				Cycles:   state.base.cycles,
-				OpCount:  state.base.opCount,
-				OpSum:    state.base.opSum,
-			}
+			pr.Evicted = state.base
+			pr.Evicted.Window = state.baseThrough
 		}
 		if n := len(samples); n > 0 {
 			pr.Totals.Window = samples[n-1].Window
@@ -524,11 +529,11 @@ func (k EventKind) Severity() Severity {
 // most recent completed spans, frozen onto warn-and-above ledger
 // entries so each verdict carries its preceding execution context.
 type FlightSpan struct {
-	Phase Phase
-	Begin sim.Time
-	End   sim.Time
+	Phase Phase `json:"phase"`
+	Begin Usec  `json:"begin_us"`
+	End   Usec  `json:"end_us"`
 	// Trace/Span carry the causal link when the span belonged to a
-	// causal trace (zero otherwise).
-	Trace TraceID
-	Span  uint32
+	// causal trace (zero, and omitted, otherwise).
+	Trace TraceID `json:"trace,omitzero"`
+	Span  uint32  `json:"span,omitzero"`
 }

@@ -55,7 +55,7 @@ func TestSeriesDeltaSumExact(t *testing.T) {
 		t.Fatalf("ring bound violated: %d samples > %d+1", len(pr.Samples), v.MaxSamples)
 	}
 
-	var sum seriesAccum
+	var sum SeriesSample
 	if pr.EvictedWindows > 0 {
 		sum.add(&pr.Evicted)
 	}
@@ -69,19 +69,18 @@ func TestSeriesDeltaSumExact(t *testing.T) {
 		sum.add(d)
 	}
 	for c := Counter(0); c < NumCounters; c++ {
-		if sum.counters[c] != pr.Totals.Counters[c] {
-			t.Errorf("counter %v: deltas sum to %d, totals %d", c, sum.counters[c], pr.Totals.Counters[c])
+		if sum.Counters[c] != pr.Totals.Counters[c] {
+			t.Errorf("counter %v: deltas sum to %d, totals %d", c, sum.Counters[c], pr.Totals.Counters[c])
 		}
 	}
 	for ph := Phase(0); ph < NumPhases; ph++ {
-		if sum.cycles[ph] != pr.Totals.Cycles[ph] {
-			t.Errorf("phase %v: deltas sum to %v, totals %v (must be bit-exact)", ph, sum.cycles[ph], pr.Totals.Cycles[ph])
+		if sum.Cycles[ph] != pr.Totals.Cycles[ph] {
+			t.Errorf("phase %v: deltas sum to %v, totals %v (must be bit-exact)", ph, sum.Cycles[ph], pr.Totals.Cycles[ph])
 		}
 	}
 	for op := Op(0); int(op) < NumOps; op++ {
-		if sum.opCount[op] != pr.Totals.OpCount[op] || sum.opSum[op] != pr.Totals.OpSum[op] {
-			t.Errorf("op %v: delta sums (%d, %v) != totals (%d, %v)",
-				op, sum.opCount[op], sum.opSum[op], pr.Totals.OpCount[op], pr.Totals.OpSum[op])
+		if sum.Ops[op] != pr.Totals.Ops[op] {
+			t.Errorf("op %v: delta sums %+v != totals %+v", op, sum.Ops[op], pr.Totals.Ops[op])
 		}
 	}
 	// And the totals match the live accumulators — nothing was lost
@@ -293,7 +292,7 @@ func TestFlightIsNewestSpansOfItsProcess(t *testing.T) {
 	}
 	// The two newest are the causal and the merged span, so alice's plain
 	// spans start at index DefaultFlightCap+2 of 2*DefaultFlightCap.
-	want := FlightSpan{Phase: PhaseMAC, Begin: at(DefaultFlightCap + 2), End: at(DefaultFlightCap+2) + 1e-7}
+	want := FlightSpan{Phase: PhaseMAC, Begin: Micros(at(DefaultFlightCap + 2)), End: Micros(at(DefaultFlightCap+2) + 1e-7)}
 	if flight[0] != want {
 		t.Fatalf("oldest frozen span %+v, want %+v", flight[0], want)
 	}
@@ -302,7 +301,7 @@ func TestFlightIsNewestSpansOfItsProcess(t *testing.T) {
 			t.Fatalf("flight[%d] = %+v is not alice's next span", i, flight[i])
 		}
 	}
-	causal := FlightSpan{Phase: PhaseSend, Begin: at(100), End: at(101), Trace: ctx.ID, Span: 1}
+	causal := FlightSpan{Phase: PhaseSend, Begin: Micros(at(100)), End: Micros(at(101)), Trace: ctx.ID, Span: 1}
 	if flight[DefaultFlightCap-2] != causal || flight[DefaultFlightCap-1].Phase != PhaseWire {
 		t.Fatalf("newest frozen spans %+v, want the causal span then the merged one", flight[DefaultFlightCap-2:])
 	}

@@ -2,20 +2,18 @@ package trace
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
+	"reflect"
 	"strconv"
 	"strings"
 
 	"mmt/internal/sim"
 )
 
-// This file renders the histogram and security-event views of a Sink as
-// machine-readable JSON, under the same determinism contract as
-// export.go: hand-assembled output, no map iteration, no wall-clock
-// reads, fixed float formatting — identical runs serialize to identical
-// bytes at any worker count.
+// This file holds the histogram and security-event artefacts of a Sink:
+// mmt-hist/v1, one JSON document, and mmt-events/v1, JSON Lines whose
+// event lines are the ledger's own SecEvents.
 
 // HistSchema identifies the histogram export format.
 const HistSchema = "mmt-hist/v1"
@@ -24,276 +22,239 @@ const HistSchema = "mmt-hist/v1"
 // (JSON Lines: one header object, then one object per event).
 const EventsSchema = "mmt-events/v1"
 
-// WriteHistJSON serializes every non-empty per-operation histogram as a
-// single JSON object (schema mmt-hist/v1). Processes appear in name
-// order, operations in enum order, and only occupied buckets are
-// listed, each with its exclusive upper bound in cycles. Safe on a nil
-// sink (writes an empty procs list).
+// HistDoc is the mmt-hist/v1 document: every process with samples, in
+// name order, and its non-empty operation histograms, in enum order.
+type HistDoc struct {
+	Schema string     `json:"schema"`
+	Procs  []HistProc `json:"procs"`
+}
+
+// HistProc is one process's histograms.
+type HistProc struct {
+	Proc string   `json:"proc"`
+	Ops  []OpHist `json:"ops"`
+}
+
+// OpHist is one operation's histogram: its occupied buckets, each with
+// its exclusive upper bound in cycles, and what the histogram derives.
+type OpHist struct {
+	Op      Op           `json:"op"`
+	Count   uint64       `json:"count"`
+	Sum     sim.Cycles   `json:"sum_cycles"`
+	Min     sim.Cycles   `json:"min_cycles"`
+	Max     sim.Cycles   `json:"max_cycles"`
+	Mean    sim.Cycles   `json:"mean_cycles"`
+	P50     sim.Cycles   `json:"p50_cycles"`
+	P90     sim.Cycles   `json:"p90_cycles"`
+	P99     sim.Cycles   `json:"p99_cycles"`
+	Buckets []HistBucket `json:"buckets"`
+}
+
+// HistBucket is one occupied bucket.
+type HistBucket struct {
+	LE    sim.Cycles `json:"le_cycles"`
+	Count uint64     `json:"count"`
+}
+
+func (m Metrics) histDoc() *HistDoc {
+	doc := &HistDoc{Schema: HistSchema, Procs: []HistProc{}}
+	for i := range m.Procs {
+		p := HistProc{Proc: m.Procs[i].Proc}
+		for op := range m.Procs[i].Ops {
+			if h := &m.Procs[i].Ops[op]; h.Count != 0 {
+				p.Ops = append(p.Ops, opHist(Op(op), h))
+			}
+		}
+		if p.Ops != nil {
+			doc.Procs = append(doc.Procs, p)
+		}
+	}
+	return doc
+}
+
+func opHist(op Op, h *Histogram) OpHist {
+	o := OpHist{Op: op, Count: h.Count, Sum: h.Sum, Min: h.Min, Max: h.Max,
+		Mean: h.Mean(), P50: h.Quantile(0.50), P90: h.Quantile(0.90), P99: h.Quantile(0.99)}
+	for i, n := range h.Buckets {
+		if n != 0 {
+			o.Buckets = append(o.Buckets, HistBucket{LE: BucketBound(i), Count: n})
+		}
+	}
+	return o
+}
+
+// WriteHistJSON writes the sink's mmt-hist/v1 document. Safe on a nil
+// sink (an empty procs list).
 func (s *Sink) WriteHistJSON(w io.Writer) error {
-	bw := &errWriter{w: w}
-	bw.str("{\n  \"schema\": \"" + HistSchema + "\",\n  \"procs\": [")
-	if s != nil {
-		m := s.Snapshot()
-		firstProc := true
-		for i := range m.Procs {
-			p := &m.Procs[i]
-			if !procHasSamples(p) {
-				continue
-			}
-			if !firstProc {
-				bw.str(",")
-			}
-			firstProc = false
-			bw.str("\n    {\"proc\": " + jsonString(p.Proc) + ", \"ops\": [")
-			firstOp := true
-			for op := Op(0); int(op) < NumOps; op++ {
-				h := &p.Ops[op]
-				if h.Count == 0 {
-					continue
-				}
-				if !firstOp {
-					bw.str(",")
-				}
-				firstOp = false
-				bw.str("\n      ")
-				writeHistObject(bw, op, h)
-			}
-			bw.str("\n    ]}")
-		}
-		if !firstProc {
-			bw.str("\n  ")
-		}
-	}
-	bw.str("]\n}\n")
-	return bw.err
+	return newEncoder(w).Encode(s.Snapshot().histDoc())
 }
 
-func procHasSamples(p *ProcMetrics) bool {
-	for op := range p.Ops {
-		if p.Ops[op].Count != 0 {
-			return true
-		}
-	}
-	return false
-}
+// ParseHist reads an mmt-hist/v1 document; HistDoc.Check says what it
+// refuses.
+func ParseHist(data []byte) (*HistDoc, error) { return parseDoc[HistDoc](HistSchema, data) }
 
-func writeHistObject(bw *errWriter, op Op, h *Histogram) {
-	bw.str("{\"op\": " + jsonString(op.String()) +
-		", \"count\": " + strconv.FormatUint(h.Count, 10) +
-		", \"sum_cycles\": " + cyc(h.Sum) +
-		", \"min_cycles\": " + cyc(h.Min) +
-		", \"max_cycles\": " + cyc(h.Max) +
-		", \"mean_cycles\": " + cyc(h.Mean()) +
-		", \"p50_cycles\": " + cyc(h.Quantile(0.50)) +
-		", \"p90_cycles\": " + cyc(h.Quantile(0.90)) +
-		", \"p99_cycles\": " + cyc(h.Quantile(0.99)) +
-		", \"buckets\": [")
-	first := true
-	for i := 0; i < HistBuckets; i++ {
-		if h.Buckets[i] == 0 {
-			continue
-		}
-		if !first {
-			bw.str(", ")
-		}
-		first = false
-		bw.str("{\"le_cycles\": " + cyc(BucketBound(i)) +
-			", \"count\": " + strconv.FormatUint(h.Buckets[i], 10) + "}")
-	}
-	bw.str("]}")
-}
-
-// ParseHist is WriteHistJSON's reader. It rebuilds every histogram and
-// accepts only what the writer can produce: name-ordered non-empty
-// procs, known operations listed once, occupied buckets at strictly
+// Check holds the document to what the writer produces: name-ordered
+// procs each with ops, the ops in enum order, occupied buckets at strictly
 // increasing power-of-two bounds whose counts sum to count, min <= max,
 // and mean and p50/p90/p99 equal to what the rebuilt histogram derives
 // (cycle values round-trip exactly, so equality is bit for bit).
-func ParseHist(data []byte) (Metrics, error) {
-	d := document{schema: HistSchema}
-	var m Metrics
-	o := d.top(data)
-	for i, po := range o.list("procs") {
-		var p ProcMetrics
-		po.get("proc", &p.Proc)
-		if p.Proc == "" || i > 0 && p.Proc <= m.Procs[i-1].Proc {
-			d.failf("%s: proc %q is empty or out of name order", po.path, p.Proc)
-		}
-		ops := po.list("ops")
-		if len(ops) == 0 {
-			d.failf("%s: a proc without ops must be omitted", po.path)
-		}
-		for _, oo := range ops {
-			h := &p.Ops[enum(oo, "op", Op(NumOps))]
-			if h.Count != 0 {
-				d.failf("%s: op listed twice", oo.path)
-			}
-			readHistObject(oo, h)
-		}
-		po.end()
-		m.Procs = append(m.Procs, p)
+func (d *HistDoc) Check() error {
+	if d.Schema != HistSchema {
+		return fmt.Errorf("schema is %q", d.Schema)
 	}
-	o.end()
-	return m, d.err
+	for i, p := range d.Procs {
+		if p.Proc == "" || i > 0 && p.Proc <= d.Procs[i-1].Proc {
+			return fmt.Errorf("procs[%d]: proc %q is empty or out of name order", i, p.Proc)
+		}
+		if len(p.Ops) == 0 {
+			return fmt.Errorf("procs[%d]: a proc without ops must be omitted", i)
+		}
+		for j := range p.Ops {
+			err := p.Ops[j].check()
+			if err == nil && j > 0 && p.Ops[j].Op <= p.Ops[j-1].Op {
+				err = fmt.Errorf("op %q listed twice or out of enum order", p.Ops[j].Op)
+			}
+			if err != nil {
+				return fmt.Errorf("procs[%d].ops[%d]: %w", i, j, err)
+			}
+		}
+	}
+	return nil
 }
 
-func readHistObject(o object, h *Histogram) {
-	o.get("count", &h.Count)
-	o.get("sum_cycles", &h.Sum)
-	o.get("min_cycles", &h.Min)
-	o.get("max_cycles", &h.Max)
-	if h.Count == 0 || h.Min < 0 || h.Min > h.Max {
-		o.d.failf("%s: count %d with min_cycles %v, max_cycles %v: empty or out of order", o.path, h.Count, h.Min, h.Max)
+func (o *OpHist) check() error {
+	if o.Count == 0 || o.Min < 0 || o.Min > o.Max {
+		return fmt.Errorf("count %d with min_cycles %v, max_cycles %v: empty or out of order", o.Count, o.Min, o.Max)
 	}
+	h := Histogram{Count: o.Count, Sum: o.Sum, Min: o.Min, Max: o.Max}
 	var total uint64
 	next := 0
-	for _, bo := range o.list("buckets") {
-		var le sim.Cycles
-		var n uint64
-		bo.get("le_cycles", &le)
-		bo.get("count", &n)
-		bo.end()
-		for next < HistBuckets && BucketBound(next) != le {
+	for _, b := range o.Buckets {
+		for next < HistBuckets && BucketBound(next) != b.LE {
 			next++
 		}
-		if next == HistBuckets || n == 0 {
-			o.d.failf("%s: le_cycles %v is not the next bucket bound, or count %d is zero", bo.path, le, n)
-			return
+		if next == HistBuckets || b.Count == 0 {
+			return fmt.Errorf("le_cycles %v is not the next bucket bound, or count %d is zero", b.LE, b.Count)
 		}
-		h.Buckets[next] = n
-		total += n
+		h.Buckets[next] = b.Count
+		total += b.Count
 		next++
 	}
-	if total != h.Count {
-		o.d.failf("%s: buckets sum to %d, want count %d", o.path, total, h.Count)
+	if total != o.Count {
+		return fmt.Errorf("buckets sum to %d, want count %d", total, o.Count)
 	}
-	derived := [...]sim.Cycles{h.Mean(), h.Quantile(0.50), h.Quantile(0.90), h.Quantile(0.99)}
-	for i, key := range [...]string{"mean_cycles", "p50_cycles", "p90_cycles", "p99_cycles"} {
-		var got sim.Cycles
-		if o.get(key, &got); got != derived[i] {
-			o.d.failf("%s: %s is %v, the histogram says %v", o.path, key, got, derived[i])
-		}
+	if want := opHist(o.Op, &h); !reflect.DeepEqual(*o, want) {
+		return fmt.Errorf("mean_cycles, p50_cycles, p90_cycles, p99_cycles are %v, %v, %v, %v; the histogram says %v, %v, %v, %v",
+			o.Mean, o.P50, o.P90, o.P99, want.Mean, want.P50, want.P90, want.P99)
 	}
-	o.end()
+	return nil
 }
 
-// WriteEventsJSONL serializes the security-event ledger as JSON Lines
-// (schema mmt-events/v1): a header object carrying the schema name, the
-// retained event count and the dropped count, then one object per event,
-// oldest first. Safe on a nil sink (writes a header with zero events).
-func (s *Sink) WriteEventsJSONL(w io.Writer) error {
-	bw := &errWriter{w: w}
-	events := s.SecEvents()
-	var dropped uint64
-	if s != nil {
-		dropped = s.EventsDropped()
-	}
-	bw.str(fmt.Sprintf(`{"schema":"%s","events":%d,"dropped":%d}`+"\n",
-		EventsSchema, len(events), dropped))
-	for i := range events {
-		writeSecEventLine(bw, &events[i])
-	}
-	return bw.err
+// EventsDoc is the mmt-events/v1 document: its header line, then one line
+// per retained ledger entry, oldest first.
+type EventsDoc struct {
+	Header EventsHeader
+	Events []SecEvent
 }
 
-func writeSecEventLine(bw *errWriter, ev *SecEvent) {
-	bw.str(`{"seq":` + strconv.FormatUint(ev.Seq, 10) +
-		`,"proc":` + jsonString(ev.Proc) +
-		`,"kind":` + jsonString(ev.Kind.String()) +
-		`,"severity":` + jsonString(ev.Kind.Severity().String()) +
-		`,"window":` + strconv.FormatUint(ev.Window, 10) +
-		`,"time_us":` + usec(ev.Time) +
-		`,"addr":"0x` + strconv.FormatUint(ev.Addr, 16) + `"` +
-		`,"detail":` + jsonString(ev.Detail))
-	if len(ev.Flight) > 0 {
-		bw.str(`,"flight":[`)
-		for i := range ev.Flight {
-			fs := &ev.Flight[i]
-			if i > 0 {
-				bw.str(",")
-			}
-			bw.str(`{"phase":` + jsonString(fs.Phase.String()) +
-				`,"begin_us":` + usec(fs.Begin) +
-				`,"end_us":` + usec(fs.End))
-			if fs.Trace.Valid() {
-				bw.str(`,"trace":` + jsonString(fs.Trace.String()) +
-					`,"span":` + strconv.FormatUint(uint64(fs.Span), 10))
-			}
-			bw.str("}")
-		}
-		bw.str("]")
-	}
-	bw.str("}\n")
+// EventsHeader names the schema and counts the retained and the dropped
+// entries.
+type EventsHeader struct {
+	Schema  string `json:"schema"`
+	Events  int    `json:"events"`
+	Dropped uint64 `json:"dropped"`
 }
 
-// ParseEvents is WriteEventsJSONL's reader: the retained ledger entries,
-// oldest first, and the header's dropped count. It accepts only what the
-// writer can produce: a header whose event count matches the lines that
-// follow, strictly increasing sequence numbers, known kinds carrying
-// their own severity, 0x-prefixed hex addresses, non-negative times, and
-// flight spans of known phases with ordered intervals.
-func ParseEvents(data []byte) (events []SecEvent, dropped uint64, err error) {
-	d := document{schema: EventsSchema}
-	dec := json.NewDecoder(bytes.NewReader(data))
-	var raw json.RawMessage
-	if err := dec.Decode(&raw); err != nil {
-		return nil, 0, fmt.Errorf("%s: bad header line: %w", EventsSchema, err)
-	}
-	hdr := d.top(raw)
-	var want int
-	hdr.get("events", &want)
-	hdr.get("dropped", &dropped)
-	hdr.end()
-	for dec.More() {
-		if err := dec.Decode(&raw); err != nil {
-			return nil, 0, fmt.Errorf("%s: event %d: %w", EventsSchema, len(events), err)
-		}
-		ev := readSecEventLine(d.object(fmt.Sprintf("event %d", len(events)), raw))
-		if n := len(events); n > 0 && ev.Seq <= events[n-1].Seq {
-			d.failf("event %d: seq %d not after %d", n, ev.Seq, events[n-1].Seq)
-		}
-		events = append(events, ev)
-	}
-	if len(events) != want {
-		d.failf("header says %d events, file has %d", want, len(events))
-	}
-	return events, dropped, d.err
+// HexAddr is an address as a ledger line carries it: 0x-prefixed hex.
+type HexAddr uint64
+
+func (a HexAddr) MarshalText() ([]byte, error) {
+	return strconv.AppendUint([]byte("0x"), uint64(a), 16), nil
 }
 
-func readSecEventLine(o object) SecEvent {
-	var ev SecEvent
-	var addr string
-	o.get("seq", &ev.Seq)
-	o.get("proc", &ev.Proc)
-	ev.Kind = enum(o, "kind", EventKind(NumEventKinds))
-	if sev := enum(o, "severity", SevError+1); sev != ev.Kind.Severity() {
-		o.d.failf("%s: severity %q is not that of kind %q", o.path, sev, ev.Kind)
+func (a *HexAddr) UnmarshalText(b []byte) error {
+	digits, ok := strings.CutPrefix(string(b), "0x")
+	v, err := strconv.ParseUint(digits, 16, 64)
+	if !ok || err != nil {
+		return fmt.Errorf("addr %q is not 0x-prefixed hex", b)
 	}
-	o.get("window", &ev.Window)
-	ev.Time = o.usec("time_us")
-	o.get("addr", &addr)
-	o.get("detail", &ev.Detail)
-	var err error
-	if ev.Addr, err = strconv.ParseUint(strings.TrimPrefix(addr, "0x"), 16, 64); err != nil || !strings.HasPrefix(addr, "0x") {
-		o.d.failf("%s: addr %q is not 0x-prefixed hex", o.path, addr)
+	*a = HexAddr(v)
+	return nil
+}
+
+func (s *Sink) eventsDoc() *EventsDoc {
+	events := append([]SecEvent{}, s.SecEvents()...)
+	return &EventsDoc{Header: EventsHeader{Schema: EventsSchema, Events: len(events), Dropped: s.EventsDropped()}, Events: events}
+}
+
+// WriteEventsJSONL writes the sink's mmt-events/v1 document. Safe on a
+// nil sink (a header with zero events).
+func (s *Sink) WriteEventsJSONL(w io.Writer) error { return s.eventsDoc().write(w) }
+
+func (d *EventsDoc) write(w io.Writer) error {
+	enc := newEncoder(w)
+	err := enc.Encode(&d.Header)
+	for i := 0; err == nil && i < len(d.Events); i++ {
+		err = enc.Encode(&d.Events[i])
 	}
-	if ev.Proc == "" || ev.Time < 0 {
-		o.d.failf("%s: empty proc or negative time_us", o.path)
+	return err
+}
+
+// ParseEvents reads an mmt-events/v1 document line by line, each line
+// strictly; EventsDoc.Check says what else it refuses.
+func ParseEvents(data []byte) (*EventsDoc, error) {
+	lines := bytes.Split(bytes.TrimSpace(data), []byte("\n"))
+	doc := &EventsDoc{Events: make([]SecEvent, len(lines)-1)}
+	err := DecodeStrict(EventsSchema+" header", lines[0], &doc.Header)
+	for i := 0; err == nil && i < len(doc.Events); i++ {
+		err = DecodeStrict(fmt.Sprintf("%s event %d", EventsSchema, i), lines[i+1], &doc.Events[i])
 	}
-	if o.has("flight") { // written only when non-empty
-		for _, fo := range o.list("flight") {
-			fs := FlightSpan{Phase: enum(fo, "phase", NumPhases), Begin: fo.usec("begin_us"), End: fo.usec("end_us")}
-			if fo.has("trace") { // causal link: both keys or neither
-				fs.Trace = fo.traceID("trace")
-				fo.get("span", &fs.Span)
+	if err == nil {
+		err = doc.Check()
+	}
+	if err != nil {
+		return nil, err
+	}
+	return doc, nil
+}
+
+// Check holds the document to what the writer produces: a header count
+// equal to the lines that follow, strictly increasing seq, each kind with
+// its own severity, a named proc, non-negative times, and flight spans
+// whose intervals are in order and whose causal link, if any, has both
+// its trace and its span.
+func (d *EventsDoc) Check() error {
+	if d.Header.Schema != EventsSchema {
+		return fmt.Errorf("%s: schema is %q", EventsSchema, d.Header.Schema)
+	}
+	if d.Header.Events != len(d.Events) {
+		return fmt.Errorf("%s: header says %d events, file has %d", EventsSchema, d.Header.Events, len(d.Events))
+	}
+	for i := range d.Events {
+		e := &d.Events[i]
+		var err error
+		switch {
+		case i > 0 && e.Seq <= d.Events[i-1].Seq:
+			err = fmt.Errorf("seq %d not after %d", e.Seq, d.Events[i-1].Seq)
+		case e.Severity != e.Kind.Severity():
+			err = fmt.Errorf("severity %q is not that of kind %q", e.Severity, e.Kind)
+		case e.Proc == "" || e.Time < 0:
+			err = fmt.Errorf("empty proc or negative time_us")
+		}
+		for j, f := range e.Flight {
+			if err == nil && (f.Begin < 0 || f.End < f.Begin) {
+				err = fmt.Errorf("flight[%d]: interval [begin_us, end_us] out of order", j)
+			} else if err == nil && f.Trace.Valid() != (f.Span != 0) {
+				missing := "trace"
+				if f.Trace.Valid() {
+					missing = "span"
+				}
+				err = fmt.Errorf("flight[%d]: a causal link has both its trace and its span: missing key %q", j, missing)
 			}
-			fo.end()
-			if fs.Begin < 0 || fs.End < fs.Begin {
-				o.d.failf("%s: interval [begin_us, end_us] out of order", fo.path)
-			}
-			ev.Flight = append(ev.Flight, fs)
+		}
+		if err != nil {
+			return fmt.Errorf("%s: event %d: %w", EventsSchema, i, err)
 		}
 	}
-	o.end()
-	return ev
+	return nil
 }

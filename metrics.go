@@ -16,10 +16,11 @@ func (c *Cluster) Metrics() Metrics {
 }
 
 // TraceSink reports the sink installed with WithTracing (nil when
-// tracing is disabled). Use it for the exporters: sink.WriteChromeTrace
-// renders the span timeline for chrome://tracing / Perfetto,
-// sink.WriteHistJSON the latency histograms, sink.WriteEventsJSONL the
-// security-event ledger, and sink.Summary the compact text form.
+// tracing is disabled). Use it for the exporters, each writing one tagged
+// struct per artefact with encoding/json: sink.WriteChromeTrace the span
+// timeline for chrome://tracing / Perfetto, sink.WriteHistJSON the latency
+// histograms, sink.WriteEventsJSONL the security-event ledger;
+// sink.Summary is the compact text form.
 func (c *Cluster) TraceSink() *TraceSink { return c.set.trace }
 
 // Traces returns the cluster's causal traces: one span tree per
@@ -27,9 +28,9 @@ func (c *Cluster) TraceSink() *TraceSink { return c.set.trace }
 // end-to-end cycle total across sender, interconnect and receiver and
 // the computed critical path. Trace IDs derive from per-machine
 // monotonic counters, so identical runs yield identical traces. Without
-// WithTracing the result is nil. Export the same data as a machine-
-// readable artifact with TraceSink().WriteCausalJSON (schema
-// mmt-causal/v1).
+// WithTracing the result is nil. These traces, times in microseconds,
+// are the traces of the mmt-causal/v1 document that
+// TraceSink().WriteCausalJSON writes.
 func (c *Cluster) Traces() []CausalTrace {
 	return c.set.trace.CausalTraces()
 }
@@ -37,8 +38,10 @@ func (c *Cluster) Traces() []CausalTrace {
 // Events returns a copy of the cluster's bounded security-event ledger,
 // oldest first: every integrity/authenticity/freshness verdict, every
 // migration and delegation outcome, and every capability destroy, each
-// stamped with the recording machine's simulated clock. Without
-// WithTracing the ledger is empty. The copy never aliases live state.
+// stamped with the recording machine's simulated clock (in
+// microseconds). Without WithTracing the ledger is empty. The copy never
+// aliases live state. Each entry is one line of the mmt-events/v1
+// document that TraceSink().WriteEventsJSONL writes.
 func (c *Cluster) Events() []SecurityEvent {
 	return c.set.trace.SecEvents()
 }
@@ -54,8 +57,8 @@ func (c *Cluster) EventsDropped() uint64 {
 // Series returns a copied snapshot of the cluster's windowed time
 // series: per machine, the retained window deltas (plus the evicted
 // aggregate and a synthesized tail), whose sum equals the accumulator
-// totals exactly. The bool is false without WithSampling. Export the
-// same data as an mmt-series/v1 artifact with
+// totals exactly. The bool is false without WithSampling. Export this
+// view's own tagged struct as an mmt-series/v1 artifact with
 // TraceSink().WriteSeriesJSON, or scrape /debug/mmt/metrics.
 func (c *Cluster) Series() (SampleSeries, bool) {
 	return c.set.trace.SeriesSnapshot()

@@ -141,10 +141,11 @@ func WithNetLatency(d sim.Time) Option {
 // WithTracing attaches a trace sink: every machine added to the cluster
 // records its per-phase cycle totals, counters and spans (all stamped
 // from the simulated clocks) into sink. Pass the sink to NewTraceSink's
-// result; read it back via Cluster.Metrics, TraceSink.Summary, or
-// TraceSink.WriteChromeTrace. To run untraced (the default — the
-// instrumented paths then cost one branch and zero allocations), simply
-// omit the option; WithTracing(nil) is an error, not a disable switch.
+// result; read it back via Cluster.Metrics, TraceSink.Summary, or the
+// exporters (one tagged struct per artefact). To run untraced (the
+// default — the instrumented paths then cost one branch and zero
+// allocations), simply omit the option; WithTracing(nil) is an error,
+// not a disable switch.
 func WithTracing(sink *TraceSink) Option {
 	if sink == nil {
 		return optionErr(errors.New("mmt: WithTracing(nil): omit the option to disable tracing"))
@@ -161,7 +162,7 @@ func WithTracing(sink *TraceSink) Option {
 // cycles, counters and per-op histogram deltas once per window of
 // windowCycles simulated cycles into a bounded per-machine ring.
 // windowCycles must be a power of two. Requires WithTracing; read the
-// series back via TraceSink.WriteSeriesJSON / SeriesSnapshot, or scrape
+// series back via SeriesSnapshot (WriteSeriesJSON writes it), or scrape
 // the OpenMetrics exposition at /debug/mmt/metrics when a debug server
 // is attached. Each machine keeps its newest 64 window samples; older
 // ones fold into one evicted aggregate.
