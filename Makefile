@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test test-purego cross race vet lint vet-json allow-prune loc loc-gate bench bench-smoke bench-module bench-pairs check smoke fuzz perfdiff baselines profiles crash-sim
+.PHONY: build test test-purego cross race vet mutate loc loc-gate bench bench-smoke bench-module bench-pairs check smoke fuzz perfdiff baselines profiles crash-sim
 
 build:
 	$(GO) build ./...
@@ -45,20 +45,18 @@ race:
 vet:
 	$(GO) vet ./...
 
-# mmt-vet: the project's own analyzer suite (`go run ./cmd/mmt-vet -list`
-# enumerates the rules) plus the //mmt:allow suppression audit. Non-zero
-# exit on any finding.
-lint:
-	$(GO) run ./cmd/mmt-vet ./...
-
-# vet-json: same run and exit status, but also writes the machine-readable
-# mmt-vet/v1 findings document (CI uploads it as an artifact).
-vet-json:
-	$(GO) run ./cmd/mmt-vet -json -out mmt-vet.json ./...
-
-# allow-prune: list stale //mmt:allow comments ready for removal.
-allow-prune:
-	$(GO) run ./cmd/mmt-vet -fix allow-prune ./...
+# mutate: plant faults in the library code — every security check forced
+# to pass or dropped, and the faults the determinism rules name (a wall
+# clock read, an unseeded generator, a panic on a decoder's reject, an
+# unsorted map order, a clock shared by par work units, a computed event
+# kind) — and fail on any that `go test` lets through and
+# cmd/mmt-mutate/survivors.txt does not list with its reason. The whole
+# module at the default tags, then under purego the packages test-purego
+# runs (the portable kernels and their callers); outside `make check`, as
+# it runs the tests once per mutant.
+mutate:
+	$(GO) run ./cmd/mmt-mutate ./...
+	GOFLAGS=-tags=purego $(GO) run ./cmd/mmt-mutate ./internal/gf ./internal/crypt ./internal/tree ./internal/engine ./internal/core .
 
 # loc: non-test Go lines per package directory and the module total —
 # the table CHANGES.md reports per PR. benchmark/ is a module of its own
@@ -72,7 +70,7 @@ loc:
 # the last PR that changed it; a tree that has grown past it fails, and the
 # PR that means to grow the module raises the number in its own diff, where
 # a reviewer sees it. A PR that shrinks the module lowers it.
-LOC_MAX := 22735
+LOC_MAX := 21251
 loc-gate:
 	@n=$$($(MAKE) -s loc | awk '$$2 == "total" { print $$1 }'); \
 	if [ "$$n" -gt $(LOC_MAX) ]; then \
@@ -195,7 +193,6 @@ profiles:
 crash-sim:
 	$(GO) test -run 'TestCheckpointCrashConsistency|TestCrossProcessMigration|TestCrash' -v . ./internal/store
 
-# check: what CI's first step runs. vet-json is the lint run that also
-# leaves the findings document CI uploads; test is the coverage gate that
-# leaves .bench/cover.out and .bench/cover.txt, which CI uploads beside it.
-check: build vet cross vet-json loc-gate test test-purego race bench-module
+# check: what CI's first step runs. test is the coverage gate that leaves
+# .bench/cover.out and .bench/cover.txt, which CI uploads.
+check: build vet cross loc-gate test test-purego race bench-module

@@ -22,6 +22,7 @@ package main
 import (
 	"bytes"
 	"errors"
+	"flag"
 	"fmt"
 	"io"
 	"os"
@@ -136,6 +137,7 @@ func scenarios() []scenario {
 }
 
 func main() {
+	flag.Parse() // no flags: -h prints the usage line
 	if err := report(os.Stdout); err != nil {
 		os.Exit(1)
 	}

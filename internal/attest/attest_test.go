@@ -1,7 +1,10 @@
 package attest
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
@@ -331,11 +334,102 @@ func TestGrantUnreadableByEavesdropper(t *testing.T) {
 	if _, err := other.OnServerHello(oSH); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := other.OnGrant(grant); err == nil {
-		t.Fatal("grant decrypted under the wrong session key")
+	if _, _, err := other.OnGrant(grant); !errors.Is(err, ErrBadMessage) {
+		t.Fatalf("grant under the wrong session key: err %v, want ErrBadMessage", err)
 	}
 	// The right session can.
 	if _, _, err := ns.OnGrant(grant); err != nil {
 		t.Fatalf("legitimate grant rejected: %v", err)
+	}
+}
+
+// TestGrantWithForgedReportRejected: a grant that opens under the session
+// key but carries a report the authority did not sign (its node id moved
+// in both places, so only the signature disagrees) is refused.
+func TestGrantWithForgedReportRejected(t *testing.T) {
+	_, auth, machine, meas := fixture(t)
+	ns := newNodeSession(t, machine, meas, auth)
+	as, err := auth.NewSession()
+	if err != nil {
+		t.Fatal(err)
+	}
+	hello, _ := ns.Hello()
+	sh, _ := as.OnHello(hello)
+	ev, err := ns.OnServerHello(sh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	grant, err := as.OnEvidence(ev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var g grantMsg
+	var info grantInfo
+	if err := json.Unmarshal(grant, &g); err != nil {
+		t.Fatal(err)
+	}
+	if err := unseal(ns.SessionKey(), g.Sealed, &info); err != nil {
+		t.Fatal(err)
+	}
+	info.NodeID++
+	info.Report.NodeID++
+	if g.Sealed, err = seal(ns.SessionKey(), info); err != nil {
+		t.Fatal(err)
+	}
+	forged, _ := json.Marshal(g)
+	if _, _, err := ns.OnGrant(forged); err == nil {
+		t.Fatal("grant with a forged report accepted")
+	}
+}
+
+// TestRestoreMachineChecksCertificate: a persisted machine identity is
+// refused when its certificate is not the manufacturer's, does not certify
+// the restored key, or names another machine.
+func TestRestoreMachineChecksCertificate(t *testing.T) {
+	mfr, _, machine, _ := fixture(t)
+	key, err := machine.MarshalKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := RestoreMachine(mfr.PublicKey(), "node-a", key, machine.Cert); err != nil {
+		t.Fatalf("genuine identity refused: %v", err)
+	}
+	other, err := NewManufacturer()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stranger, err := mfr.Provision("node-b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, c := range map[string]struct {
+		mfr  *Manufacturer
+		name string
+		cert Certificate
+	}{
+		"other manufacturer": {other, "node-a", machine.Cert},
+		"another key's cert": {mfr, "node-a", stranger.Cert},
+		"another name":       {mfr, "node-b", machine.Cert},
+	} {
+		if m, err := RestoreMachine(c.mfr.PublicKey(), c.name, key, c.cert); err == nil || m != nil {
+			t.Errorf("%s: machine %v, err %v; want refused", name, m != nil, err)
+		}
+	}
+}
+
+// TestAuthorityStateSorted: the whitelist is a map, and MarshalState
+// writes it in measurement order, so two snapshots of one authority are
+// equal byte for byte.
+func TestAuthorityStateSorted(t *testing.T) {
+	_, auth, _, _ := fixture(t)
+	for i := range 8 {
+		auth.AllowMeasurement(MeasureSoftware([]byte{byte(i)}))
+	}
+	st, err := auth.MarshalState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.IsSortedFunc(st.Policy, func(a, b Measurement) int { return bytes.Compare(a[:], b[:]) }) {
+		t.Fatal("policy not in measurement order")
 	}
 }

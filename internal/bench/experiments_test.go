@@ -133,9 +133,15 @@ func firstDiffLine(a, b string) int {
 // size: TestExperimentsDoc and the claim tests in ablation_test.go share it.
 var runs sync.Map
 
-// runOnce is e with its Run replaced by that shared run's result.
+// runOnce is e with its Run replaced by that shared run's result. The run
+// fans out across two workers: its block must still be what the serial
+// mmt-bench -exp prints, and under -race every par work unit of every
+// experiment runs beside another, so one that shares a clock, a causal
+// context or any other state with its siblings is reported.
 func runOnce(e Experiment) Experiment {
 	f, _ := runs.LoadOrStore(e.Name, sync.OnceValue(func() Experiment {
+		SetWorkers(2)
+		defer SetWorkers(1)
 		out, claims, err := e.Run(0)
 		e.Run = func(int) (string, []Claim, error) { return out, claims, err }
 		return e

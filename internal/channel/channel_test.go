@@ -149,9 +149,21 @@ func TestSecureHidesPlaintext(t *testing.T) {
 	}
 }
 
+// TestSecureRejectsTamperReplayReorder: each rejected frame fails with its
+// error and records its own ledger kind on the receiver.
 func TestSecureRejectsTamperReplayReorder(t *testing.T) {
+	traced := func(t *testing.T) (*rig, func(trace.EventKind)) {
+		r, sink := newRig(t, 0), trace.NewSink()
+		r.scB.SetTrace(sink.Probe("b"))
+		return r, func(want trace.EventKind) {
+			t.Helper()
+			if evs := sink.SecEvents(); len(evs) == 0 || evs[len(evs)-1].Kind != want {
+				t.Fatalf("ledger %+v, want a last event of kind %v", evs, want)
+			}
+		}
+	}
 	t.Run("tamper", func(t *testing.T) {
-		r := newRig(t, 0)
+		r, recorded := traced(t)
 		r.net.SetInterposer(&netsim.Tamperer{Kind: netsim.KindData, Offset: -1})
 		if err := r.scA.Send([]byte("payload")); err != nil {
 			t.Fatal(err)
@@ -159,9 +171,10 @@ func TestSecureRejectsTamperReplayReorder(t *testing.T) {
 		if _, err := r.scB.Recv(); !errors.Is(err, crypt.ErrAuth) {
 			t.Fatalf("tampered: %v, want ErrAuth", err)
 		}
+		recorded(trace.EvAuthFail)
 	})
 	t.Run("replay", func(t *testing.T) {
-		r := newRig(t, 0)
+		r, recorded := traced(t)
 		r.net.SetInterposer(&netsim.Replayer{Kind: netsim.KindData})
 		r.scA.Send([]byte("one"))
 		r.scA.Send([]byte("two"))
@@ -174,16 +187,37 @@ func TestSecureRejectsTamperReplayReorder(t *testing.T) {
 		if _, err := r.scB.Recv(); err == nil {
 			t.Fatal("replayed message accepted")
 		}
+		recorded(trace.EvReplayReject)
 	})
 	t.Run("reorder", func(t *testing.T) {
-		r := newRig(t, 0)
+		r, recorded := traced(t)
 		r.net.SetInterposer(&netsim.Reorderer{Kind: netsim.KindData})
 		r.scA.Send([]byte("one"))
 		r.scA.Send([]byte("two"))
 		if _, err := r.scB.Recv(); err == nil {
 			t.Fatal("re-ordered message accepted")
 		}
+		recorded(trace.EvReorderReject)
 	})
+}
+
+// TestDrainAcksSkipsBadAck: a malformed ack ahead of the real one is
+// dropped like a lost packet, and the real one still completes its send.
+func TestDrainAcksSkipsBadAck(t *testing.T) {
+	r := newRig(t, 0)
+	if err := r.dgA.Send([]byte("fits in one closure")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.dgB.RecvMessage(); err != nil {
+		t.Fatal(err)
+	}
+	r.dgA.stash = append(r.dgA.stash, netsim.Message{Kind: netsim.KindControl, Payload: []byte{9}})
+	if err := r.dgA.DrainAcks(); !errors.Is(err, errBadAck) {
+		t.Fatalf("DrainAcks: %v, want errBadAck reported", err)
+	}
+	if r.dgA.InFlight() != 0 || r.dgA.PoolFree() != 8 {
+		t.Fatalf("after the real ack: %d in flight, %d regions free; want 0 and 8", r.dgA.InFlight(), r.dgA.PoolFree())
+	}
 }
 
 func TestDelegationRoundTripSmall(t *testing.T) {

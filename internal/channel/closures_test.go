@@ -9,6 +9,7 @@ import (
 
 	"mmt/internal/core"
 	"mmt/internal/cursor"
+	"mmt/internal/trace"
 )
 
 // monitorRoute is the route a monitor connection puts before every frame:
@@ -90,14 +91,16 @@ func inFlight(d *Delegation) []sendState {
 }
 
 // FuzzAck: Complete on any control body, with two sends in flight, never
-// panics. A reject is the malformed-ack or unknown-ack error and leaves the
-// in-flight table and every MMT as they were; an accept is a well-formed
-// body naming a send in flight, and completes that send only. The
-// committed corpus holds an ack and a nack for the first send and the
-// malformed shapes TestAckFrame lists.
+// panics. A reject is the malformed-ack error for a body that is not 9
+// bytes with a 0 or 1 status, the unknown-ack error otherwise, and leaves
+// the in-flight table and every MMT as they were; an accept is a
+// well-formed body naming a send in flight, completes that send only, and
+// records a delegation-ack event. The committed corpus holds an ack and a
+// nack for the first send and the malformed shapes TestAckFrame lists.
 func FuzzAck(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte) {
-		r := newRig(t, 0)
+		r, sink := newRig(t, 0), trace.NewSink()
+		r.dgA.SetTrace(sink.Probe("a"))
 		if err := r.dgA.Send(make([]byte, 2*r.dgA.Capacity())); err != nil {
 			t.Fatal(err)
 		}
@@ -105,8 +108,8 @@ func FuzzAck(f *testing.F) {
 		mmt, acked, err := r.dgA.Complete(body)
 		after := inFlight(r.dgA)
 		if err != nil {
-			if !errors.Is(err, errBadAck) && !errors.Is(err, errUnknownAck) {
-				t.Fatalf("reject with %v", err)
+			if malformed := len(body) != 9 || body[0] > 1; malformed != errors.Is(err, errBadAck) || !malformed && !errors.Is(err, errUnknownAck) {
+				t.Fatalf("reject of %x with %v", body, err)
 			}
 			if !slices.Equal(before, after) {
 				t.Fatalf("reject changed the sends in flight: %+v, then %+v", before, after)
@@ -123,6 +126,9 @@ func FuzzAck(f *testing.F) {
 		}
 		if st := mmt.State(); acked && st != core.StateInvalid || !acked && st != core.StateValid {
 			t.Fatalf("completed send left in state %v (acked %v)", st, acked)
+		}
+		if evs := sink.SecEvents(); len(evs) == 0 || evs[len(evs)-1].Kind != trace.EvDelegationAck {
+			t.Fatalf("accepted %x: ledger ends %+v, want a delegation-ack event", body, evs)
 		}
 	})
 }

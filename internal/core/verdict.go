@@ -23,8 +23,7 @@ func RecordReject(probe *trace.Probe, now sim.Time, err error, wire []byte, who,
 	if what != "closure" {
 		subject += what + " "
 	}
-	// Event kinds must be compile-time constants (mmt-vet eventkind),
-	// hence one branch per verdict.
+	// One constant event kind per verdict branch.
 	switch {
 	case errors.Is(err, ErrReplay):
 		probe.Event(trace.EvReplayReject, now, hint, subject+"counter not fresh")

@@ -49,7 +49,7 @@ var useVAES bool
 
 func init() {
 	if _, ecx := cpuid(1, 0); ecx&(1<<25) == 0 {
-		//mmt:allow nopanic: no pad or mask can be computed on this CPU by this build; halt at start-up with the remedy
+		// no pad or mask can be computed on this CPU by this build; halt at start-up with the remedy
 		panic("crypt: this CPU has no AES-NI instructions; rebuild with -tags purego")
 	}
 	useVAES = hasVAES()

@@ -83,17 +83,17 @@ func NewEngine(key Key) *Engine {
 	sealKey := deriveKey(key, "mmt/seal")
 	block, err := aes.NewCipher(padKey[:])
 	if err != nil {
-		//mmt:allow nopanic: 16-byte key size is fixed; NewCipher cannot fail
+		// 16-byte key size is fixed; NewCipher cannot fail
 		panic("crypt: aes.NewCipher: " + err.Error())
 	}
 	sblock, err := aes.NewCipher(sealKey[:])
 	if err != nil {
-		//mmt:allow nopanic: 16-byte key size is fixed; NewCipher cannot fail
+		// 16-byte key size is fixed; NewCipher cannot fail
 		panic("crypt: aes.NewCipher(seal): " + err.Error())
 	}
 	aead, err := cipher.NewGCM(sblock)
 	if err != nil {
-		//mmt:allow nopanic: AES-128 block size always satisfies GCM
+		// AES-128 block size always satisfies GCM
 		panic("crypt: cipher.NewGCM: " + err.Error())
 	}
 	pt := deriveKey(key, "mmt/point")
@@ -135,12 +135,12 @@ func (e *Engine) NodeHash(parentCounter, arity uint64, packed []uint64) uint64 {
 
 // TagEqual compares two 64-bit authentication tags in constant time.
 //
-// A plain == short-circuits at the first differing machine word and, on
-// smaller comparisons, the first differing byte the compiler materializes;
-// an attacker who can submit guesses and time the verifier learns how
-// much of a forged tag is correct and recovers it incrementally. All
-// LineMAC/NodeMAC verification paths must compare through this function
-// (enforced by the cryptocompare analyzer in mmt-vet).
+// Every tag here is a uint64, and == on two uint64s is one compare with
+// no early exit, so it leaks no more timing than this function does: the
+// mutation sweep (`make mutate`) lists TagEqual → == as an equivalent
+// mutant. Tag checks still go through TagEqual, so that each is one call
+// the sweep forces to pass (every such mutant must be killed), and so
+// that a wider tag never brings a byte-wise, short-circuiting compare.
 // The branchless form: for x = a^b, (x | -x) has its top bit set iff
 // x != 0 (for nonzero x <= 2^63, -x carries the top bit; above that, x
 // itself does). One XOR, one negate, one OR, one shift — no data-

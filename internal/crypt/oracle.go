@@ -51,7 +51,7 @@ func (e *Engine) macMask(tw Tweak, domain byte) uint64 {
 // place; XOR is symmetric, so it both encrypts and decrypts.
 func (e *Engine) XORPad(tw Tweak, buf []byte) {
 	if len(buf) != LineSize {
-		//mmt:allow nopanic: caller bug, equivalent to built-in bounds check
+		// caller bug, equivalent to built-in bounds check
 		panic(fmt.Sprintf("crypt: XORPad with %d bytes, want %d", len(buf), LineSize))
 	}
 	base := e.tweakBase(tw.GUAddr, tw.Line, DomainPad)
@@ -70,7 +70,7 @@ func (e *Engine) XORPad(tw Tweak, buf []byte) {
 // the mask.
 func (e *Engine) LineMAC(tw Tweak, ct []byte) uint64 {
 	if len(ct) != LineSize {
-		//mmt:allow nopanic: caller bug, equivalent to built-in bounds check
+		// caller bug, equivalent to built-in bounds check
 		panic(fmt.Sprintf("crypt: LineMAC with %d bytes, want %d", len(ct), LineSize))
 	}
 	words := make([]uint64, 0, LineSize/8+1)

@@ -176,7 +176,7 @@ func (e *Engine) LineKeys(bases []byte, ctrs []uint64, keys []byte) {
 // alias.
 func XORLine(dst, line, pad []byte) {
 	if len(line) != LineSize || len(dst) != LineSize || len(pad) < LineSize {
-		//mmt:allow nopanic: caller bug, equivalent to built-in bounds check
+		// caller bug, equivalent to built-in bounds check
 		panic(fmt.Sprintf("crypt: XORLine with %d -> %d bytes, want %d", len(line), len(dst), LineSize))
 	}
 	xorLine((*[LineSize]byte)(dst), (*[LineSize]byte)(line), (*[LineSize]byte)(pad))
@@ -213,7 +213,7 @@ func xorLine(dst, line, pad *[LineSize]byte) {
 // the two for everyone else.
 func (e *Engine) LineHash(ct []byte, _ *Scratch) uint64 {
 	if len(ct) != LineSize {
-		//mmt:allow nopanic: caller bug, equivalent to built-in bounds check
+		// caller bug, equivalent to built-in bounds check
 		panic(fmt.Sprintf("crypt: LineHash with %d bytes, want %d", len(ct), LineSize))
 	}
 	return e.mulx.EvalBlock((*[LineSize]byte)(ct)) ^ e.lineLen

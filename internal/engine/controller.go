@@ -346,7 +346,7 @@ func (c *Controller) Tree(r int) *tree.Tree { return c.region(r).tr }
 
 func (c *Controller) region(r int) *regionState {
 	if r < 0 || r >= len(c.regions) {
-		//mmt:allow nopanic: internal bounds guard, equivalent to built-in slice indexing
+		// internal bounds guard, equivalent to built-in slice indexing
 		panic(fmt.Sprintf("engine: region %d out of range [0,%d)", r, len(c.regions)))
 	}
 	return &c.regions[r]

@@ -472,6 +472,9 @@ func TestRangeTamper(t *testing.T) {
 					if !errors.Is(errA, ErrIntegrity) || !sameErr(errA, errB) {
 						t.Fatalf("range error %v, line by line %v, want the same ErrIntegrity", errA, errB)
 					}
+					if ev := rng.sink.SecEvents(); len(ev) == 0 || ev[len(ev)-1].Kind != trace.EvIntegrityFail {
+						t.Fatalf("ledger after the failing run: %+v, want an integrity failure last", ev)
+					}
 					if oa, ob := rng.observe(), ref.observe(); !reflect.DeepEqual(oa, ob) {
 						t.Fatalf("observable state differs\nrange:        %+v\nline by line: %+v", oa, ob)
 					}

@@ -5,9 +5,13 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
+	"mmt/internal/mem"
+	"mmt/internal/sim"
 	"mmt/internal/trace"
+	"mmt/internal/tree"
 )
 
 // The tamper tables below work on one leaf run of spanTamperGeo, lines
@@ -191,5 +195,36 @@ func TestMetaZoneTamperAfterVerify(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestOverflowSiblingTamper: a sibling line whose ciphertext changed after
+// its path was verified cannot be re-encrypted when a write overflows its
+// leaf's local counter. The write fails closed with ErrIntegrity and
+// records an integrity failure in the ledger.
+func TestOverflowSiblingTamper(t *testing.T) {
+	geo := tree.Geometry{Arities: []int{2, 4}, LocalBits: 2} // four lines a leaf; the fourth write overflows
+	c, err := New(mem.New(mem.Config{Size: geo.DataSize(), RegionSize: geo.DataSize(), MetaPerRegion: geo.MetaSize()}), geo, nil, sim.Gem5Profile())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sink := trace.NewSink()
+	c.SetTrace(sink.Probe("overflow"))
+	fill(c, 0, 3)
+	if err := c.Enable(0, testKey, 0x11, 0); err != nil {
+		t.Fatal(err)
+	}
+	c.Memory().RegionData(0)[LineSize] ^= 1 // line 1, line 0's sibling
+	buf := make([]byte, LineSize)
+	for range 4 {
+		if err = c.Write(0, 0, buf); err != nil {
+			break
+		}
+	}
+	if !errors.Is(err, ErrIntegrity) || !strings.Contains(err.Error(), "unrecoverable") {
+		t.Fatalf("writes through the overflow: %v, want the sibling unrecoverable", err)
+	}
+	if ev := sink.SecEvents(); len(ev) != 1 || ev[0].Kind != trace.EvIntegrityFail {
+		t.Fatalf("ledger %+v, want one integrity failure", ev)
 	}
 }

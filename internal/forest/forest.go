@@ -30,7 +30,7 @@ const monotonicBits = GUAddrBits - 16
 // envelope (the hardware would halt similarly).
 func Compose(node NodeID, monotonic uint64) uint64 {
 	if monotonic >= 1<<monotonicBits {
-		panic(fmt.Sprintf("forest: monotonic number %d overflows %d bits", monotonic, monotonicBits)) //mmt:allow nopanic: counter overflow after 2^48 migrations; hardware would halt rather than reuse an ID
+		panic(fmt.Sprintf("forest: monotonic number %d overflows %d bits", monotonic, monotonicBits)) // counter overflow after 2^48 migrations; hardware would halt rather than reuse an ID
 	}
 	return uint64(node)<<monotonicBits | monotonic
 }

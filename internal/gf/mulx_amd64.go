@@ -48,7 +48,7 @@ func hasCLMUL() bool
 
 func init() {
 	if !hasCLMUL() {
-		//mmt:allow nopanic: no MAC can be computed on this CPU by this build; halt at start-up with the remedy
+		// no MAC can be computed on this CPU by this build; halt at start-up with the remedy
 		panic("gf: this CPU has no PCLMULQDQ instruction; rebuild with -tags purego")
 	}
 }

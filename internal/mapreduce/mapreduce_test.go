@@ -2,11 +2,14 @@ package mapreduce
 
 import (
 	"bytes"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
 
 	"mmt/internal/sim"
+	"mmt/internal/trace"
 	"mmt/internal/tree"
 	"mmt/internal/workload"
 )
@@ -267,5 +270,41 @@ func TestCombineHelper(t *testing.T) {
 	}
 	if got := combine(nil, WordCountReducer); len(got) != 0 {
 		t.Fatal("combine(nil) not empty")
+	}
+}
+
+// TestTracedPhaseSum: a traced job with a combiner books every cycle its
+// machines' clocks advanced — a charge to exactly one phase, a receive's
+// wait as a remote-read sample — so per job, phases plus waits equal the
+// machines' final clocks; and a second run of the same job reproduces
+// every clock and every phase total exactly.
+func TestTracedPhaseSum(t *testing.T) {
+	input := workload.Corpus(15, 20_000)
+	run := func() (*Result, trace.Metrics) {
+		cfg := testConfig(MMT)
+		cfg.Combiner, cfg.NetLatency, cfg.Trace = WordCountReducer, 1e-6, trace.NewSink()
+		res, err := Run(cfg, input, WordCountMapper, WordCountReducer)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, cfg.Trace.Snapshot()
+	}
+	res, metrics := run()
+	var phases, waits, clocks sim.Cycles
+	for _, p := range metrics.Procs {
+		for _, c := range p.Cycles {
+			phases += c
+		}
+		waits += p.Ops[trace.OpRemoteRead].Sum
+	}
+	for _, at := range slices.Concat(res.MapTime, res.ReduceTime) {
+		clocks += sim.Cycles(float64(at) * sim.Gem5Profile().FreqHz)
+	}
+	if waits == 0 || !trace.SumsAgree(phases+waits, clocks) {
+		t.Fatalf("phase cycles %v + wire waits %v = %v, machine clocks %v", phases, waits, phases+waits, clocks)
+	}
+	again, metricsAgain := run()
+	if !slices.Equal(res.MapTime, again.MapTime) || !slices.Equal(res.ReduceTime, again.ReduceTime) || !reflect.DeepEqual(metrics, metricsAgain) {
+		t.Fatal("a second run of the same job moved a clock or a phase total")
 	}
 }

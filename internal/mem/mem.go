@@ -63,7 +63,7 @@ type Memory struct {
 // configurations are static (they come from sim profiles or tests).
 func New(cfg Config) *Memory {
 	if err := cfg.Validate(); err != nil {
-		panic(err) //mmt:allow nopanic: static experiment configuration; a bad Config is a programming error, not runtime input
+		panic(err) // static experiment configuration; a bad Config is a programming error, not runtime input
 	}
 	return &Memory{
 		cfg:  cfg,
@@ -86,7 +86,7 @@ func (m *Memory) RegionBase(r int) Addr { return Addr(uint64(r) * uint64(m.cfg.R
 
 func (m *Memory) checkSpan(a Addr, n int) {
 	if n < 0 || uint64(a)+uint64(n) > uint64(m.cfg.Size) {
-		panic(fmt.Sprintf("mem: span [%#x,+%d) out of range (size %#x)", uint64(a), n, m.cfg.Size)) //mmt:allow nopanic: internal bounds guard; models a hardware fault on an impossible span
+		panic(fmt.Sprintf("mem: span [%#x,+%d) out of range (size %#x)", uint64(a), n, m.cfg.Size)) // internal bounds guard; models a hardware fault on an impossible span
 	}
 }
 
@@ -100,7 +100,7 @@ func (m *Memory) LineView(a Addr) []byte {
 
 func (m *Memory) checkLine(a Addr) {
 	if uint64(a)%LineSize != 0 {
-		panic(fmt.Sprintf("mem: unaligned line address %#x", uint64(a))) //mmt:allow nopanic: internal invariant; line addresses are engine-computed and always aligned
+		panic(fmt.Sprintf("mem: unaligned line address %#x", uint64(a))) // internal invariant; line addresses are engine-computed and always aligned
 	}
 	m.checkSpan(a, LineSize)
 }
@@ -127,7 +127,7 @@ func (m *Memory) Write(a Addr, p []byte) {
 // checks must detect.
 func (m *Memory) MetaRegion(r int) []byte {
 	if r < 0 || r >= m.Regions() {
-		panic(fmt.Sprintf("mem: region %d out of range [0,%d)", r, m.Regions())) //mmt:allow nopanic: internal bounds guard; models a hardware fault on an impossible region index
+		panic(fmt.Sprintf("mem: region %d out of range [0,%d)", r, m.Regions())) // internal bounds guard; models a hardware fault on an impossible region index
 	}
 	return m.meta[r*m.cfg.MetaPerRegion : (r+1)*m.cfg.MetaPerRegion]
 }

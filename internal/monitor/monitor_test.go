@@ -2,10 +2,14 @@ package monitor
 
 import (
 	"bytes"
+	"cmp"
 	"crypto/ecdh"
 	"crypto/rand"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
 	"mmt/internal/attest"
@@ -15,6 +19,7 @@ import (
 	"mmt/internal/mem"
 	"mmt/internal/netsim"
 	"mmt/internal/sim"
+	"mmt/internal/trace"
 	"mmt/internal/tree"
 )
 
@@ -23,9 +28,11 @@ var testGeo = tree.Geometry{Arities: []int{2, 3, 4}}
 // world is a two-machine test universe: manufacturer, authority, two
 // booted monitors on a shared network.
 type world struct {
-	auth *attest.Authority
-	net  *netsim.Network
-	a, b *Monitor
+	auth     *attest.Authority
+	net      *netsim.Network
+	a, b     *Monitor
+	machines [2]*attest.Machine
+	meas     attest.Measurement
 }
 
 func newController(t testing.TB, regions int) *engine.Controller {
@@ -55,12 +62,13 @@ func newWorld(t *testing.T) *world {
 	meas := attest.MeasureSoftware([]byte("mmt monitor v1"))
 	auth.AllowMeasurement(meas)
 
-	w := &world{auth: auth, net: netsim.NewNetwork(0)}
+	w := &world{auth: auth, net: netsim.NewNetwork(0), meas: meas}
 	for i, name := range []string{"alpha", "beta"} {
 		machine, err := mfr.Provision(name)
 		if err != nil {
 			t.Fatal(err)
 		}
+		w.machines[i] = machine
 		mon := New(machine, meas, auth.PublicKey(), newController(t, 8))
 		if err := mon.Boot(auth); err != nil {
 			t.Fatalf("boot %s: %v", name, err)
@@ -371,26 +379,19 @@ func TestPipelinedDelegations(t *testing.T) {
 	}
 }
 
-// mitm swaps the ECDH share in connect messages for the attacker's own —
-// the classic man-in-the-middle against unauthenticated Diffie-Hellman.
-type mitm struct{ t *testing.T }
+// mitm rewrites connect messages in flight, leaving every other field as
+// the sender wrote it: edit changes the decoded message.
+type mitm struct {
+	t    *testing.T
+	edit func(*connectMsg)
+}
 
 func (m *mitm) Intercept(msg netsim.Message) []netsim.Message {
-	if msg.Kind != netsim.KindControl {
+	var cm connectMsg
+	if msg.Kind != netsim.KindControl || json.Unmarshal(msg.Payload, &cm) != nil || cm.Type != "connect" && cm.Type != "connect-ok" {
 		return []netsim.Message{msg}
 	}
-	var cm map[string]any
-	if err := json.Unmarshal(msg.Payload, &cm); err != nil {
-		return []netsim.Message{msg}
-	}
-	if t, _ := cm["type"].(string); t != "connect" && t != "connect-ok" {
-		return []netsim.Message{msg}
-	}
-	evil, err := ecdh.X25519().GenerateKey(rand.Reader)
-	if err != nil {
-		m.t.Fatal(err)
-	}
-	cm["ecdh_public"] = evil.PublicKey().Bytes()
+	m.edit(&cm)
 	out, err := json.Marshal(cm)
 	if err != nil {
 		m.t.Fatal(err)
@@ -399,18 +400,64 @@ func (m *mitm) Intercept(msg netsim.Message) []netsim.Message {
 	return []netsim.Message{msg}
 }
 
+// TestConnectRejectsShareSubstitution: a man in the middle who swaps the
+// ECDH share for its own (the classic attack on unauthenticated
+// Diffie-Hellman) fails the share signature, and one who edits the
+// attestation report fails the report check; without the attacker the
+// same parties connect.
 func TestConnectRejectsShareSubstitution(t *testing.T) {
-	w := newWorld(t)
-	ea := w.a.CreateEnclave("sender", attest.Measurement{})
-	eb := w.b.CreateEnclave("receiver", attest.Measurement{})
-	w.net.SetInterposer(&mitm{t: t})
-	if _, err := Connect(w.a, ea.ID, w.b, eb.ID, 0); err == nil {
-		t.Fatal("man-in-the-middle key exchange accepted")
+	evil, err := ecdh.X25519().GenerateKey(rand.Reader)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Without the attacker the same parties connect fine.
-	w.net.SetInterposer(nil)
-	if _, err := Connect(w.a, ea.ID, w.b, eb.ID, 0); err != nil {
-		t.Fatalf("clean connect after attack: %v", err)
+	for _, c := range []struct {
+		name, want string
+		edit       func(*connectMsg)
+	}{
+		{"share substituted", "not signed by the attested machine", func(cm *connectMsg) { cm.ECDHPublic = evil.PublicKey().Bytes() }},
+		{"report edited", "peer attestation", func(cm *connectMsg) { r := *cm.Report; r.NodeID++; cm.Report = &r }},
+	} {
+		w := newWorld(t)
+		ea := w.a.CreateEnclave("sender", attest.Measurement{})
+		eb := w.b.CreateEnclave("receiver", attest.Measurement{})
+		w.net.SetInterposer(&mitm{t: t, edit: c.edit})
+		if _, err := Connect(w.a, ea.ID, w.b, eb.ID, 0); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("%s: connect %v, want an error saying %q", c.name, err, c.want)
+		}
+		w.net.SetInterposer(nil)
+		if _, err := Connect(w.a, ea.ID, w.b, eb.ID, 0); err != nil {
+			t.Fatalf("%s: clean connect after the attack: %v", c.name, err)
+		}
+	}
+}
+
+// TestPumpRefusesBadAck: an ack frame whose body is not an ack is an
+// error out of Pump, not a silently dropped frame.
+func TestPumpRefusesBadAck(t *testing.T) {
+	w := newWorld(t)
+	connID, _, _ := connect(t, w)
+	w.b.endpoint.Send(w.a.endpoint.Name(), netsim.KindControl, append(route(connID), 7))
+	if handled, err := w.a.Pump(); !handled || err == nil {
+		t.Fatalf("Pump of a one-byte ack: handled %v, err %v; want an error", handled, err)
+	}
+}
+
+// TestFreePMORecordsCapDestroy: freeing a PMO records the capability's
+// destruction in the ledger.
+func TestFreePMORecordsCapDestroy(t *testing.T) {
+	w := newWorld(t)
+	sink := trace.NewSink()
+	w.a.ctl.SetTrace(sink.Probe("alpha"))
+	e := w.a.CreateEnclave("worker", attest.MeasureSoftware([]byte("app")))
+	p, err := w.a.AllocPMO(e.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.a.FreePMO(e.ID, p.Cap); err != nil {
+		t.Fatal(err)
+	}
+	if ev := sink.SecEvents(); len(ev) != 1 || ev[0].Kind != trace.EvCapDestroy {
+		t.Fatalf("ledger %+v, want one capability destroyed", ev)
 	}
 }
 
@@ -433,4 +480,115 @@ func FuzzRoute(f *testing.F) {
 			t.Fatalf("route(%q) ‖ %x came back as %q ‖ %x, %v", id, frame, got, back, err)
 		}
 	})
+}
+
+// TestSnapshotOrder: a snapshot lists enclaves and connections by id and
+// MMTs by region,
+// whatever order the monitor's maps and capability numbers hold them in —
+// here a freed region is reused by the last capability, so capability
+// order and region order disagree.
+func TestSnapshotOrder(t *testing.T) {
+	w := newWorld(t)
+	for range 3 {
+		connect(t, w)
+	}
+	var e *Enclave
+	for i := range 3 {
+		e = w.a.CreateEnclave(fmt.Sprintf("worker-%d", i), attest.Measurement{})
+	}
+	var caps []CapID
+	for range w.a.PoolFree() {
+		p, err := w.a.AllocPMO(e.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		caps = append(caps, p.Cap)
+	}
+	if err := w.a.FreePMO(e.ID, caps[0]); err != nil {
+		t.Fatal(err)
+	}
+	p, err := w.a.AllocPMO(e.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range append(caps[1:], p.Cap) {
+		if _, err := w.a.AcquireMMT(e.ID, c, crypt.KeyFromBytes([]byte("k")), 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s, err := w.a.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.IsSortedFunc(s.Conns, func(a, b ConnRec) int { return strings.Compare(a.ID, b.ID) }) || len(s.Conns) != 3 {
+		t.Fatalf("connections %+v, want three in id order", s.Conns)
+	}
+	if !slices.IsSortedFunc(s.Enclaves, func(a, b EnclaveRec) int { return cmp.Compare(a.ID, b.ID) }) || len(s.Enclaves) != 6 {
+		t.Fatalf("enclaves %+v, want six in id order", s.Enclaves)
+	}
+	if !slices.IsSortedFunc(s.MMTs, func(a, b MMTRec) int { return cmp.Compare(a.Region, b.Region) }) || len(s.MMTs) != len(caps)+3 {
+		t.Fatalf("MMTs %+v, want %d (three armed receive buffers) in region order", s.MMTs, len(caps)+3)
+	}
+}
+
+// TestRestoreRejectsForgedReport: a snapshot whose attestation report the
+// authority did not sign (its node id moved in the report and the
+// snapshot alike, so only the signature disagrees) does not restore.
+func TestRestoreRejectsForgedReport(t *testing.T) {
+	w := newWorld(t)
+	s, err := w.a.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	restore := func(s *Snapshot) error {
+		mon := New(w.machines[0], w.meas, w.auth.PublicKey(), newController(t, 8))
+		if err := mon.AttachNetwork(netsim.NewNetwork(0), "alpha"); err != nil {
+			t.Fatal(err)
+		}
+		return mon.Restore(s)
+	}
+	if err := restore(s); err != nil {
+		t.Fatalf("genuine snapshot: %v", err)
+	}
+	r := *s.Report
+	r.NodeID++
+	s.Report, s.NodeID = &r, r.NodeID
+	if err := restore(s); err == nil {
+		t.Fatal("snapshot with a forged report restored")
+	}
+}
+
+// TestExportImportLedger: an exported closure records a migration send on
+// the exporter and, imported, a migration accept on the importer.
+func TestExportImportLedger(t *testing.T) {
+	w := newWorld(t)
+	sa, sb := trace.NewSink(), trace.NewSink()
+	w.a.ctl.SetTrace(sa.Probe("alpha"))
+	w.b.ctl.SetTrace(sb.Probe("beta"))
+	connID, ea, _ := connect(t, w)
+	p, err := w.a.AllocPMO(ea.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ca, _ := w.a.Connection(connID)
+	if _, err := w.a.AcquireMMT(ea.ID, p.Cap, ca.Conn().Key(), ca.Conn().NextCounter()); err != nil {
+		t.Fatal(err)
+	}
+	wire, err := w.a.ExportPMO(ea.ID, p.Cap, connID, core.OwnershipTransfer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.b.ImportClosure(connID, wire); err != nil {
+		t.Fatal(err)
+	}
+	last := func(s *trace.Sink) trace.EventKind {
+		ev := s.SecEvents()
+		if len(ev) == 0 {
+			t.Fatal("empty ledger")
+		}
+		return ev[len(ev)-1].Kind
+	}
+	if a, b := last(sa), last(sb); a != trace.EvMigrationSend || b != trace.EvMigrationAccept {
+		t.Fatalf("ledgers end in %v and %v, want a migration send and accept", a, b)
+	}
 }

@@ -10,9 +10,8 @@
 //     influences the value of any result — only wall-clock time.
 //   - The caller's half: each work unit must own all mutable simulation
 //     state it touches. In this codebase that means a work unit builds
-//     its own sim.Clock, Controller and trace.Sink (enforced by the
-//     parclock analyzer in mmt-vet) and the caller merges per-unit sinks
-//     serially in input order afterwards.
+//     its own sim.Clock, Controller, trace.Sink and causal roots, and the
+//     caller merges per-unit sinks serially in input order afterwards.
 //
 // Simulated time is unaffected by construction: simulated clocks are
 // per-unit state, so cycle totals are a pure function of the inputs. Only

@@ -82,8 +82,8 @@ func (c *Clock) cyclesAt(t Time) Cycles { return Cycles(float64(t) * c.Freq()) }
 
 // AdvanceCycles moves the clock forward by n cycles; n <= 0 is ignored so
 // that cost arithmetic can never move time backwards. Outside tests its
-// one caller is trace.Probe.Charge, which books the same n to a phase
-// (mmt-vet simclock).
+// one caller is trace.Probe.Charge, which books the same n to a phase, so
+// a machine's phases add up to its clock (TestPhaseCyclesSumToClock).
 func (c *Clock) AdvanceCycles(n Cycles) {
 	if n > 0 {
 		c.now += n

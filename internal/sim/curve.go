@@ -30,17 +30,17 @@ type CurvePoint struct {
 // constructed from static calibration tables.
 func NewCurve(points ...CurvePoint) *Curve {
 	if len(points) == 0 {
-		panic("sim: NewCurve requires at least one point") //mmt:allow nopanic: calibration tables are static package data; an empty curve is a programming error
+		panic("sim: NewCurve requires at least one point") // calibration tables are static package data; an empty curve is a programming error
 	}
 	ps := make([]CurvePoint, len(points))
 	copy(ps, points)
 	sort.Slice(ps, func(i, j int) bool { return ps[i].Size < ps[j].Size })
 	for i, p := range ps {
 		if p.Size <= 0 {
-			panic(fmt.Sprintf("sim: curve point %d has non-positive size %d", i, p.Size)) //mmt:allow nopanic: static calibration table validation at construction time
+			panic(fmt.Sprintf("sim: curve point %d has non-positive size %d", i, p.Size)) // static calibration table validation at construction time
 		}
 		if i > 0 && ps[i-1].Size == p.Size {
-			panic(fmt.Sprintf("sim: duplicate curve point at size %d", p.Size)) //mmt:allow nopanic: static calibration table validation at construction time
+			panic(fmt.Sprintf("sim: duplicate curve point at size %d", p.Size)) // static calibration table validation at construction time
 		}
 	}
 	return &Curve{points: ps}

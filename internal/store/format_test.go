@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"encoding/hex"
+	"errors"
 	"testing"
 )
 
@@ -85,4 +86,38 @@ func TestCorruptCommitSlotRejected(t *testing.T) {
 			t.Fatalf("bit flip at byte %d accepted", i)
 		}
 	}
+}
+
+// FuzzStoreFormat: on reopen the committed record region and each commit
+// slot are read from disk. parseRecords must never panic, must refuse
+// with ErrCorrupt and no records, and what it accepts must re-frame to
+// exactly the input; decodeCommit must refuse with a zero record, and a
+// slot it accepts must re-encode to the slot's bytes up to its CRC.
+func FuzzStoreFormat(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		recs, err := parseRecords(data)
+		if err != nil {
+			if !errors.Is(err, ErrCorrupt) || recs != nil {
+				t.Fatalf("records %v, err %v; want none and ErrCorrupt", recs != nil, err)
+			}
+		} else {
+			var again []byte
+			for _, r := range recs {
+				again = appendRecord(again, r)
+			}
+			if !bytes.Equal(again, data) {
+				t.Fatal("accepted records re-frame differently")
+			}
+		}
+		c, ok := decodeCommit(data)
+		if !ok {
+			if c != (CommitRecord{}) {
+				t.Fatalf("refused slot decoded to %+v", c)
+			}
+			return
+		}
+		if slot := c.encode(); !bytes.Equal(slot[:56], data[:56]) {
+			t.Fatal("accepted slot re-encodes differently")
+		}
+	})
 }

@@ -184,7 +184,7 @@ func (fs *MemFS) StateAt(k int, mode ReplayMode) map[string][]byte {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	if k < 0 || k > len(fs.ops) {
-		panic(fmt.Sprintf("store: kill point %d out of range [0,%d]", k, len(fs.ops))) //mmt:allow nopanic: test-harness bounds guard; the crash simulator passes literals from Ops()
+		panic(fmt.Sprintf("store: kill point %d out of range [0,%d]", k, len(fs.ops))) // test-harness bounds guard; the crash simulator passes literals from Ops()
 	}
 	ops := fs.ops[:k]
 

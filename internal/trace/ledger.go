@@ -6,10 +6,10 @@ import (
 	"mmt/internal/sim"
 )
 
-// EventKind classifies one entry in the security-event ledger. Kinds at
-// record sites must be compile-time constants (enforced by the mmt-vet
-// eventkind analyzer) so the set of auditable verdicts is statically
-// known.
+// EventKind classifies one entry in the security-event ledger. Record
+// sites pass constant kinds, one per verdict branch, so the set of
+// auditable verdicts is statically known; the ledger tests catch a kind
+// that is off by one at any site (`make mutate` plants one at each).
 type EventKind uint8
 
 const (
@@ -146,9 +146,9 @@ func (l *secLedger) reset() {
 func (l *secLedger) dropped() uint64 { return l.seq - uint64(len(l.buf)) }
 
 // Event appends one security event to the sink's ledger, stamped with
-// the recording node's simulated time. The kind argument must be a
-// compile-time constant (mmt-vet eventkind); detail should be a constant
-// tag so recording stays allocation-free. A nil probe records nothing.
+// the recording node's simulated time. The kind argument should be a
+// constant, one per verdict branch; detail should be a constant tag so
+// recording stays allocation-free. A nil probe records nothing.
 func (p *Probe) Event(kind EventKind, at sim.Time, addr uint64, detail string) {
 	if p == nil {
 		return

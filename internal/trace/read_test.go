@@ -180,3 +180,34 @@ func FuzzArtefactReaders(f *testing.F) {
 		}
 	})
 }
+
+// TestDecodeStrictNamesFirstKey: with several unknown keys, in an object
+// or in a named array, the error names the first in key order, so the
+// same bad document always gets the same message.
+func TestDecodeStrictNamesFirstKey(t *testing.T) {
+	type doc struct {
+		Cycles PhaseCycles `json:"cycles,omitempty"`
+	}
+	for data, want := range map[string]string{
+		`{"zz": 1, "yy": 1, "ab": 1, "xx": 1}`:             `unknown key "ab"`,
+		`{"cycles": {"zz": 1, "yy": 1, "ab": 1, "xx": 1}}`: `unknown key "ab"`,
+	} {
+		var d doc
+		if err := DecodeStrict("test doc", []byte(data), &d); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: got %v, want %q", data, err, want)
+		}
+	}
+}
+
+// TestTraceIDText: a trace ID reads back from "proc#seq" and nothing else.
+func TestTraceIDText(t *testing.T) {
+	var id TraceID
+	if err := id.UnmarshalText([]byte("a#b#7")); err != nil || id != (TraceID{Proc: "a#b", Seq: 7}) {
+		t.Fatalf("a#b#7: %+v, %v", id, err)
+	}
+	for _, bad := range []string{"", "a", "#7", "a#", "a#x", "a#-1"} {
+		if err := id.UnmarshalText([]byte(bad)); err == nil {
+			t.Errorf("%q accepted as %+v", bad, id)
+		}
+	}
+}

@@ -20,11 +20,10 @@ package trace
 // the rest of the sink: window indices are derived from simulated
 // clocks, so worker sinks record identical samples regardless of worker
 // count, and Merge folds per-process series state in input order. A
-// machine's series lives entirely inside one work unit (the mmt-vet
-// tracectx confinement rule), so the destination side of every fold is
-// zero and the fold is a copy. A fold onto a machine that already has
-// series state keeps the contract by evicting every sample of both
-// sides (see mergeSeriesLocked).
+// machine's series lives entirely inside one work unit (see internal/par),
+// so the destination side of every fold is zero and the fold is a copy.
+// A fold onto a machine that already has series state keeps the contract
+// by evicting every sample of both sides (see mergeSeriesLocked).
 
 import (
 	"fmt"

@@ -317,7 +317,7 @@ func (s *Sink) Merge(src *Sink) {
 	// is the destination's counter before the merge. Merging workers
 	// serially in input order therefore reproduces exactly the IDs a
 	// serial run would have minted. Traces must be complete within one
-	// work unit (the mmt-vet tracectx rule) for this to be sound.
+	// work unit (no trace.Context crosses into one) for this to be sound.
 	base := make(map[string]uint64, len(src.procs))
 	for _, sp := range src.procs {
 		dst, ok := s.byName[sp.name]
@@ -350,7 +350,6 @@ func (s *Sink) Merge(src *Sink) {
 	}
 	// Keys are distinct after re-basing (worker trace IDs map injectively
 	// into the destination's ID space), so insertion order is irrelevant.
-	//mmt:allow maporder: independent keys, insertions commute
 	for id, n := range src.spanSeq {
 		id.Seq += base[id.Proc]
 		s.spanSeq[id] = n

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 
@@ -225,5 +226,23 @@ func TestNames(t *testing.T) {
 			t.Fatalf("bad counter name %q for %d", n, c)
 		}
 		seen[n] = true
+	}
+}
+
+// TestCausalTracesOrdered: causal trees come out by (root process,
+// sequence), not in the order their first spans were recorded.
+func TestCausalTracesOrdered(t *testing.T) {
+	sink := NewSink()
+	b, a := sink.Probe("b"), sink.Probe("a")
+	for _, p := range []*Probe{b, a, b, a} {
+		p.BeginSpan(p.NewTrace(), PhaseMAC, 0).End(1e-6)
+	}
+	var got []TraceID
+	for _, ct := range sink.CausalTraces() {
+		got = append(got, ct.ID)
+	}
+	want := []TraceID{{Proc: "a", Seq: 1}, {Proc: "a", Seq: 2}, {Proc: "b", Seq: 1}, {Proc: "b", Seq: 2}}
+	if !slices.Equal(got, want) {
+		t.Fatalf("causal traces %v, want %v", got, want)
 	}
 }

@@ -45,7 +45,7 @@ type Geometry struct {
 // node levels (2, 3 or 4 in the evaluation; 3 is the default system).
 func ForLevels(levels int) Geometry {
 	if levels < 1 {
-		//mmt:allow nopanic: static experiment configuration (2-4 levels); callers pass literals
+		// static experiment configuration (2-4 levels); callers pass literals
 		panic(fmt.Sprintf("tree: invalid level count %d", levels))
 	}
 	ar := make([]int, levels)

@@ -219,7 +219,7 @@ func (t *Tree) MarkAllDirty() {
 // checkLine bounds-checks a line index.
 func (t *Tree) checkLine(line int) {
 	if line < 0 || line >= t.lay.Lines {
-		//mmt:allow nopanic: internal bounds guard, equivalent to built-in slice indexing
+		// internal bounds guard, equivalent to built-in slice indexing
 		panic(fmt.Sprintf("tree: line %d out of range [0,%d)", line, t.lay.Lines))
 	}
 }

@@ -5,7 +5,10 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
+	"io"
+	"os"
 	"testing"
+	"testing/iotest"
 
 	"mmt/internal/snap"
 	"mmt/internal/store"
@@ -183,4 +186,63 @@ func TestArtifactFraming(t *testing.T) {
 			t.Fatalf("%s (%d of %d bytes): artifact %v, err %v", what, len(mut), buf.Len(), got != nil, err)
 		}
 	})
+	if got, err := ReadArtifact(iotest.ErrReader(io.ErrUnexpectedEOF)); got != nil || !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("failing reader: artifact %v, err %v", got != nil, err)
+	}
+}
+
+// FuzzReadArtifact: an artifact file is outside input. ReadArtifact must
+// never panic, must refuse with ErrBadArtifact and no artifact (a reader
+// that fails is the only other error), and what it accepts must write
+// back to exactly the input.
+func FuzzReadArtifact(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		a, err := ReadArtifact(bytes.NewReader(data))
+		if err != nil {
+			if !errors.Is(err, ErrBadArtifact) || a != nil {
+				t.Fatalf("artifact %v, err %v; want nil and ErrBadArtifact", a != nil, err)
+			}
+			return
+		}
+		var out bytes.Buffer
+		if _, err := a.WriteTo(&out); err != nil || !bytes.Equal(out.Bytes(), data) {
+			t.Fatalf("accepted input writes back differently (err %v)", err)
+		}
+	})
+}
+
+// TestLoadRefusals: Load refuses, returning no cluster, a bad option, a
+// reader that fails, a correctly hashed snapshot whose region no longer
+// verifies, and a store path that cannot be opened.
+func TestLoadRefusals(t *testing.T) {
+	c, _ := persistCluster(t)
+	var good bytes.Buffer
+	if _, err := c.Save(&good); err != nil {
+		t.Fatal(err)
+	}
+	m, err := c.buildModel()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Machines[1].Regions[0].LineMACs[0] ^= 1
+	file := t.TempDir() + "/file"
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		r    io.Reader
+		opts []Option
+		want error
+	}{
+		{"bad option", bytes.NewReader(good.Bytes()), []Option{WithSampling(SamplingConfig{WindowCycles: 3})}, nil},
+		{"failing reader", iotest.ErrReader(io.ErrUnexpectedEOF), nil, io.ErrUnexpectedEOF},
+		{"line MAC flipped", bytes.NewReader(sealed(m)), nil, ErrIntegrity},
+		{"store is a file", bytes.NewReader(good.Bytes()), []Option{WithStore(file)}, nil},
+	} {
+		got, err := Load(c.r, c.opts...)
+		if err == nil || got != nil || c.want != nil && !errors.Is(err, c.want) {
+			t.Errorf("%s: cluster %v, err %v; want none and %v", c.name, got != nil, err, c.want)
+		}
+	}
 }

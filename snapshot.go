@@ -526,7 +526,9 @@ type Manifest struct {
 	Epoch uint64 `json:"epoch"`
 	// RootHash is the hex state hash of the snapshot (snap.Hash: a SHA-256
 	// tree over every field and plane byte of the model) — the value a
-	// Save trailer and a store commit record pin.
+	// Save trailer and a store commit record pin. Two runs of one program
+	// differ in it by design: the model carries fresh keys (ECDSA keys and
+	// signatures, each link's X25519 key) and the bytes computed under them.
 	RootHash string `json:"root_hash"`
 	// SnapshotBytes is the encoded size (blob + hash trailer for Save;
 	// base blob size for store commits).

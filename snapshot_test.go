@@ -755,3 +755,26 @@ func TestWireKindValuesAligned(t *testing.T) {
 		}
 	}
 }
+
+// FuzzParseManifest: a manifest is read back by mmt-stat from a file, so
+// ParseManifest faces outside input. It must never panic, must refuse
+// with no manifest, and what it accepts must write a manifest that parses
+// to an equal value.
+func FuzzParseManifest(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, err := ParseManifest(data)
+		if err != nil {
+			if m != nil {
+				t.Fatalf("manifest and err %v", err)
+			}
+			return
+		}
+		var out bytes.Buffer
+		if err := m.WriteJSON(&out); err != nil {
+			t.Fatal(err)
+		}
+		if back, err := ParseManifest(out.Bytes()); err != nil || !reflect.DeepEqual(back, m) {
+			t.Fatalf("accepted manifest does not round-trip: %v", err)
+		}
+	})
+}
