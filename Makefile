@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test test-purego cross race vet mutate loc loc-gate bench bench-smoke bench-module bench-pairs check smoke fuzz perfdiff baselines profiles crash-sim
+.PHONY: build test test-purego cross race vet mutate loc loc-gate bench bench-smoke bench-module bench-pairs check smoke fuzz crash-sim
 
 build:
 	$(GO) build ./...
@@ -70,7 +70,7 @@ loc:
 # the last PR that changed it; a tree that has grown past it fails, and the
 # PR that means to grow the module raises the number in its own diff, where
 # a reviewer sees it. A PR that shrinks the module lowers it.
-LOC_MAX := 21251
+LOC_MAX := 20847
 loc-gate:
 	@n=$$($(MAKE) -s loc | awk '$$2 == "total" { print $$1 }'); \
 	if [ "$$n" -gt $(LOC_MAX) ]; then \
@@ -154,38 +154,6 @@ fuzz:
 		echo "== $${t#*:} ($${t%%:*}) for $${each}s"; \
 		$(GO) test -run '^$$' -fuzz "^$${t#*:}\$$" -fuzztime $${each}s $${t%%:*}; \
 	done
-
-# perfdiff: regenerate the benchmark sidecars and diff them against the
-# committed baselines. Soft gate: -warn reports regressions without
-# failing the build; a schema or shape mismatch is always fatal (exit
-# 2), because that means the artifact format drifted, not the numbers.
-# The simulator is deterministic, so on an unchanged tree the diff is
-# exactly zero on every metric.
-perfdiff:
-	mkdir -p .bench/current
-	$(GO) run ./cmd/mmt-bench -fig 10,11 -accesses 2000 -out .bench/current
-	$(GO) run ./cmd/mmt-perfdiff -warn -out .bench/perfdiff_fig10.json testdata/baselines/BENCH_fig10.json .bench/current/BENCH_fig10.json
-	$(GO) run ./cmd/mmt-perfdiff -warn -out .bench/perfdiff_fig11.json testdata/baselines/BENCH_fig11.json .bench/current/BENCH_fig11.json
-
-# baselines: regenerate every committed benchmark baseline in one step.
-# The figure sidecars are cycle-domain and deterministic — on an unchanged
-# tree the refresh is byte-identical. Every file is promoted through
-# mmt-perfdiff -update, which runs it through the same extractor that
-# later diffs it, so a malformed sidecar can never become the committed
-# baseline. (Host time is measured by benchmark/, not by a sidecar.)
-baselines:
-	mkdir -p .bench/current
-	$(GO) run ./cmd/mmt-bench -fig 10,11 -accesses 2000 -out .bench/current
-	$(GO) run ./cmd/mmt-perfdiff -update testdata/baselines .bench/current/BENCH_fig10.json .bench/current/BENCH_fig11.json
-
-# profiles: capture CPU and heap pprof profiles of the fig11 sweep — the
-# same workload the perfdiff gate regenerates. CI runs this once at the
-# PR head and once at the merge base and uploads both, so any host-time
-# movement the benchmark shows ships with the before/after profiles needed
-# to explain it (`go tool pprof -diff_base before/cpu.pprof after/cpu.pprof`).
-profiles:
-	mkdir -p .bench/prof
-	$(GO) run ./cmd/mmt-bench -fig 11 -accesses 20000 -parallel 8 -cpuprofile cpu.pprof -memprofile mem.pprof -out .bench/prof
 
 # crash-sim: the crash simulator — every kill point of a checkpoint
 # sequence under every disk-replay model must recover to a committed,

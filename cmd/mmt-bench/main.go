@@ -29,8 +29,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
-	"runtime/pprof"
 	"sort"
 	"strings"
 
@@ -45,44 +43,9 @@ func main() {
 	series := flag.Bool("series", false, "with -fig: also write BENCH_fig<N>.series.json (mmt-series/v1) for figures that sample (fig 11)")
 	out := flag.String("out", ".", "output directory for -fig sidecars")
 	parallel := flag.Int("parallel", 1, "worker goroutines for figure sweeps (results are byte-identical at any setting)")
-	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile to FILE (relative paths land next to the sidecars in -out)")
-	memprofile := flag.String("memprofile", "", "write a pprof heap profile to FILE at exit (relative paths land next to the sidecars in -out)")
 	flag.Parse()
 
 	bench.SetWorkers(*parallel)
-
-	// Host-speed profiling (the ROADMAP's profile-driven item): the pprof
-	// files describe the simulator itself, not the simulated machines, so
-	// they sit beside the sidecars they explain.
-	if *cpuprofile != "" {
-		f, err := os.Create(profilePath(*out, *cpuprofile))
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		defer func() {
-			pprof.StopCPUProfile()
-			f.Close()
-		}()
-	}
-	if *memprofile != "" {
-		defer func() {
-			f, err := os.Create(profilePath(*out, *memprofile))
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				return
-			}
-			defer f.Close()
-			runtime.GC() // materialize the final live set
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-			}
-		}()
-	}
 
 	if *list {
 		for _, e := range bench.Experiments {
@@ -100,15 +63,6 @@ func main() {
 	}
 
 	runExperiments(*accesses, *exp)
-}
-
-// profilePath resolves a -cpuprofile/-memprofile argument: relative
-// names land in the -out directory, next to the sidecars they explain.
-func profilePath(dir, name string) string {
-	if filepath.IsAbs(name) {
-		return name
-	}
-	return filepath.Join(dir, name)
 }
 
 // writeSidecars emits BENCH_fig<N>.json for each requested figure and,

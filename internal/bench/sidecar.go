@@ -101,8 +101,7 @@ type Sidecar struct {
 	Migrations []SidecarMigration `json:"migrations,omitempty"`
 	// Series summarizes the windowed time series when the figure ran
 	// with sampling on (the full artifact is the mmt-series/v1 sidecar
-	// companion; mmt-perfdiff treats gaining/losing this section as a
-	// fatal shape mismatch).
+	// companion; the golden fig10/fig11 sidecars run without it).
 	Series *SidecarSeries `json:"series,omitempty"`
 }
 

@@ -5,6 +5,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"mmt/internal/sim"
@@ -45,14 +46,13 @@ func TestPhaseSumAccountsForFigureTotals(t *testing.T) {
 	}
 }
 
-// TestSidecarFig10 runs the real figure-10 sidecar (the 2 MB point) and
-// checks its invariant plus headline sanity.
+// TestSidecarFig10 runs the real figure-10 sidecar (the 2 MB point),
+// checks its headline sanity and pins its bytes to the committed golden:
+// the cycle model is deterministic, so any moved cycle, count or
+// histogram row fails here (regenerate with -update).
 func TestSidecarFig10(t *testing.T) {
 	sc, err := SidecarForFigure("10", 0)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sc.Check(); err != nil {
 		t.Fatal(err)
 	}
 	if len(sc.Totals) != 6 || sc.Totals[0].Name != "secure-channel" || sc.Totals[1].Name != "mmt-delegation" {
@@ -65,21 +65,60 @@ func TestSidecarFig10(t *testing.T) {
 	if sc.Totals[3].Name != "migrations" || sc.Totals[3].Value != 1 || len(sc.Migrations) != 1 {
 		t.Fatalf("migration totals wrong: %+v / %+v", sc.Totals, sc.Migrations)
 	}
-	if _, err := sc.JSON(); err != nil {
-		t.Fatal(err)
-	}
+	checkSidecarGolden(t, sc, "BENCH_fig10.golden.json")
 }
 
-// TestSidecarFig11 checks the engine-side invariant: the trace phases
-// account for every measured protected-memory cycle.
+// TestSidecarFig11 pins the fig11 sidecar at 2 000 accesses to its
+// golden; JSON's Check holds the trace phases to every measured
+// protected-memory cycle.
 func TestSidecarFig11(t *testing.T) {
 	sc, err := SidecarForFigure("11", 2_000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sc.Check(); err != nil {
+	checkSidecarGolden(t, sc, "BENCH_fig11.golden.json")
+}
+
+func checkSidecarGolden(t *testing.T, sc *Sidecar, name string) {
+	t.Helper()
+	got, err := sc.JSON()
+	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, got, name)
+}
+
+// checkGolden compares got with testdata/name byte for byte, or rewrites
+// the file under -update. A mismatch names the first differing line with
+// the two lines above it, so the moved row is named.
+func checkGolden(t *testing.T, got []byte, name string) {
+	t.Helper()
+	golden := filepath.Join("testdata", name)
+	if *updateGolden {
+		if err := os.WriteFile(golden, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("%v (run with -update to regenerate)", err)
+	}
+	if bytes.Equal(got, want) {
+		return
+	}
+	g, w := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
+	i := 0
+	for i < len(g) && i < len(w) && g[i] == w[i] {
+		i++
+	}
+	line := func(l []string) string {
+		if i < len(l) {
+			return l[i]
+		}
+		return "<end of file>"
+	}
+	t.Fatalf("%s differs at line %d (run with -update if intended)\n%s\n got: %s\nwant: %s",
+		golden, i+1, strings.Join(g[max(0, i-2):i], "\n"), line(g), line(w))
 }
 
 // TestSidecarUnknownFigure: unsupported figures fail loudly.
@@ -107,22 +146,7 @@ func TestChromeTraceTwoRunsByteIdentical(t *testing.T) {
 		t.Fatal("two identical runs produced different traces")
 	}
 
-	golden := filepath.Join("testdata", "table4_8k_trace.golden.json")
-	if *updateGolden {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(golden, runs[0], 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("%v (run with -update to regenerate)", err)
-	}
-	if !bytes.Equal(runs[0], want) {
-		t.Fatalf("trace deviates from golden file (run with -update if intended)\ngot:\n%s", runs[0])
-	}
+	checkGolden(t, runs[0], "table4_8k_trace.golden.json")
 }
 
 // TestSidecarJSONDeterministic: the same figure twice marshals to the

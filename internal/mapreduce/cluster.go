@@ -2,6 +2,7 @@ package mapreduce
 
 import (
 	"fmt"
+	"maps"
 
 	"mmt/internal/channel"
 	"mmt/internal/core"
@@ -310,7 +311,6 @@ func Run(cfg Config, input []byte, mapf Mapper, redf Reducer) (*Result, error) {
 	}
 	type redOut struct {
 		pairs int
-		keys  []string // sorted
 		vals  map[string]int64
 	}
 	redOuts, err := par.Map(cfg.workers(), received, func(_ int, payloads [][]byte) (redOut, error) {
@@ -326,9 +326,8 @@ func Run(cfg Config, input []byte, mapf Mapper, redf Reducer) (*Result, error) {
 				out.pairs++
 			}
 		}
-		out.keys = sortedKeys(byKey)
-		for _, k := range out.keys {
-			out.vals[k] = redf(k, byKey[k])
+		for k, vs := range byKey {
+			out.vals[k] = redf(k, vs)
 		}
 		return out, nil
 	})
@@ -340,9 +339,7 @@ func Run(cfg Config, input []byte, mapf Mapper, redf Reducer) (*Result, error) {
 		redCost := sim.Cycles(float64(redOuts[j].pairs) * cfg.ReduceCyclesPerKV)
 		r.probe.Charge(r.clock, trace.PhaseApp, redCost)
 		redSpan.End(r.clock.Now())
-		for _, k := range redOuts[j].keys {
-			res.Output[k] = redOuts[j].vals[k]
-		}
+		maps.Copy(res.Output, redOuts[j].vals)
 		res.ReduceTime = append(res.ReduceTime, r.clock.Now())
 	}
 

@@ -13,7 +13,6 @@ package mapreduce
 import (
 	"errors"
 	"hash/fnv"
-	"sort"
 	"strings"
 
 	"mmt/internal/cursor"
@@ -132,14 +131,4 @@ func splitInput(input []byte, m int) [][]byte {
 		start = end
 	}
 	return chunks
-}
-
-// sortedKeys returns map keys in deterministic order.
-func sortedKeys[V any](m map[string]V) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 )
 
@@ -85,20 +84,10 @@ func NewMemFS() *MemFS {
 // (the output of ReplayMode reconstruction).
 func NewMemFSFrom(files map[string][]byte) *MemFS {
 	fs := NewMemFS()
-	for _, name := range sortedKeys(files) {
-		fs.files[name] = append([]byte(nil), files[name]...)
+	for name, data := range files {
+		fs.files[name] = append([]byte(nil), data...)
 	}
 	return fs
-}
-
-// sortedKeys gives map loops a deterministic order.
-func sortedKeys(m map[string][]byte) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }
 
 // OpenFile implements FS.
@@ -117,8 +106,8 @@ func (fs *MemFS) Files() map[string][]byte {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	out := make(map[string][]byte, len(fs.files))
-	for _, name := range sortedKeys(fs.files) {
-		out[name] = append([]byte(nil), fs.files[name]...)
+	for name, data := range fs.files {
+		out[name] = append([]byte(nil), data...)
 	}
 	return out
 }
@@ -223,7 +212,7 @@ func (fs *MemFS) StateAt(k int, mode ReplayMode) map[string][]byte {
 		out[op.File] = buf
 	}
 	// Files that were opened but never durably written still exist, empty.
-	for _, name := range sortedKeys(fs.files) {
+	for name := range fs.files {
 		if _, ok := out[name]; !ok {
 			out[name] = nil
 		}

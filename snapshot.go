@@ -59,6 +59,8 @@ var (
 	ErrNoSnapshot = errors.New("mmt: store holds no committed snapshot")
 	// ErrBadSnapshot: the snapshot bytes are malformed or fail their hash.
 	ErrBadSnapshot = snap.ErrBadSnapshot
+	// ErrBadManifest: the manifest JSON is malformed or fails its checks.
+	ErrBadManifest = errors.New("mmt: malformed manifest")
 )
 
 // buildModel captures the cluster into a model. It requires quiescence:
@@ -583,11 +585,11 @@ func manifestFor(m *snap.Model, epoch uint64, hash [32]byte, size int) *Manifest
 // has, and non-empty link ids.
 func ParseManifest(data []byte) (*Manifest, error) {
 	m := &Manifest{}
-	if err := trace.DecodeStrict(manifestSchema, data, m); err != nil {
-		return nil, err
-	}
 	bad := func(format string, args ...interface{}) (*Manifest, error) {
-		return nil, fmt.Errorf("mmt: manifest: "+format, args...)
+		return nil, fmt.Errorf("%w: "+format, append([]interface{}{ErrBadManifest}, args...)...)
+	}
+	if err := trace.DecodeStrict(manifestSchema, data, m); err != nil {
+		return bad("%v", err)
 	}
 	if m.Schema != manifestSchema {
 		return bad("schema %q, want %q", m.Schema, manifestSchema)

@@ -758,14 +758,14 @@ func TestWireKindValuesAligned(t *testing.T) {
 
 // FuzzParseManifest: a manifest is read back by mmt-stat from a file, so
 // ParseManifest faces outside input. It must never panic, must refuse
-// with no manifest, and what it accepts must write a manifest that parses
-// to an equal value.
+// with ErrBadManifest and no manifest, and what it accepts must write a
+// manifest that parses to an equal value.
 func FuzzParseManifest(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := ParseManifest(data)
 		if err != nil {
-			if m != nil {
-				t.Fatalf("manifest and err %v", err)
+			if m != nil || !errors.Is(err, ErrBadManifest) {
+				t.Fatalf("manifest %v and err %v, want nil and ErrBadManifest", m, err)
 			}
 			return
 		}
