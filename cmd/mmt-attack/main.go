@@ -30,7 +30,6 @@ import (
 	"mmt"
 	"mmt/internal/crypt"
 	"mmt/internal/engine"
-	"mmt/internal/mem"
 	"mmt/internal/sim"
 	"mmt/internal/tree"
 )
@@ -311,8 +310,7 @@ func metaZoneRewrite() (string, error) {
 	if err != nil {
 		return "", err
 	}
-	memory := mem.New(mem.Config{Size: geo.DataSize(), RegionSize: geo.DataSize(), MetaPerRegion: geo.MetaSize()})
-	ctl, err := engine.New(memory, geo, nil, sim.Gem5Profile())
+	ctl, err := engine.NewRegions(1, geo, nil, sim.Gem5Profile())
 	if err != nil {
 		return "", err
 	}
@@ -333,7 +331,7 @@ func metaZoneRewrite() (string, error) {
 	ctl.FlushMeta(0)
 	leaf := lay.Level[len(lay.Level)-1]
 	at := leaf.Offset + 8 // the first leaf node's first local counter: line 0's
-	meta := memory.MetaRegion(0)
+	meta := ctl.Memory().MetaRegion(0)
 	meta[at] ^= 1
 	if err := ctl.LoadMeta(0); err != nil {
 		return "", err

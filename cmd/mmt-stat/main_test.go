@@ -59,13 +59,13 @@ func TestRenderRefuses(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, tc := range map[string]struct{ data, want string }{
-		"unknown key":      {`{"schema": "mmt-hist/v1", "procs": [], "extra": 1}`, `unknown key "extra"`},
+		"unknown key":      {`{"schema": "mmt-hist/v1", "procs": [], "extra": 1}`, `unknown field "extra"`},
 		"broken invariant": {strings.Replace(string(docs["causal"]), `"parent":1`, `"parent":7`, 1), "parent 7 does not precede it"},
 		"bad manifest":     {`{"schema": "mmt-manifest/v1"}`, `missing key "epoch"`},
-		"bad chrome trace": {`[{"ph": "X"}]`, `missing key "pid"`},
+		"bad chrome trace": {`[{"ph": "X"}]`, `missing key "cat"`},
 		"unknown schema":   {`{"schema": "mmt-future/v9"}`, `unknown schema "mmt-future/v9"`},
-		"bare object":      {`{}`, `missing key "figure"`},
-		"bad sidecar":      {`{"figure": "11"}`, `missing key "profile"`},
+		"bare object":      {`{}`, `missing key "description"`},
+		"bad sidecar":      {`{"figure": "11"}`, `missing key "description"`},
 	} {
 		var out bytes.Buffer
 		if err := render(&out, []byte(tc.data), 0); err == nil || !strings.Contains(err.Error(), tc.want) {

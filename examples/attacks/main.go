@@ -17,9 +17,6 @@ import (
 	"mmt/internal/channel"
 	"mmt/internal/core"
 	"mmt/internal/crypt"
-	"mmt/internal/engine"
-	"mmt/internal/forest"
-	"mmt/internal/mem"
 	"mmt/internal/netsim"
 	"mmt/internal/sim"
 	"mmt/internal/tree"
@@ -28,20 +25,15 @@ import (
 var geo = tree.ForLevels(2) // 64K regions keep the demo snappy
 
 func buildNode(net *netsim.Network, name string, id int) (*core.Node, *netsim.Endpoint) {
-	pm := mem.New(mem.Config{
-		Size:          8 * geo.DataSize(),
-		RegionSize:    geo.DataSize(),
-		MetaPerRegion: geo.MetaSize(),
-	})
-	ctl, err := engine.New(pm, geo, nil, sim.Gem5Profile())
+	h, err := channel.NewHost(channel.SchemeDelegation, name, id, 8, geo, sim.Gem5Profile(), nil)
 	if err != nil {
 		log.Fatal(err)
 	}
-	ep, err := net.Attach(name, ctl.Clock())
+	ep, err := net.Attach(name, h.Clock)
 	if err != nil {
 		log.Fatal(err)
 	}
-	return core.NewNode(forest.NodeID(id), ctl), ep
+	return h.Node, ep
 }
 
 func main() {

@@ -14,9 +14,6 @@ import (
 	"mmt/internal/channel"
 	"mmt/internal/core"
 	"mmt/internal/crypt"
-	"mmt/internal/engine"
-	"mmt/internal/forest"
-	"mmt/internal/mem"
 	"mmt/internal/netsim"
 	"mmt/internal/sim"
 	"mmt/internal/trace"
@@ -62,20 +59,12 @@ func (tb *testbed) attachTrace(sink *trace.Sink) {
 func newTestbed(prof *sim.Profile, geo tree.Geometry, regions int) (*testbed, error) {
 	tb := &testbed{net: netsim.NewNetwork(prof.NetLatency), prof: prof}
 	mk := func(name string, id int) (*core.Node, *netsim.Endpoint, error) {
-		pm := mem.New(mem.Config{
-			Size:          regions * geo.DataSize(),
-			RegionSize:    geo.DataSize(),
-			MetaPerRegion: geo.MetaSize(),
-		})
-		ctl, err := engine.New(pm, geo, nil, prof)
+		h, err := channel.NewHost(channel.SchemeDelegation, name, id, regions, geo, prof, nil)
 		if err != nil {
 			return nil, nil, err
 		}
-		ep, err := tb.net.Attach(name, ctl.Clock())
-		if err != nil {
-			return nil, nil, err
-		}
-		return core.NewNode(forest.NodeID(id), ctl), ep, nil
+		ep, err := tb.net.Attach(name, h.Clock)
+		return h.Node, ep, err
 	}
 	var err error
 	if tb.sender, tb.epS, err = mk("sender", 1); err != nil {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"mmt/internal/engine"
-	"mmt/internal/mem"
 	"mmt/internal/par"
 	"mmt/internal/sim"
 	"mmt/internal/trace"
@@ -151,12 +150,7 @@ func traceRun(prof *sim.Profile, cfg workload.TraceConfig, geo tree.Geometry, ac
 	// cycle counters, so the trace can cover a paper-scale (multi-GB)
 	// footprint without backing memory. The controller gets one real
 	// region; trace region indices are virtual cache-key coordinates.
-	pm := mem.New(mem.Config{
-		Size:          geo.DataSize(),
-		RegionSize:    geo.DataSize(),
-		MetaPerRegion: geo.MetaSize(),
-	})
-	ctl, err := engine.New(pm, geo, nil, prof)
+	ctl, err := engine.NewRegions(1, geo, nil, prof)
 	if err != nil {
 		return 0, engine.Stats{}, err
 	}

@@ -127,9 +127,8 @@ type SidecarSeries struct {
 	Procs        []SidecarSeriesProc `json:"procs"`
 }
 
-// ParseSidecar is JSON's reader: a strict decode (an unknown key, or the
-// absence of one the encoder always writes, is an error) of a sidecar
-// that passes Check.
+// ParseSidecar is JSON's reader: trace.DecodeStrict (a document reads
+// only if it re-encodes to itself) of a sidecar that passes Check.
 func ParseSidecar(data []byte) (*Sidecar, error) {
 	sc := &Sidecar{}
 	if err := trace.DecodeStrict("BENCH_fig sidecar", data, sc); err != nil {

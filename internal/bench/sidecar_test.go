@@ -5,6 +5,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -167,4 +168,34 @@ func TestSidecarJSONDeterministic(t *testing.T) {
 	if !bytes.Equal(runs[0], runs[1]) {
 		t.Fatal("sidecar JSON not deterministic")
 	}
+}
+
+// FuzzParseSidecar: mmt-stat reads sidecars from files, so ParseSidecar
+// faces outside input. It must never panic, and what it accepts must
+// write, through JSON, a sidecar that reads back as an equal value. The
+// seeds are the fig10 and fig11 goldens, each of which must read back.
+func FuzzParseSidecar(f *testing.F) {
+	for _, golden := range []string{"BENCH_fig10.golden.json", "BENCH_fig11.golden.json"} {
+		data, err := os.ReadFile(filepath.Join("testdata", golden))
+		if err != nil {
+			f.Fatal(err)
+		}
+		if _, err := ParseSidecar(data); err != nil {
+			f.Fatalf("%s does not read back: %v", golden, err)
+		}
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		sc, err := ParseSidecar(data)
+		if err != nil {
+			return
+		}
+		out, err := sc.JSON()
+		if err != nil {
+			t.Fatalf("accepted sidecar does not write: %v", err)
+		}
+		if back, err := ParseSidecar(out); err != nil || !reflect.DeepEqual(back, sc) {
+			t.Fatalf("accepted sidecar does not read back as an equal value (%v):\n%s", err, out)
+		}
+	})
 }

@@ -10,7 +10,6 @@ import (
 	"mmt/internal/crypt"
 	"mmt/internal/engine"
 	"mmt/internal/forest"
-	"mmt/internal/mem"
 	"mmt/internal/netsim"
 	"mmt/internal/sim"
 	"mmt/internal/trace"
@@ -37,12 +36,7 @@ func newRig(t testing.TB, latency sim.Time) *rig {
 	net := netsim.NewNetwork(latency)
 
 	newNode := func(name string, id int) (*core.Node, *netsim.Endpoint) {
-		pm := mem.New(mem.Config{
-			Size:          8 * testGeo.DataSize(),
-			RegionSize:    testGeo.DataSize(),
-			MetaPerRegion: testGeo.MetaSize(),
-		})
-		ctl, err := engine.New(pm, testGeo, nil, prof)
+		ctl, err := engine.NewRegions(8, testGeo, nil, prof)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -365,8 +359,7 @@ func TestDelegationRejectsReorderedClosures(t *testing.T) {
 func TestDelegationPoolExhaustion(t *testing.T) {
 	prof := sim.Gem5Profile()
 	net := netsim.NewNetwork(0)
-	pm := mem.New(mem.Config{Size: 2 * testGeo.DataSize(), RegionSize: testGeo.DataSize(), MetaPerRegion: testGeo.MetaSize()})
-	ctl, err := engine.New(pm, testGeo, nil, prof)
+	ctl, err := engine.NewRegions(2, testGeo, nil, prof)
 	if err != nil {
 		t.Fatal(err)
 	}

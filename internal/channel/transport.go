@@ -5,9 +5,12 @@ import (
 
 	"mmt/internal/core"
 	"mmt/internal/crypt"
+	"mmt/internal/engine"
+	"mmt/internal/forest"
 	"mmt/internal/netsim"
 	"mmt/internal/sim"
 	"mmt/internal/trace"
+	"mmt/internal/tree"
 )
 
 // Transport is the message-passing face the distributed applications
@@ -52,6 +55,47 @@ type Side struct {
 	// SchemeDelegation only.
 	Node    *core.Node
 	Regions []int
+}
+
+// Host is one machine of a distributed application (MapReduce, GAS): its
+// clock, its trace probe and, under SchemeDelegation, its MMT node, whose
+// regions it hands out to the pools of its channel ends.
+type Host struct {
+	Name  string
+	Clock *sim.Clock
+	Probe *trace.Probe // nil = tracing disabled
+	Node  *core.Node   // SchemeDelegation only
+	next  int          // the first region no pool holds yet
+}
+
+// NewHost builds the host named name on its own clock; under
+// SchemeDelegation with a node of the given forest id over regions
+// regions of geo. The probe is passed in, not registered here, so hosts
+// can be built in parallel: Sink.Probe mutates the shared sink.
+func NewHost(scheme Scheme, name string, id, regions int, geo tree.Geometry, prof *sim.Profile, probe *trace.Probe) (*Host, error) {
+	h := &Host{Name: name, Clock: sim.NewClock(prof.FreqHz), Probe: probe}
+	if scheme != SchemeDelegation {
+		return h, nil
+	}
+	ctl, err := engine.NewRegions(regions, geo, h.Clock, prof)
+	if err != nil {
+		return nil, err
+	}
+	ctl.SetTrace(probe)
+	h.Node = core.NewNode(forest.NodeID(id), ctl)
+	return h, nil
+}
+
+// Side describes h as the end named name of one pair, with a pool of n
+// regions of its own (numbered in every scheme, read under
+// SchemeDelegation only).
+func (h *Host) Side(name string, n int) Side {
+	s := Side{Name: name, Clock: h.Clock, Probe: h.Probe, Node: h.Node, Regions: make([]int, n)}
+	for i := range s.Regions {
+		s.Regions[i] = h.next + i
+	}
+	h.next += n
+	return s
 }
 
 // NewPair attaches a dedicated endpoint for each side (QP-like) and joins

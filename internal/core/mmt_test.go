@@ -8,7 +8,6 @@ import (
 	"mmt/internal/crypt"
 	"mmt/internal/engine"
 	"mmt/internal/forest"
-	"mmt/internal/mem"
 	"mmt/internal/sim"
 	"mmt/internal/tree"
 )
@@ -17,12 +16,7 @@ var testGeo = tree.Geometry{Arities: []int{2, 3, 4}} // 24 lines, 1536 B
 
 func newTestNode(t testing.TB, id int) *Node {
 	t.Helper()
-	m := mem.New(mem.Config{
-		Size:          4 * testGeo.DataSize(),
-		RegionSize:    testGeo.DataSize(),
-		MetaPerRegion: testGeo.MetaSize(),
-	})
-	ctl, err := engine.New(m, testGeo, nil, sim.Gem5Profile())
+	ctl, err := engine.NewRegions(4, testGeo, nil, sim.Gem5Profile())
 	if err != nil {
 		t.Fatal(err)
 	}

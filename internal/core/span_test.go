@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"mmt/internal/engine"
-	"mmt/internal/mem"
 	"mmt/internal/sim"
 	"mmt/internal/tree"
 )
@@ -214,7 +213,7 @@ func TestSpanSplitterStates(t *testing.T) {
 // shows in every round.
 func TestSpanAllocsAcrossProcessors(t *testing.T) {
 	geo := tree.ForLevels(3)
-	ctl, err := engine.New(mem.New(mem.Config{Size: geo.DataSize(), RegionSize: geo.DataSize(), MetaPerRegion: geo.MetaSize()}), geo, nil, sim.Gem5Profile())
+	ctl, err := engine.NewRegions(1, geo, nil, sim.Gem5Profile())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -247,6 +247,18 @@ type Controller struct {
 	planePool []linePlanes
 }
 
+// NewRegions builds a controller over a fresh memory of n regions (one if
+// n < 1) laid out for geo (§V-A): each region holds one tree's data, and
+// its meta-zone the tree's nodes and line MACs. It is the one owner of
+// that layout; every machine is built through it.
+func NewRegions(n int, geo tree.Geometry, clock *sim.Clock, prof *sim.Profile) (*Controller, error) {
+	lay, err := geo.Layout()
+	if err != nil {
+		return nil, err
+	}
+	return New(mem.New(mem.Config{Size: max(n, 1) * lay.DataSize, RegionSize: lay.DataSize, MetaPerRegion: lay.MetaSize}), geo, clock, prof)
+}
+
 // New builds a controller over m with the given tree geometry. The
 // memory's region size must equal the geometry's protected data size, and
 // its meta-zone must fit the serialized tree plus line MACs.

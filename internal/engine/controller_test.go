@@ -17,12 +17,7 @@ import (
 func testSetup(t testing.TB) *Controller {
 	t.Helper()
 	geo := tree.Geometry{Arities: []int{2, 3, 4}}
-	m := mem.New(mem.Config{
-		Size:          4 * geo.DataSize(),
-		RegionSize:    geo.DataSize(),
-		MetaPerRegion: geo.MetaSize(),
-	})
-	c, err := New(m, geo, nil, sim.Gem5Profile())
+	c, err := NewRegions(4, geo, nil, sim.Gem5Profile())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,6 +51,13 @@ func TestNewValidatesGeometryAgainstMemory(t *testing.T) {
 	m2 := mem.New(mem.Config{Size: 1 << 20, RegionSize: geo.DataSize(), MetaPerRegion: 64})
 	if _, err := New(m2, geo, nil, sim.Gem5Profile()); err == nil {
 		t.Fatal("undersized meta-zone accepted")
+	}
+	if _, err := NewRegions(1, tree.Geometry{Arities: []int{1}}, nil, sim.Gem5Profile()); err == nil {
+		t.Fatal("NewRegions laid memory out for a geometry Layout refuses")
+	}
+	c, err := NewRegions(0, geo, nil, sim.Gem5Profile())
+	if err != nil || c.Memory().Regions() != 1 || c.Memory().Config().MetaPerRegion != geo.MetaSize() {
+		t.Fatalf("NewRegions(0): %v; want one region with a %d B meta-zone", err, geo.MetaSize())
 	}
 }
 
@@ -365,8 +367,7 @@ func TestInvalidateLeavesCiphertext(t *testing.T) {
 func TestCounterOverflowEndToEnd(t *testing.T) {
 	// Small local counters force overflow; data must stay readable.
 	geo := tree.Geometry{Arities: []int{2, 4}, LocalBits: 2}
-	m := mem.New(mem.Config{Size: 2 * geo.DataSize(), RegionSize: geo.DataSize(), MetaPerRegion: geo.MetaSize()})
-	c, err := New(m, geo, nil, sim.Gem5Profile())
+	c, err := NewRegions(2, geo, nil, sim.Gem5Profile())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -463,12 +464,7 @@ func testProfileWithRoots(t *testing.T, bytes int) *sim.Profile {
 func controllerWith(t *testing.T, prof *sim.Profile) *Controller {
 	t.Helper()
 	geo := tree.Geometry{Arities: []int{2, 3, 4}}
-	m := mem.New(mem.Config{
-		Size:          4 * geo.DataSize(),
-		RegionSize:    geo.DataSize(),
-		MetaPerRegion: geo.MetaSize(),
-	})
-	c, err := New(m, geo, nil, prof)
+	c, err := NewRegions(4, geo, nil, prof)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -481,8 +477,7 @@ func controllerWith(t *testing.T, prof *sim.Profile) *Controller {
 func TestRandomOpSequenceProperty(t *testing.T) {
 	f := func(ops []uint16, seed byte) bool {
 		geo := tree.Geometry{Arities: []int{2, 3, 4}, LocalBits: 3} // overflow often
-		m := mem.New(mem.Config{Size: geo.DataSize(), RegionSize: geo.DataSize(), MetaPerRegion: geo.MetaSize()})
-		c, err := New(m, geo, nil, sim.Gem5Profile())
+		c, err := NewRegions(1, geo, nil, sim.Gem5Profile())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -116,7 +116,7 @@ func TestPlaneRecycling(t *testing.T) {
 func TestLineKeysAfterInstall(t *testing.T) {
 	geo := tree.Geometry{Arities: []int{4, 4}, LocalBits: 2} // 16 lines; a local counter wraps at its 4th bump
 	setup := func() *Controller {
-		c, err := New(mem.New(mem.Config{Size: geo.DataSize(), RegionSize: geo.DataSize(), MetaPerRegion: geo.MetaSize()}), geo, nil, sim.Gem5Profile())
+		c, err := NewRegions(1, geo, nil, sim.Gem5Profile())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -250,7 +250,7 @@ func TestInstallSweepDeterminism(t *testing.T) {
 }
 
 func installSweepDeterminism(t *testing.T, geo tree.Geometry) {
-	c, err := New(mem.New(mem.Config{Size: 2 * geo.DataSize(), RegionSize: geo.DataSize(), MetaPerRegion: geo.MetaSize()}), geo, nil, sim.Gem5Profile())
+	c, err := NewRegions(2, geo, nil, sim.Gem5Profile())
 	if err != nil {
 		t.Fatal(err)
 	}

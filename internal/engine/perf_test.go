@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"mmt/internal/crypt"
-	"mmt/internal/mem"
 	"mmt/internal/sim"
 	"mmt/internal/trace"
 	"mmt/internal/tree"
@@ -148,8 +147,7 @@ func lineOpsAllocFree(t *testing.T, c *Controller, regions int) {
 func range2M(t testing.TB) (*Controller, []byte) {
 	t.Helper()
 	geo := tree.ForLevels(3)
-	m := mem.New(mem.Config{Size: geo.DataSize(), RegionSize: geo.DataSize(), MetaPerRegion: geo.MetaSize()})
-	c, err := New(m, geo, nil, sim.Gem5Profile())
+	c, err := NewRegions(1, geo, nil, sim.Gem5Profile())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,8 +341,7 @@ func BenchmarkCacheInvalidateRegionContended(b *testing.B) {
 func TestEnableSweeps(t *testing.T) {
 	setup := func(arities ...int) *Controller {
 		geo := tree.Geometry{Arities: arities}
-		m := mem.New(mem.Config{Size: geo.DataSize(), RegionSize: geo.DataSize(), MetaPerRegion: geo.MetaSize()})
-		c, err := New(m, geo, nil, sim.Gem5Profile())
+		c, err := NewRegions(1, geo, nil, sim.Gem5Profile())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -448,8 +445,7 @@ func TestEnableSweeps(t *testing.T) {
 // The list of them that tree.Update returns is the only allocation.
 func TestOverflowWriteAllocs(t *testing.T) {
 	geo := tree.Geometry{Arities: []int{2, 4}, LocalBits: 2}
-	m := mem.New(mem.Config{Size: geo.DataSize(), RegionSize: geo.DataSize(), MetaPerRegion: geo.MetaSize()})
-	c, err := New(m, geo, nil, sim.Gem5Profile())
+	c, err := NewRegions(1, geo, nil, sim.Gem5Profile())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,7 +12,6 @@ import (
 	"testing"
 
 	"mmt/internal/crypt"
-	"mmt/internal/mem"
 	"mmt/internal/sim"
 	"mmt/internal/trace"
 	"mmt/internal/tree"
@@ -45,8 +44,7 @@ func newTwin(t testing.TB, s twinSetup) twin {
 	if prof == nil {
 		prof = sim.Gem5Profile()
 	}
-	m := mem.New(mem.Config{Size: regions * s.geo.DataSize(), RegionSize: s.geo.DataSize(), MetaPerRegion: s.geo.MetaSize()})
-	c, err := New(m, s.geo, nil, prof)
+	c, err := NewRegions(regions, s.geo, nil, prof)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -671,8 +669,7 @@ func TestRangeRefusesBadSpan(t *testing.T) {
 // 8 lines are not multiples of 64).
 func TestBoundRegionAllDirty(t *testing.T) {
 	for _, geo := range rangeGeometries {
-		m := mem.New(mem.Config{Size: 2 * geo.DataSize(), RegionSize: geo.DataSize(), MetaPerRegion: geo.MetaSize()})
-		c, err := New(m, geo, nil, sim.Gem5Profile())
+		c, err := NewRegions(2, geo, nil, sim.Gem5Profile())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -8,7 +8,6 @@ import (
 	"strings"
 	"testing"
 
-	"mmt/internal/mem"
 	"mmt/internal/sim"
 	"mmt/internal/trace"
 	"mmt/internal/tree"
@@ -204,7 +203,7 @@ func TestMetaZoneTamperAfterVerify(t *testing.T) {
 // records an integrity failure in the ledger.
 func TestOverflowSiblingTamper(t *testing.T) {
 	geo := tree.Geometry{Arities: []int{2, 4}, LocalBits: 2} // four lines a leaf; the fourth write overflows
-	c, err := New(mem.New(mem.Config{Size: geo.DataSize(), RegionSize: geo.DataSize(), MetaPerRegion: geo.MetaSize()}), geo, nil, sim.Gem5Profile())
+	c, err := NewRegions(1, geo, nil, sim.Gem5Profile())
 	if err != nil {
 		t.Fatal(err)
 	}

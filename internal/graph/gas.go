@@ -16,12 +16,8 @@ import (
 	"math"
 
 	"mmt/internal/channel"
-	"mmt/internal/core"
 	"mmt/internal/crypt"
 	"mmt/internal/cursor"
-	"mmt/internal/engine"
-	"mmt/internal/forest"
-	"mmt/internal/mem"
 	"mmt/internal/netsim"
 	"mmt/internal/sim"
 	"mmt/internal/trace"
@@ -142,32 +138,13 @@ func decodeMsgs(b []byte) ([]vertexMsg, error) {
 	return msgs, nil
 }
 
-// machine is one GAS worker.
+// machine is one GAS worker: a channel host and its links.
 type machine struct {
+	*channel.Host
 	id        int
-	clock     *sim.Clock
-	node      *core.Node
-	probe     *trace.Probe
 	sendTo    map[int]channel.Transport
 	recvFrom  map[int]channel.Transport
 	breakdown PhaseBreakdown
-	next      int // region allocator
-}
-
-func (m *machine) takeRegions(n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = m.next
-		m.next++
-	}
-	return out
-}
-
-// side describes m as the end named name of one pair, with a region pool
-// of its own (numbered in every mode, read in MMT mode only).
-func (m *machine) side(cfg Config, name string) channel.Side {
-	return channel.Side{Name: name, Clock: m.clock, Probe: m.probe,
-		Node: m.node, Regions: m.takeRegions(cfg.PoolRegions)}
 }
 
 // PageRank runs the damped PageRank algorithm for cfg.Iterations over g,
@@ -194,28 +171,12 @@ func PageRank(cfg Config, g *workload.Graph) (*Result, error) {
 	// Build machines.
 	machines := make([]*machine, cfg.Machines)
 	for i := range machines {
-		m := &machine{id: i, clock: sim.NewClock(cfg.Profile.FreqHz),
-			probe:  cfg.Trace.Probe(fmt.Sprintf("gas-m%d", i)),
-			sendTo: map[int]channel.Transport{}, recvFrom: map[int]channel.Transport{}}
-		if cfg.Mode == MMT {
-			peers := cfg.Machines - 1
-			regions := 2 * peers * cfg.PoolRegions
-			if regions < 1 {
-				regions = 1
-			}
-			pm := mem.New(mem.Config{
-				Size:          regions * cfg.Geometry.DataSize(),
-				RegionSize:    cfg.Geometry.DataSize(),
-				MetaPerRegion: cfg.Geometry.MetaSize(),
-			})
-			ctl, err := engine.New(pm, cfg.Geometry, m.clock, cfg.Profile)
-			if err != nil {
-				return nil, err
-			}
-			ctl.SetTrace(m.probe)
-			m.node = core.NewNode(forest.NodeID(i+1), ctl)
+		name := fmt.Sprintf("gas-m%d", i)
+		h, err := channel.NewHost(channel.Scheme(cfg.Mode), name, i+1, 2*(cfg.Machines-1)*cfg.PoolRegions, cfg.Geometry, cfg.Profile, cfg.Trace.Probe(name))
+		if err != nil {
+			return nil, err
 		}
-		machines[i] = m
+		machines[i] = &machine{Host: h, id: i, sendTo: map[int]channel.Transport{}, recvFrom: map[int]channel.Transport{}}
 	}
 
 	// Pairwise links (both directions on distinct endpoints).
@@ -225,7 +186,7 @@ func PageRank(cfg Config, g *workload.Graph) (*Result, error) {
 				src, dst := machines[dir[0]], machines[dir[1]]
 				tag := fmt.Sprintf("g%d-%d", dir[0], dir[1])
 				send, recv, err := channel.NewPair(channel.Scheme(cfg.Mode), net,
-					src.side(cfg, tag+"/s"), dst.side(cfg, tag+"/d"), crypt.KeyFromBytes([]byte(tag)), cfg.Profile)
+					src.Side(tag+"/s", cfg.PoolRegions), dst.Side(tag+"/d", cfg.PoolRegions), crypt.KeyFromBytes([]byte(tag)), cfg.Profile)
 				if err != nil {
 					return nil, err
 				}
@@ -252,7 +213,7 @@ func PageRank(cfg Config, g *workload.Graph) (*Result, error) {
 	incoming := make([]float64, g.N)
 
 	chargePhase := func(m *machine, bucket *sim.Cycles, before sim.Cycles) {
-		*bucket += m.clock.NowCycles() - before
+		*bucket += m.Clock.NowCycles() - before
 	}
 
 	iterationsRun := 0
@@ -262,7 +223,7 @@ func PageRank(cfg Config, g *workload.Graph) (*Result, error) {
 		// buffering cross-machine messages per destination machine.
 		outbox := make([]map[int][]vertexMsg, cfg.Machines)
 		for mi, m := range machines {
-			start := m.clock.NowCycles()
+			start := m.Clock.NowCycles()
 			outbox[mi] = map[int][]vertexMsg{}
 			for _, e := range localEdges[mi] {
 				src, dst := int(e[0]), int(e[1])
@@ -274,13 +235,13 @@ func PageRank(cfg Config, g *workload.Graph) (*Result, error) {
 				}
 			}
 			cost := sim.Cycles(float64(len(localEdges[mi])) * cfg.ScatterCyclesPerEdge)
-			m.probe.Charge(m.clock, trace.PhaseApp, cost)
+			m.Probe.Charge(m.Clock, trace.PhaseApp, cost)
 			chargePhase(m, &m.breakdown.Scatter, start)
 		}
 
 		// Remote-transfer: flush scatter buffers to peers' gather buffers.
 		for mi, m := range machines {
-			start := m.clock.NowCycles()
+			start := m.Clock.NowCycles()
 			for peer := 0; peer < cfg.Machines; peer++ {
 				if peer == mi {
 					continue
@@ -292,7 +253,7 @@ func PageRank(cfg Config, g *workload.Graph) (*Result, error) {
 			chargePhase(m, &m.breakdown.RemoteTransfer, start)
 		}
 		for mi, m := range machines {
-			start := m.clock.NowCycles()
+			start := m.Clock.NowCycles()
 			for peer := 0; peer < cfg.Machines; peer++ {
 				if peer == mi {
 					continue
@@ -329,13 +290,13 @@ func PageRank(cfg Config, g *workload.Graph) (*Result, error) {
 			incoming[v] = 0
 		}
 		for mi, m := range machines {
-			start := m.clock.NowCycles()
+			start := m.Clock.NowCycles()
 			gatherCost := sim.Cycles(float64(msgsPerMachine[mi]) * cfg.GatherCyclesPerMsg)
-			m.probe.Charge(m.clock, trace.PhaseApp, gatherCost)
+			m.Probe.Charge(m.Clock, trace.PhaseApp, gatherCost)
 			chargePhase(m, &m.breakdown.Gather, start)
-			start = m.clock.NowCycles()
+			start = m.Clock.NowCycles()
 			applyCost := sim.Cycles(float64(verticesPer[mi]) * cfg.ApplyCyclesPerVertex)
-			m.probe.Charge(m.clock, trace.PhaseApp, applyCost)
+			m.Probe.Charge(m.Clock, trace.PhaseApp, applyCost)
 			chargePhase(m, &m.breakdown.Apply, start)
 		}
 		if cfg.Epsilon > 0 && delta < cfg.Epsilon {
@@ -345,8 +306,8 @@ func PageRank(cfg Config, g *workload.Graph) (*Result, error) {
 
 	res := &Result{Ranks: ranks, CrossEdges: cross, Iterations: iterationsRun}
 	for _, m := range machines {
-		if m.clock.Now() > res.Elapsed {
-			res.Elapsed = m.clock.Now()
+		if m.Clock.Now() > res.Elapsed {
+			res.Elapsed = m.Clock.Now()
 		}
 		res.Breakdown.Gather += m.breakdown.Gather
 		res.Breakdown.Apply += m.breakdown.Apply

@@ -5,11 +5,7 @@ import (
 	"maps"
 
 	"mmt/internal/channel"
-	"mmt/internal/core"
 	"mmt/internal/crypt"
-	"mmt/internal/engine"
-	"mmt/internal/forest"
-	"mmt/internal/mem"
 	"mmt/internal/netsim"
 	"mmt/internal/par"
 	"mmt/internal/sim"
@@ -115,70 +111,6 @@ type Result struct {
 	ReduceTime []sim.Time
 }
 
-// machine is one simulated host.
-type machine struct {
-	name  string
-	clock *sim.Clock
-	node  *core.Node   // MMT mode only
-	probe *trace.Probe // nil = tracing disabled
-	// nextRegion hands out disjoint region ranges to this machine's
-	// delegation channels.
-	nextRegion int
-}
-
-// newMachine builds one host. The trace probe is passed in rather than
-// registered here so that machines can be constructed in parallel:
-// Sink.Probe mutates the shared sink, so Run registers all probes
-// serially first.
-func newMachine(cfg Config, name string, id int, channels int, probe *trace.Probe) (*machine, error) {
-	m := &machine{name: name, clock: sim.NewClock(cfg.Profile.FreqHz), probe: probe}
-	if cfg.Mode != MMT {
-		return m, nil
-	}
-	regions := channels * cfg.PoolRegions
-	if regions < 1 {
-		regions = 1
-	}
-	pm := mem.New(mem.Config{
-		Size:          regions * cfg.Geometry.DataSize(),
-		RegionSize:    cfg.Geometry.DataSize(),
-		MetaPerRegion: cfg.Geometry.MetaSize(),
-	})
-	ctl, err := engine.New(pm, cfg.Geometry, m.clock, cfg.Profile)
-	if err != nil {
-		return nil, err
-	}
-	ctl.SetTrace(m.probe)
-	m.node = core.NewNode(forest.NodeID(id), ctl)
-	return m, nil
-}
-
-// takeRegions reserves n regions for one channel.
-func (m *machine) takeRegions(n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = m.nextRegion
-		m.nextRegion++
-	}
-	return out
-}
-
-// side describes m as one end of the pair named tag, with a region pool
-// of its own (numbered in every mode, read in MMT mode only).
-func (m *machine) side(cfg Config, tag string) channel.Side {
-	return channel.Side{Name: m.name + "/" + tag, Clock: m.clock, Probe: m.probe,
-		Node: m.node, Regions: m.takeRegions(cfg.PoolRegions)}
-}
-
-// link wires one direction of a mapper<->reducer pair, returning the
-// transports for each side. Endpoint and channel activity both land under
-// the owning machine's trace process, so a host's wire bytes and channel
-// cycles aggregate.
-func link(cfg Config, net *netsim.Network, a, b *machine, tag string) (channel.Transport, channel.Transport, error) {
-	return channel.NewPair(channel.Scheme(cfg.Mode), net, a.side(cfg, tag), b.side(cfg, tag),
-		crypt.KeyFromBytes([]byte("mr/"+tag)), cfg.Profile)
-}
-
 // statser lets Run aggregate channel costs regardless of transport type.
 type statser interface{ Stats() channel.Stats }
 
@@ -212,8 +144,8 @@ func Run(cfg Config, input []byte, mapf Mapper, redf Reducer) (*Result, error) {
 	for i := range descs {
 		descs[i].probe = cfg.Trace.Probe(descs[i].name)
 	}
-	machines, err := par.Map(cfg.workers(), descs, func(_ int, d mdesc) (*machine, error) {
-		return newMachine(cfg, d.name, d.id, d.channels, d.probe)
+	machines, err := par.Map(cfg.workers(), descs, func(_ int, d mdesc) (*channel.Host, error) {
+		return channel.NewHost(channel.Scheme(cfg.Mode), d.name, d.id, d.channels*cfg.PoolRegions, cfg.Geometry, cfg.Profile, d.probe)
 	})
 	if err != nil {
 		return nil, err
@@ -222,7 +154,9 @@ func Run(cfg Config, input []byte, mapf Mapper, redf Reducer) (*Result, error) {
 	reducers := machines[cfg.Mappers:]
 
 	// All-to-all links: sendside[m][j] on the mapper, recvside[j][m] on the
-	// reducer.
+	// reducer. Endpoint and channel activity both land under the owning
+	// machine's trace process, so a host's wire bytes and channel cycles
+	// aggregate.
 	sendSide := make([][]channel.Transport, cfg.Mappers)
 	recvSide := make([][]channel.Transport, cfg.Reducers)
 	for j := range recvSide {
@@ -232,7 +166,9 @@ func Run(cfg Config, input []byte, mapf Mapper, redf Reducer) (*Result, error) {
 	for i := range mappers {
 		sendSide[i] = make([]channel.Transport, cfg.Reducers)
 		for j := range reducers {
-			a, b, err := link(cfg, net, mappers[i], reducers[j], fmt.Sprintf("m%dr%d", i, j))
+			m, r, tag := mappers[i], reducers[j], fmt.Sprintf("m%dr%d", i, j)
+			a, b, err := channel.NewPair(channel.Scheme(cfg.Mode), net, m.Side(m.Name+"/"+tag, cfg.PoolRegions),
+				r.Side(r.Name+"/"+tag, cfg.PoolRegions), crypt.KeyFromBytes([]byte("mr/"+tag)), cfg.Profile)
 			if err != nil {
 				return nil, err
 			}
@@ -275,14 +211,14 @@ func Run(cfg Config, input []byte, mapf Mapper, redf Reducer) (*Result, error) {
 		return nil, err
 	}
 	for i, m := range mappers {
-		mapSpan := m.probe.Begin(trace.PhaseApp, m.clock.Now())
+		mapSpan := m.Probe.Begin(trace.PhaseApp, m.Clock.Now())
 		mapCost := sim.Cycles(float64(len(chunks[i])) * cfg.MapCyclesPerByte)
-		m.probe.Charge(m.clock, trace.PhaseApp, mapCost)
-		mapSpan.End(m.clock.Now())
+		m.Probe.Charge(m.Clock, trace.PhaseApp, mapCost)
+		mapSpan.End(m.Clock.Now())
 		for j := range reducers {
 			if cfg.Combiner != nil {
 				combineCost := sim.Cycles(float64(mapOuts[i].rawLens[j]) * cfg.ReduceCyclesPerKV / 2)
-				m.probe.Charge(m.clock, trace.PhaseApp, combineCost)
+				m.Probe.Charge(m.Clock, trace.PhaseApp, combineCost)
 			}
 			payload := mapOuts[i].payloads[j]
 			res.ShuffleBytes += len(payload)
@@ -290,7 +226,7 @@ func Run(cfg Config, input []byte, mapf Mapper, redf Reducer) (*Result, error) {
 				return nil, fmt.Errorf("mapper %d -> reducer %d: %w", i, j, err)
 			}
 		}
-		res.MapTime = append(res.MapTime, m.clock.Now())
+		res.MapTime = append(res.MapTime, m.Clock.Now())
 	}
 
 	// Reduce phase, split like the map phase: receives go first, serially
@@ -335,18 +271,18 @@ func Run(cfg Config, input []byte, mapf Mapper, redf Reducer) (*Result, error) {
 		return nil, err
 	}
 	for j, r := range reducers {
-		redSpan := r.probe.Begin(trace.PhaseApp, r.clock.Now())
+		redSpan := r.Probe.Begin(trace.PhaseApp, r.Clock.Now())
 		redCost := sim.Cycles(float64(redOuts[j].pairs) * cfg.ReduceCyclesPerKV)
-		r.probe.Charge(r.clock, trace.PhaseApp, redCost)
-		redSpan.End(r.clock.Now())
+		r.Probe.Charge(r.Clock, trace.PhaseApp, redCost)
+		redSpan.End(r.Clock.Now())
 		maps.Copy(res.Output, redOuts[j].vals)
-		res.ReduceTime = append(res.ReduceTime, r.clock.Now())
+		res.ReduceTime = append(res.ReduceTime, r.Clock.Now())
 	}
 
 	// Makespan and aggregate comm costs.
-	for _, m := range append(append([]*machine(nil), mappers...), reducers...) {
-		if m.clock.Now() > res.Elapsed {
-			res.Elapsed = m.clock.Now()
+	for _, m := range append(append([]*channel.Host(nil), mappers...), reducers...) {
+		if m.Clock.Now() > res.Elapsed {
+			res.Elapsed = m.Clock.Now()
 		}
 	}
 	for _, tr := range allTransports {

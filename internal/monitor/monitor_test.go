@@ -16,7 +16,6 @@ import (
 	"mmt/internal/core"
 	"mmt/internal/crypt"
 	"mmt/internal/engine"
-	"mmt/internal/mem"
 	"mmt/internal/netsim"
 	"mmt/internal/sim"
 	"mmt/internal/trace"
@@ -37,12 +36,7 @@ type world struct {
 
 func newController(t testing.TB, regions int) *engine.Controller {
 	t.Helper()
-	m := mem.New(mem.Config{
-		Size:          regions * testGeo.DataSize(),
-		RegionSize:    testGeo.DataSize(),
-		MetaPerRegion: testGeo.MetaSize(),
-	})
-	ctl, err := engine.New(m, testGeo, nil, sim.Gem5Profile())
+	ctl, err := engine.NewRegions(regions, testGeo, nil, sim.Gem5Profile())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"maps"
-	"reflect"
 	"slices"
 	"strconv"
 	"strings"
@@ -20,18 +19,25 @@ import (
 // whose lines are the ledger's own SecEvents; CausalDoc, whose traces are
 // the sink's own CausalTraces; the SeriesView behind seriesDoc; and
 // ChromeTrace's three record types. newEncoder writes it compact with
-// encoding/json; parseDoc reads
-// it back through DecodeStrict, which takes only what the encoder emits,
-// and then the document's own Check, which holds the invariants its
-// writer promises. A reader therefore takes only what its writer emits:
-// an unknown key is an error, and so is the absence of a key the writer
-// always writes (a legal zero and a dropped key are different documents).
+// encoding/json; parseDoc reads it back through DecodeStrict and then the
+// document's own Check, which holds the invariants its writer promises.
+//
+// DecodeStrict has one rule: a document is read only if its writer would
+// write it back. It decodes the bytes into the tagged type, lets the type
+// re-encode itself, and compares the two as JSON values. So the writer's
+// tags and marshalers are the whole definition of the wire form: a key
+// the type does not declare is refused, a key the writer always writes
+// must be there even when zero, a zero the writer omits must be omitted
+// (a legal zero and a dropped key are different documents), and a value
+// must be spelled as the writer spells it.
 //
 // Determinism: struct fields encode in declaration order, the enum-
 // indexed arrays (Counts, PhaseCycles, OpSums) in enum order, cycle
 // counts in encoding/json's shortest round-trip form and times as Usec's
 // fixed three decimals; no writer ranges over a map or reads a clock. So
-// identical runs serialize to identical bytes at any worker count.
+// identical runs serialize to identical bytes at any worker count. A
+// refusal names the first offending key in key order, so the same bad
+// document always gets the same message.
 
 // newEncoder writes one compact JSON value per Encode, each ending in a
 // newline, with no HTML escaping.
@@ -58,159 +64,94 @@ func parseDoc[D any, P interface {
 }
 
 // DecodeStrict reads a document that encoding/json wrote from the tagged
-// value v points to: no key the type does not declare, and every key the
-// encoder always emits (a tagged field without omitempty or omitzero)
-// present — required-ness is read off the writer's own tags, not
-// restated; an optional key given its zero value is refused too. what
-// names the format in errors.
+// value v points to, and only such a document: decoded into v, it must
+// re-encode to the same JSON value, null nowhere. what names the format
+// in errors.
 func DecodeStrict(what string, data []byte, v interface{}) error {
-	d := document{schema: what}
-	d.read("document", data, reflect.ValueOf(v).Elem())
-	return d.err
-}
-
-// document carries the first error of one decode, shared by all its
-// objects (the cursor.Reader convention: read on, check once).
-type document struct {
-	schema string
-	err    error
-}
-
-func (d *document) failf(format string, args ...interface{}) {
-	if d.err == nil {
-		d.err = fmt.Errorf(d.schema+": "+format, args...)
+	in, err := decodeValue(data)
+	if err == nil {
+		canon, _ := json.Marshal(in) // keys sorted: the decode names the first unknown key in key order
+		err = unmarshalKnown(canon, v)
 	}
-}
-
-// object is one JSON object being consumed key by key: get removes what
-// it reads, end fails on whatever is left.
-type object struct {
-	d    *document
-	path string
-	keys map[string]json.RawMessage
-}
-
-func (d *document) object(path string, raw []byte) object {
-	o := object{d: d, path: path}
-	if err := json.Unmarshal(raw, &o.keys); err != nil {
-		d.failf("%s: not a JSON object: %v", path, err)
+	var out interface{}
+	if err == nil {
+		again, _ := json.Marshal(v) // neither Marshal can fail on a decoded value
+		out, err = decodeValue(again)
 	}
-	return o
+	if err == nil {
+		err = same("document", in, out)
+	}
+	if err != nil {
+		return fmt.Errorf("%s: %w", what, err)
+	}
+	return nil
 }
 
-// get consumes key, decoding it into v; a missing or null key fails.
-func (o object) get(key string, v interface{}) {
-	raw, ok := o.keys[key]
-	delete(o.keys, key)
-	switch {
-	case !ok:
-		o.d.failf("%s: missing key %q", o.path, key)
-	case string(raw) == "null":
-		o.d.failf("%s: %q is null", o.path, key)
+// decodeValue reads data as exactly one JSON value, numbers as written.
+func decodeValue(data []byte) (interface{}, error) {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.UseNumber()
+	var v interface{}
+	if err := dec.Decode(&v); err != nil {
+		return nil, err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("data after top-level value")
+	}
+	return v, nil
+}
+
+// unmarshalKnown decodes b into v, refusing a key v's type does not
+// declare.
+func unmarshalKnown(b []byte, v interface{}) error {
+	dec := json.NewDecoder(bytes.NewReader(b))
+	dec.DisallowUnknownFields()
+	return dec.Decode(v)
+}
+
+// same reports the first place, in key order, where the document in
+// differs from out, the writer's re-encoding of it, at path.
+func same(path string, in, out interface{}) error {
+	if in == nil {
+		return fmt.Errorf("%s is null", path)
+	}
+	switch out := out.(type) {
+	case map[string]interface{}:
+		in, ok := in.(map[string]interface{})
+		if !ok {
+			break
+		}
+		keys := maps.Clone(in)
+		maps.Copy(keys, out)
+		for _, k := range slices.Sorted(maps.Keys(keys)) {
+			iv, inOK := in[k]
+			ov, outOK := out[k]
+			if !inOK {
+				return fmt.Errorf("%s: missing key %q", path, k)
+			} else if !outOK && iv != nil {
+				return fmt.Errorf("%s: zero %q must be omitted", path, k)
+			} else if err := same(path+"."+k, iv, ov); err != nil {
+				return err
+			}
+		}
+		return nil
+	case []interface{}:
+		in, ok := in.([]interface{})
+		if !ok || len(in) != len(out) {
+			break
+		}
+		for i := range out {
+			if err := same(fmt.Sprintf("%s[%d]", path, i), in[i], out[i]); err != nil {
+				return err
+			}
+		}
+		return nil
 	default:
-		if err := json.Unmarshal(raw, v); err != nil {
-			o.d.failf("%s: bad %q: %v", o.path, key, err)
+		if in == out { // json.Number, string or bool: the spelling compares
+			return nil
 		}
 	}
-}
-
-func (o object) has(key string) bool { _, ok := o.keys[key]; return ok }
-
-func (o object) end() {
-	if left := slices.Sorted(maps.Keys(o.keys)); len(left) > 0 {
-		o.d.failf("%s: unknown key %q", o.path, left[0])
-	}
-}
-
-var (
-	jsonUnmarshaler = reflect.TypeFor[json.Unmarshaler]()
-	textUnmarshaler = reflect.TypeFor[encoding.TextUnmarshaler]()
-	namedArrayType  = reflect.TypeFor[namedArray]()
-)
-
-// walked reports whether read takes a value of type t apart itself:
-// structs, slices and named arrays that do not decode themselves, and
-// pointers to them. Everything else is one encoding/json decode.
-func walked(t reflect.Type) bool {
-	switch p := reflect.PointerTo(t); {
-	case p.Implements(namedArrayType):
-		return true
-	case p.Implements(jsonUnmarshaler) || p.Implements(textUnmarshaler):
-		return false
-	case t.Kind() == reflect.Pointer || t.Kind() == reflect.Slice:
-		return walked(t.Elem())
-	}
-	return t.Kind() == reflect.Struct
-}
-
-// read decodes raw into the walked value v: a struct key by tagged key, a
-// slice element by element, a named array entry by named entry.
-func (d *document) read(path string, raw []byte, v reflect.Value) {
-	switch t := v.Type(); {
-	case t.Kind() == reflect.Pointer:
-		v.Set(reflect.New(t.Elem()))
-		d.read(path, raw, v.Elem())
-	case t.Kind() == reflect.Slice:
-		var elems []json.RawMessage
-		if err := json.Unmarshal(raw, &elems); err != nil {
-			d.failf("%s: not a JSON array: %v", path, err)
-		}
-		v.Set(reflect.MakeSlice(t, len(elems), len(elems)))
-		for i, e := range elems {
-			d.read(fmt.Sprintf("%s[%d]", path, i), e, v.Index(i))
-		}
-	case reflect.PointerTo(t).Implements(namedArrayType):
-		o := d.object(path, raw)
-		index := v.Addr().Interface().(namedArray).index
-		for _, key := range slices.Sorted(maps.Keys(o.keys)) {
-			i, ok := index(key)
-			if !ok {
-				d.failf("%s: unknown key %q", path, key)
-				return
-			}
-			if o.field(key, v.Index(i)); v.Index(i).IsZero() {
-				d.failf("%s: zero %q must be omitted", path, key)
-			}
-		}
-	default:
-		o := d.object(path, raw)
-		o.fill(v)
-		o.end()
-	}
-}
-
-// fill reads the struct v's fields from o; an embedded struct's keys
-// sit in o itself. An omitempty or omitzero key may be absent, but given
-// its zero value (an empty list included) it is refused: the encoder
-// never writes one.
-func (o object) fill(v reflect.Value) {
-	for i := 0; i < v.NumField(); i++ {
-		f, sf := v.Field(i), v.Type().Field(i)
-		key, opts, _ := strings.Cut(sf.Tag.Get("json"), ",")
-		switch {
-		case sf.Anonymous && key == "":
-			o.fill(f)
-		case opts != "omitempty" && opts != "omitzero":
-			o.field(key, f)
-		case o.has(key):
-			if o.field(key, f); f.IsZero() || f.Kind() == reflect.Slice && f.Len() == 0 {
-				o.d.failf("%s: zero %q must be omitted", o.path, key)
-			}
-		}
-	}
-}
-
-// field reads o's key into f: a walked type through read, anything else
-// through encoding/json.
-func (o object) field(key string, f reflect.Value) {
-	if !walked(f.Type()) {
-		o.get(key, f.Addr().Interface())
-		return
-	}
-	var raw json.RawMessage
-	if o.get(key, &raw); raw != nil {
-		o.d.read(o.path+"."+key, raw, f)
-	}
+	return fmt.Errorf("%s is %v, which the writer writes %v", path, in, out)
 }
 
 // enumType is one of the package's name-tabled enums; n below is always
@@ -239,7 +180,6 @@ func (o Op) MarshalText() ([]byte, error)        { return []byte(o.String()), ni
 func (k EventKind) MarshalText() ([]byte, error) { return []byte(k.String()), nil }
 func (s Severity) MarshalText() ([]byte, error)  { return []byte(s.String()), nil }
 func (p *Phase) UnmarshalText(b []byte) error    { return lookupText(p, b, NumPhases, "phase") }
-func (c *Counter) UnmarshalText(b []byte) error  { return lookupText(c, b, NumCounters, "counter") }
 func (o *Op) UnmarshalText(b []byte) error       { return lookupText(o, b, Op(NumOps), "op") }
 func (k *EventKind) UnmarshalText(b []byte) error {
 	return lookupText(k, b, EventKind(NumEventKinds), "kind")
@@ -257,8 +197,8 @@ func lookupText[E enumType](e *E, name []byte, n E, what string) error {
 
 // Counts, PhaseCycles and OpSums are arrays indexed by Counter, Phase and
 // Op. Each encodes as an object of its non-zero entries under the enum's
-// names, in enum order, and DecodeStrict reads it back refusing a name
-// outside the table and an explicit zero.
+// names, in enum order, and reads back refusing a name outside the table
+// (DecodeStrict refuses an explicit zero: the writer omits it).
 type (
 	Counts      [NumCounters]uint64
 	PhaseCycles [NumPhases]sim.Cycles
@@ -271,23 +211,38 @@ type OpSum struct {
 	Sum   sim.Cycles `json:"sum_cycles"`
 }
 
-// namedArray is an enum-indexed array: index resolves an entry's name.
-type namedArray interface{ index(name string) (int, bool) }
-
-func (*Counts) index(name string) (int, bool)      { return indexOf[Counter](name) }
-func (*PhaseCycles) index(name string) (int, bool) { return indexOf[Phase](name) }
-func (*OpSums) index(name string) (int, bool)      { return indexOf[Op](name) }
+func (a *Counts) UnmarshalJSON(b []byte) error {
+	return unmarshalNamed(b, a[:], NumCounters, "counter")
+}
+func (a *PhaseCycles) UnmarshalJSON(b []byte) error {
+	return unmarshalNamed(b, a[:], NumPhases, "phase")
+}
+func (a *OpSums) UnmarshalJSON(b []byte) error     { return unmarshalNamed(b, a[:], Op(NumOps), "op") }
 func (a Counts) MarshalJSON() ([]byte, error)      { return marshalNamed(a[:], NumCounters) }
 func (a PhaseCycles) MarshalJSON() ([]byte, error) { return marshalNamed(a[:], NumPhases) }
 func (a OpSums) MarshalJSON() ([]byte, error)      { return marshalNamed(a[:], Op(NumOps)) }
 
-func indexOf[E enumType, P interface {
-	*E
-	encoding.TextUnmarshaler
-}](name string) (int, bool) {
-	var e E
-	err := P(&e).UnmarshalText([]byte(name))
-	return int(e), err == nil
+// unmarshalNamed reads a named array's entries into vals by name, in key
+// order: a name outside the enum's table is refused, and a decode error
+// names its entry (the outer decoder prefixes the path to the array).
+func unmarshalNamed[E enumType, T any](b []byte, vals []T, n E, what string) error {
+	var named map[string]json.RawMessage
+	if err := json.Unmarshal(b, &named); err != nil {
+		return err
+	}
+	for _, name := range slices.Sorted(maps.Keys(named)) {
+		var e E
+		if err := lookupText(&e, []byte(name), n, what); err != nil {
+			return err
+		}
+		if err := unmarshalKnown(named[name], &vals[e]); err != nil {
+			if te, ok := err.(*json.UnmarshalTypeError); ok {
+				te.Field = strings.TrimSuffix(name+"."+te.Field, ".")
+			}
+			return err
+		}
+	}
+	return nil
 }
 
 func marshalNamed[E interface {
@@ -321,8 +276,7 @@ func marshalNamed[E interface {
 // nanosecond resolution keeps distinct cycle stamps distinct at simulated
 // GHz clocks and the fixed format keeps identical runs' bytes identical.
 // A live view holds the full-precision value (scaling by 1e6 keeps the
-// order of sim.Time stamps), a decoded one the value as written, so a
-// decoded Usec re-encodes to itself.
+// order of sim.Time stamps), a decoded one the value as written.
 type Usec float64
 
 // Micros is t in microseconds.
@@ -330,14 +284,6 @@ func Micros(t sim.Time) Usec { return Usec(t.Microseconds()) }
 
 func (u Usec) MarshalJSON() ([]byte, error) {
 	return strconv.AppendFloat(nil, float64(u), 'f', 3, 64), nil
-}
-
-func (u *Usec) UnmarshalJSON(b []byte) error {
-	var us float64
-	err := json.Unmarshal(b, &us)
-	us, _ = strconv.ParseFloat(strconv.FormatFloat(us, 'f', 3, 64), 64)
-	*u = Usec(us)
-	return err
 }
 
 // MarshalText writes the ID in String's "proc#seq" form, which

@@ -12,10 +12,12 @@ import (
 	"mmt/internal/sim"
 )
 
-// TestDecodeStrict: required-ness comes from the writer's tags — a key
-// without omitempty must be there even when its value is the zero one,
-// at any depth; omitempty keys may be absent; nothing undeclared, null
-// or trailing is let through.
+// TestDecodeStrict: a document reads only if its writer writes it back —
+// a key without omitempty must be there even when its value is the zero
+// one, at any depth; omitempty keys may be absent but not zero; a value
+// is spelled as the writer spells it; nothing undeclared, null or
+// trailing is let through, and a value of the wrong type is named by its
+// path.
 func TestDecodeStrict(t *testing.T) {
 	type row struct {
 		Name string `json:"name"`
@@ -23,11 +25,13 @@ func TestDecodeStrict(t *testing.T) {
 		Note string `json:"note,omitempty"`
 	}
 	type doc struct {
-		Title string `json:"title"`
-		Rows  []row  `json:"rows"`
-		Extra *row   `json:"extra,omitempty"`
-		Tags  []int  `json:"tags,omitempty"`
-		Count int    `json:"count,omitzero"`
+		Title string  `json:"title"`
+		Rows  []row   `json:"rows"`
+		Extra *row    `json:"extra,omitempty"`
+		Tags  []int   `json:"tags,omitempty"`
+		Count int     `json:"count,omitzero"`
+		F     float64 `json:"f,omitempty"`
+		Ops   OpSums  `json:"ops,omitzero"`
 	}
 	for data, want := range map[string]string{
 		`{"title": "", "rows": []}`:                                    "",
@@ -35,17 +39,30 @@ func TestDecodeStrict(t *testing.T) {
 		`{"title": "t", "rows": [{"name": "a", "n": 0, "note": "x"}]}`: "",
 		`{"title": "t", "rows": [], "extra": {"name": "", "n": 0}}`:    "",
 		`{"rows": []}`: `document: missing key "title"`,
-		`{"title": "t", "rows": [{"name": "a", "n": 1}, {"name": "b"}]}`:   `document.rows[1]: missing key "n"`,
-		`{"title": "t", "rows": [], "extra": {"n": 1}}`:                    `document.extra: missing key "name"`,
-		`{"title": null, "rows": []}`:                                      `"title" is null`,
-		`{"title": "t", "rows": null}`:                                     `"rows" is null`,
-		`{"title": "t", "rows": [], "more": 1}`:                            `document: unknown key "more"`,
-		`{"title": "t", "rows": [], "tags": [1], "count": 2}`:              "",
-		`{"title": "t", "rows": [], "tags": []}`:                           `document: zero "tags" must be omitted`,
-		`{"title": "t", "rows": [], "count": 0}`:                           `document: zero "count" must be omitted`,
-		`{"title": "t", "rows": [{"name": "a", "n": 1, "colour": "red"}]}`: `document.rows[0]: unknown key "colour"`,
-		`{"title": "t", "rows": [{"name": "a", "n": -1}]}`:                 `bad "n"`,
-		`{"title": "t", "rows": []} {}`:                                    "after top-level value",
+		`{"title": "t", "rows": [{"name": "a", "n": 1}, {"name": "b"}]}`:                     `document.rows[1]: missing key "n"`,
+		`{"title": "t", "rows": [], "extra": {"n": 1}}`:                                      `document.extra: missing key "name"`,
+		`{"title": null, "rows": []}`:                                                        `document.title is null`,
+		`{"title": "t", "rows": null}`:                                                       `document.rows is null`,
+		`{"title": "t", "rows": [null]}`:                                                     `document.rows[0] is null`,
+		`{"title": "t", "rows": [], "extra": null}`:                                          `document.extra is null`,
+		`{"Title": "t", "rows": []}`:                                                         `"Title"`,
+		`{"title": "t", "rows": [], "more": 1}`:                                              `unknown field "more"`,
+		`{"title": "t", "rows": [], "tags": [1], "count": 2}`:                                "",
+		`{"title": "t", "rows": [], "tags": []}`:                                             `document: zero "tags" must be omitted`,
+		`{"title": "t", "rows": [], "count": 0}`:                                             `document: zero "count" must be omitted`,
+		`{"title": "t", "rows": [{"name": "a", "n": 1, "colour": "red"}]}`:                   `unknown field "colour"`,
+		`{"title": "t", "rows": [{"name": "a", "n": -1}]}`:                                   `rows.n`,
+		`{"title": "t", "rows": []} {}`:                                                      "after top-level value",
+		`{"title": "t", "rows": [`:                                                           "unexpected EOF",
+		`{"title": "t", "rows": [], "f": 1e2}`:                                               `document.f is 1e2, which the writer writes 100`,
+		`{"title": "t", "rows": [], "f": 0.5}`:                                               "",
+		`{"title": "t", "rows": [], "ops": {"local-read": {"count": 1, "sum_cycles": 2}}}`:   "",
+		`{"title": "t", "rows": [], "ops": []}`:                                              "cannot unmarshal array",
+		`{"title": "t", "rows": [], "ops": {"local-read": {"count": 1.5, "sum_cycles": 2}}}`: "ops.local-read.count",
+		`{"title": "t", "rows": [], "ops": {"local-read": {"count": 1, "sum": 2}}}`:          `unknown field "sum"`,
+		`{"title": "t", "rows": [], "ops": {"local-read": {"count": 0, "sum_cycles": 0}, "local-write": {"count": 1, "sum_cycles": 2}}}`: `document.ops: zero "local-read" must be omitted`,
+		`{"title": "t", "rows": [], "ops": {"local-read": {"count": 0, "sum_cycles": 0}}}`:                                               `document: zero "ops" must be omitted`,
+		`{"title": "t", "rows": [], "ops": {"bogus": {"count": 1, "sum_cycles": 2}}}`:                                                    `unknown op "bogus"`,
 	} {
 		var d doc
 		err := DecodeStrict("test doc", []byte(data), &d)
@@ -155,9 +172,9 @@ func FuzzArtefactReaders(f *testing.F) {
 		}
 		f.Add(buf.Bytes())
 	}
-	// Spellings the writers never use, each read as what re-encodes to
-	// it: times past 1 ns resolution or past 2^53, a zero-padded seq and
-	// address.
+	// Spellings the writers never use, each refused for differing from
+	// what the value re-encodes to: times past 1 ns resolution or past
+	// 2^53, a zero-padded seq and address.
 	f.Add([]byte(`[{"ph":"M","pid":1,"tid":1,"name":"process_name","args":{"name":"a"}},` +
 		`{"ph":"X","pid":1,"tid":1,"name":"mac","cat":"mmt","ts":1.23456,"dur":1e300,"args":{"trace":"a#01","span":1,"parent":0}},` +
 		`{"ph":"C","pid":1,"tid":1,"name":"counters","ts":123456789012345678901.5,"args":{"mac-verifies":3}}]`))
@@ -181,16 +198,23 @@ func FuzzArtefactReaders(f *testing.F) {
 	})
 }
 
-// TestDecodeStrictNamesFirstKey: with several unknown keys, in an object
-// or in a named array, the error names the first in key order, so the
-// same bad document always gets the same message.
+// TestDecodeStrictNamesFirstKey: with several unknown, missing or zero
+// keys, in an object or in a named array, the error names the first in
+// key order, so the same bad document always gets the same message.
 func TestDecodeStrictNamesFirstKey(t *testing.T) {
 	type doc struct {
-		Cycles PhaseCycles `json:"cycles,omitempty"`
+		Cycles PhaseCycles `json:"cycles,omitzero"`
+		Zz     int         `json:"zz"`
+		Yy     int         `json:"yy"`
+		Xx     int         `json:"xx,omitempty"`
+		Ab     int         `json:"ab,omitempty"`
 	}
 	for data, want := range map[string]string{
-		`{"zz": 1, "yy": 1, "ab": 1, "xx": 1}`:             `unknown key "ab"`,
-		`{"cycles": {"zz": 1, "yy": 1, "ab": 1, "xx": 1}}`: `unknown key "ab"`,
+		`{"zz": 1, "yy": 1, "cd": 1, "zy": 1, "cc": 1, "xy": 1}`:             `unknown field "cc"`,
+		`{"zz": 1, "yy": 1, "cycles": {"zz": 1, "yy": 1, "ab": 1, "xx": 1}}`: `unknown phase "ab"`,
+		`{}`:                                   `missing key "yy"`,
+		`{"zz": 1, "yy": 1, "xx": 0, "ab": 0}`: `zero "ab" must be omitted`,
+		`{"zz": 1, "yy": 1, "cycles": {"tree-walk": 0, "mac": 0, "data-access": 0, "send": 1}}`: `document.cycles: zero "data-access" must be omitted`,
 	} {
 		var d doc
 		if err := DecodeStrict("test doc", []byte(data), &d); err == nil || !strings.Contains(err.Error(), want) {

@@ -43,7 +43,6 @@ import (
 	"mmt/internal/attest"
 	"mmt/internal/core"
 	"mmt/internal/engine"
-	"mmt/internal/mem"
 	"mmt/internal/monitor"
 	"mmt/internal/netsim"
 	"mmt/internal/sim"
@@ -90,7 +89,11 @@ type Cluster struct {
 	hasher snap.Hasher
 }
 
-func newCluster(s settings) (*Cluster, error) {
+// newCluster is the skeleton New, Load and Open share around the trust
+// roots their caller made (fresh for New, restored for Load and Open):
+// the geometry, the sampler on the trace sink, the interconnect and the
+// debug server. The caller attaches the machines and the store.
+func newCluster(s settings, mfr *attest.Manufacturer, authority *attest.Authority) (*Cluster, error) {
 	geo := tree.ForLevels(s.treeLevels)
 	if err := geo.Validate(); err != nil {
 		return nil, err
@@ -103,22 +106,12 @@ func newCluster(s settings) (*Cluster, error) {
 			return nil, err
 		}
 	}
-	mfr, err := attest.NewManufacturer()
-	if err != nil {
-		return nil, err
-	}
-	authority, err := attest.NewAuthority(mfr.PublicKey())
-	if err != nil {
-		return nil, err
-	}
-	measurement := attest.MeasureSoftware([]byte("mmt-monitor-v1"))
-	authority.AllowMeasurement(measurement)
 	c := &Cluster{
 		set:         s,
 		geometry:    geo,
 		mfr:         mfr,
 		authority:   authority,
-		measurement: measurement,
+		measurement: attest.MeasureSoftware([]byte("mmt-monitor-v1")),
 		net:         netsim.NewNetwork(s.netLatency),
 		machines:    make(map[string]*Machine),
 		links:       make(map[string]*Link),
@@ -130,19 +123,6 @@ func newCluster(s settings) (*Cluster, error) {
 			return nil, err
 		}
 		c.debug = dbg
-	}
-	if s.storePath != "" {
-		st, err := store.Open(store.Dir{Path: s.storePath})
-		if err != nil {
-			c.closeDebug()
-			return nil, err
-		}
-		if st.HasCommit() {
-			st.Close()
-			c.closeDebug()
-			return nil, fmt.Errorf("mmt: store %q already holds a committed snapshot (epoch %d); resume it with mmt.Open", s.storePath, st.Epoch())
-		}
-		c.ckpt = st
 	}
 	return c, nil
 }
@@ -214,37 +194,9 @@ func (c *Cluster) AddMachine(name string) (*Machine, error) {
 	if err != nil {
 		return nil, err
 	}
-	m, err := c.buildMachine(name, machine)
+	ctl, err := c.controller(name)
 	if err != nil {
 		return nil, err
-	}
-	c.machines[name] = m
-	c.machineOrder = append(c.machineOrder, name)
-	c.markStructural()
-	return m, nil
-}
-
-// buildMachine assembles the controller/monitor/runtime stack around an
-// attested identity. Shared by AddMachine and snapshot restore (which
-// supplies a restored identity instead of a freshly provisioned one).
-func (c *Cluster) buildMachine(name string, machine *attest.Machine) (*Machine, error) {
-	pm := mem.New(mem.Config{
-		Size:          c.set.regions * c.geometry.DataSize(),
-		RegionSize:    c.geometry.DataSize(),
-		MetaPerRegion: c.geometry.MetaSize(),
-	})
-	ctl, err := engine.New(pm, c.geometry, nil, c.set.profile)
-	if err != nil {
-		return nil, err
-	}
-	// One trace process per machine; Probe on a nil sink returns the
-	// disabled (nil) probe, so an untraced cluster stays allocation-free.
-	pr := c.set.trace.Probe(name)
-	ctl.SetTrace(pr)
-	// With sampling on, the machine's clock drives the windowed sampler:
-	// each window crossing snapshots this machine's accumulator deltas.
-	if cfg, ok := c.set.trace.SeriesConfigured(); ok {
-		ctl.Clock().SetWindowHook(cfg.WindowCycles, pr.ObserveWindow)
 	}
 	mon := monitor.New(machine, c.measurement, c.authority.PublicKey(), ctl)
 	if err := mon.Boot(c.authority); err != nil {
@@ -253,7 +205,30 @@ func (c *Cluster) buildMachine(name string, machine *attest.Machine) (*Machine, 
 	if err := mon.AttachNetwork(c.net, name); err != nil {
 		return nil, err
 	}
-	return &Machine{name: name, cluster: c, ident: machine, mon: mon}, nil
+	m := &Machine{name: name, cluster: c, ident: machine, mon: mon}
+	c.machines[name] = m
+	c.machineOrder = append(c.machineOrder, name)
+	c.markStructural()
+	return m, nil
+}
+
+// controller builds a machine's controller: its regions laid out for the
+// cluster's geometry, recording into the machine's trace process and,
+// with sampling on, sampled once per window of its own clock. Shared by
+// AddMachine and snapshot restore.
+func (c *Cluster) controller(name string) (*engine.Controller, error) {
+	ctl, err := engine.NewRegions(c.set.regions, c.geometry, nil, c.set.profile)
+	if err != nil {
+		return nil, err
+	}
+	// One trace process per machine; Probe on a nil sink returns the
+	// disabled (nil) probe, so an untraced cluster stays allocation-free.
+	pr := c.set.trace.Probe(name)
+	ctl.SetTrace(pr)
+	if cfg, ok := c.set.trace.SeriesConfigured(); ok {
+		ctl.Clock().SetWindowHook(cfg.WindowCycles, pr.ObserveWindow)
+	}
+	return ctl, nil
 }
 
 // Machine looks up a machine by name.

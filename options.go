@@ -4,7 +4,9 @@ import (
 	"errors"
 	"fmt"
 
+	"mmt/internal/attest"
 	"mmt/internal/sim"
+	"mmt/internal/store"
 	"mmt/internal/trace"
 )
 
@@ -376,5 +378,31 @@ func New(opts ...Option) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newCluster(s)
+	mfr, err := attest.NewManufacturer()
+	if err != nil {
+		return nil, err
+	}
+	authority, err := attest.NewAuthority(mfr.PublicKey())
+	if err != nil {
+		return nil, err
+	}
+	c, err := newCluster(s, mfr, authority)
+	if err != nil {
+		return nil, err
+	}
+	authority.AllowMeasurement(c.measurement)
+	if s.storePath != "" {
+		st, err := store.Open(store.Dir{Path: s.storePath})
+		if err != nil {
+			c.closeDebug()
+			return nil, err
+		}
+		if st.HasCommit() {
+			st.Close()
+			c.closeDebug()
+			return nil, fmt.Errorf("mmt: store %q already holds a committed snapshot (epoch %d); resume it with mmt.Open", s.storePath, st.Epoch())
+		}
+		c.ckpt = st
+	}
+	return c, nil
 }

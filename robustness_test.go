@@ -211,9 +211,10 @@ func FuzzReadArtifact(f *testing.F) {
 	})
 }
 
-// TestLoadRefusals: Load refuses, returning no cluster, a bad option, a
-// reader that fails, a correctly hashed snapshot whose region no longer
-// verifies, and a store path that cannot be opened.
+// TestLoadRefusals: Load refuses, returning no cluster, a bad option,
+// sampling without tracing (as New does), a reader that fails, a
+// correctly hashed snapshot whose region no longer verifies, and a store
+// path that cannot be opened.
 func TestLoadRefusals(t *testing.T) {
 	c, _ := persistCluster(t)
 	var good bytes.Buffer
@@ -236,6 +237,7 @@ func TestLoadRefusals(t *testing.T) {
 		want error
 	}{
 		{"bad option", bytes.NewReader(good.Bytes()), []Option{WithSampling(SamplingConfig{WindowCycles: 3})}, nil},
+		{"sampling without tracing", bytes.NewReader(good.Bytes()), []Option{WithSampling(SamplingConfig{WindowCycles: 1 << 10})}, nil},
 		{"failing reader", iotest.ErrReader(io.ErrUnexpectedEOF), nil, io.ErrUnexpectedEOF},
 		{"line MAC flipped", bytes.NewReader(sealed(m)), nil, ErrIntegrity},
 		{"store is a file", bytes.NewReader(good.Bytes()), []Option{WithStore(file)}, nil},
@@ -243,6 +245,69 @@ func TestLoadRefusals(t *testing.T) {
 		got, err := Load(c.r, c.opts...)
 		if err == nil || got != nil || c.want != nil && !errors.Is(err, c.want) {
 			t.Errorf("%s: cluster %v, err %v; want none and %v", c.name, got != nil, err, c.want)
+		}
+	}
+}
+
+// TestRestoreSamples: Load and Open apply WithSampling as New does. With
+// WithTracing the restored machines are sampled, window by window, into a
+// series whose windows re-add to the totals; without it both refuse the
+// option with New's error.
+func TestRestoreSamples(t *testing.T) {
+	c, _ := persistCluster(t)
+	var stream bytes.Buffer
+	if _, err := c.Save(&stream); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	stored, err := Load(bytes.NewReader(stream.Bytes()), WithStore(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := stored.Close(); err != nil { // the final checkpoint Open resumes
+		t.Fatal(err)
+	}
+	sampling := WithSampling(SamplingConfig{WindowCycles: 1 << 10})
+	_, refused := New(sampling)
+	if refused == nil {
+		t.Fatal("New accepted WithSampling without WithTracing")
+	}
+	for _, restore := range []struct {
+		name string
+		open func(...Option) (*Cluster, error)
+	}{
+		{"Load", func(opts ...Option) (*Cluster, error) { return Load(bytes.NewReader(stream.Bytes()), opts...) }},
+		{"Open", func(opts ...Option) (*Cluster, error) { return Open(dir, opts...) }},
+	} {
+		sink := NewTraceSink()
+		r, err := restore.open(WithTracing(sink), sampling)
+		if err != nil {
+			t.Fatalf("%s: %v", restore.name, err)
+		}
+		bufs, err := validBuffers(r, "bob")
+		if err != nil || len(bufs) != 1 {
+			t.Fatalf("%s: bob's buffers: %d (%v)", restore.name, len(bufs), err)
+		}
+		for i := 0; i < 50; i++ {
+			if err := bufs[0].Write(i*64, []byte("sampled line")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		v, on := sink.SeriesSnapshot()
+		if !on {
+			t.Fatalf("%s: the series is off", restore.name)
+		}
+		if err := v.Check(); err != nil {
+			t.Errorf("%s: %v", restore.name, err)
+		}
+		if p := v.Procs; len(p) != 1 || p[0].Proc != "bob" || len(p[0].Samples) < 2 {
+			t.Errorf("%s: only bob wrote, in several windows, but the series holds %d procs", restore.name, len(p))
+		}
+		if err := r.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := restore.open(sampling); got != nil || err == nil || err.Error() != refused.Error() {
+			t.Errorf("%s without WithTracing: cluster %v, err %v; want New's %v", restore.name, got != nil, err, refused)
 		}
 	}
 }

@@ -39,13 +39,10 @@ import (
 	"mmt/internal/core"
 	"mmt/internal/cursor"
 	"mmt/internal/engine"
-	"mmt/internal/mem"
 	"mmt/internal/monitor"
-	"mmt/internal/netsim"
 	"mmt/internal/snap"
 	"mmt/internal/store"
 	"mmt/internal/trace"
-	"mmt/internal/tree"
 )
 
 // Persistence errors.
@@ -147,7 +144,8 @@ func (c *Cluster) stateHash(m *snap.Model) [32]byte {
 // restoreCluster rebuilds a cluster from a model, then re-captures the
 // result and requires its hash to equal wantHash — the verified-reload
 // contract. Structural options in s were already rejected by the caller;
-// trace/debug settings apply to the restored cluster.
+// the trace, sampling and debug settings apply to the restored cluster,
+// through the skeleton and the controller builder New uses.
 func restoreCluster(m *snap.Model, s settings, wantHash [32]byte) (*Cluster, error) {
 	s.profile = m.Profile
 	s.treeLevels = m.TreeLevels
@@ -161,23 +159,9 @@ func restoreCluster(m *snap.Model, s settings, wantHash [32]byte) (*Cluster, err
 	if err != nil {
 		return nil, err
 	}
-	c := &Cluster{
-		set:         s,
-		geometry:    tree.ForLevels(s.treeLevels), // snap.Decode admits only 2-4 levels
-		mfr:         mfr,
-		authority:   authority,
-		measurement: attest.MeasureSoftware([]byte("mmt-monitor-v1")),
-		net:         netsim.NewNetwork(s.netLatency),
-		machines:    make(map[string]*Machine),
-		links:       make(map[string]*Link),
-		needBase:    true,
-	}
-	if s.debugAddr != "" {
-		dbg, err := startDebugServer(s.debugAddr, s.trace)
-		if err != nil {
-			return nil, err
-		}
-		c.debug = dbg
+	c, err := newCluster(s, mfr, authority)
+	if err != nil {
+		return nil, err
 	}
 	fail := func(err error) (*Cluster, error) {
 		c.closeDebug()
@@ -227,16 +211,10 @@ func (c *Cluster) restoreMachine(mm *snap.Machine) (*Machine, error) {
 	if err != nil {
 		return nil, err
 	}
-	pm := mem.New(mem.Config{
-		Size:          c.set.regions * c.geometry.DataSize(),
-		RegionSize:    c.geometry.DataSize(),
-		MetaPerRegion: c.geometry.MetaSize(),
-	})
-	ctl, err := engine.New(pm, c.geometry, nil, c.set.profile)
+	ctl, err := c.controller(mm.Name)
 	if err != nil {
 		return nil, err
 	}
-	ctl.SetTrace(c.set.trace.Probe(mm.Name))
 
 	// Region state first (Controller.Install verifies every node and line
 	// MAC under the persisted key before enabling anything), so the
@@ -355,19 +333,16 @@ func Load(r io.Reader, opts ...Option) (*Cluster, error) {
 	if got := snap.Hash(m); got != want {
 		return nil, fmt.Errorf("%w: snapshot hashes to %x, trailer says %x", ErrBadSnapshot, got, want)
 	}
-	storePath := s.storePath
-	s.storePath = "" // the store is attached below, after restore succeeds
 	c, err := restoreCluster(m, s, want)
 	if err != nil {
 		return nil, err
 	}
-	if storePath != "" {
-		st, err := store.Open(store.Dir{Path: storePath})
+	if s.storePath != "" { // attached once restore has succeeded
+		st, err := store.Open(store.Dir{Path: s.storePath})
 		if err != nil {
 			c.Close()
 			return nil, err
 		}
-		c.set.storePath = storePath
 		c.ckpt = st // restoreCluster left needBase set: the first commit is a base
 	}
 	return c, nil
@@ -483,7 +458,6 @@ func Open(path string, opts ...Option) (*Cluster, error) {
 		st.Close()
 		return nil, err
 	}
-	c.set.storePath = path
 	return c, nil
 }
 
